@@ -106,7 +106,9 @@ def cmd_train(args) -> int:
         if not epochs:
             raise UsageError("no epoch checkpoint to resume from")
         resume_from = os.path.join(ckpt_root, epochs[-1])
-    _write_json(os.path.join(args.out, "config.json"), cfg.to_json())
+    else:
+        # a resume refuses any config but the checkpoint's, so config.json stands
+        _write_json(os.path.join(args.out, "config.json"), cfg.to_json())
     state, reports = trainer.run(cfg, split, clouds, out_dir=args.out,
                                  resume_from=resume_from)
     _manifest(args.out, cfg.config_hash(), cfg.seed,
@@ -262,8 +264,9 @@ def cmd_verify(args) -> int:
     oracle.write_reports(reports, os.path.join(out, "oracle_report.json"))
     failed = [r for r in reports if not r.passed]
     for r in reports:
+        extra = "".join(f", {k} {v}" for k, v in r.detail.items())
         print(f"{'PASS' if r.passed else 'FAIL'} {r.check} "
-              f"(abs {r.max_abs_err:.3g}, rel {r.max_rel_err:.3g}, tol {r.tolerance:.3g})")
+              f"(abs {r.max_abs_err:.3g}, rel {r.max_rel_err:.3g}, tol {r.tolerance:.3g}{extra})")
     return 1 if failed else 0
 
 

@@ -53,27 +53,6 @@ def confusion(preds: np.ndarray, labels: np.ndarray, class_count: int) -> np.nda
     return np.divide(mat, rows, out=np.zeros_like(mat), where=rows > 0)
 
 
-def spearman(xs, ys) -> float:
-    """Spearman rank correlation with average ranks on ties."""
-
-    def ranks(v):
-        v = np.asarray(v, dtype=np.float64)
-        order = np.argsort(v, kind="stable")
-        r = np.empty(v.shape[0])
-        r[order] = np.arange(1, v.shape[0] + 1, dtype=np.float64)
-        for val in np.unique(v):
-            m = v == val
-            if m.sum() > 1:
-                r[m] = r[m].mean()
-        return r
-
-    rx, ry = ranks(xs), ranks(ys)
-    sx, sy = rx.std(), ry.std()
-    if sx == 0.0 or sy == 0.0:
-        return 0.0
-    return float(((rx - rx.mean()) * (ry - ry.mean())).mean() / (sx * sy))
-
-
 def point_predictions(model: segnet.SegModel, cloud: PointCloud, voxel_size: float,
                       knn_k: int) -> np.ndarray:
     """Per-point class ids: each point inherits its voxel representative's

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,17 +20,18 @@ class OracleReport:
     max_rel_err: float
     tolerance: float
     passed: bool
+    detail: dict = field(default_factory=dict)  # check-specific counts
 
     def to_json(self) -> dict:
         return {"check": self.check, "cases": self.cases,
                 "max_abs_err": self.max_abs_err, "max_rel_err": self.max_rel_err,
-                "tolerance": self.tolerance, "passed": bool(self.passed)}
+                "tolerance": self.tolerance, "passed": bool(self.passed), **self.detail}
 
 
 def report(check: str, cases: int, abs_err: float, rel_err: float,
-           tolerance: float) -> OracleReport:
+           tolerance: float, **detail) -> OracleReport:
     return OracleReport(check, cases, float(abs_err), float(rel_err),
-                        float(tolerance), bool(max(abs_err, rel_err) <= tolerance))
+                        float(tolerance), bool(max(abs_err, rel_err) <= tolerance), detail)
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +112,39 @@ def brute_voxel_cells(points: np.ndarray, voxel_size: float) -> dict:
 # Central finite differences
 
 
+# A kink (a leaky-relu input changing sign) within +-h makes an entry's
+# forward and backward differences disagree, and the central difference errs
+# by half their disagreement. A smooth loss bends them apart too, by about
+# h * f'', so a disagreeing entry is only a suspect: it straddled a kink when
+# its central differences at h and h/10 disagree as well. KINK_RTOL is the
+# relative disagreement still taken as agreement; KINK_ROUNDING is the
+# rounding noise of one loss evaluation, relative to the loss.
+KINK_RTOL = 1e-6
+KINK_ROUNDING = 64 * np.finfo(np.float64).eps
+KINK_STEPS = (10.0, 100.0, 1000.0)  # divisors of h tried on a straddled kink
+
+
 def fd_gradient(loss_fn, params: dict[str, np.ndarray], h: float = 1e-5,
-                param_names=None) -> dict[str, np.ndarray]:
-    """Central difference per scalar entry of each named parameter array.
-    `loss_fn` is re-evaluated with the entry perturbed in place."""
+                param_names=None) -> tuple[dict[str, np.ndarray], int]:
+    """Kink-aware central difference per scalar entry of each named parameter
+    array. `loss_fn` is re-evaluated with the entry perturbed in place.
+
+    Entries that straddle a kink are re-differenced with steps h/10, h/100,
+    h/1000 until two successive central differences agree, and take the last
+    one; every other entry keeps step h. Returns (gradients, number of
+    entries that straddled a kink)."""
     if h <= 0:
         raise ValueError("h must be positive")
+    mid = loss_fn()
+    if not math.isfinite(mid):
+        raise FloatingPointError("non-finite loss at the unperturbed parameters")
+    noise = KINK_ROUNDING * abs(mid)
+
+    def disagree(a: float, b: float, step: float) -> bool:
+        return abs(a - b) > KINK_RTOL * max(abs(a), abs(b)) + 2.0 * noise / step
+
     grads = {}
+    kinks = 0
     for name in (param_names if param_names is not None else sorted(params)):
         arr = params[name]
         g = np.zeros_like(arr)
@@ -125,17 +152,32 @@ def fd_gradient(loss_fn, params: dict[str, np.ndarray], h: float = 1e-5,
         gflat = g.reshape(-1)
         for i in range(flat.shape[0]):
             keep = flat[i]
-            flat[i] = keep + h
-            up = loss_fn()
-            flat[i] = keep - h
-            down = loss_fn()
-            flat[i] = keep
-            if not (math.isfinite(up) and math.isfinite(down)):
-                raise FloatingPointError(
-                    f"non-finite loss while differencing parameter {name!r} entry {i}")
-            gflat[i] = (up - down) / (2.0 * h)
+
+            def differences(step: float) -> tuple[float, float, float]:
+                """(central, forward, backward) differences at `step`."""
+                flat[i] = keep + step
+                up = loss_fn()
+                flat[i] = keep - step
+                down = loss_fn()
+                flat[i] = keep
+                if not (math.isfinite(up) and math.isfinite(down)):
+                    raise FloatingPointError(
+                        f"non-finite loss while differencing parameter {name!r} entry {i}")
+                return (up - down) / (2.0 * step), (up - mid) / step, (mid - down) / step
+
+            grad, fwd, bwd = differences(h)
+            if disagree(fwd, bwd, h):
+                finer = differences(h / KINK_STEPS[0])[0]
+                if disagree(grad, finer, h / KINK_STEPS[0]):
+                    kinks += 1
+                    for div in KINK_STEPS[1:]:
+                        coarse, finer = finer, differences(h / div)[0]
+                        if not disagree(coarse, finer, h / div):
+                            break
+                    grad = finer
+            gflat[i] = grad
         grads[name] = g
-    return grads
+    return grads, kinks
 
 
 def gradient_errors(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray],
@@ -223,7 +265,7 @@ def interpret_program(program, inputs: dict[str, np.ndarray], dps: int = 50):
     `program` is a list of (out_name, op, arg_names, kwargs); supported ops
     mirror the production forward set. Returns {name: float64 ndarray}.
     """
-    from mpmath import mp, mpf, exp as mexp, log as mlog, tanh as mtanh
+    from mpmath import mp, mpf, exp as mexp, log as mlog
 
     mp.dps = dps
 
@@ -259,10 +301,6 @@ def interpret_program(program, inputs: dict[str, np.ndarray], dps: int = 50):
         elif op == "leaky-relu":
             s = mpf(float(kwargs.get("slope", 0.01)))
             res = unary(vals[0], lambda x: x if x > 0 else s * x)
-        elif op == "relu":
-            res = unary(vals[0], lambda x: x if x > 0 else mpf(0))
-        elif op == "tanh":
-            res = unary(vals[0], mtanh)
         elif op == "exp":
             res = unary(vals[0], mexp)
         elif op == "log":
@@ -286,24 +324,6 @@ def interpret_program(program, inputs: dict[str, np.ndarray], dps: int = 50):
         env[out] = res
     return {name: np.array([[float(v) for v in row] for row in mat])
             for name, mat in env.items()}
-
-
-def ce_reference(logits: np.ndarray, labels: np.ndarray, mask=None, dps: int = 50) -> float:
-    """Extended-precision log-sum-exp cross-entropy mean."""
-    from mpmath import mp, mpf, exp as mexp, log as mlog
-
-    mp.dps = dps
-    terms = []
-    for i, row in enumerate(logits):
-        if labels[i] == 255 or (mask is not None and not mask[i]):
-            continue
-        vals = [mpf(float(v)) for v in row]
-        m = max(vals)
-        lse = mlog(sum(mexp(v - m) for v in vals)) + m
-        terms.append(lse - vals[int(labels[i])])
-    if not terms:
-        return 0.0
-    return float(sum(terms) / len(terms))
 
 
 def eigvals_sym3_reference(m: np.ndarray, dps: int = 50) -> np.ndarray:

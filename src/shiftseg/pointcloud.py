@@ -1,8 +1,8 @@
 """Point-cloud geometry substrate: containers, voxelization, exact kNN,
-local PCA statistics, azimuthal sector split, and mask dilation."""
+local PCA statistics, and azimuthal sector split."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,23 +52,10 @@ class VoxelGrid:
     rep_index: np.ndarray  # (M,) int64 lowest point index per cell
     rep_label: np.ndarray  # (M,) uint16 majority label per cell
     point_cell: np.ndarray  # (N,) int64 cell row per point
-    _occupied: dict | None = field(default=None, repr=False)
 
     @property
     def num_cells(self) -> int:
         return self.cell_keys.shape[0]
-
-    @property
-    def occupied(self) -> dict[tuple[int, int, int], np.ndarray]:
-        """Map cell key -> member point indices (built on first access)."""
-        if self._occupied is None:
-            order = np.argsort(self.point_cell, kind="stable")
-            bounds = np.searchsorted(self.point_cell[order], np.arange(self.num_cells + 1))
-            self._occupied = {
-                tuple(int(v) for v in self.cell_keys[c]): order[bounds[c]:bounds[c + 1]]
-                for c in range(self.num_cells)
-            }
-        return self._occupied
 
 
 @dataclass
@@ -112,11 +99,11 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelGrid:
     return VoxelGrid(float(voxel_size), uniq, rep_index, rep_label, point_cell)
 
 
-def knn(cloud: PointCloud, k: int, use_numba: bool | None = None) -> NeighborIndex:
+def knn(cloud: PointCloud, k: int) -> NeighborIndex:
     n = len(cloud)
     if k >= n:
         raise ValueError(f"knn requires k < N, got k={k}, N={n}")
-    idx, dist = _kernels.knn(cloud.positions, k, use_numba=use_numba)
+    idx, dist = _kernels.knn(cloud.positions, k)
     return NeighborIndex(k, idx, dist)
 
 
@@ -149,15 +136,6 @@ def local_curvature(cloud: PointCloud, nn: NeighborIndex) -> np.ndarray:
     eig = np.maximum(eig, 0.0)
     total = eig.sum(axis=1)
     return np.where(total > 0, eig[:, 0] / np.where(total > 0, total, 1.0), 0.0)
-
-
-def dilate_mask(cloud: PointCloud, mask: np.ndarray, radius: float,
-                use_numba: bool | None = None) -> np.ndarray:
-    """True wherever any marked point lies within `radius`; radius 0 is identity."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (len(cloud),):
-        raise ValueError(f"mask shape {mask.shape} does not match cloud size {len(cloud)}")
-    return _kernels.dilate(cloud.positions, mask, radius, use_numba=use_numba)
 
 
 def sector_split(cloud: PointCloud, num_sectors: int) -> np.ndarray:

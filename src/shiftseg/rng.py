@@ -103,7 +103,8 @@ class Stream:
         if n < 2:
             return perm
         u = self.uniform(n - 1)
-        from . import _kernels
-
-        _kernels.fisher_yates(perm, u)
+        for t in range(n - 1):
+            i = n - 1 - t
+            j = min(int(u[t] * (i + 1)), i)
+            perm[i], perm[j] = perm[j], perm[i]
         return perm

@@ -140,19 +140,13 @@ class PriorAutoencoder:
             t.data[...] = arrays[name]
 
 
-def nearest_in_class(codes3: np.ndarray, z_e: np.ndarray, classes: np.ndarray,
-                     restrict: np.ndarray | None = None):
+def nearest_in_class(codes3: np.ndarray, z_e: np.ndarray, classes: np.ndarray):
     """Nearest code within each row's class sub-table (ties -> lowest index).
-
-    Returns (index_in_class, distance). `restrict` optionally masks which
-    classes may be searched (rows of other classes get index -1, distance inf).
-    """
+    Returns (index_in_class, distance)."""
     n = z_e.shape[0]
     idx = np.full(n, -1, dtype=np.int64)
     dist = np.full(n, np.inf)
     for c in np.unique(classes):
-        if restrict is not None and not restrict[c]:
-            continue
         rows = np.flatnonzero(classes == c)
         table = codes3[c]  # (k, D)
         z = z_e[rows]
@@ -197,10 +191,6 @@ def nearest_global(codes2: np.ndarray, initialized: np.ndarray, codes_per_class:
     best = _pairwise_sq(z, table).argmin(axis=1)
     diff = z - table[best]
     return live[best], np.sqrt((diff * diff).sum(axis=1))
-
-
-def global_nearest(cb: CodebookState, z_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return nearest_global(cb.codes.data, cb.initialized, cb.codes_per_class, z_e)
 
 
 @dataclass

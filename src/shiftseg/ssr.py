@@ -2,8 +2,6 @@
 per-code distributions of a frozen prior and emit complementary region masks."""
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,19 +33,6 @@ class PriorSnapshot:
             raise ValueError("threshold t must be positive")
         if (self.encoder_params is None) == (self.projection is None):
             raise ValueError("snapshot needs exactly one of encoder_params or projection")
-
-    def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.codes3.tobytes())
-        h.update(self.variances.tobytes())
-        h.update(self.initialized.tobytes())
-        if self.encoder_params is not None:
-            for name in sorted(self.encoder_params):
-                h.update(name.encode())
-                h.update(self.encoder_params[name].tobytes())
-        if self.projection is not None:
-            h.update(self.projection.tobytes())
-        return h.hexdigest()
 
     def embed(self, rows):
         """Frozen-encoder forward. Accepts a Tensor (stays differentiable
@@ -120,8 +105,7 @@ class LocalizeResult:
 
 
 def localize(snapshot: PriorSnapshot, probs, coords: np.ndarray,
-             labels: np.ndarray, dilation_radius: float = 0.0,
-             use_numba: bool | None = None) -> LocalizeResult:
+             labels: np.ndarray, dilation_radius: float = 0.0) -> LocalizeResult:
     """Embed rows with the frozen prior encoder, flag rows whose score exceeds
     the threshold, dilate the shifted set over 3-D coordinates, and emit the
     complementary masks. Rows labeled 255 stay out of both masks.
@@ -156,9 +140,7 @@ def localize(snapshot: PriorSnapshot, probs, coords: np.ndarray,
     flagged = np.zeros(n, dtype=bool)
     flagged[grouped] = s > snapshot.threshold
     if dilation_radius > 0.0 and flagged.any():
-        sub = _kernels.dilate(coords[valid], flagged[valid], dilation_radius,
-                              use_numba=use_numba)
-        flagged[valid] = sub
+        flagged[valid] = _kernels.dilate(coords[valid], flagged[valid], dilation_radius)
     ssr[valid] = flagged[valid]
     scr[valid] = ~flagged[valid]
     return LocalizeResult(ShiftMasks(scr, ssr, score, a_cls, a_idx), grouped, classes, z_e)
@@ -169,12 +151,3 @@ def ssr_ratio(masks: ShiftMasks) -> float:
     labeled = masks.scr | masks.ssr
     total = int(labeled.sum())
     return float(masks.ssr.sum() / total) if total else 0.0
-
-
-def masks_to_json(masks: ShiftMasks, cloud_id: str) -> str:
-    doc = {
-        "cloud_id": cloud_id,
-        "ssr": "".join("1" if b else "0" for b in masks.ssr),
-        "scores": [float(v) for v in masks.score],
-    }
-    return json.dumps(doc)

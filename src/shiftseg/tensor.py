@@ -3,8 +3,8 @@
 Deliberately minimal: just the ops the training pipeline needs, on a
 single-use tape. Ops record backward closures when any input requires
 gradients; `backward` consumes the recorded subgraph in reverse creation
-order and clears it. `stop_gradient` and `straight_through` provide the
-detach / passthrough semantics the quantization objective relies on.
+order and clears it. `stop_gradient` provides the detach semantics the
+quantization objective relies on.
 """
 from __future__ import annotations
 
@@ -14,8 +14,6 @@ import struct
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
-
-from . import _kernels
 
 _node_ids = itertools.count()
 
@@ -49,22 +47,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
-
-    # graph-building sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def as_tensor(x) -> Tensor:
@@ -152,32 +134,11 @@ def matmul(a, b) -> Tensor:
 def leaky_relu(x, slope: float = 0.01) -> Tensor:
     x = as_tensor(x)
     xd = x.data
-    out = _kernels.leaky_fwd(xd, slope)
 
     def bwd(g):
-        return (_kernels.leaky_bwd(xd, g, slope),)
+        return (np.where(xd > 0, g, slope * g),)
 
-    return _record(out, (x,), bwd, "leaky-relu")
-
-
-def relu(x) -> Tensor:
-    x = as_tensor(x)
-    pos = x.data > 0
-
-    def bwd(g):
-        return (np.where(pos, g, 0.0),)
-
-    return _record(np.where(pos, x.data, 0.0), (x,), bwd, "relu")
-
-
-def tanh(x) -> Tensor:
-    x = as_tensor(x)
-    out = np.tanh(x.data)
-
-    def bwd(g):
-        return (g * (1.0 - out * out),)
-
-    return _record(out, (x,), bwd, "tanh")
+    return _record(np.where(xd > 0, xd, slope * xd), (x,), bwd, "leaky-relu")
 
 
 def softmax(x) -> Tensor:
@@ -297,20 +258,6 @@ def stop_gradient(x) -> Tensor:
     """Forward identity; contributes zero gradient upstream."""
     x = as_tensor(x)
     return Tensor(x.data, _op="stop-gradient")
-
-
-def straight_through(forward_value, passthrough_source) -> Tensor:
-    """Forward returns `forward_value`; backward routes all gradient to
-    `passthrough_source` and none to `forward_value`."""
-    fwd, src = as_tensor(forward_value), as_tensor(passthrough_source)
-    if fwd.data.shape != src.data.shape:
-        raise ShapeError(
-            f"straight-through: shapes {fwd.data.shape} and {src.data.shape} must match")
-
-    def bwd(g):
-        return (g,)
-
-    return _record(fwd.data, (src,), bwd, "straight-through")
 
 
 def backward(loss: Tensor) -> None:

@@ -233,7 +233,6 @@ class TrainState:
     step: int = 0
     epoch: int = 0
     cache: dict = field(default_factory=dict)
-    stats_trace: list | None = None  # optional (flat, z_e) capture per step
 
 
 def init_state(cfg: TrainConfig) -> TrainState:
@@ -365,8 +364,6 @@ def _select_scp(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
         qr0 = scp.prototype_prior_step(state.cb, state.projection, rows, classes,
                                        cfg.gamma, Stream(cfg.seed, "proto", state.step))
         sel = ScpSelection(rows, classes, None, rows[:, :cfg.class_count].copy(), qr0.z_e)
-    if state.stats_trace is not None:
-        state.stats_trace.append((qr0.flat.copy(), qr0.z_e.copy()))
     return sel, z_live
 
 
@@ -624,6 +621,30 @@ def _json_line(doc: dict) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
+def _check_resumable(cfg: TrainConfig, ckpt_dir: str) -> None:
+    """Refuse a checkpoint written under a different config."""
+    with open(os.path.join(ckpt_dir, "state.json"), "r", encoding="utf-8") as f:
+        saved = json.load(f).get("config_hash")
+    if saved != cfg.config_hash():
+        raise ConfigError(f"checkpoint {ckpt_dir!r} was written under config {saved}, "
+                          f"not the resuming config {cfg.config_hash()}")
+
+
+def _truncate_steplog(path: str, step: int) -> None:
+    """Keep only the records of steps before `step`, where a resumed run
+    restarts, so steps logged after the checkpoint are not written twice.
+    A torn last line (no newline) of an interrupted run is dropped too."""
+    if not os.path.exists(path):
+        return
+    with open(path, "r", encoding="utf-8") as f:
+        keep = [line for line in f
+                if line.endswith("\n") and json.loads(line)["step"] < step]
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as f:
+        f.writelines(keep)
+    os.replace(tmp, path)
+
+
 def validation_report(state: TrainState, val_clouds: list[PointCloud],
                       cfg: TrainConfig, epoch: int) -> dict:
     body = evalsuite.evaluate_clouds(state.model, val_clouds, cfg.class_count,
@@ -681,6 +702,8 @@ def run(cfg: TrainConfig, split: DatasetSplit, clouds_by_id: dict[str, PointClou
     """
     if not split.train:
         raise ValueError("split has no training clouds")
+    if resume_from:
+        _check_resumable(cfg, resume_from)
     state = load_state(cfg, resume_from) if resume_from else init_state(cfg)
     train_clouds = [clouds_by_id[cid] for cid in split.train]
     val_clouds = [clouds_by_id[cid] for cid in split.val]
@@ -691,8 +714,10 @@ def run(cfg: TrainConfig, split: DatasetSplit, clouds_by_id: dict[str, PointClou
         os.makedirs(out_dir, exist_ok=True)
         os.makedirs(os.path.join(out_dir, "reports"), exist_ok=True)
         os.makedirs(os.path.join(out_dir, "ckpt"), exist_ok=True)
-        log_fh = open(os.path.join(out_dir, "steplog.ndjson"),
-                      "a" if resume_from else "w", encoding="utf-8")
+        log_path = os.path.join(out_dir, "steplog.ndjson")
+        if resume_from:
+            _truncate_steplog(log_path, state.step)
+        log_fh = open(log_path, "a" if resume_from else "w", encoding="utf-8")
     try:
         for epoch in range(state.epoch, cfg.epochs):
             state.epoch = epoch

@@ -89,19 +89,19 @@ def suite_grad(h: float = 1e-5, rel_tol: float = 1e-4) -> list[oracle.OracleRepo
         return bundle.vq.total.item()
 
     seg_arrays = {n: p.data for n, p in state.model.params.items()}
-    fd_seg = oracle.fd_gradient(total_loss, seg_arrays, h=h)
+    fd_seg, kinks_seg = oracle.fd_gradient(total_loss, seg_arrays, h=h)
     err_seg, _ = oracle.gradient_errors(seg_grads, fd_seg, rel_tol)
 
     ae_arrays = {n: p.data for n, p in state.ae_opt.params.items()}
-    fd_vq = oracle.fd_gradient(vq_loss, ae_arrays, h=h)
+    fd_vq, kinks_vq = oracle.fd_gradient(vq_loss, ae_arrays, h=h)
     err_vq, _ = oracle.gradient_errors(vq_grads, fd_vq, rel_tol)
 
     fault = _fault("grad")
     return [
         oracle.report("grad.total_vs_fd", sum(a.size for a in seg_arrays.values()),
-                      0.0, err_seg + fault, rel_tol),
+                      0.0, err_seg + fault, rel_tol, kink_entries=kinks_seg),
         oracle.report("grad.vq_vs_fd", sum(a.size for a in ae_arrays.values()),
-                      0.0, err_vq + fault, rel_tol),
+                      0.0, err_vq + fault, rel_tol, kink_entries=kinks_vq),
     ]
 
 

@@ -1,12 +1,15 @@
-"""Parity between the jitted kernels and their pure-numpy fallbacks."""
+"""The numpy kernels against the brute-force oracles: two independent paths
+to the same neighbour lists and dilated masks."""
+import functools
+
 import numpy as np
 import pytest
 
-from shiftseg import _kernels
+from shiftseg import _kernels, oracle
 from shiftseg.rng import Stream
 
 
-def random_cloud(seed, n=600, planar=False):
+def random_cloud(seed, n=300, planar=False):
     s = Stream(seed, "kernel-test")
     pts = s.uniform(3 * n).reshape(n, 3) * 12.0
     if planar:
@@ -14,24 +17,43 @@ def random_cloud(seed, n=600, planar=False):
     return pts
 
 
+@functools.cache
+def brute_knn32(planar):
+    # (distance, index) order is total, so the k=32 lists hold every smaller k
+    return oracle.brute_knn(random_cloud(3, planar=planar), 32)
+
+
 @pytest.mark.parametrize("planar", [False, True])
 @pytest.mark.parametrize("k", [1, 8, 32])
 def test_knn_paths_bitwise_identical(planar, k):
-    pts = random_cloud(3, planar=planar)
-    i_nb, d_nb = _kernels.knn(pts, k, use_numba=True)
-    i_np, d_np = _kernels.knn(pts, k, use_numba=False)
-    assert np.array_equal(i_nb, i_np)
-    assert np.array_equal(d_nb, d_np)
+    idx, dist = _kernels.knn(random_cloud(3, planar=planar), k)
+    ref_idx, ref_dist = brute_knn32(planar)
+    assert np.array_equal(idx, ref_idx[:, :k])
+    # the oracle sums squares with fsum, the kernel left to right
+    assert np.allclose(dist, ref_dist[:, :k], rtol=1e-14, atol=0)
 
 
 def test_knn_with_duplicate_points():
     pts = random_cloud(5, n=100)
     pts[40] = pts[10]
     pts[41] = pts[10]
-    i_nb, d_nb = _kernels.knn(pts, 4, use_numba=True)
-    i_np, d_np = _kernels.knn(pts, 4, use_numba=False)
-    assert np.array_equal(i_nb, i_np)
-    assert d_nb[10, 0] == 0.0 and i_nb[10, 0] == 40  # lower index wins the tie
+    idx, dist = _kernels.knn(pts, 4)
+    ref_idx, _ = oracle.brute_knn(pts, 4)
+    assert np.array_equal(idx, ref_idx)
+    assert dist[10, 0] == 0.0 and idx[10, 0] == 40  # lower index wins the tie
+    assert dist[40, 0] == 0.0 and idx[40, 0] == 10
+
+
+def test_knn_lattice_exact_ties():
+    # integer coordinates: every distance is exact, so ties are exact and the
+    # lower index must win each one
+    g = np.arange(4, dtype=np.float64)
+    pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    for k in (1, 6, 26):
+        idx, dist = _kernels.knn(pts, k)
+        ref_idx, ref_dist = oracle.brute_knn(pts, k)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(dist, ref_dist)
 
 
 def test_knn_rejects_bad_k():
@@ -46,26 +68,14 @@ def test_knn_rejects_bad_k():
 def test_dilate_paths_identical(radius):
     pts = random_cloud(7)
     mask = Stream(8).uniform(pts.shape[0]) < 0.05
-    out_nb = _kernels.dilate(pts, mask, radius, use_numba=True)
-    out_np = _kernels.dilate(pts, mask, radius, use_numba=False)
-    assert np.array_equal(out_nb, out_np)
-    assert np.all(out_nb[mask])  # marked points stay marked
+    out = _kernels.dilate(pts, mask, radius)
+    assert np.array_equal(out, oracle.brute_dilate(pts, mask, radius))
+    assert np.all(out[mask])  # marked points stay marked
 
 
-def test_fisher_yates_paths_identical():
-    u = Stream(11).uniform(99)
-    a = np.arange(100, dtype=np.int64)
-    b = a.copy()
-    _kernels.fisher_yates(a, u, use_numba=True)
-    _kernels.fisher_yates(b, u, use_numba=False)
-    assert np.array_equal(a, b)
-    assert sorted(a.tolist()) == list(range(100))
-
-
-def test_leaky_paths_identical():
-    x = Stream(13).normal(1000).reshape(50, 20)
-    g = Stream(14).normal(1000).reshape(50, 20)
-    assert np.array_equal(_kernels.leaky_fwd(x, 0.01, use_numba=True),
-                          _kernels.leaky_fwd(x, 0.01, use_numba=False))
-    assert np.array_equal(_kernels.leaky_bwd(x, g, 0.01, use_numba=True),
-                          _kernels.leaky_bwd(x, g, 0.01, use_numba=False))
+def test_dilate_rejects_bad_mask_and_radius():
+    pts = random_cloud(9, n=20)
+    with pytest.raises(ValueError, match="mask shape"):
+        _kernels.dilate(pts, np.zeros(19, bool), 1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        _kernels.dilate(pts, np.zeros(20, bool), -0.1)

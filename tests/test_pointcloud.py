@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftseg import oracle
-from shiftseg.pointcloud import (IGNORE_LABEL, PointCloud, dilate_mask, knn,
-                                 local_curvature, local_density, sector_split,
-                                 voxelize)
+from shiftseg import _kernels, oracle
+from shiftseg.pointcloud import (PointCloud, knn, local_curvature, local_density,
+                                 sector_split, voxelize)
 from shiftseg.rng import Stream
 
 
@@ -36,7 +35,8 @@ def test_voxelize_same_cell():
                        np.array([1, 2], np.uint16), "two")
     grid = voxelize(cloud, 1.0)
     assert grid.num_cells == 1
-    assert set(grid.occupied[(0, 0, 0)].tolist()) == {0, 1}
+    assert grid.cell_keys.tolist() == [[0, 0, 0]]
+    assert grid.point_cell.tolist() == [0, 0]
 
 
 def test_voxelize_two_cells():
@@ -50,18 +50,20 @@ def test_voxelize_matches_bruteforce_grouping():
     cloud = make_cloud(3, n=500)
     grid = voxelize(cloud, 0.9)
     ref = oracle.brute_voxel_cells(cloud.positions, 0.9)
-    assert set(grid.occupied) == set(ref)
-    for key, members in ref.items():
-        assert grid.occupied[key].tolist() == sorted(members)
-        assert grid.rep_index[np.flatnonzero(
-            (grid.cell_keys == np.array(key)).all(axis=1))[0]] == min(members)
+    keys = [tuple(int(v) for v in key) for key in grid.cell_keys]
+    assert set(keys) == set(ref)
+    for c, key in enumerate(keys):
+        assert np.flatnonzero(grid.point_cell == c).tolist() == sorted(ref[key])
+        assert grid.rep_index[c] == min(ref[key])
 
 
 def test_voxelize_partition_covers_every_point():
     cloud = make_cloud(4, n=400)
     grid = voxelize(cloud, 1.3)
-    seen = np.concatenate([v for v in grid.occupied.values()])
-    assert sorted(seen.tolist()) == list(range(len(cloud)))
+    assert grid.point_cell.shape == (len(cloud),)
+    # every point sits in exactly one cell, and every cell holds a point
+    assert np.all(np.bincount(grid.point_cell, minlength=grid.num_cells) > 0)
+    assert grid.point_cell.max() == grid.num_cells - 1
 
 
 def test_voxel_majority_label_smallest_id_tiebreak():
@@ -207,14 +209,14 @@ def test_curvature_bounds():
 def test_dilate_radius_zero_identity():
     cloud = make_cloud(14, n=100)
     mask = Stream(15).uniform(100) < 0.2
-    assert np.array_equal(dilate_mask(cloud, mask, 0.0), mask)
+    assert np.array_equal(_kernels.dilate(cloud.positions, mask, 0.0), mask)
 
 
 def test_dilate_fills_cloud():
     cloud = make_cloud(16, n=80)
     mask = np.zeros(80, bool)
     mask[3] = True
-    out = dilate_mask(cloud, mask, 1000.0)
+    out = _kernels.dilate(cloud.positions, mask, 1000.0)
     assert out.all()
 
 
@@ -222,7 +224,7 @@ def test_dilate_matches_bruteforce():
     cloud = make_cloud(17, n=250)
     mask = Stream(18).uniform(250) < 0.1
     for radius in (0.5, 1.7):
-        assert np.array_equal(dilate_mask(cloud, mask, radius),
+        assert np.array_equal(_kernels.dilate(cloud.positions, mask, radius),
                               oracle.brute_dilate(cloud.positions, mask, radius))
 
 
@@ -232,10 +234,10 @@ def test_dilate_monotone_and_double_superset(seed, radius):
     cloud = make_cloud(19, n=120)
     m1 = Stream(seed, "m1").uniform(120) < 0.1
     m2 = m1 | (Stream(seed, "m2").uniform(120) < 0.1)
-    d1 = dilate_mask(cloud, m1, radius)
-    d2 = dilate_mask(cloud, m2, radius)
+    d1 = _kernels.dilate(cloud.positions, m1, radius)
+    d2 = _kernels.dilate(cloud.positions, m2, radius)
     assert np.all(d1 <= d2)  # monotone in the input mask
-    twice = dilate_mask(cloud, d1, radius)
+    twice = _kernels.dilate(cloud.positions, d1, radius)
     assert np.all(d1 <= twice)  # dilating again only grows the set
 
 

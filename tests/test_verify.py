@@ -1,0 +1,69 @@
+"""The oracle verification suites, run as the `verify` command runs them,
+and the kink-aware finite differences behind the gradient suite."""
+import json
+
+import numpy as np
+import pytest
+
+import shiftseg.tensor as T
+from shiftseg import cli, oracle, verify
+
+
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_suite_passes(suite, tmp_path, monkeypatch):
+    monkeypatch.delenv("A3_VERIFY_FAULT", raising=False)
+    assert cli.main(["verify", "--suite", suite, "--out", str(tmp_path)]) == 0
+    reports = json.loads((tmp_path / "oracle_report.json").read_text())
+    assert reports and all(r["passed"] for r in reports)
+
+
+def test_injected_fault_fails_the_suite(tmp_path, monkeypatch):
+    argv = ["verify", "--suite", "metrics", "--out", str(tmp_path)]
+    monkeypatch.setenv("A3_VERIFY_FAULT", "metrics")
+    assert cli.main(argv) == 1
+    monkeypatch.delenv("A3_VERIFY_FAULT")
+    assert cli.main(argv) == 0
+
+
+def plain_central(loss_fn, arr, h):
+    """Central differences at step h alone, entry by entry."""
+    out = np.zeros_like(arr)
+    for i in range(arr.size):
+        keep = arr[i]
+        arr[i] = keep + h
+        up = loss_fn()
+        arr[i] = keep - h
+        down = loss_fn()
+        arr[i] = keep
+        out[i] = (up - down) / (2.0 * h)
+    return out
+
+
+@pytest.mark.parametrize("offset", [7.1e-6, -3e-6, 9.9e-6])
+def test_fd_gradient_steps_inside_a_straddled_kink(offset):
+    h = 1e-5
+    x = T.Tensor(np.array([0.3]), requires_grad=True)
+    shift = T.Tensor(np.array([-(0.3 + offset)]))  # kink within +-h of x
+
+    def loss():
+        return T.tsum(T.leaky_relu(T.add(x, shift)))
+
+    T.backward(loss())
+    analytic = {"x": x.grad.copy()}
+    plain = plain_central(lambda: loss().item(), x.data, h)
+    assert oracle.gradient_errors(analytic, {"x": plain})[0] > 1e-4
+    numeric, kinks = oracle.fd_gradient(lambda: loss().item(), {"x": x.data}, h=h)
+    assert oracle.gradient_errors(analytic, numeric)[0] <= 1e-4
+    assert kinks == 1
+    assert x.data[0] == 0.3  # perturbations are undone
+
+
+def test_fd_gradient_keeps_step_h_on_a_smooth_loss():
+    x = np.array([0.7, -1.3])
+
+    def loss():
+        return float(np.sum(np.exp(3.0 * x)))
+
+    numeric, kinks = oracle.fd_gradient(loss, {"x": x}, h=1e-5)
+    assert kinks == 0
+    assert np.array_equal(numeric["x"], plain_central(loss, x, 1e-5))

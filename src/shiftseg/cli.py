@@ -1,6 +1,10 @@
 """Command-line entry point: dataset generation, training, evaluation,
 ablation sweeps, and verification.
 
+`eval` runs one evaluation pass per level (`evalsuite.evaluate_level`): each
+augmented draw gives both the level's mIoU and its SSR ratio. The clean
+high-distortion metrics are computed once and reported with every level.
+
 Exit codes: 0 success, 1 verification or metric failure, 2 usage error.
 Output directory layout: OUT/{manifest.json, config.json, steplog.ndjson,
 ckpt/, reports/, csv/}.
@@ -13,12 +17,9 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__, evalsuite, oracle, trainer, verify
 from .augment import PRESET_NAMES
-from .dataset import DatasetSplit, SceneSpec, load_cloud, make_split, save_cloud
-from .pointcloud import PointCloud
+from .dataset import SYNTH_CLASSES, DatasetSplit, SceneSpec, load_cloud, make_split, save_cloud
 from .trainer import ConfigError, TrainConfig
 
 
@@ -77,7 +78,8 @@ def _load_data(data_dir: str):
 
 def cmd_gen(args) -> int:
     _prepare_out(args.out, args.force)
-    template = SceneSpec(seed=0, num_points=args.points, class_count=args.classes)
+    template = SceneSpec(seed=0, num_points=args.points,
+                         enabled_classes=SYNTH_CLASSES[:args.classes])
     split, scenes = make_split(args.seed, args.scenes, args.val_fraction, template)
     for cloud in scenes:
         save_cloud(cloud, os.path.join(args.out, f"{cloud.cloud_id}.a3pc"), args.classes)
@@ -118,30 +120,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _eval_level(state, cfg, val_clouds, level: str, seed: int, trials: int):
-    from .augment import augment_pair
-
-    preds, labels = [], []
-    aug_cfg = evalsuite.level_augment_config(level)
-    for ci, cloud in enumerate(val_clouds):
-        partner = val_clouds[(ci + 1) % len(val_clouds)] if aug_cfg.scanmix else None
-        for t in range(trials):
-            aug, _ = augment_pair(cloud, aug_cfg, (seed, "eval", level, ci, t),
-                                  partner=partner)
-            preds.append(evalsuite.point_predictions(state.model, aug, cfg.voxel_size,
-                                                     cfg.knn_k))
-            labels.append(aug.labels.astype(np.int64))
-    per_class, miou, miou_all, counts = evalsuite.iou(
-        np.concatenate(preds), np.concatenate(labels), cfg.class_count)
-    return {
-        "level": level,
-        "per_class_iou": [None if np.isnan(v) else float(v) for v in per_class],
-        "miou": miou,
-        "miou_all": miou_all,
-        "true_counts": counts.tolist(),
-    }
-
-
 def cmd_eval(args) -> int:
     if not os.path.isdir(args.ckpt):
         raise UsageError(f"checkpoint directory {args.ckpt!r} not found")
@@ -160,34 +138,18 @@ def cmd_eval(args) -> int:
         if level not in PRESET_NAMES:
             raise UsageError(f"unknown level {level!r}")
 
+    # the prior snapshot and the clean-geometry high-distortion metrics do not
+    # depend on the level
+    snapshot = trainer.prior_snapshot(state)
+    clean = evalsuite.clean_high_distortion(
+        [evalsuite.point_predictions(state.model,
+                                     evalsuite.prepare_cloud(c, cfg.voxel_size, cfg.knn_k))
+         for c in val_clouds], val_clouds, cfg.class_count)
     rows = []
     for level in levels:
-        rep = _eval_level(state, cfg, val_clouds, level, cfg.seed, args.trials)
-        if state.cb is not None and state.cb.initialized.any():
-            from . import ssr as ssrmod
-            enc = state.prior.parameter_arrays() if state.prior is not None else None
-            snapshot = ssrmod.take_snapshot(state.cb, cfg.t, encoder_params=enc,
-                                            projection=state.projection)
-            means, _ = evalsuite.ssr_curve(
-                state.model, snapshot, val_clouds, [level], trials=args.trials,
-                seed=cfg.seed, voxel_size=cfg.voxel_size, knn_k=cfg.knn_k,
-                dilation_radius=cfg.dilation_radius)
-            rep["ssr_ratio"] = means[level]
-        else:
-            rep["ssr_ratio"] = None
-        # clean-geometry high-distortion subregion metrics alongside
-        fracs = []
-        mious = []
-        for cloud in val_clouds:
-            p = evalsuite.point_predictions(state.model, cloud, cfg.voxel_size, cfg.knn_k)
-            hd = evalsuite.high_distortion_eval(p, cloud.labels.astype(np.int64), cloud,
-                                                class_count=cfg.class_count)
-            fracs.append(hd["mask_fraction"])
-            mious.append(hd["miou"])
-        rep["high_distortion_mask_fraction"] = float(np.mean(fracs))
-        rep["high_distortion_miou"] = float(np.mean(mious))
-        rep["config_hash"] = cfg.config_hash()
-        rep["seed"] = cfg.seed
+        rep = evalsuite.evaluate_level(state.model, snapshot, val_clouds, level,
+                                       args.trials, cfg)
+        rep.update(clean, config_hash=cfg.config_hash(), seed=cfg.seed)
         _write_json(os.path.join(args.out, "reports", f"level_{level}.json"), rep)
         rows.append((level, cfg.seed, rep["ssr_ratio"], rep["miou"]))
         print(f"level {level}: mIoU {rep['miou']:.4f} ssr_ratio {rep['ssr_ratio']}")
@@ -243,7 +205,7 @@ def cmd_ablate(args) -> int:
         if args.sweep == "prior" and value == "online":
             online_ckpt = os.path.join(cell_dir, "ckpt", "final")
         clean = reports[-1]["miou"] if reports else float("nan")
-        heavy = _eval_level(state, cfg, val_clouds, "heavy", cfg.seed, 1)["miou"]
+        heavy = evalsuite.evaluate_level(state.model, None, val_clouds, "heavy", 1, cfg)["miou"]
         rows.append((args.sweep, value, clean, heavy))
         print(f"{args.sweep}={value}: clean mIoU {clean:.4f} heavy mIoU {heavy:.4f}")
     with open(os.path.join(args.out, "csv", f"sweep_{args.sweep}.csv"), "w",

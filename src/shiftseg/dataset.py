@@ -43,7 +43,6 @@ class SceneSpec:
 
     seed: int
     num_points: int = 4096
-    class_count: int = 8
     ground_extent: float = 8.0
     num_cars: int = 4
     num_buildings: int = 4

@@ -1,7 +1,13 @@
-"""Measurement: per-class IoU and mIoU, confusion matrices, shift-ratio
-curves across augmentation presets, high-distortion subregion metrics, and
-teacher agreement."""
+"""Measurement and the one path from a cloud to its network features.
+
+`prepare_cloud` (voxelize -> kNN -> featurize) serves training and every
+evaluation. `evaluate_level` is the one evaluation pass: each augmented draw
+is prepared and predicted once, then scored for point-level IoU and for its
+shift-region ratio. Also here: per-class IoU and mIoU, confusion matrices,
+high-distortion subregion metrics, and teacher agreement."""
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,6 +17,37 @@ from .pointcloud import IGNORE_LABEL, PointCloud, knn, local_curvature, local_de
 from .ssr import PriorSnapshot, localize, ssr_ratio
 
 EVAL_KNN_K = 32  # neighborhood size for the high-distortion statistics
+# the high-distortion subregion: density at or below this percentile, or
+# curvature at or above that one
+DENSITY_QUANTILE = 10.0
+CURVATURE_QUANTILE = 90.0
+
+
+@dataclass
+class PreparedCloud:
+    """A cloud as the network sees it: one feature row per voxel representative."""
+
+    feats: np.ndarray  # (M, 8)
+    rep_labels: np.ndarray  # (M,) int64 incl. 255
+    rep_coords: np.ndarray  # (M, 3)
+    point_cell: np.ndarray  # (N,) representative row per point
+
+    def __len__(self) -> int:
+        return len(self.point_cell)
+
+
+def prepare_cloud(cloud: PointCloud, voxel_size: float, knn_k: int) -> PreparedCloud:
+    """Voxelize, find each point's min(knn_k, N-1) nearest neighbors, and
+    featurize the voxel representatives. A cloud of fewer than 2 points has
+    no neighborhoods and is refused."""
+    n = len(cloud)
+    if n < 2:
+        raise ValueError(f"cloud {cloud.cloud_id!r} has {n} point(s); "
+                         "preparing its features needs at least 2")
+    grid = voxelize(cloud, voxel_size)
+    feats = segnet.featurize(cloud, grid, knn(cloud, min(knn_k, n - 1)))
+    return PreparedCloud(feats, grid.rep_label.astype(np.int64),
+                         cloud.positions[grid.rep_index], grid.point_cell)
 
 
 def iou(preds: np.ndarray, labels: np.ndarray, class_count: int):
@@ -53,109 +90,102 @@ def confusion(preds: np.ndarray, labels: np.ndarray, class_count: int) -> np.nda
     return np.divide(mat, rows, out=np.zeros_like(mat), where=rows > 0)
 
 
-def point_predictions(model: segnet.SegModel, cloud: PointCloud, voxel_size: float,
-                      knn_k: int) -> np.ndarray:
-    """Per-point class ids: each point inherits its voxel representative's
-    prediction (the network runs on representatives only)."""
-    grid = voxelize(cloud, voxel_size)
-    k_eff = min(knn_k, len(cloud) - 1)
-    nn = knn(cloud, k_eff)
-    feats = segnet.featurize(cloud, grid, nn)
-    rep_pred, _ = segnet.predict(model, feats)
-    return rep_pred[grid.point_cell]
-
-
-def evaluate_clouds(model: segnet.SegModel, clouds, class_count: int,
-                    voxel_size: float, knn_k: int):
-    """Pooled point-level IoU/confusion across clouds."""
-    preds = []
-    labels = []
-    for cloud in clouds:
-        preds.append(point_predictions(model, cloud, voxel_size, knn_k))
-        labels.append(cloud.labels.astype(np.int64))
-    pred = np.concatenate(preds)
-    lab = np.concatenate(labels)
-    per_class, miou, miou_all, counts = iou(pred, lab, class_count)
+def _scores(preds: np.ndarray, labels: np.ndarray, class_count: int) -> dict:
+    per_class, miou, miou_all, counts = iou(preds, labels, class_count)
     return {
         "per_class_iou": [None if np.isnan(v) else float(v) for v in per_class],
         "miou": miou,
         "miou_all": miou_all,
         "true_counts": counts.tolist(),
-        "confusion": confusion(pred, lab, class_count).tolist(),
     }
 
 
-def level_augment_config(level: str, overrides: dict | None = None) -> AugmentConfig:
+def point_predictions(model: segnet.SegModel, pc: PreparedCloud) -> np.ndarray:
+    """Per-point class ids: each point inherits its voxel representative's
+    prediction (the network runs on representatives only)."""
+    rep_pred, _ = segnet.predict(model, pc.feats)
+    return rep_pred[pc.point_cell]
+
+
+def evaluate_clouds(preds: list[np.ndarray], clouds, class_count: int) -> dict:
+    """Point-level IoU/confusion of per-cloud predictions, pooled across clouds."""
+    pred = np.concatenate(preds)
+    lab = np.concatenate([c.labels.astype(np.int64) for c in clouds])
+    return {**_scores(pred, lab, class_count),
+            "confusion": confusion(pred, lab, class_count).tolist()}
+
+
+def level_augment_config(level: str) -> AugmentConfig:
     """Augmentation for one named level of the evaluation sweeps.
 
     A level is defined by its primary magnitudes (jitter std, drop ratio)
-    alone, so the sweep isolates them: subsidiary transforms stay off unless
-    explicitly overridden."""
+    alone, so the sweep isolates them: subsidiary transforms stay off."""
     if level not in PRESET_NAMES:
         raise ValueError(f"unknown augmentation level {level!r}")
-    if level == "none":
-        return AugmentConfig.for_preset("none")
-    base = dict(rotation=False, scale_range=(1.0, 1.0), flip_prob=0.0,
-                noise_points=0, scanmix=False)
-    base.update(overrides or {})
-    return AugmentConfig.for_preset(level, **base)
+    return AugmentConfig.for_preset(level, rotation=False, scale_range=(1.0, 1.0),
+                                    flip_prob=0.0, noise_points=0, scanmix=False)
 
 
-def ssr_curve(model: segnet.SegModel, snapshot: PriorSnapshot, clouds,
-              levels, trials: int, seed: int, voxel_size: float, knn_k: int,
-              dilation_radius: float, augment_overrides: dict | None = None):
-    """Mean shift-region ratio per augmentation level over `trials` draws per
-    validation cloud. Returns ({level: mean}, csv_rows[level, seed, ratio])."""
-    means = {}
-    rows = []
-    for level in levels:
-        cfg = level_augment_config(level, augment_overrides)
-        ratios = []
-        for ci, cloud in enumerate(clouds):
-            partner = clouds[(ci + 1) % len(clouds)] if cfg.scanmix else None
-            for trial in range(trials):
-                aug, _ = augment_pair(cloud, cfg, (seed, "curve", level, ci, trial),
-                                      partner=partner)
-                grid = voxelize(aug, voxel_size)
-                k_eff = min(knn_k, len(aug) - 1)
-                nn = knn(aug, k_eff)
-                feats = segnet.featurize(aug, grid, nn)
-                _, probs = segnet.predict(model, feats)
-                res = localize(snapshot, probs, aug.positions[grid.rep_index],
-                               grid.rep_label, dilation_radius)
+def evaluate_level(model: segnet.SegModel, snapshot: PriorSnapshot | None, clouds,
+                   level: str, trials: int, cfg) -> dict:
+    """The evaluation pass of one level: `trials` draws per cloud, each drawn
+    with key (seed, "eval", level, cloud index, trial), prepared and predicted
+    once. Its per-point predictions are pooled into IoU scores; with a prior
+    snapshot, its representatives are also localized, and `ssr_ratio` is the
+    mean shift-region ratio over the draws (None without a snapshot).
+
+    `cfg` (a trainer.TrainConfig) gives seed, class_count, voxel_size, knn_k
+    and dilation_radius."""
+    aug_cfg = level_augment_config(level)
+    preds, labels, ratios = [], [], []
+    for ci, cloud in enumerate(clouds):
+        for t in range(trials):
+            aug, _ = augment_pair(cloud, aug_cfg, (cfg.seed, "eval", level, ci, t))
+            pc = prepare_cloud(aug, cfg.voxel_size, cfg.knn_k)
+            rep_pred, probs = segnet.predict(model, pc.feats)
+            preds.append(rep_pred[pc.point_cell])
+            labels.append(aug.labels.astype(np.int64))
+            if snapshot is not None:
+                res = localize(snapshot, probs, pc.rep_coords, pc.rep_labels,
+                               cfg.dilation_radius)
                 ratios.append(ssr_ratio(res.masks))
-        mean = float(np.mean(ratios)) if ratios else 0.0
-        means[level] = mean
-        rows.append((level, seed, mean))
-    return means, rows
+    return {"level": level,
+            **_scores(np.concatenate(preds), np.concatenate(labels), cfg.class_count),
+            "ssr_ratio": float(np.mean(ratios)) if snapshot is not None else None}
+
+
+def ssr_curve(model: segnet.SegModel, snapshot: PriorSnapshot, clouds, levels,
+              trials: int, cfg) -> dict[str, float]:
+    """Mean shift-region ratio per augmentation level, from each level's
+    evaluation pass."""
+    return {level: evaluate_level(model, snapshot, clouds, level, trials, cfg)["ssr_ratio"]
+            for level in levels}
 
 
 def high_distortion_eval(preds: np.ndarray, labels: np.ndarray, cloud: PointCloud,
-                         nn=None, class_count: int | None = None,
-                         density_quantile: float = 10.0,
-                         curvature_quantile: float = 90.0):
+                         class_count: int):
     """Metrics inside the hard subregion: points with density at or below the
     10th percentile or curvature at or above the 90th (by convention; the
     realized mask fraction is reported alongside)."""
-    if nn is None:
-        nn = knn(cloud, min(EVAL_KNN_K, len(cloud) - 1))
-    if class_count is None:
-        class_count = int(labels[labels != IGNORE_LABEL].max()) + 1
+    nn = knn(cloud, min(EVAL_KNN_K, len(cloud) - 1))
     dens = local_density(cloud, nn)
     curv = local_curvature(cloud, nn)
-    tau_d = float(np.percentile(dens, density_quantile))
-    tau_c = float(np.percentile(curv, curvature_quantile))
+    tau_d = float(np.percentile(dens, DENSITY_QUANTILE))
+    tau_c = float(np.percentile(curv, CURVATURE_QUANTILE))
     mask = (dens <= tau_d) | (curv >= tau_c)
-    per_class, miou, miou_all, _ = iou(np.asarray(preds)[mask], np.asarray(labels)[mask],
-                                       class_count)
-    return {
-        "per_class_iou": [None if np.isnan(v) else float(v) for v in per_class],
-        "miou": miou,
-        "miou_all": miou_all,
-        "mask_fraction": float(mask.mean()),
-        "tau_density": tau_d,
-        "tau_curvature": tau_c,
-    }
+    return {**_scores(np.asarray(preds)[mask], np.asarray(labels)[mask], class_count),
+            "mask_fraction": float(mask.mean()),
+            "tau_density": tau_d,
+            "tau_curvature": tau_c}
+
+
+def clean_high_distortion(preds: list[np.ndarray], clouds, class_count: int) -> dict:
+    """High-distortion mask fraction and mIoU of per-cloud predictions on the
+    unaugmented clouds, each averaged over the clouds."""
+    hds = [high_distortion_eval(p, c.labels.astype(np.int64), c, class_count)
+           for p, c in zip(preds, clouds)]
+    return {"high_distortion_mask_fraction": float(np.mean([h["mask_fraction"] for h in hds])),
+            "high_distortion_miou": float(np.mean([h["miou"] for h in hds]))}
 
 
 def ssr_agreement(student_preds: np.ndarray, teacher_preds: np.ndarray,

@@ -16,8 +16,10 @@ from . import evalsuite, scp, segnet
 from . import ssr as ssrmod
 from . import tensor as T
 from .augment import AugmentConfig, AugmentRecord, PRESET_NAMES, augment_pair
-from .dataset import DatasetSplit, SceneSpec, make_split
-from .pointcloud import IGNORE_LABEL, PointCloud, knn, voxelize
+from .dataset import SYNTH_CLASSES, DatasetSplit, SceneSpec, make_split
+from .evalsuite import PreparedCloud, prepare_cloud
+# knn/voxelize: bound for test_every_binding_site_resolves_to_the_wrapper
+from .pointcloud import IGNORE_LABEL, PointCloud, knn, voxelize  # noqa: F401
 from .rng import Stream
 
 MODES = ("none", "eas", "eas+scr", "full")
@@ -191,29 +193,11 @@ def augment_config_for(cfg: TrainConfig, preset: str) -> AugmentConfig:
 
 
 @dataclass
-class PreparedCloud:
-    cloud: PointCloud
-    feats: np.ndarray  # (M, 8)
-    rep_labels: np.ndarray  # (M,) int64 incl. 255
-    rep_coords: np.ndarray  # (M, 3)
-    record: AugmentRecord | None = None
-
-
-def prepare_cloud(cloud: PointCloud, cfg: TrainConfig,
-                  record: AugmentRecord | None = None) -> PreparedCloud:
-    grid = voxelize(cloud, cfg.voxel_size)
-    k_eff = min(cfg.knn_k, len(cloud) - 1)
-    nn = knn(cloud, k_eff)
-    feats = segnet.featurize(cloud, grid, nn)
-    return PreparedCloud(cloud, feats, grid.rep_label.astype(np.int64),
-                         cloud.positions[grid.rep_index], record)
-
-
-@dataclass
 class PreparedBatch:
     originals: list[PreparedCloud]
     augmented: list[PreparedCloud] | None
     preset: str
+    records: list[AugmentRecord] | None = None  # one per augmented cloud
 
 
 # ---------------------------------------------------------------------------
@@ -483,21 +467,22 @@ def prepare_batch(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
     for cloud in clouds:
         pc = state.cache.get(cloud.cloud_id)
         if pc is None:
-            pc = prepare_cloud(cloud, cfg)
+            pc = prepare_cloud(cloud, cfg.voxel_size, cfg.knn_k)
             state.cache[cloud.cloud_id] = pc
         originals.append(pc)
-    preset = effective_preset(epoch, cfg) if mode_flags(cfg.mode)[0] else "none"
-    augmented = None
-    if mode_flags(cfg.mode)[0]:
-        aug_cfg = augment_config_for(cfg, preset)
-        augmented = []
-        for i, cloud in enumerate(clouds):
-            partner = clouds[(i + 1) % len(clouds)] if aug_cfg.scanmix and len(clouds) > 1 else None
-            aug_cloud, rec = augment_pair(
-                cloud, aug_cfg, (cfg.seed, "aug", epoch, batch_index, i),
-                partner=partner)
-            augmented.append(prepare_cloud(aug_cloud, cfg, record=rec))
-    return PreparedBatch(originals, augmented, preset)
+    if not mode_flags(cfg.mode)[0]:
+        return PreparedBatch(originals, None, "none")
+    preset = effective_preset(epoch, cfg)
+    aug_cfg = augment_config_for(cfg, preset)
+    augmented, records = [], []
+    for i, cloud in enumerate(clouds):
+        partner = clouds[(i + 1) % len(clouds)] if aug_cfg.scanmix and len(clouds) > 1 else None
+        aug_cloud, rec = augment_pair(
+            cloud, aug_cfg, (cfg.seed, "aug", epoch, batch_index, i),
+            partner=partner)
+        augmented.append(prepare_cloud(aug_cloud, cfg.voxel_size, cfg.knn_k))
+        records.append(rec)
+    return PreparedBatch(originals, augmented, preset, records)
 
 
 def train_step(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
@@ -542,7 +527,7 @@ def train_step(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
         log["ssr_ratio"] = (sel.ssr_rows_total / sel.labeled_rows_total
                             if sel.labeled_rows_total else 0.0)
     if pb.augmented is not None:
-        log["aug"] = [pc.record.to_json() for pc in pb.augmented]
+        log["aug"] = [rec.to_json() for rec in pb.records]
 
     if state.teacher is not None:
         m = cfg.ema_momentum
@@ -645,51 +630,52 @@ def _truncate_steplog(path: str, step: int) -> None:
     os.replace(tmp, path)
 
 
+def prior_snapshot(state: TrainState) -> ssrmod.PriorSnapshot | None:
+    """The frozen prior that evaluation localizes with; None until the
+    codebook has an initialized code."""
+    if state.cb is None or not state.cb.initialized.any():
+        return None
+    enc = state.prior.parameter_arrays() if state.prior is not None else None
+    return ssrmod.take_snapshot(state.cb, state.cfg.t, encoder_params=enc,
+                                projection=state.projection)
+
+
 def validation_report(state: TrainState, val_clouds: list[PointCloud],
-                      cfg: TrainConfig, epoch: int) -> dict:
-    body = evalsuite.evaluate_clouds(state.model, val_clouds, cfg.class_count,
-                                     cfg.voxel_size, cfg.knn_k)
+                      cfg: TrainConfig, epoch: int,
+                      preds: list[np.ndarray] | None = None) -> dict:
+    """Point-level scores on the validation clouds; `preds`, when given, are
+    the model's per-point predictions on them."""
+    if preds is None:
+        preds = [evalsuite.point_predictions(state.model,
+                                             prepare_cloud(c, cfg.voxel_size, cfg.knn_k))
+                 for c in val_clouds]
+    body = evalsuite.evaluate_clouds(preds, val_clouds, cfg.class_count)
     return {"epoch": epoch, "mode": cfg.mode, "seed": cfg.seed,
             "config_hash": state.cfg.config_hash(), **body}
 
 
 def final_report(state: TrainState, val_clouds: list[PointCloud], cfg: TrainConfig) -> dict:
-    doc = validation_report(state, val_clouds, cfg, cfg.epochs)
+    """The validation report plus SSR ratio by level, high-distortion mask
+    fraction and teacher agreement; each validation cloud is prepared once."""
+    prepared = [prepare_cloud(c, cfg.voxel_size, cfg.knn_k) for c in val_clouds]
+    student = [evalsuite.point_predictions(state.model, pc) for pc in prepared]
+    doc = validation_report(state, val_clouds, cfg, cfg.epochs, student)
     doc["final"] = True
-    doc["ssr_ratio_by_level"] = None
+    snapshot = prior_snapshot(state)
+    doc["ssr_ratio_by_level"] = None if snapshot is None else evalsuite.ssr_curve(
+        state.model, snapshot, val_clouds, PRESET_NAMES, cfg.curve_trials, cfg)
     doc["teacher_agreement"] = None
-    if state.cb is not None and state.cb.initialized.any():
-        enc = state.prior.parameter_arrays() if state.prior is not None else None
-        snapshot = ssrmod.take_snapshot(state.cb, cfg.t, encoder_params=enc,
-                                        projection=state.projection)
-        means, _ = evalsuite.ssr_curve(
-            state.model, snapshot, val_clouds, list(PRESET_NAMES),
-            trials=cfg.curve_trials, seed=cfg.seed, voxel_size=cfg.voxel_size,
-            knn_k=cfg.knn_k, dilation_radius=cfg.dilation_radius)
-        doc["ssr_ratio_by_level"] = means
-    # high-distortion subregion metrics pooled over the validation clouds
-    hd_preds = []
-    hd_labels = []
-    frac = []
-    for cloud in val_clouds:
-        preds = evalsuite.point_predictions(state.model, cloud, cfg.voxel_size, cfg.knn_k)
-        hd = evalsuite.high_distortion_eval(preds, cloud.labels.astype(np.int64), cloud,
-                                            class_count=cfg.class_count)
-        frac.append(hd["mask_fraction"])
-        hd_preds.append(preds)
-        hd_labels.append(cloud.labels.astype(np.int64))
-    doc["high_distortion_mask_fraction"] = float(np.mean(frac)) if frac else None
+    doc["high_distortion_mask_fraction"] = evalsuite.clean_high_distortion(
+        student, val_clouds, cfg.class_count)["high_distortion_mask_fraction"]
     if state.teacher is not None:
-        student = np.concatenate(hd_preds)
         teacher_model = segnet.SegModel(segnet.FEATURE_DIM, cfg.seg_hidden,
                                         cfg.class_count, seed=cfg.seed)
         teacher_model.load_parameter_arrays(state.teacher)
-        tpred = np.concatenate([
-            evalsuite.point_predictions(teacher_model, cloud, cfg.voxel_size, cfg.knn_k)
-            for cloud in val_clouds])
-        labels = np.concatenate(hd_labels)
+        tpred = np.concatenate([evalsuite.point_predictions(teacher_model, pc)
+                                for pc in prepared])
+        labels = np.concatenate([c.labels.astype(np.int64) for c in val_clouds])
         doc["teacher_agreement"] = evalsuite.ssr_agreement(
-            student, tpred, labels != IGNORE_LABEL)
+            np.concatenate(student), tpred, labels != IGNORE_LABEL)
     return doc
 
 
@@ -757,6 +743,6 @@ def run(cfg: TrainConfig, split: DatasetSplit, clouds_by_id: dict[str, PointClou
 def default_data(cfg: TrainConfig):
     """Synthetic split straight from the config (no data directory)."""
     template = SceneSpec(seed=0, num_points=cfg.points_per_scene,
-                         class_count=cfg.class_count)
+                         enabled_classes=SYNTH_CLASSES[:cfg.class_count])
     split, scenes = make_split(cfg.seed, cfg.scenes, cfg.val_fraction, template)
     return split, {c.cloud_id: c for c in scenes}

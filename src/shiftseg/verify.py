@@ -44,7 +44,6 @@ def tiny_step(cfg: trainer.TrainConfig | None = None, warm_steps: int = 2):
     """
     cfg = cfg or tiny_config()
     spec = SceneSpec(seed=cfg.seed, num_points=cfg.points_per_scene,
-                     class_count=cfg.class_count,
                      enabled_classes=SYNTH_CLASSES[:cfg.class_count],
                      num_cars=1, num_buildings=1, num_trees=0, num_poles=0,
                      num_signs=0, ground_extent=4.0)

@@ -1,0 +1,114 @@
+"""The gen, train, eval and ablate commands on tiny runs: exit codes, the
+files they write, and the work one evaluation level does."""
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+
+from shiftseg import augment, cli, evalsuite, trainer, verify
+from shiftseg.dataset import load_cloud
+from shiftseg.pointcloud import IGNORE_LABEL
+
+VAL_CLOUDS = 2
+
+
+def quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+
+def write_config(path, **overrides):
+    cfg = verify.tiny_config(**overrides)
+    path.write_text(json.dumps(cfg.to_json()))
+    return cfg, str(path)
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A 4-class full-mode run of one epoch with two validation clouds; its
+    codebook is initialized, so evaluation localizes shift regions."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg, config = write_config(root / "config.json", scenes=2 * VAL_CLOUDS, val_fraction=0.5,
+                               points_per_scene=256)
+    assert quiet_main(["train", "--config", config, "--out", str(root / "run")]) == 0
+    return cfg, config, str(root / "run" / "ckpt" / "final")
+
+
+def test_train_with_fewer_classes_than_the_generator_has(tmp_path):
+    cfg, config = write_config(tmp_path / "config.json", epochs=1, scenes=3, val_fraction=0.25)
+    assert cfg.class_count == 4
+    _, clouds = trainer.default_data(cfg)
+    for cloud in clouds.values():
+        labels = cloud.labels[cloud.labels != IGNORE_LABEL]
+        assert labels.size and labels.max() < cfg.class_count
+    assert quiet_main(["train", "--config", config, "--out", str(tmp_path / "run")]) == 0
+
+
+def test_gen_with_fewer_classes(tmp_path):
+    out = tmp_path / "data"
+    assert quiet_main(["gen", "--scenes", "2", "--points", "64", "--classes", "3",
+                       "--out", str(out)]) == 0
+    for path in out.glob("*.a3pc"):
+        cloud, class_count = load_cloud(str(path))
+        assert class_count == 3 and cloud.labels.max() < 3
+
+
+def test_eval_writes_a_level_report(trained, tmp_path):
+    _, config, ckpt = trained
+    out = tmp_path / "eval"
+    assert quiet_main(["eval", "--ckpt", ckpt, "--config", config, "--levels", "heavy",
+                       "--trials", "2", "--out", str(out)]) == 0
+    rep = json.loads((out / "reports" / "level_heavy.json").read_text())
+    for key in ("miou", "ssr_ratio", "high_distortion_miou"):
+        assert 0.0 <= rep[key] <= 1.0, key
+    assert (out / "csv" / "level_sweep.csv").read_text().startswith("level,seed,ssr_ratio,miou\n")
+
+
+def test_eval_rejects_an_unknown_level(trained, tmp_path):
+    _, config, ckpt = trained
+    assert quiet_main(["eval", "--ckpt", ckpt, "--config", config, "--levels", "fierce",
+                       "--out", str(tmp_path / "eval")]) == 2
+
+
+def test_one_level_prepares_each_draw_once(trained, tmp_path, monkeypatch):
+    """V clouds x T trials: one draw and one featurize per (cloud, trial),
+    plus one featurize per clean cloud for the high-distortion metrics."""
+    _, config, ckpt = trained
+    calls = {"augment_pair": 0, "featurize": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    draw = counting("augment_pair", augment.augment_pair)
+    monkeypatch.setattr(evalsuite, "augment_pair", draw)
+    monkeypatch.setattr(augment, "augment_pair", draw)
+    monkeypatch.setattr(evalsuite.segnet, "featurize",
+                        counting("featurize", evalsuite.segnet.featurize))
+    trials = 3
+    assert quiet_main(["eval", "--ckpt", ckpt, "--config", config, "--levels", "moderate",
+                       "--trials", str(trials), "--out", str(tmp_path / "eval")]) == 0
+    assert calls == {"augment_pair": VAL_CLOUDS * trials,
+                     "featurize": VAL_CLOUDS * trials + VAL_CLOUDS}
+
+
+def test_ablate_writes_the_sweep_table(tmp_path):
+    _, config = write_config(tmp_path / "config.json", scenes=3, val_fraction=0.34,
+                             points_per_scene=256)
+    out = tmp_path / "ablate"
+    assert quiet_main(["ablate", "--config", config, "--sweep", "curriculum",
+                       "--out", str(out)]) == 0
+    lines = (out / "csv" / "sweep_curriculum.csv").read_text().splitlines()
+    assert lines[0] == "sweep,value,miou_clean,miou_heavy"
+    assert [line.split(",")[1] for line in lines[1:]] == ["off", "staged"]
+    assert all(np.isfinite(float(v)) for line in lines[1:] for v in line.split(",")[2:])
+
+
+def test_ablate_rejects_an_unknown_sweep(tmp_path):
+    _, config = write_config(tmp_path / "config.json")
+    assert quiet_main(["ablate", "--config", config, "--sweep", "width",
+                       "--out", str(tmp_path / "ablate")]) == 2

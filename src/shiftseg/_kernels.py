@@ -1,13 +1,64 @@
-"""Hot geometry kernels: exact kNN and mask dilation.
+"""Hot geometry kernels: exact kNN and mask dilation on a k-d tree.
 
-One numpy implementation of each, computed on chunked dense distance blocks
-with the arithmetic dx*dx + dy*dy + dz*dz, so every caller sees the same
-distances and the same tie rule. `oracle.brute_knn` and `oracle.brute_dilate`
-are the slow references the tests compare against.
+Both kernels find candidates with `scipy.spatial.cKDTree` and then decide
+with their own arithmetic: every candidate's squared distance is recomputed
+as dx*dx + dy*dy + dz*dz, so every caller sees the same distances and the
+same tie rule (lower point index first) whatever the tree computed.
+
+kNN queries k+1+PAD candidates per point. A row is certified when its k-th
+recomputed d² lies below the last candidate's tree distance² by the relative
+margin MARGIN: the tree's rounding is far below that margin, so no point
+outside the candidates can come closer or tie. A row that cannot be
+certified (a tie at the boundary, as on lattices or duplicated points) is
+recomputed exactly by a dense scan over all points. Dilation queries the
+tree of marked points at radius·(1 + MARGIN), in slices of the unmarked
+points small enough that one slice returns at most MAX_PAIRS candidate
+pairs, and keeps the hits whose recomputed d² is at most radius².
+`oracle.brute_knn` and `oracle.brute_dilate` are the slow references the
+tests compare against.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+from scipy.spatial import cKDTree
+
+# extra kNN candidates beyond k+1 (self), so that boundary ties rarely fall
+# back to the dense scan
+PAD = 3
+# relative slack between the tree's distances and the recomputed ones
+MARGIN = 1e-9
+# most (unmarked, marked) candidate pairs one dilation query may return
+MAX_PAIRS = 1 << 20
+
+
+def _sq_dist(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between points[a] and points[b], index arrays
+    broadcast against each other."""
+    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    dx = x[a] - x[b]
+    dy = y[a] - y[b]
+    dz = z[a] - z[b]
+    return dx * dx + dy * dy + dz * dz
+
+
+def _dense_knn(points: np.ndarray, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact kNN of points[rows] by scanning every point, in chunks of rows."""
+    n = points.shape[0]
+    idx_out = np.empty((rows.size, k), np.int64)
+    d2_out = np.empty((rows.size, k), np.float64)
+    chunk = max(1, min(rows.size, 2_000_000 // n))
+    every = np.arange(n)[None, :]
+    for s in range(0, rows.size, chunk):
+        e = min(rows.size, s + chunk)
+        d2 = _sq_dist(points, rows[s:e, None], every)
+        d2[np.arange(e - s), rows[s:e]] = np.inf
+        # stable sort on equal distances keeps the lower point index first
+        near = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        idx_out[s:e] = near
+        d2_out[s:e] = np.take_along_axis(d2, near, axis=1)
+    return idx_out, d2_out
 
 
 # ---------------------------------------------------------------------------
@@ -19,22 +70,20 @@ def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     n = points.shape[0]
     if not 0 < k < n:
         raise ValueError(f"knn requires 0 < k < N, got k={k}, N={n}")
-    idx_out = np.empty((n, k), np.int64)
-    d2_out = np.empty((n, k), np.float64)
-    chunk = max(1, min(n, 2_000_000 // max(n, 1)))
-    x, y, z = points[:, 0], points[:, 1], points[:, 2]
-    for s in range(0, n, chunk):
-        e = min(n, s + chunk)
-        dx = x[s:e, None] - x[None, :]
-        dy = y[s:e, None] - y[None, :]
-        dz = z[s:e, None] - z[None, :]
-        d2 = dx * dx + dy * dy + dz * dz
-        d2[np.arange(s, e) - s, np.arange(s, e)] = np.inf
-        # stable sort on equal distances keeps the lower point index first
-        near = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        idx_out[s:e] = near
-        d2_out[s:e] = np.take_along_axis(d2, near, axis=1)
-    return idx_out, np.sqrt(d2_out)
+    m = min(n, k + 1 + PAD)
+    tree_dist, cand = cKDTree(points).query(points, k=m)
+    rows = np.arange(n)[:, None]
+    d2 = _sq_dist(points, rows, cand)
+    d2[cand == rows] = np.inf  # self goes last
+    order = np.lexsort((cand, d2), axis=1)[:, :k]
+    idx = np.take_along_axis(cand, order, axis=1)
+    d2 = np.take_along_axis(d2, order, axis=1)
+    if m < n:
+        last = tree_dist[:, -1]
+        unsure = np.flatnonzero(~(d2[:, -1] < last * last * (1.0 - MARGIN)))
+        if unsure.size:
+            idx[unsure], d2[unsure] = _dense_knn(points, unsure, k)
+    return idx, np.sqrt(d2)
 
 
 # ---------------------------------------------------------------------------
@@ -52,15 +101,20 @@ def dilate(points: np.ndarray, mask: np.ndarray, radius: float) -> np.ndarray:
     out = mask.copy()
     if radius == 0.0 or not mask.any() or mask.all():
         return out
-    mpts = points[mask]
+    marked = np.flatnonzero(mask)
+    rest = np.flatnonzero(~mask)
+    tree = cKDTree(points[marked])
+    reach = float(radius) * (1.0 + MARGIN)
     r2 = float(radius) * float(radius)
-    n = points.shape[0]
-    chunk = max(1, min(n, 4_000_000 // mpts.shape[0]))
-    for s in range(0, n, chunk):
-        e = min(n, s + chunk)
-        dx = points[s:e, 0:1] - mpts[None, :, 0]
-        dy = points[s:e, 1:2] - mpts[None, :, 1]
-        dz = points[s:e, 2:3] - mpts[None, :, 2]
-        d2 = dx * dx + dy * dy + dz * dz
-        out[s:e] |= (d2 <= r2).any(axis=1)
+    # a slice of `rest` can hit every marked point, so this many rows bound
+    # the hit lists of one query by MAX_PAIRS whatever the radius
+    rows = max(1, MAX_PAIRS // marked.size)
+    for s in range(0, rest.size, rows):
+        part = rest[s:s + rows]
+        hits = tree.query_ball_point(points[part], reach)
+        counts = np.fromiter(map(len, hits), np.int64, part.size)
+        query = np.repeat(part, counts)
+        near = marked[np.fromiter(itertools.chain.from_iterable(hits), np.int64, query.size)]
+        keep = _sq_dist(points, query, near) <= r2
+        out[query[keep]] = True
     return out

@@ -132,12 +132,13 @@ def jitter(cloud: PointCloud, std: float, stream: Stream) -> PointCloud:
 
 
 def point_drop(cloud: PointCloud, ratio: float, stream: Stream) -> PointCloud:
-    """Keep exactly N - round(N*ratio) points: a uniformly shuffled prefix,
-    reordered to preserve original relative order; labels in lockstep."""
+    """Keep exactly max(N - round(N*ratio), min(N, 2)) points: a uniformly
+    shuffled prefix, reordered to preserve original relative order; labels in
+    lockstep. At least two points survive, so every draw can be featurized."""
     if not 0.0 <= ratio < 1.0:
         raise ValueError("drop ratio must be in [0, 1)")
     n = len(cloud)
-    n_keep = n - int(math.floor(n * ratio + 0.5))
+    n_keep = max(n - int(math.floor(n * ratio + 0.5)), min(n, 2))
     if n_keep >= n:
         return _child(cloud, cloud.positions.copy(), cloud.labels.copy())
     perm = stream.permutation(n)

@@ -112,9 +112,10 @@ class PriorAutoencoder:
             b = b if isinstance(b, T.Tensor) else T.Tensor(b)
             if detached:
                 w, b = T.stop_gradient(w), T.stop_gradient(b)
-            h = T.add(T.matmul(h, w), b)
             if i < layers - 1:
-                h = T.leaky_relu(h)
+                h = T.affine_leaky(h, w, b)
+            else:
+                h = T.add(T.matmul(h, w), b)
         return h
 
     def encode(self, rows, params=None, detached: bool = False) -> T.Tensor:

@@ -59,9 +59,10 @@ class SegModel:
             w, b = self.params[f"seg.w{i}"], self.params[f"seg.b{i}"]
             if detached:
                 w, b = T.stop_gradient(w), T.stop_gradient(b)
-            h = T.add(T.matmul(h, w), b)
             if i < self.num_layers - 1:
-                h = T.leaky_relu(h)
+                h = T.affine_leaky(h, w, b)
+            else:
+                h = T.add(T.matmul(h, w), b)
         return h
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:

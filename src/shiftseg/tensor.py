@@ -16,6 +16,9 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 _node_ids = itertools.count()
+# negative-side slope of leaky_relu and affine_leaky, one value for both so
+# the fused node stays bitwise equal to the chain it replaces
+LEAKY_SLOPE = 0.01
 
 
 class ShapeError(ValueError):
@@ -131,14 +134,33 @@ def matmul(a, b) -> Tensor:
     return _record(ad @ bd, (a, b), bwd, "matmul")
 
 
-def leaky_relu(x, slope: float = 0.01) -> Tensor:
+def leaky_relu(x) -> Tensor:
     x = as_tensor(x)
     xd = x.data
 
     def bwd(g):
-        return (np.where(xd > 0, g, slope * g),)
+        return (np.where(xd > 0, g, LEAKY_SLOPE * g),)
 
-    return _record(np.where(xd > 0, xd, slope * xd), (x,), bwd, "leaky-relu")
+    return _record(np.where(xd > 0, xd, LEAKY_SLOPE * xd), (x,), bwd, "leaky-relu")
+
+
+def affine_leaky(x, w, b) -> Tensor:
+    """leaky_relu(x @ w + b) as one tape node: the same values and gradients
+    as the three-op chain, without retaining its intermediate arrays."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"affine-leaky: incompatible shapes {x.data.shape} x {w.data.shape}")
+    if b.data.shape != w.data.shape[1:]:
+        raise ShapeError(f"affine-leaky: bias shape {b.data.shape} does not match {w.data.shape}")
+    xd, wd, bshape = x.data, w.data, b.data.shape
+    pre = xd @ wd + b.data
+    positive = pre > 0
+
+    def bwd(g):
+        gp = np.where(positive, g, LEAKY_SLOPE * g)
+        return gp @ wd.T, xd.T @ gp, _unbroadcast(gp, bshape)
+
+    return _record(np.where(positive, pre, LEAKY_SLOPE * pre), (x, w, b), bwd, "affine-leaky")
 
 
 def softmax(x) -> Tensor:

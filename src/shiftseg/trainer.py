@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -564,14 +565,44 @@ def state_arrays(state: TrainState) -> dict[str, np.ndarray]:
 
 
 def save_state(state: TrainState, ckpt_dir: str) -> None:
-    os.makedirs(ckpt_dir, exist_ok=True)
-    T.save_checkpoint(os.path.join(ckpt_dir, "weights.a3wt"), state_arrays(state))
+    """Write weights.a3wt, codebook.json and state.json as one directory.
+
+    The files go to a sibling `.partial-<name>` directory, which is synced
+    to disk and then takes `ckpt_dir`'s place by rename (an existing
+    `ckpt_dir` is renamed aside first), so `--resume`, which looks for
+    `epoch_*`, never sees a half-written checkpoint, after a crash of the
+    process or of the machine.
+    """
+    parent, name = os.path.split(os.path.normpath(ckpt_dir))
+    tmp = os.path.join(parent, f".partial-{name}")
+    stale = os.path.join(parent, f".stale-{name}")
+    for leftover in (tmp, stale):
+        shutil.rmtree(leftover, ignore_errors=True)
+    os.makedirs(tmp)
+    T.save_checkpoint(os.path.join(tmp, "weights.a3wt"), state_arrays(state))
     if state.cb is not None:
-        scp.export_codebook(state.cb, os.path.join(ckpt_dir, "codebook.json"))
-    with open(os.path.join(ckpt_dir, "state.json"), "w", encoding="utf-8") as f:
+        scp.export_codebook(state.cb, os.path.join(tmp, "codebook.json"))
+    with open(os.path.join(tmp, "state.json"), "w", encoding="utf-8") as f:
         json.dump({"step": state.step, "epoch": state.epoch,
                    "config_hash": state.cfg.config_hash()}, f)
         f.write("\n")
+    for entry in os.listdir(tmp):
+        _fsync(os.path.join(tmp, entry))
+    _fsync(tmp)
+    if os.path.exists(ckpt_dir):
+        os.replace(ckpt_dir, stale)
+    os.replace(tmp, ckpt_dir)
+    _fsync(parent or ".")
+    shutil.rmtree(stale, ignore_errors=True)
+
+
+def _fsync(path: str) -> None:
+    """Flush a file's or a directory's contents to disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def load_state(cfg: TrainConfig, ckpt_dir: str) -> TrainState:

@@ -110,6 +110,14 @@ def test_drop_exact_count():
     assert len(out) == 8
 
 
+@pytest.mark.parametrize("n,kept", [(64, 2), (4096, 41), (2, 2), (1, 1)])
+def test_drop_keeps_at_least_two_points(n, kept):
+    # the excessive preset's top ratio would leave 1 of 64 points; a draw
+    # keeps min(N, 2) so its features can be computed
+    cloud = small_cloud(n=n)
+    assert len(point_drop(cloud, 0.99, Stream(6, "drop"))) == kept
+
+
 def test_drop_survivors_keep_relative_order_and_labels():
     cloud = small_cloud(n=50)
     out = point_drop(cloud, 0.4, Stream(5, "d"))

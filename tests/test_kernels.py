@@ -1,9 +1,10 @@
-"""The numpy kernels against the brute-force oracles: two independent paths
-to the same neighbour lists and dilated masks."""
+"""The k-d-tree kernels against the brute-force oracles: two independent
+paths to the same neighbour lists and dilated masks."""
 import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftseg import _kernels, oracle
 from shiftseg.rng import Stream
@@ -15,6 +16,11 @@ def random_cloud(seed, n=300, planar=False):
     if planar:
         pts[:, 2] = 0.0
     return pts
+
+
+def lattice(n, spacing=1.0):
+    g = np.arange(n, dtype=np.float64) * spacing
+    return np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 @functools.cache
@@ -47,13 +53,49 @@ def test_knn_with_duplicate_points():
 def test_knn_lattice_exact_ties():
     # integer coordinates: every distance is exact, so ties are exact and the
     # lower index must win each one
-    g = np.arange(4, dtype=np.float64)
-    pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    pts = lattice(4)
     for k in (1, 6, 26):
         idx, dist = _kernels.knn(pts, k)
         ref_idx, ref_dist = oracle.brute_knn(pts, k)
         assert np.array_equal(idx, ref_idx)
         assert np.array_equal(dist, ref_dist)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_knn_matches_oracle_on_coarse_grids(data):
+    # coordinates on a 5-step integer grid: ties and duplicates everywhere
+    k = data.draw(st.sampled_from([1, 5, 16, 32]), label="k")
+    n = data.draw(st.integers(k + 1, 300), label="n")
+    coords = data.draw(st.lists(st.integers(0, 4), min_size=3 * n, max_size=3 * n),
+                       label="coords")
+    pts = np.array(coords, dtype=np.float64).reshape(n, 3)
+    idx, dist = _kernels.knn(pts, k)
+    ref_idx, ref_dist = oracle.brute_knn(pts, k)
+    assert np.array_equal(idx, ref_idx)
+    assert np.allclose(dist, ref_dist, rtol=1e-14, atol=0)
+
+
+def test_knn_falls_back_to_the_dense_scan_on_boundary_ties(monkeypatch):
+    # each interior lattice point has 6 neighbours at distance 1, more than
+    # the k+PAD = 4 candidates the tree returns beside the point itself
+    pts = lattice(5)
+    k = 1
+    assert 6 > k + _kernels.PAD
+    dense_rows = []
+    dense = _kernels._dense_knn
+
+    def spy(points, rows, kk):
+        dense_rows.extend(rows.tolist())
+        return dense(points, rows, kk)
+
+    monkeypatch.setattr(_kernels, "_dense_knn", spy)
+    idx, dist = _kernels.knn(pts, k)
+    interior = 1 + 5 + 25  # the point (1, 1, 1)
+    assert interior in dense_rows
+    ref_idx, ref_dist = oracle.brute_knn(pts, k)
+    assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(dist, ref_dist)
 
 
 def test_knn_rejects_bad_k():
@@ -71,6 +113,38 @@ def test_dilate_paths_identical(radius):
     out = _kernels.dilate(pts, mask, radius)
     assert np.array_equal(out, oracle.brute_dilate(pts, mask, radius))
     assert np.all(out[mask])  # marked points stay marked
+
+
+def test_dilate_includes_points_exactly_at_the_radius():
+    # lattice spacing 0.5 is exact in binary, so d^2 == r^2 holds exactly for
+    # the nearest lattice neighbours and the boundary counts as inside
+    pts = lattice(6, spacing=0.5)
+    mask = np.zeros(len(pts), bool)
+    mask[[0, 43, 129]] = True
+    out = _kernels.dilate(pts, mask, 0.5)
+    assert np.array_equal(out, oracle.brute_dilate(pts, mask, 0.5))
+    assert out.sum() == 3 + 3 + 6 + 6  # a corner and two interior points
+
+
+def test_dilate_radius_covering_the_whole_cloud_in_slices(monkeypatch):
+    # every unmarked point hits every marked one; a small pair bound makes
+    # the query run over many slices of the unmarked points
+    pts = random_cloud(5, n=200)
+    mask = np.zeros(len(pts), bool)
+    mask[::3] = True
+    monkeypatch.setattr(_kernels, "MAX_PAIRS", 500)
+    calls = []
+    tree = _kernels.cKDTree
+
+    class SpyTree(tree):
+        def query_ball_point(self, x, r, **kw):
+            calls.append(len(x) * self.n)
+            return super().query_ball_point(x, r, **kw)
+
+    monkeypatch.setattr(_kernels, "cKDTree", SpyTree)
+    out = _kernels.dilate(pts, mask, 1e3)
+    assert out.all()
+    assert len(calls) > 1 and max(calls) <= 500
 
 
 def test_dilate_rejects_bad_mask_and_radius():

@@ -106,6 +106,63 @@ def test_mlp_gradients_match_finite_differences():
     fd_check(build_loss, params)
 
 
+def affine_leaky_chain(x, w, b):
+    return T.leaky_relu(T.add(T.matmul(x, w), b))
+
+
+def test_affine_leaky_bitwise_equals_the_three_op_chain():
+    stream = Stream(11)
+    x1 = stream.normal(35).reshape(7, 5)
+    x2 = stream.normal(35).reshape(7, 5)
+    w0 = stream.normal(25).reshape(5, 5)
+    b0 = stream.normal(5)
+    c1 = stream.normal(35).reshape(7, 5)
+    c2 = stream.normal(35).reshape(7, 5)
+
+    def run(layer):
+        leaves = [T.Tensor(a.copy(), requires_grad=True) for a in (x1, x2, w0, b0)]
+        a, b, w, bias = leaves
+        # w and bias are shared by three nodes over two passes, so their
+        # gradients accumulate in the tape's order
+        out1 = layer(layer(a, w, bias), w, bias)
+        out2 = layer(b, w, bias)
+        T.backward(T.add(T.tsum(T.mul(out1, T.Tensor(c1))), T.tsum(T.mul(out2, T.Tensor(c2)))))
+        return [out1.data, out2.data] + [t.grad for t in leaves]
+
+    for got, want in zip(run(T.affine_leaky), run(affine_leaky_chain)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_affine_leaky_gradients_match_finite_differences():
+    stream = Stream(12)
+    params = {
+        "w0": T.Tensor(stream.normal(12).reshape(4, 3), requires_grad=True),
+        "b0": T.Tensor(stream.normal(3), requires_grad=True),
+        "w1": T.Tensor(stream.normal(6).reshape(3, 2), requires_grad=True),
+        "b1": T.Tensor(stream.normal(2), requires_grad=True),
+    }
+    x = stream.normal(20).reshape(5, 4)
+    c = stream.normal(10).reshape(5, 2)
+
+    def build_loss():
+        h = T.affine_leaky(T.Tensor(x), params["w0"], params["b0"])
+        h = T.affine_leaky(h, params["w1"], params["b1"])
+        return T.tsum(T.mul(h, T.Tensor(c)))
+
+    fd_check(build_loss, params)
+
+
+def test_affine_leaky_with_stopped_weights_records_no_node():
+    stream = Stream(13)
+    w = T.Tensor(stream.normal(6).reshape(3, 2), requires_grad=True)
+    b = T.Tensor(stream.normal(2), requires_grad=True)
+    x = stream.normal(12).reshape(4, 3)
+    out = T.affine_leaky(T.Tensor(x), T.stop_gradient(w), T.stop_gradient(b))
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None
+    assert out.data.tobytes() == affine_leaky_chain(T.Tensor(x), w, b).data.tobytes()
+
+
 def test_stop_gradient_zero_contribution():
     x = T.Tensor([1.0, 2.0, 3.0], requires_grad=True)
     T.backward(T.tsum(T.stop_gradient(x)))

@@ -1,8 +1,10 @@
-"""Training-run reproducibility across `--resume`."""
+"""Training-run reproducibility across `--resume`, atomic checkpoints, and
+a final report over every augmentation level."""
 import json
 import shutil
 
-from shiftseg import cli, verify
+from shiftseg import cli, trainer, verify
+from shiftseg.augment import PRESET_NAMES
 
 
 def write_config(path, **overrides):
@@ -24,9 +26,48 @@ def test_resume_reproduces_an_uninterrupted_run(tmp_path):
     # restarts from epoch_0002 and must not log epoch 3's steps twice
     shutil.rmtree(out / "ckpt" / "epoch_0003")
     shutil.rmtree(out / "ckpt" / "final")
+    # a crash while epoch 3's checkpoint was written leaves only its temporary
+    # directory, which the resume must not take for a checkpoint
+    partial = out / "ckpt" / ".partial-epoch_0003"
+    partial.mkdir()
+    (partial / "weights.a3wt").write_bytes(weights[:100])
     assert cli.main(["train", "--config", config, "--out", str(out), "--resume"]) == 0
     assert (out / "steplog.ndjson").read_bytes() == steplog
     assert (out / "ckpt" / "final" / "weights.a3wt").read_bytes() == weights
+    assert sorted(p.name for p in (out / "ckpt").iterdir()) == [
+        "epoch_0001", "epoch_0002", "epoch_0003", "final"]
+
+
+def test_save_state_replaces_an_existing_checkpoint(tmp_path):
+    cfg = verify.tiny_config()
+    state = trainer.init_state(cfg)
+    ckpt = tmp_path / "final"
+    trainer.save_state(state, str(ckpt))
+    state.step = 7
+    trainer.save_state(state, str(ckpt))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["final"]
+    assert trainer.load_state(cfg, str(ckpt)).step == 7
+
+
+def test_save_state_syncs_the_files_before_the_rename(tmp_path, monkeypatch):
+    state = trainer.init_state(verify.tiny_config())
+    ckpt = tmp_path / "epoch_0001"
+    synced = []
+    monkeypatch.setattr(trainer, "_fsync", lambda path: synced.append((path, ckpt.exists())))
+    trainer.save_state(state, str(ckpt))
+    tmp = str(tmp_path / ".partial-epoch_0001")
+    before = {path for path, renamed in synced if not renamed}
+    assert {tmp} | {f"{tmp}/{p.name}" for p in ckpt.iterdir()} <= before
+    assert synced[-1] == (str(tmp_path), True)
+
+
+def test_final_report_completes_over_every_level():
+    # 45 curve trials reach the excessive-level draws (keys t=44) that once
+    # left one point of the 64-point validation cloud
+    cfg = verify.tiny_config(scenes=2, val_fraction=0.5, curve_trials=45)
+    split, clouds = trainer.default_data(cfg)
+    _, reports = trainer.run(cfg, split, clouds)
+    assert list(reports[-1]["ssr_ratio_by_level"]) == list(PRESET_NAMES)
 
 
 def test_resume_refuses_a_changed_config(tmp_path):

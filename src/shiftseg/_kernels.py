@@ -5,10 +5,11 @@ with their own arithmetic: every candidate's squared distance is recomputed
 as dx*dx + dy*dy + dz*dz, so every caller sees the same distances and the
 same tie rule (lower point index first) whatever the tree computed.
 
-kNN queries k+1+PAD candidates per point. A row is certified when its k-th
-recomputed d² lies below the last candidate's tree distance² by the relative
-margin MARGIN: the tree's rounding is far below that margin, so no point
-outside the candidates can come closer or tie. A row that cannot be
+kNN queries k+1+PAD candidates per query row (every point, or the rows a
+caller asks for, such as voxel representatives). A row is certified when
+its k-th recomputed d² lies below the last candidate's tree distance² by the
+relative margin MARGIN: the tree's rounding is far below that margin, so no
+point outside the candidates can come closer or tie. A row that cannot be
 certified (a tie at the boundary, as on lattices or duplicated points) is
 recomputed exactly by a dense scan over all points. Dilation queries the
 tree of marked points at radius·(1 + MARGIN), in slices of the unmarked
@@ -64,17 +65,22 @@ def _dense_knn(points: np.ndarray, rows: np.ndarray, k: int) -> tuple[np.ndarray
 # ---------------------------------------------------------------------------
 # Exact kNN: Euclidean, self excluded, ties broken by lower point index.
 
-def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact k nearest neighbors. Returns (indices, distances), both (N, k)."""
+def knn(points: np.ndarray, k: int,
+        rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Exact k nearest neighbors of the query rows points[rows] (every point
+    when rows is None) among all points. Returns (indices, distances), both
+    (len(rows), k). Query rows are independent through the tree query, the
+    recomputation, the certification and the dense fallback, so the result
+    equals knn(points, k)[rows] bit for bit."""
     points = np.ascontiguousarray(points, dtype=np.float64)
     n = points.shape[0]
     if not 0 < k < n:
         raise ValueError(f"knn requires 0 < k < N, got k={k}, N={n}")
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
     m = min(n, k + 1 + PAD)
-    tree_dist, cand = cKDTree(points).query(points, k=m)
-    rows = np.arange(n)[:, None]
-    d2 = _sq_dist(points, rows, cand)
-    d2[cand == rows] = np.inf  # self goes last
+    tree_dist, cand = cKDTree(points).query(points[rows], k=m)
+    d2 = _sq_dist(points, rows[:, None], cand)
+    d2[cand == rows[:, None]] = np.inf  # self goes last
     order = np.lexsort((cand, d2), axis=1)[:, :k]
     idx = np.take_along_axis(cand, order, axis=1)
     d2 = np.take_along_axis(d2, order, axis=1)
@@ -82,7 +88,7 @@ def knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         last = tree_dist[:, -1]
         unsure = np.flatnonzero(~(d2[:, -1] < last * last * (1.0 - MARGIN)))
         if unsure.size:
-            idx[unsure], d2[unsure] = _dense_knn(points, unsure, k)
+            idx[unsure], d2[unsure] = _dense_knn(points, rows[unsure], k)
     return idx, np.sqrt(d2)
 
 

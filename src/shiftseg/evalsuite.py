@@ -37,15 +37,17 @@ class PreparedCloud:
 
 
 def prepare_cloud(cloud: PointCloud, voxel_size: float, knn_k: int) -> PreparedCloud:
-    """Voxelize, find each point's min(knn_k, N-1) nearest neighbors, and
-    featurize the voxel representatives. A cloud of fewer than 2 points has
-    no neighborhoods and is refused."""
+    """Voxelize, find the min(knn_k, N-1) nearest neighbors of each voxel
+    representative among all points (kNN is queried at the representatives
+    only, since the features read no other row), and featurize the
+    representatives. A cloud of fewer than 2 points has no neighborhoods and
+    is refused."""
     n = len(cloud)
     if n < 2:
         raise ValueError(f"cloud {cloud.cloud_id!r} has {n} point(s); "
                          "preparing its features needs at least 2")
     grid = voxelize(cloud, voxel_size)
-    feats = segnet.featurize(cloud, grid, knn(cloud, min(knn_k, n - 1)))
+    feats = segnet.featurize(cloud, grid, knn(cloud, min(knn_k, n - 1), grid.rep_index))
     return PreparedCloud(feats, grid.rep_label.astype(np.int64),
                          cloud.positions[grid.rep_index], grid.point_cell)
 

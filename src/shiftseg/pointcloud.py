@@ -60,12 +60,13 @@ class VoxelGrid:
 
 @dataclass
 class NeighborIndex:
-    """Exact k nearest neighbors per point; self excluded, distances ascending,
-    ties broken by the lower point index."""
+    """Exact k nearest neighbors per query row; self excluded, distances
+    ascending, ties broken by the lower point index. Row i belongs to point i,
+    or to point rows[i] when `knn` was given query rows."""
 
     k: int
-    indices: np.ndarray  # (N, k) int64
-    distances: np.ndarray  # (N, k) float64
+    indices: np.ndarray  # (Q, k) int64
+    distances: np.ndarray  # (Q, k) float64
 
 
 def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelGrid:
@@ -99,11 +100,13 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelGrid:
     return VoxelGrid(float(voxel_size), uniq, rep_index, rep_label, point_cell)
 
 
-def knn(cloud: PointCloud, k: int) -> NeighborIndex:
+def knn(cloud: PointCloud, k: int, rows: np.ndarray | None = None) -> NeighborIndex:
+    """Neighbors of every point, or of the points `rows` only, among all
+    points of the cloud."""
     n = len(cloud)
     if k >= n:
         raise ValueError(f"knn requires k < N, got k={k}, N={n}")
-    idx, dist = _kernels.knn(cloud.positions, k)
+    idx, dist = _kernels.knn(cloud.positions, k, rows)
     return NeighborIndex(k, idx, dist)
 
 
@@ -111,7 +114,8 @@ DENSITY_CAP = 1e12
 
 
 def local_density(cloud: PointCloud, nn: NeighborIndex) -> np.ndarray:
-    """Inverse distance to the k-th nearest neighbor, capped for duplicates."""
+    """Inverse distance to the k-th nearest neighbor per query row of `nn`,
+    capped for duplicates."""
     dk = nn.distances[:, -1]
     with np.errstate(divide="ignore"):
         dens = np.where(dk > 0, 1.0 / np.where(dk > 0, dk, 1.0), DENSITY_CAP)
@@ -121,7 +125,8 @@ def local_density(cloud: PointCloud, nn: NeighborIndex) -> np.ndarray:
 def local_curvature(cloud: PointCloud, nn: NeighborIndex) -> np.ndarray:
     """Surface-variation curvature from neighborhood PCA.
 
-    For each point, eigen-decompose the covariance of {i} union N_k(i) and
+    `nn` must hold every point's neighbors (built without query rows). For
+    each point, eigen-decompose the covariance of {i} union N_k(i) and
     return lam3 / (lam1 + lam2 + lam3) with eigenvalues clamped at zero;
     coincident neighborhoods give 0. Always in [0, 1/3].
     """

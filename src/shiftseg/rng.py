@@ -98,13 +98,15 @@ class Stream:
         return np.minimum((u * high).astype(np.int64), high - 1)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates shuffle of arange(n) driven by n-1 uniform draws."""
-        perm = np.arange(n, dtype=np.int64)
+        """Fisher-Yates shuffle of arange(n) driven by n-1 uniform draws: for
+        i = n-1 down to 1, swap position i with j = min(floor(u * (i+1)), i).
+        The targets are computed in one vectorised step; only the swaps,
+        which depend on each other, run one by one."""
         if n < 2:
-            return perm
-        u = self.uniform(n - 1)
-        for t in range(n - 1):
-            i = n - 1 - t
-            j = min(int(u[t] * (i + 1)), i)
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm
+            return np.arange(n, dtype=np.int64)
+        i = np.arange(n - 1, 0, -1, dtype=np.int64)
+        js = np.minimum((self.uniform(n - 1) * (i + 1)).astype(np.int64), i)
+        perm = list(range(n))
+        for a, b in zip(i.tolist(), js.tolist()):
+            perm[a], perm[b] = perm[b], perm[a]
+        return np.array(perm, dtype=np.int64)

@@ -16,17 +16,18 @@ _INPUT_SCALE = np.array([0.125, 0.125, 0.25, 4.0, 4.0, 4.0, 4.0, 0.25])
 
 def featurize(cloud: PointCloud, grid: VoxelGrid, nn: NeighborIndex) -> np.ndarray:
     """One row per voxel representative: raw xyz, mean neighbor offset,
-    neighborhood covariance trace, and local density."""
+    neighborhood covariance trace, and local density. `nn` holds the
+    representatives' neighbors, row i those of grid.rep_index[i]
+    (`pointcloud.knn` with rows=grid.rep_index)."""
     reps = grid.rep_index
     pos = cloud.positions
     rep_pos = pos[reps]
-    nbr = nn.indices[reps]  # (M, k)
-    nbr_pos = pos[nbr]  # (M, k, 3)
+    nbr_pos = pos[nn.indices]  # (M, k, 3)
     mean_off = nbr_pos.mean(axis=1) - rep_pos
     hood = np.concatenate([rep_pos[:, None, :], nbr_pos], axis=1)
     centered = hood - hood.mean(axis=1, keepdims=True)
     trace = (centered ** 2).sum(axis=2).mean(axis=1)
-    dens = local_density(cloud, nn)[reps]
+    dens = local_density(cloud, nn)
     return np.concatenate([rep_pos, mean_off, trace[:, None], dens[:, None]], axis=1)
 
 

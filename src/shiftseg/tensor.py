@@ -2,8 +2,9 @@
 
 Deliberately minimal: just the ops the training pipeline needs, on a
 single-use tape. Ops record backward closures when any input requires
-gradients; `backward` consumes the recorded subgraph in reverse creation
-order and clears it. `stop_gradient` provides the detach semantics the
+gradients; a closure returns None for an input that requires none, and
+`backward`, which consumes the recorded subgraph in reverse creation order
+and clears it, skips those. `stop_gradient` provides the detach semantics the
 quantization objective relies on.
 """
 from __future__ import annotations
@@ -129,7 +130,8 @@ def matmul(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def bwd(g):
-        return g @ bd.T, ad.T @ g
+        return (g @ bd.T if a.requires_grad else None,
+                ad.T @ g if b.requires_grad else None)
 
     return _record(ad @ bd, (a, b), bwd, "matmul")
 
@@ -144,23 +146,41 @@ def leaky_relu(x) -> Tensor:
     return _record(np.where(xd > 0, xd, LEAKY_SLOPE * xd), (x,), bwd, "leaky-relu")
 
 
+def _leaky_factor(positive: np.ndarray) -> np.ndarray:
+    """1.0 where `positive`, LEAKY_SLOPE elsewhere. Multiplying by it gives
+    np.where(positive, a, LEAKY_SLOPE * a) bit for bit (1.0 - LEAKY_SLOPE +
+    LEAKY_SLOPE is exactly 1.0), without a branch per element."""
+    f = positive.astype(np.float64)
+    f *= 1.0 - LEAKY_SLOPE
+    f += LEAKY_SLOPE
+    return f
+
+
 def affine_leaky(x, w, b) -> Tensor:
     """leaky_relu(x @ w + b) as one tape node: the same values and gradients
-    as the three-op chain, without retaining its intermediate arrays."""
+    as the three-op chain, bit for bit. The slope is applied as a product
+    with `_leaky_factor`, not a select, and the node retains only the
+    boolean sign mask, recomputing the factor in the backward pass. Only
+    the inputs that require gradients get one computed."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeError(f"affine-leaky: incompatible shapes {x.data.shape} x {w.data.shape}")
     if b.data.shape != w.data.shape[1:]:
         raise ShapeError(f"affine-leaky: bias shape {b.data.shape} does not match {w.data.shape}")
     xd, wd, bshape = x.data, w.data, b.data.shape
-    pre = xd @ wd + b.data
+    pre = xd @ wd
+    pre += b.data
     positive = pre > 0
+    pre *= _leaky_factor(positive)
 
     def bwd(g):
-        gp = np.where(positive, g, LEAKY_SLOPE * g)
-        return gp @ wd.T, xd.T @ gp, _unbroadcast(gp, bshape)
+        gp = _leaky_factor(positive)
+        gp *= g
+        return (gp @ wd.T if x.requires_grad else None,
+                xd.T @ gp if w.requires_grad else None,
+                _unbroadcast(gp, bshape) if b.requires_grad else None)
 
-    return _record(np.where(positive, pre, LEAKY_SLOPE * pre), (x, w, b), bwd, "affine-leaky")
+    return _record(pre, (x, w, b), bwd, "affine-leaky")
 
 
 def softmax(x) -> Tensor:
@@ -310,6 +330,8 @@ def backward(loss: Tensor) -> None:
             node.grad = g if node.grad is None else node.grad + g
         if node._backward is not None:
             for parent, pg in zip(node._parents, node._backward(g)):
+                if pg is None:  # the parent needs no gradient
+                    continue
                 prev = grads.get(parent._id)
                 grads[parent._id] = pg if prev is None else prev + pg
     # single-use tape: release the consumed subgraph

@@ -217,6 +217,7 @@ class TrainState:
     teacher: dict[str, np.ndarray] | None
     step: int = 0
     epoch: int = 0
+    # clean clouds prepared once per run: cloud_id -> {(voxel_size, knn_k): PreparedCloud}
     cache: dict = field(default_factory=dict)
 
 
@@ -462,15 +463,20 @@ def _check_finite(name: str, value: float, state: TrainState):
             f"{name} is not finite at step {state.step} (epoch {state.epoch})")
 
 
+def prepared_clean(state: TrainState, cloud: PointCloud, cfg: TrainConfig) -> PreparedCloud:
+    """An unaugmented cloud's features, prepared once per run and memoised in
+    `state.cache` by (cloud_id, voxel_size, knn_k); training originals and
+    validation clouds share it."""
+    by_geometry = state.cache.setdefault(cloud.cloud_id, {})
+    key = (cfg.voxel_size, cfg.knn_k)
+    if key not in by_geometry:
+        by_geometry[key] = prepare_cloud(cloud, cfg.voxel_size, cfg.knn_k)
+    return by_geometry[key]
+
+
 def prepare_batch(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
                   epoch: int, batch_index: int) -> PreparedBatch:
-    originals = []
-    for cloud in clouds:
-        pc = state.cache.get(cloud.cloud_id)
-        if pc is None:
-            pc = prepare_cloud(cloud, cfg.voxel_size, cfg.knn_k)
-            state.cache[cloud.cloud_id] = pc
-        originals.append(pc)
+    originals = [prepared_clean(state, cloud, cfg) for cloud in clouds]
     if not mode_flags(cfg.mode)[0]:
         return PreparedBatch(originals, None, "none")
     preset = effective_preset(epoch, cfg)
@@ -677,8 +683,7 @@ def validation_report(state: TrainState, val_clouds: list[PointCloud],
     """Point-level scores on the validation clouds; `preds`, when given, are
     the model's per-point predictions on them."""
     if preds is None:
-        preds = [evalsuite.point_predictions(state.model,
-                                             prepare_cloud(c, cfg.voxel_size, cfg.knn_k))
+        preds = [evalsuite.point_predictions(state.model, prepared_clean(state, c, cfg))
                  for c in val_clouds]
     body = evalsuite.evaluate_clouds(preds, val_clouds, cfg.class_count)
     return {"epoch": epoch, "mode": cfg.mode, "seed": cfg.seed,
@@ -687,8 +692,9 @@ def validation_report(state: TrainState, val_clouds: list[PointCloud],
 
 def final_report(state: TrainState, val_clouds: list[PointCloud], cfg: TrainConfig) -> dict:
     """The validation report plus SSR ratio by level, high-distortion mask
-    fraction and teacher agreement; each validation cloud is prepared once."""
-    prepared = [prepare_cloud(c, cfg.voxel_size, cfg.knn_k) for c in val_clouds]
+    fraction and teacher agreement; each validation cloud is prepared once
+    per run."""
+    prepared = [prepared_clean(state, c, cfg) for c in val_clouds]
     student = [evalsuite.point_predictions(state.model, pc) for pc in prepared]
     doc = validation_report(state, val_clouds, cfg, cfg.epochs, student)
     doc["final"] = True

@@ -96,6 +96,32 @@ def test_knn_falls_back_to_the_dense_scan_on_boundary_ties(monkeypatch):
     ref_idx, ref_dist = oracle.brute_knn(pts, k)
     assert np.array_equal(idx, ref_idx)
     assert np.array_equal(dist, ref_dist)
+    # query rows reach the fallback by their point index
+    dense_rows.clear()
+    rows = np.array([interior, 0, 124, interior])
+    idx, dist = _kernels.knn(pts, k, rows)
+    assert dense_rows.count(interior) == 2
+    assert np.array_equal(idx, ref_idx[rows])
+    assert np.array_equal(dist, ref_dist[rows])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_knn_at_query_rows_equals_the_full_rows(data):
+    # the reference is the full-row kernel, not the O(N^2) oracle, so a
+    # failing example shrinks fast; the coarse grid sends many rows to the
+    # dense fallback
+    k = data.draw(st.sampled_from([1, 5, 16, 32]), label="k")
+    n = data.draw(st.integers(k + 1, 300), label="n")
+    coords = data.draw(st.lists(st.integers(0, 4), min_size=3 * n, max_size=3 * n),
+                       label="coords")
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n),
+                              label="rows"), dtype=np.int64)
+    pts = np.array(coords, dtype=np.float64).reshape(n, 3)
+    idx, dist = _kernels.knn(pts, k, rows)
+    full_idx, full_dist = _kernels.knn(pts, k)
+    assert idx.tobytes() == full_idx[rows].tobytes()
+    assert dist.tobytes() == full_dist[rows].tobytes()
 
 
 def test_knn_rejects_bad_k():

@@ -52,6 +52,30 @@ def test_permutation_is_permutation():
         assert sorted(p.tolist()) == list(range(n))
 
 
+def loop_permutation(stream, n):
+    """The one-swap-at-a-time Fisher-Yates loop that `permutation` replaced."""
+    perm = np.arange(n, dtype=np.int64)
+    if n < 2:
+        return perm
+    u = stream.uniform(n - 1)
+    for t in range(n - 1):
+        i = n - 1 - t
+        j = min(int(u[t] * (i + 1)), i)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 100, 4096])
+def test_permutation_equals_the_swap_loop(n):
+    for key in [(0,), (13, n), ("drop", 7, 3), (2**63 + 5,)]:
+        got_stream, want_stream = Stream(*key), Stream(*key)
+        got = got_stream.permutation(n)
+        want = loop_permutation(want_stream, n)
+        assert got.dtype == want.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+        assert got_stream.counter == want_stream.counter
+
+
 def test_spawn_independent():
     parent = Stream(9)
     c1 = parent.spawn("a")

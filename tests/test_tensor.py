@@ -110,16 +110,28 @@ def affine_leaky_chain(x, w, b):
     return T.leaky_relu(T.add(T.matmul(x, w), b))
 
 
-def test_affine_leaky_bitwise_equals_the_three_op_chain():
-    stream = Stream(11)
-    x1 = stream.normal(35).reshape(7, 5)
-    x2 = stream.normal(35).reshape(7, 5)
-    w0 = stream.normal(25).reshape(5, 5)
-    b0 = stream.normal(5)
-    c1 = stream.normal(35).reshape(7, 5)
-    c2 = stream.normal(35).reshape(7, 5)
+# IEEE specials: signed zeros, NaN, infinities, subnormals of both signs
+SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310,
+                     2.5, -2.5])
 
-    def run(layer):
+
+def random_leaky_inputs():
+    stream = Stream(11)
+    return (stream.normal(35).reshape(7, 5), stream.normal(35).reshape(7, 5),
+            stream.normal(25).reshape(5, 5), stream.normal(5),
+            stream.normal(35).reshape(7, 5), stream.normal(35).reshape(7, 5))
+
+
+def special_leaky_inputs():
+    # width 1 with w = 1 and b = -0.0: the pre-activations are the specials
+    # themselves (the matmul turns -0.0 into +0.0), and so are the upstream
+    # gradients, which reach the node unchanged through the product with c
+    col = SPECIALS[:, None]
+    return col, col[::-1].copy(), np.ones((1, 1)), np.array([-0.0]), col[::-1].copy(), col
+
+
+def test_affine_leaky_bitwise_equals_the_three_op_chain():
+    def run(layer, x1, x2, w0, b0, c1, c2):
         leaves = [T.Tensor(a.copy(), requires_grad=True) for a in (x1, x2, w0, b0)]
         a, b, w, bias = leaves
         # w and bias are shared by three nodes over two passes, so their
@@ -129,8 +141,63 @@ def test_affine_leaky_bitwise_equals_the_three_op_chain():
         T.backward(T.add(T.tsum(T.mul(out1, T.Tensor(c1))), T.tsum(T.mul(out2, T.Tensor(c2)))))
         return [out1.data, out2.data] + [t.grad for t in leaves]
 
-    for got, want in zip(run(T.affine_leaky), run(affine_leaky_chain)):
-        assert got.tobytes() == want.tobytes()
+    for inputs in (random_leaky_inputs(), special_leaky_inputs()):
+        with np.errstate(invalid="ignore"):
+            for got, want in zip(run(T.affine_leaky, *inputs), run(affine_leaky_chain, *inputs)):
+                assert got.tobytes() == want.tobytes()
+
+
+def test_leaky_factor_product_equals_the_select_bytewise():
+    # every special against every special: as pre-activation a (forward) and
+    # as upstream gradient g under the sign mask of a (backward)
+    a = np.repeat(SPECIALS, SPECIALS.size)
+    g = np.tile(SPECIALS, SPECIALS.size)
+    positive = a > 0
+    with np.errstate(invalid="ignore"):
+        assert (a * T._leaky_factor(positive)).tobytes() == \
+            np.where(positive, a, T.LEAKY_SLOPE * a).tobytes()
+        assert (g * T._leaky_factor(positive)).tobytes() == \
+            np.where(positive, g, T.LEAKY_SLOPE * g).tobytes()
+    assert (1.0 - T.LEAKY_SLOPE) + T.LEAKY_SLOPE == 1.0
+
+
+@pytest.mark.parametrize("frozen", [("x",), ("w",), ("b",), ("x", "w"), ("x", "b"), ("w", "b")])
+def test_frozen_inputs_get_no_gradient_and_none_is_computed(frozen):
+    stream = Stream(14)
+    data = {"x": stream.normal(24).reshape(6, 4), "w": stream.normal(12).reshape(4, 3),
+            "b": stream.normal(3), "w1": stream.normal(6).reshape(3, 2)}
+    c = stream.normal(12).reshape(6, 2)
+
+    def run(frozen_names):
+        leaves = {n: T.Tensor(a.copy(), requires_grad=n not in frozen_names)
+                  for n, a in data.items()}
+        h = T.affine_leaky(leaves["x"], leaves["w"], leaves["b"])
+        out = T.matmul(h, leaves["w1"])
+        # the backward closures skip exactly the frozen inputs
+        g = np.ones(h.data.shape)
+        skipped = [pg is None for pg in h._backward(g)]
+        assert skipped == [n in frozen_names for n in ("x", "w", "b")]
+        assert out._backward(np.ones((6, 2)))[0] is not None
+        T.backward(T.tsum(T.mul(out, T.Tensor(c))))
+        return {n: t.grad for n, t in leaves.items()}
+
+    pruned, reference = run(frozen), run(())
+    for name, grad in pruned.items():
+        if name in frozen:
+            assert grad is None
+        else:
+            assert grad.tobytes() == reference[name].tobytes()
+
+
+def test_matmul_skips_the_product_of_a_constant_operand():
+    stream = Stream(15)
+    a = T.Tensor(stream.normal(6).reshape(3, 2))
+    b = T.Tensor(stream.normal(8).reshape(2, 4), requires_grad=True)
+    out = T.matmul(a, b)
+    ga, gb = out._backward(np.ones((3, 4)))
+    assert ga is None and gb.tobytes() == (a.data.T @ np.ones((3, 4))).tobytes()
+    T.backward(T.tsum(out))
+    assert a.grad is None and b.grad is not None
 
 
 def test_affine_leaky_gradients_match_finite_differences():

@@ -1,9 +1,12 @@
-"""Training-run reproducibility across `--resume`, atomic checkpoints, and
-a final report over every augmentation level."""
+"""Training-run reproducibility across `--resume`, atomic checkpoints, a
+final report over every augmentation level, golden output digests, and clean
+clouds prepared once per run."""
+import dataclasses
+import hashlib
 import json
 import shutil
 
-from shiftseg import cli, trainer, verify
+from shiftseg import cli, evalsuite, trainer, verify
 from shiftseg.augment import PRESET_NAMES
 
 
@@ -80,3 +83,49 @@ def test_resume_refuses_a_changed_config(tmp_path):
     assert cli.main(["train", "--config", changed, "--out", str(out), "--resume"]) == 2
     assert (out / "steplog.ndjson").read_bytes() == steplog
     assert (out / "config.json").read_bytes() == saved_config
+
+
+# sha256 of a tiny full-mode run's outputs, recorded before the training hot
+# path was optimised; BLAS with 1 or 2 threads gives the same bytes here.
+# Any numeric drift in the steps, the weights or the reports fails this test.
+GOLDEN = {
+    "steplog.ndjson": "a8f75ff236279330fd66f02f127375e4199ac58f420847caf67d2269cc9f4fff",
+    "ckpt/final/weights.a3wt": "c4cf4d3f2d32f12b5d3921d2b16a8386493cb9db24e30c0bc0738bdd97172725",
+    "reports/epoch_0002.json": "5e5d5d9f67d200c85b9450be18a769d9a5ce30bfd26c82f7353a4d269bdb5a46",
+    "reports/final.json": "171b2cb4fe3505c685340d48e308a31de0d3254a6aa33958ae2196d624118a87",
+}
+
+
+def test_tiny_run_matches_the_golden_digests(tmp_path):
+    # t=0.45 flags 36-69 % of the labeled rows, so distillation runs
+    cfg = verify.tiny_config(epochs=3, scenes=4, val_fraction=0.25, class_count=8,
+                             points_per_scene=128, t=0.45, eval_every=1)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg.to_json()))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 0
+    steps = [json.loads(line) for line in (out / "steplog.ndjson").read_text().splitlines()]
+    assert any(step.get("loss_distill", 0.0) > 0.0 for step in steps)
+    for name, digest in GOLDEN.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_validation_clouds_are_prepared_once_per_run(monkeypatch):
+    cfg = verify.tiny_config(scenes=4, val_fraction=0.5)
+    split, clouds = trainer.default_data(cfg)
+    val_clouds = [clouds[c] for c in split.val]
+    state = trainer.init_state(cfg)
+    prepared = []
+    featurize = evalsuite.segnet.featurize
+
+    def counting(cloud, grid, nn):
+        prepared.append(cloud.cloud_id)
+        return featurize(cloud, grid, nn)
+
+    monkeypatch.setattr(evalsuite.segnet, "featurize", counting)
+    first = trainer.validation_report(state, val_clouds, cfg, 0)
+    assert trainer.validation_report(state, val_clouds, cfg, 0) == first
+    assert sorted(prepared) == sorted(split.val)
+    # another geometry is another entry of the memo
+    trainer.validation_report(state, val_clouds, dataclasses.replace(cfg, knn_k=3), 0)
+    assert sorted(prepared) == sorted(split.val * 2)

@@ -5,9 +5,12 @@ ablation sweeps, and verification.
 augmented draw gives both the level's mIoU and its SSR ratio. The clean
 high-distortion metrics are computed once and reported with every level.
 
-Exit codes: 0 success, 1 verification or metric failure, 2 usage error.
+Exit codes: 0 success, 1 verification or metric failure, 2 usage error (a
+malformed config, dataset or checkpoint included).
 Output directory layout: OUT/{manifest.json, config.json, steplog.ndjson,
-ckpt/, reports/, csv/}.
+ckpt/, reports/, csv/}. Each checkpoint directory ckpt/<epoch_NNNN|final>/
+holds weights.a3wt (every array of the run, the prior's included) and
+state.json.
 """
 from __future__ import annotations
 
@@ -19,7 +22,9 @@ import time
 
 from . import __version__, evalsuite, oracle, trainer, verify
 from .augment import PRESET_NAMES
-from .dataset import SYNTH_CLASSES, DatasetSplit, SceneSpec, load_cloud, make_split, save_cloud
+from .dataset import (SYNTH_CLASSES, CloudFormatError, DatasetSplit, SceneSpec, load_cloud,
+                      make_split, save_cloud)
+from .tensor import CheckpointError
 from .trainer import ConfigError, TrainConfig
 
 
@@ -60,16 +65,25 @@ def _load_config(path: str, mode: str | None = None, seed_env: str | None = None
     return TrainConfig.from_json(doc)
 
 
-def _load_data(data_dir: str):
+def _load_data(data_dir: str | None, cfg: TrainConfig):
+    """The split and clouds of a `gen` dataset directory, or the config's
+    synthetic data without one. Refuses clouds that declare different class
+    counts, or more classes than the config's class_count."""
+    if not data_dir:
+        return trainer.default_data(cfg)
     with open(os.path.join(data_dir, "split.json"), "r", encoding="utf-8") as f:
         split = DatasetSplit.from_json(json.load(f))
-    clouds = {}
-    class_count = None
+    clouds, counts = {}, set()
     for cid in split.train + split.val:
-        cloud, c = load_cloud(os.path.join(data_dir, f"{cid}.a3pc"), cloud_id=cid)
-        clouds[cid] = cloud
-        class_count = c if class_count is None else class_count
-    return split, clouds, class_count
+        clouds[cid], c = load_cloud(os.path.join(data_dir, f"{cid}.a3pc"), cloud_id=cid)
+        counts.add(c)
+    if len(counts) > 1:
+        raise UsageError(f"dataset {data_dir!r} mixes clouds that declare "
+                         f"{sorted(counts)} classes")
+    if counts and max(counts) > cfg.class_count:
+        raise UsageError(f"dataset {data_dir!r} declares {max(counts)} classes, more than "
+                         f"the config's class_count of {cfg.class_count}")
+    return split, clouds
 
 
 # ---------------------------------------------------------------------------
@@ -92,15 +106,12 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config, mode=args.mode, seed_env=os.environ.get("A3_SEED"))
+    split, clouds = _load_data(args.data, cfg)
     if args.resume:
         if not os.path.isdir(args.out):
             raise UsageError("--resume needs an existing output directory")
     else:
         _prepare_out(args.out, args.force)
-    if args.data:
-        split, clouds, _ = _load_data(args.data)
-    else:
-        split, clouds = trainer.default_data(cfg)
     resume_from = None
     if args.resume:
         ckpt_root = os.path.join(args.out, "ckpt")
@@ -124,13 +135,10 @@ def cmd_eval(args) -> int:
     if not os.path.isdir(args.ckpt):
         raise UsageError(f"checkpoint directory {args.ckpt!r} not found")
     cfg = _load_config(args.config, seed_env=os.environ.get("A3_SEED"))
+    split, clouds = _load_data(args.data, cfg)
     _prepare_out(args.out, args.force)
     os.makedirs(os.path.join(args.out, "reports"), exist_ok=True)
     os.makedirs(os.path.join(args.out, "csv"), exist_ok=True)
-    if args.data:
-        split, clouds, _ = _load_data(args.data)
-    else:
-        split, clouds = trainer.default_data(cfg)
     state = trainer.load_state(cfg, args.ckpt)
     val_clouds = [clouds[c] for c in split.val]
     levels = args.levels.split(",")
@@ -178,13 +186,10 @@ def cmd_ablate(args) -> int:
     if args.sweep not in SWEEPS:
         raise UsageError(f"unknown sweep {args.sweep!r} (choose from {sorted(SWEEPS)})")
     base = _load_config(args.config, seed_env=os.environ.get("A3_SEED"))
+    split, clouds = _load_data(args.data, base)
     _prepare_out(args.out, args.force)
     os.makedirs(os.path.join(args.out, "csv"), exist_ok=True)
     field, values = SWEEPS[args.sweep]
-    if args.data:
-        split, clouds, _ = _load_data(args.data)
-    else:
-        split, clouds = trainer.default_data(base)
     val_clouds = [clouds[c] for c in split.val]
 
     rows = []
@@ -289,7 +294,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ConfigError, FileNotFoundError) as exc:
+    except (UsageError, ConfigError, FileNotFoundError, CloudFormatError,
+            CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

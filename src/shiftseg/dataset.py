@@ -1,8 +1,7 @@
 """Labeled scenes: synthetic desk-scale generator, the fixed binary cloud
-format, unified 19-class label remapping tables, and train/val splits."""
+format, and train/val splits."""
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass, field, replace
@@ -256,112 +255,16 @@ def load_cloud(path, cloud_id: str | None = None) -> tuple[PointCloud, int]:
         row = int(np.flatnonzero(bad)[0])
         raise CloudFormatError(
             f"non-finite coordinate in record {row} at offset {_HEADER.size + row * _RECORD_DTYPE.itemsize}")
+    labels = rec["label"].astype(np.uint16)
+    bad = (labels >= c) & (labels != IGNORE_LABEL)
+    if bad.any():
+        row = int(np.flatnonzero(bad)[0])
+        raise CloudFormatError(f"label {labels[row]} in record {row} is neither below the "
+                               f"declared class count {c} nor {IGNORE_LABEL}")
     if cloud_id is None:
         cloud_id = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    cloud = PointCloud(positions, rec["label"].astype(np.uint16), cloud_id, source="ingested")
+    cloud = PointCloud(positions, labels, cloud_id, source="ingested")
     return cloud, int(c)
-
-
-# ---------------------------------------------------------------------------
-# Unified 19-class label remapping
-
-UNIFIED_CLASSES = (
-    "car", "bicycle", "motorcycle", "truck", "other-vehicle", "person",
-    "bicyclist", "motorcyclist", "road", "parking", "sidewalk", "other-ground",
-    "building", "fence", "vegetation", "trunk", "terrain", "pole", "traffic-sign",
-)
-
-
-@dataclass
-class LabelMap:
-    name: str
-    entries: dict[int, int]
-
-    def __post_init__(self):
-        for raw, uni in self.entries.items():
-            if uni != IGNORE_LABEL and not 0 <= uni < len(UNIFIED_CLASSES):
-                raise ValueError(f"map {self.name!r}: target {uni} for raw id {raw} "
-                                 f"is outside the unified id range")
-
-
-class UnmappedLabelError(KeyError):
-    pass
-
-
-def apply_label_map(cloud: PointCloud, label_map: LabelMap) -> PointCloud:
-    present = np.unique(cloud.labels)
-    missing = [int(r) for r in present if int(r) not in label_map.entries]
-    if missing:
-        raise UnmappedLabelError(
-            f"map {label_map.name!r} has no entry for raw label id(s) {missing}")
-    lut = np.full(int(present.max()) + 1, IGNORE_LABEL, dtype=np.uint16)
-    for raw, uni in label_map.entries.items():
-        if raw < lut.shape[0]:
-            lut[raw] = uni
-    return PointCloud(cloud.positions, lut[cloud.labels], cloud.cloud_id,
-                      source=cloud.source, parent_id=cloud.parent_id)
-
-
-# SemanticKITTI ships name-keyed labels; the unified map keeps the 19 classes
-# below, sends moving variants to their static counterparts first, and ignores
-# everything else.
-_SEMANTICKITTI_NAMES = {
-    0: "unlabeled", 1: "outlier", 10: "car", 11: "bicycle", 13: "bus",
-    15: "motorcycle", 16: "on-rails", 18: "truck", 20: "other-vehicle",
-    30: "person", 31: "bicyclist", 32: "motorcyclist", 40: "road",
-    44: "parking", 48: "sidewalk", 49: "other-ground", 50: "building",
-    51: "fence", 52: "other-structure", 60: "lane-marking", 70: "vegetation",
-    71: "trunk", 72: "terrain", 80: "pole", 81: "traffic-sign",
-    99: "other-object", 252: "moving-car", 253: "moving-bicyclist",
-    254: "moving-person", 255: "moving-motorcyclist", 256: "moving-on-rails",
-    257: "moving-bus", 258: "moving-truck", 259: "moving-other-vehicle",
-}
-
-
-def _semantickitti_entries() -> dict[int, int]:
-    unified = {name: i for i, name in enumerate(UNIFIED_CLASSES)}
-    entries = {}
-    for raw, name in _SEMANTICKITTI_NAMES.items():
-        if name.startswith("moving-"):
-            name = name[len("moving-"):]
-        entries[raw] = unified.get(name, IGNORE_LABEL)
-    return entries
-
-
-_SYNLIDAR_ENTRIES = {
-    0: 255, 1: 0, 2: 3, 3: 3, 4: 4, 5: 1, 6: 2, 7: 4, 8: 8, 9: 10, 10: 9,
-    11: 11, 12: 5, 13: 5, 14: 5, 15: 5, 16: 6, 17: 7, 18: 12, 19: 255,
-    20: 14, 21: 15, 22: 16, 23: 18, 24: 17, 25: 255, 26: 13, 27: 255,
-    28: 255, 29: 255, 30: 255, 31: 255, 32: 255,
-}
-
-_SEMANTICSTF_ENTRIES = {
-    0: 255, 1: 0, 2: 1, 3: 2, 4: 3, 5: 4, 6: 5, 7: 6, 8: 7, 9: 8, 10: 9,
-    11: 10, 12: 11, 13: 12, 14: 13, 15: 14, 16: 15, 17: 16, 18: 17, 19: 18,
-    20: 255,
-}
-
-
-def builtin_label_maps() -> dict[str, LabelMap]:
-    return {
-        "semantickitti": LabelMap("semantickitti", _semantickitti_entries()),
-        "synlidar": LabelMap("synlidar", dict(_SYNLIDAR_ENTRIES)),
-        "semanticstf": LabelMap("semanticstf", dict(_SEMANTICSTF_ENTRIES)),
-    }
-
-
-def load_label_map(path) -> LabelMap:
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    return LabelMap(doc["name"], {int(k): int(v) for k, v in doc["entries"].items()})
-
-
-def save_label_map(label_map: LabelMap, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump({"name": label_map.name,
-                   "entries": {str(k): v for k, v in sorted(label_map.entries.items())}},
-                  f, indent=1)
-        f.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Confusion-prior latent learning: class-grouped encoder input, per-class
 quantization against a C x k x D codebook, the three-term quantized-autoencoder
-objective, per-code EMA variance statistics, and a prototype-table alternative."""
+objective, and per-code EMA variance statistics."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,16 +28,14 @@ class CodebookState:
     class_count: int
     codes_per_class: int
     latent_dim: int
-    kind: str = "vqvae"  # vqvae | prototype
     codes: T.Tensor = field(init=False)
-    variances: np.ndarray = field(init=False)  # (C, k, D)
+    variances: np.ndarray = field(init=False)  # (C, k, D), >= VARIANCE_FLOOR
     usage: np.ndarray = field(init=False)  # (C, k)
     initialized: np.ndarray = field(init=False)  # (C,)
-    eps: float = VARIANCE_FLOOR
 
     def __post_init__(self):
         c, k, d = self.class_count, self.codes_per_class, self.latent_dim
-        self.codes = T.Tensor(np.zeros((c * k, d)), requires_grad=(self.kind == "vqvae"))
+        self.codes = T.Tensor(np.zeros((c * k, d)), requires_grad=True)
         self.variances = np.full((c, k, d), INIT_VARIANCE)
         self.usage = np.zeros((c, k), dtype=np.int64)
         self.initialized = np.zeros(c, dtype=bool)
@@ -103,35 +100,15 @@ class PriorAutoencoder:
         self.n_enc = len(enc) - 1
         self.n_dec = len(dec) - 1
 
-    @staticmethod
-    def _mlp(rows, params, prefix: str, layers: int, detached: bool = False):
-        h = rows if isinstance(rows, T.Tensor) else T.Tensor(np.asarray(rows, dtype=np.float64))
-        for i in range(layers):
-            w, b = params[f"{prefix}.w{i}"], params[f"{prefix}.b{i}"]
-            w = w if isinstance(w, T.Tensor) else T.Tensor(w)
-            b = b if isinstance(b, T.Tensor) else T.Tensor(b)
-            if detached:
-                w, b = T.stop_gradient(w), T.stop_gradient(b)
-            if i < layers - 1:
-                h = T.affine_leaky(h, w, b)
-            else:
-                h = T.add(T.matmul(h, w), b)
-        return h
-
-    def encode(self, rows, params=None, detached: bool = False) -> T.Tensor:
-        """Latent row per input row; pass frozen arrays via `params` to encode
-        against a snapshot without touching live parameters."""
-        p = self.params if params is None else params
-        first = p["scp.enc.w0"]
-        in_dim = (first.data if isinstance(first, T.Tensor) else first).shape[0]
+    def encode(self, rows) -> T.Tensor:
+        """Latent row per input row."""
         width = rows.data.shape[1] if isinstance(rows, T.Tensor) else np.asarray(rows).shape[1]
-        if width != in_dim:
-            raise T.ShapeError(f"encode: rows have width {width}, expected {in_dim}")
-        return self._mlp(rows, p, "scp.enc", self.n_enc, detached=detached)
+        if width != self.input_dim:
+            raise T.ShapeError(f"encode: rows have width {width}, expected {self.input_dim}")
+        return T.mlp(rows, self.params, "scp.enc", self.n_enc)
 
-    def decode(self, z, params=None, detached: bool = False) -> T.Tensor:
-        p = self.params if params is None else params
-        return T.softmax(self._mlp(z, p, "scp.dec", self.n_dec, detached=detached))
+    def decode(self, z) -> T.Tensor:
+        return T.softmax(T.mlp(z, self.params, "scp.dec", self.n_dec))
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.params.items()}
@@ -243,7 +220,7 @@ def update_code_stats(cb: CodebookState, qr: QuantizeResult, gamma: float) -> No
         if count >= 2:
             batch_var = qr.z_e[order[s:e]].var(axis=0)
             cb.variances[c, j] = gamma * cb.variances[c, j] + (1.0 - gamma) * batch_var
-    np.maximum(cb.variances, cb.eps, out=cb.variances)
+    np.maximum(cb.variances, VARIANCE_FLOOR, out=cb.variances)
 
 
 def maybe_init_codebook(cb: CodebookState, z_e: np.ndarray, classes: np.ndarray,
@@ -281,62 +258,3 @@ def reseed_dead_codes(cb: CodebookState, z_e: np.ndarray, classes: np.ndarray,
         cb.variances[c, dead] = INIT_VARIANCE
         reseeded += dead.size
     return reseeded
-
-
-def prototype_prior_step(cb: CodebookState, projection: np.ndarray, rows: np.ndarray,
-                         classes: np.ndarray, gamma: float, stream: Stream) -> QuantizeResult:
-    """Prototype-table alternative: project raw rows with a frozen random
-    matrix, assign nearest same-class prototype, EMA the prototypes toward
-    assigned-row means, and track variances exactly like the quantizer path."""
-    if cb.kind != "prototype":
-        raise PriorModeError("prototype step requires a prototype-mode codebook")
-    z = np.asarray(rows, dtype=np.float64) @ projection
-    maybe_init_codebook(cb, z, classes, stream)
-    qr = quantize(cb, z, classes)
-    k = cb.codes_per_class
-    order = np.argsort(qr.flat, kind="stable")
-    flats = qr.flat[order]
-    uniq, starts = np.unique(flats, return_index=True)
-    bounds = np.append(starts, flats.shape[0])
-    for u, s, e in zip(uniq, bounds[:-1], bounds[1:]):
-        c, j = divmod(int(u), k)
-        mean = z[order[s:e]].mean(axis=0)
-        cb.codes.data[u] = gamma * cb.codes.data[u] + (1.0 - gamma) * mean
-    update_code_stats(cb, qr, gamma)
-    return qr
-
-
-def make_projection(class_count: int, latent_dim: int, seed: int) -> np.ndarray:
-    """Frozen random projection (C+3 -> D) for the prototype prior."""
-    input_dim = class_count + 3
-    return (Stream(seed, "proto-proj").normal(input_dim * latent_dim, std=1.0 / np.sqrt(input_dim))
-            .reshape(input_dim, latent_dim))
-
-
-def export_codebook(cb: CodebookState, path) -> None:
-    """Write codes, variances, and usage with shape metadata as JSON."""
-    doc = {
-        "class_count": cb.class_count,
-        "codes_per_class": cb.codes_per_class,
-        "latent_dim": cb.latent_dim,
-        "kind": cb.kind,
-        "initialized": cb.initialized.astype(int).tolist(),
-        "codes": cb.codes3().tolist(),
-        "variances": cb.variances.tolist(),
-        "usage": cb.usage.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f)
-        f.write("\n")
-
-
-def import_codebook(path) -> CodebookState:
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    cb = CodebookState(doc["class_count"], doc["codes_per_class"], doc["latent_dim"],
-                       kind=doc.get("kind", "vqvae"))
-    cb.codes.data[...] = np.asarray(doc["codes"], dtype=np.float64).reshape(cb.codes.data.shape)
-    cb.variances[...] = np.asarray(doc["variances"], dtype=np.float64)
-    cb.usage[...] = np.asarray(doc["usage"], dtype=np.int64)
-    cb.initialized[...] = np.asarray(doc["initialized"], dtype=bool)
-    return cb

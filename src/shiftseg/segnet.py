@@ -48,23 +48,13 @@ class SegModel:
             self.params[f"seg.b{i}"] = T.Tensor(np.zeros(fan_out), requires_grad=True)
         self.num_layers = len(widths) - 1
 
-    def forward(self, feats, detached: bool = False) -> T.Tensor:
-        """Unnormalized logits, one row per feature row. With detached=True the
-        parameters are treated as constants (same values, nothing taped)."""
+    def forward(self, feats) -> T.Tensor:
+        """Unnormalized logits, one row per feature row."""
         feats = np.asarray(feats, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[1] != self.feature_dim:
             raise T.ShapeError(
                 f"forward: features must be (N, {self.feature_dim}), got {feats.shape}")
-        h: T.Tensor = T.Tensor(feats * _INPUT_SCALE[:feats.shape[1]])
-        for i in range(self.num_layers):
-            w, b = self.params[f"seg.w{i}"], self.params[f"seg.b{i}"]
-            if detached:
-                w, b = T.stop_gradient(w), T.stop_gradient(b)
-            if i < self.num_layers - 1:
-                h = T.affine_leaky(h, w, b)
-            else:
-                h = T.add(T.matmul(h, w), b)
-        return h
+        return T.mlp(feats * _INPUT_SCALE[:feats.shape[1]], self.params, "seg", self.num_layers)
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}

@@ -15,44 +15,31 @@ from .scp import CodebookState, PriorAutoencoder, build_encoder_input, nearest_i
 @dataclass
 class PriorSnapshot:
     """Immutable copy of everything localization needs: the frozen encoder
-    (MLP parameters or a fixed projection), codes, variances, and threshold."""
+    parameters, codes, variances, and threshold."""
 
     class_count: int
     codes_per_class: int
     latent_dim: int
     codes3: np.ndarray  # (C, k, D)
-    variances: np.ndarray  # (C, k, D), >= eps
+    variances: np.ndarray  # (C, k, D), >= scp.VARIANCE_FLOOR
     initialized: np.ndarray  # (C,)
     threshold: float
-    encoder_params: dict[str, np.ndarray] | None = None
-    projection: np.ndarray | None = None
-    n_enc: int = 0
+    encoder_params: dict[str, np.ndarray]  # the "scp.enc.*" arrays
+    n_enc: int
 
     def __post_init__(self):
         if self.threshold <= 0:
             raise ValueError("threshold t must be positive")
-        if (self.encoder_params is None) == (self.projection is None):
-            raise ValueError("snapshot needs exactly one of encoder_params or projection")
 
     def embed(self, rows):
         """Frozen-encoder forward. Accepts a Tensor (stays differentiable
         toward the rows) or an array (plain values)."""
-        if self.projection is not None:
-            proj = self.projection
-            if isinstance(rows, T.Tensor):
-                return T.matmul(rows, T.Tensor(proj))
-            return np.asarray(rows, dtype=np.float64) @ proj
-        out = PriorAutoencoder._mlp(rows, self.encoder_params, "scp.enc", self.n_enc)
+        out = T.mlp(rows, self.encoder_params, "scp.enc", self.n_enc)
         return out if isinstance(rows, T.Tensor) else out.data
 
 
-def take_snapshot(cb: CodebookState, threshold: float,
-                  encoder_params: dict[str, np.ndarray] | None = None,
-                  projection: np.ndarray | None = None) -> PriorSnapshot:
-    n_enc = 0
-    if encoder_params is not None:
-        encoder_params = {k: v.copy() for k, v in encoder_params.items()}
-        n_enc = sum(1 for k in encoder_params if k.startswith("scp.enc.w"))
+def take_snapshot(cb: CodebookState, threshold: float, prior: PriorAutoencoder) -> PriorSnapshot:
+    """Copies of the codebook state and of the prior's encoder parameters."""
     return PriorSnapshot(
         class_count=cb.class_count,
         codes_per_class=cb.codes_per_class,
@@ -61,9 +48,9 @@ def take_snapshot(cb: CodebookState, threshold: float,
         variances=cb.variances.copy(),
         initialized=cb.initialized.copy(),
         threshold=float(threshold),
-        encoder_params=encoder_params,
-        projection=projection.copy() if projection is not None else None,
-        n_enc=n_enc,
+        encoder_params={k: t.data.copy() for k, t in prior.params.items()
+                        if k.startswith("scp.enc.")},
+        n_enc=prior.n_enc,
     )
 
 

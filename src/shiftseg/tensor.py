@@ -183,6 +183,17 @@ def affine_leaky(x, w, b) -> Tensor:
     return _record(pre, (x, w, b), bwd, "affine-leaky")
 
 
+def mlp(x, params: Mapping, prefix: str, layers: int) -> Tensor:
+    """`layers` affine layers with weights params[f"{prefix}.w{i}"] and biases
+    params[f"{prefix}.b{i}"] (Tensors, or arrays taken as constants): leaky-relu
+    hidden layers through `affine_leaky`, then a linear output layer."""
+    h = as_tensor(x)
+    for i in range(layers):
+        w, b = params[f"{prefix}.w{i}"], params[f"{prefix}.b{i}"]
+        h = affine_leaky(h, w, b) if i < layers - 1 else add(matmul(h, w), b)
+    return h
+
+
 def softmax(x) -> Tensor:
     """Softmax over the last axis, numerically stable."""
     x = as_tensor(x)
@@ -477,10 +488,18 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
     while off < total:
         (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        start = off
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"name at offset {start} is not utf-8: {exc}") from None
+        if name in out:
+            raise CheckpointError(f"duplicate name {name!r} at offset {start}")
         (rank,) = struct.unpack("<I", take(4, "rank"))
         dims = struct.unpack(f"<{rank}Q", take(8 * rank, "dims"))
-        count = int(np.prod(dims)) if rank else 1
-        data = np.frombuffer(take(8 * count, f"values of {name}"), dtype="<f8")
-        out[name] = data.reshape(dims).astype(np.float64)
+        data = np.frombuffer(take(8 * math.prod(dims), f"values of {name}"), dtype="<f8")
+        try:
+            out[name] = data.reshape(dims).astype(np.float64)
+        except ValueError as exc:  # dims numpy cannot hold, though their product is 0
+            raise CheckpointError(f"dims {dims} of {name!r}: {exc}") from None
     return out

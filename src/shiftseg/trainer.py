@@ -25,7 +25,6 @@ from .rng import Stream
 
 MODES = ("none", "eas", "eas+scr", "full")
 PRIOR_SOURCES = ("online", "offline", "gt")
-PRIOR_KINDS = ("vqvae", "prototype")
 DISTILL_TARGETS = ("global", "class_conditional", "none")
 CURRICULA = ("off", "staged")
 
@@ -86,7 +85,6 @@ class TrainConfig:
     # strategies
     prior_source: str = "online"
     offline_prior_path: str | None = None
-    prior_kind: str = "vqvae"
     distill_target: str = "global"
     curriculum: str = "off"
     ema_momentum: float | None = None  # None = teacher off
@@ -99,7 +97,6 @@ class TrainConfig:
         checks = [
             (self.mode in MODES, f"mode must be one of {MODES}, got {self.mode!r}"),
             (self.prior_source in PRIOR_SOURCES, f"unknown prior_source {self.prior_source!r}"),
-            (self.prior_kind in PRIOR_KINDS, f"unknown prior_kind {self.prior_kind!r}"),
             (self.distill_target in DISTILL_TARGETS, f"unknown distill_target {self.distill_target!r}"),
             (self.curriculum in CURRICULA, f"unknown curriculum {self.curriculum!r}"),
             (self.augment_preset in PRESET_NAMES, f"unknown augment_preset {self.augment_preset!r}"),
@@ -210,7 +207,6 @@ class TrainState:
     cfg: TrainConfig
     model: segnet.SegModel
     prior: scp.PriorAutoencoder | None
-    projection: np.ndarray | None
     cb: scp.CodebookState | None
     seg_opt: T.Optimizer
     ae_opt: T.Optimizer | None
@@ -227,39 +223,34 @@ def init_state(cfg: TrainConfig) -> TrainState:
                           weight_decay=cfg.seg_weight_decay, momentum=cfg.seg_momentum,
                           max_grad_norm=cfg.clip_grad_norm)
     prior = None
-    projection = None
     cb = None
     ae_opt = None
     if needs_prior(cfg.mode):
-        if cfg.prior_source == "offline":
-            prior, projection, cb = load_prior(cfg)
-        elif cfg.prior_kind == "vqvae":
-            prior = scp.PriorAutoencoder(cfg.class_count, cfg.latent_dim,
-                                         cfg.encoder_widths, cfg.beta, seed=cfg.seed)
-            cb = scp.CodebookState(cfg.class_count, cfg.k, cfg.latent_dim)
+        prior = scp.PriorAutoencoder(cfg.class_count, cfg.latent_dim,
+                                     cfg.encoder_widths, cfg.beta, seed=cfg.seed)
+        cb = scp.CodebookState(cfg.class_count, cfg.k, cfg.latent_dim)
+        if cfg.prior_source == "offline":  # a completed run's prior, frozen
+            path = cfg.offline_prior_path
+            _fill_prior(prior, cb, T.load_checkpoint(os.path.join(path, "weights.a3wt")), path)
+        else:
             ae_params = dict(prior.params)
             ae_params["scp.codes"] = cb.codes
             ae_opt = T.Optimizer(ae_params, "adam", lr=cfg.ae_lr)
-        else:
-            projection = scp.make_projection(cfg.class_count, cfg.latent_dim, cfg.seed)
-            cb = scp.CodebookState(cfg.class_count, cfg.k, cfg.latent_dim, kind="prototype")
     teacher = model.parameter_arrays() if cfg.ema_momentum is not None else None
-    return TrainState(cfg, model, prior, projection, cb, seg_opt, ae_opt, teacher)
+    return TrainState(cfg, model, prior, cb, seg_opt, ae_opt, teacher)
 
 
-def load_prior(cfg: TrainConfig):
-    """Frozen prior for prior_source=offline: a completed run's checkpoint
-    directory holding weights + codebook export."""
-    path = cfg.offline_prior_path
-    cb = scp.import_codebook(os.path.join(path, "codebook.json"))
-    if cb.kind == "prototype":
-        arrays = T.load_checkpoint(os.path.join(path, "weights.a3wt"))
-        return None, arrays["proto.projection"], cb
-    prior = scp.PriorAutoencoder(cb.class_count, cb.latent_dim, cfg.encoder_widths,
-                                 cfg.beta, seed=cfg.seed)
-    arrays = T.load_checkpoint(os.path.join(path, "weights.a3wt"))
-    prior.load_parameter_arrays({k: v for k, v in arrays.items() if k in prior.params})
-    return prior, None, cb
+def _fill_prior(prior: scp.PriorAutoencoder, cb: scp.CodebookState,
+                arrays: dict[str, np.ndarray], ckpt_dir: str) -> None:
+    """Fill the autoencoder and the codebook state from the "scp.*" arrays of
+    the checkpoint in `ckpt_dir`."""
+    if "scp.codes" not in arrays:
+        raise ConfigError(f"checkpoint {ckpt_dir!r} holds no prior")
+    prior.load_parameter_arrays(arrays)
+    cb.codes.data[...] = arrays["scp.codes"]
+    cb.variances[...] = arrays["scp.variances"]
+    cb.usage[...] = arrays["scp.usage"].astype(np.int64)
+    cb.initialized[...] = arrays["scp.initialized"] > 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +265,10 @@ def load_prior(cfg: TrainConfig):
 class ScpSelection:
     rows: np.ndarray  # grouped [probs || coords] input rows
     classes: np.ndarray
-    flat: np.ndarray | None  # pinned code assignment (vqvae)
+    flat: np.ndarray  # pinned code assignment
     target: np.ndarray  # pinned reconstruction target rows (n, C)
     z_e0: np.ndarray  # latents at selection time
-    z_q0: np.ndarray | None = None  # assigned code values at selection time
+    z_q0: np.ndarray  # assigned code values at selection time
 
 
 @dataclass
@@ -334,22 +325,15 @@ def _select_scp(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
     rows, _, classes = scp.build_encoder_input(probs_v, coords_v, labels_v)
     if rows.shape[0] == 0:
         return None, None
-    z_live = None
-    if cfg.prior_kind == "vqvae":
-        z_live = state.prior.encode(T.Tensor(rows))
-        z0 = z_live.data
-        scp.maybe_init_codebook(state.cb, z0, classes, Stream(cfg.seed, "cbinit"))
-        if state.step > 0 and state.step % RESEED_INTERVAL == 0:
-            scp.reseed_dead_codes(state.cb, z0, classes,
-                                  Stream(cfg.seed, "reseed", state.step))
-        qr0 = scp.quantize(state.cb, z0, classes)
-        scp.update_code_stats(state.cb, qr0, cfg.gamma)
-        sel = ScpSelection(rows, classes, qr0.flat, rows[:, :cfg.class_count].copy(),
-                           z0.copy(), qr0.z_q.copy())
-    else:
-        qr0 = scp.prototype_prior_step(state.cb, state.projection, rows, classes,
-                                       cfg.gamma, Stream(cfg.seed, "proto", state.step))
-        sel = ScpSelection(rows, classes, None, rows[:, :cfg.class_count].copy(), qr0.z_e)
+    z_live = state.prior.encode(T.Tensor(rows))
+    z0 = z_live.data
+    scp.maybe_init_codebook(state.cb, z0, classes, Stream(cfg.seed, "cbinit"))
+    if state.step > 0 and state.step % RESEED_INTERVAL == 0:
+        scp.reseed_dead_codes(state.cb, z0, classes, Stream(cfg.seed, "reseed", state.step))
+    qr0 = scp.quantize(state.cb, z0, classes)
+    scp.update_code_stats(state.cb, qr0, cfg.gamma)
+    sel = ScpSelection(rows, classes, qr0.flat, rows[:, :cfg.class_count].copy(),
+                       z0.copy(), qr0.z_q.copy())
     return sel, z_live
 
 
@@ -379,9 +363,7 @@ def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
         probs_data = [T.softmax(T.stop_gradient(lg)).data for lg in logits_orig]
         sel.scp_sel, scp_z_live = _select_scp(state, pb, cfg, probs_data)
     if selecting and needs_prior(cfg.mode):
-        enc_params = state.prior.parameter_arrays() if state.prior is not None else None
-        sel.snapshot = ssrmod.take_snapshot(state.cb, cfg.t, encoder_params=enc_params,
-                                            projection=state.projection)
+        sel.snapshot = ssrmod.take_snapshot(state.cb, cfg.t, state.prior)
 
     if aug_on:
         aug_logits = [state.model.forward(pc.feats) for pc in pb.augmented]
@@ -444,7 +426,7 @@ def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
                 total = T.add(total, T.scale(distill, cfg.lam))
 
     vq = None
-    if sel.scp_sel is not None and cfg.prior_kind == "vqvae" and cfg.prior_source != "offline":
+    if sel.scp_sel is not None:
         z_e = scp_z_live if scp_z_live is not None \
             else state.prior.encode(T.Tensor(sel.scp_sel.rows))
         vq = scp.vq_losses(state.prior, state.cb, z_e, sel.scp_sel.flat,
@@ -554,8 +536,6 @@ def state_arrays(state: TrainState) -> dict[str, np.ndarray]:
     arrays.update(state.seg_opt.state_arrays("opt.seg"))
     if state.prior is not None:
         arrays.update(state.prior.parameter_arrays())
-    if state.projection is not None:
-        arrays["proto.projection"] = state.projection.copy()
     if state.cb is not None:
         arrays["scp.codes"] = state.cb.codes.data.copy()
         arrays["scp.variances"] = state.cb.variances.copy()
@@ -571,7 +551,8 @@ def state_arrays(state: TrainState) -> dict[str, np.ndarray]:
 
 
 def save_state(state: TrainState, ckpt_dir: str) -> None:
-    """Write weights.a3wt, codebook.json and state.json as one directory.
+    """Write weights.a3wt (every array of `state_arrays`, the prior's "scp.*"
+    ones included) and state.json as one directory.
 
     The files go to a sibling `.partial-<name>` directory, which is synced
     to disk and then takes `ckpt_dir`'s place by rename (an existing
@@ -586,8 +567,6 @@ def save_state(state: TrainState, ckpt_dir: str) -> None:
         shutil.rmtree(leftover, ignore_errors=True)
     os.makedirs(tmp)
     T.save_checkpoint(os.path.join(tmp, "weights.a3wt"), state_arrays(state))
-    if state.cb is not None:
-        scp.export_codebook(state.cb, os.path.join(tmp, "codebook.json"))
     with open(os.path.join(tmp, "state.json"), "w", encoding="utf-8") as f:
         json.dump({"step": state.step, "epoch": state.epoch,
                    "config_hash": state.cfg.config_hash()}, f)
@@ -616,15 +595,8 @@ def load_state(cfg: TrainConfig, ckpt_dir: str) -> TrainState:
     arrays = T.load_checkpoint(os.path.join(ckpt_dir, "weights.a3wt"))
     state.model.load_parameter_arrays(arrays)
     state.seg_opt.load_state_arrays("opt.seg", arrays)
-    if state.prior is not None and "scp.enc.w0" in arrays:
-        state.prior.load_parameter_arrays(arrays)
-    if state.projection is not None and "proto.projection" in arrays:
-        state.projection[...] = arrays["proto.projection"]
-    if state.cb is not None and "scp.codes" in arrays:
-        state.cb.codes.data[...] = arrays["scp.codes"]
-        state.cb.variances[...] = arrays["scp.variances"]
-        state.cb.usage[...] = arrays["scp.usage"].astype(np.int64)
-        state.cb.initialized[...] = arrays["scp.initialized"] > 0.5
+    if state.prior is not None:
+        _fill_prior(state.prior, state.cb, arrays, ckpt_dir)
     if state.ae_opt is not None and "opt.ae.t" in arrays:
         state.ae_opt.load_state_arrays("opt.ae", arrays)
     if state.teacher is not None:
@@ -672,9 +644,7 @@ def prior_snapshot(state: TrainState) -> ssrmod.PriorSnapshot | None:
     codebook has an initialized code."""
     if state.cb is None or not state.cb.initialized.any():
         return None
-    enc = state.prior.parameter_arrays() if state.prior is not None else None
-    return ssrmod.take_snapshot(state.cb, state.cfg.t, encoder_params=enc,
-                                projection=state.projection)
+    return ssrmod.take_snapshot(state.cb, state.cfg.t, state.prior)
 
 
 def validation_report(state: TrainState, val_clouds: list[PointCloud],

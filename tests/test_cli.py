@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from shiftseg import augment, cli, evalsuite, trainer, verify
-from shiftseg.dataset import load_cloud
+from shiftseg import tensor as T
+from shiftseg.dataset import load_cloud, save_cloud
 from shiftseg.pointcloud import IGNORE_LABEL
 
 VAL_CLOUDS = 2
@@ -112,3 +113,64 @@ def test_ablate_rejects_an_unknown_sweep(tmp_path):
     _, config = write_config(tmp_path / "config.json")
     assert quiet_main(["ablate", "--config", config, "--sweep", "width",
                        "--out", str(tmp_path / "ablate")]) == 2
+
+
+@pytest.fixture(scope="module")
+def eight_class_data(tmp_path_factory):
+    out = tmp_path_factory.mktemp("data") / "d8"
+    assert quiet_main(["gen", "--scenes", "3", "--points", "64", "--classes", "8",
+                       "--out", str(out)]) == 0
+    return out
+
+
+def test_data_with_more_classes_than_the_config_is_refused(trained, eight_class_data,
+                                                           tmp_path, capsys):
+    _, config, ckpt = trained  # class_count 4
+    for argv in (["train", "--config", config],
+                 ["eval", "--ckpt", ckpt, "--config", config],
+                 ["ablate", "--config", config, "--sweep", "t"]):
+        out = tmp_path / argv[0]
+        capsys.readouterr()
+        assert quiet_main(argv + ["--data", str(eight_class_data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "declares 8 classes" in err and "class_count of 4" in err, err
+        assert not out.exists()
+
+
+def test_data_whose_clouds_declare_different_class_counts_is_refused(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert quiet_main(["gen", "--scenes", "2", "--points", "64", "--classes", "3",
+                       "--out", str(data)]) == 0
+    first = sorted(data.glob("*.a3pc"))[0]
+    cloud, _ = load_cloud(str(first))
+    save_cloud(cloud, first, 4)
+    _, config = write_config(tmp_path / "config.json")
+    assert quiet_main(["train", "--config", config, "--data", str(data),
+                       "--out", str(tmp_path / "run")]) == 2
+    assert "[3, 4] classes" in capsys.readouterr().err
+
+
+def test_a_config_with_the_removed_prior_kind_key_is_refused(tmp_path, capsys):
+    cfg = verify.tiny_config()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**cfg.to_json(), "prior_kind": "vqvae"}))
+    assert quiet_main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert "unknown config key 'prior_kind'" in capsys.readouterr().err
+
+
+def test_prior_sweep_freezes_the_online_prior_in_the_offline_cell(tmp_path):
+    _, config = write_config(tmp_path / "config.json", scenes=3, val_fraction=0.34,
+                             points_per_scene=128)
+    out = tmp_path / "ablate"
+    assert quiet_main(["ablate", "--config", config, "--sweep", "prior",
+                       "--out", str(out)]) == 0
+    for cell in ("online", "offline", "gt"):
+        for ckpt in (out / f"prior_{cell}" / "ckpt").iterdir():
+            assert sorted(p.name for p in ckpt.iterdir()) == ["state.json", "weights.a3wt"]
+    online = T.load_checkpoint(out / "prior_online" / "ckpt" / "final" / "weights.a3wt")
+    offline = T.load_checkpoint(out / "prior_offline" / "ckpt" / "final" / "weights.a3wt")
+    frozen = [n for n in online if n.startswith("scp.enc.")] + ["scp.codes", "scp.variances"]
+    assert len(frozen) > 2
+    for name in frozen:
+        assert offline[name].tobytes() == online[name].tobytes(), name
+    assert not any(n.startswith("opt.ae.") for n in offline)  # nothing trains the prior

@@ -1,13 +1,11 @@
-import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shiftseg.dataset import (SYNTH_CLASSES, CloudFormatError, DatasetSplit, LabelMap,
-                              SceneSpec, UnmappedLabelError, apply_label_map,
-                              builtin_label_maps, generate_scene, load_cloud,
-                              load_label_map, make_split, save_cloud, save_label_map)
-from shiftseg.pointcloud import IGNORE_LABEL, PointCloud
+from shiftseg.dataset import (SYNTH_CLASSES, CloudFormatError, DatasetSplit, SceneSpec,
+                              generate_scene, load_cloud, make_split, save_cloud)
 
 
 def test_scene_determinism():
@@ -84,7 +82,6 @@ def test_cloud_truncated(tmp_path):
 
 
 def test_cloud_hand_built_fixture(tmp_path):
-    import struct
     path = tmp_path / "hand.a3pc"
     with open(path, "wb") as f:
         f.write(struct.pack("<4sIQH", b"A3PC", 1, 2, 19))
@@ -97,7 +94,6 @@ def test_cloud_hand_built_fixture(tmp_path):
 
 
 def test_cloud_nonfinite_rejected(tmp_path):
-    import struct
     path = tmp_path / "inf.a3pc"
     with open(path, "wb") as f:
         f.write(struct.pack("<4sIQH", b"A3PC", 1, 1, 8))
@@ -106,86 +102,38 @@ def test_cloud_nonfinite_rejected(tmp_path):
         load_cloud(path)
 
 
-# ---------------------------------------------------------------------------
-# label maps
+@pytest.mark.parametrize("label", [8, 254, 256, 65535])
+def test_cloud_label_outside_the_declared_classes_rejected(tmp_path, label):
+    path = tmp_path / "label.a3pc"
+    with open(path, "wb") as f:
+        f.write(struct.pack("<4sIQH", b"A3PC", 1, 3, 8))
+        for lab in (7, 255, label):
+            f.write(struct.pack("<dddH", 0.0, 0.0, 0.0, lab))
+    with pytest.raises(CloudFormatError, match=f"label {label} in record 2"):
+        load_cloud(path)
 
 
-def test_builtin_maps_exist_and_are_total():
-    maps = builtin_label_maps()
-    assert set(maps) == {"semantickitti", "synlidar", "semanticstf"}
-    for m in maps.values():
-        for target in m.entries.values():
-            assert target == IGNORE_LABEL or 0 <= target <= 18
+@st.composite
+def cloud_bodies(draw):
+    """Bytes after the magic: a version-1 header of a few records, then
+    record bytes of about the declared length."""
+    n = draw(st.integers(0, 4))
+    head = struct.pack("<IQH", draw(st.sampled_from([1, 1, 1, 2])), n, draw(st.integers(0, 300)))
+    size = draw(st.integers(max(0, 26 * n - 2), 26 * n + 2))
+    return head + draw(st.binary(min_size=size, max_size=size))
 
 
-def test_synlidar_quoted_entries():
-    m = builtin_label_maps()["synlidar"].entries
-    assert m[2] == 3  # pick-up -> truck
-    assert m[25] == 255  # traffic-cone -> ignore
-    assert m[0] == 255
-
-
-def test_semanticstf_quoted_entries():
-    m = builtin_label_maps()["semanticstf"].entries
-    assert m[20] == 255
-    assert m[0] == 255
-    assert m[1] == 0 and m[19] == 18
-
-
-def test_semantickitti_derived_entries():
-    m = builtin_label_maps()["semantickitti"].entries
-    # static classes in unified order
-    assert [m[i] for i in (10, 11, 15, 18, 20, 30, 31, 32)] == [0, 1, 2, 3, 4, 5, 6, 7]
-    assert [m[i] for i in (40, 44, 48, 49, 50, 51, 70, 71, 72, 80, 81)] == \
-        [8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18]
-    # moving variants collapse onto their static counterparts
-    assert m[252] == 0 and m[253] == 6 and m[254] == 5 and m[255] == 7
-    assert m[258] == 3 and m[259] == 4
-    # everything outside the kept set is ignored
-    for raw in (0, 1, 13, 16, 52, 60, 99, 256, 257):
-        assert m[raw] == 255
-
-
-def test_apply_label_map():
-    cloud = PointCloud(np.zeros((3, 3)), np.array([2, 25, 0], np.uint16), "syn")
-    out = apply_label_map(cloud, builtin_label_maps()["synlidar"])
-    assert out.labels.tolist() == [3, 255, 255]
-    assert np.array_equal(out.positions, cloud.positions)
-
-
-def test_apply_label_map_unmapped_id_named():
-    cloud = PointCloud(np.zeros((2, 3)), np.array([2, 999], np.uint16), "syn")
-    with pytest.raises(UnmappedLabelError, match="999"):
-        apply_label_map(cloud, builtin_label_maps()["synlidar"])
-
-
-def test_double_mapping_rejected():
-    # unified data contains ids outside each raw domain, so a second
-    # application fails instead of silently remapping
-    maps = builtin_label_maps()
-    cloud = PointCloud(np.zeros((21, 3)), np.arange(21).astype(np.uint16), "stf")
-    unified = apply_label_map(cloud, maps["semanticstf"])
-    with pytest.raises(UnmappedLabelError):
-        apply_label_map(unified, maps["semanticstf"])
-    cloud2 = PointCloud(np.zeros((2, 3)), np.array([10, 15], np.uint16), "sk")
-    unified2 = apply_label_map(cloud2, maps["semantickitti"])  # -> {0, 2}
-    with pytest.raises(UnmappedLabelError):
-        apply_label_map(unified2, maps["semantickitti"])
-
-
-def test_label_map_target_validation():
-    with pytest.raises(ValueError):
-        LabelMap("bad", {0: 19})
-
-
-def test_label_map_json_round_trip(tmp_path):
-    m = builtin_label_maps()["synlidar"]
-    path = tmp_path / "map.json"
-    save_label_map(m, path)
-    back = load_label_map(path)
-    assert back.name == m.name and back.entries == m.entries
-    doc = json.loads(path.read_text())
-    assert set(doc) == {"name", "entries"}
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=64), cloud_bodies()))
+def test_cloud_bytes_parse_or_raise_cloud_format_error(tmp_path_factory, body):
+    path = tmp_path_factory.getbasetemp() / "fuzz.a3pc"
+    path.write_bytes(b"A3PC" + body)
+    try:
+        cloud, c = load_cloud(path)
+    except CloudFormatError:
+        return
+    labels = cloud.labels
+    assert ((labels < c) | (labels == 255)).all() and np.isfinite(cloud.positions).all()
 
 
 # ---------------------------------------------------------------------------

@@ -61,17 +61,36 @@ def test_knn_lattice_exact_ties():
         assert np.array_equal(dist, ref_dist)
 
 
+def dense_reference(pts, k):
+    """Exact kNN of every row by the dense scan alone: no tree, no
+    certification. Fast enough that a failing property shrinks in seconds."""
+    idx, d2 = _kernels._dense_knn(pts, np.arange(len(pts)), k)
+    return idx, np.sqrt(d2)
+
+
+@pytest.mark.parametrize("planar", [False, True])
+def test_dense_reference_matches_the_oracle(planar):
+    pts = random_cloud(6, n=120, planar=planar)
+    grid = np.floor(pts / 4.0)  # a coarse grid: exact ties and duplicates
+    for cloud in (pts, grid):
+        idx, dist = dense_reference(cloud, 16)
+        ref_idx, ref_dist = oracle.brute_knn(cloud, 16)
+        assert np.array_equal(idx, ref_idx)
+        assert np.allclose(dist, ref_dist, rtol=1e-14, atol=0)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.data())
 def test_knn_matches_oracle_on_coarse_grids(data):
-    # coordinates on a 5-step integer grid: ties and duplicates everywhere
+    # coordinates on a 5-step integer grid: ties and duplicates everywhere;
+    # the reference is the dense scan, itself checked against the oracle above
     k = data.draw(st.sampled_from([1, 5, 16, 32]), label="k")
     n = data.draw(st.integers(k + 1, 300), label="n")
     coords = data.draw(st.lists(st.integers(0, 4), min_size=3 * n, max_size=3 * n),
                        label="coords")
     pts = np.array(coords, dtype=np.float64).reshape(n, 3)
     idx, dist = _kernels.knn(pts, k)
-    ref_idx, ref_dist = oracle.brute_knn(pts, k)
+    ref_idx, ref_dist = dense_reference(pts, k)
     assert np.array_equal(idx, ref_idx)
     assert np.allclose(dist, ref_dist, rtol=1e-14, atol=0)
 

@@ -1,0 +1,97 @@
+"""Shift-region localization against a frozen prior: the snapshot, the shift
+score, degenerate label sets, and dilation of the shifted rows."""
+import dataclasses
+
+import numpy as np
+import pytest
+
+from shiftseg import oracle, scp, ssr
+from shiftseg import tensor as T
+from shiftseg.pointcloud import IGNORE_LABEL
+from shiftseg.rng import Stream
+
+C, K, D = 3, 2, 4
+
+
+def make_snapshot(threshold=1.0):
+    prior = scp.PriorAutoencoder(C, D, widths=(5, 6), seed=2)
+    cb = scp.CodebookState(C, K, D)
+    cb.codes.data[...] = Stream(3, "codes").normal(C * K * D).reshape(C * K, D)
+    cb.variances[...] = 0.25
+    cb.initialized[...] = True
+    return ssr.take_snapshot(cb, threshold, prior), prior, cb
+
+
+def rows_of(n, seed=4):
+    s = Stream(seed, "rows")
+    logits = s.normal(n * C).reshape(n, C)
+    probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    coords = s.uniform(n * 3).reshape(n, 3) * 4.0
+    labels = s.integers(n, C)
+    return probs, coords, labels
+
+
+def test_snapshot_is_a_frozen_copy():
+    snap, prior, cb = make_snapshot()
+    rows = Stream(5).normal(7 * (C + 3)).reshape(7, C + 3)
+    before = snap.embed(rows)
+    assert np.array_equal(before, prior.encode(rows).data)
+    assert set(snap.encoder_params) == {n for n in prior.params if n.startswith("scp.enc.")}
+    for t in prior.params.values():
+        t.data += 1.0
+    cb.codes.data += 1.0
+    cb.variances += 1.0
+    assert np.array_equal(snap.embed(rows), before)
+    assert (snap.variances == 0.25).all()
+    assert not np.array_equal(snap.codes3, cb.codes3())
+    # a Tensor input stays differentiable toward the rows, with the same values
+    x = T.Tensor(rows, requires_grad=True)
+    z = snap.embed(x)
+    assert np.array_equal(z.data, before)
+    T.backward(T.tsum(T.tsum(z, axis=1)))
+    assert x.grad is not None and x.grad.shape == rows.shape
+    with pytest.raises(ValueError, match="positive"):
+        make_snapshot(threshold=0.0)
+
+
+def test_shift_score_is_one_at_one_tracked_deviation():
+    snap, _, _ = make_snapshot()
+    code = snap.codes3[1, 0]
+    z = (code + 0.5 * np.array([1.0, -1.0, 1.0, -1.0]))[None, :]  # std 0.5 per channel
+    score, idx = ssr.shift_score(snap, z, np.array([1]))
+    assert idx.tolist() == [0]
+    assert score[0] == pytest.approx(1.0, rel=1e-15)
+
+
+def test_all_ignore_labels_give_empty_masks():
+    snap, _, _ = make_snapshot()
+    probs, coords, _ = rows_of(10)
+    labels = np.full(10, IGNORE_LABEL)
+    res = ssr.localize(snap, probs, coords, labels, dilation_radius=1.0)
+    m = res.masks
+    assert not m.scr.any() and not m.ssr.any()
+    assert (m.score == 0.0).all() and (m.assigned_class == -1).all()
+    assert (m.assigned_index == -1).all()
+    assert res.valid_rows.size == 0 and res.z_e.shape == (0, D)
+    assert ssr.ssr_ratio(m) == 0.0
+
+
+def test_dilation_grows_the_shifted_rows_and_keeps_the_complement():
+    probs, coords, labels = rows_of(60)
+    labels[::7] = IGNORE_LABEL
+    labeled = labels != IGNORE_LABEL
+    snap, _, _ = make_snapshot()
+    # a threshold at the median score flags about half of the labeled rows
+    scores = ssr.localize(snap, probs, coords, labels).masks.score[labeled]
+    snap = dataclasses.replace(snap, threshold=float(np.median(scores)))
+    plain = ssr.localize(snap, probs, coords, labels).masks
+    grown = ssr.localize(snap, probs, coords, labels, dilation_radius=0.8).masks
+    assert 0 < plain.ssr.sum() < labeled.sum()
+    assert np.array_equal(plain.ssr[labeled], plain.score[labeled] > snap.threshold)
+    for m in (plain, grown):
+        assert np.array_equal(m.scr[labeled], ~m.ssr[labeled])
+        assert not m.scr[~labeled].any() and not m.ssr[~labeled].any()
+    assert (grown.ssr >= plain.ssr).all() and grown.ssr.sum() > plain.ssr.sum()
+    ref = oracle.brute_dilate(coords[labeled], plain.ssr[labeled], 0.8)
+    assert np.array_equal(grown.ssr[labeled], ref)
+    assert ssr.ssr_ratio(grown) == grown.ssr.sum() / labeled.sum()

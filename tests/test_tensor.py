@@ -1,7 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shiftseg.tensor as T
 from shiftseg import oracle
@@ -104,6 +106,25 @@ def test_mlp_gradients_match_finite_differences():
         return T.scale(T.tmean(T.mul(T.log(p), T.Tensor(onehot))), -2.0)
 
     fd_check(build_loss, params)
+
+
+def test_mlp_is_the_layer_chain_and_takes_arrays_as_constants():
+    stream = Stream(6)
+    arrays = {}
+    for i, (a, b) in enumerate([(4, 5), (5, 3), (3, 2)]):
+        arrays[f"m.w{i}"] = stream.normal(a * b).reshape(a, b)
+        arrays[f"m.b{i}"] = stream.normal(b)
+    x = stream.normal(28).reshape(7, 4)
+    want = x
+    for i in range(3):
+        want = want @ arrays[f"m.w{i}"] + arrays[f"m.b{i}"]
+        if i < 2:
+            want = np.where(want > 0, want, T.LEAKY_SLOPE * want)
+    params = {n: T.Tensor(a.copy(), requires_grad=True) for n, a in arrays.items()}
+    assert T.mlp(x, params, "m", 3).data.tobytes() == want.tobytes()
+    frozen = T.mlp(x, arrays, "m", 3)
+    assert frozen.data.tobytes() == want.tobytes() and not frozen.requires_grad
+    fd_check(lambda: T.tmean(T.square(T.mlp(x, params, "m", 3))), params)
 
 
 def affine_leaky_chain(x, w, b):
@@ -409,3 +430,53 @@ def test_checkpoint_magic_and_truncation(tmp_path):
     trunc.write_bytes(blob[:-8])
     with pytest.raises(T.CheckpointError, match="truncated"):
         T.load_checkpoint(trunc)
+
+
+def checkpoint_blob(*entries):
+    """A3WT bytes of raw (name bytes, dims, values) entries."""
+    parts = [b"A3WT"]
+    for name, dims, values in entries:
+        parts += [struct.pack("<I", len(name)), name, struct.pack("<I", len(dims)),
+                  struct.pack(f"<{len(dims)}Q", *dims), np.asarray(values, "<f8").tobytes()]
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize("blob, match", [
+    (checkpoint_blob((b"\xff\xfe", (1,), [1.0])), "not utf-8"),
+    # 2^32 x 2^32 wraps to 0 in int64 arithmetic
+    (checkpoint_blob((b"a", (2 ** 32, 2 ** 32), [])), "truncated"),
+    (checkpoint_blob((b"a", (1,), [1.0]), (b"a", (1,), [2.0])), "duplicate name 'a'"),
+    (checkpoint_blob((b"a", (0, 2 ** 63), [])), "dims"),
+], ids=["non-utf8-name", "dims-product-over-int64", "duplicate-name", "dims-numpy-cannot-hold"])
+def test_checkpoint_rejects_malformed_entries(tmp_path, blob, match):
+    path = tmp_path / "bad.a3wt"
+    path.write_bytes(blob)
+    with pytest.raises(T.CheckpointError, match=match):
+        T.load_checkpoint(path)
+
+
+@st.composite
+def damaged_checkpoints(draw):
+    """Bytes after the magic: a well-formed body, then perhaps one byte
+    changed and the tail cut off."""
+    names = draw(st.lists(st.binary(max_size=4), max_size=3))
+    entries = []
+    for name in names:
+        dims = draw(st.lists(st.integers(0, 3), max_size=3))
+        entries.append((name, dims, np.ones(math.prod(dims))))
+    body = bytearray(checkpoint_blob(*entries)[4:])
+    if body and draw(st.booleans()):
+        body[draw(st.integers(0, len(body) - 1))] = draw(st.integers(0, 255))
+    return bytes(body[:draw(st.integers(0, len(body)))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=64), damaged_checkpoints()))
+def test_checkpoint_bytes_parse_or_raise_checkpoint_error(tmp_path_factory, body):
+    path = tmp_path_factory.getbasetemp() / "fuzz.a3wt"
+    path.write_bytes(b"A3WT" + body)
+    try:
+        arrays = T.load_checkpoint(path)
+    except T.CheckpointError:
+        return
+    assert all(a.dtype == np.float64 for a in arrays.values())

@@ -6,6 +6,8 @@ import hashlib
 import json
 import shutil
 
+import pytest
+
 from shiftseg import cli, evalsuite, trainer, verify
 from shiftseg.augment import PRESET_NAMES
 
@@ -64,6 +66,13 @@ def test_save_state_syncs_the_files_before_the_rename(tmp_path, monkeypatch):
     assert synced[-1] == (str(tmp_path), True)
 
 
+def test_offline_prior_from_a_checkpoint_without_one_is_refused(tmp_path):
+    trainer.save_state(trainer.init_state(verify.tiny_config(mode="none")), str(tmp_path / "ck"))
+    cfg = verify.tiny_config(prior_source="offline", offline_prior_path=str(tmp_path / "ck"))
+    with pytest.raises(trainer.ConfigError, match="holds no prior"):
+        trainer.init_state(cfg)
+
+
 def test_final_report_completes_over_every_level():
     # 45 curve trials reach the excessive-level draws (keys t=44) that once
     # left one point of the 64-point validation cloud
@@ -88,11 +97,13 @@ def test_resume_refuses_a_changed_config(tmp_path):
 # sha256 of a tiny full-mode run's outputs, recorded before the training hot
 # path was optimised; BLAS with 1 or 2 threads gives the same bytes here.
 # Any numeric drift in the steps, the weights or the reports fails this test.
+# The reports carry the config hash, so they were re-recorded (every other
+# report value unchanged) when TrainConfig lost its prior_kind field.
 GOLDEN = {
     "steplog.ndjson": "a8f75ff236279330fd66f02f127375e4199ac58f420847caf67d2269cc9f4fff",
     "ckpt/final/weights.a3wt": "c4cf4d3f2d32f12b5d3921d2b16a8386493cb9db24e30c0bc0738bdd97172725",
-    "reports/epoch_0002.json": "5e5d5d9f67d200c85b9450be18a769d9a5ce30bfd26c82f7353a4d269bdb5a46",
-    "reports/final.json": "171b2cb4fe3505c685340d48e308a31de0d3254a6aa33958ae2196d624118a87",
+    "reports/epoch_0002.json": "1668cda282edd0cd24ff97f80a263424a38bb5ffeb5956e2fb494ff065dac8f2",
+    "reports/final.json": "ae82e8c9ce74d636432def90ba8e500433255f1384ef1b31adf90d6544565392",
 }
 
 

@@ -4,7 +4,7 @@
 evaluation. `evaluate_level` is the one evaluation pass: each augmented draw
 is prepared and predicted once, then scored for point-level IoU and for its
 shift-region ratio. Also here: per-class IoU and mIoU, confusion matrices,
-high-distortion subregion metrics, and teacher agreement."""
+and high-distortion subregion metrics."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -189,16 +189,3 @@ def clean_high_distortion(preds: list[np.ndarray], clouds, class_count: int) -> 
     return {"high_distortion_mask_fraction": float(np.mean([h["mask_fraction"] for h in hds])),
             "high_distortion_miou": float(np.mean([h["miou"] for h in hds]))}
 
-
-def ssr_agreement(student_preds: np.ndarray, teacher_preds: np.ndarray,
-                  mask: np.ndarray) -> float | None:
-    """Fraction of masked points where student and teacher argmax agree;
-    an empty mask reports as absent (None), never as 1."""
-    student_preds = np.asarray(student_preds)
-    teacher_preds = np.asarray(teacher_preds)
-    mask = np.asarray(mask, dtype=bool)
-    if student_preds.shape != teacher_preds.shape or mask.shape != student_preds.shape:
-        raise ValueError("predictions and mask must be aligned")
-    if not mask.any():
-        return None
-    return float((student_preds[mask] == teacher_preds[mask]).mean())

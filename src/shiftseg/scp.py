@@ -58,8 +58,9 @@ def build_encoder_input(probs, coords: np.ndarray, labels: np.ndarray):
     """[probs || coords] rows regrouped contiguously by class (class 0 first).
 
     Callers exclude ignore-labeled rows. Returns (rows, order, classes) where
-    `order` maps grouped row -> original row and undoes the grouping.
-    Accepts probs as an array or a Tensor (the grouping stays differentiable).
+    `rows` is a Tensor, differentiable toward `probs` when that is a Tensor
+    (an array is a constant), and `order` maps grouped row -> original row
+    and undoes the grouping.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if (labels == 255).any():
@@ -67,10 +68,7 @@ def build_encoder_input(probs, coords: np.ndarray, labels: np.ndarray):
     order = np.argsort(labels, kind="stable")
     classes = labels[order]
     coords_g = np.asarray(coords, dtype=np.float64)[order] * COORD_SCALE
-    if isinstance(probs, T.Tensor):
-        rows = T.concat([T.gather_rows(probs, order), T.Tensor(coords_g)], axis=1)
-    else:
-        rows = np.concatenate([np.asarray(probs, dtype=np.float64)[order], coords_g], axis=1)
+    rows = T.concat([T.gather_rows(probs, order), T.Tensor(coords_g)], axis=1)
     return rows, order, classes
 
 
@@ -102,9 +100,9 @@ class PriorAutoencoder:
 
     def encode(self, rows) -> T.Tensor:
         """Latent row per input row."""
-        width = rows.data.shape[1] if isinstance(rows, T.Tensor) else np.asarray(rows).shape[1]
-        if width != self.input_dim:
-            raise T.ShapeError(f"encode: rows have width {width}, expected {self.input_dim}")
+        rows = T.as_tensor(rows)
+        if rows.shape[1] != self.input_dim:
+            raise T.ShapeError(f"encode: rows have width {rows.shape[1]}, expected {self.input_dim}")
         return T.mlp(rows, self.params, "scp.enc", self.n_enc)
 
     def decode(self, z) -> T.Tensor:
@@ -114,8 +112,7 @@ class PriorAutoencoder:
         return {name: t.data.copy() for name, t in self.params.items()}
 
     def load_parameter_arrays(self, arrays) -> None:
-        for name, t in self.params.items():
-            t.data[...] = arrays[name]
+        T.load_arrays(arrays, {name: t.data for name, t in self.params.items()})
 
 
 def nearest_in_class(codes3: np.ndarray, z_e: np.ndarray, classes: np.ndarray):
@@ -177,7 +174,6 @@ class VqLosses:
     codebook: T.Tensor
     commitment: T.Tensor
     total: T.Tensor
-    decoded: T.Tensor
 
 
 def vq_losses(ae: PriorAutoencoder, cb: CodebookState, z_e: T.Tensor,
@@ -200,7 +196,7 @@ def vq_losses(ae: PriorAutoencoder, cb: CodebookState, z_e: T.Tensor,
     decoded = ae.decode(T.add(z_e, T.Tensor(z_q0 - z_e0)))
     recon = T.tmean(T.square(T.sub(decoded, T.Tensor(np.asarray(target_probs, dtype=np.float64)))))
     total = T.add(T.add(recon, codebook), T.scale(commitment, ae.beta))
-    return VqLosses(recon, codebook, commitment, total, decoded)
+    return VqLosses(recon, codebook, commitment, total)
 
 
 def update_code_stats(cb: CodebookState, qr: QuantizeResult, gamma: float) -> None:

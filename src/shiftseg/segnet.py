@@ -60,8 +60,7 @@ class SegModel:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_parameter_arrays(self, arrays) -> None:
-        for name, p in self.params.items():
-            p.data[...] = arrays[name]
+        T.load_arrays(arrays, {name: p.data for name, p in self.params.items()})
 
 
 def ce_loss(logits: T.Tensor, labels: np.ndarray, mask: np.ndarray | None = None) -> T.Tensor:

@@ -31,11 +31,11 @@ class PriorSnapshot:
         if self.threshold <= 0:
             raise ValueError("threshold t must be positive")
 
-    def embed(self, rows):
-        """Frozen-encoder forward. Accepts a Tensor (stays differentiable
-        toward the rows) or an array (plain values)."""
-        out = T.mlp(rows, self.encoder_params, "scp.enc", self.n_enc)
-        return out if isinstance(rows, T.Tensor) else out.data
+    def embed(self, rows) -> T.Tensor:
+        """Frozen-encoder forward: the encoder weights are constants, so the
+        result is differentiable toward the rows only (an array is taken as a
+        constant)."""
+        return T.mlp(rows, self.encoder_params, "scp.enc", self.n_enc)
 
 
 def take_snapshot(cb: CodebookState, threshold: float, prior: PriorAutoencoder) -> PriorSnapshot:
@@ -88,7 +88,7 @@ class LocalizeResult:
     masks: ShiftMasks
     valid_rows: np.ndarray  # rows (into the input) that were embedded, grouped order
     classes: np.ndarray  # class per embedded row
-    z_e: np.ndarray  # (m, D) latent per embedded row
+    z_e: T.Tensor  # (m, D) latent per embedded row
 
 
 def localize(snapshot: PriorSnapshot, probs, coords: np.ndarray,
@@ -97,10 +97,9 @@ def localize(snapshot: PriorSnapshot, probs, coords: np.ndarray,
     the threshold, dilate the shifted set over 3-D coordinates, and emit the
     complementary masks. Rows labeled 255 stay out of both masks.
 
-    `probs` may be a Tensor; the returned z_e is then the (differentiable)
-    embedding tensor while masks and scores come from its values.
+    The returned z_e is differentiable toward `probs` when that is a Tensor
+    (an array is a constant); masks and scores come from its values.
     """
-    is_tensor = isinstance(probs, T.Tensor)
     coords = np.asarray(coords, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.shape[0]
@@ -111,16 +110,11 @@ def localize(snapshot: PriorSnapshot, probs, coords: np.ndarray,
     a_cls = np.full(n, -1, dtype=np.int64)
     a_idx = np.full(n, -1, dtype=np.int64)
     vrows = np.flatnonzero(valid)
-    if vrows.size == 0:
-        return LocalizeResult(ShiftMasks(scr, ssr, score, a_cls, a_idx),
-                              vrows, np.empty(0, np.int64), np.empty((0, snapshot.latent_dim)))
-    probs_valid = T.masked_select(probs, valid) if is_tensor \
-        else np.asarray(probs, dtype=np.float64)[vrows]
-    rows, order, classes = build_encoder_input(probs_valid, coords[vrows], labels[vrows])
+    rows, order, classes = build_encoder_input(T.masked_select(probs, valid),
+                                               coords[vrows], labels[vrows])
     grouped = vrows[order]
     z_e = snapshot.embed(rows)
-    z_vals = z_e.data if is_tensor else z_e
-    s, idx = shift_score(snapshot, z_vals, classes)
+    s, idx = shift_score(snapshot, z_e.data, classes)
     score[grouped] = s
     a_cls[grouped] = classes
     a_idx[grouped] = idx

@@ -436,12 +436,12 @@ class Optimizer:
         return out
 
     def load_state_arrays(self, prefix: str, arrays: Mapping[str, np.ndarray]) -> None:
-        for n in self.buffers:
-            self.buffers[n][...] = arrays[f"{prefix}.m.{n}"]
+        targets = {f"{prefix}.m.{n}": b for n, b in self.buffers.items()}
         if self.kind == "adam":
-            for n in self.buffers2:
-                self.buffers2[n][...] = arrays[f"{prefix}.v.{n}"]
-        self.t = int(arrays[f"{prefix}.t"][0])
+            targets.update({f"{prefix}.v.{n}": b for n, b in self.buffers2.items()})
+        targets[f"{prefix}.t"] = t = np.zeros(1)
+        load_arrays(arrays, targets)
+        self.t = int(t[0])
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +454,19 @@ _MAGIC = b"A3WT"
 
 class CheckpointError(IOError):
     pass
+
+
+def load_arrays(arrays: Mapping[str, np.ndarray], targets: Mapping[str, np.ndarray]) -> None:
+    """Copy each checkpoint array into the target of the same name. A missing
+    name, or a shape other than the target's, is a CheckpointError that names
+    the array and both shapes."""
+    for name, out in targets.items():
+        if name not in arrays:
+            raise CheckpointError(f"checkpoint has no array {name!r} (expected shape {out.shape})")
+        if arrays[name].shape != out.shape:
+            raise CheckpointError(f"checkpoint array {name!r} has shape {arrays[name].shape}, "
+                                  f"expected {out.shape}")
+        out[...] = arrays[name]
 
 
 def save_checkpoint(path, arrays: Mapping[str, np.ndarray]) -> None:

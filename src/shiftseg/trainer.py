@@ -1,7 +1,6 @@
 """End-to-end training: per-batch original + augmented passes, online prior
 learning, shift-region localization, region-adaptive losses, alternating
-seg/autoencoder updates, prior-source strategies, curriculum ceilings, and an
-EMA teacher."""
+seg/autoencoder updates, prior-source strategies, and curriculum ceilings."""
 from __future__ import annotations
 
 import hashlib
@@ -87,7 +86,6 @@ class TrainConfig:
     offline_prior_path: str | None = None
     distill_target: str = "global"
     curriculum: str = "off"
-    ema_momentum: float | None = None  # None = teacher off
     # bookkeeping
     ckpt_every: int = 0  # epochs between checkpoints; 0 = final only
     eval_every: int = 1  # epochs between validation reports; 0 = final only
@@ -210,7 +208,6 @@ class TrainState:
     cb: scp.CodebookState | None
     seg_opt: T.Optimizer
     ae_opt: T.Optimizer | None
-    teacher: dict[str, np.ndarray] | None
     step: int = 0
     epoch: int = 0
     # clean clouds prepared once per run: cloud_id -> {(voxel_size, knn_k): PreparedCloud}
@@ -236,8 +233,7 @@ def init_state(cfg: TrainConfig) -> TrainState:
             ae_params = dict(prior.params)
             ae_params["scp.codes"] = cb.codes
             ae_opt = T.Optimizer(ae_params, "adam", lr=cfg.ae_lr)
-    teacher = model.parameter_arrays() if cfg.ema_momentum is not None else None
-    return TrainState(cfg, model, prior, cb, seg_opt, ae_opt, teacher)
+    return TrainState(cfg, model, prior, cb, seg_opt, ae_opt)
 
 
 def _fill_prior(prior: scp.PriorAutoencoder, cb: scp.CodebookState,
@@ -247,47 +243,38 @@ def _fill_prior(prior: scp.PriorAutoencoder, cb: scp.CodebookState,
     if "scp.codes" not in arrays:
         raise ConfigError(f"checkpoint {ckpt_dir!r} holds no prior")
     prior.load_parameter_arrays(arrays)
-    cb.codes.data[...] = arrays["scp.codes"]
-    cb.variances[...] = arrays["scp.variances"]
-    cb.usage[...] = arrays["scp.usage"].astype(np.int64)
-    cb.initialized[...] = arrays["scp.initialized"] > 0.5
+    T.load_arrays(arrays, {"scp.codes": cb.codes.data, "scp.variances": cb.variances,
+                           "scp.usage": cb.usage, "scp.initialized": cb.initialized})
 
 
 # ---------------------------------------------------------------------------
-# Step losses. The forward graph is built once per step; every discrete choice
-# of the step (quantizer assignments, region masks, distillation targets) is
-# captured in a StepSelection on the first pass and treated as a pinned
-# constant afterwards, which is also exactly what finite-difference checks
-# against L_total and the quantized-autoencoder objective need.
+# Step losses. One function builds the step's loss graphs; every discrete
+# choice of the step (quantizer assignments, region masks, distillation
+# targets) is captured in a StepSelection on the first pass and treated as a
+# pinned constant afterwards, which is also exactly what finite-difference
+# checks against L_total and the quantized-autoencoder objective need.
 
 
 @dataclass
 class ScpSelection:
-    rows: np.ndarray  # grouped [probs || coords] input rows
-    classes: np.ndarray
+    rows: T.Tensor  # grouped [probs || coords] input rows, constants
     flat: np.ndarray  # pinned code assignment
-    target: np.ndarray  # pinned reconstruction target rows (n, C)
     z_e0: np.ndarray  # latents at selection time
     z_q0: np.ndarray  # assigned code values at selection time
 
 
 @dataclass
 class SsrSelection:
-    valid_grouped: np.ndarray  # rep-row indices in grouped (class-sorted) order
-    ssr_grouped: np.ndarray  # per grouped row, post dilation
-    scr_full: np.ndarray  # per rep row
+    ssr_grouped: np.ndarray  # per grouped (class-sorted) row, post dilation
     distill_targets: np.ndarray | None  # (m, D) pinned code values for SSR rows
     masks: ssrmod.ShiftMasks
 
 
 @dataclass
 class StepSelection:
-    preset: str
     scp_sel: ScpSelection | None = None
     ssr_sel: list[SsrSelection] | None = None
     snapshot: ssrmod.PriorSnapshot | None = None
-    ssr_rows_total: int = 0
-    labeled_rows_total: int = 0
 
 
 @dataclass
@@ -325,28 +312,47 @@ def _select_scp(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
     rows, _, classes = scp.build_encoder_input(probs_v, coords_v, labels_v)
     if rows.shape[0] == 0:
         return None, None
-    z_live = state.prior.encode(T.Tensor(rows))
+    z_live = state.prior.encode(rows)
     z0 = z_live.data
     scp.maybe_init_codebook(state.cb, z0, classes, Stream(cfg.seed, "cbinit"))
     if state.step > 0 and state.step % RESEED_INTERVAL == 0:
         scp.reseed_dead_codes(state.cb, z0, classes, Stream(cfg.seed, "reseed", state.step))
     qr0 = scp.quantize(state.cb, z0, classes)
     scp.update_code_stats(state.cb, qr0, cfg.gamma)
-    sel = ScpSelection(rows, classes, qr0.flat, rows[:, :cfg.class_count].copy(),
-                       z0.copy(), qr0.z_q.copy())
-    return sel, z_live
+    return ScpSelection(rows, qr0.flat, z0.copy(), qr0.z_q.copy()), z_live
+
+
+def _select_ssr(loc: ssrmod.LocalizeResult, snapshot: ssrmod.PriorSnapshot,
+                cfg: TrainConfig, distill_on: bool) -> SsrSelection:
+    """Pin one augmented cloud's regions and, for its shifted rows, the
+    distillation targets: the nearest initialized code of any class (global)
+    or the row's own assigned code (class_conditional)."""
+    ssr_grouped = loc.masks.ssr[loc.valid_rows]
+    targets = None
+    if distill_on and ssr_grouped.any():
+        if cfg.distill_target == "global":
+            flat_codes = snapshot.codes3.reshape(-1, snapshot.latent_dim)
+            flats, _ = scp.nearest_global(flat_codes, snapshot.initialized,
+                                          snapshot.codes_per_class, loc.z_e.data[ssr_grouped])
+            targets = flat_codes[flats]
+        else:
+            idx = loc.masks.assigned_index[loc.valid_rows][ssr_grouped]
+            targets = snapshot.codes3[loc.classes[ssr_grouped], idx]
+    return SsrSelection(ssr_grouped, targets, loc.masks)
 
 
 def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
                 sel: StepSelection | None = None) -> tuple[LossBundle, StepSelection]:
     """Build this step's loss graphs. With sel=None, performs the selection
     pass (including prior statistics updates); with a selection given, the
-    call is pure in the parameters and reuses every pinned choice."""
+    call is pure in the parameters and reuses every pinned choice. Both build
+    the same graph: each augmented cloud is localized against the snapshot,
+    and a replay keeps the pinned regions and targets of the selection."""
     aug_on, mask_on, distill_allowed = mode_flags(cfg.mode)
     distill_on = distill_allowed and cfg.distill_target != "none" and cfg.lam != 0.0
     selecting = sel is None
     if selecting:
-        sel = StepSelection(pb.preset)
+        sel = StepSelection()
 
     logits_orig = [state.model.forward(pc.feats) for pc in pb.originals]
     ce = _mean_over([segnet.ce_loss(lg, pc.rep_labels)
@@ -375,49 +381,20 @@ def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
             ce_aug_value = float(np.mean(
                 [segnet.ce_loss(T.stop_gradient(lg), pc.rep_labels).item()
                  for lg, pc in zip(aug_logits, pb.augmented)]))
-            z_tensors: list[T.Tensor] = []
+            locs = [ssrmod.localize(sel.snapshot, T.softmax(lg), pc.rep_coords,
+                                    pc.rep_labels, cfg.dilation_radius)
+                    for lg, pc in zip(aug_logits, pb.augmented)]
             if selecting:
-                sel.ssr_sel = []
-                flat_codes = sel.snapshot.codes3.reshape(-1, sel.snapshot.latent_dim)
-                for lg, pc in zip(aug_logits, pb.augmented):
-                    loc = ssrmod.localize(sel.snapshot, T.softmax(lg), pc.rep_coords,
-                                          pc.rep_labels, cfg.dilation_radius)
-                    z_vals = loc.z_e.data if isinstance(loc.z_e, T.Tensor) else loc.z_e
-                    ssr_grouped = loc.masks.ssr[loc.valid_rows]
-                    targets = None
-                    if distill_on and ssr_grouped.any():
-                        z_rows = z_vals[ssr_grouped]
-                        if cfg.distill_target == "global":
-                            flats, _ = scp.nearest_global(
-                                flat_codes, sel.snapshot.initialized,
-                                sel.snapshot.codes_per_class, z_rows)
-                            targets = flat_codes[flats]
-                        else:
-                            cls = loc.classes[ssr_grouped]
-                            idx = loc.masks.assigned_index[loc.valid_rows][ssr_grouped]
-                            targets = sel.snapshot.codes3[cls, idx]
-                    sel.ssr_sel.append(SsrSelection(loc.valid_rows, ssr_grouped,
-                                                    loc.masks.scr, targets, loc.masks))
-                    z_tensors.append(loc.z_e)
-                    sel.ssr_rows_total += int(loc.masks.ssr.sum())
-                    sel.labeled_rows_total += int((loc.masks.scr | loc.masks.ssr).sum())
-            else:
-                for lg, pc, s in zip(aug_logits, pb.augmented, sel.ssr_sel):
-                    probs = T.softmax(lg)
-                    grouped = T.gather_rows(probs, s.valid_grouped)
-                    coords = pc.rep_coords[s.valid_grouped] * scp.COORD_SCALE
-                    rows = T.concat([grouped, T.Tensor(coords)], axis=1)
-                    z_tensors.append(sel.snapshot.embed(rows))
+                sel.ssr_sel = [_select_ssr(loc, sel.snapshot, cfg, distill_on) for loc in locs]
             ce_scr = _mean_over([
-                segnet.ce_loss(lg, pc.rep_labels, mask=s.scr_full)
+                segnet.ce_loss(lg, pc.rep_labels, mask=s.masks.scr)
                 for lg, pc, s in zip(aug_logits, pb.augmented, sel.ssr_sel)])
             total = T.add(total, ce_scr)
             if distill_on:
-                picked = [T.masked_select(z, s.ssr_grouped)
-                          for z, s in zip(z_tensors, sel.ssr_sel)
-                          if s.distill_targets is not None and s.ssr_grouped.any()]
+                picked = [T.masked_select(loc.z_e, s.ssr_grouped)
+                          for loc, s in zip(locs, sel.ssr_sel) if s.distill_targets is not None]
                 targets = [s.distill_targets for s in sel.ssr_sel
-                           if s.distill_targets is not None and s.ssr_grouped.any()]
+                           if s.distill_targets is not None]
                 if picked:
                     z_all = picked[0] if len(picked) == 1 else T.concat(picked, axis=0)
                     distill = T.tmean(T.square(T.sub(z_all, T.Tensor(np.concatenate(targets)))))
@@ -427,10 +404,9 @@ def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
 
     vq = None
     if sel.scp_sel is not None:
-        z_e = scp_z_live if scp_z_live is not None \
-            else state.prior.encode(T.Tensor(sel.scp_sel.rows))
-        vq = scp.vq_losses(state.prior, state.cb, z_e, sel.scp_sel.flat,
-                           sel.scp_sel.z_e0, sel.scp_sel.z_q0, sel.scp_sel.target)
+        z_e = scp_z_live if selecting else state.prior.encode(sel.scp_sel.rows)
+        vq = scp.vq_losses(state.prior, state.cb, z_e, sel.scp_sel.flat, sel.scp_sel.z_e0,
+                           sel.scp_sel.z_q0, sel.scp_sel.rows.data[:, :cfg.class_count])
 
     return LossBundle(ce, ce_aug, ce_scr, distill, total, vq, ce_aug_value), sel
 
@@ -513,15 +489,11 @@ def train_step(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
     if state.cb is not None and needs_prior(cfg.mode):
         log["code_usage"] = int(state.cb.usage.sum())
     if sel.ssr_sel is not None:
-        log["ssr_ratio"] = (sel.ssr_rows_total / sel.labeled_rows_total
-                            if sel.labeled_rows_total else 0.0)
+        ssr_rows = sum(int(s.masks.ssr.sum()) for s in sel.ssr_sel)
+        labeled = sum(int((s.masks.scr | s.masks.ssr).sum()) for s in sel.ssr_sel)
+        log["ssr_ratio"] = ssr_rows / labeled if labeled else 0.0
     if pb.augmented is not None:
         log["aug"] = [rec.to_json() for rec in pb.records]
-
-    if state.teacher is not None:
-        m = cfg.ema_momentum
-        for name, p in state.model.params.items():
-            state.teacher[name] = m * state.teacher[name] + (1.0 - m) * p.data
 
     state.step += 1
     return log
@@ -543,8 +515,6 @@ def state_arrays(state: TrainState) -> dict[str, np.ndarray]:
         arrays["scp.initialized"] = state.cb.initialized.astype(np.float64)
     if state.ae_opt is not None:
         arrays.update(state.ae_opt.state_arrays("opt.ae"))
-    if state.teacher is not None:
-        arrays.update({f"teacher.{n}": a.copy() for n, a in state.teacher.items()})
     arrays["meta.step"] = np.array([float(state.step)])
     arrays["meta.epoch"] = np.array([float(state.epoch)])
     return arrays
@@ -599,11 +569,10 @@ def load_state(cfg: TrainConfig, ckpt_dir: str) -> TrainState:
         _fill_prior(state.prior, state.cb, arrays, ckpt_dir)
     if state.ae_opt is not None and "opt.ae.t" in arrays:
         state.ae_opt.load_state_arrays("opt.ae", arrays)
-    if state.teacher is not None:
-        for name in state.teacher:
-            state.teacher[name][...] = arrays[f"teacher.{name}"]
-    state.step = int(arrays["meta.step"][0])
-    state.epoch = int(arrays["meta.epoch"][0])
+    meta = {"meta.step": np.zeros(1), "meta.epoch": np.zeros(1)}
+    T.load_arrays(arrays, meta)
+    state.step = int(meta["meta.step"][0])
+    state.epoch = int(meta["meta.epoch"][0])
     return state
 
 
@@ -661,28 +630,17 @@ def validation_report(state: TrainState, val_clouds: list[PointCloud],
 
 
 def final_report(state: TrainState, val_clouds: list[PointCloud], cfg: TrainConfig) -> dict:
-    """The validation report plus SSR ratio by level, high-distortion mask
-    fraction and teacher agreement; each validation cloud is prepared once
-    per run."""
-    prepared = [prepared_clean(state, c, cfg) for c in val_clouds]
-    student = [evalsuite.point_predictions(state.model, pc) for pc in prepared]
-    doc = validation_report(state, val_clouds, cfg, cfg.epochs, student)
+    """The validation report plus SSR ratio by level and high-distortion mask
+    fraction; each validation cloud is prepared once per run."""
+    preds = [evalsuite.point_predictions(state.model, prepared_clean(state, c, cfg))
+             for c in val_clouds]
+    doc = validation_report(state, val_clouds, cfg, cfg.epochs, preds)
     doc["final"] = True
     snapshot = prior_snapshot(state)
     doc["ssr_ratio_by_level"] = None if snapshot is None else evalsuite.ssr_curve(
         state.model, snapshot, val_clouds, PRESET_NAMES, cfg.curve_trials, cfg)
-    doc["teacher_agreement"] = None
     doc["high_distortion_mask_fraction"] = evalsuite.clean_high_distortion(
-        student, val_clouds, cfg.class_count)["high_distortion_mask_fraction"]
-    if state.teacher is not None:
-        teacher_model = segnet.SegModel(segnet.FEATURE_DIM, cfg.seg_hidden,
-                                        cfg.class_count, seed=cfg.seed)
-        teacher_model.load_parameter_arrays(state.teacher)
-        tpred = np.concatenate([evalsuite.point_predictions(teacher_model, pc)
-                                for pc in prepared])
-        labels = np.concatenate([c.labels.astype(np.int64) for c in val_clouds])
-        doc["teacher_agreement"] = evalsuite.ssr_agreement(
-            np.concatenate(student), tpred, labels != IGNORE_LABEL)
+        preds, val_clouds, cfg.class_count)["high_distortion_mask_fraction"]
     return doc
 
 

@@ -15,6 +15,9 @@ from .dataset import SYNTH_CLASSES, SceneSpec, generate_scene
 from .rng import Stream
 
 SUITES = ("grad", "quant", "stats", "metrics")
+# SSR threshold of the gradient suite's step: it flags 9 of the 17 labeled
+# rows, so the distillation term is part of the checked gradient
+GRAD_T = 0.3
 
 
 def _fault(suite: str) -> float:
@@ -29,20 +32,25 @@ def tiny_config(**overrides) -> trainer.TrainConfig:
         points_per_scene=64, class_count=4, val_fraction=0.5,
         seg_hidden=(6, 5), encoder_widths=(8, 8), k=4, latent_dim=8,
         voxel_size=0.35, knn_k=5, dilation_radius=0.3, t=2.0,
-        augment_preset="heavy", noise_points=4, scanmix=False,
-        ema_momentum=None, eval_every=0,
+        augment_preset="heavy", noise_points=4, scanmix=False, eval_every=0,
     )
     base.update(overrides)
     return trainer.TrainConfig(**base)
 
 
+def _shifted_rows(sel: trainer.StepSelection) -> int:
+    return sum(int(s.masks.ssr.sum()) for s in sel.ssr_sel or [])
+
+
 def tiny_step(cfg: trainer.TrainConfig | None = None, warm_steps: int = 2):
-    """State, prepared batch, and pinned selection for one tiny step.
+    """State, prepared batch, pinned selection and the selecting pass's
+    losses for one tiny step.
 
     A couple of warm-up steps first, so codes are initialized and variances
-    tracked; the returned selection has nonempty shift regions.
+    tracked. A step whose selection shifts no row, or whose distillation
+    loss is 0, cannot check those gradients and raises ValueError.
     """
-    cfg = cfg or tiny_config()
+    cfg = cfg or tiny_config(t=GRAD_T)
     spec = SceneSpec(seed=cfg.seed, num_points=cfg.points_per_scene,
                      enabled_classes=SYNTH_CLASSES[:cfg.class_count],
                      num_cars=1, num_buildings=1, num_trees=0, num_poles=0,
@@ -53,11 +61,16 @@ def tiny_step(cfg: trainer.TrainConfig | None = None, warm_steps: int = 2):
         trainer.train_step(state, [cloud], cfg, 0, step)
     pb = trainer.prepare_batch(state, [cloud], cfg, 0, warm_steps)
     bundle, sel = trainer.step_losses(state, pb, cfg)
-    return state, pb, sel
+    shifted = _shifted_rows(sel)
+    if shifted == 0 or (bundle.distill is not None and bundle.distill.item() == 0.0):
+        raise ValueError(f"the tiny step at t={cfg.t} shifts {shifted} row(s) with zero "
+                         "distillation; its gradients would not check the shift region")
+    return state, pb, sel, bundle
 
 
-def _analytic_grads(state, pb, sel, cfg):
-    bundle, _ = trainer.step_losses(state, pb, cfg, sel)
+def _analytic_grads(state, bundle):
+    """Gradients of `bundle`'s L_total toward the segmentation parameters and
+    of its quantized-autoencoder objective toward the prior's parameters."""
     state.seg_opt.zero_grad()
     if state.ae_opt is not None:
         state.ae_opt.zero_grad()
@@ -75,9 +88,9 @@ def _analytic_grads(state, pb, sel, cfg):
 
 
 def suite_grad(h: float = 1e-5, rel_tol: float = 1e-4) -> list[oracle.OracleReport]:
-    cfg = tiny_config()
-    state, pb, sel = tiny_step(cfg)
-    seg_grads, vq_grads = _analytic_grads(state, pb, sel, cfg)
+    cfg = tiny_config(t=GRAD_T)
+    state, pb, sel, _ = tiny_step(cfg)
+    seg_grads, vq_grads = _analytic_grads(state, trainer.step_losses(state, pb, cfg, sel)[0])
 
     def total_loss():
         bundle, _ = trainer.step_losses(state, pb, cfg, sel)
@@ -98,7 +111,8 @@ def suite_grad(h: float = 1e-5, rel_tol: float = 1e-4) -> list[oracle.OracleRepo
     fault = _fault("grad")
     return [
         oracle.report("grad.total_vs_fd", sum(a.size for a in seg_arrays.values()),
-                      0.0, err_seg + fault, rel_tol, kink_entries=kinks_seg),
+                      0.0, err_seg + fault, rel_tol, kink_entries=kinks_seg,
+                      ssr_rows=_shifted_rows(sel)),
         oracle.report("grad.vq_vs_fd", sum(a.size for a in ae_arrays.values()),
                       0.0, err_vq + fault, rel_tol, kink_entries=kinks_vq),
     ]

@@ -174,3 +174,21 @@ def test_prior_sweep_freezes_the_online_prior_in_the_offline_cell(tmp_path):
     for name in frozen:
         assert offline[name].tobytes() == online[name].tobytes(), name
     assert not any(n.startswith("opt.ae.") for n in offline)  # nothing trains the prior
+
+
+def test_a_config_with_the_removed_ema_momentum_key_is_refused(tmp_path, capsys):
+    cfg = verify.tiny_config()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**cfg.to_json(), "ema_momentum": None}))
+    assert quiet_main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert "unknown config key 'ema_momentum'" in capsys.readouterr().err
+
+
+def test_eval_with_a_config_of_another_width_is_refused(trained, tmp_path, capsys):
+    cfg, _, ckpt = trained
+    assert cfg.seg_hidden == (6, 5)
+    _, config = write_config(tmp_path / "config.json", scenes=2 * VAL_CLOUDS, val_fraction=0.5,
+                             points_per_scene=256, seg_hidden=(6, 7))
+    assert quiet_main(["eval", "--ckpt", ckpt, "--config", config,
+                       "--out", str(tmp_path / "eval")]) == 2
+    assert "'seg.w1' has shape (6, 5), expected (6, 7)" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Training-run reproducibility across `--resume`, atomic checkpoints, a
-final report over every augmentation level, golden output digests, and clean
-clouds prepared once per run."""
+final report over every augmentation level, golden output digests, clean
+clouds prepared once per run, a replayed step bitwise equal to its selecting
+pass, and checkpoints refused when their arrays do not fit the config."""
 import dataclasses
 import hashlib
 import json
@@ -9,6 +10,7 @@ import shutil
 import pytest
 
 from shiftseg import cli, evalsuite, trainer, verify
+from shiftseg import tensor as T
 from shiftseg.augment import PRESET_NAMES
 
 
@@ -98,12 +100,14 @@ def test_resume_refuses_a_changed_config(tmp_path):
 # path was optimised; BLAS with 1 or 2 threads gives the same bytes here.
 # Any numeric drift in the steps, the weights or the reports fails this test.
 # The reports carry the config hash, so they were re-recorded (every other
-# report value unchanged) when TrainConfig lost its prior_kind field.
+# report value unchanged) when TrainConfig lost its prior_kind field, and
+# again when it lost ema_momentum (the final report also lost its always-null
+# teacher_agreement).
 GOLDEN = {
     "steplog.ndjson": "a8f75ff236279330fd66f02f127375e4199ac58f420847caf67d2269cc9f4fff",
     "ckpt/final/weights.a3wt": "c4cf4d3f2d32f12b5d3921d2b16a8386493cb9db24e30c0bc0738bdd97172725",
-    "reports/epoch_0002.json": "1668cda282edd0cd24ff97f80a263424a38bb5ffeb5956e2fb494ff065dac8f2",
-    "reports/final.json": "ae82e8c9ce74d636432def90ba8e500433255f1384ef1b31adf90d6544565392",
+    "reports/epoch_0002.json": "dde56e3aff2f1d97948ddf029f1d6a1bdd86072e5e3faa954718cd65b08a1985",
+    "reports/final.json": "4eee35c0ca748f9044298397121da456f06751f290e89602465c8670960ee174",
 }
 
 
@@ -140,3 +144,56 @@ def test_validation_clouds_are_prepared_once_per_run(monkeypatch):
     # another geometry is another entry of the memo
     trainer.validation_report(state, val_clouds, dataclasses.replace(cfg, knn_k=3), 0)
     assert sorted(prepared) == sorted(split.val * 2)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"distill_target": "global"},
+    {"distill_target": "class_conditional"},
+    {"prior_source": "gt"},
+    {"mode": "eas+scr"},
+], ids=["full-global", "full-class_conditional", "full-gt", "eas+scr"])
+def test_a_replay_rebuilds_the_selecting_pass_bit_for_bit(overrides):
+    cfg = verify.tiny_config(t=verify.GRAD_T, **overrides)
+    state, pb, sel, first = verify.tiny_step(cfg)
+    again, _ = trainer.step_losses(state, pb, cfg, sel)
+    assert first.ce_aug_value == again.ce_aug_value
+    for name in ("ce", "ce_aug", "ce_scr", "distill", "total"):
+        a, b = getattr(first, name), getattr(again, name)
+        assert (a is None and b is None) or a.data.tobytes() == b.data.tobytes(), name
+    for name in ("recon", "codebook", "commitment", "total"):
+        assert getattr(first.vq, name).item() == getattr(again.vq, name).item(), name
+    for grads, replayed in zip(verify._analytic_grads(state, first),
+                               verify._analytic_grads(state, again)):
+        assert grads.keys() == replayed.keys()
+        for name in grads:
+            assert grads[name].tobytes() == replayed[name].tobytes(), name
+
+
+def test_a_checkpoint_with_teacher_arrays_still_loads(tmp_path):
+    cfg = verify.tiny_config()
+    state = trainer.init_state(cfg)
+    for p in state.model.params.values():
+        p.data += 1.0
+    arrays = trainer.state_arrays(state)
+    arrays.update({f"teacher.{n}": a for n, a in state.model.parameter_arrays().items()})
+    (tmp_path / "old").mkdir()
+    T.save_checkpoint(tmp_path / "old" / "weights.a3wt", arrays)
+    loaded = trainer.load_state(cfg, str(tmp_path / "old"))
+    for name, p in loaded.model.params.items():
+        assert p.data.tobytes() == state.model.params[name].data.tobytes(), name
+
+
+def test_a_checkpoint_of_another_width_is_refused(tmp_path):
+    # a (1,)-wide hidden layer once broadcast silently into 6 equal columns
+    trainer.save_state(trainer.init_state(verify.tiny_config(seg_hidden=(1,))), str(tmp_path))
+    with pytest.raises(T.CheckpointError,
+                       match=r"'seg.w0' has shape \(8, 1\), expected \(8, 6\)"):
+        trainer.load_state(verify.tiny_config(seg_hidden=(6,)), str(tmp_path))
+
+
+def test_an_offline_prior_of_another_codebook_size_is_refused(tmp_path):
+    trainer.save_state(trainer.init_state(verify.tiny_config(k=4)), str(tmp_path / "ck"))
+    cfg = verify.tiny_config(k=8, prior_source="offline", offline_prior_path=str(tmp_path / "ck"))
+    with pytest.raises(T.CheckpointError,
+                       match=r"'scp.codes' has shape \(16, 8\), expected \(32, 8\)"):
+        trainer.init_state(cfg)

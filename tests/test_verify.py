@@ -67,3 +67,13 @@ def test_fd_gradient_keeps_step_h_on_a_smooth_loss():
     numeric, kinks = oracle.fd_gradient(loss, {"x": x}, h=1e-5)
     assert kinks == 0
     assert np.array_equal(numeric["x"], plain_central(loss, x, 1e-5))
+
+
+def test_the_gradient_suite_checks_a_shifted_region():
+    # at tiny_config's own t=2.0 the step flags none of its 17 labeled rows,
+    # so a check there never reaches the distillation gradient
+    with pytest.raises(ValueError, match="shifts 0 row"):
+        verify.tiny_step(verify.tiny_config())
+    total = verify.suite_grad()[0]
+    assert total.check == "grad.total_vs_fd" and total.passed
+    assert total.detail["ssr_rows"] == 9

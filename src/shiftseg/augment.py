@@ -30,14 +30,12 @@ PRESET_NAMES = ("none",) + tuple(PRESETS)
 class AugmentConfig:
     jitter_std_range: tuple[float, float] = (0.01, 0.05)
     drop_ratio_range: tuple[float, float] = (0.2, 0.8)
-    rotation: bool = True
-    max_yaw: float = math.pi
+    rotation: bool = True  # yaw uniform in [-pi, pi]
     scale_range: tuple[float, float] = (0.95, 1.05)
     flip_prob: float = 0.5
     noise_points: int = 32
     scanmix: bool = True
     num_sectors: int = 6
-    preset: str = "random"
 
     def __post_init__(self):
         jmin, jmax = self.jitter_std_range
@@ -46,19 +44,19 @@ class AugmentConfig:
             raise ValueError(f"bad jitter range {self.jitter_std_range}")
         if not 0.0 <= dmin <= dmax < 1.0:
             raise ValueError(f"bad drop range {self.drop_ratio_range}")
-        if self.preset not in PRESET_NAMES:
-            raise ValueError(f"unknown preset {self.preset!r}")
 
     @classmethod
     def for_preset(cls, name: str, **overrides) -> "AugmentConfig":
         """Config with the named preset's magnitude box applied. The "none"
         preset is a full identity: subsidiary overrides are ignored."""
+        if name not in PRESET_NAMES:
+            raise ValueError(f"unknown preset {name!r}")
         if name == "none":
             return cls(jitter_std_range=(0.0, 0.0), drop_ratio_range=(0.0, 0.0),
                        rotation=False, scale_range=(1.0, 1.0), flip_prob=0.0,
-                       noise_points=0, scanmix=False, preset="none")
+                       noise_points=0, scanmix=False)
         jit, drop = PRESETS[name]
-        return cls(jitter_std_range=jit, drop_ratio_range=drop, preset=name, **overrides)
+        return cls(jitter_std_range=jit, drop_ratio_range=drop, **overrides)
 
 
 @dataclass
@@ -96,7 +94,7 @@ def sample_magnitudes(cfg: AugmentConfig, key_parts: tuple, parent_id: str,
     s = Stream(*key_parts, "mag")
     jitter_std = s.uniform(low=cfg.jitter_std_range[0], high=cfg.jitter_std_range[1])
     drop_ratio = s.uniform(low=cfg.drop_ratio_range[0], high=cfg.drop_ratio_range[1])
-    yaw = s.uniform(low=-cfg.max_yaw, high=cfg.max_yaw) if cfg.rotation else 0.0
+    yaw = s.uniform(low=-math.pi, high=math.pi) if cfg.rotation else 0.0
     scale = s.uniform(low=cfg.scale_range[0], high=cfg.scale_range[1])
     flip_x = s.uniform() < cfg.flip_prob
     flip_y = s.uniform() < cfg.flip_prob

@@ -5,8 +5,12 @@ ablation sweeps, and verification.
 augmented draw gives both the level's mIoU and its SSR ratio. The clean
 high-distortion metrics are computed once and reported with every level.
 
-Exit codes: 0 success, 1 verification or metric failure, 2 usage error (a
-malformed config, dataset or checkpoint included).
+Every setting of a run comes from its config file, read through
+`trainer.TrainConfig`; `gen` builds one from its flags. Arguments are checked
+before the output directory is made.
+
+Exit codes: 0 success, 1 a failed `verify` suite, 2 usage error (a malformed
+config, dataset or checkpoint included).
 Output directory layout: OUT/{manifest.json, config.json, steplog.ndjson,
 ckpt/, reports/, csv/}. Each checkpoint directory ckpt/<epoch_NNNN|final>/
 holds weights.a3wt (every array of the run, the prior's included) and
@@ -22,8 +26,7 @@ import time
 
 from . import __version__, evalsuite, oracle, trainer, verify
 from .augment import PRESET_NAMES
-from .dataset import (SYNTH_CLASSES, CloudFormatError, DatasetSplit, SceneSpec, load_cloud,
-                      make_split, save_cloud)
+from .dataset import CloudFormatError, DatasetSplit, load_cloud, save_cloud
 from .tensor import CheckpointError
 from .trainer import ConfigError, TrainConfig
 
@@ -55,14 +58,9 @@ def _prepare_out(out_dir: str, force: bool) -> None:
     os.makedirs(out_dir, exist_ok=True)
 
 
-def _load_config(path: str, mode: str | None = None, seed_env: str | None = None) -> TrainConfig:
+def _load_config(path: str) -> TrainConfig:
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    if mode is not None:
-        doc["mode"] = mode
-    if seed_env:
-        doc["seed"] = int(seed_env)
-    return TrainConfig.from_json(doc)
+        return TrainConfig.from_json(json.load(f))
 
 
 def _load_data(data_dir: str | None, cfg: TrainConfig):
@@ -91,21 +89,21 @@ def _load_data(data_dir: str | None, cfg: TrainConfig):
 
 
 def cmd_gen(args) -> int:
+    cfg = TrainConfig(seed=args.seed, scenes=args.scenes, points_per_scene=args.points,
+                      class_count=args.classes, val_fraction=args.val_fraction)
     _prepare_out(args.out, args.force)
-    template = SceneSpec(seed=0, num_points=args.points,
-                         enabled_classes=SYNTH_CLASSES[:args.classes])
-    split, scenes = make_split(args.seed, args.scenes, args.val_fraction, template)
-    for cloud in scenes:
-        save_cloud(cloud, os.path.join(args.out, f"{cloud.cloud_id}.a3pc"), args.classes)
+    split, clouds = trainer.default_data(cfg)
+    for cid, cloud in clouds.items():
+        save_cloud(cloud, os.path.join(args.out, f"{cid}.a3pc"), cfg.class_count)
     _write_json(os.path.join(args.out, "split.json"), split.to_json())
-    _manifest(args.out, "-", args.seed,
-              ["split.json", "manifest.json"] + [f"{c.cloud_id}.a3pc" for c in scenes])
-    print(f"wrote {len(scenes)} clouds to {args.out}")
+    _manifest(args.out, "-", cfg.seed,
+              ["split.json", "manifest.json"] + [f"{cid}.a3pc" for cid in clouds])
+    print(f"wrote {len(clouds)} clouds to {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config, mode=args.mode, seed_env=os.environ.get("A3_SEED"))
+    cfg = _load_config(args.config)
     split, clouds = _load_data(args.data, cfg)
     if args.resume:
         if not os.path.isdir(args.out):
@@ -132,27 +130,27 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if not os.path.isdir(args.ckpt):
-        raise UsageError(f"checkpoint directory {args.ckpt!r} not found")
-    cfg = _load_config(args.config, seed_env=os.environ.get("A3_SEED"))
-    split, clouds = _load_data(args.data, cfg)
-    _prepare_out(args.out, args.force)
-    os.makedirs(os.path.join(args.out, "reports"), exist_ok=True)
-    os.makedirs(os.path.join(args.out, "csv"), exist_ok=True)
-    state = trainer.load_state(cfg, args.ckpt)
-    val_clouds = [clouds[c] for c in split.val]
     levels = args.levels.split(",")
     for level in levels:
         if level not in PRESET_NAMES:
             raise UsageError(f"unknown level {level!r}")
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
+    if not os.path.isdir(args.ckpt):
+        raise UsageError(f"checkpoint directory {args.ckpt!r} not found")
+    cfg = _load_config(args.config)
+    split, clouds = _load_data(args.data, cfg)
+    state = trainer.load_state(cfg, args.ckpt)
+    _prepare_out(args.out, args.force)
+    os.makedirs(os.path.join(args.out, "reports"), exist_ok=True)
+    os.makedirs(os.path.join(args.out, "csv"), exist_ok=True)
+    val_clouds = [clouds[c] for c in split.val]
 
     # the prior snapshot and the clean-geometry high-distortion metrics do not
     # depend on the level
     snapshot = trainer.prior_snapshot(state)
     clean = evalsuite.clean_high_distortion(
-        [evalsuite.point_predictions(state.model,
-                                     evalsuite.prepare_cloud(c, cfg.voxel_size, cfg.knn_k))
-         for c in val_clouds], val_clouds, cfg.class_count)
+        trainer.clean_predictions(state, val_clouds, cfg), val_clouds, cfg.class_count)
     rows = []
     for level in levels:
         rep = evalsuite.evaluate_level(state.model, snapshot, val_clouds, level,
@@ -171,11 +169,12 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# sweep name -> (config.json key, values)
 SWEEPS = {
     "k": ("k", [16, 32, 64]),
-    "D": ("latent_dim", [32, 64, 128]),
+    "D": ("D", [32, 64, 128]),
     "t": ("t", [2.0, 3.0, 4.0]),
-    "lambda": ("lam", [0.02, 0.1, 0.5]),
+    "lambda": ("lambda", [0.02, 0.1, 0.5]),
     "prior": ("prior_source", ["online", "offline", "gt"]),
     "distill": ("distill_target", ["global", "class_conditional", "none"]),
     "curriculum": ("curriculum", ["off", "staged"]),
@@ -185,18 +184,17 @@ SWEEPS = {
 def cmd_ablate(args) -> int:
     if args.sweep not in SWEEPS:
         raise UsageError(f"unknown sweep {args.sweep!r} (choose from {sorted(SWEEPS)})")
-    base = _load_config(args.config, seed_env=os.environ.get("A3_SEED"))
+    base = _load_config(args.config)
     split, clouds = _load_data(args.data, base)
     _prepare_out(args.out, args.force)
     os.makedirs(os.path.join(args.out, "csv"), exist_ok=True)
-    field, values = SWEEPS[args.sweep]
+    key, values = SWEEPS[args.sweep]
     val_clouds = [clouds[c] for c in split.val]
 
     rows = []
     online_ckpt = None
     for value in values:
         doc = base.to_json()
-        key = trainer._JSON_ALIASES.get(field, field)
         doc[key] = value
         if args.sweep == "prior" and value == "offline":
             if online_ckpt is None:
@@ -246,11 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic dataset")
-    g.add_argument("--scenes", type=int, default=32)
-    g.add_argument("--points", type=int, default=4096)
-    g.add_argument("--classes", type=int, default=8)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--val-fraction", type=float, default=0.25)
+    g.add_argument("--scenes", type=int, default=TrainConfig.scenes)
+    g.add_argument("--points", type=int, default=TrainConfig.points_per_scene)
+    g.add_argument("--classes", type=int, default=TrainConfig.class_count)
+    g.add_argument("--seed", type=int, default=TrainConfig.seed)
+    g.add_argument("--val-fraction", type=float, default=TrainConfig.val_fraction)
     g.add_argument("--out", required=True)
     g.add_argument("--force", action="store_true")
     g.set_defaults(func=cmd_gen)
@@ -259,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--config", required=True)
     t.add_argument("--data", default=None, help="dataset directory from `gen`")
     t.add_argument("--out", required=True)
-    t.add_argument("--mode", choices=trainer.MODES, default=None)
     t.add_argument("--resume", action="store_true")
     t.add_argument("--force", action="store_true")
     t.set_defaults(func=cmd_train)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import segnet
-from .augment import AugmentConfig, PRESET_NAMES, augment_pair
+from .augment import AugmentConfig, augment_pair
 from .pointcloud import IGNORE_LABEL, PointCloud, knn, local_curvature, local_density, voxelize
 from .ssr import PriorSnapshot, localize, ssr_ratio
 
@@ -122,8 +122,6 @@ def level_augment_config(level: str) -> AugmentConfig:
 
     A level is defined by its primary magnitudes (jitter std, drop ratio)
     alone, so the sweep isolates them: subsidiary transforms stay off."""
-    if level not in PRESET_NAMES:
-        raise ValueError(f"unknown augmentation level {level!r}")
     return AugmentConfig.for_preset(level, rotation=False, scale_range=(1.0, 1.0),
                                     flip_prob=0.0, noise_points=0, scanmix=False)
 

@@ -75,12 +75,8 @@ def build_encoder_input(probs, coords: np.ndarray, labels: np.ndarray):
 class PriorAutoencoder:
     """Row-wise encoder (C+3 -> D) and decoder (D -> C with a softmax head)."""
 
-    def __init__(self, class_count: int, latent_dim: int = 64,
-                 widths: tuple[int, ...] = (16, 32, 64, 128), beta: float = 0.25,
-                 seed: int = 0):
-        self.class_count = class_count
-        self.latent_dim = latent_dim
-        self.widths = tuple(widths)
+    def __init__(self, class_count: int, latent_dim: int, widths: tuple[int, ...],
+                 beta: float, seed: int):
         self.beta = beta
         self.input_dim = class_count + 3
         self.params: dict[str, T.Tensor] = {}

@@ -34,13 +34,9 @@ def featurize(cloud: PointCloud, grid: VoxelGrid, nn: NeighborIndex) -> np.ndarr
 class SegModel:
     """MLP over per-representative features with leaky-relu hidden layers."""
 
-    def __init__(self, feature_dim: int = FEATURE_DIM, hidden: tuple[int, ...] = (64, 64, 64),
-                 class_count: int = 8, seed: int = 0):
-        self.feature_dim = feature_dim
-        self.hidden = tuple(hidden)
-        self.class_count = class_count
+    def __init__(self, hidden: tuple[int, ...], class_count: int, seed: int):
         self.params: dict[str, T.Tensor] = {}
-        widths = [feature_dim, *hidden, class_count]
+        widths = [FEATURE_DIM, *hidden, class_count]
         stream = Stream(seed, "seg-init")
         for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
             w = stream.normal(fan_in * fan_out, std=np.sqrt(2.0 / fan_in)).reshape(fan_in, fan_out)
@@ -51,10 +47,9 @@ class SegModel:
     def forward(self, feats) -> T.Tensor:
         """Unnormalized logits, one row per feature row."""
         feats = np.asarray(feats, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[1] != self.feature_dim:
-            raise T.ShapeError(
-                f"forward: features must be (N, {self.feature_dim}), got {feats.shape}")
-        return T.mlp(feats * _INPUT_SCALE[:feats.shape[1]], self.params, "seg", self.num_layers)
+        if feats.ndim != 2 or feats.shape[1] != FEATURE_DIM:
+            raise T.ShapeError(f"forward: features must be (N, {FEATURE_DIM}), got {feats.shape}")
+        return T.mlp(feats * _INPUT_SCALE, self.params, "seg", self.num_layers)
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}

@@ -355,6 +355,8 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 # Optimizers
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class Optimizer:
     """SGD-with-momentum or Adam over a named parameter dict."""
@@ -363,7 +365,6 @@ class Optimizer:
 
     def __init__(self, params: Mapping[str, Tensor], kind: str = "sgd-momentum",
                  lr: float = 0.1, weight_decay: float = 0.0, momentum: float = 0.9,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  max_grad_norm: float | None = None):
         if kind not in self.KINDS:
             raise ValueError(f"unknown optimizer kind {kind!r}")
@@ -376,7 +377,6 @@ class Optimizer:
         self.lr = lr
         self.weight_decay = weight_decay
         self.momentum = momentum
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.max_grad_norm = max_grad_norm
         self.t = 0
         self.buffers = {name: np.zeros_like(p.data) for name, p in self.params.items()}
@@ -414,13 +414,13 @@ class Optimizer:
             else:
                 m = self.buffers[name]
                 v = self.buffers2[name]
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * g * g
-                mh = m / (1.0 - self.beta1 ** self.t)
-                vh = v / (1.0 - self.beta2 ** self.t)
-                p.data -= self.lr * mh / (np.sqrt(vh) + self.eps)
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * g * g
+                mh = m / (1.0 - ADAM_BETA1 ** self.t)
+                vh = v / (1.0 - ADAM_BETA2 ** self.t)
+                p.data -= self.lr * mh / (np.sqrt(vh) + ADAM_EPS)
             p.grad = None
 
     def zero_grad(self) -> None:

@@ -44,7 +44,9 @@ _JSON_ALIASES = {"lam": "lambda", "latent_dim": "D"}
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Every hyperparameter, preset, strategy switch, and seed for one run."""
+    """Every hyperparameter, preset, strategy switch, and seed for one run;
+    no flag or environment variable overrides a value. A value that could
+    not run is refused here with ConfigError."""
 
     # schedule
     epochs: int = 50
@@ -100,8 +102,19 @@ class TrainConfig:
             (self.augment_preset in PRESET_NAMES, f"unknown augment_preset {self.augment_preset!r}"),
             (self.epochs >= 0, "epochs must be nonnegative"),
             (self.batch_size >= 1, "batch_size must be positive"),
+            (self.scenes >= 1, "scenes must be positive"),
+            (self.points_per_scene >= 64, "points_per_scene must be at least 64"),
+            (self.class_count >= 1, "class_count must be positive"),
+            (0 < self.val_fraction < 1, "val_fraction must be in (0, 1)"),
+            (self.seg_lr > 0, "seg_lr must be positive"),
+            (self.ae_lr > 0, "ae_lr must be positive"),
             (0 < self.gamma < 1, "gamma must be in (0, 1)"),
             (self.t > 0, "t must be positive"),
+            (self.k >= 1, "k must be positive"),
+            (self.latent_dim >= 1, "D must be positive"),
+            (self.voxel_size > 0, "voxel_size must be positive"),
+            (self.knn_k >= 1, "knn_k must be positive"),
+            (self.curve_trials >= 1, "curve_trials must be positive"),
         ]
         for ok, msg in checks:
             if not ok:
@@ -177,13 +190,6 @@ def seg_lr_at(epoch: int, cfg: TrainConfig) -> float:
     return cfg.seg_lr * 0.5 * (1.0 + math.cos(math.pi * epoch / cfg.epochs))
 
 
-def augment_config_for(cfg: TrainConfig, preset: str) -> AugmentConfig:
-    if preset == "none":
-        return AugmentConfig.for_preset("none")
-    return AugmentConfig.for_preset(preset, noise_points=cfg.noise_points,
-                                    scanmix=cfg.scanmix, num_sectors=cfg.num_sectors)
-
-
 # ---------------------------------------------------------------------------
 # Prepared data
 
@@ -214,8 +220,10 @@ class TrainState:
     cache: dict = field(default_factory=dict)
 
 
-def init_state(cfg: TrainConfig) -> TrainState:
-    model = segnet.SegModel(segnet.FEATURE_DIM, cfg.seg_hidden, cfg.class_count, seed=cfg.seed)
+def _new_state(cfg: TrainConfig) -> TrainState:
+    """Freshly initialized networks, codebook and optimizers. An offline
+    prior gets no optimizer and is left for the caller to fill."""
+    model = segnet.SegModel(cfg.seg_hidden, cfg.class_count, cfg.seed)
     seg_opt = T.Optimizer(model.params, "sgd-momentum", lr=cfg.seg_lr,
                           weight_decay=cfg.seg_weight_decay, momentum=cfg.seg_momentum,
                           max_grad_norm=cfg.clip_grad_norm)
@@ -224,16 +232,24 @@ def init_state(cfg: TrainConfig) -> TrainState:
     ae_opt = None
     if needs_prior(cfg.mode):
         prior = scp.PriorAutoencoder(cfg.class_count, cfg.latent_dim,
-                                     cfg.encoder_widths, cfg.beta, seed=cfg.seed)
+                                     cfg.encoder_widths, cfg.beta, cfg.seed)
         cb = scp.CodebookState(cfg.class_count, cfg.k, cfg.latent_dim)
-        if cfg.prior_source == "offline":  # a completed run's prior, frozen
-            path = cfg.offline_prior_path
-            _fill_prior(prior, cb, T.load_checkpoint(os.path.join(path, "weights.a3wt")), path)
-        else:
+        if cfg.prior_source != "offline":
             ae_params = dict(prior.params)
             ae_params["scp.codes"] = cb.codes
             ae_opt = T.Optimizer(ae_params, "adam", lr=cfg.ae_lr)
     return TrainState(cfg, model, prior, cb, seg_opt, ae_opt)
+
+
+def init_state(cfg: TrainConfig) -> TrainState:
+    """The state a run starts from; an offline prior is a completed run's
+    prior, read from its checkpoint and frozen."""
+    state = _new_state(cfg)
+    if state.prior is not None and cfg.prior_source == "offline":
+        path = cfg.offline_prior_path
+        _fill_prior(state.prior, state.cb,
+                    T.load_checkpoint(os.path.join(path, "weights.a3wt")), path)
+    return state
 
 
 def _fill_prior(prior: scp.PriorAutoencoder, cb: scp.CodebookState,
@@ -280,12 +296,11 @@ class StepSelection:
 @dataclass
 class LossBundle:
     ce: T.Tensor
-    ce_aug: T.Tensor | None  # raw augmented CE (part of the loss in eas mode)
+    ce_aug: T.Tensor | None  # raw augmented CE (part of the loss in eas mode only)
     ce_scr: T.Tensor | None
     distill: T.Tensor | None
     total: T.Tensor
     vq: scp.VqLosses | None
-    ce_aug_value: float | None  # logged raw augmented CE in masked modes
 
 
 def _mean_over(tensors: list[T.Tensor]) -> T.Tensor:
@@ -361,7 +376,6 @@ def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
     ce_aug = None
     ce_scr = None
     distill = None
-    ce_aug_value = None
 
     # online prior learning sees the same original-pass forward as the CE loss
     scp_z_live = None
@@ -373,14 +387,11 @@ def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
 
     if aug_on:
         aug_logits = [state.model.forward(pc.feats) for pc in pb.augmented]
+        ce_aug = _mean_over([segnet.ce_loss(lg, pc.rep_labels)
+                             for lg, pc in zip(aug_logits, pb.augmented)])
         if not mask_on:
-            ce_aug = _mean_over([segnet.ce_loss(lg, pc.rep_labels)
-                                 for lg, pc in zip(aug_logits, pb.augmented)])
             total = T.add(total, ce_aug)
         else:
-            ce_aug_value = float(np.mean(
-                [segnet.ce_loss(T.stop_gradient(lg), pc.rep_labels).item()
-                 for lg, pc in zip(aug_logits, pb.augmented)]))
             locs = [ssrmod.localize(sel.snapshot, T.softmax(lg), pc.rep_coords,
                                     pc.rep_labels, cfg.dilation_radius)
                     for lg, pc in zip(aug_logits, pb.augmented)]
@@ -408,7 +419,7 @@ def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
         vq = scp.vq_losses(state.prior, state.cb, z_e, sel.scp_sel.flat, sel.scp_sel.z_e0,
                            sel.scp_sel.z_q0, sel.scp_sel.rows.data[:, :cfg.class_count])
 
-    return LossBundle(ce, ce_aug, ce_scr, distill, total, vq, ce_aug_value), sel
+    return LossBundle(ce, ce_aug, ce_scr, distill, total, vq), sel
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +449,8 @@ def prepare_batch(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
     if not mode_flags(cfg.mode)[0]:
         return PreparedBatch(originals, None, "none")
     preset = effective_preset(epoch, cfg)
-    aug_cfg = augment_config_for(cfg, preset)
+    aug_cfg = AugmentConfig.for_preset(preset, noise_points=cfg.noise_points,
+                                       scanmix=cfg.scanmix, num_sectors=cfg.num_sectors)
     augmented, records = [], []
     for i, cloud in enumerate(clouds):
         partner = clouds[(i + 1) % len(clouds)] if aug_cfg.scanmix and len(clouds) > 1 else None
@@ -465,8 +477,6 @@ def train_step(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
     if bundle.ce_aug is not None:
         log["loss_ce_aug"] = bundle.ce_aug.item()
         _check_finite("loss_ce_aug", log["loss_ce_aug"], state)
-    if bundle.ce_aug_value is not None:
-        log["loss_ce_aug"] = bundle.ce_aug_value
     if bundle.ce_scr is not None:
         log["loss_ce_scr"] = bundle.ce_scr.item()
         _check_finite("loss_ce_scr", log["loss_ce_scr"], state)
@@ -561,7 +571,9 @@ def _fsync(path: str) -> None:
 
 
 def load_state(cfg: TrainConfig, ckpt_dir: str) -> TrainState:
-    state = init_state(cfg)
+    """The state saved in `ckpt_dir`; every array, an offline prior's
+    included, comes from that checkpoint."""
+    state = _new_state(cfg)
     arrays = T.load_checkpoint(os.path.join(ckpt_dir, "weights.a3wt"))
     state.model.load_parameter_arrays(arrays)
     state.seg_opt.load_state_arrays("opt.seg", arrays)
@@ -616,15 +628,18 @@ def prior_snapshot(state: TrainState) -> ssrmod.PriorSnapshot | None:
     return ssrmod.take_snapshot(state.cb, state.cfg.t, state.prior)
 
 
+def clean_predictions(state: TrainState, clouds: list[PointCloud],
+                      cfg: TrainConfig) -> list[np.ndarray]:
+    """The model's per-point predictions on unaugmented clouds."""
+    return [evalsuite.point_predictions(state.model, prepared_clean(state, c, cfg))
+            for c in clouds]
+
+
 def validation_report(state: TrainState, val_clouds: list[PointCloud],
-                      cfg: TrainConfig, epoch: int,
-                      preds: list[np.ndarray] | None = None) -> dict:
-    """Point-level scores on the validation clouds; `preds`, when given, are
-    the model's per-point predictions on them."""
-    if preds is None:
-        preds = [evalsuite.point_predictions(state.model, prepared_clean(state, c, cfg))
-                 for c in val_clouds]
-    body = evalsuite.evaluate_clouds(preds, val_clouds, cfg.class_count)
+                      cfg: TrainConfig, epoch: int) -> dict:
+    """Point-level scores on the validation clouds."""
+    body = evalsuite.evaluate_clouds(clean_predictions(state, val_clouds, cfg),
+                                     val_clouds, cfg.class_count)
     return {"epoch": epoch, "mode": cfg.mode, "seed": cfg.seed,
             "config_hash": state.cfg.config_hash(), **body}
 
@@ -632,24 +647,23 @@ def validation_report(state: TrainState, val_clouds: list[PointCloud],
 def final_report(state: TrainState, val_clouds: list[PointCloud], cfg: TrainConfig) -> dict:
     """The validation report plus SSR ratio by level and high-distortion mask
     fraction; each validation cloud is prepared once per run."""
-    preds = [evalsuite.point_predictions(state.model, prepared_clean(state, c, cfg))
-             for c in val_clouds]
-    doc = validation_report(state, val_clouds, cfg, cfg.epochs, preds)
+    doc = validation_report(state, val_clouds, cfg, cfg.epochs)
     doc["final"] = True
     snapshot = prior_snapshot(state)
     doc["ssr_ratio_by_level"] = None if snapshot is None else evalsuite.ssr_curve(
         state.model, snapshot, val_clouds, PRESET_NAMES, cfg.curve_trials, cfg)
     doc["high_distortion_mask_fraction"] = evalsuite.clean_high_distortion(
-        preds, val_clouds, cfg.class_count)["high_distortion_mask_fraction"]
+        clean_predictions(state, val_clouds, cfg), val_clouds,
+        cfg.class_count)["high_distortion_mask_fraction"]
     return doc
 
 
 def run(cfg: TrainConfig, split: DatasetSplit, clouds_by_id: dict[str, PointCloud],
-        out_dir: str | None = None, resume_from: str | None = None):
+        out_dir: str, resume_from: str | None = None):
     """Train for cfg.epochs over the split; returns (state, reports).
 
-    With out_dir set, writes steplog.ndjson, per-epoch reports, checkpoints,
-    and the final report; fully deterministic given the config seed.
+    Writes steplog.ndjson, per-epoch reports, checkpoints and the final
+    report under `out_dir`; fully deterministic given the config seed.
     """
     if not split.train:
         raise ValueError("split has no training clouds")
@@ -660,48 +674,37 @@ def run(cfg: TrainConfig, split: DatasetSplit, clouds_by_id: dict[str, PointClou
     val_clouds = [clouds_by_id[cid] for cid in split.val]
     reports: list[dict] = []
 
-    log_fh = None
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        os.makedirs(os.path.join(out_dir, "reports"), exist_ok=True)
-        os.makedirs(os.path.join(out_dir, "ckpt"), exist_ok=True)
-        log_path = os.path.join(out_dir, "steplog.ndjson")
-        if resume_from:
-            _truncate_steplog(log_path, state.step)
-        log_fh = open(log_path, "a" if resume_from else "w", encoding="utf-8")
-    try:
+    os.makedirs(os.path.join(out_dir, "reports"), exist_ok=True)
+    os.makedirs(os.path.join(out_dir, "ckpt"), exist_ok=True)
+    log_path = os.path.join(out_dir, "steplog.ndjson")
+    if resume_from:
+        _truncate_steplog(log_path, state.step)
+    with open(log_path, "a" if resume_from else "w", encoding="utf-8") as log_fh:
         for epoch in range(state.epoch, cfg.epochs):
             state.epoch = epoch
             state.seg_opt.lr = seg_lr_at(epoch, cfg)
             order = Stream(cfg.seed, "order", epoch).permutation(len(train_clouds))
             for b in range(0, len(order), cfg.batch_size):
                 batch = [train_clouds[i] for i in order[b:b + cfg.batch_size]]
-                log = train_step(state, batch, cfg, epoch, b // cfg.batch_size)
-                if log_fh:
-                    log_fh.write(_json_line(log))
+                log_fh.write(_json_line(train_step(state, batch, cfg, epoch,
+                                                   b // cfg.batch_size)))
             if cfg.eval_every and val_clouds and (epoch + 1) % cfg.eval_every == 0:
                 rep = validation_report(state, val_clouds, cfg, epoch)
                 reports.append(rep)
-                if out_dir:
-                    with open(os.path.join(out_dir, "reports", f"epoch_{epoch:04d}.json"),
-                              "w", encoding="utf-8") as f:
-                        f.write(_json_line(rep))
-            if out_dir and cfg.ckpt_every and (epoch + 1) % cfg.ckpt_every == 0:
+                with open(os.path.join(out_dir, "reports", f"epoch_{epoch:04d}.json"),
+                          "w", encoding="utf-8") as f:
+                    f.write(_json_line(rep))
+            if cfg.ckpt_every and (epoch + 1) % cfg.ckpt_every == 0:
                 state.epoch = epoch + 1
                 save_state(state, os.path.join(out_dir, "ckpt", f"epoch_{epoch + 1:04d}"))
         state.epoch = cfg.epochs
         if val_clouds:
             rep = final_report(state, val_clouds, cfg)
             reports.append(rep)
-            if out_dir:
-                with open(os.path.join(out_dir, "reports", "final.json"),
-                          "w", encoding="utf-8") as f:
-                    f.write(_json_line(rep))
-        if out_dir:
-            save_state(state, os.path.join(out_dir, "ckpt", "final"))
-    finally:
-        if log_fh:
-            log_fh.close()
+            with open(os.path.join(out_dir, "reports", "final.json"),
+                      "w", encoding="utf-8") as f:
+                f.write(_json_line(rep))
+        save_state(state, os.path.join(out_dir, "ckpt", "final"))
     return state, reports
 
 

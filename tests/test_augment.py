@@ -281,5 +281,5 @@ def test_config_validation():
         AugmentConfig(drop_ratio_range=(0.5, 1.0))
     with pytest.raises(ValueError):
         AugmentConfig(jitter_std_range=(0.05, 0.01))
-    with pytest.raises(ValueError):
-        AugmentConfig(preset="extreme")
+    with pytest.raises(ValueError, match="unknown preset 'extreme'"):
+        AugmentConfig.for_preset("extreme")

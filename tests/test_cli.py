@@ -3,6 +3,7 @@ files they write, and the work one evaluation level does."""
 import contextlib
 import io
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from shiftseg import augment, cli, evalsuite, trainer, verify
 from shiftseg import tensor as T
 from shiftseg.dataset import load_cloud, save_cloud
 from shiftseg.pointcloud import IGNORE_LABEL
+from shiftseg.trainer import TrainConfig
 
 VAL_CLOUDS = 2
 
@@ -29,10 +31,11 @@ def write_config(path, **overrides):
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A 4-class full-mode run of one epoch with two validation clouds; its
-    codebook is initialized, so evaluation localizes shift regions."""
+    codebook is initialized, and at t=0.45 evaluation flags some rows but
+    not all."""
     root = tmp_path_factory.mktemp("trained")
     cfg, config = write_config(root / "config.json", scenes=2 * VAL_CLOUDS, val_fraction=0.5,
-                               points_per_scene=256)
+                               points_per_scene=256, t=0.45)
     assert quiet_main(["train", "--config", config, "--out", str(root / "run")]) == 0
     return cfg, config, str(root / "run" / "ckpt" / "final")
 
@@ -45,6 +48,27 @@ def test_train_with_fewer_classes_than_the_generator_has(tmp_path):
         labels = cloud.labels[cloud.labels != IGNORE_LABEL]
         assert labels.size and labels.max() < cfg.class_count
     assert quiet_main(["train", "--config", config, "--out", str(tmp_path / "run")]) == 0
+
+
+@pytest.mark.parametrize("key, value", [
+    ("points_per_scene", 63), ("class_count", 0), ("val_fraction", 0.0), ("val_fraction", 1.0),
+    ("scenes", 0), ("k", 0), ("D", 0), ("knn_k", 0), ("voxel_size", 0.0), ("seg_lr", 0.0),
+    ("ae_lr", -0.001), ("curve_trials", 0)])
+def test_train_refuses_a_config_value_that_cannot_run(tmp_path, capsys, key, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**verify.tiny_config().to_json(), key: value}))
+    out = tmp_path / "run"
+    assert quiet_main(["train", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} must be")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--points", "10"], ["--val-fraction", "1.5"],
+                                   ["--classes", "0"]])
+def test_gen_refuses_bad_flags_before_making_its_directory(tmp_path, flags):
+    out = tmp_path / "data"
+    assert quiet_main(["gen", "--scenes", "2", "--out", str(out)] + flags) == 2
+    assert not out.exists()
 
 
 def test_gen_with_fewer_classes(tmp_path):
@@ -62,15 +86,45 @@ def test_eval_writes_a_level_report(trained, tmp_path):
     assert quiet_main(["eval", "--ckpt", ckpt, "--config", config, "--levels", "heavy",
                        "--trials", "2", "--out", str(out)]) == 0
     rep = json.loads((out / "reports" / "level_heavy.json").read_text())
-    for key in ("miou", "ssr_ratio", "high_distortion_miou"):
+    for key in ("miou", "high_distortion_miou"):
         assert 0.0 <= rep[key] <= 1.0, key
+    assert 0.0 < rep["ssr_ratio"] < 1.0
     assert (out / "csv" / "level_sweep.csv").read_text().startswith("level,seed,ssr_ratio,miou\n")
 
 
 def test_eval_rejects_an_unknown_level(trained, tmp_path):
     _, config, ckpt = trained
+    out = tmp_path / "eval"
     assert quiet_main(["eval", "--ckpt", ckpt, "--config", config, "--levels", "fierce",
-                       "--out", str(tmp_path / "eval")]) == 2
+                       "--out", str(out)]) == 2
+    assert not out.exists()  # so a corrected retry needs no --force
+
+
+def test_eval_refuses_zero_trials(trained, tmp_path, capsys):
+    _, config, ckpt = trained
+    out = tmp_path / "eval"
+    assert quiet_main(["eval", "--ckpt", ckpt, "--config", config, "--trials", "0",
+                       "--out", str(out)]) == 2
+    assert "--trials must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_offline_prior_run_evaluates_without_its_prior_source(trained, tmp_path):
+    """The offline run's checkpoint holds the frozen prior, so evaluation
+    reads nothing from the run the prior came from."""
+    _, _, ckpt = trained
+    source = tmp_path / "online"
+    shutil.copytree(ckpt, source)
+    _, config = write_config(tmp_path / "config.json", scenes=2 * VAL_CLOUDS, val_fraction=0.5,
+                             points_per_scene=256, t=0.45, prior_source="offline",
+                             offline_prior_path=str(source))
+    run = tmp_path / "run"
+    assert quiet_main(["train", "--config", config, "--out", str(run)]) == 0
+    shutil.rmtree(source)
+    out = tmp_path / "eval"
+    assert quiet_main(["eval", "--ckpt", str(run / "ckpt" / "final"), "--config", config,
+                       "--levels", "heavy", "--out", str(out)]) == 0
+    assert (out / "reports" / "level_heavy.json").exists()
 
 
 def test_one_level_prepares_each_draw_once(trained, tmp_path, monkeypatch):
@@ -107,6 +161,17 @@ def test_ablate_writes_the_sweep_table(tmp_path):
     assert lines[0] == "sweep,value,miou_clean,miou_heavy"
     assert [line.split(",")[1] for line in lines[1:]] == ["off", "staged"]
     assert all(np.isfinite(float(v)) for line in lines[1:] for v in line.split(",")[2:])
+
+
+def test_every_sweep_cell_is_a_config():
+    base = TrainConfig().to_json()
+    for name, (key, values) in cli.SWEEPS.items():
+        assert key in base, name
+        for value in values:
+            doc = {**base, key: value}
+            if value == "offline":
+                doc["offline_prior_path"] = "online/ckpt/final"
+            assert TrainConfig.from_json(doc).to_json()[key] == value, (name, value)
 
 
 def test_ablate_rejects_an_unknown_sweep(tmp_path):

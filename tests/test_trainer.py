@@ -75,12 +75,12 @@ def test_offline_prior_from_a_checkpoint_without_one_is_refused(tmp_path):
         trainer.init_state(cfg)
 
 
-def test_final_report_completes_over_every_level():
+def test_final_report_completes_over_every_level(tmp_path):
     # 45 curve trials reach the excessive-level draws (keys t=44) that once
     # left one point of the 64-point validation cloud
     cfg = verify.tiny_config(scenes=2, val_fraction=0.5, curve_trials=45)
     split, clouds = trainer.default_data(cfg)
-    _, reports = trainer.run(cfg, split, clouds)
+    _, reports = trainer.run(cfg, split, clouds, str(tmp_path))
     assert list(reports[-1]["ssr_ratio_by_level"]) == list(PRESET_NAMES)
 
 
@@ -156,7 +156,6 @@ def test_a_replay_rebuilds_the_selecting_pass_bit_for_bit(overrides):
     cfg = verify.tiny_config(t=verify.GRAD_T, **overrides)
     state, pb, sel, first = verify.tiny_step(cfg)
     again, _ = trainer.step_losses(state, pb, cfg, sel)
-    assert first.ce_aug_value == again.ce_aug_value
     for name in ("ce", "ce_aug", "ce_scr", "distill", "total"):
         a, b = getattr(first, name), getattr(again, name)
         assert (a is None and b is None) or a.data.tobytes() == b.data.tobytes(), name

@@ -11,7 +11,11 @@ its k-th recomputed d² lies below the last candidate's tree distance² by the
 relative margin MARGIN: the tree's rounding is far below that margin, so no
 point outside the candidates can come closer or tie. A row that cannot be
 certified (a tie at the boundary, as on lattices or duplicated points) is
-recomputed exactly by a dense scan over all points. Dilation queries the
+recomputed exactly by a dense scan over all points. The tree nearly always
+returns a row's candidates in their (d², index) order already; only the
+rows where it does not are sorted. Every row is thus the exact top k by
+(d², index), so knn(points, k2)[rows, :k1] equals knn(points, k1, rows) bit
+for bit for k1 <= k2. Dilation queries the
 tree of marked points at radius·(1 + MARGIN), in slices of the unmarked
 points small enough that one slice returns at most MAX_PAIRS candidate
 pairs, and keeps the hits whose recomputed d² is at most radius².
@@ -62,6 +66,15 @@ def _dense_knn(points: np.ndarray, rows: np.ndarray, k: int) -> tuple[np.ndarray
     return idx_out, d2_out
 
 
+def _ordered(cand: np.ndarray, d2: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per query row: the candidates are self first (d² = inf), then strictly
+    ascending by (d², index) with a finite last d², so the row's lexsort
+    order is 1, 2, ..., m-1, 0."""
+    a, b = d2[:, 1:-1], d2[:, 2:]
+    ascending = (a < b) | ((a == b) & (cand[:, 1:-1] < cand[:, 2:]))
+    return (cand[:, 0] == rows) & (d2[:, -1] < np.inf) & ascending.all(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # Exact kNN: Euclidean, self excluded, ties broken by lower point index.
 
@@ -79,11 +92,16 @@ def knn(points: np.ndarray, k: int,
     rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
     m = min(n, k + 1 + PAD)
     tree_dist, cand = cKDTree(points).query(points[rows], k=m)
-    d2 = _sq_dist(points, rows[:, None], cand)
-    d2[cand == rows[:, None]] = np.inf  # self goes last
-    order = np.lexsort((cand, d2), axis=1)[:, :k]
-    idx = np.take_along_axis(cand, order, axis=1)
-    d2 = np.take_along_axis(d2, order, axis=1)
+    cand_d2 = _sq_dist(points, rows[:, None], cand)
+    cand_d2[cand == rows[:, None]] = np.inf  # self goes last
+    # a row whose tree order is already its (d², index) order, self first,
+    # is its candidates 1..k; only the other rows are sorted
+    idx, d2 = cand[:, 1:k + 1].copy(), cand_d2[:, 1:k + 1].copy()
+    unsorted = np.flatnonzero(~_ordered(cand, cand_d2, rows))
+    if unsorted.size:
+        order = np.lexsort((cand[unsorted], cand_d2[unsorted]), axis=1)[:, :k]
+        idx[unsorted] = np.take_along_axis(cand[unsorted], order, axis=1)
+        d2[unsorted] = np.take_along_axis(cand_d2[unsorted], order, axis=1)
     if m < n:
         last = tree_dist[:, -1]
         unsure = np.flatnonzero(~(d2[:, -1] < last * last * (1.0 - MARGIN)))

@@ -1,9 +1,11 @@
 """Command-line entry point: dataset generation, training, evaluation,
 ablation sweeps, and verification.
 
-`eval` runs one evaluation pass per level (`evalsuite.evaluate_level`): each
+`eval` builds or loads only the validation clouds, the ones it scores. It
+runs one evaluation pass per level (`evalsuite.evaluate_level`): each
 augmented draw gives both the level's mIoU and its SSR ratio. The clean
-high-distortion metrics are computed once and reported with every level.
+high-distortion metrics are computed once, from one kNN query per clean
+validation cloud, and reported with every level.
 
 Every setting of a run comes from its config file, read through
 `trainer.TrainConfig`; `gen` builds one from its flags. Arguments are checked
@@ -60,19 +62,24 @@ def _prepare_out(out_dir: str, force: bool) -> None:
 
 def _load_config(path: str) -> TrainConfig:
     with open(path, "r", encoding="utf-8") as f:
-        return TrainConfig.from_json(json.load(f))
+        try:
+            doc = json.load(f)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"config {path!r} is not JSON: {exc}") from None
+    return TrainConfig.from_json(doc)
 
 
-def _load_data(data_dir: str | None, cfg: TrainConfig):
+def _load_data(data_dir: str | None, cfg: TrainConfig, val_only: bool = False):
     """The split and clouds of a `gen` dataset directory, or the config's
-    synthetic data without one. Refuses clouds that declare different class
-    counts, or more classes than the config's class_count."""
+    synthetic data without one; only the validation clouds with val_only.
+    Refuses clouds that declare different class counts, or more classes than
+    the config's class_count."""
     if not data_dir:
-        return trainer.default_data(cfg)
+        return trainer.default_data(cfg, val_only)
     with open(os.path.join(data_dir, "split.json"), "r", encoding="utf-8") as f:
         split = DatasetSplit.from_json(json.load(f))
     clouds, counts = {}, set()
-    for cid in split.train + split.val:
+    for cid in split.val if val_only else split.train + split.val:
         clouds[cid], c = load_cloud(os.path.join(data_dir, f"{cid}.a3pc"), cloud_id=cid)
         counts.add(c)
     if len(counts) > 1:
@@ -130,6 +137,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """Score a checkpoint on the validation clouds, generated or loaded
+    without the training clouds: per level, `--trials` augmented draws per
+    cloud, each queried, predicted and localized once; and once for every
+    level, the clean clouds' high-distortion metrics, each cloud queried once
+    for both its features and its density and curvature."""
     levels = args.levels.split(",")
     for level in levels:
         if level not in PRESET_NAMES:
@@ -139,7 +151,9 @@ def cmd_eval(args) -> int:
     if not os.path.isdir(args.ckpt):
         raise UsageError(f"checkpoint directory {args.ckpt!r} not found")
     cfg = _load_config(args.config)
-    split, clouds = _load_data(args.data, cfg)
+    split, clouds = _load_data(args.data, cfg, val_only=True)
+    if not split.val:
+        raise UsageError("the split has no validation cloud to evaluate")
     state = trainer.load_state(cfg, args.ckpt)
     _prepare_out(args.out, args.force)
     os.makedirs(os.path.join(args.out, "reports"), exist_ok=True)
@@ -149,8 +163,7 @@ def cmd_eval(args) -> int:
     # the prior snapshot and the clean-geometry high-distortion metrics do not
     # depend on the level
     snapshot = trainer.prior_snapshot(state)
-    clean = evalsuite.clean_high_distortion(
-        trainer.clean_predictions(state, val_clouds, cfg), val_clouds, cfg.class_count)
+    clean = evalsuite.clean_high_distortion(state.model, val_clouds, cfg)
     rows = []
     for level in levels:
         rep = evalsuite.evaluate_level(state.model, snapshot, val_clouds, level,

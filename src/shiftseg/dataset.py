@@ -291,22 +291,21 @@ class DatasetSplit:
 
 
 def make_split(seed: int, num_scenes: int, val_fraction: float,
-               template: SceneSpec | None = None) -> tuple[DatasetSplit, list[PointCloud]]:
-    """Generate scenes with seeds seed..seed+num_scenes-1 and split them."""
+               template: SceneSpec | None = None,
+               val_only: bool = False) -> tuple[DatasetSplit, list[PointCloud]]:
+    """Split the scenes with seeds seed..seed+num_scenes-1 and generate them,
+    only the validation scenes with val_only. The split reads no scene, and
+    each scene depends on its own seed alone."""
     if not 0.0 < val_fraction < 1.0:
         raise ValueError("val_fraction must be in (0, 1)")
     template = template if template is not None else SceneSpec(seed=0)
-    ids = []
-    scenes = []
-    seeds = {}
-    for i in range(num_scenes):
-        spec = replace(template, seed=seed + i)
-        cid = f"scene-{i:04d}"
-        scenes.append(generate_scene(spec, cloud_id=cid))
-        ids.append(cid)
-        seeds[cid] = seed + i
+    ids = [f"scene-{i:04d}" for i in range(num_scenes)]
     perm = Stream(seed, "split").permutation(num_scenes)
     n_val = int(math.floor(num_scenes * val_fraction))
     val = [ids[i] for i in perm[:n_val]]
     train = [ids[i] for i in perm[n_val:]]
+    wanted = set(val if val_only else ids)
+    scenes = [generate_scene(replace(template, seed=seed + i), cloud_id=cid)
+              for i, cid in enumerate(ids) if cid in wanted]
+    seeds = {cid: seed + i for i, cid in enumerate(ids)}
     return DatasetSplit(train=train, val=val, scene_seeds=seeds), scenes

@@ -3,8 +3,9 @@
 `prepare_cloud` (voxelize -> kNN -> featurize) serves training and every
 evaluation. `evaluate_level` is the one evaluation pass: each augmented draw
 is prepared and predicted once, then scored for point-level IoU and for its
-shift-region ratio. Also here: per-class IoU and mIoU, confusion matrices,
-and high-distortion subregion metrics."""
+shift-region ratio. `clean_high_distortion` scores the unaugmented clouds
+inside their high-distortion subregion from one kNN query per cloud. Also
+here: per-class IoU and mIoU and confusion matrices."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -13,7 +14,8 @@ import numpy as np
 
 from . import segnet
 from .augment import AugmentConfig, augment_pair
-from .pointcloud import IGNORE_LABEL, PointCloud, knn, local_curvature, local_density, voxelize
+from .pointcloud import (IGNORE_LABEL, NeighborIndex, PointCloud, knn, local_curvature,
+                         local_density, voxelize)
 from .ssr import PriorSnapshot, localize, ssr_ratio
 
 EVAL_KNN_K = 32  # neighborhood size for the high-distortion statistics
@@ -36,18 +38,27 @@ class PreparedCloud:
         return len(self.point_cell)
 
 
-def prepare_cloud(cloud: PointCloud, voxel_size: float, knn_k: int) -> PreparedCloud:
-    """Voxelize, find the min(knn_k, N-1) nearest neighbors of each voxel
-    representative among all points (kNN is queried at the representatives
-    only, since the features read no other row), and featurize the
-    representatives. A cloud of fewer than 2 points has no neighborhoods and
+def _neighbor_count(cloud: PointCloud, k: int) -> int:
+    """min(k, N-1); a cloud of fewer than 2 points has no neighborhoods and
     is refused."""
     n = len(cloud)
     if n < 2:
         raise ValueError(f"cloud {cloud.cloud_id!r} has {n} point(s); "
                          "preparing its features needs at least 2")
+    return min(k, n - 1)
+
+
+def prepare_cloud(cloud: PointCloud, voxel_size: float, knn_k: int,
+                  nn: NeighborIndex | None = None) -> PreparedCloud:
+    """Voxelize, find the min(knn_k, N-1) nearest neighbors of each voxel
+    representative among all points, and featurize the representatives.
+    kNN is queried at the representatives only, since the features read no
+    other row; given `nn`, every point's neighbors at a k at least as large,
+    the representatives' rows are read from its first columns instead."""
+    k = _neighbor_count(cloud, knn_k)
     grid = voxelize(cloud, voxel_size)
-    feats = segnet.featurize(cloud, grid, knn(cloud, min(knn_k, n - 1), grid.rep_index))
+    rep_nn = knn(cloud, k, grid.rep_index) if nn is None else nn.prefix(k, grid.rep_index)
+    feats = segnet.featurize(cloud, grid, rep_nn)
     return PreparedCloud(feats, grid.rep_label.astype(np.int64),
                          cloud.positions[grid.rep_index], grid.point_cell)
 
@@ -163,11 +174,13 @@ def ssr_curve(model: segnet.SegModel, snapshot: PriorSnapshot, clouds, levels,
 
 
 def high_distortion_eval(preds: np.ndarray, labels: np.ndarray, cloud: PointCloud,
-                         class_count: int):
+                         nn: NeighborIndex, class_count: int):
     """Metrics inside the hard subregion: points with density at or below the
     10th percentile or curvature at or above the 90th (by convention; the
-    realized mask fraction is reported alongside)."""
-    nn = knn(cloud, min(EVAL_KNN_K, len(cloud) - 1))
+    realized mask fraction is reported alongside). Density and curvature
+    read the first min(EVAL_KNN_K, N-1) columns of `nn`, every point's
+    neighbors (`pointcloud.knn` without query rows)."""
+    nn = nn.prefix(min(EVAL_KNN_K, len(cloud) - 1))
     dens = local_density(cloud, nn)
     curv = local_curvature(cloud, nn)
     tau_d = float(np.percentile(dens, DENSITY_QUANTILE))
@@ -179,11 +192,20 @@ def high_distortion_eval(preds: np.ndarray, labels: np.ndarray, cloud: PointClou
             "tau_curvature": tau_c}
 
 
-def clean_high_distortion(preds: list[np.ndarray], clouds, class_count: int) -> dict:
-    """High-distortion mask fraction and mIoU of per-cloud predictions on the
-    unaugmented clouds, each averaged over the clouds."""
-    hds = [high_distortion_eval(p, c.labels.astype(np.int64), c, class_count)
-           for p, c in zip(preds, clouds)]
+def clean_high_distortion(model: segnet.SegModel, clouds, cfg) -> dict:
+    """High-distortion mask fraction and mIoU of the model's predictions on
+    the unaugmented clouds, each averaged over the clouds.
+
+    One exact kNN of every point per cloud, at k = min(max(knn_k,
+    EVAL_KNN_K), N-1), serves both: the features read its first knn_k
+    columns at the voxel representatives, the density and curvature its
+    first EVAL_KNN_K columns. `cfg` (a trainer.TrainConfig) gives
+    class_count, voxel_size and knn_k."""
+    hds = []
+    for cloud in clouds:
+        nn = knn(cloud, _neighbor_count(cloud, max(cfg.knn_k, EVAL_KNN_K)))
+        preds = point_predictions(model, prepare_cloud(cloud, cfg.voxel_size, cfg.knn_k, nn))
+        hds.append(high_distortion_eval(preds, cloud.labels.astype(np.int64), cloud, nn,
+                                        cfg.class_count))
     return {"high_distortion_mask_fraction": float(np.mean([h["mask_fraction"] for h in hds])),
             "high_distortion_miou": float(np.mean([h["miou"] for h in hds]))}
-

@@ -68,6 +68,15 @@ class NeighborIndex:
     indices: np.ndarray  # (Q, k) int64
     distances: np.ndarray  # (Q, k) float64
 
+    def prefix(self, k: int, rows: np.ndarray | None = None) -> "NeighborIndex":
+        """The first k neighbors of the query rows `rows` (every row when
+        None): bit for bit what a query at k of those rows returns, since
+        exact rows are ordered by (distance, index)."""
+        if not 0 < k <= self.k:
+            raise ValueError(f"prefix needs 0 < k <= {self.k}, got k={k}")
+        take = slice(None) if rows is None else rows
+        return NeighborIndex(k, self.indices[take, :k], self.distances[take, :k])
+
 
 def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelGrid:
     if voxel_size <= 0:

@@ -282,13 +282,18 @@ def gather_rows(x, indices) -> Tensor:
     if idx.ndim != 1:
         raise ShapeError(f"gather-rows: indices must be 1-D, got shape {idx.shape}")
     shape = x.data.shape
+    out = x.data[idx]
+    idx = np.where(idx < 0, idx + shape[0], idx)  # rows as numpy counts them
 
     def bwd(g):
-        gx = np.zeros(shape, dtype=np.float64)
-        np.add.at(gx, idx, g)
-        return (gx,)
+        # one bincount over (row, column) keys adds each cell's terms in input
+        # order from +0.0, bit for bit what np.add.at(gx, idx, g) gives
+        width = int(np.prod(shape[1:], dtype=np.int64))
+        keys = (idx[:, None] * width + np.arange(width)).ravel()
+        gx = np.bincount(keys, weights=g.ravel(), minlength=shape[0] * width)
+        return (gx.reshape(shape),)
 
-    return _record(x.data[idx], (x,), bwd, "gather-rows")
+    return _record(out, (x,), bwd, "gather-rows")
 
 
 def masked_select(x, mask) -> Tensor:

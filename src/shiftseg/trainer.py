@@ -40,6 +40,20 @@ class TrainingDiverged(RuntimeError):
 
 # dataclass field name <-> JSON key
 _JSON_ALIASES = {"lam": "lambda", "latent_dim": "D"}
+# field annotation -> (JSON types a value may have, their name); an int is a
+# valid float and is kept as it is, so the config hash does not change
+_JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+               "str": ((str,), "a string"), "bool": ((bool,), "true or false"),
+               "tuple": ((list,), "a list of integers"),
+               "str | None": ((str, type(None)), "a string or null")}
+
+
+def _json_type_ok(val, types: tuple) -> bool:
+    if isinstance(val, bool):  # bool is an int subclass; only a bool field takes it
+        return bool in types
+    if isinstance(val, list):
+        return list in types and all(_json_type_ok(v, (int,)) for v in val)
+    return isinstance(val, types)
 
 
 @dataclass(frozen=True)
@@ -134,13 +148,18 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "TrainConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a config must be a JSON object, got {type(doc).__name__}")
         reverse = {v: k for k, v in _JSON_ALIASES.items()}
-        known = {f.name for f in fields(cls)}
+        annotations = {f.name: f.type for f in fields(cls)}
         kwargs = {}
         for key, val in doc.items():
             name = reverse.get(key, key)
-            if name not in known:
+            if name not in annotations:
                 raise ConfigError(f"unknown config key {key!r}")
+            types, kind = _JSON_TYPES[annotations[name]]
+            if not _json_type_ok(val, types):
+                raise ConfigError(f"{key} must be {kind}, got {val!r}")
             kwargs[name] = tuple(val) if isinstance(val, list) else val
         return cls(**kwargs)
 
@@ -628,33 +647,27 @@ def prior_snapshot(state: TrainState) -> ssrmod.PriorSnapshot | None:
     return ssrmod.take_snapshot(state.cb, state.cfg.t, state.prior)
 
 
-def clean_predictions(state: TrainState, clouds: list[PointCloud],
-                      cfg: TrainConfig) -> list[np.ndarray]:
-    """The model's per-point predictions on unaugmented clouds."""
-    return [evalsuite.point_predictions(state.model, prepared_clean(state, c, cfg))
-            for c in clouds]
-
-
 def validation_report(state: TrainState, val_clouds: list[PointCloud],
                       cfg: TrainConfig, epoch: int) -> dict:
     """Point-level scores on the validation clouds."""
-    body = evalsuite.evaluate_clouds(clean_predictions(state, val_clouds, cfg),
-                                     val_clouds, cfg.class_count)
+    preds = [evalsuite.point_predictions(state.model, prepared_clean(state, c, cfg))
+             for c in val_clouds]
+    body = evalsuite.evaluate_clouds(preds, val_clouds, cfg.class_count)
     return {"epoch": epoch, "mode": cfg.mode, "seed": cfg.seed,
             "config_hash": state.cfg.config_hash(), **body}
 
 
 def final_report(state: TrainState, val_clouds: list[PointCloud], cfg: TrainConfig) -> dict:
     """The validation report plus SSR ratio by level and high-distortion mask
-    fraction; each validation cloud is prepared once per run."""
+    fraction (`evalsuite.clean_high_distortion`, as `shiftseg eval` reports
+    it)."""
     doc = validation_report(state, val_clouds, cfg, cfg.epochs)
     doc["final"] = True
     snapshot = prior_snapshot(state)
     doc["ssr_ratio_by_level"] = None if snapshot is None else evalsuite.ssr_curve(
         state.model, snapshot, val_clouds, PRESET_NAMES, cfg.curve_trials, cfg)
     doc["high_distortion_mask_fraction"] = evalsuite.clean_high_distortion(
-        clean_predictions(state, val_clouds, cfg), val_clouds,
-        cfg.class_count)["high_distortion_mask_fraction"]
+        state.model, val_clouds, cfg)["high_distortion_mask_fraction"]
     return doc
 
 
@@ -708,9 +721,10 @@ def run(cfg: TrainConfig, split: DatasetSplit, clouds_by_id: dict[str, PointClou
     return state, reports
 
 
-def default_data(cfg: TrainConfig):
-    """Synthetic split straight from the config (no data directory)."""
+def default_data(cfg: TrainConfig, val_only: bool = False):
+    """Synthetic split straight from the config (no data directory): the
+    split and its clouds by id, only the validation clouds with val_only."""
     template = SceneSpec(seed=0, num_points=cfg.points_per_scene,
                          enabled_classes=SYNTH_CLASSES[:cfg.class_count])
-    split, scenes = make_split(cfg.seed, cfg.scenes, cfg.val_fraction, template)
+    split, scenes = make_split(cfg.seed, cfg.scenes, cfg.val_fraction, template, val_only)
     return split, {c.cloud_id: c for c in scenes}

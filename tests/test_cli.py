@@ -1,6 +1,7 @@
 """The gen, train, eval and ablate commands on tiny runs: exit codes, the
 files they write, and the work one evaluation level does."""
 import contextlib
+import hashlib
 import io
 import json
 import shutil
@@ -8,7 +9,7 @@ import shutil
 import numpy as np
 import pytest
 
-from shiftseg import augment, cli, evalsuite, trainer, verify
+from shiftseg import augment, cli, dataset, evalsuite, trainer, verify
 from shiftseg import tensor as T
 from shiftseg.dataset import load_cloud, save_cloud
 from shiftseg.pointcloud import IGNORE_LABEL
@@ -151,6 +152,98 @@ def test_one_level_prepares_each_draw_once(trained, tmp_path, monkeypatch):
                      "featurize": VAL_CLOUDS * trials + VAL_CLOUDS}
 
 
+# sha256 of `eval` on the `trained` checkpoint at the default levels and
+# trials, recorded before eval stopped generating the training scenes and
+# before one kNN query served both the clean features and the clean
+# high-distortion statistics
+EVAL_GOLDEN = {
+    "reports/level_none.json": "6bdbb82dcc42957d482d23df9e3e108f5b8dffd5eefffa7373a2717d1c9025fe",
+    "reports/level_light.json": "e91f1871673b2f7792e4030410dd3619631f4167bd167696513381889bd24150",
+    "reports/level_moderate.json":
+        "28902c946d6e1d1cf4948f44c16af7121b0bd1b0225c7204aa0c61ac7f18ae35",
+    "reports/level_heavy.json": "e3219d46e4bc08b33a6f69966c7c95daa08ebab17a351f0ab507624c128c64e8",
+    "reports/level_excessive.json":
+        "a245125e8a73c27f4286ebb8409d8b5181098b93c3ea199bc3c0d88290d4246a",
+    "csv/level_sweep.csv": "a849f416ebb3a7b857d89e67831898ed92b1a1042a51cc72ef2338984d83eb6c",
+}
+
+
+def test_eval_matches_the_golden_digests(trained, tmp_path):
+    _, config, ckpt = trained
+    out = tmp_path / "eval"
+    assert quiet_main(["eval", "--ckpt", ckpt, "--config", config, "--out", str(out)]) == 0
+    assert sorted(str(p.relative_to(out)) for p in out.glob("reports/*")) == sorted(
+        name for name in EVAL_GOLDEN if name.startswith("reports/"))
+    for name, digest in EVAL_GOLDEN.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_eval_generates_only_the_validation_scenes(trained, tmp_path, monkeypatch):
+    cfg, config, ckpt = trained
+    split, _ = trainer.default_data(cfg)
+    assert split.train
+    generated = []
+    generate = dataset.generate_scene
+
+    def counting(spec, cloud_id=None):
+        generated.append(cloud_id)
+        return generate(spec, cloud_id)
+
+    monkeypatch.setattr(dataset, "generate_scene", counting)
+    assert quiet_main(["eval", "--ckpt", ckpt, "--config", config, "--levels", "heavy",
+                       "--out", str(tmp_path / "eval")]) == 0
+    assert sorted(generated) == sorted(split.val)
+
+
+def test_eval_queries_each_clean_cloud_once(trained, tmp_path, monkeypatch):
+    """V clouds x T trials augmented queries, and one query per clean cloud
+    that serves its features and its high-distortion statistics."""
+    _, config, ckpt = trained
+    queries = []
+    knn = evalsuite.knn
+
+    def counting(cloud, k, rows=None):
+        queries.append((cloud.source, k, rows is None))
+        return knn(cloud, k, rows)
+
+    monkeypatch.setattr(evalsuite, "knn", counting)
+    trials = 2
+    assert quiet_main(["eval", "--ckpt", ckpt, "--config", config, "--levels", "heavy",
+                       "--trials", str(trials), "--out", str(tmp_path / "eval")]) == 0
+    clean = [q for q in queries if q[0] != "augmented"]
+    assert clean == [("synthetic", evalsuite.EVAL_KNN_K, True)] * VAL_CLOUDS
+    assert len(queries) == VAL_CLOUDS * trials + VAL_CLOUDS
+
+
+def test_eval_reads_only_the_validation_files_of_a_dataset(trained, tmp_path):
+    cfg, config, ckpt = trained
+    data = tmp_path / "data"
+    assert quiet_main(["gen", "--scenes", str(cfg.scenes), "--points", str(cfg.points_per_scene),
+                       "--classes", str(cfg.class_count), "--seed", str(cfg.seed),
+                       "--val-fraction", str(cfg.val_fraction), "--out", str(data)]) == 0
+    argv = ["eval", "--ckpt", ckpt, "--config", config, "--data", str(data)]
+    assert quiet_main(argv + ["--out", str(tmp_path / "all")]) == 0
+    split = json.loads((data / "split.json").read_text())
+    assert split["train"]
+    for cid in split["train"]:
+        (data / f"{cid}.a3pc").unlink()
+    assert quiet_main(argv + ["--out", str(tmp_path / "val")]) == 0
+    for name in EVAL_GOLDEN:
+        assert (tmp_path / "val" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
+
+def test_eval_refuses_a_split_without_validation_clouds(trained, tmp_path, capsys):
+    _, config, ckpt = trained
+    data = tmp_path / "data"
+    assert quiet_main(["gen", "--scenes", "3", "--points", "64", "--classes", "4",
+                       "--out", str(data)]) == 0  # floor(3 x 0.25) = 0 validation clouds
+    out = tmp_path / "eval"
+    assert quiet_main(["eval", "--ckpt", ckpt, "--config", config, "--data", str(data),
+                       "--out", str(out)]) == 2
+    assert "no validation cloud" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ablate_writes_the_sweep_table(tmp_path):
     _, config = write_config(tmp_path / "config.json", scenes=3, val_fraction=0.34,
                              points_per_scene=256)
@@ -182,9 +275,10 @@ def test_ablate_rejects_an_unknown_sweep(tmp_path):
 
 @pytest.fixture(scope="module")
 def eight_class_data(tmp_path_factory):
+    """Two training clouds and one validation cloud, the one `eval` reads."""
     out = tmp_path_factory.mktemp("data") / "d8"
     assert quiet_main(["gen", "--scenes", "3", "--points", "64", "--classes", "8",
-                       "--out", str(out)]) == 0
+                       "--val-fraction", "0.5", "--out", str(out)]) == 0
     return out
 
 
@@ -213,6 +307,32 @@ def test_data_whose_clouds_declare_different_class_counts_is_refused(tmp_path, c
     assert quiet_main(["train", "--config", config, "--data", str(data),
                        "--out", str(tmp_path / "run")]) == 2
     assert "[3, 4] classes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "is not JSON"),
+    ("[1, 2]", "a config must be a JSON object, got list"),
+    ('{"epochs": "3"}', "epochs must be an integer, got '3'"),
+    ('{"t": null}', "t must be a number, got None"),
+    ('{"epochs": true}', "epochs must be an integer, got True"),
+], ids=["not-json", "list", "epochs-string", "t-null", "epochs-bool"])
+@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+def test_a_malformed_config_exits_2_naming_the_key(trained, tmp_path, capsys, text, message,
+                                                   command):
+    _, _, ckpt = trained
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    extra = {"train": [], "eval": ["--ckpt", ckpt], "ablate": ["--sweep", "t"]}[command]
+    out = tmp_path / "out"
+    assert quiet_main([command, "--config", str(path), "--out", str(out)] + extra) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_int_where_a_float_is_expected_is_kept_as_it_is():
+    doc = {**verify.tiny_config().to_json(), "t": 3, "lambda": 1}
+    back = TrainConfig.from_json(doc).to_json()
+    assert back == doc and type(back["t"]) is int and type(back["lambda"]) is int
 
 
 def test_a_config_with_the_removed_prior_kind_key_is_refused(tmp_path, capsys):

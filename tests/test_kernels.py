@@ -5,6 +5,7 @@ import functools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from shiftseg import _kernels, oracle
 from shiftseg.rng import Stream
@@ -141,6 +142,127 @@ def test_knn_at_query_rows_equals_the_full_rows(data):
     full_idx, full_dist = _kernels.knn(pts, k)
     assert idx.tobytes() == full_idx[rows].tobytes()
     assert dist.tobytes() == full_dist[rows].tobytes()
+
+
+def lexsort_knn(points, k, rows=None):
+    """The kernel as it was before rows in tree order skipped the sort: every
+    query row's candidates are lexsorted by (d², index). The reference of the
+    no-sort path."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    n = points.shape[0]
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+    m = min(n, k + 1 + _kernels.PAD)
+    tree_dist, cand = cKDTree(points).query(points[rows], k=m)
+    d2 = _kernels._sq_dist(points, rows[:, None], cand)
+    d2[cand == rows[:, None]] = np.inf
+    order = np.lexsort((cand, d2), axis=1)[:, :k]
+    idx = np.take_along_axis(cand, order, axis=1)
+    d2 = np.take_along_axis(d2, order, axis=1)
+    if m < n:
+        last = tree_dist[:, -1]
+        unsure = np.flatnonzero(~(d2[:, -1] < last * last * (1.0 - _kernels.MARGIN)))
+        if unsure.size:
+            idx[unsure], d2[unsure] = _kernels._dense_knn(points, rows[unsure], k)
+    return idx, np.sqrt(d2)
+
+
+@st.composite
+def tie_clouds(draw, min_n):
+    """Integer points: a coarse grid (ties and duplicates everywhere) or a
+    fine one (few ties), with some points copied onto others."""
+    n = draw(st.integers(min_n, 300), label="n")
+    span = draw(st.sampled_from([1, 4, 1000]), label="span")
+    coords = draw(st.lists(st.integers(0, span), min_size=3 * n, max_size=3 * n),
+                  label="coords")
+    pts = np.array(coords, dtype=np.float64).reshape(n, 3)
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=20), label="copies"):
+        pts[a] = pts[b]
+    return pts
+
+
+def query_rows(data, n):
+    if data.draw(st.booleans(), label="every row"):
+        return None
+    return np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n),
+                              label="rows"), dtype=np.int64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_knn_rows_are_prefixes_of_a_larger_k(data):
+    k1 = data.draw(st.sampled_from([1, 5, 16, 32]), label="k1")
+    k2 = data.draw(st.sampled_from([k for k in (1, 5, 16, 32, 40) if k >= k1]), label="k2")
+    pts = data.draw(tie_clouds(k2 + 1))
+    rows = data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=len(pts)),
+                     label="rows")
+    rows = np.array(rows, dtype=np.int64)
+    big_idx, big_dist = _kernels.knn(pts, k2)
+    idx, dist = _kernels.knn(pts, k1, rows)
+    assert idx.tobytes() == np.ascontiguousarray(big_idx[rows, :k1]).tobytes()
+    assert dist.tobytes() == np.ascontiguousarray(big_dist[rows, :k1]).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_rows_in_tree_order_skip_the_sort_bit_for_bit(data):
+    k = data.draw(st.sampled_from([1, 5, 16, 32]), label="k")
+    pts = data.draw(tie_clouds(k + 1))
+    rows = query_rows(data, len(pts))
+    idx, dist = _kernels.knn(pts, k, rows)
+    ref_idx, ref_dist = lexsort_knn(pts, k, rows)
+    assert idx.tobytes() == ref_idx.tobytes()
+    assert dist.tobytes() == ref_dist.tobytes()
+
+
+def test_a_row_skips_the_sort_only_where_the_lexsort_keeps_its_order():
+    # random candidate rows with tied d², self first, elsewhere or absent:
+    # every row `_ordered` accepts must lexsort to 1, 2, ..., m-1, 0
+    s = Stream(31, "ordered-rows")
+    q, m = 4000, 6
+    cand = np.argsort(s.uniform(q * 10).reshape(q, 10), axis=1)[:, :m]
+    rows = np.floor(s.uniform(q) * 10).astype(np.int64)
+    d2 = np.floor(s.uniform(q * m) * 3).reshape(q, m)
+    lift = s.uniform(q) < 0.5  # sort half the rows, self first where present
+    d2[lift] = np.sort(d2[lift], axis=1)
+    d2[cand == rows[:, None]] = np.inf
+    ok = _kernels._ordered(cand, d2, rows)
+    order = np.lexsort((cand, d2), axis=1)
+    assert 0 < ok.sum() < q
+    assert (order[ok] == np.r_[1:m, 0]).all()
+
+
+def test_each_row_path_is_reached_and_equals_the_lexsort(monkeypatch):
+    # continuous points: the tree returns most rows in (d², index) order;
+    # two duplicated pairs and a lattice of exact ties need the sort, and the
+    # lattice's interior ties beyond the candidates need the dense scan
+    pts = random_cloud(11, n=200)
+    pts[1], pts[3] = pts[0], pts[2]
+    cloud = np.concatenate([pts, lattice(5) + 100.0])
+    seen = {"in order": 0, "sorted": 0, "dense": 0}
+    ordered, dense = _kernels._ordered, _kernels._dense_knn
+
+    def spy_ordered(cand, d2, rows):
+        ok = ordered(cand, d2, rows)
+        seen["in order"] += int(ok.sum())
+        seen["sorted"] += int((~ok).sum())
+        return ok
+
+    def spy_dense(points, rows, k):
+        seen["dense"] += rows.size
+        return dense(points, rows, k)
+
+    for k in (1, 5, 16):
+        for rows in (None, np.arange(0, len(cloud), 3)):
+            ref_idx, ref_dist = lexsort_knn(cloud, k, rows)
+            with monkeypatch.context() as mp:
+                mp.setattr(_kernels, "_ordered", spy_ordered)
+                mp.setattr(_kernels, "_dense_knn", spy_dense)
+                idx, dist = _kernels.knn(cloud, k, rows)
+            assert all(seen.values()), (k, seen)
+            seen.update({key: 0 for key in seen})
+            assert idx.tobytes() == ref_idx.tobytes(), k
+            assert dist.tobytes() == ref_dist.tobytes(), k
 
 
 def test_knn_rejects_bad_k():

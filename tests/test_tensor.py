@@ -294,6 +294,41 @@ def test_gather_and_masked_select_backward():
     fd_check(build_loss, params)
 
 
+def gather_cases():
+    """200 (rows, indices, upstream gradient) cases: duplicate indices,
+    permutations, negative indices, gradients over the whole float range
+    with -0.0 and ±inf, and empty index lists."""
+    s = Stream(21, "gather-cases")
+    cases = []
+    for c in range(200):
+        rows = 1 + int(s.uniform() * 40)
+        width = 1 + int(s.uniform() * 6)
+        n = 0 if c % 25 == 0 else int(s.uniform() * 120)
+        if c % 5 == 1:
+            idx = s.permutation(rows)
+        else:
+            idx = np.floor(s.uniform(n) * 2 * rows).astype(np.int64) - rows
+        g = s.normal(idx.size * width).reshape(idx.size, width)
+        g *= 10.0 ** np.floor(s.uniform(g.size) * 600 - 300).reshape(g.shape)
+        if c % 3 == 0:
+            g[s.uniform(g.size).reshape(g.shape) < 0.3] = -0.0
+        if c % 7 == 0:
+            g[s.uniform(g.size).reshape(g.shape) < 0.05] = np.inf
+            g[s.uniform(g.size).reshape(g.shape) < 0.05] = -np.inf
+        cases.append((rows, width, idx, g))
+    return cases
+
+
+def test_gather_rows_backward_equals_add_at_bytewise():
+    for rows, width, idx, g in gather_cases():
+        x = T.Tensor(np.zeros((rows, width)), requires_grad=True)
+        (got,) = T.gather_rows(x, idx)._backward(g)
+        ref = np.zeros((rows, width))  # the scatter it replaced
+        with np.errstate(invalid="ignore"):
+            np.add.at(ref, idx, g)
+        assert got.tobytes() == ref.tobytes(), (rows, width, idx.size)
+
+
 def test_concat_backward():
     params = {
         "a": T.Tensor(Stream(4).normal(6).reshape(2, 3), requires_grad=True),

@@ -1,0 +1,142 @@
+"""Paired benchmark runs of two checkouts: a base and a change.
+
+    python3 tools/bench_pairs.py --base ../parent --change . --label mychange \
+        --workloads eval_sweep,train_full --seeds 401-405 --seconds 30
+
+For every workload and seed, `shiftbench/run.py --trace 0` runs once in each
+checkout, one after the other; which checkout runs first alternates from seed
+to seed, so a drift of the machine's speed does not favour either side. Each
+run is a fresh process started in its checkout's root.
+
+Writes BENCH_<label>.json (in --out-dir, the current directory by default):
+- every run's end-to-end metrics, digests, error rate and order;
+- per workload and metric, the medians of both sides, the base's
+  interquartile range, and in how many pairs the change was better, with
+  "better" read from the change's BENCHMARK.json;
+- per workload and seed, whether the two runs' digests are equal.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+
+SIDES = ("base", "change")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """"401-405" or "401,403,410"."""
+    seeds: list[int] = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += list(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def commit_of(checkout: str) -> str | None:
+    try:
+        out = subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"],
+                             capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark process; its detail and result records."""
+    argv = [sys.executable, "shiftbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    t = time.perf_counter()
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    wall_s = time.perf_counter() - t
+    lines = [line for line in proc.stdout.splitlines() if line.startswith("{")]
+    if proc.returncode not in (0, 1) or len(lines) < 2:
+        raise RuntimeError(f"{checkout}: {' '.join(argv[1:])} exited {proc.returncode}\n"
+                           f"{proc.stderr[-2000:]}")
+    detail = json.loads(lines[-2])["detail"]
+    result = json.loads(lines[-1])
+    return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "digests": detail["digests"], "error_rate": detail["error_rate"],
+            "correct": result["correct"], "wall_s": wall_s,
+            "environment": detail["environment"]}
+
+
+def quartiles(xs: list[float]) -> tuple[float, float]:
+    if len(xs) < 2:
+        return xs[0], xs[0]
+    q = statistics.quantiles(xs, n=4, method="inclusive")
+    return q[0], q[2]
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per metric: medians per side, the base's IQR, and the change's wins
+    over the pairs (seed by seed)."""
+    by_seed: dict[int, dict[str, dict]] = {}
+    for r in runs:
+        by_seed.setdefault(r["seed"], {})[r["side"]] = r
+    pairs = [p for _, p in sorted(by_seed.items()) if set(p) == set(SIDES)]
+    out = {}
+    for name in sorted(pairs[0]["base"]["metrics"]) if pairs else []:
+        base = [p["base"]["metrics"][name] for p in pairs]
+        change = [p["change"]["metrics"][name] for p in pairs]
+        lower = better.get(name, "lower") == "lower"
+        wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+        q1, q3 = quartiles(base)
+        out[name] = {"better": "lower" if lower else "higher", "pairs": len(pairs),
+                     "base_median": statistics.median(base),
+                     "change_median": statistics.median(change),
+                     "base_iqr": q3 - q1, "change_wins": wins}
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--base", required=True, help="checkout of the base commit")
+    p.add_argument("--change", required=True, help="checkout of the change")
+    p.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
+    p.add_argument("--workloads", default="eval_sweep,train_full")
+    p.add_argument("--seeds", default="401-403", help='"401-405" or "401,403"')
+    p.add_argument("--seconds", type=float, default=30.0)
+    p.add_argument("--out-dir", default=".")
+    args = p.parse_args(argv)
+    checkouts = {"base": os.path.abspath(args.base), "change": os.path.abspath(args.change)}
+    with open(os.path.join(checkouts["change"], "BENCHMARK.json"), encoding="utf-8") as f:
+        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+    seeds = parse_seeds(args.seeds)
+    doc = {"label": args.label, "seconds": args.seconds, "seeds": seeds,
+           "command": "shiftbench/run.py --workload W --seed S --seconds "
+                      f"{args.seconds:g} --trace 0",
+           "checkouts": {side: {"dir": os.path.basename(d), "commit": commit_of(d)}
+                         for side, d in checkouts.items()},
+           "workloads": {}}
+    for workload in args.workloads.split(","):
+        runs = []
+        for i, seed in enumerate(seeds):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            for position, side in enumerate(order):
+                rec = run_once(checkouts[side], workload, seed, args.seconds)
+                doc.setdefault("environment", rec.pop("environment"))
+                runs.append({"seed": seed, "side": side, "position": position, **rec})
+                print(f"{workload} seed {seed} {side}: "
+                      + " ".join(f"{k}={v:.4g}" for k, v in sorted(rec["metrics"].items())),
+                      file=sys.stderr)
+        digests_equal = {}
+        for seed in seeds:
+            got = {r["side"]: r["digests"] for r in runs if r["seed"] == seed}
+            digests_equal[str(seed)] = got["base"] == got["change"]
+        doc["workloads"][workload] = {"runs": runs, "pairs": summarize(runs, better),
+                                      "digests_equal": digests_equal}
+    path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
+    print(f"wrote {path}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

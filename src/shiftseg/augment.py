@@ -24,6 +24,7 @@ PRESETS: dict[str, tuple[tuple[float, float], tuple[float, float]]] = {
     "excessive": ((0.0, 0.10), (0.0, 0.99)),
 }
 PRESET_NAMES = ("none",) + tuple(PRESETS)
+NUM_SECTORS = 6  # azimuthal sectors of a scan mix: even ones own, odd ones the partner's
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,6 @@ class AugmentConfig:
     flip_prob: float = 0.5
     noise_points: int = 32
     scanmix: bool = True
-    num_sectors: int = 6
 
     def __post_init__(self):
         jmin, jmax = self.jitter_std_range
@@ -108,7 +108,7 @@ def sample_magnitudes(cfg: AugmentConfig, key_parts: tuple, parent_id: str,
         flip_y=bool(flip_y),
         noise_points=cfg.noise_points,
         mix_partner=mix_partner if cfg.scanmix else None,
-        num_sectors=cfg.num_sectors if cfg.scanmix else 0,
+        num_sectors=NUM_SECTORS if cfg.scanmix else 0,
         mix_keep_even=True,
         stream_key=tuple(key_parts),
     )

@@ -72,22 +72,25 @@ def _load_config(path: str) -> TrainConfig:
 def _load_data(data_dir: str | None, cfg: TrainConfig, val_only: bool = False):
     """The split and clouds of a `gen` dataset directory, or the config's
     synthetic data without one; only the validation clouds with val_only.
-    Refuses clouds that declare different class counts, or more classes than
-    the config's class_count."""
-    if not data_dir:
-        return trainer.default_data(cfg, val_only)
-    with open(os.path.join(data_dir, "split.json"), "r", encoding="utf-8") as f:
-        split = DatasetSplit.from_json(json.load(f))
-    clouds, counts = {}, set()
-    for cid in split.val if val_only else split.train + split.val:
-        clouds[cid], c = load_cloud(os.path.join(data_dir, f"{cid}.a3pc"), cloud_id=cid)
-        counts.add(c)
-    if len(counts) > 1:
-        raise UsageError(f"dataset {data_dir!r} mixes clouds that declare "
-                         f"{sorted(counts)} classes")
-    if counts and max(counts) > cfg.class_count:
-        raise UsageError(f"dataset {data_dir!r} declares {max(counts)} classes, more than "
-                         f"the config's class_count of {cfg.class_count}")
+    Refuses a split without a validation cloud, clouds that declare
+    different class counts, or more classes than the config's class_count."""
+    if data_dir:
+        with open(os.path.join(data_dir, "split.json"), "r", encoding="utf-8") as f:
+            split = DatasetSplit.from_json(json.load(f))
+        clouds, counts = {}, set()
+        for cid in split.val if val_only else split.train + split.val:
+            clouds[cid], c = load_cloud(os.path.join(data_dir, f"{cid}.a3pc"), cloud_id=cid)
+            counts.add(c)
+        if len(counts) > 1:
+            raise UsageError(f"dataset {data_dir!r} mixes clouds that declare "
+                             f"{sorted(counts)} classes")
+        if counts and max(counts) > cfg.class_count:
+            raise UsageError(f"dataset {data_dir!r} declares {max(counts)} classes, more "
+                             f"than the config's class_count of {cfg.class_count}")
+    else:
+        split, clouds = trainer.default_data(cfg, val_only)
+    if not split.val:
+        raise UsageError("the split has no validation cloud to evaluate")
     return split, clouds
 
 
@@ -152,8 +155,6 @@ def cmd_eval(args) -> int:
         raise UsageError(f"checkpoint directory {args.ckpt!r} not found")
     cfg = _load_config(args.config)
     split, clouds = _load_data(args.data, cfg, val_only=True)
-    if not split.val:
-        raise UsageError("the split has no validation cloud to evaluate")
     state = trainer.load_state(cfg, args.ckpt)
     _prepare_out(args.out, args.force)
     os.makedirs(os.path.join(args.out, "reports"), exist_ok=True)
@@ -220,7 +221,7 @@ def cmd_ablate(args) -> int:
         state, reports = trainer.run(cfg, split, clouds, out_dir=cell_dir)
         if args.sweep == "prior" and value == "online":
             online_ckpt = os.path.join(cell_dir, "ckpt", "final")
-        clean = reports[-1]["miou"] if reports else float("nan")
+        clean = reports[-1]["miou"]
         heavy = evalsuite.evaluate_level(state.model, None, val_clouds, "heavy", 1, cfg)["miou"]
         rows.append((args.sweep, value, clean, heavy))
         print(f"{args.sweep}={value}: clean mIoU {clean:.4f} heavy mIoU {heavy:.4f}")
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--config", required=True)
     e.add_argument("--data", default=None)
     e.add_argument("--levels", default="none,light,moderate,heavy,excessive")
-    e.add_argument("--trials", type=int, default=2)
+    e.add_argument("--trials", type=int, default=trainer.CURVE_TRIALS)
     e.add_argument("--out", required=True)
     e.add_argument("--force", action="store_true")
     e.set_defaults(func=cmd_eval)

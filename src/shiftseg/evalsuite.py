@@ -63,26 +63,28 @@ def prepare_cloud(cloud: PointCloud, voxel_size: float, knn_k: int,
                          cloud.positions[grid.rep_index], grid.point_cell)
 
 
+def _count_matrix(preds: np.ndarray, labels: np.ndarray, class_count: int) -> np.ndarray:
+    """(C, C) integer counts: entry (a, b) is the number of true-a points
+    predicted b; label 255 is ignored."""
+    preds = np.asarray(preds, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    keep = labels != IGNORE_LABEL
+    return np.bincount(labels[keep] * class_count + preds[keep],
+                       minlength=class_count * class_count).reshape(class_count, class_count)
+
+
 def iou(preds: np.ndarray, labels: np.ndarray, class_count: int):
     """Per-class IoU = TP / (TP + FP + FN), ignoring label 255.
 
     Returns (per_class, miou, miou_all, true_counts). Classes with an empty
     union get NaN and are excluded from miou; miou_all scores them 0.
     """
-    preds = np.asarray(preds, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    keep = labels != IGNORE_LABEL
-    preds, labels = preds[keep], labels[keep]
+    mat = _count_matrix(preds, labels, class_count)
+    tp = np.diagonal(mat)
+    counts = mat.sum(axis=1)  # TP + FN
+    union = counts + mat.sum(axis=0) - tp
     per_class = np.full(class_count, np.nan)
-    counts = np.zeros(class_count, dtype=np.int64)
-    for c in range(class_count):
-        tp = int(((preds == c) & (labels == c)).sum())
-        fp = int(((preds == c) & (labels != c)).sum())
-        fn = int(((preds != c) & (labels == c)).sum())
-        counts[c] = tp + fn
-        union = tp + fp + fn
-        if union > 0:
-            per_class[c] = tp / union
+    np.divide(tp, union, out=per_class, where=union > 0)
     present = ~np.isnan(per_class)
     miou = float(per_class[present].mean()) if present.any() else 0.0
     miou_all = float(np.where(present, per_class, 0.0).mean()) if class_count else 0.0
@@ -92,13 +94,7 @@ def iou(preds: np.ndarray, labels: np.ndarray, class_count: int):
 def confusion(preds: np.ndarray, labels: np.ndarray, class_count: int) -> np.ndarray:
     """Row-normalized confusion matrix: entry (a, b) is the fraction of
     true-a points predicted b. Rows without true points stay zero."""
-    preds = np.asarray(preds, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    keep = labels != IGNORE_LABEL
-    preds, labels = preds[keep], labels[keep]
-    mat = np.bincount(labels * class_count + preds,
-                      minlength=class_count * class_count).reshape(class_count, class_count)
-    mat = mat.astype(np.float64)
+    mat = _count_matrix(preds, labels, class_count).astype(np.float64)
     rows = mat.sum(axis=1, keepdims=True)
     return np.divide(mat, rows, out=np.zeros_like(mat), where=rows > 0)
 

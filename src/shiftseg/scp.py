@@ -15,6 +15,8 @@ INIT_VARIANCE = 1.0
 # encoder-input coordinate scale: keeps the xyz channels comparable to the
 # probability channels so latents encode prediction patterns, not just position
 COORD_SCALE = 0.125
+BETA = 0.25  # commitment weight (the VQ-VAE default)
+GAMMA = 0.9  # EMA decay of the per-code variances
 
 
 class PriorModeError(RuntimeError):
@@ -76,8 +78,7 @@ class PriorAutoencoder:
     """Row-wise encoder (C+3 -> D) and decoder (D -> C with a softmax head)."""
 
     def __init__(self, class_count: int, latent_dim: int, widths: tuple[int, ...],
-                 beta: float, seed: int):
-        self.beta = beta
+                 seed: int):
         self.input_dim = class_count + 3
         self.params: dict[str, T.Tensor] = {}
         stream = Stream(seed, "prior-init")
@@ -175,7 +176,7 @@ class VqLosses:
 def vq_losses(ae: PriorAutoencoder, cb: CodebookState, z_e: T.Tensor,
               flat: np.ndarray, z_e0: np.ndarray, z_q0: np.ndarray,
               target_probs: np.ndarray) -> VqLosses:
-    """Three-term objective: reconstruction + codebook + beta * commitment.
+    """Three-term objective: reconstruction + codebook + BETA * commitment.
 
     Gradient reaches the decoder, the assigned codes (codebook term), and the
     encoder (commitment term plus the straight-through reconstruction path).
@@ -191,15 +192,14 @@ def vq_losses(ae: PriorAutoencoder, cb: CodebookState, z_e: T.Tensor,
     commitment = T.tmean(T.square(T.sub(z_e, T.Tensor(z_q0))))
     decoded = ae.decode(T.add(z_e, T.Tensor(z_q0 - z_e0)))
     recon = T.tmean(T.square(T.sub(decoded, T.Tensor(np.asarray(target_probs, dtype=np.float64)))))
-    total = T.add(T.add(recon, codebook), T.scale(commitment, ae.beta))
+    total = T.add(T.add(recon, codebook), T.scale(commitment, BETA))
     return VqLosses(recon, codebook, commitment, total)
 
 
-def update_code_stats(cb: CodebookState, qr: QuantizeResult, gamma: float) -> None:
-    """EMA per-channel variance update for codes that received >= 2 rows this
-    batch (population variance); usage counters grow by row counts."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must be in (0, 1)")
+def update_code_stats(cb: CodebookState, qr: QuantizeResult) -> None:
+    """EMA (decay GAMMA) per-channel variance update for codes that received
+    >= 2 rows this batch (population variance); usage counters grow by row
+    counts."""
     order = np.argsort(qr.flat, kind="stable")
     flats = qr.flat[order]
     uniq, starts = np.unique(flats, return_index=True)
@@ -211,7 +211,7 @@ def update_code_stats(cb: CodebookState, qr: QuantizeResult, gamma: float) -> No
         cb.usage[c, j] += count
         if count >= 2:
             batch_var = qr.z_e[order[s:e]].var(axis=0)
-            cb.variances[c, j] = gamma * cb.variances[c, j] + (1.0 - gamma) * batch_var
+            cb.variances[c, j] = GAMMA * cb.variances[c, j] + (1.0 - GAMMA) * batch_var
     np.maximum(cb.variances, VARIANCE_FLOOR, out=cb.variances)
 
 

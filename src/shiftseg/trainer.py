@@ -28,6 +28,14 @@ DISTILL_TARGETS = ("global", "class_conditional", "none")
 CURRICULA = ("off", "staged")
 
 RESEED_INTERVAL = 200  # steps between dead-code reseeds
+# segmentation optimizer: SGD with momentum, global-norm clipped, base rate
+# cosine-decayed over the epochs (`seg_lr_at`)
+SEG_LR = 0.24
+SEG_WEIGHT_DECAY = 1e-4
+SEG_MOMENTUM = 0.9
+CLIP_GRAD_NORM = 1.0
+AE_LR = 0.001  # Adam rate of the prior autoencoder and its codebook
+CURVE_TRIALS = 2  # augmentations per val cloud in the final level curve
 
 
 class ConfigError(ValueError):
@@ -58,9 +66,12 @@ def _json_type_ok(val, types: tuple) -> bool:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Every hyperparameter, preset, strategy switch, and seed for one run;
-    no flag or environment variable overrides a value. A value that could
-    not run is refused here with ConfigError."""
+    """Every setting a run may vary (schedule, data, widths, the studied t, k,
+    D and lambda, geometry, augmentation, strategies, bookkeeping) and its
+    seed; no flag or environment variable overrides a value. Values no
+    experiment varies are module constants: the optimizer settings and
+    CURVE_TRIALS here, scp.BETA and scp.GAMMA, augment.NUM_SECTORS. A value
+    that could not run is refused here with ConfigError."""
 
     # schedule
     epochs: int = 50
@@ -75,16 +86,8 @@ class TrainConfig:
     # networks
     seg_hidden: tuple = (64, 64, 64)
     encoder_widths: tuple = (16, 32, 64, 128)
-    # optimizers
-    seg_lr: float = 0.24
-    seg_weight_decay: float = 1e-4
-    seg_momentum: float = 0.9
-    clip_grad_norm: float = 1.0  # global-norm clip for the seg optimizer
-    ae_lr: float = 0.001
     # objective
     lam: float = 0.1  # JSON key "lambda"
-    beta: float = 0.25
-    gamma: float = 0.9
     t: float = 3.0
     k: int = 32
     latent_dim: int = 64  # JSON key "D"
@@ -96,7 +99,6 @@ class TrainConfig:
     augment_preset: str = "random"
     noise_points: int = 32
     scanmix: bool = True
-    num_sectors: int = 6
     # strategies
     prior_source: str = "online"
     offline_prior_path: str | None = None
@@ -105,7 +107,6 @@ class TrainConfig:
     # bookkeeping
     ckpt_every: int = 0  # epochs between checkpoints; 0 = final only
     eval_every: int = 1  # epochs between validation reports; 0 = final only
-    curve_trials: int = 2  # augmentations per val cloud in the final level curve
 
     def __post_init__(self):
         checks = [
@@ -120,15 +121,16 @@ class TrainConfig:
             (self.points_per_scene >= 64, "points_per_scene must be at least 64"),
             (self.class_count >= 1, "class_count must be positive"),
             (0 < self.val_fraction < 1, "val_fraction must be in (0, 1)"),
-            (self.seg_lr > 0, "seg_lr must be positive"),
-            (self.ae_lr > 0, "ae_lr must be positive"),
-            (0 < self.gamma < 1, "gamma must be in (0, 1)"),
             (self.t > 0, "t must be positive"),
             (self.k >= 1, "k must be positive"),
             (self.latent_dim >= 1, "D must be positive"),
             (self.voxel_size > 0, "voxel_size must be positive"),
             (self.knn_k >= 1, "knn_k must be positive"),
-            (self.curve_trials >= 1, "curve_trials must be positive"),
+            (self.dilation_radius >= 0, "dilation_radius must be nonnegative"),
+            (self.noise_points >= 0, "noise_points must be nonnegative"),
+            (self.lam >= 0, "lambda must be nonnegative"),
+            (self.ckpt_every >= 0, "ckpt_every must be nonnegative"),
+            (self.eval_every >= 0, "eval_every must be nonnegative"),
         ]
         for ok, msg in checks:
             if not ok:
@@ -202,11 +204,11 @@ def effective_preset(epoch: int, cfg: TrainConfig) -> str:
 
 
 def seg_lr_at(epoch: int, cfg: TrainConfig) -> float:
-    """Cosine decay from the configured base rate; keeps the late training
+    """Cosine decay from SEG_LR over cfg.epochs; keeps the late training
     stable where a constant 0.24 oscillates at this scale."""
     if cfg.epochs <= 1:
-        return cfg.seg_lr
-    return cfg.seg_lr * 0.5 * (1.0 + math.cos(math.pi * epoch / cfg.epochs))
+        return SEG_LR
+    return SEG_LR * 0.5 * (1.0 + math.cos(math.pi * epoch / cfg.epochs))
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +245,20 @@ def _new_state(cfg: TrainConfig) -> TrainState:
     """Freshly initialized networks, codebook and optimizers. An offline
     prior gets no optimizer and is left for the caller to fill."""
     model = segnet.SegModel(cfg.seg_hidden, cfg.class_count, cfg.seed)
-    seg_opt = T.Optimizer(model.params, "sgd-momentum", lr=cfg.seg_lr,
-                          weight_decay=cfg.seg_weight_decay, momentum=cfg.seg_momentum,
-                          max_grad_norm=cfg.clip_grad_norm)
+    seg_opt = T.Optimizer(model.params, "sgd-momentum", lr=SEG_LR,
+                          weight_decay=SEG_WEIGHT_DECAY, momentum=SEG_MOMENTUM,
+                          max_grad_norm=CLIP_GRAD_NORM)
     prior = None
     cb = None
     ae_opt = None
     if needs_prior(cfg.mode):
         prior = scp.PriorAutoencoder(cfg.class_count, cfg.latent_dim,
-                                     cfg.encoder_widths, cfg.beta, cfg.seed)
+                                     cfg.encoder_widths, cfg.seed)
         cb = scp.CodebookState(cfg.class_count, cfg.k, cfg.latent_dim)
         if cfg.prior_source != "offline":
             ae_params = dict(prior.params)
             ae_params["scp.codes"] = cb.codes
-            ae_opt = T.Optimizer(ae_params, "adam", lr=cfg.ae_lr)
+            ae_opt = T.Optimizer(ae_params, "adam", lr=AE_LR)
     return TrainState(cfg, model, prior, cb, seg_opt, ae_opt)
 
 
@@ -352,7 +354,7 @@ def _select_scp(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
     if state.step > 0 and state.step % RESEED_INTERVAL == 0:
         scp.reseed_dead_codes(state.cb, z0, classes, Stream(cfg.seed, "reseed", state.step))
     qr0 = scp.quantize(state.cb, z0, classes)
-    scp.update_code_stats(state.cb, qr0, cfg.gamma)
+    scp.update_code_stats(state.cb, qr0)
     return ScpSelection(rows, qr0.flat, z0.copy(), qr0.z_q.copy()), z_live
 
 
@@ -469,7 +471,7 @@ def prepare_batch(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
         return PreparedBatch(originals, None, "none")
     preset = effective_preset(epoch, cfg)
     aug_cfg = AugmentConfig.for_preset(preset, noise_points=cfg.noise_points,
-                                       scanmix=cfg.scanmix, num_sectors=cfg.num_sectors)
+                                       scanmix=cfg.scanmix)
     augmented, records = [], []
     for i, cloud in enumerate(clouds):
         partner = clouds[(i + 1) % len(clouds)] if aug_cfg.scanmix and len(clouds) > 1 else None
@@ -665,7 +667,7 @@ def final_report(state: TrainState, val_clouds: list[PointCloud], cfg: TrainConf
     doc["final"] = True
     snapshot = prior_snapshot(state)
     doc["ssr_ratio_by_level"] = None if snapshot is None else evalsuite.ssr_curve(
-        state.model, snapshot, val_clouds, PRESET_NAMES, cfg.curve_trials, cfg)
+        state.model, snapshot, val_clouds, PRESET_NAMES, CURVE_TRIALS, cfg)
     doc["high_distortion_mask_fraction"] = evalsuite.clean_high_distortion(
         state.model, val_clouds, cfg)["high_distortion_mask_fraction"]
     return doc

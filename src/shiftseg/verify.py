@@ -1,11 +1,8 @@
 """Verification suites run by the CLI: gradient fidelity against finite
 differences, quantizer exactness against exhaustive scans, statistics replay,
 and metric counting. Each suite returns OracleReports; any failure makes the
-command exit nonzero. Setting A3_VERIFY_FAULT=<suite> corrupts that suite's
-comparison on purpose (used to test the failure path)."""
+command exit nonzero."""
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -18,10 +15,6 @@ SUITES = ("grad", "quant", "stats", "metrics")
 # SSR threshold of the gradient suite's step: it flags 9 of the 17 labeled
 # rows, so the distillation term is part of the checked gradient
 GRAD_T = 0.3
-
-
-def _fault(suite: str) -> float:
-    return 1e-3 if os.environ.get("A3_VERIFY_FAULT", "") == suite else 0.0
 
 
 def tiny_config(**overrides) -> trainer.TrainConfig:
@@ -108,13 +101,12 @@ def suite_grad(h: float = 1e-5, rel_tol: float = 1e-4) -> list[oracle.OracleRepo
     fd_vq, kinks_vq = oracle.fd_gradient(vq_loss, ae_arrays, h=h)
     err_vq, _ = oracle.gradient_errors(vq_grads, fd_vq, rel_tol)
 
-    fault = _fault("grad")
     return [
         oracle.report("grad.total_vs_fd", sum(a.size for a in seg_arrays.values()),
-                      0.0, err_seg + fault, rel_tol, kink_entries=kinks_seg,
+                      0.0, err_seg, rel_tol, kink_entries=kinks_seg,
                       ssr_rows=_shifted_rows(sel)),
         oracle.report("grad.vq_vs_fd", sum(a.size for a in ae_arrays.values()),
-                      0.0, err_vq + fault, rel_tol, kink_entries=kinks_vq),
+                      0.0, err_vq, rel_tol, kink_entries=kinks_vq),
     ]
 
 
@@ -131,7 +123,7 @@ def suite_quant(cases: int = 10_000) -> list[oracle.OracleReport]:
     qr = scp.quantize(cb, queries, classes)
     code_classes = np.repeat(np.arange(c), k)
     idx, dist = oracle.brute_nn(cb.codes.data, queries, classes, code_classes)
-    mismatches = int((qr.flat != idx).sum()) + _fault("quant")
+    mismatches = int((qr.flat != idx).sum())
     derr = float(np.max(np.abs(qr.distance - dist)))
     return [
         oracle.report("quant.index_vs_brute", cases, mismatches, 0.0, 0.0),
@@ -141,7 +133,6 @@ def suite_quant(cases: int = 10_000) -> list[oracle.OracleReport]:
 
 def suite_stats(steps: int = 50) -> list[oracle.OracleReport]:
     c, k, d = 3, 4, 6
-    gamma = 0.9
     stream = Stream(23, "stats-verify")
     cb = scp.CodebookState(c, k, d)
     cb.initialized[...] = True
@@ -151,10 +142,10 @@ def suite_stats(steps: int = 50) -> list[oracle.OracleReport]:
         classes = stream.integers(n, c)
         z = stream.normal(n * d).reshape(n, d) * 1.4
         qr = scp.quantize(cb, z, classes)
-        scp.update_code_stats(cb, qr, gamma)
+        scp.update_code_stats(cb, qr)
         trace.append((qr.flat.copy(), z.copy()))
-    replayed = oracle.replay_stats(trace, gamma, (c * k, d))
-    err = float(np.max(np.abs(cb.variances.reshape(c * k, d) - replayed))) + _fault("stats")
+    replayed = oracle.replay_stats(trace, scp.GAMMA, (c * k, d))
+    err = float(np.max(np.abs(cb.variances.reshape(c * k, d) - replayed)))
     return [oracle.report("stats.ema_replay", steps, err, 0.0, 1e-12)]
 
 
@@ -172,7 +163,6 @@ def suite_metrics(cases: int = 5) -> list[oracle.OracleReport]:
         for cls, v in ref_pc.items():
             worst = max(worst, abs(per_class[cls] - v))
         worst = max(worst, abs(miou - ref_miou), float(np.max(np.abs(conf - ref_conf))))
-    worst += _fault("metrics")
     return [oracle.report("metrics.iou_confusion_vs_counting", cases, worst, 0.0, 1e-12)]
 
 

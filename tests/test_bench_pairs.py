@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py: seed lists and the per-metric pair summary."""
+"""tools/bench_pairs.py: seed lists, the per-metric pair summary and the
+per-artifact digest comparison."""
 import os
 import sys
 
@@ -27,3 +28,15 @@ def test_pairs_count_wins_in_each_metric_direction():
     assert out["rate"]["change_wins"] == 1
     assert out["step_s"]["base_median"] == 1.0 and out["step_s"]["change_median"] == 0.9
     assert out["rate"]["better"] == "higher"
+
+
+def test_digests_are_compared_per_seed_and_artifact():
+    same = {"steplog": "a", "weights": "b", "report": "c"}
+    runs = [{"seed": 1, "side": "base", "digests": same},
+            {"seed": 1, "side": "change", "digests": {**same, "report": "d"}},
+            {"seed": 2, "side": "change", "digests": same},
+            {"seed": 2, "side": "base", "digests": {"steplog": "a", "weights": "b"}},
+            {"seed": 3, "side": "base", "digests": same}]  # unpaired: left out
+    assert bench_pairs.digests_equal(runs) == {
+        "1": {"report": False, "steplog": True, "weights": True},
+        "2": {"report": False, "steplog": True, "weights": True}}

@@ -42,7 +42,7 @@ def trained(tmp_path_factory):
 
 
 def test_train_with_fewer_classes_than_the_generator_has(tmp_path):
-    cfg, config = write_config(tmp_path / "config.json", epochs=1, scenes=3, val_fraction=0.25)
+    cfg, config = write_config(tmp_path / "config.json", epochs=1, scenes=4, val_fraction=0.25)
     assert cfg.class_count == 4
     _, clouds = trainer.default_data(cfg)
     for cloud in clouds.values():
@@ -53,8 +53,9 @@ def test_train_with_fewer_classes_than_the_generator_has(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("points_per_scene", 63), ("class_count", 0), ("val_fraction", 0.0), ("val_fraction", 1.0),
-    ("scenes", 0), ("k", 0), ("D", 0), ("knn_k", 0), ("voxel_size", 0.0), ("seg_lr", 0.0),
-    ("ae_lr", -0.001), ("curve_trials", 0)])
+    ("scenes", 0), ("k", 0), ("D", 0), ("knn_k", 0), ("voxel_size", 0.0),
+    ("dilation_radius", -0.1), ("noise_points", -1), ("lambda", -0.1), ("ckpt_every", -1),
+    ("eval_every", -1)])
 def test_train_refuses_a_config_value_that_cannot_run(tmp_path, capsys, key, value):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**verify.tiny_config().to_json(), key: value}))
@@ -155,15 +156,17 @@ def test_one_level_prepares_each_draw_once(trained, tmp_path, monkeypatch):
 # sha256 of `eval` on the `trained` checkpoint at the default levels and
 # trials, recorded before eval stopped generating the training scenes and
 # before one kNN query served both the clean features and the clean
-# high-distortion statistics
+# high-distortion statistics; the reports carry the config hash, so they were
+# re-recorded (every other byte unchanged, the CSV untouched) when nine
+# never-varied hyperparameters left TrainConfig
 EVAL_GOLDEN = {
-    "reports/level_none.json": "6bdbb82dcc42957d482d23df9e3e108f5b8dffd5eefffa7373a2717d1c9025fe",
-    "reports/level_light.json": "e91f1871673b2f7792e4030410dd3619631f4167bd167696513381889bd24150",
+    "reports/level_none.json": "480b4ae312121d49874df012f067ec0178453fa22baf552e9950325d606b5b66",
+    "reports/level_light.json": "390415adf6c429cd0dd741b1a5b5b0780ca834c4329c5ca29dd3806d8730d7d6",
     "reports/level_moderate.json":
-        "28902c946d6e1d1cf4948f44c16af7121b0bd1b0225c7204aa0c61ac7f18ae35",
-    "reports/level_heavy.json": "e3219d46e4bc08b33a6f69966c7c95daa08ebab17a351f0ab507624c128c64e8",
+        "bc517f11f217357d2150addb41fb3e3c48518376a47f1d26140535d95bb5f177",
+    "reports/level_heavy.json": "7f519cc5f76fcadea08fb035fd16a12969f37f65074a17ad7dc9160780edec5d",
     "reports/level_excessive.json":
-        "a245125e8a73c27f4286ebb8409d8b5181098b93c3ea199bc3c0d88290d4246a",
+        "be8b56228d24d7dbf78224871b50797848b16a87f547b88d123463a3f2327523",
     "csv/level_sweep.csv": "a849f416ebb3a7b857d89e67831898ed92b1a1042a51cc72ef2338984d83eb6c",
 }
 
@@ -242,6 +245,21 @@ def test_eval_refuses_a_split_without_validation_clouds(trained, tmp_path, capsy
                        "--out", str(out)]) == 2
     assert "no validation cloud" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["train"], ["ablate", "--sweep", "t"]])
+def test_train_and_ablate_refuse_a_split_without_validation_clouds(tmp_path, capsys, command):
+    # floor(3 x 0.25) = 0 validation clouds, from the config or from `gen`
+    _, config = write_config(tmp_path / "config.json", scenes=3, val_fraction=0.25)
+    data = tmp_path / "data"
+    assert quiet_main(["gen", "--scenes", "3", "--points", "64", "--classes", "4",
+                       "--out", str(data)]) == 0
+    out = tmp_path / "out"
+    for extra in ([], ["--data", str(data)]):
+        capsys.readouterr()
+        assert quiet_main(command + ["--config", config, "--out", str(out)] + extra) == 2
+        assert "no validation cloud" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_ablate_writes_the_sweep_table(tmp_path):
@@ -367,6 +385,19 @@ def test_a_config_with_the_removed_ema_momentum_key_is_refused(tmp_path, capsys)
     path.write_text(json.dumps({**cfg.to_json(), "ema_momentum": None}))
     assert quiet_main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
     assert "unknown config key 'ema_momentum'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", [
+    "seg_lr", "seg_weight_decay", "seg_momentum", "clip_grad_norm", "ae_lr", "curve_trials",
+    "beta", "gamma", "num_sectors"])
+def test_a_config_with_a_key_now_a_constant_is_refused(tmp_path, capsys, key):
+    cfg = verify.tiny_config()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**cfg.to_json(), key: 1}))
+    out = tmp_path / "run"
+    assert quiet_main(["train", "--config", str(path), "--out", str(out)]) == 2
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_with_a_config_of_another_width_is_refused(trained, tmp_path, capsys):

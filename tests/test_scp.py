@@ -41,7 +41,7 @@ def test_quantize_stays_within_each_rows_class():
 
 
 def test_update_code_stats_matches_the_replay():
-    c, k, d, gamma = 3, 4, 5, 0.8
+    c, k, d = 3, 4, 5
     cb = initialized_codebook(c, k, d)
     stream = Stream(9, "stats")
     trace = []
@@ -51,24 +51,21 @@ def test_update_code_stats_matches_the_replay():
         classes = stream.integers(n, c)
         z = stream.normal(n * d).reshape(n, d) * 2.0
         qr = scp.quantize(cb, z, classes)
-        scp.update_code_stats(cb, qr, gamma)
+        scp.update_code_stats(cb, qr)
         trace.append((qr.flat.copy(), z.copy()))
         usage += np.bincount(qr.flat, minlength=c * k)
-    replayed = oracle.replay_stats(trace, gamma, (c * k, d))
+    replayed = oracle.replay_stats(trace, scp.GAMMA, (c * k, d))
     assert np.allclose(cb.variances.reshape(c * k, d), replayed, rtol=1e-12, atol=0)
     assert np.array_equal(cb.usage.reshape(-1), usage)
 
 
-def test_update_code_stats_floors_the_variances_and_rejects_bad_gamma():
+def test_update_code_stats_floors_the_variances():
     cb = initialized_codebook(c=1, k=1, d=2)
     z = np.zeros((4, 2))  # zero spread drives the variance toward 0
     qr = scp.quantize(cb, z, np.zeros(4, np.int64))
     for _ in range(400):
-        scp.update_code_stats(cb, qr, 0.5)
+        scp.update_code_stats(cb, qr)
     assert (cb.variances == scp.VARIANCE_FLOOR).all()
-    for gamma in (0.0, 1.0):
-        with pytest.raises(ValueError, match="gamma"):
-            scp.update_code_stats(cb, qr, gamma)
 
 
 def test_maybe_init_codebook_fills_only_empty_classes():

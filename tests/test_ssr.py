@@ -14,7 +14,7 @@ C, K, D = 3, 2, 4
 
 
 def make_snapshot(threshold=1.0):
-    prior = scp.PriorAutoencoder(C, D, widths=(5, 6), beta=0.25, seed=2)
+    prior = scp.PriorAutoencoder(C, D, widths=(5, 6), seed=2)
     cb = scp.CodebookState(C, K, D)
     cb.codes.data[...] = Stream(3, "codes").normal(C * K * D).reshape(C * K, D)
     cb.variances[...] = 0.25

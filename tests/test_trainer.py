@@ -15,7 +15,7 @@ from shiftseg.augment import PRESET_NAMES
 
 
 def write_config(path, **overrides):
-    cfg = verify.tiny_config(epochs=3, ckpt_every=1, scenes=3, val_fraction=0.25,
+    cfg = verify.tiny_config(epochs=3, ckpt_every=1, scenes=4, val_fraction=0.25,
                              class_count=8, points_per_scene=128, **overrides)
     path.write_text(json.dumps(cfg.to_json()))
     return str(path)
@@ -75,10 +75,11 @@ def test_offline_prior_from_a_checkpoint_without_one_is_refused(tmp_path):
         trainer.init_state(cfg)
 
 
-def test_final_report_completes_over_every_level(tmp_path):
+def test_final_report_completes_over_every_level(tmp_path, monkeypatch):
     # 45 curve trials reach the excessive-level draws (keys t=44) that once
     # left one point of the 64-point validation cloud
-    cfg = verify.tiny_config(scenes=2, val_fraction=0.5, curve_trials=45)
+    monkeypatch.setattr(trainer, "CURVE_TRIALS", 45)
+    cfg = verify.tiny_config(scenes=2, val_fraction=0.5)
     split, clouds = trainer.default_data(cfg)
     _, reports = trainer.run(cfg, split, clouds, str(tmp_path))
     assert list(reports[-1]["ssr_ratio_by_level"]) == list(PRESET_NAMES)
@@ -90,7 +91,7 @@ def test_resume_refuses_a_changed_config(tmp_path):
     assert cli.main(["train", "--config", config, "--out", str(out)]) == 0
     steplog = (out / "steplog.ndjson").read_bytes()
     saved_config = (out / "config.json").read_bytes()
-    changed = write_config(tmp_path / "changed.json", seg_lr=0.1)
+    changed = write_config(tmp_path / "changed.json", lam=0.2)
     assert cli.main(["train", "--config", changed, "--out", str(out), "--resume"]) == 2
     assert (out / "steplog.ndjson").read_bytes() == steplog
     assert (out / "config.json").read_bytes() == saved_config
@@ -102,12 +103,13 @@ def test_resume_refuses_a_changed_config(tmp_path):
 # The reports carry the config hash, so they were re-recorded (every other
 # report value unchanged) when TrainConfig lost its prior_kind field, and
 # again when it lost ema_momentum (the final report also lost its always-null
-# teacher_agreement).
+# teacher_agreement), and again when nine never-varied hyperparameters became
+# module constants.
 GOLDEN = {
     "steplog.ndjson": "a8f75ff236279330fd66f02f127375e4199ac58f420847caf67d2269cc9f4fff",
     "ckpt/final/weights.a3wt": "c4cf4d3f2d32f12b5d3921d2b16a8386493cb9db24e30c0bc0738bdd97172725",
-    "reports/epoch_0002.json": "dde56e3aff2f1d97948ddf029f1d6a1bdd86072e5e3faa954718cd65b08a1985",
-    "reports/final.json": "4eee35c0ca748f9044298397121da456f06751f290e89602465c8670960ee174",
+    "reports/epoch_0002.json": "0ff198dc58af757d5319a06e77233cc484808ae37d8ce026ba9cc3c7c058ce94",
+    "reports/final.json": "c5ad66422616a13e65c0df9b18c2f4bc9987cce79660f0510b8ab7d7a86f1f74",
 }
 
 

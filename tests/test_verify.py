@@ -10,8 +10,7 @@ from shiftseg import cli, oracle, verify
 
 
 @pytest.mark.parametrize("suite", verify.SUITES)
-def test_suite_passes(suite, tmp_path, monkeypatch):
-    monkeypatch.delenv("A3_VERIFY_FAULT", raising=False)
+def test_suite_passes(suite, tmp_path):
     assert cli.main(["verify", "--suite", suite, "--out", str(tmp_path)]) == 0
     reports = json.loads((tmp_path / "oracle_report.json").read_text())
     assert reports and all(r["passed"] for r in reports)
@@ -19,9 +18,11 @@ def test_suite_passes(suite, tmp_path, monkeypatch):
 
 def test_injected_fault_fails_the_suite(tmp_path, monkeypatch):
     argv = ["verify", "--suite", "metrics", "--out", str(tmp_path)]
-    monkeypatch.setenv("A3_VERIFY_FAULT", "metrics")
-    assert cli.main(argv) == 1
-    monkeypatch.delenv("A3_VERIFY_FAULT")
+    failing = oracle.report("metrics.iou_confusion_vs_counting", 5, 1e-3, 0.0, 1e-12)
+    assert not failing.passed
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "suite_metrics", lambda: [failing])
+        assert cli.main(argv) == 1
     assert cli.main(argv) == 0
 
 

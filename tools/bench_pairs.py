@@ -13,7 +13,8 @@ Writes BENCH_<label>.json (in --out-dir, the current directory by default):
 - per workload and metric, the medians of both sides, the base's
   interquartile range, and in how many pairs the change was better, with
   "better" read from the change's BENCHMARK.json;
-- per workload and seed, whether the two runs' digests are equal.
+- per workload, seed and artifact (steplog, weights, report), whether the
+  two runs' digests are equal.
 """
 from __future__ import annotations
 
@@ -72,13 +73,18 @@ def quartiles(xs: list[float]) -> tuple[float, float]:
     return q[0], q[2]
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: medians per side, the base's IQR, and the change's wins
-    over the pairs (seed by seed)."""
+def paired(runs: list[dict]) -> dict[int, dict[str, dict]]:
+    """Runs by seed and side, for the seeds run on both sides."""
     by_seed: dict[int, dict[str, dict]] = {}
     for r in runs:
         by_seed.setdefault(r["seed"], {})[r["side"]] = r
-    pairs = [p for _, p in sorted(by_seed.items()) if set(p) == set(SIDES)]
+    return {seed: p for seed, p in sorted(by_seed.items()) if set(p) == set(SIDES)}
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per metric: medians per side, the base's IQR, and the change's wins
+    over the pairs (seed by seed)."""
+    pairs = list(paired(runs).values())
     out = {}
     for name in sorted(pairs[0]["base"]["metrics"]) if pairs else []:
         base = [p["base"]["metrics"][name] for p in pairs]
@@ -90,6 +96,17 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                      "base_median": statistics.median(base),
                      "change_median": statistics.median(change),
                      "base_iqr": q3 - q1, "change_wins": wins}
+    return out
+
+
+def digests_equal(runs: list[dict]) -> dict[str, dict[str, bool]]:
+    """Per seed run on both sides and per artifact of either side: whether
+    the base's and the change's digests are equal."""
+    out = {}
+    for seed, p in paired(runs).items():
+        base, change = p["base"]["digests"], p["change"]["digests"]
+        out[str(seed)] = {name: base.get(name) == change.get(name)
+                          for name in sorted({**base, **change})}
     return out
 
 
@@ -124,12 +141,8 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: "
                       + " ".join(f"{k}={v:.4g}" for k, v in sorted(rec["metrics"].items())),
                       file=sys.stderr)
-        digests_equal = {}
-        for seed in seeds:
-            got = {r["side"]: r["digests"] for r in runs if r["seed"] == seed}
-            digests_equal[str(seed)] = got["base"] == got["change"]
         doc["workloads"][workload] = {"runs": runs, "pairs": summarize(runs, better),
-                                      "digests_equal": digests_equal}
+                                      "digests_equal": digests_equal(runs)}
     path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)

@@ -190,7 +190,7 @@ SWEEPS = {
     "t": ("t", [2.0, 3.0, 4.0]),
     "lambda": ("lambda", [0.02, 0.1, 0.5]),
     "prior": ("prior_source", ["online", "offline", "gt"]),
-    "distill": ("distill_target", ["global", "class_conditional", "none"]),
+    "distill": ("distill_target", ["global", "class_conditional"]),
     "curriculum": ("curriculum", ["off", "staged"]),
 }
 

@@ -24,7 +24,7 @@ from .rng import Stream
 
 MODES = ("none", "eas", "eas+scr", "full")
 PRIOR_SOURCES = ("online", "offline", "gt")
-DISTILL_TARGETS = ("global", "class_conditional", "none")
+DISTILL_TARGETS = ("global", "class_conditional")
 CURRICULA = ("off", "staged")
 
 RESEED_INTERVAL = 200  # steps between dead-code reseeds
@@ -339,7 +339,7 @@ def _select_scp(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
     coords = np.concatenate([pc.rep_coords for pc in pb.originals], axis=0)
     labels = np.concatenate([pc.rep_labels for pc in pb.originals])
     probs = np.concatenate(probs_data, axis=0)
-    valid = (labels != IGNORE_LABEL) & (labels < cfg.class_count)
+    valid = labels != IGNORE_LABEL
     probs_v, coords_v, labels_v = probs[valid], coords[valid], labels[valid]
     if cfg.prior_source == "gt":
         onehot = np.zeros((labels_v.shape[0], cfg.class_count))
@@ -385,7 +385,7 @@ def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
     the same graph: each augmented cloud is localized against the snapshot,
     and a replay keeps the pinned regions and targets of the selection."""
     aug_on, mask_on, distill_allowed = mode_flags(cfg.mode)
-    distill_on = distill_allowed and cfg.distill_target != "none" and cfg.lam != 0.0
+    distill_on = distill_allowed and cfg.lam != 0.0
     selecting = sel is None
     if selecting:
         sel = StepSelection()
@@ -488,6 +488,11 @@ def train_step(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
     """One full optimization step; returns the StepLog record."""
     if not clouds:
         raise ValueError("batch must be nonempty")
+    for cloud in clouds:
+        bad = cloud.labels[(cloud.labels != IGNORE_LABEL) & (cloud.labels >= cfg.class_count)]
+        if bad.size:
+            raise ValueError(f"cloud {cloud.cloud_id!r} has label {int(bad[0])}: neither "
+                             f"{IGNORE_LABEL} (ignore) nor below class_count {cfg.class_count}")
     pb = prepare_batch(state, clouds, cfg, epoch, batch_index)
     bundle, sel = step_losses(state, pb, cfg)
 

@@ -1,5 +1,6 @@
-"""tools/bench_pairs.py: seed lists, the per-metric pair summary and the
-per-artifact digest comparison."""
+"""tools/bench_pairs.py: seed lists, the per-metric pair summary, the
+per-artifact digest comparison, and warm-up runs kept out of the pairs."""
+import json
 import os
 import sys
 
@@ -40,3 +41,41 @@ def test_digests_are_compared_per_seed_and_artifact():
     assert bench_pairs.digests_equal(runs) == {
         "1": {"report": False, "steplog": True, "weights": True},
         "2": {"report": False, "steplog": True, "weights": True}}
+
+
+def test_warm_up_runs_stay_out_of_the_pairs_and_the_table_sums_them_up(
+        tmp_path, monkeypatch, capsys):
+    for side in ("base", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "step_s", "better": "lower"}]}))
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        side = os.path.basename(checkout)
+        calls.append((workload, seed, side))
+        cold = sum(c[0] == workload and c[2] == side for c in calls) == 1
+        step_s = 9.0 if cold else {"base": 1.0, "change": 0.8}[side] + seed / 1000
+        return {"metrics": {"step_s": step_s}, "digests": {"steplog": "a", "weights": "b"},
+                "error_rate": 0.0, "correct": True, "wall_s": 1.0, "environment": {}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    assert bench_pairs.main(["--base", str(tmp_path / "base"), "--change",
+                             str(tmp_path / "change"), "--label", "t", "--workloads", "w",
+                             "--seeds", "1-3", "--out-dir", str(tmp_path)]) == 0
+    # each side's first run is its warm-up, on the first seed, before any pair
+    assert calls[:3] == [("w", 1, "base"), ("w", 1, "change"), ("w", 1, "base")]
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["w"]
+    assert [(r["side"], r["metrics"]["step_s"]) for r in doc["warmup"]] == [
+        ("base", 9.0), ("change", 9.0)]
+    assert len(doc["runs"]) == 6
+    pairs = doc["pairs"]["step_s"]
+    assert (pairs["base_median"], pairs["change_median"]) == (1.002, 0.802)
+    assert (pairs["change_wins"], pairs["pairs"]) == (3, 3)
+    err = capsys.readouterr().err.splitlines()
+    header = next(i for i, line in enumerate(err) if line.startswith("workload"))
+    assert err[header].split() == ["workload", "metric", "base", "change", "base_iqr",
+                                   "wins", "digests_equal"]
+    assert err[header + 1].split() == ["w", "step_s", "1.002", "0.802", "0.001", "3/3",
+                                       "steplog", "3/3", "weights", "3/3"]
+    assert err[header + 2].startswith("wrote ")

@@ -400,6 +400,16 @@ def test_a_config_with_a_key_now_a_constant_is_refused(tmp_path, capsys, key):
     assert not out.exists()
 
 
+def test_a_config_with_distill_target_none_is_refused(tmp_path, capsys):
+    # "none" trained the same weights as mode eas+scr or lambda 0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**verify.tiny_config().to_json(), "distill_target": "none"}))
+    out = tmp_path / "run"
+    assert quiet_main(["train", "--config", str(path), "--out", str(out)]) == 2
+    assert "unknown distill_target 'none'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_with_a_config_of_another_width_is_refused(trained, tmp_path, capsys):
     cfg, _, ckpt = trained
     assert cfg.seg_hidden == (6, 5)

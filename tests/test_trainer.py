@@ -1,10 +1,12 @@
 """Training-run reproducibility across `--resume`, atomic checkpoints, a
 final report over every augmentation level, golden output digests, clean
-clouds prepared once per run, a replayed step bitwise equal to its selecting
-pass, and checkpoints refused when their arrays do not fit the config."""
+clouds prepared once per run, labels a step cannot score refused, a replayed
+step bitwise equal to its selecting pass, and checkpoints refused when their
+arrays do not fit the config."""
 import dataclasses
 import hashlib
 import json
+import re
 import shutil
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from shiftseg import cli, evalsuite, trainer, verify
 from shiftseg import tensor as T
 from shiftseg.augment import PRESET_NAMES
+from shiftseg.pointcloud import IGNORE_LABEL
 
 
 def write_config(path, **overrides):
@@ -146,6 +149,23 @@ def test_validation_clouds_are_prepared_once_per_run(monkeypatch):
     # another geometry is another entry of the memo
     trainer.validation_report(state, val_clouds, dataclasses.replace(cfg, knn_k=3), 0)
     assert sorted(prepared) == sorted(split.val * 2)
+
+
+def test_train_step_refuses_a_label_it_cannot_score():
+    cfg = verify.tiny_config(mode="full", t=0.3)
+    split, clouds = trainer.default_data(cfg)
+    batch = [clouds[c] for c in split.train[:cfg.batch_size]]
+    labels = batch[-1].labels.copy()
+    labels[labels.size // 2] = cfg.class_count
+    batch[-1] = dataclasses.replace(batch[-1], labels=labels)
+    state = trainer.init_state(cfg)
+    with pytest.raises(ValueError, match=rf"cloud '{re.escape(batch[-1].cloud_id)}' "
+                                         rf"has label {cfg.class_count}:"):
+        trainer.train_step(state, batch, cfg, 0, 0)
+    assert state.step == 0
+    labels[labels.size // 2] = IGNORE_LABEL
+    batch[-1] = dataclasses.replace(batch[-1], labels=labels)
+    assert trainer.train_step(state, batch, cfg, 0, 0)["step"] == 0
 
 
 @pytest.mark.parametrize("overrides", [

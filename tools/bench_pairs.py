@@ -8,13 +8,20 @@ checkout, one after the other; which checkout runs first alternates from seed
 to seed, so a drift of the machine's speed does not favour either side. Each
 run is a fresh process started in its checkout's root.
 
+Before a workload's pairs, each checkout runs once on the first seed; these
+warm-up runs take the session's cold start and are kept in the output as
+"warmup", outside every median and count.
+
 Writes BENCH_<label>.json (in --out-dir, the current directory by default):
-- every run's end-to-end metrics, digests, error rate and order;
+- every run's end-to-end metrics, digests, error rate and order, the
+  warm-up runs apart;
 - per workload and metric, the medians of both sides, the base's
   interquartile range, and in how many pairs the change was better, with
   "better" read from the change's BENCHMARK.json;
 - per workload, seed and artifact (steplog, weights, report), whether the
   two runs' digests are equal.
+
+At the end it prints these per workload and metric as a table on stderr.
 """
 from __future__ import annotations
 
@@ -110,6 +117,24 @@ def digests_equal(runs: list[dict]) -> dict[str, dict[str, bool]]:
     return out
 
 
+def summary_table(workloads: dict) -> list[str]:
+    """One row per workload and metric: both medians, the base's IQR, the
+    change's wins over the pairs, and over how many seeds each artifact's
+    digests were equal."""
+    rows = [f"{'workload':<12} {'metric':<14} {'base':>10} {'change':>10} {'base_iqr':>10} "
+            f"{'wins':>6}  digests_equal"]
+    for workload, w in workloads.items():
+        seeds = list(w["digests_equal"].values())
+        artifacts = sorted({a for per_seed in seeds for a in per_seed})
+        digests = " ".join(f"{a} {sum(s.get(a, False) for s in seeds)}/{len(seeds)}"
+                           for a in artifacts)
+        for name, m in w["pairs"].items():
+            rows.append(f"{workload:<12} {name:<14} {m['base_median']:>10.4g} "
+                        f"{m['change_median']:>10.4g} {m['base_iqr']:>10.4g} "
+                        f"{m['change_wins']:>3}/{m['pairs']:<2}  {digests}")
+    return rows
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="checkout of the base commit")
@@ -131,22 +156,29 @@ def main(argv=None) -> int:
                          for side, d in checkouts.items()},
            "workloads": {}}
     for workload in args.workloads.split(","):
-        runs = []
+        # one discarded run per side first, so that the session's cold start
+        # (file cache, imports) lands on neither side's pairs
+        plan = [("warmup", seeds[0], side, position) for position, side in enumerate(SIDES)]
         for i, seed in enumerate(seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            for position, side in enumerate(order):
-                rec = run_once(checkouts[side], workload, seed, args.seconds)
-                doc.setdefault("environment", rec.pop("environment"))
-                runs.append({"seed": seed, "side": side, "position": position, **rec})
-                print(f"{workload} seed {seed} {side}: "
-                      + " ".join(f"{k}={v:.4g}" for k, v in sorted(rec["metrics"].items())),
-                      file=sys.stderr)
-        doc["workloads"][workload] = {"runs": runs, "pairs": summarize(runs, better),
+            plan += [("runs", seed, side, position) for position, side in enumerate(order)]
+        done: dict[str, list[dict]] = {"warmup": [], "runs": []}
+        for kind, seed, side, position in plan:
+            rec = run_once(checkouts[side], workload, seed, args.seconds)
+            doc.setdefault("environment", rec.pop("environment"))
+            done[kind].append({"seed": seed, "side": side, "position": position, **rec})
+            print(f"{workload} {'warm-up ' * (kind == 'warmup')}seed {seed} {side}: "
+                  + " ".join(f"{k}={v:.4g}" for k, v in sorted(rec["metrics"].items())),
+                  file=sys.stderr)
+        runs = done["runs"]
+        doc["workloads"][workload] = {"warmup": done["warmup"], "runs": runs,
+                                      "pairs": summarize(runs, better),
                                       "digests_equal": digests_equal(runs)}
     path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
+    print("\n".join(summary_table(doc["workloads"])), file=sys.stderr)
     print(f"wrote {path}", file=sys.stderr)
     return 0
 

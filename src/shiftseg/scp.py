@@ -149,7 +149,7 @@ def quantize(cb: CodebookState, z_e: np.ndarray, classes: np.ndarray) -> Quantiz
     idx, dist = nearest_in_class(cb.codes3(), z_e, classes)
     flat = classes * cb.codes_per_class + idx
     return QuantizeResult(classes=classes, index_in_class=idx, flat=flat,
-                          z_e=z_e, z_q=cb.codes.data[flat].copy(), distance=dist)
+                          z_e=z_e, z_q=cb.codes.data[flat], distance=dist)
 
 
 def nearest_global(codes2: np.ndarray, initialized: np.ndarray, codes_per_class: int,
@@ -188,10 +188,10 @@ def vq_losses(ae: PriorAutoencoder, cb: CodebookState, z_e: T.Tensor,
     the segmentation network.
     """
     z_q_rows = T.gather_rows(cb.codes, flat)
-    codebook = T.tmean(T.square(T.sub(T.Tensor(z_e0), z_q_rows)))
-    commitment = T.tmean(T.square(T.sub(z_e, T.Tensor(z_q0))))
+    codebook = T.mse(z_e0, z_q_rows)
+    commitment = T.mse(z_e, z_q0)
     decoded = ae.decode(T.add(z_e, T.Tensor(z_q0 - z_e0)))
-    recon = T.tmean(T.square(T.sub(decoded, T.Tensor(np.asarray(target_probs, dtype=np.float64)))))
+    recon = T.mse(decoded, np.asarray(target_probs, dtype=np.float64))
     total = T.add(T.add(recon, codebook), T.scale(commitment, BETA))
     return VqLosses(recon, codebook, commitment, total)
 

@@ -1,11 +1,16 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Deliberately minimal: just the ops the training pipeline needs, on a
-single-use tape. Ops record backward closures when any input requires
-gradients; a closure returns None for an input that requires none, and
-`backward`, which consumes the recorded subgraph in reverse creation order
-and clears it, skips those. `stop_gradient` provides the detach semantics the
-quantization objective relies on.
+single-use tape. Ops record a node with a backward closure when any input
+requires gradients; a closure returns None for an input that requires none,
+and `backward`, which consumes the recorded subgraph in reverse creation
+order, skips those. A node keeps only what its backward reads: `mlp`, one
+node for a whole layer stack, keeps the hidden layers' sign masks and the
+inputs of the layers whose weights want a gradient, and `mse` keeps the
+difference of its operands. `backward` releases each node as soon as it has
+run, so those arrays are freed while the rest of the graph is still being
+walked. `stop_gradient` provides the detach semantics the quantization
+objective relies on.
 """
 from __future__ import annotations
 
@@ -17,8 +22,8 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 _node_ids = itertools.count()
-# negative-side slope of leaky_relu and affine_leaky, one value for both so
-# the fused node stays bitwise equal to the chain it replaces
+# negative-side slope of leaky_relu and of mlp's hidden layers, one value for
+# both so the fused node stays bitwise equal to the chain it replaces
 LEAKY_SLOPE = 0.01
 
 
@@ -156,42 +161,64 @@ def _leaky_factor(positive: np.ndarray) -> np.ndarray:
     return f
 
 
-def affine_leaky(x, w, b) -> Tensor:
-    """leaky_relu(x @ w + b) as one tape node: the same values and gradients
-    as the three-op chain, bit for bit. The slope is applied as a product
-    with `_leaky_factor`, not a select, and the node retains only the
-    boolean sign mask, recomputing the factor in the backward pass. Only
-    the inputs that require gradients get one computed."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise ShapeError(f"affine-leaky: incompatible shapes {x.data.shape} x {w.data.shape}")
-    if b.data.shape != w.data.shape[1:]:
-        raise ShapeError(f"affine-leaky: bias shape {b.data.shape} does not match {w.data.shape}")
-    xd, wd, bshape = x.data, w.data, b.data.shape
-    pre = xd @ wd
-    pre += b.data
-    positive = pre > 0
-    pre *= _leaky_factor(positive)
-
-    def bwd(g):
-        gp = _leaky_factor(positive)
-        gp *= g
-        return (gp @ wd.T if x.requires_grad else None,
-                xd.T @ gp if w.requires_grad else None,
-                _unbroadcast(gp, bshape) if b.requires_grad else None)
-
-    return _record(pre, (x, w, b), bwd, "affine-leaky")
-
-
 def mlp(x, params: Mapping, prefix: str, layers: int) -> Tensor:
     """`layers` affine layers with weights params[f"{prefix}.w{i}"] and biases
-    params[f"{prefix}.b{i}"] (Tensors, or arrays taken as constants): leaky-relu
-    hidden layers through `affine_leaky`, then a linear output layer."""
-    h = as_tensor(x)
-    for i in range(layers):
-        w, b = params[f"{prefix}.w{i}"], params[f"{prefix}.b{i}"]
-        h = affine_leaky(h, w, b) if i < layers - 1 else add(matmul(h, w), b)
-    return h
+    params[f"{prefix}.b{i}"] (Tensors, or arrays taken as constants):
+    leaky-relu hidden layers, then a linear output layer, as one tape node.
+
+    Values and gradients equal the chain leaky_relu(add(matmul(h, w), b)) per
+    hidden layer and add(matmul(h, w), b) for the output, bit for bit; the
+    slope is applied as a product with `_leaky_factor`, not a select. The
+    node keeps each hidden layer's boolean sign mask, and a layer's input
+    only when that layer's weights want a gradient. Only the inputs that
+    require gradients get one computed."""
+    x = as_tensor(x)
+    ws = [as_tensor(params[f"{prefix}.w{i}"]) for i in range(layers)]
+    bs = [as_tensor(params[f"{prefix}.b{i}"]) for i in range(layers)]
+    h = x.data
+    kept: list[np.ndarray | None] = []  # layer inputs the weight gradients read
+    masks: list[np.ndarray] = []  # hidden layers' sign masks
+    for i, (w, b) in enumerate(zip(ws, bs)):
+        if h.ndim != 2 or w.data.ndim != 2 or h.shape[1] != w.data.shape[0]:
+            raise ShapeError(f"mlp layer {i}: incompatible shapes {h.shape} x {w.data.shape}")
+        if b.data.shape != w.data.shape[1:]:
+            raise ShapeError(f"mlp layer {i}: bias shape {b.data.shape} does not match "
+                             f"{w.data.shape}")
+        kept.append(h if w.requires_grad else None)
+        h = h @ w.data
+        h += b.data
+        if i < layers - 1:
+            positive = h > 0
+            h *= _leaky_factor(positive)
+            masks.append(positive)
+    # wanted[i]: something before layer i wants a gradient, so the backward
+    # carries one to layer i's input
+    wanted = [x.requires_grad]
+    for w, b in zip(ws, bs):
+        wanted.append(wanted[-1] or w.requires_grad or b.requires_grad)
+
+    def bwd(g):
+        grads: list[np.ndarray | None] = [None] * (1 + 2 * layers)
+        for i in reversed(range(layers)):
+            if i < layers - 1:
+                # back through the slope; dropping the incoming g at once
+                # frees it before the next product is allocated
+                gp = _leaky_factor(masks[i])
+                gp *= g
+                g, gp = gp, None
+            if ws[i].requires_grad:
+                grads[1 + 2 * i] = kept[i].T @ g
+            if bs[i].requires_grad:
+                grads[2 + 2 * i] = _unbroadcast(g, bs[i].data.shape)
+            if not wanted[i]:
+                break
+            g = g @ ws[i].data.T
+        else:
+            grads[0] = g
+        return tuple(grads)
+
+    parents = (x, *itertools.chain.from_iterable(zip(ws, bs)))
+    return _record(h, parents, bwd, "mlp")
 
 
 def softmax(x) -> Tensor:
@@ -263,6 +290,23 @@ def tmean(x, axis: int | None = None) -> Tensor:
     return _record(x.data.mean(axis=axis), (x,), bwd, "mean")
 
 
+def mse(a, b) -> Tensor:
+    """Mean squared difference, tmean(square(sub(a, b))) as one node: the
+    same value and operand gradients bit for bit, keeping only the
+    difference (b may broadcast as in `sub`)."""
+    a, b = as_tensor(a), as_tensor(b)
+    _check_elementwise("mse", a, b)
+    d = a.data - b.data
+    ashape, bshape = a.data.shape, b.data.shape
+
+    def bwd(g):
+        gd = 2.0 * (g / d.size) * d
+        return (_unbroadcast(gd, ashape) if a.requires_grad else None,
+                _unbroadcast(-gd, bshape) if b.requires_grad else None)
+
+    return _record((d * d).mean(), (a, b), bwd, "mse")
+
+
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     parts = tuple(as_tensor(p) for p in parts)
     if not parts:
@@ -321,12 +365,14 @@ def stop_gradient(x) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Populate .grad on every requires_grad leaf reachable from `loss`.
 
-    The traversed part of the tape is cleared afterwards; a graph cannot be
-    replayed. Other, unconsumed graphs sharing tensors are unaffected.
+    Each node of the traversed subgraph is released as soon as its backward
+    has run (or it turned out to get no gradient), so what it kept for the
+    backward is freed while the rest runs; a graph cannot be replayed.
+    Other, unconsumed graphs sharing tensors are unaffected.
     """
     if loss.data.ndim != 0:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
-    # collect the ancestor subgraph
+    # collect the ancestor subgraph, in creation order
     nodes: dict[int, Tensor] = {}
     stack = [loss]
     while stack:
@@ -335,24 +381,23 @@ def backward(loss: Tensor) -> None:
             continue
         nodes[t._id] = t
         stack.extend(t._parents)
-    order = sorted(nodes.values(), key=lambda t: t._id, reverse=True)
+    order = sorted(nodes.values(), key=lambda t: t._id)
+    del nodes  # `order` alone holds the nodes, so each can go once it has run
 
     grads: dict[int, np.ndarray] = {loss._id: np.ones((), dtype=np.float64)}
-    for node in order:
+    while order:
+        node = order.pop()  # reverse creation order
         g = grads.pop(node._id, None)
-        if g is None:
-            continue
-        if node.requires_grad and node._backward is None and not node._parents:
-            node.grad = g if node.grad is None else node.grad + g
-        if node._backward is not None:
-            for parent, pg in zip(node._parents, node._backward(g)):
-                if pg is None:  # the parent needs no gradient
-                    continue
-                prev = grads.get(parent._id)
-                grads[parent._id] = pg if prev is None else prev + pg
-    # single-use tape: release the consumed subgraph
-    for node in order:
-        if node._parents:
+        if g is not None:
+            if node.requires_grad and node._backward is None and not node._parents:
+                node.grad = g if node.grad is None else node.grad + g
+            if node._backward is not None:
+                for parent, pg in zip(node._parents, node._backward(g)):
+                    if pg is None:  # the parent needs no gradient
+                        continue
+                    prev = grads.get(parent._id)
+                    grads[parent._id] = pg if prev is None else prev + pg
+        if node._parents:  # single-use tape: release the node
             node._parents = ()
             node._backward = None
 
@@ -396,7 +441,12 @@ class Optimizer:
         return math.sqrt(total)
 
     def step(self) -> None:
-        """Apply one update from the accumulated gradients, then zero them."""
+        """Apply one update from the accumulated gradients, then zero them.
+        A NaN or infinite gradient entry raises GradientError naming its
+        parameter before any parameter moves."""
+        for name, p in self.params.items():
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise GradientError(f"non-finite gradient in parameter {name!r}")
         self.t += 1
         clip = 1.0
         if self.max_grad_norm is not None:
@@ -405,8 +455,6 @@ class Optimizer:
                 clip = self.max_grad_norm / norm
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if np.isnan(g).any():
-                raise GradientError(f"NaN gradient in parameter {name!r}")
             if clip != 1.0:
                 g = g * clip
             if self.weight_decay:

@@ -1,6 +1,14 @@
 """End-to-end training: per-batch original + augmented passes, online prior
 learning, shift-region localization, region-adaptive losses, alternating
-seg/autoencoder updates, prior-source strategies, and curriculum ceilings."""
+seg/autoencoder updates, prior-source strategies, and curriculum ceilings.
+
+A step (`train_step`) runs in this order: the seg losses (`step_losses`,
+whose selecting pass also updates the prior's statistics and pins every
+discrete choice), the seg backward and update, then the prior's
+quantized-autoencoder objective on the pinned selection (`vq_objective`),
+its backward and the prior update. So the decoder's graph is built only
+after the seg graph is freed; the steplog records the losses in that order.
+"""
 from __future__ import annotations
 
 import hashlib
@@ -285,11 +293,12 @@ def _fill_prior(prior: scp.PriorAutoencoder, cb: scp.CodebookState,
 
 
 # ---------------------------------------------------------------------------
-# Step losses. One function builds the step's loss graphs; every discrete
-# choice of the step (quantizer assignments, region masks, distillation
-# targets) is captured in a StepSelection on the first pass and treated as a
-# pinned constant afterwards, which is also exactly what finite-difference
-# checks against L_total and the quantized-autoencoder objective need.
+# Step losses. `step_losses` builds the step's seg loss graph and
+# `vq_objective` the prior's; every discrete choice of the step (quantizer
+# assignments, region masks, distillation targets) is captured in a
+# StepSelection on the first pass and treated as a pinned constant
+# afterwards, which is also exactly what finite-difference checks against
+# L_total and the quantized-autoencoder objective need.
 
 
 @dataclass
@@ -321,7 +330,9 @@ class LossBundle:
     ce_scr: T.Tensor | None
     distill: T.Tensor | None
     total: T.Tensor
-    vq: scp.VqLosses | None
+    # the selecting pass's prior latents of the selection rows, live toward
+    # the encoder, for `vq_objective`; None on a replay
+    z_prior: T.Tensor | None
 
 
 def _mean_over(tensors: list[T.Tensor]) -> T.Tensor:
@@ -335,7 +346,8 @@ def _select_scp(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
                 probs_data: list[np.ndarray]):
     """Online prior bookkeeping for this step: lazy code init, dead-code
     reseeds, quantizer assignment, and the EMA variance update. Returns the
-    pinned selection (None when the batch has no labeled rows)."""
+    pinned selection and its rows' live latents, which `vq_objective` takes
+    ((None, None) when the batch has no labeled rows)."""
     coords = np.concatenate([pc.rep_coords for pc in pb.originals], axis=0)
     labels = np.concatenate([pc.rep_labels for pc in pb.originals])
     probs = np.concatenate(probs_data, axis=0)
@@ -355,7 +367,7 @@ def _select_scp(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
         scp.reseed_dead_codes(state.cb, z0, classes, Stream(cfg.seed, "reseed", state.step))
     qr0 = scp.quantize(state.cb, z0, classes)
     scp.update_code_stats(state.cb, qr0)
-    return ScpSelection(rows, qr0.flat, z0.copy(), qr0.z_q.copy()), z_live
+    return ScpSelection(rows, qr0.flat, z0, qr0.z_q), z_live
 
 
 def _select_ssr(loc: ssrmod.LocalizeResult, snapshot: ssrmod.PriorSnapshot,
@@ -379,7 +391,7 @@ def _select_ssr(loc: ssrmod.LocalizeResult, snapshot: ssrmod.PriorSnapshot,
 
 def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
                 sel: StepSelection | None = None) -> tuple[LossBundle, StepSelection]:
-    """Build this step's loss graphs. With sel=None, performs the selection
+    """Build this step's seg loss graph. With sel=None, performs the selection
     pass (including prior statistics updates); with a selection given, the
     call is pure in the parameters and reuses every pinned choice. Both build
     the same graph: each augmented cloud is localized against the snapshot,
@@ -429,18 +441,28 @@ def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
                            if s.distill_targets is not None]
                 if picked:
                     z_all = picked[0] if len(picked) == 1 else T.concat(picked, axis=0)
-                    distill = T.tmean(T.square(T.sub(z_all, T.Tensor(np.concatenate(targets)))))
+                    distill = T.mse(z_all, np.concatenate(targets))
                 else:
                     distill = T.Tensor(0.0)
                 total = T.add(total, T.scale(distill, cfg.lam))
 
-    vq = None
-    if sel.scp_sel is not None:
-        z_e = scp_z_live if selecting else state.prior.encode(sel.scp_sel.rows)
-        vq = scp.vq_losses(state.prior, state.cb, z_e, sel.scp_sel.flat, sel.scp_sel.z_e0,
-                           sel.scp_sel.z_q0, sel.scp_sel.rows.data[:, :cfg.class_count])
+    return LossBundle(ce, ce_aug, ce_scr, distill, total, scp_z_live), sel
 
-    return LossBundle(ce, ce_aug, ce_scr, distill, total, vq), sel
+
+def vq_objective(state: TrainState, sel: StepSelection, cfg: TrainConfig,
+                 z_e: T.Tensor | None = None) -> scp.VqLosses | None:
+    """The prior's quantized-autoencoder objective on the pinned selection;
+    None when the step selected no prior rows. `z_e` is the selecting pass's
+    live latents (LossBundle.z_prior); without them the selection rows are
+    encoded again, to the same bits. `train_step` builds it after the seg
+    update, so the decoder's graph never coexists with the seg graph."""
+    pick = sel.scp_sel
+    if pick is None:
+        return None
+    if z_e is None:
+        z_e = state.prior.encode(pick.rows)
+    return scp.vq_losses(state.prior, state.cb, z_e, pick.flat, pick.z_e0, pick.z_q0,
+                         pick.rows.data[:, :cfg.class_count])
 
 
 # ---------------------------------------------------------------------------
@@ -514,13 +536,14 @@ def train_step(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
 
     T.backward(bundle.total)
     state.seg_opt.step()
-    if bundle.vq is not None:
-        log["vq_recon"] = bundle.vq.recon.item()
-        log["vq_codebook"] = bundle.vq.codebook.item()
-        log["vq_commitment"] = bundle.vq.commitment.item()
-        log["vq_total"] = bundle.vq.total.item()
+    vq = vq_objective(state, sel, cfg, bundle.z_prior)
+    if vq is not None:
+        log["vq_recon"] = vq.recon.item()
+        log["vq_codebook"] = vq.codebook.item()
+        log["vq_commitment"] = vq.commitment.item()
+        log["vq_total"] = vq.total.item()
         _check_finite("vq_total", log["vq_total"], state)
-        T.backward(bundle.vq.total)
+        T.backward(vq.total)
         state.ae_opt.step()
     if state.cb is not None and needs_prior(cfg.mode):
         log["code_usage"] = int(state.cb.usage.sum())

@@ -37,7 +37,8 @@ def _shifted_rows(sel: trainer.StepSelection) -> int:
 
 def tiny_step(cfg: trainer.TrainConfig | None = None, warm_steps: int = 2):
     """State, prepared batch, pinned selection and the selecting pass's
-    losses for one tiny step.
+    seg losses (with the live prior latents for `trainer.vq_objective`) for
+    one tiny step.
 
     A couple of warm-up steps first, so codes are initialized and variances
     tracked. A step whose selection shifts no row, or whose distillation
@@ -61,37 +62,29 @@ def tiny_step(cfg: trainer.TrainConfig | None = None, warm_steps: int = 2):
     return state, pb, sel, bundle
 
 
-def _analytic_grads(state, bundle):
-    """Gradients of `bundle`'s L_total toward the segmentation parameters and
-    of its quantized-autoencoder objective toward the prior's parameters."""
-    state.seg_opt.zero_grad()
-    if state.ae_opt is not None:
-        state.ae_opt.zero_grad()
-    T.backward(bundle.total)
-    seg_grads = {n: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                 for n, p in state.model.params.items()}
-    state.seg_opt.zero_grad()
-    vq_grads = {}
-    if bundle.vq is not None:
-        T.backward(bundle.vq.total)
-        for n, p in state.ae_opt.params.items():
-            vq_grads[n] = p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-        state.ae_opt.zero_grad()
-    return seg_grads, vq_grads
+def _analytic_grads(loss: T.Tensor, opt: T.Optimizer) -> dict[str, np.ndarray]:
+    """Gradients of `loss` toward the parameters of `opt` (zeros where none
+    reaches); the parameters' .grad are left cleared."""
+    opt.zero_grad()
+    T.backward(loss)
+    grads = {n: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+             for n, p in opt.params.items()}
+    opt.zero_grad()
+    return grads
 
 
 def suite_grad(h: float = 1e-5, rel_tol: float = 1e-4) -> list[oracle.OracleReport]:
     cfg = tiny_config(t=GRAD_T)
     state, pb, sel, _ = tiny_step(cfg)
-    seg_grads, vq_grads = _analytic_grads(state, trainer.step_losses(state, pb, cfg, sel)[0])
+    seg_grads = _analytic_grads(trainer.step_losses(state, pb, cfg, sel)[0].total, state.seg_opt)
+    vq_grads = _analytic_grads(trainer.vq_objective(state, sel, cfg).total, state.ae_opt)
 
     def total_loss():
         bundle, _ = trainer.step_losses(state, pb, cfg, sel)
         return bundle.total.item()
 
     def vq_loss():
-        bundle, _ = trainer.step_losses(state, pb, cfg, sel)
-        return bundle.vq.total.item()
+        return trainer.vq_objective(state, sel, cfg).total.item()
 
     seg_arrays = {n: p.data for n, p in state.model.params.items()}
     fd_seg, kinks_seg = oracle.fd_gradient(total_loss, seg_arrays, h=h)

@@ -1,5 +1,6 @@
-"""tools/bench_pairs.py: seed lists, the per-metric pair summary, the
-per-artifact digest comparison, and warm-up runs kept out of the pairs."""
+"""tools/bench_pairs.py: seed lists, the per-metric pair summary and its
+verdict, the per-artifact digest comparison, and warm-up runs kept out of
+the pairs."""
 import json
 import os
 import sys
@@ -29,6 +30,53 @@ def test_pairs_count_wins_in_each_metric_direction():
     assert out["rate"]["change_wins"] == 1
     assert out["step_s"]["base_median"] == 1.0 and out["step_s"]["change_median"] == 0.9
     assert out["rate"]["better"] == "higher"
+
+
+def pairs_of(base, change):
+    return [r for seed, (b, c) in enumerate(zip(base, change))
+            for r in (run(seed, "base", m=b), run(seed, "change", m=c))]
+
+
+def verdict(base, change, better="lower", bound=None):
+    bounds = None if bound is None else {"m": bound}
+    return bench_pairs.summarize(pairs_of(base, change), {"m": better}, bounds)["m"]["verdict"]
+
+
+def test_a_gain_takes_nine_wins_in_ten_and_a_median_gap_beyond_the_base_iqr():
+    base = [1.0 + 0.01 * i for i in range(10)]  # median 1.045, IQR 0.045
+    change = [b - 0.1 for b in base]
+    change[0] = 1.5  # one lost pair
+    assert verdict(base, change) == {"gain": True, "separated": False,
+                                     "worse_than_bound": None}
+    # higher is better: the same runs, mirrored
+    assert verdict([-b for b in base], [-c for c in change], "higher")["gain"]
+    assert not verdict(base, change[:1] + [1.5] + change[2:])["gain"]  # eight wins
+    nearer = [b - 0.02 for b in base]  # nine wins, median gap 0.01
+    nearer[0] = 1.5
+    assert not verdict(base, nearer)["gain"]
+
+
+def test_separated_means_every_change_run_beats_every_base_run():
+    base = [1.0] * 5 + [10.0] * 5  # IQR 9: too wide for a gain
+    assert verdict(base, [0.9] * 10) == {"gain": False, "separated": True,
+                                         "worse_than_bound": None}
+    assert not verdict(base, [0.9] * 9 + [1.0])["separated"]  # a tie with a base run
+    assert verdict([10.0] * 10, [12.0] * 10, "higher") == {
+        "gain": True, "separated": True, "worse_than_bound": None}
+
+
+def test_worse_than_bound_is_a_fraction_of_the_base_median():
+    assert verdict([1.0] * 10, [1.3] * 10, bound=0.25)["worse_than_bound"]
+    assert verdict([1.0] * 10, [1.2] * 10, bound=0.25) == {
+        "gain": False, "separated": False, "worse_than_bound": False}
+    assert not verdict([1.0] * 10, [0.5] * 10, bound=0.25)["worse_than_bound"]
+    assert verdict([10.0] * 10, [7.4] * 10, "higher", 0.25)["worse_than_bound"]
+    assert not verdict([10.0] * 10, [7.6] * 10, "higher", 0.25)["worse_than_bound"]
+    rows = bench_pairs.summary_table({"w": {
+        "digests_equal": {},
+        "pairs": bench_pairs.summarize(pairs_of([1.0] * 10, [1.3] * 10), {"m": "lower"},
+                                       {"m": 0.25})}})
+    assert rows[1].split()[6] == "worse_than_bound"
 
 
 def test_digests_are_compared_per_seed_and_artifact():
@@ -75,7 +123,7 @@ def test_warm_up_runs_stay_out_of_the_pairs_and_the_table_sums_them_up(
     err = capsys.readouterr().err.splitlines()
     header = next(i for i, line in enumerate(err) if line.startswith("workload"))
     assert err[header].split() == ["workload", "metric", "base", "change", "base_iqr",
-                                   "wins", "digests_equal"]
+                                   "wins", "verdict", "digests_equal"]
     assert err[header + 1].split() == ["w", "step_s", "1.002", "0.802", "0.001", "3/3",
-                                       "steplog", "3/3", "weights", "3/3"]
+                                       "gain,separated", "steplog", "3/3", "weights", "3/3"]
     assert err[header + 2].startswith("wrote ")

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,8 +128,14 @@ def test_mlp_is_the_layer_chain_and_takes_arrays_as_constants():
     fd_check(lambda: T.tmean(T.square(T.mlp(x, params, "m", 3))), params)
 
 
-def affine_leaky_chain(x, w, b):
-    return T.leaky_relu(T.add(T.matmul(x, w), b))
+def layer_chain(x, params, prefix, layers):
+    """The per-layer chain that `mlp` fuses into one node."""
+    h = x
+    for i in range(layers):
+        h = T.add(T.matmul(h, params[f"{prefix}.w{i}"]), params[f"{prefix}.b{i}"])
+        if i < layers - 1:
+            h = T.leaky_relu(h)
+    return h
 
 
 # IEEE specials: signed zeros, NaN, infinities, subnormals of both signs
@@ -136,36 +143,48 @@ SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310
                      2.5, -2.5])
 
 
-def random_leaky_inputs():
+def random_mlp_inputs():
     stream = Stream(11)
-    return (stream.normal(35).reshape(7, 5), stream.normal(35).reshape(7, 5),
-            stream.normal(25).reshape(5, 5), stream.normal(5),
-            stream.normal(35).reshape(7, 5), stream.normal(35).reshape(7, 5))
+    widths = [5, 6, 4, 3]
+    arrays = {}
+    for i, (a, b) in enumerate(zip(widths[:-1], widths[1:])):
+        arrays[f"m.w{i}"] = stream.normal(a * b).reshape(a, b)
+        arrays[f"m.b{i}"] = stream.normal(b)
+    return (stream.normal(35).reshape(7, 5), stream.normal(35).reshape(7, 5), arrays,
+            stream.normal(21).reshape(7, 3), stream.normal(21).reshape(7, 3))
 
 
-def special_leaky_inputs():
-    # width 1 with w = 1 and b = -0.0: the pre-activations are the specials
-    # themselves (the matmul turns -0.0 into +0.0), and so are the upstream
-    # gradients, which reach the node unchanged through the product with c
+def special_mlp_inputs():
+    # width 1 with w = 1 and b = -0.0: the first layer's pre-activations are
+    # the specials themselves (the matmul turns -0.0 into +0.0), the next
+    # layers' their leaky images, and the upstream gradients, which reach the
+    # node unchanged through the product with c, are the specials too
     col = SPECIALS[:, None]
-    return col, col[::-1].copy(), np.ones((1, 1)), np.array([-0.0]), col[::-1].copy(), col
+    arrays = {}
+    for i in range(3):
+        arrays[f"m.w{i}"] = np.ones((1, 1))
+        arrays[f"m.b{i}"] = np.array([-0.0])
+    return col, col[::-1].copy(), arrays, col[::-1].copy(), col
 
 
-def test_affine_leaky_bitwise_equals_the_three_op_chain():
-    def run(layer, x1, x2, w0, b0, c1, c2):
-        leaves = [T.Tensor(a.copy(), requires_grad=True) for a in (x1, x2, w0, b0)]
-        a, b, w, bias = leaves
-        # w and bias are shared by three nodes over two passes, so their
-        # gradients accumulate in the tape's order
-        out1 = layer(layer(a, w, bias), w, bias)
-        out2 = layer(b, w, bias)
+def test_mlp_bitwise_equals_the_layer_chain():
+    def run(net, x1, x2, arrays, c1, c2):
+        xs = [T.Tensor(a.copy(), requires_grad=True) for a in (x1, x2)]
+        params = {n: T.Tensor(a.copy(), requires_grad=True) for n, a in arrays.items()}
+        # the weights serve two passes, so their gradients accumulate in the
+        # tape's order
+        out1 = net(xs[0], params, "m", 3)
+        out2 = net(xs[1], params, "m", 3)
         T.backward(T.add(T.tsum(T.mul(out1, T.Tensor(c1))), T.tsum(T.mul(out2, T.Tensor(c2)))))
-        return [out1.data, out2.data] + [t.grad for t in leaves]
+        return [out1.data, out2.data] + [x.grad for x in xs] + [params[n].grad
+                                                                 for n in sorted(params)]
 
-    for inputs in (random_leaky_inputs(), special_leaky_inputs()):
+    for inputs in (random_mlp_inputs(), special_mlp_inputs()):
         with np.errstate(invalid="ignore"):
-            for got, want in zip(run(T.affine_leaky, *inputs), run(affine_leaky_chain, *inputs)):
-                assert got.tobytes() == want.tobytes()
+            got, want = run(T.mlp, *inputs), run(layer_chain, *inputs)
+        assert len(got) == len(want) == 10
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_leaky_factor_product_equals_the_select_bytewise():
@@ -184,21 +203,21 @@ def test_leaky_factor_product_equals_the_select_bytewise():
 
 @pytest.mark.parametrize("frozen", [("x",), ("w",), ("b",), ("x", "w"), ("x", "b"), ("w", "b")])
 def test_frozen_inputs_get_no_gradient_and_none_is_computed(frozen):
+    # x is the mlp's input, w and b its first layer; the second layer trains
     stream = Stream(14)
     data = {"x": stream.normal(24).reshape(6, 4), "w": stream.normal(12).reshape(4, 3),
-            "b": stream.normal(3), "w1": stream.normal(6).reshape(3, 2)}
+            "b": stream.normal(3), "w1": stream.normal(6).reshape(3, 2), "b1": stream.normal(2)}
     c = stream.normal(12).reshape(6, 2)
 
     def run(frozen_names):
         leaves = {n: T.Tensor(a.copy(), requires_grad=n not in frozen_names)
                   for n, a in data.items()}
-        h = T.affine_leaky(leaves["x"], leaves["w"], leaves["b"])
-        out = T.matmul(h, leaves["w1"])
-        # the backward closures skip exactly the frozen inputs
-        g = np.ones(h.data.shape)
-        skipped = [pg is None for pg in h._backward(g)]
-        assert skipped == [n in frozen_names for n in ("x", "w", "b")]
-        assert out._backward(np.ones((6, 2)))[0] is not None
+        params = {"m.w0": leaves["w"], "m.b0": leaves["b"],
+                  "m.w1": leaves["w1"], "m.b1": leaves["b1"]}
+        out = T.mlp(leaves["x"], params, "m", 2)
+        # the backward closure skips exactly the frozen inputs
+        skipped = [pg is None for pg in out._backward(np.ones((6, 2)))]
+        assert skipped == [n in frozen_names for n in ("x", "w", "b", "w1", "b1")]
         T.backward(T.tsum(T.mul(out, T.Tensor(c))))
         return {n: t.grad for n, t in leaves.items()}
 
@@ -221,34 +240,75 @@ def test_matmul_skips_the_product_of_a_constant_operand():
     assert a.grad is None and b.grad is not None
 
 
-def test_affine_leaky_gradients_match_finite_differences():
-    stream = Stream(12)
-    params = {
-        "w0": T.Tensor(stream.normal(12).reshape(4, 3), requires_grad=True),
-        "b0": T.Tensor(stream.normal(3), requires_grad=True),
-        "w1": T.Tensor(stream.normal(6).reshape(3, 2), requires_grad=True),
-        "b1": T.Tensor(stream.normal(2), requires_grad=True),
-    }
-    x = stream.normal(20).reshape(5, 4)
-    c = stream.normal(10).reshape(5, 2)
-
-    def build_loss():
-        h = T.affine_leaky(T.Tensor(x), params["w0"], params["b0"])
-        h = T.affine_leaky(h, params["w1"], params["b1"])
-        return T.tsum(T.mul(h, T.Tensor(c)))
-
-    fd_check(build_loss, params)
-
-
-def test_affine_leaky_with_stopped_weights_records_no_node():
+def test_mlp_with_stopped_weights_records_no_node():
     stream = Stream(13)
-    w = T.Tensor(stream.normal(6).reshape(3, 2), requires_grad=True)
-    b = T.Tensor(stream.normal(2), requires_grad=True)
+    params = {n: T.Tensor(a, requires_grad=True) for n, a in (
+        ("m.w0", stream.normal(6).reshape(3, 2)), ("m.b0", stream.normal(2)),
+        ("m.w1", stream.normal(4).reshape(2, 2)), ("m.b1", stream.normal(2)))}
     x = stream.normal(12).reshape(4, 3)
-    out = T.affine_leaky(T.Tensor(x), T.stop_gradient(w), T.stop_gradient(b))
+    out = T.mlp(T.Tensor(x), {n: T.stop_gradient(p) for n, p in params.items()}, "m", 2)
     assert not out.requires_grad
     assert out._parents == () and out._backward is None
-    assert out.data.tobytes() == affine_leaky_chain(T.Tensor(x), w, b).data.tobytes()
+    assert out.data.tobytes() == layer_chain(T.Tensor(x), params, "m", 2).data.tobytes()
+
+
+def test_an_mlp_over_constant_weights_keeps_no_layer_input():
+    # the frozen snapshot encoder's case: the rows want a gradient, the
+    # weights are arrays, so the node keeps the output and the hidden layers'
+    # one-byte sign masks, not their float64 inputs
+    stream = Stream(17)
+    rows, widths = 5000, [11, 128, 128, 64]
+    arrays = {}
+    for i, (a, b) in enumerate(zip(widths[:-1], widths[1:])):
+        arrays[f"m.w{i}"] = stream.normal(a * b).reshape(a, b)
+        arrays[f"m.b{i}"] = stream.normal(b)
+    x = T.Tensor(stream.normal(rows * 11).reshape(rows, 11), requires_grad=True)
+
+    def held(params):
+        """Bytes the forward leaves allocated while its output lives."""
+        tracemalloc.start()
+        try:
+            out = T.mlp(x, params, "m", 3)
+            return tracemalloc.get_traced_memory()[0], out
+        finally:
+            tracemalloc.stop()
+
+    output, masks, inputs = rows * 64 * 8, rows * (128 + 128), rows * (128 + 128) * 8
+    frozen, out = held(arrays)
+    assert out.requires_grad
+    assert frozen < output + 2 * masks
+    # the measure sees kept inputs: trainable weights keep the hidden ones
+    trained, _ = held({n: T.Tensor(a, requires_grad=True) for n, a in arrays.items()})
+    assert trained > output + inputs
+
+
+def test_mse_bitwise_equals_the_chain():
+    stream = Stream(16)
+    scales = 10.0 ** np.floor(stream.uniform(40) * 40 - 20)  # 40 decades
+    full = (stream.normal(40) * scales).reshape(8, 5)
+    other = stream.normal(40).reshape(8, 5)
+    row = stream.normal(5)
+    cases = [(full, other), (full, row), (row, other), (SPECIALS, SPECIALS[::-1].copy())]
+
+    def run(loss_fn, a, b):
+        ta, tb = T.Tensor(a.copy(), requires_grad=True), T.Tensor(b.copy(), requires_grad=True)
+        # an upstream scale, so the node's incoming gradient is not 1
+        loss = T.scale(loss_fn(ta, tb), 0.37)
+        T.backward(loss)
+        return [loss.data, ta.grad, tb.grad]
+
+    def chain(a, b):
+        return T.tmean(T.square(T.sub(a, b)))
+
+    for a, b in cases:
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = run(T.mse, a, b), run(chain, a, b)
+        for x, y in zip(got, want):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    # a constant operand gets no gradient, and none is computed
+    ga, gb = T.mse(T.Tensor(full, requires_grad=True), row)._backward(np.ones(()))
+    assert gb is None and ga.shape == full.shape
+    assert not T.mse(full, row).requires_grad
 
 
 def test_stop_gradient_zero_contribution():
@@ -358,6 +418,24 @@ def test_tape_cleared_after_backward():
     assert y._parents == () and y._backward is None
 
 
+def test_backward_releases_each_node_as_it_runs():
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    y = T.square(x)
+    z = T.square(y)
+    loss = T.tsum(z)
+    run, seen = y._backward, []
+
+    def probe(g):
+        # by now the nodes after y have run and let go of what they kept
+        seen.append((loss._parents, loss._backward, z._parents, z._backward))
+        return run(g)
+
+    y._backward = probe
+    T.backward(loss)
+    assert seen == [((), None, (), None)]
+    assert np.array_equal(x.grad, [4.0, 32.0])
+
+
 def test_two_disjoint_graphs_survive_each_other():
     a = T.Tensor([1.0, 2.0], requires_grad=True)
     b = T.Tensor([3.0, 4.0], requires_grad=True)
@@ -405,11 +483,20 @@ def test_adam_first_step_closed_form():
 
 
 def test_nan_gradient_aborts_with_name():
-    p = T.Tensor([1.0], requires_grad=True)
-    opt = T.Optimizer({"theta": p}, "sgd-momentum", lr=0.1)
-    p.grad = np.array([np.nan])
-    with pytest.raises(T.GradientError, match="theta"):
-        opt.step()
+    # one non-finite entry would turn the whole parameter into NaN: SGD's
+    # clip (1/inf = 0, then inf * 0) and Adam's inf / inf
+    for kind, clip in (("sgd-momentum", 1.0), ("adam", None)):
+        for bad in (np.nan, np.inf, -np.inf):
+            ok = T.Tensor([1.0, 1.0, 1.0], requires_grad=True)
+            p = T.Tensor([1.0, 1.0, 1.0], requires_grad=True)
+            opt = T.Optimizer({"ok": ok, "theta": p}, kind, lr=0.1, max_grad_norm=clip)
+            ok.grad = np.array([0.5, 0.5, 0.5])
+            p.grad = np.array([1.0, bad, 1.0])
+            with pytest.raises(T.GradientError, match="'theta'"):
+                opt.step()
+            # refused before any parameter moves
+            assert ok.data.tolist() == p.data.tolist() == [1.0, 1.0, 1.0]
+            assert opt.t == 0
 
 
 def test_grad_clipping_scales_update():

@@ -16,12 +16,15 @@ Writes BENCH_<label>.json (in --out-dir, the current directory by default):
 - every run's end-to-end metrics, digests, error rate and order, the
   warm-up runs apart;
 - per workload and metric, the medians of both sides, the base's
-  interquartile range, and in how many pairs the change was better, with
-  "better" read from the change's BENCHMARK.json;
+  interquartile range, in how many pairs the change was better, and a
+  verdict, with "better" and "bound" read from the change's
+  BENCHMARK.json;
 - per workload, seed and artifact (steplog, weights, report), whether the
   two runs' digests are equal.
 
 At the end it prints these per workload and metric as a table on stderr.
+The verdict names each of `gain`, `separated` and `worse_than_bound` that
+holds (see `summarize`).
 """
 from __future__ import annotations
 
@@ -88,21 +91,42 @@ def paired(runs: list[dict]) -> dict[int, dict[str, dict]]:
     return {seed: p for seed, p in sorted(by_seed.items()) if set(p) == set(SIDES)}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: medians per side, the base's IQR, and the change's wins
-    over the pairs (seed by seed)."""
+def summarize(runs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
+    """Per metric: medians per side, the base's IQR, the change's wins over
+    the pairs (seed by seed, ties counting for neither), and a verdict:
+    - gain: the change wins at least nine tenths of the pairs and its median
+      beats the base's by more than the base's IQR;
+    - separated: every change run is better than every base run, which
+      resolves a metric even where the runs spread wider than its bound;
+    - worse_than_bound: the change's median is worse than the base's by more
+      than the metric's bound, a fraction of the base's median (None for a
+      metric without a bound)."""
     pairs = list(paired(runs).values())
     out = {}
     for name in sorted(pairs[0]["base"]["metrics"]) if pairs else []:
         base = [p["base"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         lower = better.get(name, "lower") == "lower"
-        wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+
+        def beats(a: float, b: float) -> bool:
+            return a < b if lower else a > b
+
+        wins = sum(beats(c, b) for b, c in zip(base, change))
         q1, q3 = quartiles(base)
+        base_median, change_median = statistics.median(base), statistics.median(change)
+        gap = abs(change_median - base_median)
+        bound = (bounds or {}).get(name)
         out[name] = {"better": "lower" if lower else "higher", "pairs": len(pairs),
-                     "base_median": statistics.median(base),
-                     "change_median": statistics.median(change),
-                     "base_iqr": q3 - q1, "change_wins": wins}
+                     "base_median": base_median, "change_median": change_median,
+                     "base_iqr": q3 - q1, "change_wins": wins,
+                     "verdict": {
+                         "gain": (wins >= 0.9 * len(pairs) and beats(change_median, base_median)
+                                  and gap > q3 - q1),
+                         "separated": all(beats(c, b) for c in change for b in base),
+                         "worse_than_bound": None if bound is None else (
+                             beats(base_median, change_median)
+                             and gap > bound * abs(base_median))}}
     return out
 
 
@@ -117,12 +141,17 @@ def digests_equal(runs: list[dict]) -> dict[str, dict[str, bool]]:
     return out
 
 
+def verdict_text(v: dict[str, bool | None]) -> str:
+    """The verdict's true flags, comma-separated; "-" when none holds."""
+    return ",".join(flag for flag, on in v.items() if on) or "-"
+
+
 def summary_table(workloads: dict) -> list[str]:
     """One row per workload and metric: both medians, the base's IQR, the
-    change's wins over the pairs, and over how many seeds each artifact's
-    digests were equal."""
+    change's wins over the pairs, the verdict, and over how many seeds each
+    artifact's digests were equal."""
     rows = [f"{'workload':<12} {'metric':<14} {'base':>10} {'change':>10} {'base_iqr':>10} "
-            f"{'wins':>6}  digests_equal"]
+            f"{'wins':>6}  {'verdict':<32} digests_equal"]
     for workload, w in workloads.items():
         seeds = list(w["digests_equal"].values())
         artifacts = sorted({a for per_seed in seeds for a in per_seed})
@@ -131,7 +160,8 @@ def summary_table(workloads: dict) -> list[str]:
         for name, m in w["pairs"].items():
             rows.append(f"{workload:<12} {name:<14} {m['base_median']:>10.4g} "
                         f"{m['change_median']:>10.4g} {m['base_iqr']:>10.4g} "
-                        f"{m['change_wins']:>3}/{m['pairs']:<2}  {digests}")
+                        f"{m['change_wins']:>3}/{m['pairs']:<2}  "
+                        f"{verdict_text(m['verdict']):<32} {digests}")
     return rows
 
 
@@ -147,7 +177,9 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     checkouts = {"base": os.path.abspath(args.base), "change": os.path.abspath(args.change)}
     with open(os.path.join(checkouts["change"], "BENCHMARK.json"), encoding="utf-8") as f:
-        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        end_to_end = json.load(f)["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end if "bound" in m}
     seeds = parse_seeds(args.seeds)
     doc = {"label": args.label, "seconds": args.seconds, "seeds": seeds,
            "command": "shiftbench/run.py --workload W --seed S --seconds "
@@ -172,7 +204,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
         runs = done["runs"]
         doc["workloads"][workload] = {"warmup": done["warmup"], "runs": runs,
-                                      "pairs": summarize(runs, better),
+                                      "pairs": summarize(runs, better, bounds),
                                       "digests_equal": digests_equal(runs)}
     path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as f:

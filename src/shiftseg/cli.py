@@ -72,7 +72,8 @@ def _load_config(path: str) -> TrainConfig:
 def _load_data(data_dir: str | None, cfg: TrainConfig, val_only: bool = False):
     """The split and clouds of a `gen` dataset directory, or the config's
     synthetic data without one; only the validation clouds with val_only.
-    Refuses a split without a validation cloud, clouds that declare
+    Refuses a split without a validation cloud, a cloud of fewer than 2
+    points (it has no neighbourhood to featurize), clouds that declare
     different class counts, or more classes than the config's class_count."""
     if data_dir:
         with open(os.path.join(data_dir, "split.json"), "r", encoding="utf-8") as f:
@@ -80,6 +81,9 @@ def _load_data(data_dir: str | None, cfg: TrainConfig, val_only: bool = False):
         clouds, counts = {}, set()
         for cid in split.val if val_only else split.train + split.val:
             clouds[cid], c = load_cloud(os.path.join(data_dir, f"{cid}.a3pc"), cloud_id=cid)
+            if len(clouds[cid]) < 2:
+                raise UsageError(f"cloud {cid!r} in {data_dir!r} has {len(clouds[cid])} "
+                                 "point(s); training and evaluation need at least 2")
             counts.add(c)
         if len(counts) > 1:
             raise UsageError(f"dataset {data_dir!r} mixes clouds that declare "

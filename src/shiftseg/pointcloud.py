@@ -1,5 +1,15 @@
 """Point-cloud geometry substrate: containers, voxelization, exact kNN,
-local PCA statistics, and azimuthal sector split."""
+local PCA statistics, and azimuthal sector split.
+
+Summation order. `local_curvature` and `segnet.featurize` read each
+neighbourhood as one `neighborhoods` block, coordinate by neighbour by
+query point, and sum over neighbours one whole row of M query points at a
+time: row 0 (the query point itself), plus row 1, plus row 2, and so on.
+That is the order numpy sums an (M, k+1, 3) gather over its neighbour axis,
+so each mean and covariance entry keeps the bits of that formula. A
+reduction that numpy takes pairwise instead (the row mean of an (M, k+1)
+array) is taken over such a contiguous array, and a squared norm is summed
+as (x*x + y*y) + z*z."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -79,20 +89,21 @@ class NeighborIndex:
 
 
 def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelGrid:
+    """Group points by cell key with one stable lexicographic sort of the
+    integer keys, so each cell's members follow in index order and its
+    first member is its representative. Cells come in ascending key order."""
     if voxel_size <= 0:
         raise ValueError("voxel_size must be positive")
     n = len(cloud)
-    if n == 0:
-        empty3 = np.empty((0, 3), np.int64)
-        empty = np.empty(0, np.int64)
-        return VoxelGrid(voxel_size, empty3, empty, np.empty(0, np.uint16), empty)
     keys = np.floor(cloud.positions / voxel_size).astype(np.int64)
-    uniq, point_cell = np.unique(keys, axis=0, return_inverse=True)
-    point_cell = point_cell.reshape(-1).astype(np.int64)
-    m = uniq.shape[0]
-
-    rep_index = np.full(m, n, dtype=np.int64)
-    np.minimum.at(rep_index, point_cell, np.arange(n, dtype=np.int64))
+    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
+    sorted_keys = keys[order]
+    starts_cell = np.ones(n, dtype=bool)
+    np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=starts_cell[1:])
+    first = np.flatnonzero(starts_cell)
+    m = first.size
+    point_cell = np.empty(n, dtype=np.int64)
+    point_cell[order] = np.cumsum(starts_cell) - 1
 
     # majority label per cell, smallest class id on ties: count (cell, label)
     # pairs, then pick per cell by (count desc, label asc)
@@ -102,11 +113,12 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelGrid:
     cell_of_pair = pair_uniq // 65536
     label_of_pair = pair_uniq % 65536
     # sort so the winning pair of each cell comes first
-    order = np.lexsort((label_of_pair, -pair_count, cell_of_pair))
-    first = np.searchsorted(cell_of_pair[order], np.arange(m))
-    rep_label = label_of_pair[order][first].astype(np.uint16)
+    by_count = np.lexsort((label_of_pair, -pair_count, cell_of_pair))
+    winner = np.searchsorted(cell_of_pair[by_count], np.arange(m))
+    rep_label = label_of_pair[by_count][winner].astype(np.uint16)
 
-    return VoxelGrid(float(voxel_size), uniq, rep_index, rep_label, point_cell)
+    return VoxelGrid(float(voxel_size), sorted_keys[first], order[first], rep_label,
+                     point_cell)
 
 
 def knn(cloud: PointCloud, k: int, rows: np.ndarray | None = None) -> NeighborIndex:
@@ -131,21 +143,49 @@ def local_density(cloud: PointCloud, nn: NeighborIndex) -> np.ndarray:
     return np.minimum(dens, DENSITY_CAP)
 
 
+def neighborhoods(positions: np.ndarray, centers: np.ndarray,
+                  nbr_indices: np.ndarray) -> np.ndarray:
+    """(3, k+1, M) block: entry [c, 0, m] is coordinate c of point
+    centers[m], entry [c, j, m] that of its j-th neighbour nbr_indices[m,
+    j-1]. Each (coordinate, neighbour) row is contiguous over the M centres,
+    so a sum over axis 1 adds one row of M values per neighbour, in
+    neighbour order."""
+    rows = np.concatenate([centers[None, :], nbr_indices.T])  # (k+1, M)
+    return np.take(np.ascontiguousarray(positions.T), rows, axis=1)
+
+
+def neighbor_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum over the neighbour axis (axis -2) of a `neighborhoods` block or of
+    a (k+1, M) array of per-neighbour values: one add of M values per
+    neighbour, in neighbour order, whatever M is. (numpy's own reduction
+    turns pairwise when M is 1.)"""
+    total = rows[..., 0, :].copy()
+    for j in range(1, rows.shape[-2]):
+        total += rows[..., j, :]
+    return total
+
+
+def centered(block: np.ndarray) -> np.ndarray:
+    """A `neighborhoods` block minus each neighbourhood's mean."""
+    return block - (neighbor_sum(block) / block.shape[1])[:, None, :]
+
+
 def local_curvature(cloud: PointCloud, nn: NeighborIndex) -> np.ndarray:
     """Surface-variation curvature from neighborhood PCA.
 
-    `nn` must hold every point's neighbors (built without query rows). For
-    each point, eigen-decompose the covariance of {i} union N_k(i) and
-    return lam3 / (lam1 + lam2 + lam3) with eigenvalues clamped at zero;
-    coincident neighborhoods give 0. Always in [0, 1/3].
-    """
-    if nn.k < 3:
-        raise ValueError("curvature needs k >= 3")
+    `nn` must hold every point's neighbors (built without query rows), at
+    any k >= 1. For each point, eigen-decompose the covariance of {i} union
+    N_k(i) and return lam3 / (lam1 + lam2 + lam3) with eigenvalues clamped
+    at zero; coincident neighborhoods give 0. Always in [0, 1/3]. Each
+    covariance entry sums its k+1 products in neighbour order (module
+    docstring)."""
     n = len(cloud)
-    hood = np.concatenate([np.arange(n, dtype=np.int64)[:, None], nn.indices], axis=1)
-    pts = cloud.positions[hood]  # (N, k+1, 3)
-    centered = pts - pts.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / hood.shape[1]
+    dev = centered(neighborhoods(cloud.positions, np.arange(n, dtype=np.int64), nn.indices))
+    cov = np.empty((n, 3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            cov[:, i, j] = cov[:, j, i] = neighbor_sum(dev[i] * dev[j])
+    cov /= dev.shape[1]
     eig = np.linalg.eigvalsh(cov)  # ascending
     eig = np.maximum(eig, 0.0)
     total = eig.sum(axis=1)

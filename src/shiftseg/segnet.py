@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .pointcloud import IGNORE_LABEL, NeighborIndex, PointCloud, VoxelGrid, local_density
+from .pointcloud import (IGNORE_LABEL, NeighborIndex, PointCloud, VoxelGrid, centered,
+                         local_density, neighbor_sum, neighborhoods)
 from .rng import Stream
 
 FEATURE_DIM = 8
@@ -18,17 +19,23 @@ def featurize(cloud: PointCloud, grid: VoxelGrid, nn: NeighborIndex) -> np.ndarr
     """One row per voxel representative: raw xyz, mean neighbor offset,
     neighborhood covariance trace, and local density. `nn` holds the
     representatives' neighbors, row i those of grid.rep_index[i]
-    (`pointcloud.knn` with rows=grid.rep_index)."""
-    reps = grid.rep_index
-    pos = cloud.positions
-    rep_pos = pos[reps]
-    nbr_pos = pos[nn.indices]  # (M, k, 3)
-    mean_off = nbr_pos.mean(axis=1) - rep_pos
-    hood = np.concatenate([rep_pos[:, None, :], nbr_pos], axis=1)
-    centered = hood - hood.mean(axis=1, keepdims=True)
-    trace = (centered ** 2).sum(axis=2).mean(axis=1)
+    (`pointcloud.knn` with rows=grid.rep_index).
+
+    The means sum the neighbours in order, one row of representatives at a
+    time (`pointcloud` docstring); each point's squared offset is
+    (x*x + y*y) + z*z, and the trace averages those over a contiguous
+    (M, k+1) array, so the features keep the bits of the (M, k+1, 3)
+    formula."""
+    hood = neighborhoods(cloud.positions, grid.rep_index, nn.indices)  # (3, k+1, M)
+    rep_pos = hood[:, 0]
+    mean_off = neighbor_sum(hood[:, 1:]) / nn.k - rep_pos
+    dev = centered(hood)
+    sq = dev[0] * dev[0]
+    sq += dev[1] * dev[1]
+    sq += dev[2] * dev[2]
+    trace = np.ascontiguousarray(sq.T).mean(axis=1)
     dens = local_density(cloud, nn)
-    return np.concatenate([rep_pos, mean_off, trace[:, None], dens[:, None]], axis=1)
+    return np.ascontiguousarray(np.concatenate([rep_pos, mean_off, trace[None], dens[None]]).T)
 
 
 class SegModel:

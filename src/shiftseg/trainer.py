@@ -741,13 +741,14 @@ def run(cfg: TrainConfig, split: DatasetSplit, clouds_by_id: dict[str, PointClou
                 state.epoch = epoch + 1
                 save_state(state, os.path.join(out_dir, "ckpt", f"epoch_{epoch + 1:04d}"))
         state.epoch = cfg.epochs
+        # the finished training is kept even if its final report fails
+        save_state(state, os.path.join(out_dir, "ckpt", "final"))
         if val_clouds:
             rep = final_report(state, val_clouds, cfg)
             reports.append(rep)
             with open(os.path.join(out_dir, "reports", "final.json"),
                       "w", encoding="utf-8") as f:
                 f.write(_json_line(rep))
-        save_state(state, os.path.join(out_dir, "ckpt", "final"))
     return state, reports
 
 

@@ -12,7 +12,7 @@ import pytest
 from shiftseg import augment, cli, dataset, evalsuite, trainer, verify
 from shiftseg import tensor as T
 from shiftseg.dataset import load_cloud, save_cloud
-from shiftseg.pointcloud import IGNORE_LABEL
+from shiftseg.pointcloud import IGNORE_LABEL, PointCloud
 from shiftseg.trainer import TrainConfig
 
 VAL_CLOUDS = 2
@@ -259,6 +259,53 @@ def test_train_and_ablate_refuse_a_split_without_validation_clouds(tmp_path, cap
         capsys.readouterr()
         assert quiet_main(command + ["--config", config, "--out", str(out)] + extra) == 2
         assert "no validation cloud" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def cut_cloud(data, role, points):
+    """Keep the first `points` points of the split's first `role` cloud;
+    returns its id."""
+    cid = json.loads((data / "split.json").read_text())[role][0]
+    path = data / f"{cid}.a3pc"
+    cloud, count = load_cloud(str(path))
+    save_cloud(PointCloud(cloud.positions[:points], cloud.labels[:points], cid), path, count)
+    return cid
+
+
+@pytest.mark.parametrize("points", [2, 3])
+def test_train_and_eval_score_a_validation_cloud_of_few_points(tmp_path, points):
+    # the clean high-distortion metrics take the PCA of 2- or 3-point
+    # neighbourhoods
+    data = tmp_path / "data"
+    assert quiet_main(["gen", "--scenes", "4", "--points", "256", "--classes", "4",
+                       "--out", str(data)]) == 0
+    cut_cloud(data, "val", points)
+    _, config = write_config(tmp_path / "config.json", epochs=1)
+    run = tmp_path / "run"
+    assert quiet_main(["train", "--config", config, "--data", str(data), "--out", str(run)]) == 0
+    final = json.loads((run / "reports" / "final.json").read_text())
+    assert 0.0 < final["high_distortion_mask_fraction"] <= 1.0
+    assert quiet_main(["eval", "--ckpt", str(run / "ckpt" / "final"), "--config", config,
+                       "--data", str(data), "--out", str(tmp_path / "eval")]) == 0
+    assert (tmp_path / "eval" / "reports" / "level_heavy.json").is_file()
+
+
+@pytest.mark.parametrize("role, points", [("train", 1), ("val", 1), ("val", 0)])
+def test_a_cloud_of_fewer_than_two_points_is_refused(trained, tmp_path, capsys, role, points):
+    _, config, ckpt = trained
+    data = tmp_path / "data"
+    assert quiet_main(["gen", "--scenes", "4", "--points", "64", "--classes", "4",
+                       "--out", str(data)]) == 0
+    cid = cut_cloud(data, role, points)
+    commands = [["train", "--config", config], ["ablate", "--config", config, "--sweep", "t"]]
+    if role == "val":  # eval reads the validation clouds only
+        commands.append(["eval", "--ckpt", ckpt, "--config", config])
+    for argv in commands:
+        out = tmp_path / argv[0]
+        capsys.readouterr()
+        assert quiet_main(argv + ["--data", str(data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cloud {cid!r}" in err and f"has {points} point(s)" in err, err
         assert not out.exists()
 
 

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftseg import _kernels, oracle
-from shiftseg.pointcloud import (PointCloud, knn, local_curvature, local_density,
-                                 sector_split, voxelize)
+from shiftseg.pointcloud import (IGNORE_LABEL, PointCloud, knn, local_curvature,
+                                 local_density, sector_split, voxelize)
 from shiftseg.rng import Stream
+from shiftseg.segnet import featurize
 
 
 def make_cloud(seed, n=300, scale=10.0):
@@ -200,6 +201,121 @@ def test_curvature_bounds():
     cloud = make_cloud(13, n=300)
     curv = local_curvature(cloud, knn(cloud, 8))
     assert np.all(curv >= 0.0) and np.all(curv <= 1.0 / 3.0 + 1e-12)
+
+
+def test_curvature_of_two_and_three_point_neighbourhoods():
+    # k = 1: two points span a line; k = 2: three points span a plane
+    pair = PointCloud(np.array([[0, 0, 0], [1, 2, 3]], dtype=float), np.zeros(2, np.uint16), "p")
+    assert local_curvature(pair, knn(pair, 1)).tolist() == [0.0, 0.0]
+    tri = PointCloud(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float),
+                     np.zeros(3, np.uint16), "t")
+    assert np.max(local_curvature(tri, knn(tri, 2))) < 1e-12
+    cloud = make_cloud(22, n=40)
+    for k in (1, 2):
+        curv = local_curvature(cloud, knn(cloud, k))
+        assert np.all(curv >= 0.0) and np.all(curv <= 1.0 / 3.0 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the kernels against the formulas they replaced, byte for byte
+#
+# These are the (M, k+1, 3) formulas the neighbour-row kernels replaced:
+# `np.unique(axis=0)` with `np.minimum.at` for the representatives, and
+# neighbourhood gathers summed over their neighbour axis, the trace averaged
+# pairwise over each contiguous (M, k+1) row, and the covariance by `einsum`.
+
+
+def unique_voxelize(cloud, voxel_size):
+    n = len(cloud)
+    keys = np.floor(cloud.positions / voxel_size).astype(np.int64)
+    uniq, point_cell = np.unique(keys, axis=0, return_inverse=True)
+    point_cell = point_cell.reshape(-1).astype(np.int64)
+    m = uniq.shape[0]
+    rep_index = np.full(m, n, dtype=np.int64)
+    np.minimum.at(rep_index, point_cell, np.arange(n, dtype=np.int64))
+    pair = point_cell * 65536 + cloud.labels.astype(np.int64)
+    pair_uniq, pair_count = np.unique(pair, return_counts=True)
+    cell_of_pair = pair_uniq // 65536
+    label_of_pair = pair_uniq % 65536
+    order = np.lexsort((label_of_pair, -pair_count, cell_of_pair))
+    first = np.searchsorted(cell_of_pair[order], np.arange(m))
+    rep_label = label_of_pair[order][first].astype(np.uint16)
+    return uniq, rep_index, rep_label, point_cell
+
+
+def gather_featurize(cloud, rep_index, nn):
+    pos = cloud.positions
+    rep_pos = pos[rep_index]
+    nbr_pos = pos[nn.indices]  # (M, k, 3)
+    mean_off = nbr_pos.mean(axis=1) - rep_pos
+    hood = np.concatenate([rep_pos[:, None, :], nbr_pos], axis=1)
+    centered = hood - hood.mean(axis=1, keepdims=True)
+    trace = (centered ** 2).sum(axis=2).mean(axis=1)
+    dens = local_density(cloud, nn)
+    return np.concatenate([rep_pos, mean_off, trace[:, None], dens[:, None]], axis=1)
+
+
+def einsum_curvature(cloud, nn):
+    n = len(cloud)
+    hood = np.concatenate([np.arange(n, dtype=np.int64)[:, None], nn.indices], axis=1)
+    pts = cloud.positions[hood]  # (N, k+1, 3)
+    centered = pts - pts.mean(axis=1, keepdims=True)
+    cov = np.einsum("nki,nkj->nij", centered, centered) / hood.shape[1]
+    eig = np.maximum(np.linalg.eigvalsh(cov), 0.0)
+    total = eig.sum(axis=1)
+    return np.where(total > 0, eig[:, 0] / np.where(total > 0, total, 1.0), 0.0)
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def clouds(draw, min_points=2):
+    """Uniform clouds, or lattice clouds full of duplicated points, at
+    coordinate magnitudes up to 1e9, offset anywhere in [-1e9, 1e9]; labels
+    over 4 classes, or all ignored."""
+    n = draw(st.integers(min_points, min_points + 60))
+    s = Stream(draw(st.integers(0, 2**31)), "kernel-prop")
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e9]))
+    if draw(st.booleans()):
+        pos = (s.integers(3 * n, 3) - 1).reshape(n, 3) * scale  # 27 sites
+    else:
+        pos = (s.uniform(3 * n).reshape(n, 3) * 2.0 - 1.0) * scale
+    pos = pos + draw(st.floats(-1e9, 1e9))
+    if draw(st.booleans()):
+        labels = np.full(n, IGNORE_LABEL, np.uint16)
+    else:
+        labels = s.integers(n, 4).astype(np.uint16)
+    return PointCloud(pos, labels, "prop")
+
+
+@settings(max_examples=150, deadline=None)
+@given(clouds(min_points=0), st.floats(0.05, 3.0))
+def test_voxelize_matches_the_unique_formula(cloud, voxel_size):
+    grid = voxelize(cloud, voxel_size)
+    ref = unique_voxelize(cloud, voxel_size)
+    for name, want in zip(("cell_keys", "rep_index", "rep_label", "point_cell"), ref):
+        assert same_bytes(getattr(grid, name), want), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 40), st.floats(0.05, 3.0))
+def test_featurize_matches_the_gather_formula(data, k, voxel_size):
+    cloud = data.draw(clouds(min_points=k + 1))
+    grid = voxelize(cloud, voxel_size)
+    nn = knn(cloud, k, grid.rep_index)
+    feats = featurize(cloud, grid, nn)
+    assert feats.flags.c_contiguous
+    assert same_bytes(feats, gather_featurize(cloud, grid.rep_index, nn))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 40))
+def test_curvature_matches_the_einsum_formula(data, k):
+    cloud = data.draw(clouds(min_points=k + 1))
+    nn = knn(cloud, k)
+    assert same_bytes(local_curvature(cloud, nn), einsum_curvature(cloud, nn))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Training-run reproducibility across `--resume`, atomic checkpoints, a
-final report over every augmentation level, golden output digests, clean
-clouds prepared once per run, labels a step cannot score refused, a replayed
-step bitwise equal to its selecting pass, and checkpoints refused when their
-arrays do not fit the config."""
+final checkpoint kept when the final report fails, a final report over every
+augmentation level, golden output digests, clean clouds prepared once per
+run, labels a step cannot score refused, a replayed step bitwise equal to its
+selecting pass, and checkpoints refused when their arrays do not fit the
+config."""
 import dataclasses
 import hashlib
 import json
@@ -86,6 +87,19 @@ def test_final_report_completes_over_every_level(tmp_path, monkeypatch):
     split, clouds = trainer.default_data(cfg)
     _, reports = trainer.run(cfg, split, clouds, str(tmp_path))
     assert list(reports[-1]["ssr_ratio_by_level"]) == list(PRESET_NAMES)
+
+
+def test_the_final_checkpoint_is_written_before_the_final_report(tmp_path, monkeypatch):
+    def fail(*args):
+        raise RuntimeError("final report failed")
+
+    monkeypatch.setattr(trainer, "final_report", fail)
+    cfg = verify.tiny_config(scenes=2, val_fraction=0.5)
+    split, clouds = trainer.default_data(cfg)
+    with pytest.raises(RuntimeError, match="final report failed"):
+        trainer.run(cfg, split, clouds, str(tmp_path))
+    assert trainer.load_state(cfg, str(tmp_path / "ckpt" / "final")).epoch == cfg.epochs
+    assert not (tmp_path / "reports" / "final.json").exists()
 
 
 def test_resume_refuses_a_changed_config(tmp_path):

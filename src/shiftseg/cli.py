@@ -7,9 +7,16 @@ augmented draw gives both the level's mIoU and its SSR ratio. The clean
 high-distortion metrics are computed once, from one kNN query per clean
 validation cloud, and reported with every level.
 
+`ablate` trains one run per value of a `SWEEPS` entry (the studied k, D, t
+and lambda), the config otherwise unchanged, and writes each run's clean and
+heavy-level mIoU.
+
 Every setting of a run comes from its config file, read through
-`trainer.TrainConfig`; `gen` builds one from its flags. Arguments are checked
-before the output directory is made.
+`trainer.TrainConfig`; `gen` builds one from its flags. An unknown key is
+refused, the deleted strategy keys (prior_source, offline_prior_path,
+distill_target, curriculum) included, and so is mode "eas+scr", now spelled
+mode "full" with lambda 0. Arguments are checked before the output directory
+is made.
 
 Exit codes: 0 success, 1 a failed `verify` suite, 2 usage error (a malformed
 config, dataset or checkpoint included).
@@ -29,6 +36,7 @@ import time
 from . import __version__, evalsuite, oracle, trainer, verify
 from .augment import PRESET_NAMES
 from .dataset import CloudFormatError, DatasetSplit, load_cloud, save_cloud
+from .pointcloud import voxel_keys
 from .tensor import CheckpointError
 from .trainer import ConfigError, TrainConfig
 
@@ -73,8 +81,9 @@ def _load_data(data_dir: str | None, cfg: TrainConfig, val_only: bool = False):
     """The split and clouds of a `gen` dataset directory, or the config's
     synthetic data without one; only the validation clouds with val_only.
     Refuses a split without a validation cloud, a cloud of fewer than 2
-    points (it has no neighbourhood to featurize), clouds that declare
-    different class counts, or more classes than the config's class_count."""
+    points (it has no neighbourhood to featurize) or with a cell key beyond
+    int64 at the config's voxel_size, clouds that declare different class
+    counts, or more classes than the config's class_count."""
     if data_dir:
         with open(os.path.join(data_dir, "split.json"), "r", encoding="utf-8") as f:
             split = DatasetSplit.from_json(json.load(f))
@@ -84,6 +93,10 @@ def _load_data(data_dir: str | None, cfg: TrainConfig, val_only: bool = False):
             if len(clouds[cid]) < 2:
                 raise UsageError(f"cloud {cid!r} in {data_dir!r} has {len(clouds[cid])} "
                                  "point(s); training and evaluation need at least 2")
+            try:
+                voxel_keys(clouds[cid], cfg.voxel_size)
+            except ValueError as exc:
+                raise UsageError(f"{exc} (dataset {data_dir!r})") from None
             counts.add(c)
         if len(counts) > 1:
             raise UsageError(f"dataset {data_dir!r} mixes clouds that declare "
@@ -193,9 +206,6 @@ SWEEPS = {
     "D": ("D", [32, 64, 128]),
     "t": ("t", [2.0, 3.0, 4.0]),
     "lambda": ("lambda", [0.02, 0.1, 0.5]),
-    "prior": ("prior_source", ["online", "offline", "gt"]),
-    "distill": ("distill_target", ["global", "class_conditional"]),
-    "curriculum": ("curriculum", ["off", "staged"]),
 }
 
 
@@ -210,21 +220,12 @@ def cmd_ablate(args) -> int:
     val_clouds = [clouds[c] for c in split.val]
 
     rows = []
-    online_ckpt = None
     for value in values:
-        doc = base.to_json()
-        doc[key] = value
-        if args.sweep == "prior" and value == "offline":
-            if online_ckpt is None:
-                raise UsageError("prior sweep must run the online cell first")
-            doc["offline_prior_path"] = online_ckpt
-        cfg = TrainConfig.from_json(doc)
+        cfg = TrainConfig.from_json({**base.to_json(), key: value})
         cell_dir = os.path.join(args.out, f"{args.sweep}_{value}")
         os.makedirs(cell_dir, exist_ok=True)
         _write_json(os.path.join(cell_dir, "config.json"), cfg.to_json())
         state, reports = trainer.run(cfg, split, clouds, out_dir=cell_dir)
-        if args.sweep == "prior" and value == "online":
-            online_ckpt = os.path.join(cell_dir, "ckpt", "final")
         clean = reports[-1]["miou"]
         heavy = evalsuite.evaluate_level(state.model, None, val_clouds, "heavy", 1, cfg)["miou"]
         rows.append((args.sweep, value, clean, heavy))

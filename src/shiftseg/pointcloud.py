@@ -88,14 +88,25 @@ class NeighborIndex:
         return NeighborIndex(k, self.indices[take, :k], self.distances[take, :k])
 
 
-def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelGrid:
-    """Group points by cell key with one stable lexicographic sort of the
-    integer keys, so each cell's members follow in index order and its
-    first member is its representative. Cells come in ascending key order."""
+def voxel_keys(cloud: PointCloud, voxel_size: float) -> np.ndarray:
+    """Each point's int64 cell key, floor(position / voxel_size); refuses a
+    key beyond int64, which a cast would wrap into a shared cell."""
     if voxel_size <= 0:
         raise ValueError("voxel_size must be positive")
+    floored = np.floor(cloud.positions / voxel_size)
+    if not ((floored >= -2.0 ** 63) & (floored < 2.0 ** 63)).all():
+        raise ValueError(f"cloud {cloud.cloud_id!r} has a coordinate beyond 2^63 voxels "
+                         f"of {voxel_size}; its cell key does not fit int64")
+    return floored.astype(np.int64)
+
+
+def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelGrid:
+    """Group points by cell key (`voxel_keys`) with one stable lexicographic
+    sort of the integer keys, so each cell's members follow in index order
+    and its first member is its representative. Cells come in ascending key
+    order."""
     n = len(cloud)
-    keys = np.floor(cloud.positions / voxel_size).astype(np.int64)
+    keys = voxel_keys(cloud, voxel_size)
     order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
     sorted_keys = keys[order]
     starts_cell = np.ones(n, dtype=bool)

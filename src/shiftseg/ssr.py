@@ -79,15 +79,12 @@ class ShiftMasks:
     scr: np.ndarray  # (n,) bool
     ssr: np.ndarray  # (n,) bool
     score: np.ndarray  # (n,) float, 0 on ignore rows
-    assigned_class: np.ndarray  # (n,) int64, -1 on ignore rows
-    assigned_index: np.ndarray  # (n,) int64, -1 on ignore rows
 
 
 @dataclass
 class LocalizeResult:
     masks: ShiftMasks
     valid_rows: np.ndarray  # rows (into the input) that were embedded, grouped order
-    classes: np.ndarray  # class per embedded row
     z_e: T.Tensor  # (m, D) latent per embedded row
 
 
@@ -107,24 +104,20 @@ def localize(snapshot: PriorSnapshot, probs, coords: np.ndarray,
     scr = np.zeros(n, dtype=bool)
     ssr = np.zeros(n, dtype=bool)
     score = np.zeros(n)
-    a_cls = np.full(n, -1, dtype=np.int64)
-    a_idx = np.full(n, -1, dtype=np.int64)
     vrows = np.flatnonzero(valid)
     rows, order, classes = build_encoder_input(T.masked_select(probs, valid),
                                                coords[vrows], labels[vrows])
     grouped = vrows[order]
     z_e = snapshot.embed(rows)
-    s, idx = shift_score(snapshot, z_e.data, classes)
+    s, _ = shift_score(snapshot, z_e.data, classes)
     score[grouped] = s
-    a_cls[grouped] = classes
-    a_idx[grouped] = idx
     flagged = np.zeros(n, dtype=bool)
     flagged[grouped] = s > snapshot.threshold
     if dilation_radius > 0.0 and flagged.any():
         flagged[valid] = _kernels.dilate(coords[valid], flagged[valid], dilation_radius)
     ssr[valid] = flagged[valid]
     scr[valid] = ~flagged[valid]
-    return LocalizeResult(ShiftMasks(scr, ssr, score, a_cls, a_idx), grouped, classes, z_e)
+    return LocalizeResult(ShiftMasks(scr, ssr, score), grouped, z_e)
 
 
 def ssr_ratio(masks: ShiftMasks) -> float:

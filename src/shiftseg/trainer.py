@@ -1,6 +1,15 @@
 """End-to-end training: per-batch original + augmented passes, online prior
-learning, shift-region localization, region-adaptive losses, alternating
-seg/autoencoder updates, prior-source strategies, and curriculum ceilings.
+learning, shift-region localization, region-adaptive losses, and alternating
+seg/autoencoder updates.
+
+Three modes, one spelling each: `none` trains on the clean originals; `eas`
+adds the augmented clouds with plain cross-entropy; `full` also learns the
+prior online from the originals' predictions, keeps cross-entropy on each
+augmented cloud's SCR rows and distills its SSR rows toward the nearest
+code of any class, weighted by lambda. SCR without distillation is `full`
+with lambda 0. No other prior source, distillation target or augmentation
+curriculum is offered: none beat these by more than the seed-to-seed spread
+(RESULTS.md).
 
 A step (`train_step`) runs in this order: the seg losses (`step_losses`,
 whose selecting pass also updates the prior's statistics and pins every
@@ -30,10 +39,7 @@ from .evalsuite import PreparedCloud, prepare_cloud
 from .pointcloud import IGNORE_LABEL, PointCloud, knn, voxelize  # noqa: F401
 from .rng import Stream
 
-MODES = ("none", "eas", "eas+scr", "full")
-PRIOR_SOURCES = ("online", "offline", "gt")
-DISTILL_TARGETS = ("global", "class_conditional")
-CURRICULA = ("off", "staged")
+MODES = ("none", "eas", "full")
 
 RESEED_INTERVAL = 200  # steps between dead-code reseeds
 # segmentation optimizer: SGD with momentum, global-norm clipped, base rate
@@ -60,8 +66,7 @@ _JSON_ALIASES = {"lam": "lambda", "latent_dim": "D"}
 # valid float and is kept as it is, so the config hash does not change
 _JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
                "str": ((str,), "a string"), "bool": ((bool,), "true or false"),
-               "tuple": ((list,), "a list of integers"),
-               "str | None": ((str, type(None)), "a string or null")}
+               "tuple": ((list,), "a list of integers")}
 
 
 def _json_type_ok(val, types: tuple) -> bool:
@@ -75,7 +80,7 @@ def _json_type_ok(val, types: tuple) -> bool:
 @dataclass(frozen=True)
 class TrainConfig:
     """Every setting a run may vary (schedule, data, widths, the studied t, k,
-    D and lambda, geometry, augmentation, strategies, bookkeeping) and its
+    D and lambda, geometry, augmentation, bookkeeping) and its
     seed; no flag or environment variable overrides a value. Values no
     experiment varies are module constants: the optimizer settings and
     CURVE_TRIALS here, scp.BETA and scp.GAMMA, augment.NUM_SECTORS. A value
@@ -85,7 +90,7 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 4
     seed: int = 0
-    mode: str = "full"  # none | eas | eas+scr | full
+    mode: str = "full"  # none | eas | full; SCR alone is full with lambda 0
     # dataset (synthetic generation defaults)
     scenes: int = 32
     points_per_scene: int = 4096
@@ -107,11 +112,6 @@ class TrainConfig:
     augment_preset: str = "random"
     noise_points: int = 32
     scanmix: bool = True
-    # strategies
-    prior_source: str = "online"
-    offline_prior_path: str | None = None
-    distill_target: str = "global"
-    curriculum: str = "off"
     # bookkeeping
     ckpt_every: int = 0  # epochs between checkpoints; 0 = final only
     eval_every: int = 1  # epochs between validation reports; 0 = final only
@@ -119,9 +119,6 @@ class TrainConfig:
     def __post_init__(self):
         checks = [
             (self.mode in MODES, f"mode must be one of {MODES}, got {self.mode!r}"),
-            (self.prior_source in PRIOR_SOURCES, f"unknown prior_source {self.prior_source!r}"),
-            (self.distill_target in DISTILL_TARGETS, f"unknown distill_target {self.distill_target!r}"),
-            (self.curriculum in CURRICULA, f"unknown curriculum {self.curriculum!r}"),
             (self.augment_preset in PRESET_NAMES, f"unknown augment_preset {self.augment_preset!r}"),
             (self.epochs >= 0, "epochs must be nonnegative"),
             (self.batch_size >= 1, "batch_size must be positive"),
@@ -143,8 +140,6 @@ class TrainConfig:
         for ok, msg in checks:
             if not ok:
                 raise ConfigError(msg)
-        if self.prior_source == "offline" and needs_prior(self.mode) and not self.offline_prior_path:
-            raise ConfigError("prior_source=offline requires offline_prior_path")
         object.__setattr__(self, "seg_hidden", tuple(self.seg_hidden))
         object.__setattr__(self, "encoder_widths", tuple(self.encoder_widths))
 
@@ -179,36 +174,8 @@ class TrainConfig:
 
 
 def needs_prior(mode: str) -> bool:
-    return mode in ("eas+scr", "full")
-
-
-def mode_flags(mode: str) -> tuple[bool, bool, bool]:
-    """(augmented pass on, region masking on, distillation allowed)."""
-    return {
-        "none": (False, False, False),
-        "eas": (True, False, False),
-        "eas+scr": (True, True, False),
-        "full": (True, True, True),
-    }[mode]
-
-
-def curriculum_ceiling(epoch: int, cfg: TrainConfig) -> str:
-    """Staged augmentation ceiling: epochs split into three equal thirds
-    (remainder to the last): light, then moderate, then heavy."""
-    if cfg.curriculum != "staged":
-        raise ConfigError("curriculum_ceiling requires curriculum=staged")
-    third = cfg.epochs // 3
-    if epoch < third:
-        return "light"
-    if epoch < 2 * third:
-        return "moderate"
-    return "heavy"
-
-
-def effective_preset(epoch: int, cfg: TrainConfig) -> str:
-    if cfg.curriculum == "staged":
-        return curriculum_ceiling(epoch, cfg)
-    return cfg.augment_preset
+    """Whether the mode learns a prior and masks regions with it."""
+    return mode == "full"
 
 
 def seg_lr_at(epoch: int, cfg: TrainConfig) -> float:
@@ -249,9 +216,9 @@ class TrainState:
     cache: dict = field(default_factory=dict)
 
 
-def _new_state(cfg: TrainConfig) -> TrainState:
-    """Freshly initialized networks, codebook and optimizers. An offline
-    prior gets no optimizer and is left for the caller to fill."""
+def init_state(cfg: TrainConfig) -> TrainState:
+    """Freshly initialized networks, codebook and optimizers: the state a
+    run starts from."""
     model = segnet.SegModel(cfg.seg_hidden, cfg.class_count, cfg.seed)
     seg_opt = T.Optimizer(model.params, "sgd-momentum", lr=SEG_LR,
                           weight_decay=SEG_WEIGHT_DECAY, momentum=SEG_MOMENTUM,
@@ -263,33 +230,10 @@ def _new_state(cfg: TrainConfig) -> TrainState:
         prior = scp.PriorAutoencoder(cfg.class_count, cfg.latent_dim,
                                      cfg.encoder_widths, cfg.seed)
         cb = scp.CodebookState(cfg.class_count, cfg.k, cfg.latent_dim)
-        if cfg.prior_source != "offline":
-            ae_params = dict(prior.params)
-            ae_params["scp.codes"] = cb.codes
-            ae_opt = T.Optimizer(ae_params, "adam", lr=AE_LR)
+        ae_params = dict(prior.params)
+        ae_params["scp.codes"] = cb.codes
+        ae_opt = T.Optimizer(ae_params, "adam", lr=AE_LR)
     return TrainState(cfg, model, prior, cb, seg_opt, ae_opt)
-
-
-def init_state(cfg: TrainConfig) -> TrainState:
-    """The state a run starts from; an offline prior is a completed run's
-    prior, read from its checkpoint and frozen."""
-    state = _new_state(cfg)
-    if state.prior is not None and cfg.prior_source == "offline":
-        path = cfg.offline_prior_path
-        _fill_prior(state.prior, state.cb,
-                    T.load_checkpoint(os.path.join(path, "weights.a3wt")), path)
-    return state
-
-
-def _fill_prior(prior: scp.PriorAutoencoder, cb: scp.CodebookState,
-                arrays: dict[str, np.ndarray], ckpt_dir: str) -> None:
-    """Fill the autoencoder and the codebook state from the "scp.*" arrays of
-    the checkpoint in `ckpt_dir`."""
-    if "scp.codes" not in arrays:
-        raise ConfigError(f"checkpoint {ckpt_dir!r} holds no prior")
-    prior.load_parameter_arrays(arrays)
-    T.load_arrays(arrays, {"scp.codes": cb.codes.data, "scp.variances": cb.variances,
-                           "scp.usage": cb.usage, "scp.initialized": cb.initialized})
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +297,6 @@ def _select_scp(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
     probs = np.concatenate(probs_data, axis=0)
     valid = labels != IGNORE_LABEL
     probs_v, coords_v, labels_v = probs[valid], coords[valid], labels[valid]
-    if cfg.prior_source == "gt":
-        onehot = np.zeros((labels_v.shape[0], cfg.class_count))
-        onehot[np.arange(labels_v.shape[0]), labels_v] = 1.0
-        probs_v = onehot
     rows, _, classes = scp.build_encoder_input(probs_v, coords_v, labels_v)
     if rows.shape[0] == 0:
         return None, None
@@ -371,21 +311,16 @@ def _select_scp(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
 
 
 def _select_ssr(loc: ssrmod.LocalizeResult, snapshot: ssrmod.PriorSnapshot,
-                cfg: TrainConfig, distill_on: bool) -> SsrSelection:
+                distill_on: bool) -> SsrSelection:
     """Pin one augmented cloud's regions and, for its shifted rows, the
-    distillation targets: the nearest initialized code of any class (global)
-    or the row's own assigned code (class_conditional)."""
+    distillation targets: the nearest initialized code of any class."""
     ssr_grouped = loc.masks.ssr[loc.valid_rows]
     targets = None
     if distill_on and ssr_grouped.any():
-        if cfg.distill_target == "global":
-            flat_codes = snapshot.codes3.reshape(-1, snapshot.latent_dim)
-            flats, _ = scp.nearest_global(flat_codes, snapshot.initialized,
-                                          snapshot.codes_per_class, loc.z_e.data[ssr_grouped])
-            targets = flat_codes[flats]
-        else:
-            idx = loc.masks.assigned_index[loc.valid_rows][ssr_grouped]
-            targets = snapshot.codes3[loc.classes[ssr_grouped], idx]
+        flat_codes = snapshot.codes3.reshape(-1, snapshot.latent_dim)
+        flats, _ = scp.nearest_global(flat_codes, snapshot.initialized,
+                                      snapshot.codes_per_class, loc.z_e.data[ssr_grouped])
+        targets = flat_codes[flats]
     return SsrSelection(ssr_grouped, targets, loc.masks)
 
 
@@ -396,8 +331,8 @@ def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
     call is pure in the parameters and reuses every pinned choice. Both build
     the same graph: each augmented cloud is localized against the snapshot,
     and a replay keeps the pinned regions and targets of the selection."""
-    aug_on, mask_on, distill_allowed = mode_flags(cfg.mode)
-    distill_on = distill_allowed and cfg.lam != 0.0
+    mask_on = needs_prior(cfg.mode)
+    distill_on = mask_on and cfg.lam != 0.0
     selecting = sel is None
     if selecting:
         sel = StepSelection()
@@ -412,13 +347,12 @@ def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
 
     # online prior learning sees the same original-pass forward as the CE loss
     scp_z_live = None
-    if selecting and needs_prior(cfg.mode) and cfg.prior_source != "offline":
+    if selecting and mask_on:
         probs_data = [T.softmax(T.stop_gradient(lg)).data for lg in logits_orig]
         sel.scp_sel, scp_z_live = _select_scp(state, pb, cfg, probs_data)
-    if selecting and needs_prior(cfg.mode):
         sel.snapshot = ssrmod.take_snapshot(state.cb, cfg.t, state.prior)
 
-    if aug_on:
+    if cfg.mode != "none":
         aug_logits = [state.model.forward(pc.feats) for pc in pb.augmented]
         ce_aug = _mean_over([segnet.ce_loss(lg, pc.rep_labels)
                              for lg, pc in zip(aug_logits, pb.augmented)])
@@ -429,7 +363,7 @@ def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
                                     pc.rep_labels, cfg.dilation_radius)
                     for lg, pc in zip(aug_logits, pb.augmented)]
             if selecting:
-                sel.ssr_sel = [_select_ssr(loc, sel.snapshot, cfg, distill_on) for loc in locs]
+                sel.ssr_sel = [_select_ssr(loc, sel.snapshot, distill_on) for loc in locs]
             ce_scr = _mean_over([
                 segnet.ce_loss(lg, pc.rep_labels, mask=s.masks.scr)
                 for lg, pc, s in zip(aug_logits, pb.augmented, sel.ssr_sel)])
@@ -489,10 +423,9 @@ def prepared_clean(state: TrainState, cloud: PointCloud, cfg: TrainConfig) -> Pr
 def prepare_batch(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
                   epoch: int, batch_index: int) -> PreparedBatch:
     originals = [prepared_clean(state, cloud, cfg) for cloud in clouds]
-    if not mode_flags(cfg.mode)[0]:
+    if cfg.mode == "none":
         return PreparedBatch(originals, None, "none")
-    preset = effective_preset(epoch, cfg)
-    aug_cfg = AugmentConfig.for_preset(preset, noise_points=cfg.noise_points,
+    aug_cfg = AugmentConfig.for_preset(cfg.augment_preset, noise_points=cfg.noise_points,
                                        scanmix=cfg.scanmix)
     augmented, records = [], []
     for i, cloud in enumerate(clouds):
@@ -502,7 +435,7 @@ def prepare_batch(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
             partner=partner)
         augmented.append(prepare_cloud(aug_cloud, cfg.voxel_size, cfg.knn_k))
         records.append(rec)
-    return PreparedBatch(originals, augmented, preset, records)
+    return PreparedBatch(originals, augmented, cfg.augment_preset, records)
 
 
 def train_step(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
@@ -545,7 +478,7 @@ def train_step(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
         _check_finite("vq_total", log["vq_total"], state)
         T.backward(vq.total)
         state.ae_opt.step()
-    if state.cb is not None and needs_prior(cfg.mode):
+    if state.cb is not None:
         log["code_usage"] = int(state.cb.usage.sum())
     if sel.ssr_sel is not None:
         ssr_rows = sum(int(s.masks.ssr.sum()) for s in sel.ssr_sel)
@@ -620,15 +553,17 @@ def _fsync(path: str) -> None:
 
 
 def load_state(cfg: TrainConfig, ckpt_dir: str) -> TrainState:
-    """The state saved in `ckpt_dir`; every array, an offline prior's
-    included, comes from that checkpoint."""
-    state = _new_state(cfg)
+    """The state saved in `ckpt_dir`; every array comes from that
+    checkpoint."""
+    state = init_state(cfg)
     arrays = T.load_checkpoint(os.path.join(ckpt_dir, "weights.a3wt"))
     state.model.load_parameter_arrays(arrays)
     state.seg_opt.load_state_arrays("opt.seg", arrays)
     if state.prior is not None:
-        _fill_prior(state.prior, state.cb, arrays, ckpt_dir)
-    if state.ae_opt is not None and "opt.ae.t" in arrays:
+        cb = state.cb
+        state.prior.load_parameter_arrays(arrays)
+        T.load_arrays(arrays, {"scp.codes": cb.codes.data, "scp.variances": cb.variances,
+                               "scp.usage": cb.usage, "scp.initialized": cb.initialized})
         state.ae_opt.load_state_arrays("opt.ae", arrays)
     meta = {"meta.step": np.zeros(1), "meta.epoch": np.zeros(1)}
     T.load_arrays(arrays, meta)

@@ -4,13 +4,11 @@ import contextlib
 import hashlib
 import io
 import json
-import shutil
 
 import numpy as np
 import pytest
 
 from shiftseg import augment, cli, dataset, evalsuite, trainer, verify
-from shiftseg import tensor as T
 from shiftseg.dataset import load_cloud, save_cloud
 from shiftseg.pointcloud import IGNORE_LABEL, PointCloud
 from shiftseg.trainer import TrainConfig
@@ -111,24 +109,6 @@ def test_eval_refuses_zero_trials(trained, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_an_offline_prior_run_evaluates_without_its_prior_source(trained, tmp_path):
-    """The offline run's checkpoint holds the frozen prior, so evaluation
-    reads nothing from the run the prior came from."""
-    _, _, ckpt = trained
-    source = tmp_path / "online"
-    shutil.copytree(ckpt, source)
-    _, config = write_config(tmp_path / "config.json", scenes=2 * VAL_CLOUDS, val_fraction=0.5,
-                             points_per_scene=256, t=0.45, prior_source="offline",
-                             offline_prior_path=str(source))
-    run = tmp_path / "run"
-    assert quiet_main(["train", "--config", config, "--out", str(run)]) == 0
-    shutil.rmtree(source)
-    out = tmp_path / "eval"
-    assert quiet_main(["eval", "--ckpt", str(run / "ckpt" / "final"), "--config", config,
-                       "--levels", "heavy", "--out", str(out)]) == 0
-    assert (out / "reports" / "level_heavy.json").exists()
-
-
 def test_one_level_prepares_each_draw_once(trained, tmp_path, monkeypatch):
     """V clouds x T trials: one draw and one featurize per (cloud, trial),
     plus one featurize per clean cloud for the high-distortion metrics."""
@@ -158,15 +138,18 @@ def test_one_level_prepares_each_draw_once(trained, tmp_path, monkeypatch):
 # before one kNN query served both the clean features and the clean
 # high-distortion statistics; the reports carry the config hash, so they were
 # re-recorded (every other byte unchanged, the CSV untouched) when nine
-# never-varied hyperparameters left TrainConfig
+# never-varied hyperparameters left TrainConfig, and again when the four
+# strategy fields RESULTS.md did not support left it (none 480b4ae3… →
+# e2796de2…, light 390415ad… → 92968ab5…, moderate bc517f11… → 673e43fd…,
+# heavy 7f519cc5… → b3597587…, excessive be8b5622… → b0b115bc…)
 EVAL_GOLDEN = {
-    "reports/level_none.json": "480b4ae312121d49874df012f067ec0178453fa22baf552e9950325d606b5b66",
-    "reports/level_light.json": "390415adf6c429cd0dd741b1a5b5b0780ca834c4329c5ca29dd3806d8730d7d6",
+    "reports/level_none.json": "e2796de21f0c691242b17ff4cc591532328e57f2df80ba561d069aa5bec9082c",
+    "reports/level_light.json": "92968ab56cd4fb1f294899c49fa7adb94077324d9d0017a6e76a886f4a80d1a1",
     "reports/level_moderate.json":
-        "bc517f11f217357d2150addb41fb3e3c48518376a47f1d26140535d95bb5f177",
-    "reports/level_heavy.json": "7f519cc5f76fcadea08fb035fd16a12969f37f65074a17ad7dc9160780edec5d",
+        "673e43fd14646a54e05b1f4e34660a6b27f1b772540199c55e4e4c6354e3bcae",
+    "reports/level_heavy.json": "b3597587d2e24afeb7992193a02ac43e0d1bc3bd7acea58b1104c19225b577a8",
     "reports/level_excessive.json":
-        "be8b56228d24d7dbf78224871b50797848b16a87f547b88d123463a3f2327523",
+        "b0b115bce56289339dc818f79a19b0e39154f3188ba3a2b47c17af2d64bade90",
     "csv/level_sweep.csv": "a849f416ebb3a7b857d89e67831898ed92b1a1042a51cc72ef2338984d83eb6c",
 }
 
@@ -309,15 +292,34 @@ def test_a_cloud_of_fewer_than_two_points_is_refused(trained, tmp_path, capsys, 
         assert not out.exists()
 
 
+def test_a_cloud_whose_cell_keys_overflow_int64_is_refused(trained, tmp_path, capsys):
+    _, config, ckpt = trained
+    data = tmp_path / "data"
+    assert quiet_main(["gen", "--scenes", "4", "--points", "64", "--classes", "4",
+                       "--out", str(data)]) == 0
+    cid = json.loads((data / "split.json").read_text())["val"][0]
+    save_cloud(PointCloud(np.array([[1e20, 0, 0], [-1e20, 0, 0], [3e20, 5, 5]]),
+                          np.zeros(3, np.uint16), cid), data / f"{cid}.a3pc", 4)
+    for argv in (["train", "--config", config],
+                 ["eval", "--ckpt", ckpt, "--config", config],
+                 ["ablate", "--config", config, "--sweep", "t"]):
+        out = tmp_path / argv[0]
+        capsys.readouterr()
+        assert quiet_main(argv + ["--data", str(data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cloud {cid!r} has a coordinate beyond 2^63 voxels of 0.35" in err, err
+        assert not out.exists()
+
+
 def test_ablate_writes_the_sweep_table(tmp_path):
     _, config = write_config(tmp_path / "config.json", scenes=3, val_fraction=0.34,
                              points_per_scene=256)
     out = tmp_path / "ablate"
-    assert quiet_main(["ablate", "--config", config, "--sweep", "curriculum",
+    assert quiet_main(["ablate", "--config", config, "--sweep", "t",
                        "--out", str(out)]) == 0
-    lines = (out / "csv" / "sweep_curriculum.csv").read_text().splitlines()
+    lines = (out / "csv" / "sweep_t.csv").read_text().splitlines()
     assert lines[0] == "sweep,value,miou_clean,miou_heavy"
-    assert [line.split(",")[1] for line in lines[1:]] == ["off", "staged"]
+    assert [line.split(",")[1] for line in lines[1:]] == ["2.0", "3.0", "4.0"]
     assert all(np.isfinite(float(v)) for line in lines[1:] for v in line.split(",")[2:])
 
 
@@ -327,8 +329,6 @@ def test_every_sweep_cell_is_a_config():
         assert key in base, name
         for value in values:
             doc = {**base, key: value}
-            if value == "offline":
-                doc["offline_prior_path"] = "online/ckpt/final"
             assert TrainConfig.from_json(doc).to_json()[key] == value, (name, value)
 
 
@@ -408,24 +408,6 @@ def test_a_config_with_the_removed_prior_kind_key_is_refused(tmp_path, capsys):
     assert "unknown config key 'prior_kind'" in capsys.readouterr().err
 
 
-def test_prior_sweep_freezes_the_online_prior_in_the_offline_cell(tmp_path):
-    _, config = write_config(tmp_path / "config.json", scenes=3, val_fraction=0.34,
-                             points_per_scene=128)
-    out = tmp_path / "ablate"
-    assert quiet_main(["ablate", "--config", config, "--sweep", "prior",
-                       "--out", str(out)]) == 0
-    for cell in ("online", "offline", "gt"):
-        for ckpt in (out / f"prior_{cell}" / "ckpt").iterdir():
-            assert sorted(p.name for p in ckpt.iterdir()) == ["state.json", "weights.a3wt"]
-    online = T.load_checkpoint(out / "prior_online" / "ckpt" / "final" / "weights.a3wt")
-    offline = T.load_checkpoint(out / "prior_offline" / "ckpt" / "final" / "weights.a3wt")
-    frozen = [n for n in online if n.startswith("scp.enc.")] + ["scp.codes", "scp.variances"]
-    assert len(frozen) > 2
-    for name in frozen:
-        assert offline[name].tobytes() == online[name].tobytes(), name
-    assert not any(n.startswith("opt.ae.") for n in offline)  # nothing trains the prior
-
-
 def test_a_config_with_the_removed_ema_momentum_key_is_refused(tmp_path, capsys):
     cfg = verify.tiny_config()
     path = tmp_path / "config.json"
@@ -434,26 +416,21 @@ def test_a_config_with_the_removed_ema_momentum_key_is_refused(tmp_path, capsys)
     assert "unknown config key 'ema_momentum'" in capsys.readouterr().err
 
 
+# the strategy keys went with the alternatives RESULTS.md did not support, and
+# mode "eas+scr" is spelled mode "full" with lambda 0
 @pytest.mark.parametrize("key", [
     "seg_lr", "seg_weight_decay", "seg_momentum", "clip_grad_norm", "ae_lr", "curve_trials",
-    "beta", "gamma", "num_sectors"])
+    "beta", "gamma", "num_sectors", "prior_source", "offline_prior_path", "distill_target",
+    "curriculum", "mode"])
 def test_a_config_with_a_key_now_a_constant_is_refused(tmp_path, capsys, key):
     cfg = verify.tiny_config()
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({**cfg.to_json(), key: 1}))
+    path.write_text(json.dumps({**cfg.to_json(), key: "eas+scr" if key == "mode" else 1}))
     out = tmp_path / "run"
     assert quiet_main(["train", "--config", str(path), "--out", str(out)]) == 2
-    assert f"unknown config key '{key}'" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_a_config_with_distill_target_none_is_refused(tmp_path, capsys):
-    # "none" trained the same weights as mode eas+scr or lambda 0
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({**verify.tiny_config().to_json(), "distill_target": "none"}))
-    out = tmp_path / "run"
-    assert quiet_main(["train", "--config", str(path), "--out", str(out)]) == 2
-    assert "unknown distill_target 'none'" in capsys.readouterr().err
+    expected = ("mode must be one of ('none', 'eas', 'full'), got 'eas+scr'" if key == "mode"
+                else f"unknown config key '{key}'")
+    assert expected in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -76,6 +76,19 @@ def test_voxel_majority_label_smallest_id_tiebreak():
     assert voxelize(cloud2, 1.0).rep_label[0] == 3
 
 
+# cell keys beyond int64 once wrapped to -2^63, so the first two points shared
+# a cell
+BEYOND_INT64 = np.array([[1e20, 0.0, 0.0], [-1e20, 0.0, 0.0], [3e20, 5.0, 5.0]])
+
+
+def test_voxelize_refuses_a_key_beyond_int64():
+    cloud = PointCloud(BEYOND_INT64, np.zeros(3, np.uint16), "far")
+    with pytest.raises(ValueError, match=r"cloud 'far' has a coordinate beyond 2\^63 voxels"):
+        voxelize(cloud, 0.35)
+    assert voxelize(PointCloud(BEYOND_INT64 * 1e-3, np.zeros(3, np.uint16), "near"),
+                    0.35).num_cells == 3
+
+
 def test_voxelize_empty_and_bad_size():
     empty = PointCloud(np.zeros((0, 3)), np.zeros(0, np.uint16), "empty")
     assert voxelize(empty, 0.5).num_cells == 0

@@ -70,8 +70,7 @@ def test_all_ignore_labels_give_empty_masks():
     res = ssr.localize(snap, probs, coords, labels, dilation_radius=1.0)
     m = res.masks
     assert not m.scr.any() and not m.ssr.any()
-    assert (m.score == 0.0).all() and (m.assigned_class == -1).all()
-    assert (m.assigned_index == -1).all()
+    assert (m.score == 0.0).all()
     assert res.valid_rows.size == 0 and res.z_e.shape == (0, D)
     assert ssr.ssr_ratio(m) == 0.0
 

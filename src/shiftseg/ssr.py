@@ -55,7 +55,7 @@ def take_snapshot(cb: CodebookState, threshold: float, prior: PriorAutoencoder) 
 
 
 def shift_score(snapshot: PriorSnapshot, z_e: np.ndarray,
-                classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                classes: np.ndarray) -> np.ndarray:
     """Normalized diagonal-Mahalanobis distance to the nearest same-class code.
 
     score = sqrt( sum_d (z_d - e_d)^2 / var_d ) / sqrt(D), so an offset of one
@@ -67,8 +67,7 @@ def shift_score(snapshot: PriorSnapshot, z_e: np.ndarray,
     idx, _ = nearest_in_class(snapshot.codes3, z_e, classes)
     codes = snapshot.codes3[classes, idx]
     var = snapshot.variances[classes, idx]
-    score = np.sqrt(((z_e - codes) ** 2 / var).sum(axis=1) / snapshot.latent_dim)
-    return score, idx
+    return np.sqrt(((z_e - codes) ** 2 / var).sum(axis=1) / snapshot.latent_dim)
 
 
 @dataclass
@@ -109,7 +108,7 @@ def localize(snapshot: PriorSnapshot, probs, coords: np.ndarray,
                                                coords[vrows], labels[vrows])
     grouped = vrows[order]
     z_e = snapshot.embed(rows)
-    s, _ = shift_score(snapshot, z_e.data, classes)
+    s = shift_score(snapshot, z_e.data, classes)
     score[grouped] = s
     flagged = np.zeros(n, dtype=bool)
     flagged[grouped] = s > snapshot.threshold

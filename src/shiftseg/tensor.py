@@ -7,10 +7,11 @@ and `backward`, which consumes the recorded subgraph in reverse creation
 order, skips those. A node keeps only what its backward reads: `mlp`, one
 node for a whole layer stack, keeps the hidden layers' sign masks and the
 inputs of the layers whose weights want a gradient, and `mse` keeps the
-difference of its operands. `backward` releases each node as soon as it has
-run, so those arrays are freed while the rest of the graph is still being
-walked. `stop_gradient` provides the detach semantics the quantization
-objective relies on.
+difference of its operands. A closure runs once: `mlp`'s frees each layer's
+input and mask as soon as it has used them, and `backward` releases each
+node as soon as it has run, so those arrays are freed while the rest of the
+graph is still being walked. `stop_gradient` provides the detach semantics
+the quantization objective relies on.
 """
 from __future__ import annotations
 
@@ -92,7 +93,8 @@ def add(a, b) -> Tensor:
     _check_elementwise("add", a, b)
 
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _record(a.data + b.data, (a, b), bwd, "add")
 
@@ -102,7 +104,8 @@ def sub(a, b) -> Tensor:
     _check_elementwise("sub", a, b)
 
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
 
     return _record(a.data - b.data, (a, b), bwd, "sub")
 
@@ -113,7 +116,8 @@ def mul(a, b) -> Tensor:
     ad, bd = a.data, b.data
 
     def bwd(g):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
+        return (_unbroadcast(g * bd, ad.shape) if a.requires_grad else None,
+                _unbroadcast(g * ad, bd.shape) if b.requires_grad else None)
 
     return _record(ad * bd, (a, b), bwd, "mul")
 
@@ -168,10 +172,13 @@ def mlp(x, params: Mapping, prefix: str, layers: int) -> Tensor:
 
     Values and gradients equal the chain leaky_relu(add(matmul(h, w), b)) per
     hidden layer and add(matmul(h, w), b) for the output, bit for bit; the
-    slope is applied as a product with `_leaky_factor`, not a select. The
-    node keeps each hidden layer's boolean sign mask, and a layer's input
-    only when that layer's weights want a gradient. Only the inputs that
-    require gradients get one computed."""
+    forward applies the slope as max(h, LEAKY_SLOPE * h), the backward as a
+    product with `_leaky_factor`, neither as a select. The node keeps each
+    hidden layer's boolean sign mask, and a layer's input only when that
+    layer's weights want a gradient. Its backward closure runs once: it frees
+    each layer's input as soon as that layer's weight gradient is taken, and
+    each mask as soon as it is turned into the slope factor. Only the inputs
+    that require gradients get one computed."""
     x = as_tensor(x)
     ws = [as_tensor(params[f"{prefix}.w{i}"]) for i in range(layers)]
     bs = [as_tensor(params[f"{prefix}.b{i}"]) for i in range(layers)]
@@ -189,7 +196,8 @@ def mlp(x, params: Mapping, prefix: str, layers: int) -> Tensor:
         h += b.data
         if i < layers - 1:
             positive = h > 0
-            h *= _leaky_factor(positive)
+            # where h <= 0, LEAKY_SLOPE * h >= h: the select's value, bit for bit
+            np.maximum(h, h * LEAKY_SLOPE, out=h)
             masks.append(positive)
     # wanted[i]: something before layer i wants a gradient, so the backward
     # carries one to layer i's input
@@ -198,16 +206,20 @@ def mlp(x, params: Mapping, prefix: str, layers: int) -> Tensor:
         wanted.append(wanted[-1] or w.requires_grad or b.requires_grad)
 
     def bwd(g):
+        # runs once: popping layer i's mask and input frees each as soon as
+        # it has been read, so they do not pile up under the gradients
         grads: list[np.ndarray | None] = [None] * (1 + 2 * layers)
         for i in reversed(range(layers)):
             if i < layers - 1:
                 # back through the slope; dropping the incoming g at once
                 # frees it before the next product is allocated
-                gp = _leaky_factor(masks[i])
+                gp = _leaky_factor(masks.pop())
                 gp *= g
                 g, gp = gp, None
-            if ws[i].requires_grad:
-                grads[1 + 2 * i] = kept[i].T @ g
+            layer_input = kept.pop()
+            if layer_input is not None:
+                grads[1 + 2 * i] = layer_input.T @ g
+                layer_input = None
             if bs[i].requires_grad:
                 grads[2 + 2 * i] = _unbroadcast(g, bs[i].data.shape)
             if not wanted[i]:
@@ -215,6 +227,7 @@ def mlp(x, params: Mapping, prefix: str, layers: int) -> Tensor:
             g = g @ ws[i].data.T
         else:
             grads[0] = g
+        masks.clear()  # the hidden layers below a break
         return tuple(grads)
 
     parents = (x, *itertools.chain.from_iterable(zip(ws, bs)))

@@ -270,7 +270,9 @@ class StepSelection:
 @dataclass
 class LossBundle:
     ce: T.Tensor
-    ce_aug: T.Tensor | None  # raw augmented CE (part of the loss in eas mode only)
+    # raw augmented CE: part of the loss in eas mode; in full mode only
+    # logged, so computed on detached logits and recording no tape
+    ce_aug: T.Tensor | None
     ce_scr: T.Tensor | None
     distill: T.Tensor | None
     total: T.Tensor
@@ -354,7 +356,8 @@ def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
 
     if cfg.mode != "none":
         aug_logits = [state.model.forward(pc.feats) for pc in pb.augmented]
-        ce_aug = _mean_over([segnet.ce_loss(lg, pc.rep_labels)
+        ce_aug = _mean_over([segnet.ce_loss(T.stop_gradient(lg) if mask_on else lg,
+                                            pc.rep_labels)
                              for lg, pc in zip(aug_logits, pb.augmented)])
         if not mask_on:
             total = T.add(total, ce_aug)

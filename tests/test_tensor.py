@@ -1,6 +1,7 @@
 import math
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -188,17 +189,33 @@ def test_mlp_bitwise_equals_the_layer_chain():
 
 
 def test_leaky_factor_product_equals_the_select_bytewise():
-    # every special against every special: as pre-activation a (forward) and
-    # as upstream gradient g under the sign mask of a (backward)
+    # every special against every special: as pre-activation a (forward, where
+    # mlp takes the max) and as upstream gradient g under the sign mask of a
+    # (backward)
     a = np.repeat(SPECIALS, SPECIALS.size)
     g = np.tile(SPECIALS, SPECIALS.size)
     positive = a > 0
     with np.errstate(invalid="ignore"):
         assert (a * T._leaky_factor(positive)).tobytes() == \
+            np.maximum(a, a * T.LEAKY_SLOPE).tobytes() == \
             np.where(positive, a, T.LEAKY_SLOPE * a).tobytes()
         assert (g * T._leaky_factor(positive)).tobytes() == \
             np.where(positive, g, T.LEAKY_SLOPE * g).tobytes()
     assert (1.0 - T.LEAKY_SLOPE) + T.LEAKY_SLOPE == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(width=64), st.floats(width=64)), min_size=1, max_size=64))
+def test_leaky_forward_max_equals_the_factor_product_bytewise(pairs):
+    # a pre-activation is a sum (h @ w + b), never a signaling NaN; every
+    # other float, signed zeros, subnormals and infinities among them, can be
+    a, b = np.array(pairs).T
+    with np.errstate(invalid="ignore", over="ignore"):
+        pre = a + b
+        want = pre * T._leaky_factor(pre > 0)
+        got = pre.copy()
+        np.maximum(got, got * T.LEAKY_SLOPE, out=got)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("frozen", [("x",), ("w",), ("b",), ("x", "w"), ("x", "b"), ("w", "b")])
@@ -214,10 +231,12 @@ def test_frozen_inputs_get_no_gradient_and_none_is_computed(frozen):
                   for n, a in data.items()}
         params = {"m.w0": leaves["w"], "m.b0": leaves["b"],
                   "m.w1": leaves["w1"], "m.b1": leaves["b1"]}
-        out = T.mlp(leaves["x"], params, "m", 2)
-        # the backward closure skips exactly the frozen inputs
-        skipped = [pg is None for pg in out._backward(np.ones((6, 2)))]
+        # the backward closure skips exactly the frozen inputs; it runs once,
+        # so it is probed on a graph of its own
+        probe = T.mlp(leaves["x"], params, "m", 2)
+        skipped = [pg is None for pg in probe._backward(np.ones((6, 2)))]
         assert skipped == [n in frozen_names for n in ("x", "w", "b", "w1", "b1")]
+        out = T.mlp(leaves["x"], params, "m", 2)
         T.backward(T.tsum(T.mul(out, T.Tensor(c))))
         return {n: t.grad for n, t in leaves.items()}
 
@@ -227,6 +246,47 @@ def test_frozen_inputs_get_no_gradient_and_none_is_computed(frozen):
             assert grad is None
         else:
             assert grad.tobytes() == reference[name].tobytes()
+
+
+@pytest.mark.parametrize("trained", ["all", "output"])
+def test_an_mlp_closure_frees_its_layer_inputs_and_masks_as_it_runs(trained):
+    # "output": only the last layer trains, so the closure stops above the
+    # hidden layers and their masks are never read
+    stream = Stream(18)
+    widths = [4, 6, 5, 3]
+    params = {}
+    for i, (a, b) in enumerate(zip(widths[:-1], widths[1:])):
+        train = trained == "all" or i == len(widths) - 2
+        params[f"m.w{i}"] = T.Tensor(stream.normal(a * b).reshape(a, b), requires_grad=train)
+        params[f"m.b{i}"] = T.Tensor(stream.normal(b), requires_grad=train)
+    x = T.Tensor(stream.normal(28).reshape(7, 4), requires_grad=trained == "all")
+    out = T.mlp(x, params, "m", 3)
+    cells = dict(zip(out._backward.__code__.co_freevars,
+                     (c.cell_contents for c in out._backward.__closure__)))
+    # kept[0] is x's own array, which the leaf holds
+    saved = [weakref.ref(a) for a in cells["kept"][1:] + cells["masks"] if a is not None]
+    del cells
+    assert len(saved) == (4 if trained == "all" else 3)
+    assert all(r() is not None for r in saved)
+    out._backward(np.ones((7, 3)))
+    assert out._backward is not None  # the node still holds its closure
+    assert all(r() is None for r in saved)
+
+
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
+def test_elementwise_ops_skip_the_gradient_of_a_constant_operand(op):
+    stream = Stream(19)
+    a = T.Tensor(stream.normal(12).reshape(3, 4))
+    b = T.Tensor(stream.normal(12).reshape(3, 4), requires_grad=True)
+    g = np.ones((3, 4))
+    ga, gb = op(a, b)._backward(g)
+    want = {T.add: g, T.sub: -g, T.mul: g * a.data}[op]
+    assert ga is None and gb.tobytes() == want.tobytes()
+    ga, gb = op(b, a)._backward(g)
+    assert gb is None and ga is not None
+    out = op(a, b)
+    T.backward(T.tsum(out))
+    assert a.grad is None and b.grad is not None
 
 
 def test_matmul_skips_the_product_of_a_constant_operand():

@@ -29,7 +29,7 @@ CURVATURE_QUANTILE = 90.0
 class PreparedCloud:
     """A cloud as the network sees it: one feature row per voxel representative."""
 
-    feats: np.ndarray  # (M, 8)
+    feats: np.ndarray  # (M, 8) float32
     rep_labels: np.ndarray  # (M,) int64 incl. 255
     rep_coords: np.ndarray  # (M, 3)
     point_cell: np.ndarray  # (N,) representative row per point
@@ -54,12 +54,15 @@ def prepare_cloud(cloud: PointCloud, voxel_size: float, knn_k: int,
     representative among all points, and featurize the representatives.
     kNN is queried at the representatives only, since the features read no
     other row; given `nn`, every point's neighbors at a k at least as large,
-    the representatives' rows are read from its first columns instead."""
+    the representatives' rows are read from its first columns instead.
+
+    The geometry runs in float64; the features are cast to float32 once, at
+    the end, so the network and every loss computes in float32."""
     k = _neighbor_count(cloud, knn_k)
     grid = voxelize(cloud, voxel_size)
     rep_nn = knn(cloud, k, grid.rep_index) if nn is None else nn.prefix(k, grid.rep_index)
     feats = segnet.featurize(cloud, grid, rep_nn)
-    return PreparedCloud(feats, grid.rep_label.astype(np.int64),
+    return PreparedCloud(feats.astype(np.float32), grid.rep_label.astype(np.int64),
                          cloud.positions[grid.rep_index], grid.point_cell)
 
 

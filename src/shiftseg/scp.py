@@ -60,17 +60,18 @@ def build_encoder_input(probs, coords: np.ndarray, labels: np.ndarray):
     """[probs || coords] rows regrouped contiguously by class (class 0 first).
 
     Callers exclude ignore-labeled rows. Returns (rows, order, classes) where
-    `rows` is a Tensor, differentiable toward `probs` when that is a Tensor
-    (an array is a constant), and `order` maps grouped row -> original row
-    and undoes the grouping.
+    `rows` is a Tensor in the dtype of `probs`, differentiable toward `probs`
+    when that is a Tensor (an array is a constant), and `order` maps grouped
+    row -> original row and undoes the grouping.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if (labels == 255).any():
         raise ValueError("encoder input rows must not carry the ignore label")
     order = np.argsort(labels, kind="stable")
     classes = labels[order]
+    probs_g = T.gather_rows(probs, order)
     coords_g = np.asarray(coords, dtype=np.float64)[order] * COORD_SCALE
-    rows = T.concat([T.gather_rows(probs, order), T.Tensor(coords_g)], axis=1)
+    rows = T.concat([probs_g, T.Tensor(coords_g.astype(probs_g.data.dtype))], axis=1)
     return rows, order, classes
 
 
@@ -191,7 +192,7 @@ def vq_losses(ae: PriorAutoencoder, cb: CodebookState, z_e: T.Tensor,
     codebook = T.mse(z_e0, z_q_rows)
     commitment = T.mse(z_e, z_q0)
     decoded = ae.decode(T.add(z_e, T.Tensor(z_q0 - z_e0)))
-    recon = T.mse(decoded, np.asarray(target_probs, dtype=np.float64))
+    recon = T.mse(decoded, target_probs)
     total = T.add(T.add(recon, codebook), T.scale(commitment, BETA))
     return VqLosses(recon, codebook, commitment, total)
 

@@ -52,11 +52,14 @@ class SegModel:
         self.num_layers = len(widths) - 1
 
     def forward(self, feats) -> T.Tensor:
-        """Unnormalized logits, one row per feature row."""
-        feats = np.asarray(feats, dtype=np.float64)
+        """Unnormalized logits, one row per feature row, in the features'
+        dtype (float32 from `evalsuite.prepare_cloud`)."""
+        feats = T.float_array(feats)
         if feats.ndim != 2 or feats.shape[1] != FEATURE_DIM:
             raise T.ShapeError(f"forward: features must be (N, {FEATURE_DIM}), got {feats.shape}")
-        return T.mlp(feats * _INPUT_SCALE, self.params, "seg", self.num_layers)
+        # the scales are powers of two, exact in either dtype
+        return T.mlp(feats * _INPUT_SCALE.astype(feats.dtype), self.params, "seg",
+                     self.num_layers)
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}
@@ -69,7 +72,8 @@ def ce_loss(logits: T.Tensor, labels: np.ndarray, mask: np.ndarray | None = None
     """Mean cross-entropy over rows with label != 255 (and mask true).
 
     No qualifying rows gives an exact constant 0 with no gradient, so heavily
-    augmented batches with an empty consistency mask still train.
+    augmented batches with an empty consistency mask still train. The loss
+    takes the logits' dtype; its mean over rows accumulates in float64.
     """
     labels = np.asarray(labels)
     valid = labels != IGNORE_LABEL
@@ -79,14 +83,14 @@ def ce_loss(logits: T.Tensor, labels: np.ndarray, mask: np.ndarray | None = None
             raise T.ShapeError(f"ce_loss: mask shape {mask.shape} != labels {valid.shape}")
         valid = valid & mask
     if not valid.any():
-        return T.Tensor(0.0)
+        return T.Tensor(np.zeros((), dtype=logits.data.dtype))
     sel = T.masked_select(logits, valid)
     y = labels[valid].astype(np.int64)
     # stable log-sum-exp: shift by a constant row max (gradient-free)
     row_max = np.broadcast_to(sel.data.max(axis=1, keepdims=True), sel.data.shape).copy()
     shifted = T.sub(sel, T.Tensor(row_max))
     lse = T.log(T.tsum(T.exp(shifted), axis=1))
-    onehot = np.zeros(sel.data.shape)
+    onehot = np.zeros(sel.data.shape, dtype=sel.data.dtype)
     onehot[np.arange(y.shape[0]), y] = 1.0
     true_logit = T.tsum(T.mul(shifted, T.Tensor(onehot)), axis=1)
     return T.tmean(T.sub(lse, true_logit))

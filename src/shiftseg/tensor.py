@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode differentiation.
+"""Dense float32 or float64 tensors with reverse-mode differentiation.
 
 Deliberately minimal: just the ops the training pipeline needs, on a
 single-use tape. Ops record a node with a backward closure when any input
@@ -12,6 +12,18 @@ input and mask as soon as it has used them, and `backward` releases each
 node as soon as it has run, so those arrays are freed while the rest of the
 graph is still being walked. `stop_gradient` provides the detach semantics
 the quantization objective relies on.
+
+The dtype comes from the data. A tensor keeps float32 and float64 data as
+they are and takes anything else as float64. An op computes in the narrowest
+dtype of its operands, so float32 activations over float64 master weights
+and constants run in float32 (mixed precision with float64 masters, after
+Micikevicius et al., ICLR 2018), and an all-float64 graph, as the gradient
+checks build, runs in float64. A backward returns each parent's gradient in
+that parent's dtype. A sum over rows into a parent (a bias or weight
+gradient, a gather's scatter) accumulates in that parent's dtype or wider,
+so a float64 master gets a float64 sum of float32 rows; loss means
+accumulate in float64. A weight gradient is summed in fixed row blocks
+(`_weight_grad`), so its bits do not depend on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -23,6 +35,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 _node_ids = itertools.count()
+_FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
 # negative-side slope of leaky_relu and of mlp's hidden layers, one value for
 # both so the fused node stays bitwise equal to the chain it replaces
 LEAKY_SLOPE = 0.01
@@ -40,7 +53,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_id")
 
     def __init__(self, data, requires_grad: bool = False, *, _parents=(), _backward=None, _op="leaf"):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = float_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
@@ -57,6 +70,18 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
+
+
+def float_array(data) -> np.ndarray:
+    """float32 and float64 data as they are; anything else as float64."""
+    a = np.asarray(data)
+    return a if a.dtype in _FLOATS else a.astype(np.float64)
+
+
+def _compute_dtype(*tensors: Tensor) -> np.dtype:
+    """The narrowest dtype among the operands: float32 activations win over
+    float64 master weights and constants."""
+    return min((t.data.dtype for t in tensors), key=lambda d: d.itemsize)
 
 
 def as_tensor(x) -> Tensor:
@@ -81,43 +106,50 @@ def _check_elementwise(op: str, a: Tensor, b: Tensor):
     raise ShapeError(f"{op}: shapes {sa} and {sb} are not equal or leading-broadcastable")
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def _unbroadcast(g: np.ndarray, parent: Tensor) -> np.ndarray:
+    """`g` summed over the leading axes the parent was broadcast along, in
+    the parent's dtype."""
+    shape, dtype = parent.data.shape, parent.data.dtype
     if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    return g.sum(axis=tuple(range(extra)))
+        return g.astype(dtype, copy=False)
+    return g.sum(axis=tuple(range(g.ndim - len(shape))), dtype=dtype)
+
+
+def _operands(op: str, a, b) -> tuple[Tensor, Tensor, np.ndarray, np.ndarray]:
+    """Two elementwise operands as Tensors, and their data in the dtype the
+    op computes in."""
+    a, b = as_tensor(a), as_tensor(b)
+    _check_elementwise(op, a, b)
+    dtype = _compute_dtype(a, b)
+    return a, b, a.data.astype(dtype, copy=False), b.data.astype(dtype, copy=False)
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_elementwise("add", a, b)
+    a, b, ad, bd = _operands("add", a, b)
 
     def bwd(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
+        return (_unbroadcast(g, a) if a.requires_grad else None,
+                _unbroadcast(g, b) if b.requires_grad else None)
 
-    return _record(a.data + b.data, (a, b), bwd, "add")
+    return _record(ad + bd, (a, b), bwd, "add")
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_elementwise("sub", a, b)
+    a, b, ad, bd = _operands("sub", a, b)
 
     def bwd(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
+        return (_unbroadcast(g, a) if a.requires_grad else None,
+                _unbroadcast(-g, b) if b.requires_grad else None)
 
-    return _record(a.data - b.data, (a, b), bwd, "sub")
+    return _record(ad - bd, (a, b), bwd, "sub")
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_elementwise("mul", a, b)
-    ad, bd = a.data, b.data
+    a, b, ad, bd = _operands("mul", a, b)
 
     def bwd(g):
-        return (_unbroadcast(g * bd, ad.shape) if a.requires_grad else None,
-                _unbroadcast(g * ad, bd.shape) if b.requires_grad else None)
+        return (_unbroadcast(g * bd, a) if a.requires_grad else None,
+                _unbroadcast(g * ad, b) if b.requires_grad else None)
 
     return _record(ad * bd, (a, b), bwd, "mul")
 
@@ -136,11 +168,12 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
-    ad, bd = a.data, b.data
+    dtype = _compute_dtype(a, b)
+    ad, bd = a.data.astype(dtype, copy=False), b.data.astype(dtype, copy=False)
 
     def bwd(g):
-        return (g @ bd.T if a.requires_grad else None,
-                ad.T @ g if b.requires_grad else None)
+        return ((g @ bd.T).astype(a.data.dtype, copy=False) if a.requires_grad else None,
+                _weight_grad(ad, g, b.data.dtype) if b.requires_grad else None)
 
     return _record(ad @ bd, (a, b), bwd, "matmul")
 
@@ -155,11 +188,36 @@ def leaky_relu(x) -> Tensor:
     return _record(np.where(xd > 0, xd, LEAKY_SLOPE * xd), (x,), bwd, "leaky-relu")
 
 
-def _leaky_factor(positive: np.ndarray) -> np.ndarray:
-    """1.0 where `positive`, LEAKY_SLOPE elsewhere. Multiplying by it gives
-    np.where(positive, a, LEAKY_SLOPE * a) bit for bit (1.0 - LEAKY_SLOPE +
-    LEAKY_SLOPE is exactly 1.0), without a branch per element."""
-    f = positive.astype(np.float64)
+# rows per block of a weight gradient's sum over rows (`_weight_grad`)
+GRAD_ROW_BLOCK = 256
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray, dtype) -> np.ndarray:
+    """x.T @ g, a weight's gradient over the rows of its input, summed in
+    fixed GRAD_ROW_BLOCK-row blocks: one stacked product over the full
+    blocks and one over a partial last block, then a sum over the blocks in
+    `dtype` (the weight's). One product over all rows gives other bits under
+    another OpenBLAS thread count for most shapes of a step; products over
+    blocks of this size gave the same bits under 1 and 2 threads for every
+    probed shape, and so do the forward and input-gradient products, whose
+    inner dimension is a layer width."""
+    n, block = x.shape[0], GRAD_ROW_BLOCK
+    full = n - n % block
+    parts = np.empty((-(-n // block), x.shape[1], g.shape[1]), dtype=np.result_type(x, g))
+    if full:
+        np.matmul(x[:full].reshape(-1, block, x.shape[1]).transpose(0, 2, 1),
+                  g[:full].reshape(-1, block, g.shape[1]), out=parts[:full // block])
+    if full < n:
+        np.matmul(x[full:].T, g[full:], out=parts[-1])
+    return parts.sum(axis=0, dtype=dtype)
+
+
+def _leaky_factor(positive: np.ndarray, dtype) -> np.ndarray:
+    """1.0 where `positive`, LEAKY_SLOPE elsewhere, in `dtype`. Multiplying
+    by it gives np.where(positive, a, LEAKY_SLOPE * a) bit for bit (1.0 -
+    LEAKY_SLOPE + LEAKY_SLOPE is exactly 1.0 in float32 and float64), without
+    a branch per element."""
+    f = positive.astype(dtype)
     f *= 1.0 - LEAKY_SLOPE
     f += LEAKY_SLOPE
     return f
@@ -178,22 +236,29 @@ def mlp(x, params: Mapping, prefix: str, layers: int) -> Tensor:
     layer's weights want a gradient. Its backward closure runs once: it frees
     each layer's input as soon as that layer's weight gradient is taken, and
     each mask as soon as it is turned into the slope factor. Only the inputs
-    that require gradients get one computed."""
+    that require gradients get one computed.
+
+    The node computes in the dtype of `x`: each call casts the weights and
+    biases to it, so float32 activations run float32 products over float64
+    master weights. The weight and bias gradients come back in the master's
+    dtype, summed over rows in it; a weight's sum runs over fixed row blocks
+    (`_weight_grad`), so its bits do not depend on the BLAS thread count."""
     x = as_tensor(x)
     ws = [as_tensor(params[f"{prefix}.w{i}"]) for i in range(layers)]
     bs = [as_tensor(params[f"{prefix}.b{i}"]) for i in range(layers)]
     h = x.data
+    wds = [w.data.astype(h.dtype, copy=False) for w in ws]  # weights as computed
     kept: list[np.ndarray | None] = []  # layer inputs the weight gradients read
     masks: list[np.ndarray] = []  # hidden layers' sign masks
-    for i, (w, b) in enumerate(zip(ws, bs)):
-        if h.ndim != 2 or w.data.ndim != 2 or h.shape[1] != w.data.shape[0]:
-            raise ShapeError(f"mlp layer {i}: incompatible shapes {h.shape} x {w.data.shape}")
-        if b.data.shape != w.data.shape[1:]:
+    for i, (w, b) in enumerate(zip(wds, bs)):
+        if h.ndim != 2 or w.ndim != 2 or h.shape[1] != w.shape[0]:
+            raise ShapeError(f"mlp layer {i}: incompatible shapes {h.shape} x {w.shape}")
+        if b.data.shape != w.shape[1:]:
             raise ShapeError(f"mlp layer {i}: bias shape {b.data.shape} does not match "
-                             f"{w.data.shape}")
-        kept.append(h if w.requires_grad else None)
-        h = h @ w.data
-        h += b.data
+                             f"{w.shape}")
+        kept.append(h if ws[i].requires_grad else None)
+        h = h @ w
+        h += b.data.astype(h.dtype, copy=False)
         if i < layers - 1:
             positive = h > 0
             # where h <= 0, LEAKY_SLOPE * h >= h: the select's value, bit for bit
@@ -213,18 +278,18 @@ def mlp(x, params: Mapping, prefix: str, layers: int) -> Tensor:
             if i < layers - 1:
                 # back through the slope; dropping the incoming g at once
                 # frees it before the next product is allocated
-                gp = _leaky_factor(masks.pop())
+                gp = _leaky_factor(masks.pop(), g.dtype)
                 gp *= g
                 g, gp = gp, None
             layer_input = kept.pop()
             if layer_input is not None:
-                grads[1 + 2 * i] = layer_input.T @ g
+                grads[1 + 2 * i] = _weight_grad(layer_input, g, ws[i].data.dtype)
                 layer_input = None
             if bs[i].requires_grad:
-                grads[2 + 2 * i] = _unbroadcast(g, bs[i].data.shape)
+                grads[2 + 2 * i] = _unbroadcast(g, bs[i])
             if not wanted[i]:
                 break
-            g = g @ ws[i].data.T
+            g = g @ wds[i].T
         else:
             grads[0] = g
         masks.clear()  # the hidden layers below a break
@@ -300,24 +365,24 @@ def tmean(x, axis: int | None = None) -> Tensor:
             return (np.broadcast_to(g / count, shape).copy(),)
         return (np.broadcast_to(np.expand_dims(g, axis) / count, shape).copy(),)
 
-    return _record(x.data.mean(axis=axis), (x,), bwd, "mean")
+    # accumulated in float64, returned in x's dtype
+    mean = x.data.mean(axis=axis, dtype=np.float64).astype(x.data.dtype)
+    return _record(mean, (x,), bwd, "mean")
 
 
 def mse(a, b) -> Tensor:
     """Mean squared difference, tmean(square(sub(a, b))) as one node: the
     same value and operand gradients bit for bit, keeping only the
     difference (b may broadcast as in `sub`)."""
-    a, b = as_tensor(a), as_tensor(b)
-    _check_elementwise("mse", a, b)
-    d = a.data - b.data
-    ashape, bshape = a.data.shape, b.data.shape
+    a, b, ad, bd = _operands("mse", a, b)
+    d = ad - bd
 
     def bwd(g):
         gd = 2.0 * (g / d.size) * d
-        return (_unbroadcast(gd, ashape) if a.requires_grad else None,
-                _unbroadcast(-gd, bshape) if b.requires_grad else None)
+        return (_unbroadcast(gd, a) if a.requires_grad else None,
+                _unbroadcast(-gd, b) if b.requires_grad else None)
 
-    return _record((d * d).mean(), (a, b), bwd, "mse")
+    return _record((d * d).mean(dtype=np.float64).astype(d.dtype), (a, b), bwd, "mse")
 
 
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -328,9 +393,11 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
 
     def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(piece.astype(p.data.dtype, copy=False) if p.requires_grad else None
+                     for p, piece in zip(parts, np.split(g, splits, axis=axis)))
 
-    return _record(np.concatenate([p.data for p in parts], axis=axis), parts, bwd, "concat")
+    out = np.concatenate([p.data for p in parts], axis=axis, dtype=_compute_dtype(*parts))
+    return _record(out, parts, bwd, "concat")
 
 
 def gather_rows(x, indices) -> Tensor:
@@ -344,11 +411,12 @@ def gather_rows(x, indices) -> Tensor:
 
     def bwd(g):
         # one bincount over (row, column) keys adds each cell's terms in input
-        # order from +0.0, bit for bit what np.add.at(gx, idx, g) gives
+        # order from +0.0 in float64, bit for bit what np.add.at(gx, idx, g)
+        # gives on a float64 gx; a float32 x gets that sum rounded once
         width = int(np.prod(shape[1:], dtype=np.int64))
         keys = (idx[:, None] * width + np.arange(width)).ravel()
         gx = np.bincount(keys, weights=g.ravel(), minlength=shape[0] * width)
-        return (gx.reshape(shape),)
+        return (gx.reshape(shape).astype(x.data.dtype, copy=False),)
 
     return _record(out, (x,), bwd, "gather-rows")
 
@@ -362,7 +430,7 @@ def masked_select(x, mask) -> Tensor:
     shape = x.data.shape
 
     def bwd(g):
-        gx = np.zeros(shape, dtype=np.float64)
+        gx = np.zeros(shape, dtype=x.data.dtype)
         gx[m] = g
         return (gx,)
 
@@ -397,7 +465,7 @@ def backward(loss: Tensor) -> None:
     order = sorted(nodes.values(), key=lambda t: t._id)
     del nodes  # `order` alone holds the nodes, so each can go once it has run
 
-    grads: dict[int, np.ndarray] = {loss._id: np.ones((), dtype=np.float64)}
+    grads: dict[int, np.ndarray] = {loss._id: np.ones((), dtype=loss.data.dtype)}
     while order:
         node = order.pop()  # reverse creation order
         g = grads.pop(node._id, None)

@@ -1,8 +1,11 @@
 """Verification suites run by the CLI: gradient fidelity against finite
-differences, quantizer exactness against exhaustive scans, statistics replay,
-and metric counting. Each suite returns OracleReports; any failure makes the
-command exit nonzero."""
+differences, float32 step gradients against float64 ones, quantizer
+exactness against exhaustive scans, statistics replay, and metric counting.
+Each suite returns OracleReports; any failure makes the command exit
+nonzero."""
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -11,10 +14,21 @@ from . import tensor as T
 from .dataset import SYNTH_CLASSES, SceneSpec, generate_scene
 from .rng import Stream
 
-SUITES = ("grad", "quant", "stats", "metrics")
+SUITES = ("grad", "precision", "quant", "stats", "metrics")
 # SSR threshold of the gradient suite's step: it flags 9 of the 17 labeled
 # rows, so the distillation term is part of the checked gradient
 GRAD_T = 0.3
+# Bound on the relative 2-norm error of each parameter tensor's float32 step
+# gradient against the float64 gradient of the same state and selection,
+# fixed from float32's unit roundoff u = 2**-24 ~ 6e-8 before any
+# measurement: a product of inner dimension n errs by at most n*u relative
+# to |x|.|y| (Higham, "Accuracy and Stability of Numerical Algorithms",
+# sec. 3.5); here n <= 256 (layer widths <= 128, weight gradients in
+# 256-row blocks summed in float64), so <= 1.5e-5 per product, and a
+# gradient of the prior passes about 20 of them (10 layers, forward and
+# back): <= 3e-4, times about 3 for the rounded inputs and the elementwise
+# steps.
+PRECISION_REL_TOL = 1e-3
 
 
 def tiny_config(**overrides) -> trainer.TrainConfig:
@@ -35,14 +49,25 @@ def _shifted_rows(sel: trainer.StepSelection) -> int:
     return sum(int(s.masks.ssr.sum()) for s in sel.ssr_sel or [])
 
 
+def float64_batch(pb: trainer.PreparedBatch) -> trainer.PreparedBatch:
+    """`pb` with every cloud's features cast to float64."""
+    def cast(clouds):
+        return None if clouds is None else [
+            dataclasses.replace(pc, feats=pc.feats.astype(np.float64)) for pc in clouds]
+    return dataclasses.replace(pb, originals=cast(pb.originals), augmented=cast(pb.augmented))
+
+
 def tiny_step(cfg: trainer.TrainConfig | None = None, warm_steps: int = 2):
     """State, prepared batch, pinned selection and the selecting pass's
     seg losses (with the live prior latents for `trainer.vq_objective`) for
     one tiny step.
 
     A couple of warm-up steps first, so codes are initialized and variances
-    tracked. A step whose selection shifts no row, or whose distillation
-    loss is 0, cannot check those gradients and raises ValueError.
+    tracked. The batch's features are cast to float64, so the step's graph
+    (the same code that trains in float32) runs in float64, where central
+    differences at h=1e-5 resolve it. A step whose selection shifts no row,
+    or whose distillation loss is 0, cannot check those gradients and raises
+    ValueError.
     """
     cfg = cfg or tiny_config(t=GRAD_T)
     spec = SceneSpec(seed=cfg.seed, num_points=cfg.points_per_scene,
@@ -53,7 +78,7 @@ def tiny_step(cfg: trainer.TrainConfig | None = None, warm_steps: int = 2):
     state = trainer.init_state(cfg)
     for step in range(warm_steps):
         trainer.train_step(state, [cloud], cfg, 0, step)
-    pb = trainer.prepare_batch(state, [cloud], cfg, 0, warm_steps)
+    pb = float64_batch(trainer.prepare_batch(state, [cloud], cfg, 0, warm_steps))
     bundle, sel = trainer.step_losses(state, pb, cfg)
     shifted = _shifted_rows(sel)
     if shifted == 0 or (bundle.distill is not None and bundle.distill.item() == 0.0):
@@ -101,6 +126,46 @@ def suite_grad(h: float = 1e-5, rel_tol: float = 1e-4) -> list[oracle.OracleRepo
         oracle.report("grad.vq_vs_fd", sum(a.size for a in ae_arrays.values()),
                       0.0, err_vq, rel_tol, kink_entries=kinks_vq),
     ]
+
+
+def float64_selection(sel: trainer.StepSelection) -> trainer.StepSelection:
+    """`sel` with its prior rows and selection-time latents cast to float64;
+    every discrete choice stays pinned."""
+    pick = sel.scp_sel
+    if pick is None:
+        return sel
+    return dataclasses.replace(sel, scp_sel=dataclasses.replace(
+        pick, rows=T.Tensor(pick.rows.data.astype(np.float64)),
+        z_e0=pick.z_e0.astype(np.float64)))
+
+
+def suite_precision(warm_steps: int = 2) -> list[oracle.OracleReport]:
+    """The float32 step's seg and prior gradients against the float64
+    gradients of the same warm default-geometry state and the same pinned
+    selection, per parameter tensor, as relative 2-norm errors."""
+    cfg = trainer.TrainConfig(scenes=5, t=0.45)
+    split, clouds = trainer.default_data(cfg)
+    batch = [clouds[c] for c in split.train]
+    state = trainer.init_state(cfg)
+    for epoch in range(warm_steps):
+        trainer.train_step(state, batch, cfg, epoch, 0)
+    pb = trainer.prepare_batch(state, batch, cfg, warm_steps, 0)
+    _, sel = trainer.step_losses(state, pb, cfg)
+    pb64, sel64 = float64_batch(pb), float64_selection(sel)
+    checks = (
+        ("precision.seg_float32_vs_float64", state.seg_opt,
+         lambda b, s: trainer.step_losses(state, b, cfg, s)[0].total),
+        ("precision.vq_float32_vs_float64", state.ae_opt,
+         lambda b, s: trainer.vq_objective(state, s, cfg).total))
+    reports = []
+    for check, opt, loss in checks:
+        g32 = _analytic_grads(loss(pb, sel), opt)
+        g64 = _analytic_grads(loss(pb64, sel64), opt)
+        errs = {n: float(np.linalg.norm(g32[n] - g64[n]) / np.linalg.norm(g64[n])) for n in g64}
+        worst = max(errs, key=errs.get)
+        reports.append(oracle.report(check, len(errs), 0.0, errs[worst], PRECISION_REL_TOL,
+                                     worst_tensor=worst))
+    return reports
 
 
 def suite_quant(cases: int = 10_000) -> list[oracle.OracleReport]:
@@ -160,7 +225,7 @@ def suite_metrics(cases: int = 5) -> list[oracle.OracleReport]:
 
 
 def run_suites(names) -> list[oracle.OracleReport]:
-    table = {"grad": suite_grad, "quant": suite_quant,
+    table = {"grad": suite_grad, "precision": suite_precision, "quant": suite_quant,
              "stats": suite_stats, "metrics": suite_metrics}
     reports = []
     for name in names:

@@ -168,6 +168,15 @@ def special_mlp_inputs():
     return col, col[::-1].copy(), arrays, col[::-1].copy(), col
 
 
+def float32_mlp_inputs():
+    # float32 activations over float64 master weights, on 600 rows: two
+    # full weight-gradient row blocks and a partial one
+    x1, x2, arrays, c1, c2 = random_mlp_inputs()
+    stream = Stream(13)
+    rows = [stream.normal(600 * n).reshape(600, n).astype(np.float32) for n in (5, 5, 3, 3)]
+    return rows[0], rows[1], arrays, rows[2], rows[3]
+
+
 def test_mlp_bitwise_equals_the_layer_chain():
     def run(net, x1, x2, arrays, c1, c2):
         xs = [T.Tensor(a.copy(), requires_grad=True) for a in (x1, x2)]
@@ -180,27 +189,29 @@ def test_mlp_bitwise_equals_the_layer_chain():
         return [out1.data, out2.data] + [x.grad for x in xs] + [params[n].grad
                                                                  for n in sorted(params)]
 
-    for inputs in (random_mlp_inputs(), special_mlp_inputs()):
+    for inputs in (random_mlp_inputs(), special_mlp_inputs(), float32_mlp_inputs()):
         with np.errstate(invalid="ignore"):
             got, want = run(T.mlp, *inputs), run(layer_chain, *inputs)
         assert len(got) == len(want) == 10
         for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_leaky_factor_product_equals_the_select_bytewise():
     # every special against every special: as pre-activation a (forward, where
     # mlp takes the max) and as upstream gradient g under the sign mask of a
-    # (backward)
-    a = np.repeat(SPECIALS, SPECIALS.size)
-    g = np.tile(SPECIALS, SPECIALS.size)
-    positive = a > 0
-    with np.errstate(invalid="ignore"):
-        assert (a * T._leaky_factor(positive)).tobytes() == \
-            np.maximum(a, a * T.LEAKY_SLOPE).tobytes() == \
-            np.where(positive, a, T.LEAKY_SLOPE * a).tobytes()
-        assert (g * T._leaky_factor(positive)).tobytes() == \
-            np.where(positive, g, T.LEAKY_SLOPE * g).tobytes()
+    # (backward), in both dtypes the tape computes in
+    for dtype in (np.float64, np.float32):
+        specials = SPECIALS.astype(dtype)
+        a = np.repeat(specials, specials.size)
+        g = np.tile(specials, specials.size)
+        positive = a > 0
+        with np.errstate(invalid="ignore"):
+            assert (a * T._leaky_factor(positive, dtype)).tobytes() == \
+                np.maximum(a, a * T.LEAKY_SLOPE).tobytes() == \
+                np.where(positive, a, T.LEAKY_SLOPE * a).tobytes()
+            assert (g * T._leaky_factor(positive, dtype)).tobytes() == \
+                np.where(positive, g, T.LEAKY_SLOPE * g).tobytes()
     assert (1.0 - T.LEAKY_SLOPE) + T.LEAKY_SLOPE == 1.0
 
 
@@ -212,7 +223,7 @@ def test_leaky_forward_max_equals_the_factor_product_bytewise(pairs):
     a, b = np.array(pairs).T
     with np.errstate(invalid="ignore", over="ignore"):
         pre = a + b
-        want = pre * T._leaky_factor(pre > 0)
+        want = pre * T._leaky_factor(pre > 0, np.float64)
         got = pre.copy()
         np.maximum(got, got * T.LEAKY_SLOPE, out=got)
     assert got.tobytes() == want.tobytes()

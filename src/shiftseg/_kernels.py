@@ -19,8 +19,8 @@ for bit for k1 <= k2. Dilation queries the
 tree of marked points at radius·(1 + MARGIN), in slices of the unmarked
 points small enough that one slice returns at most MAX_PAIRS candidate
 pairs, and keeps the hits whose recomputed d² is at most radius².
-`oracle.brute_knn` and `oracle.brute_dilate` are the slow references the
-tests compare against.
+`brute_knn` and `brute_dilate` in tests/reference.py are the slow references
+the tests compare against.
 """
 from __future__ import annotations
 

@@ -285,9 +285,18 @@ class DatasetSplit:
         return {"train": self.train, "val": self.val, "scene_seeds": self.scene_seeds}
 
     @classmethod
-    def from_json(cls, doc: dict) -> "DatasetSplit":
-        return cls(list(doc["train"]), list(doc["val"]),
-                   {k: int(v) for k, v in doc.get("scene_seeds", {}).items()})
+    def from_json(cls, doc) -> "DatasetSplit":
+        """The split of a JSON document; a ValueError says what is malformed."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"a split is a JSON object, not {type(doc).__name__}")
+        for key in ("train", "val"):
+            ids = doc.get(key)
+            if not isinstance(ids, list) or not all(isinstance(c, str) for c in ids):
+                raise ValueError(f"{key!r} must be a list of cloud id strings")
+        seeds = doc.get("scene_seeds", {})
+        if not isinstance(seeds, dict) or not all(type(v) is int for v in seeds.values()):
+            raise ValueError("'scene_seeds' must map cloud ids to integer seeds")
+        return cls(list(doc["train"]), list(doc["val"]), dict(seeds))
 
 
 def make_split(seed: int, num_scenes: int, val_fraction: float,

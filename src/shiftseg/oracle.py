@@ -1,8 +1,11 @@
-"""Independent brute-force references for verification: exhaustive nearest
-neighbors, central finite differences, sequential statistics replay, counting
-metrics, an extended-precision graph interpreter, and a closed-form symmetric
-3x3 eigenvalue solver. Deliberately slow and deliberately separate from the
-production paths: these share domain types only."""
+"""Independent references that `shiftseg verify` checks the production paths
+against: exhaustive nearest codes, kink-aware central finite differences,
+sequential statistics replay and counting metrics, with the report type the
+suites write. Deliberately slow and deliberately separate from the
+production paths: these share domain types only. The tests' own slow
+references (brute-force kNN, dilation and voxel cells, an extended-precision
+graph interpreter, a closed-form 3x3 eigenvalue solver) live in
+tests/reference.py."""
 from __future__ import annotations
 
 import json
@@ -61,51 +64,6 @@ def brute_nn(codes: np.ndarray, queries: np.ndarray,
         idx[q] = best_i
         dist[q] = math.sqrt(best_d)
     return idx, dist
-
-
-def brute_knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """O(N^2) exact k nearest neighbors, self excluded, (distance, index) order."""
-    n = points.shape[0]
-    idx = np.empty((n, k), dtype=np.int64)
-    dist = np.empty((n, k))
-    for i in range(n):
-        cand = []
-        for j in range(n):
-            if j == i:
-                continue
-            d = math.fsum((float(a) - float(b)) ** 2
-                          for a, b in zip(points[i], points[j]))
-            cand.append((d, j))
-        cand.sort()
-        idx[i] = [c[1] for c in cand[:k]]
-        dist[i] = [math.sqrt(c[0]) for c in cand[:k]]
-    return idx, dist
-
-
-def brute_dilate(points: np.ndarray, mask: np.ndarray, radius: float) -> np.ndarray:
-    """O(N^2) pairwise-scan dilation."""
-    n = points.shape[0]
-    out = np.array(mask, dtype=bool, copy=True)
-    marked = np.flatnonzero(mask)
-    for i in range(n):
-        if out[i]:
-            continue
-        for m in marked:
-            d = math.fsum((float(a) - float(b)) ** 2
-                          for a, b in zip(points[i], points[m]))
-            if d <= radius * radius:
-                out[i] = True
-                break
-    return out
-
-
-def brute_voxel_cells(points: np.ndarray, voxel_size: float) -> dict:
-    """Floor-key grouping by dictionary insertion."""
-    cells: dict[tuple, list[int]] = {}
-    for i, p in enumerate(points):
-        key = tuple(int(math.floor(float(v) / voxel_size)) for v in p)
-        cells.setdefault(key, []).append(i)
-    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -253,104 +211,6 @@ def counting_iou(preds, labels, class_count: int):
     rows = conf.sum(axis=1, keepdims=True)
     conf = np.divide(conf, rows, out=np.zeros_like(conf), where=rows > 0)
     return per_class, miou, conf
-
-
-# ---------------------------------------------------------------------------
-# Straight-line graph interpreter in extended precision (mpmath)
-
-
-def interpret_program(program, inputs: dict[str, np.ndarray], dps: int = 50):
-    """Re-evaluate a straight-line tensor program with mpmath arithmetic.
-
-    `program` is a list of (out_name, op, arg_names, kwargs); supported ops
-    mirror the production forward set. Returns {name: float64 ndarray}.
-    """
-    from mpmath import mp, mpf, exp as mexp, log as mlog
-
-    mp.dps = dps
-
-    def lift(a):
-        return [[mpf(float(v)) for v in row] for row in np.atleast_2d(a)]
-
-    env = {name: lift(a) for name, a in inputs.items()}
-
-    def matmul(a, b):
-        return [[sum(a[i][t] * b[t][j] for t in range(len(b)))
-                 for j in range(len(b[0]))] for i in range(len(a))]
-
-    def binary(a, b, fn):
-        return [[fn(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-    def unary(a, fn):
-        return [[fn(x) for x in row] for row in a]
-
-    for out, op, args, kwargs in program:
-        vals = [env[a] for a in args]
-        if op == "matmul":
-            res = matmul(vals[0], vals[1])
-        elif op == "add":
-            b = vals[1]
-            if len(b) == 1 and len(vals[0]) > 1:  # broadcast bias row
-                b = [b[0]] * len(vals[0])
-            res = binary(vals[0], b, lambda x, y: x + y)
-        elif op == "mul":
-            res = binary(vals[0], vals[1], lambda x, y: x * y)
-        elif op == "scale":
-            s = mpf(float(kwargs["s"]))
-            res = unary(vals[0], lambda x: x * s)
-        elif op == "leaky-relu":
-            s = mpf(float(kwargs.get("slope", 0.01)))
-            res = unary(vals[0], lambda x: x if x > 0 else s * x)
-        elif op == "exp":
-            res = unary(vals[0], mexp)
-        elif op == "log":
-            res = unary(vals[0], mlog)
-        elif op == "square":
-            res = unary(vals[0], lambda x: x * x)
-        elif op == "softmax":
-            res = []
-            for row in vals[0]:
-                m = max(row)
-                e = [mexp(x - m) for x in row]
-                tot = sum(e)
-                res.append([x / tot for x in e])
-        elif op == "sum":
-            res = [[sum(sum(row) for row in vals[0])]]
-        elif op == "mean":
-            count = sum(len(row) for row in vals[0])
-            res = [[sum(sum(row) for row in vals[0]) / count]]
-        else:
-            raise ValueError(f"interpreter does not support op {op!r}")
-        env[out] = res
-    return {name: np.array([[float(v) for v in row] for row in mat])
-            for name, mat in env.items()}
-
-
-def eigvals_sym3_reference(m: np.ndarray, dps: int = 50) -> np.ndarray:
-    """Eigenvalues of a symmetric 3x3 matrix by the trigonometric closed form
-    in mpmath arithmetic, returned ascending."""
-    from mpmath import mp, mpf, cos, acos, sqrt as msqrt, pi
-
-    mp.dps = dps
-    a = [[mpf(float(m[i][j])) for j in range(3)] for i in range(3)]
-    p1 = a[0][1] ** 2 + a[0][2] ** 2 + a[1][2] ** 2
-    q = (a[0][0] + a[1][1] + a[2][2]) / 3
-    if p1 == 0:
-        vals = sorted([a[0][0], a[1][1], a[2][2]])
-        return np.array([float(v) for v in vals])
-    p2 = (a[0][0] - q) ** 2 + (a[1][1] - q) ** 2 + (a[2][2] - q) ** 2 + 2 * p1
-    p = msqrt(p2 / 6)
-    b = [[(a[i][j] - (q if i == j else 0)) / p for j in range(3)] for i in range(3)]
-    detb = (b[0][0] * (b[1][1] * b[2][2] - b[1][2] * b[2][1])
-            - b[0][1] * (b[1][0] * b[2][2] - b[1][2] * b[2][0])
-            + b[0][2] * (b[1][0] * b[2][1] - b[1][1] * b[2][0]))
-    r = detb / 2
-    r = max(min(r, mpf(1)), mpf(-1))
-    phi = acos(r) / 3
-    e1 = q + 2 * p * cos(phi)
-    e3 = q + 2 * p * cos(phi + 2 * pi / 3)
-    e2 = 3 * q - e1 - e3
-    return np.array(sorted([float(e1), float(e2), float(e3)]))
 
 
 def write_reports(reports: list[OracleReport], path) -> None:

@@ -63,10 +63,6 @@ class VoxelGrid:
     rep_label: np.ndarray  # (M,) uint16 majority label per cell
     point_cell: np.ndarray  # (N,) int64 cell row per point
 
-    @property
-    def num_cells(self) -> int:
-        return self.cell_keys.shape[0]
-
 
 @dataclass
 class NeighborIndex:

@@ -71,9 +71,10 @@ class SegModel:
 def ce_loss(logits: T.Tensor, labels: np.ndarray, mask: np.ndarray | None = None) -> T.Tensor:
     """Mean cross-entropy over rows with label != 255 (and mask true).
 
-    No qualifying rows gives an exact constant 0 with no gradient, so heavily
-    augmented batches with an empty consistency mask still train. The loss
-    takes the logits' dtype; its mean over rows accumulates in float64.
+    One `T.cross_entropy` node. No qualifying rows gives an exact constant 0
+    with no gradient, so heavily augmented batches with an empty consistency
+    mask still train. The loss takes the logits' dtype; its mean over rows
+    accumulates in float64.
     """
     labels = np.asarray(labels)
     valid = labels != IGNORE_LABEL
@@ -84,16 +85,7 @@ def ce_loss(logits: T.Tensor, labels: np.ndarray, mask: np.ndarray | None = None
         valid = valid & mask
     if not valid.any():
         return T.Tensor(np.zeros((), dtype=logits.data.dtype))
-    sel = T.masked_select(logits, valid)
-    y = labels[valid].astype(np.int64)
-    # stable log-sum-exp: shift by a constant row max (gradient-free)
-    row_max = np.broadcast_to(sel.data.max(axis=1, keepdims=True), sel.data.shape).copy()
-    shifted = T.sub(sel, T.Tensor(row_max))
-    lse = T.log(T.tsum(T.exp(shifted), axis=1))
-    onehot = np.zeros(sel.data.shape, dtype=sel.data.dtype)
-    onehot[np.arange(y.shape[0]), y] = 1.0
-    true_logit = T.tsum(T.mul(shifted, T.Tensor(onehot)), axis=1)
-    return T.tmean(T.sub(lse, true_logit))
+    return T.cross_entropy(logits, labels[valid], valid)
 
 
 def predict(model: SegModel, feats) -> tuple[np.ndarray, np.ndarray]:

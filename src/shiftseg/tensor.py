@@ -4,10 +4,13 @@ Deliberately minimal: just the ops the training pipeline needs, on a
 single-use tape. Ops record a node with a backward closure when any input
 requires gradients; a closure returns None for an input that requires none,
 and `backward`, which consumes the recorded subgraph in reverse creation
-order, skips those. A node keeps only what its backward reads: `mlp`, one
-node for a whole layer stack, keeps the hidden layers' sign masks and the
-inputs of the layers whose weights want a gradient, and `mse` keeps the
-difference of its operands. A closure runs once: `mlp`'s frees each layer's
+order, skips those. Each loss the pipeline takes is one node, as PyTorch
+fuses log-softmax and NLL into one cross-entropy op (Paszke et al., NeurIPS
+2019), and a node keeps only what its backward reads: `mlp`, one node for a
+whole layer stack, keeps the hidden layers' sign masks and the inputs of the
+layers whose weights want a gradient; `mse` keeps the difference of its
+operands; `cross_entropy` keeps the selected rows' exponentials, their sums
+and the one-hot labels. A closure runs once: `mlp`'s frees each layer's
 input and mask as soon as it has used them, and `backward` releases each
 node as soon as it has run, so those arrays are freed while the rest of the
 graph is still being walked. `stop_gradient` provides the detach semantics
@@ -36,8 +39,8 @@ import numpy as np
 
 _node_ids = itertools.count()
 _FLOATS = (np.dtype(np.float32), np.dtype(np.float64))
-# negative-side slope of leaky_relu and of mlp's hidden layers, one value for
-# both so the fused node stays bitwise equal to the chain it replaces
+# negative-side slope of mlp's hidden layers; the tests' per-layer reference
+# chain (tests/reference.py) uses this value too, so the two stay bit-equal
 LEAKY_SLOPE = 0.01
 
 
@@ -134,26 +137,6 @@ def add(a, b) -> Tensor:
     return _record(ad + bd, (a, b), bwd, "add")
 
 
-def sub(a, b) -> Tensor:
-    a, b, ad, bd = _operands("sub", a, b)
-
-    def bwd(g):
-        return (_unbroadcast(g, a) if a.requires_grad else None,
-                _unbroadcast(-g, b) if b.requires_grad else None)
-
-    return _record(ad - bd, (a, b), bwd, "sub")
-
-
-def mul(a, b) -> Tensor:
-    a, b, ad, bd = _operands("mul", a, b)
-
-    def bwd(g):
-        return (_unbroadcast(g * bd, a) if a.requires_grad else None,
-                _unbroadcast(g * ad, b) if b.requires_grad else None)
-
-    return _record(ad * bd, (a, b), bwd, "mul")
-
-
 def scale(a, s: float) -> Tensor:
     a = as_tensor(a)
     s = float(s)
@@ -162,30 +145,6 @@ def scale(a, s: float) -> Tensor:
         return (g * s,)
 
     return _record(a.data * s, (a,), bwd, "scale")
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
-    dtype = _compute_dtype(a, b)
-    ad, bd = a.data.astype(dtype, copy=False), b.data.astype(dtype, copy=False)
-
-    def bwd(g):
-        return ((g @ bd.T).astype(a.data.dtype, copy=False) if a.requires_grad else None,
-                _weight_grad(ad, g, b.data.dtype) if b.requires_grad else None)
-
-    return _record(ad @ bd, (a, b), bwd, "matmul")
-
-
-def leaky_relu(x) -> Tensor:
-    x = as_tensor(x)
-    xd = x.data
-
-    def bwd(g):
-        return (np.where(xd > 0, g, LEAKY_SLOPE * g),)
-
-    return _record(np.where(xd > 0, xd, LEAKY_SLOPE * xd), (x,), bwd, "leaky-relu")
 
 
 # rows per block of a weight gradient's sum over rows (`_weight_grad`)
@@ -228,8 +187,9 @@ def mlp(x, params: Mapping, prefix: str, layers: int) -> Tensor:
     params[f"{prefix}.b{i}"] (Tensors, or arrays taken as constants):
     leaky-relu hidden layers, then a linear output layer, as one tape node.
 
-    Values and gradients equal the chain leaky_relu(add(matmul(h, w), b)) per
-    hidden layer and add(matmul(h, w), b) for the output, bit for bit; the
+    Values and gradients equal, bit for bit, a chain of one node per matrix
+    product, bias add and leaky-relu select (np.where(h > 0, h,
+    LEAKY_SLOPE * h)) per hidden layer, without the select for the output; the
     forward applies the slope as max(h, LEAKY_SLOPE * h), the backward as a
     product with `_leaky_factor`, neither as a select. The node keeps each
     hidden layer's boolean sign mask, and a layer's input only when that
@@ -313,67 +273,11 @@ def softmax(x) -> Tensor:
     return _record(out, (x,), bwd, "softmax")
 
 
-def log(x) -> Tensor:
-    x = as_tensor(x)
-    xd = x.data
-
-    def bwd(g):
-        return (g / xd,)
-
-    return _record(np.log(xd), (x,), bwd, "log")
-
-
-def exp(x) -> Tensor:
-    x = as_tensor(x)
-    out = np.exp(x.data)
-
-    def bwd(g):
-        return (g * out,)
-
-    return _record(out, (x,), bwd, "exp")
-
-
-def square(x) -> Tensor:
-    x = as_tensor(x)
-    xd = x.data
-
-    def bwd(g):
-        return (2.0 * g * xd,)
-
-    return _record(xd * xd, (x,), bwd, "square")
-
-
-def tsum(x, axis: int | None = None) -> Tensor:
-    x = as_tensor(x)
-    shape = x.data.shape
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
-
-    return _record(x.data.sum(axis=axis), (x,), bwd, "sum")
-
-
-def tmean(x, axis: int | None = None) -> Tensor:
-    x = as_tensor(x)
-    shape = x.data.shape
-    count = x.data.size if axis is None else shape[axis]
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis) / count, shape).copy(),)
-
-    # accumulated in float64, returned in x's dtype
-    mean = x.data.mean(axis=axis, dtype=np.float64).astype(x.data.dtype)
-    return _record(mean, (x,), bwd, "mean")
-
-
 def mse(a, b) -> Tensor:
-    """Mean squared difference, tmean(square(sub(a, b))) as one node: the
-    same value and operand gradients bit for bit, keeping only the
-    difference (b may broadcast as in `sub`)."""
+    """Mean squared difference of a and b, where b may also be a trailing
+    suffix of a's shape (a row broadcast over a's rows), as one node: the
+    value and operand gradients of the chain subtract, square, mean, bit for
+    bit, keeping only the difference."""
     a, b, ad, bd = _operands("mse", a, b)
     d = ad - bd
 
@@ -383,6 +287,46 @@ def mse(a, b) -> Tensor:
                 _unbroadcast(-gd, b) if b.requires_grad else None)
 
     return _record((d * d).mean(dtype=np.float64).astype(d.dtype), (a, b), bwd, "mse")
+
+
+def cross_entropy(logits, labels, rows) -> Tensor:
+    """Mean cross-entropy of the rows of `logits` where the boolean mask
+    `rows` is true, against `labels`, the class ids of those rows, as one
+    node.
+
+    Value and gradient equal, bit for bit, the chain select rows, subtract
+    the row max, exp, sum over classes, log, minus the sum of the one-hot
+    product, mean over rows: the same row-max shift, the same exp, sum and
+    log in the same order, and a mean that accumulates in float64 and
+    returns the logits' dtype. The gradient of the selected rows is
+    (-g/n)·onehot + (g/n/s)·e, with e the shifted rows' exponentials and s
+    their sums, scattered into zeros for the rows not selected."""
+    logits = as_tensor(logits)
+    shape, dtype = logits.data.shape, logits.data.dtype
+    m = np.asarray(rows, dtype=bool)
+    if len(shape) != 2 or m.shape != shape[:1]:
+        raise ShapeError(f"cross-entropy: row mask shape {m.shape} does not match "
+                         f"logits {shape}")
+    x = logits.data[m]
+    y = np.asarray(labels, dtype=np.int64)
+    n = x.shape[0]
+    if n == 0 or y.shape != (n,):
+        raise ShapeError(f"cross-entropy: {y.shape} labels for {n} selected rows")
+    shifted = x - x.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    s = e.sum(axis=1)
+    onehot = np.zeros_like(x)
+    onehot[np.arange(n), y] = 1.0
+    per_row = np.log(s) - (shifted * onehot).sum(axis=1)
+
+    def bwd(g):
+        gn = (g / n).astype(dtype)
+        gx = np.zeros(shape, dtype=dtype)
+        gx[m] = -gn * onehot + (gn / s)[:, None] * e
+        return (gx,)
+
+    return _record(per_row.mean(dtype=np.float64).astype(dtype), (logits,), bwd,
+                   "cross-entropy")
 
 
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:

@@ -584,9 +584,17 @@ def _json_line(doc: dict) -> str:
 
 
 def _check_resumable(cfg: TrainConfig, ckpt_dir: str) -> None:
-    """Refuse a checkpoint written under a different config."""
-    with open(os.path.join(ckpt_dir, "state.json"), "r", encoding="utf-8") as f:
-        saved = json.load(f).get("config_hash")
+    """Refuse a checkpoint written under a different config, or whose
+    state.json is not a JSON object."""
+    path = os.path.join(ckpt_dir, "state.json")
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            doc = json.load(f)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"checkpoint state {path!r} is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"checkpoint state {path!r} is not a JSON object")
+    saved = doc.get("config_hash")
     if saved != cfg.config_hash():
         raise ConfigError(f"checkpoint {ckpt_dir!r} was written under config {saved}, "
                           f"not the resuming config {cfg.config_hash()}")

@@ -1,0 +1,65 @@
+"""The package exposes only what it runs: every public top-level function and
+class of `src/shiftseg` is referred to somewhere in the package, and no
+module of it imports a test-only dependency."""
+import ast
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "shiftseg"
+TEST_ONLY = {"mpmath", "hypothesis", "pytest"}
+
+
+def modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def public_definitions(tree: ast.Module) -> list[str]:
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def references(module: str, tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) pairs that `tree` refers to: `alias.name` through a
+    relative module import (`from . import tensor as T`), a name imported by
+    `from .mod import name` and then used, and a bare name of its own."""
+    aliases: dict[str, str] = {}  # local name -> module it stands for
+    imported: dict[str, tuple[str, str]] = {}  # local name -> (module, name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module is None:
+                    aliases[local] = alias.name
+                else:
+                    imported[local] = (node.module, alias.name)
+    refs: set[tuple[str, str]] = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            refs.add((aliases[node.value.id], node.attr))
+        elif isinstance(node, ast.Name):
+            refs.add(imported.get(node.id, (module, node.id)))
+    return refs
+
+
+def test_every_public_definition_is_referred_to_in_the_package():
+    trees = modules()
+    referred = set().union(*(references(name, tree) for name, tree in trees.items()))
+    unused = [f"{module}.{name}" for module, tree in trees.items()
+              for name in public_definitions(tree) if (module, name) not in referred]
+    assert not unused, f"public API that nothing in the package calls: {unused}"
+
+
+def test_no_module_imports_a_test_only_dependency():
+    found = []
+    for module, tree in modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{module}: {n}" for n in names if n.split(".")[0] in TEST_ONLY]
+    assert not found

@@ -245,6 +245,28 @@ def test_train_and_ablate_refuse_a_split_without_validation_clouds(tmp_path, cap
         assert not out.exists()
 
 
+@pytest.mark.parametrize("name, text", [
+    ("split.json", "not json"), ("split.json", '{"val": []}'), ("split.json", "[1,2]"),
+    ("split.json", '{"train": ["scene-0000"], "val": ["scene-0000"]}'),
+    ("state.json", "garbage")], ids=["not-json", "no-train", "list", "overlap", "state"])
+def test_a_malformed_split_or_checkpoint_state_exits_2(tmp_path, capsys, name, text):
+    _, config = write_config(tmp_path / "config.json", scenes=4, val_fraction=0.25)
+    out = tmp_path / "run"
+    argv = ["train", "--config", config, "--out", str(out)]
+    if name == "split.json":
+        path = tmp_path / "data" / name
+        argv += ["--data", str(path.parent)]
+    else:  # a resume from a checkpoint whose state.json is garbage
+        path = out / "ckpt" / "epoch_0001" / name
+        argv.append("--resume")
+    path.parent.mkdir(parents=True)
+    path.write_text(text)
+    assert quiet_main(argv) == 2
+    assert str(path) in capsys.readouterr().err
+    if name == "split.json":
+        assert not out.exists()
+
+
 def cut_cloud(data, role, points):
     """Keep the first `points` points of the split's first `role` cloud;
     returns its id."""

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from shiftseg import _kernels, oracle
+import reference as R
+from shiftseg import _kernels
 from shiftseg.rng import Stream
 
 
@@ -27,7 +28,7 @@ def lattice(n, spacing=1.0):
 @functools.cache
 def brute_knn32(planar):
     # (distance, index) order is total, so the k=32 lists hold every smaller k
-    return oracle.brute_knn(random_cloud(3, planar=planar), 32)
+    return R.brute_knn(random_cloud(3, planar=planar), 32)
 
 
 @pytest.mark.parametrize("planar", [False, True])
@@ -45,7 +46,7 @@ def test_knn_with_duplicate_points():
     pts[40] = pts[10]
     pts[41] = pts[10]
     idx, dist = _kernels.knn(pts, 4)
-    ref_idx, _ = oracle.brute_knn(pts, 4)
+    ref_idx, _ = R.brute_knn(pts, 4)
     assert np.array_equal(idx, ref_idx)
     assert dist[10, 0] == 0.0 and idx[10, 0] == 40  # lower index wins the tie
     assert dist[40, 0] == 0.0 and idx[40, 0] == 10
@@ -57,7 +58,7 @@ def test_knn_lattice_exact_ties():
     pts = lattice(4)
     for k in (1, 6, 26):
         idx, dist = _kernels.knn(pts, k)
-        ref_idx, ref_dist = oracle.brute_knn(pts, k)
+        ref_idx, ref_dist = R.brute_knn(pts, k)
         assert np.array_equal(idx, ref_idx)
         assert np.array_equal(dist, ref_dist)
 
@@ -75,7 +76,7 @@ def test_dense_reference_matches_the_oracle(planar):
     grid = np.floor(pts / 4.0)  # a coarse grid: exact ties and duplicates
     for cloud in (pts, grid):
         idx, dist = dense_reference(cloud, 16)
-        ref_idx, ref_dist = oracle.brute_knn(cloud, 16)
+        ref_idx, ref_dist = R.brute_knn(cloud, 16)
         assert np.array_equal(idx, ref_idx)
         assert np.allclose(dist, ref_dist, rtol=1e-14, atol=0)
 
@@ -113,7 +114,7 @@ def test_knn_falls_back_to_the_dense_scan_on_boundary_ties(monkeypatch):
     idx, dist = _kernels.knn(pts, k)
     interior = 1 + 5 + 25  # the point (1, 1, 1)
     assert interior in dense_rows
-    ref_idx, ref_dist = oracle.brute_knn(pts, k)
+    ref_idx, ref_dist = R.brute_knn(pts, k)
     assert np.array_equal(idx, ref_idx)
     assert np.array_equal(dist, ref_dist)
     # query rows reach the fallback by their point index
@@ -278,7 +279,7 @@ def test_dilate_paths_identical(radius):
     pts = random_cloud(7)
     mask = Stream(8).uniform(pts.shape[0]) < 0.05
     out = _kernels.dilate(pts, mask, radius)
-    assert np.array_equal(out, oracle.brute_dilate(pts, mask, radius))
+    assert np.array_equal(out, R.brute_dilate(pts, mask, radius))
     assert np.all(out[mask])  # marked points stay marked
 
 
@@ -289,7 +290,7 @@ def test_dilate_includes_points_exactly_at_the_radius():
     mask = np.zeros(len(pts), bool)
     mask[[0, 43, 129]] = True
     out = _kernels.dilate(pts, mask, 0.5)
-    assert np.array_equal(out, oracle.brute_dilate(pts, mask, 0.5))
+    assert np.array_equal(out, R.brute_dilate(pts, mask, 0.5))
     assert out.sum() == 3 + 3 + 6 + 6  # a corner and two interior points
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftseg import _kernels, oracle
+import reference as R
+from shiftseg import _kernels
 from shiftseg.pointcloud import (IGNORE_LABEL, PointCloud, knn, local_curvature,
                                  local_density, sector_split, voxelize)
 from shiftseg.rng import Stream
@@ -35,7 +36,7 @@ def test_voxelize_same_cell():
     cloud = PointCloud(np.array([[0.2, 0.2, 0.2], [0.8, 0.9, 0.1]]),
                        np.array([1, 2], np.uint16), "two")
     grid = voxelize(cloud, 1.0)
-    assert grid.num_cells == 1
+    assert grid.rep_index.size == 1
     assert grid.cell_keys.tolist() == [[0, 0, 0]]
     assert grid.point_cell.tolist() == [0, 0]
 
@@ -44,13 +45,13 @@ def test_voxelize_two_cells():
     cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0]]),
                        np.array([0, 0], np.uint16), "two")
     grid = voxelize(cloud, 1.0)
-    assert grid.num_cells == 2
+    assert grid.rep_index.size == 2
 
 
 def test_voxelize_matches_bruteforce_grouping():
     cloud = make_cloud(3, n=500)
     grid = voxelize(cloud, 0.9)
-    ref = oracle.brute_voxel_cells(cloud.positions, 0.9)
+    ref = R.brute_voxel_cells(cloud.positions, 0.9)
     keys = [tuple(int(v) for v in key) for key in grid.cell_keys]
     assert set(keys) == set(ref)
     for c, key in enumerate(keys):
@@ -63,8 +64,8 @@ def test_voxelize_partition_covers_every_point():
     grid = voxelize(cloud, 1.3)
     assert grid.point_cell.shape == (len(cloud),)
     # every point sits in exactly one cell, and every cell holds a point
-    assert np.all(np.bincount(grid.point_cell, minlength=grid.num_cells) > 0)
-    assert grid.point_cell.max() == grid.num_cells - 1
+    assert np.all(np.bincount(grid.point_cell, minlength=grid.rep_index.size) > 0)
+    assert grid.point_cell.max() == grid.rep_index.size - 1
 
 
 def test_voxel_majority_label_smallest_id_tiebreak():
@@ -86,12 +87,12 @@ def test_voxelize_refuses_a_key_beyond_int64():
     with pytest.raises(ValueError, match=r"cloud 'far' has a coordinate beyond 2\^63 voxels"):
         voxelize(cloud, 0.35)
     assert voxelize(PointCloud(BEYOND_INT64 * 1e-3, np.zeros(3, np.uint16), "near"),
-                    0.35).num_cells == 3
+                    0.35).rep_index.size == 3
 
 
 def test_voxelize_empty_and_bad_size():
     empty = PointCloud(np.zeros((0, 3)), np.zeros(0, np.uint16), "empty")
-    assert voxelize(empty, 0.5).num_cells == 0
+    assert voxelize(empty, 0.5).rep_index.size == 0
     with pytest.raises(ValueError):
         voxelize(empty, 0.0)
 
@@ -118,7 +119,7 @@ def test_knn_square_symmetry():
 def test_knn_matches_bruteforce():
     cloud = make_cloud(5, n=300)
     nn = knn(cloud, 8)
-    ref_idx, ref_dist = oracle.brute_knn(cloud.positions, 8)
+    ref_idx, ref_dist = R.brute_knn(cloud.positions, 8)
     assert np.array_equal(nn.indices, ref_idx)
     assert np.max(np.abs(nn.distances - ref_dist)) < 1e-9
 
@@ -175,7 +176,7 @@ def test_density_duplicate_cap():
 def test_density_matches_bruteforce_knn():
     cloud = make_cloud(10, n=250)
     nn = knn(cloud, 6)
-    _, ref_dist = oracle.brute_knn(cloud.positions, 6)
+    _, ref_dist = R.brute_knn(cloud.positions, 6)
     assert np.allclose(local_density(cloud, nn), 1.0 / ref_dist[:, -1], rtol=1e-12)
 
 
@@ -205,7 +206,7 @@ def test_curvature_sphere_patch_matches_reference_eigensolver():
         hood = np.concatenate([[i], nn.indices[i]])
         centered = pts[hood] - pts[hood].mean(axis=0)
         cov = centered.T @ centered / hood.shape[0]
-        eig = oracle.eigvals_sym3_reference(cov)
+        eig = R.eigvals_sym3_reference(cov)
         expect = eig[0] / eig.sum() if eig.sum() > 0 else 0.0
         assert abs(curv[i] - expect) < 1e-8
 
@@ -354,7 +355,7 @@ def test_dilate_matches_bruteforce():
     mask = Stream(18).uniform(250) < 0.1
     for radius in (0.5, 1.7):
         assert np.array_equal(_kernels.dilate(cloud.positions, mask, radius),
-                              oracle.brute_dilate(cloud.positions, mask, radius))
+                              R.brute_dilate(cloud.positions, mask, radius))
 
 
 @settings(max_examples=20, deadline=None)

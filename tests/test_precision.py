@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference as R
 import shiftseg.tensor as T
 from shiftseg import trainer, verify
 from shiftseg.dataset import SYNTH_CLASSES, SceneSpec, generate_scene
@@ -38,25 +39,28 @@ def mlp_of(x, w):
     return T.mlp(x, params, "m", 2)
 
 
-# each op the tape records, as (x, y) -> Tensor, with x (n, k) and y (n, k)
+# each op the tape records, and the reference ops of tests/reference.py, as
+# (x, y) -> Tensor, with x (n, k) and y (n, k)
 OPS = {
-    "add": T.add, "sub": T.sub, "mul": T.mul, "mse": T.mse,
+    "add": T.add, "sub": R.sub, "mul": R.mul, "mse": T.mse,
     "add-row": lambda x, y: T.add(x, T.Tensor(y.data[0], requires_grad=y.requires_grad)),
     "mse-row": lambda x, y: T.mse(x, T.Tensor(y.data[0], requires_grad=y.requires_grad)),
-    "matmul": lambda x, y: T.matmul(x, T.Tensor(y.data.T.copy(), requires_grad=y.requires_grad)),
+    "matmul": lambda x, y: R.matmul(x, T.Tensor(y.data.T.copy(), requires_grad=y.requires_grad)),
     "mlp": lambda x, y: mlp_of(x, T.Tensor(y.data.T.copy(), requires_grad=y.requires_grad)),
     "concat-rows": lambda x, y: T.concat([x, y], axis=0),
     "concat-cols": lambda x, y: T.concat([x, y], axis=1),
     "gather-rows": lambda x, y: T.gather_rows(T.add(x, y), [0, -1, 0]),
-    "masked-select": lambda x, y: T.masked_select(T.mul(x, y), np.arange(x.shape[0]) % 2 == 0),
+    "masked-select": lambda x, y: T.masked_select(R.mul(x, y), np.arange(x.shape[0]) % 2 == 0),
     "scale": lambda x, y: T.scale(T.add(x, y), 0.37),
-    "leaky-relu": lambda x, y: T.leaky_relu(T.sub(x, y)),
+    "leaky-relu": lambda x, y: R.leaky_relu(R.sub(x, y)),
     "softmax": lambda x, y: T.softmax(T.add(x, y)),
-    "exp": lambda x, y: T.exp(T.mul(x, y)),
-    "log": lambda x, y: T.log(T.exp(T.add(x, y))),
-    "square": lambda x, y: T.square(T.sub(x, y)),
-    "sum": lambda x, y: T.tsum(T.add(x, y), axis=1),
-    "mean": lambda x, y: T.tmean(T.add(x, y), axis=0),
+    "cross-entropy": lambda x, y: T.cross_entropy(
+        T.add(x, y), np.arange(0, x.shape[0], 2) % x.shape[1], np.arange(x.shape[0]) % 2 == 0),
+    "exp": lambda x, y: R.exp(R.mul(x, y)),
+    "log": lambda x, y: R.log(R.exp(T.add(x, y))),
+    "square": lambda x, y: R.square(R.sub(x, y)),
+    "sum": lambda x, y: R.tsum(T.add(x, y), axis=1),
+    "mean": lambda x, y: R.tmean(T.add(x, y), axis=0),
 }
 
 
@@ -91,7 +95,7 @@ def test_float32_operands_keep_float32_and_each_parent_gets_its_own_dtype(op, ki
                 assert g.dtype == parent.data.dtype and g.shape == parent.data.shape, \
                     (op, node._op, parent._op)
     # a fresh graph, since a backward closure runs once
-    loss = T.tmean(OPS[op](x, y))
+    loss = R.tmean(OPS[op](x, y))
     assert loss.data.dtype == np.float32
     T.backward(loss)
     for leaf in (x, y):
@@ -120,8 +124,13 @@ def test_a_training_step_records_no_float64_op_over_float32_activations(monkeypa
     split, clouds = trainer.default_data(cfg)
     state = trainer.init_state(cfg)
     trainer.train_step(state, [clouds[c] for c in split.train], cfg, 0, 0)
-    assert {op for op, _, _ in recorded} >= {"mlp", "softmax", "mse", "concat", "gather-rows",
-                                             "masked-select", "sub", "exp", "log", "mean"}
+    ops = [op for op, _, _ in recorded]
+    assert set(ops) >= {"mlp", "softmax", "mse", "concat", "gather-rows", "masked-select",
+                        "cross-entropy"}
+    # one node per cross-entropy: clean, augmented and SCR rows of 4 clouds
+    assert ops.count("cross-entropy") == 12
+    assert not set(ops) & {"sub", "mul", "exp", "log", "sum", "mean", "matmul", "leaky-relu",
+                           "square"}
     for op, dtype, parents in recorded:
         if np.dtype(np.float32) in parents:
             assert dtype == np.float32, op

@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from shiftseg import oracle, scp, ssr
+import reference as R
+from shiftseg import scp, ssr
 from shiftseg import tensor as T
 from shiftseg.pointcloud import IGNORE_LABEL
 from shiftseg.rng import Stream
@@ -48,7 +49,7 @@ def test_snapshot_is_a_frozen_copy():
     x = T.Tensor(rows, requires_grad=True)
     z = snap.embed(x)
     assert np.array_equal(z.data, before)
-    T.backward(T.tsum(T.tsum(z, axis=1)))
+    T.backward(R.tsum(R.tsum(z, axis=1)))
     assert x.grad is not None and x.grad.shape == rows.shape
     with pytest.raises(ValueError, match="positive"):
         make_snapshot(threshold=0.0)
@@ -90,6 +91,6 @@ def test_dilation_grows_the_shifted_rows_and_keeps_the_complement():
         assert np.array_equal(m.scr[labeled], ~m.ssr[labeled])
         assert not m.scr[~labeled].any() and not m.ssr[~labeled].any()
     assert (grown.ssr >= plain.ssr).all() and grown.ssr.sum() > plain.ssr.sum()
-    ref = oracle.brute_dilate(coords[labeled], plain.ssr[labeled], 0.8)
+    ref = R.brute_dilate(coords[labeled], plain.ssr[labeled], 0.8)
     assert np.array_equal(grown.ssr[labeled], ref)
     assert ssr.ssr_ratio(grown) == grown.ssr.sum() / labeled.sum()

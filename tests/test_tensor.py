@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference as R
 import shiftseg.tensor as T
 from shiftseg import oracle
 from shiftseg.rng import Stream
@@ -41,49 +42,57 @@ def test_softmax_rows_sum_to_one():
 def test_matmul_identity_column_sums():
     ident = np.concatenate([np.eye(2), np.zeros((2, 1))], axis=1)
     ones = np.ones((3, 1))
-    out = T.matmul(T.Tensor(ident), T.Tensor(ones))
+    out = R.matmul(T.Tensor(ident), T.Tensor(ones))
     assert np.array_equal(out.data, np.array([[1.0], [1.0]]))
 
 
 def test_matmul_shape_error_reports_dims():
     with pytest.raises(T.ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-        T.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))))
+        R.matmul(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((2, 3))))
 
 
 def test_forward_matches_extended_precision_interpreter():
+    # the production nodes: a 2-layer mlp, then softmax, against the same
+    # math in 50-digit arithmetic
     stream = Stream(77)
+    arrays = {"m.w0": stream.normal(12).reshape(4, 3), "m.b0": stream.normal(3),
+              "m.w1": stream.normal(6).reshape(3, 2), "m.b1": stream.normal(2)}
     x = stream.normal(12).reshape(3, 4)
-    w = stream.normal(8).reshape(4, 2)
-    b = stream.normal(2)
     program = [
-        ("h", "matmul", ("x", "w"), {}),
-        ("hb", "add", ("h", "b"), {}),
-        ("a", "leaky-relu", ("hb",), {"slope": 0.01}),
-        ("s", "softmax", ("a",), {}),
+        ("h", "matmul", ("x", "w0"), {}),
+        ("hb", "add", ("h", "b0"), {}),
+        ("a", "leaky-relu", ("hb",), {"slope": T.LEAKY_SLOPE}),
+        ("o", "matmul", ("a", "w1"), {}),
+        ("logits", "add", ("o", "b1"), {}),
+        ("s", "softmax", ("logits",), {}),
         ("out", "mean", ("s",), {}),
     ]
-    ref = oracle.interpret_program(program, {"x": x, "w": w, "b": b.reshape(1, -1)})
-    got = T.tmean(T.softmax(T.leaky_relu(T.add(T.matmul(T.Tensor(x), T.Tensor(w)),
-                                               T.Tensor(b)))))
-    assert abs(got.item() - float(ref["out"][0][0])) < 1e-12
+    inputs = {"x": x, "w0": arrays["m.w0"], "b0": arrays["m.b0"].reshape(1, -1),
+              "w1": arrays["m.w1"], "b1": arrays["m.b1"].reshape(1, -1)}
+    ref = R.interpret_program(program, inputs)
+    logits = T.mlp(x, arrays, "m", 2)
+    probs = T.softmax(logits)
+    assert np.max(np.abs(logits.data - ref["logits"])) < 1e-12
+    assert np.max(np.abs(probs.data - ref["s"])) < 1e-12
+    assert abs(probs.data.mean() - float(ref["out"][0][0])) < 1e-12
 
 
 def test_backward_sum_gives_ones():
     x = T.Tensor([1.0, 2.0, 3.0], requires_grad=True)
-    T.backward(T.tsum(x))
+    T.backward(R.tsum(x))
     assert np.array_equal(x.grad, np.ones(3))
 
 
 def test_backward_mean_square_analytic():
     x = T.Tensor([2.0, -2.0], requires_grad=True)
-    T.backward(T.tmean(T.square(x)))
+    T.backward(R.tmean(R.square(x)))
     assert np.allclose(x.grad, [2.0, -2.0], atol=0)
 
 
 def test_backward_rejects_nonscalar():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(T.ShapeError):
-        T.backward(T.square(x))
+        T.backward(R.square(x))
 
 
 def test_mlp_gradients_match_finite_differences():
@@ -99,13 +108,13 @@ def test_mlp_gradients_match_finite_differences():
     y = np.array([0, 1, 0, 1, 1])
 
     def build_loss():
-        h = T.leaky_relu(T.add(T.matmul(T.Tensor(x), params["w0"]), params["b0"]))
-        h = T.leaky_relu(T.add(T.matmul(h, params["w1"]), params["b1"]))
-        logits = T.matmul(h, params["w2"])
+        h = R.leaky_relu(T.add(R.matmul(T.Tensor(x), params["w0"]), params["b0"]))
+        h = R.leaky_relu(T.add(R.matmul(h, params["w1"]), params["b1"]))
+        logits = R.matmul(h, params["w2"])
         onehot = np.zeros((5, 2))
         onehot[np.arange(5), y] = 1.0
         p = T.softmax(logits)
-        return T.scale(T.tmean(T.mul(T.log(p), T.Tensor(onehot))), -2.0)
+        return T.scale(R.tmean(R.mul(R.log(p), T.Tensor(onehot))), -2.0)
 
     fd_check(build_loss, params)
 
@@ -126,16 +135,16 @@ def test_mlp_is_the_layer_chain_and_takes_arrays_as_constants():
     assert T.mlp(x, params, "m", 3).data.tobytes() == want.tobytes()
     frozen = T.mlp(x, arrays, "m", 3)
     assert frozen.data.tobytes() == want.tobytes() and not frozen.requires_grad
-    fd_check(lambda: T.tmean(T.square(T.mlp(x, params, "m", 3))), params)
+    fd_check(lambda: R.tmean(R.square(T.mlp(x, params, "m", 3))), params)
 
 
 def layer_chain(x, params, prefix, layers):
     """The per-layer chain that `mlp` fuses into one node."""
     h = x
     for i in range(layers):
-        h = T.add(T.matmul(h, params[f"{prefix}.w{i}"]), params[f"{prefix}.b{i}"])
+        h = T.add(R.matmul(h, params[f"{prefix}.w{i}"]), params[f"{prefix}.b{i}"])
         if i < layers - 1:
-            h = T.leaky_relu(h)
+            h = R.leaky_relu(h)
     return h
 
 
@@ -185,7 +194,7 @@ def test_mlp_bitwise_equals_the_layer_chain():
         # tape's order
         out1 = net(xs[0], params, "m", 3)
         out2 = net(xs[1], params, "m", 3)
-        T.backward(T.add(T.tsum(T.mul(out1, T.Tensor(c1))), T.tsum(T.mul(out2, T.Tensor(c2)))))
+        T.backward(T.add(R.tsum(R.mul(out1, T.Tensor(c1))), R.tsum(R.mul(out2, T.Tensor(c2)))))
         return [out1.data, out2.data] + [x.grad for x in xs] + [params[n].grad
                                                                  for n in sorted(params)]
 
@@ -248,7 +257,7 @@ def test_frozen_inputs_get_no_gradient_and_none_is_computed(frozen):
         skipped = [pg is None for pg in probe._backward(np.ones((6, 2)))]
         assert skipped == [n in frozen_names for n in ("x", "w", "b", "w1", "b1")]
         out = T.mlp(leaves["x"], params, "m", 2)
-        T.backward(T.tsum(T.mul(out, T.Tensor(c))))
+        T.backward(R.tsum(R.mul(out, T.Tensor(c))))
         return {n: t.grad for n, t in leaves.items()}
 
     pruned, reference = run(frozen), run(())
@@ -284,19 +293,19 @@ def test_an_mlp_closure_frees_its_layer_inputs_and_masks_as_it_runs(trained):
     assert all(r() is None for r in saved)
 
 
-@pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
+@pytest.mark.parametrize("op", [T.add, R.sub, R.mul])
 def test_elementwise_ops_skip_the_gradient_of_a_constant_operand(op):
     stream = Stream(19)
     a = T.Tensor(stream.normal(12).reshape(3, 4))
     b = T.Tensor(stream.normal(12).reshape(3, 4), requires_grad=True)
     g = np.ones((3, 4))
     ga, gb = op(a, b)._backward(g)
-    want = {T.add: g, T.sub: -g, T.mul: g * a.data}[op]
+    want = {T.add: g, R.sub: -g, R.mul: g * a.data}[op]
     assert ga is None and gb.tobytes() == want.tobytes()
     ga, gb = op(b, a)._backward(g)
     assert gb is None and ga is not None
     out = op(a, b)
-    T.backward(T.tsum(out))
+    T.backward(R.tsum(out))
     assert a.grad is None and b.grad is not None
 
 
@@ -304,10 +313,10 @@ def test_matmul_skips_the_product_of_a_constant_operand():
     stream = Stream(15)
     a = T.Tensor(stream.normal(6).reshape(3, 2))
     b = T.Tensor(stream.normal(8).reshape(2, 4), requires_grad=True)
-    out = T.matmul(a, b)
+    out = R.matmul(a, b)
     ga, gb = out._backward(np.ones((3, 4)))
     assert ga is None and gb.tobytes() == (a.data.T @ np.ones((3, 4))).tobytes()
-    T.backward(T.tsum(out))
+    T.backward(R.tsum(out))
     assert a.grad is None and b.grad is not None
 
 
@@ -369,7 +378,7 @@ def test_mse_bitwise_equals_the_chain():
         return [loss.data, ta.grad, tb.grad]
 
     def chain(a, b):
-        return T.tmean(T.square(T.sub(a, b)))
+        return R.tmean(R.square(R.sub(a, b)))
 
     for a, b in cases:
         with np.errstate(invalid="ignore", over="ignore"):
@@ -382,15 +391,55 @@ def test_mse_bitwise_equals_the_chain():
     assert not T.mse(full, row).requires_grad
 
 
+@settings(max_examples=300, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]), rows=st.integers(1, 12),
+       classes=st.integers(1, 8), decade=st.integers(-3, 3), underflow=st.booleans(),
+       upstream=st.sampled_from([1.0, 0.25, -0.5, -0.37]), seed=st.integers(0, 2**16))
+def test_cross_entropy_bitwise_equals_the_chain(dtype, rows, classes, decade, underflow,
+                                                upstream, seed):
+    stream = Stream(seed, "cross-entropy")
+    x = stream.normal(rows * classes).reshape(rows, classes) * 10.0 ** decade
+    if underflow:
+        # entries 1e4 below their row's max: exp gives 0, and the gradient's
+        # two terms meet a signed zero
+        x[stream.uniform(x.size).reshape(x.shape) < 0.4] -= 1e4
+    x = x.astype(dtype)
+    mask = stream.uniform(rows) < 0.7
+    mask[int(stream.uniform() * rows)] = True
+    labels = np.floor(stream.uniform(int(mask.sum())) * classes).astype(np.int64)
+
+    def run(loss_fn):
+        logits = T.Tensor(x.copy(), requires_grad=True)
+        # an upstream scale, so the node's incoming gradient is not 1
+        loss = T.scale(loss_fn(logits, labels, mask), upstream)
+        T.backward(loss)
+        return loss.data, logits.grad
+
+    got, want = run(T.cross_entropy), run(R.cross_entropy_chain)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
+
+
+def test_cross_entropy_checks_its_rows_and_labels():
+    logits = T.Tensor(np.zeros((3, 2)), requires_grad=True)
+    with pytest.raises(T.ShapeError, match="row mask"):
+        T.cross_entropy(logits, [0], np.array([True, False]))
+    with pytest.raises(T.ShapeError, match="labels for 2 selected rows"):
+        T.cross_entropy(logits, [0], np.array([True, False, True]))
+    with pytest.raises(T.ShapeError, match="labels for 0 selected rows"):
+        T.cross_entropy(logits, [], np.zeros(3, dtype=bool))
+    assert not T.cross_entropy(T.Tensor(np.zeros((3, 2))), [1], [True, False, False]).requires_grad
+
+
 def test_stop_gradient_zero_contribution():
     x = T.Tensor([1.0, 2.0, 3.0], requires_grad=True)
-    T.backward(T.tsum(T.stop_gradient(x)))
+    T.backward(R.tsum(T.stop_gradient(x)))
     assert x.grad is None or np.array_equal(x.grad, np.zeros(3))
 
 
 def test_stop_gradient_product_rule():
     x = T.Tensor([3.0], requires_grad=True)
-    T.backward(T.tsum(T.mul(x, T.stop_gradient(x))))
+    T.backward(R.tsum(R.mul(x, T.stop_gradient(x))))
     assert np.array_equal(x.grad, [3.0])
 
 
@@ -401,8 +450,8 @@ def test_stop_gradient_frozen_branch_finite_differences():
     frozen = (x @ params["w"].data).copy()  # stopped branch held constant
 
     def build_loss():
-        h = T.matmul(T.Tensor(x), params["w"])
-        return T.tmean(T.mul(h, T.Tensor(frozen)))
+        h = R.matmul(T.Tensor(x), params["w"])
+        return R.tmean(R.mul(h, T.Tensor(frozen)))
 
     # analytic gradient through the live branch only, against FD of the same
     # pinned-branch loss
@@ -420,7 +469,7 @@ def test_gather_and_masked_select_backward():
     def build_loss():
         g = T.gather_rows(params["x"], np.array([0, 2, 2]))
         m = T.masked_select(g, np.array([True, False, True]))
-        return T.tsum(T.square(m))
+        return R.tsum(R.square(m))
 
     fd_check(build_loss, params)
 
@@ -467,7 +516,7 @@ def test_concat_backward():
     }
 
     def build_loss():
-        return T.tmean(T.square(T.concat([params["a"], params["b"]], axis=0)))
+        return R.tmean(R.square(T.concat([params["a"], params["b"]], axis=0)))
 
     fd_check(build_loss, params)
 
@@ -476,24 +525,24 @@ def test_sum_mean_axis_backward():
     params = {"x": T.Tensor(Stream(8).normal(12).reshape(3, 4), requires_grad=True)}
 
     def build_loss():
-        return T.tsum(T.square(T.tmean(T.exp(T.scale(params["x"], 0.3)), axis=0)))
+        return R.tsum(R.square(R.tmean(R.exp(T.scale(params["x"], 0.3)), axis=0)))
 
     fd_check(build_loss, params)
 
 
 def test_tape_cleared_after_backward():
     x = T.Tensor([1.0], requires_grad=True)
-    y = T.square(x)
-    loss = T.tsum(y)
+    y = R.square(x)
+    loss = R.tsum(y)
     T.backward(loss)
     assert y._parents == () and y._backward is None
 
 
 def test_backward_releases_each_node_as_it_runs():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
-    y = T.square(x)
-    z = T.square(y)
-    loss = T.tsum(z)
+    y = R.square(x)
+    z = R.square(y)
+    loss = R.tsum(z)
     run, seen = y._backward, []
 
     def probe(g):
@@ -510,8 +559,8 @@ def test_backward_releases_each_node_as_it_runs():
 def test_two_disjoint_graphs_survive_each_other():
     a = T.Tensor([1.0, 2.0], requires_grad=True)
     b = T.Tensor([3.0, 4.0], requires_grad=True)
-    la = T.tsum(T.square(a))
-    lb = T.tsum(T.mul(b, T.stop_gradient(T.square(a))))
+    la = R.tsum(R.square(a))
+    lb = R.tsum(R.mul(b, T.stop_gradient(R.square(a))))
     T.backward(la)
     T.backward(lb)
     assert np.array_equal(a.grad, [2.0, 4.0])
@@ -585,7 +634,7 @@ def test_identical_seeds_identical_trajectories():
         opt = T.Optimizer({"p": p}, "adam", lr=0.01)
         x = stream.normal(8).reshape(4, 2)
         for _ in range(5):
-            loss = T.tmean(T.square(T.matmul(T.Tensor(x), p)))
+            loss = R.tmean(R.square(R.matmul(T.Tensor(x), p)))
             T.backward(loss)
             opt.step()
         return p.data.copy()

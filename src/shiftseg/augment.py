@@ -1,9 +1,11 @@
 """Broad augmentation space with uniformly sampled magnitudes.
 
-Primary perturbations are Gaussian jitter and exact-count point drop; the
-subsidiary set is yaw rotation, isotropic scaling, axis flips, appended
-uniform noise points, and azimuthal scan mixing with a partner cloud. Every
-application is described by an AugmentRecord that replays bit-exactly.
+An augmentation is a preset's magnitude box (`PRESETS`) for Gaussian jitter
+and exact-count point drop, plus one subsidiary switch. On, as in training,
+a draw also takes a full-circle yaw, a scale in SCALE_RANGE, axis flips with
+FLIP_PROB, appended uniform noise points and an azimuthal scan mix with a
+partner cloud; off, as at an evaluation level, it is jitter and drop alone.
+Every application is described by an AugmentRecord that replays bit-exactly.
 """
 from __future__ import annotations
 
@@ -17,46 +19,30 @@ from .rng import Stream
 
 # named magnitude boxes: (jitter std range, drop ratio range)
 PRESETS: dict[str, tuple[tuple[float, float], tuple[float, float]]] = {
+    "none": ((0.0, 0.0), (0.0, 0.0)),
     "light": ((0.005, 0.015), (0.1, 0.3)),
     "moderate": ((0.015, 0.03), (0.3, 0.5)),
     "heavy": ((0.03, 0.05), (0.5, 0.8)),
     "random": ((0.01, 0.05), (0.2, 0.8)),
     "excessive": ((0.0, 0.10), (0.0, 0.99)),
 }
-PRESET_NAMES = ("none",) + tuple(PRESETS)
+SCALE_RANGE = (0.95, 1.05)  # isotropic scale of a subsidiary draw
+FLIP_PROB = 0.5  # chance of each axis flip in a subsidiary draw
 NUM_SECTORS = 6  # azimuthal sectors of a scan mix: even ones own, odd ones the partner's
 
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    jitter_std_range: tuple[float, float] = (0.01, 0.05)
-    drop_ratio_range: tuple[float, float] = (0.2, 0.8)
-    rotation: bool = True  # yaw uniform in [-pi, pi]
-    scale_range: tuple[float, float] = (0.95, 1.05)
-    flip_prob: float = 0.5
-    noise_points: int = 32
-    scanmix: bool = True
+    """A preset and the subsidiary switch; "none" is the identity whatever the rest."""
+
+    preset: str
+    subsidiary: bool = True
+    noise_points: int = 0
+    scanmix: bool = False
 
     def __post_init__(self):
-        jmin, jmax = self.jitter_std_range
-        dmin, dmax = self.drop_ratio_range
-        if not 0.0 <= jmin <= jmax:
-            raise ValueError(f"bad jitter range {self.jitter_std_range}")
-        if not 0.0 <= dmin <= dmax < 1.0:
-            raise ValueError(f"bad drop range {self.drop_ratio_range}")
-
-    @classmethod
-    def for_preset(cls, name: str, **overrides) -> "AugmentConfig":
-        """Config with the named preset's magnitude box applied. The "none"
-        preset is a full identity: subsidiary overrides are ignored."""
-        if name not in PRESET_NAMES:
-            raise ValueError(f"unknown preset {name!r}")
-        if name == "none":
-            return cls(jitter_std_range=(0.0, 0.0), drop_ratio_range=(0.0, 0.0),
-                       rotation=False, scale_range=(1.0, 1.0), flip_prob=0.0,
-                       noise_points=0, scanmix=False)
-        jit, drop = PRESETS[name]
-        return cls(jitter_std_range=jit, drop_ratio_range=drop, **overrides)
+        if self.preset not in PRESETS:
+            raise ValueError(f"unknown preset {self.preset!r}")
 
 
 @dataclass
@@ -81,34 +67,32 @@ class AugmentRecord:
         doc["stream_key"] = list(self.stream_key)
         return doc
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "AugmentRecord":
-        doc = dict(doc)
-        doc["stream_key"] = tuple(doc["stream_key"])
-        return cls(**doc)
-
 
 def sample_magnitudes(cfg: AugmentConfig, key_parts: tuple, parent_id: str,
                       mix_partner: str | None = None) -> AugmentRecord:
-    """Draw one magnitude assignment from the config's boxes."""
+    """Draw one magnitude assignment: jitter and drop from the preset's box,
+    then, with the subsidiary transforms on, yaw, scale and the two flips."""
     s = Stream(*key_parts, "mag")
-    jitter_std = s.uniform(low=cfg.jitter_std_range[0], high=cfg.jitter_std_range[1])
-    drop_ratio = s.uniform(low=cfg.drop_ratio_range[0], high=cfg.drop_ratio_range[1])
-    yaw = s.uniform(low=-math.pi, high=math.pi) if cfg.rotation else 0.0
-    scale = s.uniform(low=cfg.scale_range[0], high=cfg.scale_range[1])
-    flip_x = s.uniform() < cfg.flip_prob
-    flip_y = s.uniform() < cfg.flip_prob
+    (jmin, jmax), (dmin, dmax) = PRESETS[cfg.preset]
+    jitter_std = s.uniform(low=jmin, high=jmax)
+    drop_ratio = s.uniform(low=dmin, high=dmax)
+    on = cfg.subsidiary and cfg.preset != "none"
+    yaw = s.uniform(low=-math.pi, high=math.pi) if on else 0.0
+    scale = s.uniform(low=SCALE_RANGE[0], high=SCALE_RANGE[1]) if on else 1.0
+    flip_x = on and s.uniform() < FLIP_PROB
+    flip_y = on and s.uniform() < FLIP_PROB
+    mix = on and cfg.scanmix
     return AugmentRecord(
         parent_id=parent_id,
         jitter_std=jitter_std,
         drop_ratio=drop_ratio,
         yaw=yaw,
         scale=scale,
-        flip_x=bool(flip_x),
-        flip_y=bool(flip_y),
-        noise_points=cfg.noise_points,
-        mix_partner=mix_partner if cfg.scanmix else None,
-        num_sectors=NUM_SECTORS if cfg.scanmix else 0,
+        flip_x=flip_x,
+        flip_y=flip_y,
+        noise_points=cfg.noise_points if on else 0,
+        mix_partner=mix_partner if mix else None,
+        num_sectors=NUM_SECTORS if mix else 0,
         mix_keep_even=True,
         stream_key=tuple(key_parts),
     )

@@ -34,7 +34,7 @@ import sys
 import time
 
 from . import __version__, evalsuite, oracle, trainer, verify
-from .augment import PRESET_NAMES
+from .augment import PRESETS
 from .dataset import CloudFormatError, DatasetSplit, load_cloud, save_cloud
 from .pointcloud import voxel_keys
 from .tensor import CheckpointError
@@ -169,7 +169,7 @@ def cmd_eval(args) -> int:
     for both its features and its density and curvature."""
     levels = args.levels.split(",")
     for level in levels:
-        if level not in PRESET_NAMES:
+        if level not in PRESETS:
             raise UsageError(f"unknown level {level!r}")
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")

@@ -1,11 +1,13 @@
 """Measurement and the one path from a cloud to its network features.
 
 `prepare_cloud` (voxelize -> kNN -> featurize) serves training and every
-evaluation. `evaluate_level` is the one evaluation pass: each augmented draw
-is prepared and predicted once, then scored for point-level IoU and for its
-shift-region ratio. `clean_high_distortion` scores the unaugmented clouds
-inside their high-distortion subregion from one kNN query per cloud. Also
-here: per-class IoU and mIoU and confusion matrices."""
+evaluation. An evaluation level is an augmentation preset's jitter and drop
+alone, its subsidiary transforms off. `evaluate_level` is the one evaluation
+pass: each augmented draw is prepared and predicted once, then scored for
+point-level IoU and for its shift-region ratio. `clean_high_distortion`
+scores the unaugmented clouds inside their high-distortion subregion from
+one kNN query per cloud. Also here: per-class IoU and mIoU and confusion
+matrices."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -127,15 +129,6 @@ def evaluate_clouds(preds: list[np.ndarray], clouds, class_count: int) -> dict:
             "confusion": confusion(pred, lab, class_count).tolist()}
 
 
-def level_augment_config(level: str) -> AugmentConfig:
-    """Augmentation for one named level of the evaluation sweeps.
-
-    A level is defined by its primary magnitudes (jitter std, drop ratio)
-    alone, so the sweep isolates them: subsidiary transforms stay off."""
-    return AugmentConfig.for_preset(level, rotation=False, scale_range=(1.0, 1.0),
-                                    flip_prob=0.0, noise_points=0, scanmix=False)
-
-
 def evaluate_level(model: segnet.SegModel, snapshot: PriorSnapshot | None, clouds,
                    level: str, trials: int, cfg) -> dict:
     """The evaluation pass of one level: `trials` draws per cloud, each drawn
@@ -146,7 +139,7 @@ def evaluate_level(model: segnet.SegModel, snapshot: PriorSnapshot | None, cloud
 
     `cfg` (a trainer.TrainConfig) gives seed, class_count, voxel_size, knn_k
     and dilation_radius."""
-    aug_cfg = level_augment_config(level)
+    aug_cfg = AugmentConfig(level, subsidiary=False)
     preds, labels, ratios = [], [], []
     for ci, cloud in enumerate(clouds):
         for t in range(trials):

@@ -82,10 +82,11 @@ KINK_ROUNDING = 64 * np.finfo(np.float64).eps
 KINK_STEPS = (10.0, 100.0, 1000.0)  # divisors of h tried on a straddled kink
 
 
-def fd_gradient(loss_fn, params: dict[str, np.ndarray], h: float = 1e-5,
-                param_names=None) -> tuple[dict[str, np.ndarray], int]:
-    """Kink-aware central difference per scalar entry of each named parameter
-    array. `loss_fn` is re-evaluated with the entry perturbed in place.
+def fd_gradient(loss_fn, params: dict[str, np.ndarray],
+                h: float = 1e-5) -> tuple[dict[str, np.ndarray], int]:
+    """Kink-aware central difference per scalar entry of each parameter
+    array, in name order. `loss_fn` is re-evaluated with the entry perturbed
+    in place.
 
     Entries that straddle a kink are re-differenced with steps h/10, h/100,
     h/1000 until two successive central differences agree, and take the last
@@ -103,7 +104,7 @@ def fd_gradient(loss_fn, params: dict[str, np.ndarray], h: float = 1e-5,
 
     grads = {}
     kinks = 0
-    for name in (param_names if param_names is not None else sorted(params)):
+    for name in sorted(params):
         arr = params[name]
         g = np.zeros_like(arr)
         flat = arr.reshape(-1)
@@ -139,16 +140,16 @@ def fd_gradient(loss_fn, params: dict[str, np.ndarray], h: float = 1e-5,
 
 
 def gradient_errors(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray],
-                    rel_tol: float = 1e-4, abs_floor: float = 1e-8):
-    """Worst relative error over all entries, with an absolute floor below
-    which disagreements don't count."""
+                    rel_tol: float = 1e-4):
+    """Worst relative error over all entries, with an absolute floor of 1e-8
+    below which disagreements don't count."""
     worst = 0.0
     worst_name = None
     for name in numeric:
         a = analytic.get(name)
         a = np.zeros_like(numeric[name]) if a is None else a
         diff = np.abs(a - numeric[name])
-        scale = np.maximum(np.maximum(np.abs(a), np.abs(numeric[name])), abs_floor / rel_tol)
+        scale = np.maximum(np.maximum(np.abs(a), np.abs(numeric[name])), 1e-8 / rel_tol)
         rel = (diff / scale).max() if diff.size else 0.0
         if rel > worst:
             worst = float(rel)
@@ -160,15 +161,15 @@ def gradient_errors(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarr
 # Sequential statistics replay (compensated accumulation)
 
 
-def replay_stats(sequence, gamma: float, shape, init_var: float = 1.0,
-                 floor: float = 1e-6) -> np.ndarray:
+def replay_stats(sequence, gamma: float, shape) -> np.ndarray:
     """From-scratch replay of the per-code EMA variance updates.
 
     `sequence` is an iterable of (flat_assignments, z_e) batches; `shape` is
-    (num_codes, latent_dim). Codes with fewer than two rows in a batch keep
+    (num_codes, latent_dim). Every variance starts at 1 and is floored at
+    1e-6 after each batch; codes with fewer than two rows in a batch keep
     their variance. Population variance, computed with fsum means.
     """
-    var = np.full(shape, float(init_var))
+    var = np.full(shape, 1.0)
     for flats, z in sequence:
         for code in np.unique(flats):
             rows = z[flats == code]
@@ -179,7 +180,7 @@ def replay_stats(sequence, gamma: float, shape, init_var: float = 1.0,
                 mean = math.fsum(col) / len(col)
                 v = math.fsum((x - mean) ** 2 for x in col) / len(col)
                 var[code, d] = gamma * var[code, d] + (1.0 - gamma) * v
-        np.maximum(var, floor, out=var)
+        np.maximum(var, 1e-6, out=var)
     return var
 
 

@@ -57,8 +57,6 @@ class VoxelGrid:
     label of its members, ties broken by the smallest class id.
     """
 
-    voxel_size: float
-    cell_keys: np.ndarray  # (M, 3) int64
     rep_index: np.ndarray  # (M,) int64 lowest point index per cell
     rep_label: np.ndarray  # (M,) uint16 majority label per cell
     point_cell: np.ndarray  # (N,) int64 cell row per point
@@ -124,8 +122,7 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelGrid:
     winner = np.searchsorted(cell_of_pair[by_count], np.arange(m))
     rep_label = label_of_pair[by_count][winner].astype(np.uint16)
 
-    return VoxelGrid(float(voxel_size), sorted_keys[first], order[first], rep_label,
-                     point_cell)
+    return VoxelGrid(order[first], rep_label, point_cell)
 
 
 def knn(cloud: PointCloud, k: int, rows: np.ndarray | None = None) -> NeighborIndex:

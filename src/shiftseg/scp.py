@@ -49,7 +49,6 @@ class CodebookState:
 @dataclass
 class QuantizeResult:
     classes: np.ndarray  # (n,) class per row
-    index_in_class: np.ndarray  # (n,) assigned code within the class table
     flat: np.ndarray  # (n,) class * k + index
     z_e: np.ndarray  # (n, D)
     z_q: np.ndarray  # (n, D) assigned code rows
@@ -106,12 +105,6 @@ class PriorAutoencoder:
     def decode(self, z) -> T.Tensor:
         return T.softmax(T.mlp(z, self.params, "scp.dec", self.n_dec))
 
-    def parameter_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.params.items()}
-
-    def load_parameter_arrays(self, arrays) -> None:
-        T.load_arrays(arrays, {name: t.data for name, t in self.params.items()})
-
 
 def nearest_in_class(codes3: np.ndarray, z_e: np.ndarray, classes: np.ndarray):
     """Nearest code within each row's class sub-table (ties -> lowest index).
@@ -149,8 +142,8 @@ def quantize(cb: CodebookState, z_e: np.ndarray, classes: np.ndarray) -> Quantiz
         raise ValueError("row class out of range")
     idx, dist = nearest_in_class(cb.codes3(), z_e, classes)
     flat = classes * cb.codes_per_class + idx
-    return QuantizeResult(classes=classes, index_in_class=idx, flat=flat,
-                          z_e=z_e, z_q=cb.codes.data[flat], distance=dist)
+    return QuantizeResult(classes=classes, flat=flat, z_e=z_e, z_q=cb.codes.data[flat],
+                          distance=dist)
 
 
 def nearest_global(codes2: np.ndarray, initialized: np.ndarray, codes_per_class: int,

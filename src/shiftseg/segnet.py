@@ -61,12 +61,6 @@ class SegModel:
         return T.mlp(feats * _INPUT_SCALE.astype(feats.dtype), self.params, "seg",
                      self.num_layers)
 
-    def parameter_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.params.items()}
-
-    def load_parameter_arrays(self, arrays) -> None:
-        T.load_arrays(arrays, {name: p.data for name, p in self.params.items()})
-
 
 def ce_loss(logits: T.Tensor, labels: np.ndarray, mask: np.ndarray | None = None) -> T.Tensor:
     """Mean cross-entropy over rows with label != 255 (and mask true).

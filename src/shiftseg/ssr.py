@@ -77,7 +77,6 @@ class ShiftMasks:
 
     scr: np.ndarray  # (n,) bool
     ssr: np.ndarray  # (n,) bool
-    score: np.ndarray  # (n,) float, 0 on ignore rows
 
 
 @dataclass
@@ -88,13 +87,13 @@ class LocalizeResult:
 
 
 def localize(snapshot: PriorSnapshot, probs, coords: np.ndarray,
-             labels: np.ndarray, dilation_radius: float = 0.0) -> LocalizeResult:
+             labels: np.ndarray, dilation_radius: float) -> LocalizeResult:
     """Embed rows with the frozen prior encoder, flag rows whose score exceeds
     the threshold, dilate the shifted set over 3-D coordinates, and emit the
     complementary masks. Rows labeled 255 stay out of both masks.
 
     The returned z_e is differentiable toward `probs` when that is a Tensor
-    (an array is a constant); masks and scores come from its values.
+    (an array is a constant); the masks come from its values.
     """
     coords = np.asarray(coords, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -102,21 +101,18 @@ def localize(snapshot: PriorSnapshot, probs, coords: np.ndarray,
     valid = (labels != IGNORE_LABEL) & (labels < snapshot.class_count)
     scr = np.zeros(n, dtype=bool)
     ssr = np.zeros(n, dtype=bool)
-    score = np.zeros(n)
     vrows = np.flatnonzero(valid)
     rows, order, classes = build_encoder_input(T.masked_select(probs, valid),
                                                coords[vrows], labels[vrows])
     grouped = vrows[order]
     z_e = snapshot.embed(rows)
-    s = shift_score(snapshot, z_e.data, classes)
-    score[grouped] = s
     flagged = np.zeros(n, dtype=bool)
-    flagged[grouped] = s > snapshot.threshold
+    flagged[grouped] = shift_score(snapshot, z_e.data, classes) > snapshot.threshold
     if dilation_radius > 0.0 and flagged.any():
         flagged[valid] = _kernels.dilate(coords[valid], flagged[valid], dilation_radius)
     ssr[valid] = flagged[valid]
     scr[valid] = ~flagged[valid]
-    return LocalizeResult(ShiftMasks(scr, ssr, score), grouped, z_e)
+    return LocalizeResult(ShiftMasks(scr, ssr), grouped, z_e)
 
 
 def ssr_ratio(masks: ShiftMasks) -> float:

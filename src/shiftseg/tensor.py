@@ -14,7 +14,8 @@ and the one-hot labels. A closure runs once: `mlp`'s frees each layer's
 input and mask as soon as it has used them, and `backward` releases each
 node as soon as it has run, so those arrays are freed while the rest of the
 graph is still being walked. `stop_gradient` provides the detach semantics
-the quantization objective relies on.
+the quantization objective relies on. The elementwise ops, `add` and `mse`,
+take operands of equal shapes; the one broadcast is `mlp`'s bias row.
 
 The dtype comes from the data. A tensor keeps float32 and float64 data as
 they are and takes anything else as float64. An op computes in the narrowest
@@ -98,15 +99,8 @@ def _record(data, parents: tuple[Tensor, ...], backward_fn: Callable, op: str) -
 
 
 def _check_elementwise(op: str, a: Tensor, b: Tensor):
-    # equal shapes, or one operand's shape is a trailing suffix of the other's
-    sa, sb = a.data.shape, b.data.shape
-    if sa == sb:
-        return
-    if len(sb) < len(sa) and sa[len(sa) - len(sb):] == sb:
-        return
-    if len(sa) < len(sb) and sb[len(sb) - len(sa):] == sa:
-        return
-    raise ShapeError(f"{op}: shapes {sa} and {sb} are not equal or leading-broadcastable")
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} are not equal")
 
 
 def _unbroadcast(g: np.ndarray, parent: Tensor) -> np.ndarray:
@@ -274,8 +268,7 @@ def softmax(x) -> Tensor:
 
 
 def mse(a, b) -> Tensor:
-    """Mean squared difference of a and b, where b may also be a trailing
-    suffix of a's shape (a row broadcast over a's rows), as one node: the
+    """Mean squared difference of a and b, of equal shapes, as one node: the
     value and operand gradients of the chain subtract, square, mean, bit for
     bit, keeping only the difference."""
     a, b, ad, bd = _operands("mse", a, b)

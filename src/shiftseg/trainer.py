@@ -32,7 +32,7 @@ import numpy as np
 from . import evalsuite, scp, segnet
 from . import ssr as ssrmod
 from . import tensor as T
-from .augment import AugmentConfig, AugmentRecord, PRESET_NAMES, augment_pair
+from .augment import PRESETS, AugmentConfig, AugmentRecord, augment_pair
 from .dataset import SYNTH_CLASSES, DatasetSplit, SceneSpec, make_split
 from .evalsuite import PreparedCloud, prepare_cloud
 # knn/voxelize: bound for test_every_binding_site_resolves_to_the_wrapper
@@ -119,7 +119,7 @@ class TrainConfig:
     def __post_init__(self):
         checks = [
             (self.mode in MODES, f"mode must be one of {MODES}, got {self.mode!r}"),
-            (self.augment_preset in PRESET_NAMES, f"unknown augment_preset {self.augment_preset!r}"),
+            (self.augment_preset in PRESETS, f"unknown augment_preset {self.augment_preset!r}"),
             (self.epochs >= 0, "epochs must be nonnegative"),
             (self.batch_size >= 1, "batch_size must be positive"),
             (self.scenes >= 1, "scenes must be positive"),
@@ -428,8 +428,8 @@ def prepare_batch(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
     originals = [prepared_clean(state, cloud, cfg) for cloud in clouds]
     if cfg.mode == "none":
         return PreparedBatch(originals, None, "none")
-    aug_cfg = AugmentConfig.for_preset(cfg.augment_preset, noise_points=cfg.noise_points,
-                                       scanmix=cfg.scanmix)
+    aug_cfg = AugmentConfig(cfg.augment_preset, noise_points=cfg.noise_points,
+                            scanmix=cfg.scanmix)
     augmented, records = [], []
     for i, cloud in enumerate(clouds):
         partner = clouds[(i + 1) % len(clouds)] if aug_cfg.scanmix and len(clouds) > 1 else None
@@ -502,7 +502,7 @@ def state_arrays(state: TrainState) -> dict[str, np.ndarray]:
     arrays = {name: p.data.copy() for name, p in state.model.params.items()}
     arrays.update(state.seg_opt.state_arrays("opt.seg"))
     if state.prior is not None:
-        arrays.update(state.prior.parameter_arrays())
+        arrays.update({name: p.data.copy() for name, p in state.prior.params.items()})
     if state.cb is not None:
         arrays["scp.codes"] = state.cb.codes.data.copy()
         arrays["scp.variances"] = state.cb.variances.copy()
@@ -560,12 +560,12 @@ def load_state(cfg: TrainConfig, ckpt_dir: str) -> TrainState:
     checkpoint."""
     state = init_state(cfg)
     arrays = T.load_checkpoint(os.path.join(ckpt_dir, "weights.a3wt"))
-    state.model.load_parameter_arrays(arrays)
+    T.load_arrays(arrays, {name: p.data for name, p in state.model.params.items()})
     state.seg_opt.load_state_arrays("opt.seg", arrays)
     if state.prior is not None:
         cb = state.cb
-        state.prior.load_parameter_arrays(arrays)
-        T.load_arrays(arrays, {"scp.codes": cb.codes.data, "scp.variances": cb.variances,
+        T.load_arrays(arrays, {**{name: p.data for name, p in state.prior.params.items()},
+                               "scp.codes": cb.codes.data, "scp.variances": cb.variances,
                                "scp.usage": cb.usage, "scp.initialized": cb.initialized})
         state.ae_opt.load_state_arrays("opt.ae", arrays)
     meta = {"meta.step": np.zeros(1), "meta.epoch": np.zeros(1)}
@@ -603,14 +603,27 @@ def _check_resumable(cfg: TrainConfig, ckpt_dir: str) -> None:
 def _truncate_steplog(path: str, step: int) -> None:
     """Keep only the records of steps before `step`, where a resumed run
     restarts, so steps logged after the checkpoint are not written twice.
-    A torn last line (no newline) of an interrupted run is dropped too."""
+    A torn last line (no newline) of an interrupted run is dropped too; any
+    other line that is not a record with an integer "step" is a ConfigError
+    naming the file and the line, and the file is left as it is."""
     if not os.path.exists(path):
         return
-    with open(path, "r", encoding="utf-8") as f:
-        keep = [line for line in f
-                if line.endswith("\n") and json.loads(line)["step"] < step]
+    keep = []
+    with open(path, "rb") as f:
+        for number, line in enumerate(f, 1):
+            if not line.endswith(b"\n"):
+                continue
+            try:
+                logged = json.loads(line)["step"]
+            except (ValueError, TypeError, KeyError):
+                logged = None
+            if type(logged) is not int:
+                raise ConfigError(f"steplog {path!r} line {number} is not a step record "
+                                  'with an integer "step"')
+            if logged < step:
+                keep.append(line)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
+    with open(tmp, "wb") as f:
         f.writelines(keep)
     os.replace(tmp, path)
 
@@ -641,7 +654,7 @@ def final_report(state: TrainState, val_clouds: list[PointCloud], cfg: TrainConf
     doc["final"] = True
     snapshot = prior_snapshot(state)
     doc["ssr_ratio_by_level"] = None if snapshot is None else evalsuite.ssr_curve(
-        state.model, snapshot, val_clouds, PRESET_NAMES, CURVE_TRIALS, cfg)
+        state.model, snapshot, val_clouds, PRESETS, CURVE_TRIALS, cfg)
     doc["high_distortion_mask_fraction"] = evalsuite.clean_high_distortion(
         state.model, val_clouds, cfg)["high_distortion_mask_fraction"]
     return doc

@@ -14,7 +14,6 @@ from . import tensor as T
 from .dataset import SYNTH_CLASSES, SceneSpec, generate_scene
 from .rng import Stream
 
-SUITES = ("grad", "precision", "quant", "stats", "metrics")
 # SSR threshold of the gradient suite's step: it flags 9 of the 17 labeled
 # rows, so the distillation term is part of the checked gradient
 GRAD_T = 0.3
@@ -57,7 +56,7 @@ def float64_batch(pb: trainer.PreparedBatch) -> trainer.PreparedBatch:
     return dataclasses.replace(pb, originals=cast(pb.originals), augmented=cast(pb.augmented))
 
 
-def tiny_step(cfg: trainer.TrainConfig | None = None, warm_steps: int = 2):
+def tiny_step(cfg: trainer.TrainConfig, warm_steps: int = 2):
     """State, prepared batch, pinned selection and the selecting pass's
     seg losses (with the live prior latents for `trainer.vq_objective`) for
     one tiny step.
@@ -69,7 +68,6 @@ def tiny_step(cfg: trainer.TrainConfig | None = None, warm_steps: int = 2):
     or whose distillation loss is 0, cannot check those gradients and raises
     ValueError.
     """
-    cfg = cfg or tiny_config(t=GRAD_T)
     spec = SceneSpec(seed=cfg.seed, num_points=cfg.points_per_scene,
                      enabled_classes=SYNTH_CLASSES[:cfg.class_count],
                      num_cars=1, num_buildings=1, num_trees=0, num_poles=0,
@@ -224,12 +222,15 @@ def suite_metrics(cases: int = 5) -> list[oracle.OracleReport]:
     return [oracle.report("metrics.iou_confusion_vs_counting", cases, worst, 0.0, 1e-12)]
 
 
+# each suite by its `--suite` name, in the order `--suite all` runs them
+SUITES = {"grad": suite_grad, "precision": suite_precision, "quant": suite_quant,
+          "stats": suite_stats, "metrics": suite_metrics}
+
+
 def run_suites(names) -> list[oracle.OracleReport]:
-    table = {"grad": suite_grad, "precision": suite_precision, "quant": suite_quant,
-             "stats": suite_stats, "metrics": suite_metrics}
     reports = []
     for name in names:
-        if name not in table:
+        if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-        reports.extend(table[name]())
+        reports.extend(SUITES[name]())
     return reports

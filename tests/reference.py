@@ -33,6 +33,22 @@ def sub(a, b) -> T.Tensor:
     return T._record(ad - bd, (a, b), bwd, "sub")
 
 
+def add_row(a, b) -> T.Tensor:
+    """a plus the row b broadcast over a's rows: the bias add of the
+    per-layer chain that `T.mlp` fuses, whose bias gradient is the row sum."""
+    a, b = T.as_tensor(a), T.as_tensor(b)
+    if b.data.shape != a.data.shape[-1:]:
+        raise T.ShapeError(f"add-row: {b.data.shape} is not a row of {a.data.shape}")
+    dtype = T._compute_dtype(a, b)
+    ad, bd = a.data.astype(dtype, copy=False), b.data.astype(dtype, copy=False)
+
+    def bwd(g):
+        return (T._unbroadcast(g, a) if a.requires_grad else None,
+                T._unbroadcast(g, b) if b.requires_grad else None)
+
+    return T._record(ad + bd, (a, b), bwd, "add")
+
+
 def mul(a, b) -> T.Tensor:
     a, b, ad, bd = T._operands("mul", a, b)
 

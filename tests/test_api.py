@@ -1,6 +1,7 @@
 """The package exposes only what it runs: every public top-level function and
-class of `src/shiftseg` is referred to somewhere in the package, and no
-module of it imports a test-only dependency."""
+class of `src/shiftseg` is referred to somewhere in the package, every public
+method and field of its public classes is read there, and no module of it
+imports a test-only dependency."""
 import ast
 import pathlib
 
@@ -49,6 +50,53 @@ def test_every_public_definition_is_referred_to_in_the_package():
     unused = [f"{module}.{name}" for module, tree in trees.items()
               for name in public_definitions(tree) if (module, name) not in referred]
     assert not unused, f"public API that nothing in the package calls: {unused}"
+
+
+def public_members(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, member) for each non-underscore method and annotated field of
+    a public top-level class."""
+    members = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                name = node.target.id
+            else:
+                continue
+            if not name.startswith("_"):
+                members.append((cls.name, name))
+    return members
+
+
+def attribute_reads(tree: ast.Module) -> set[str]:
+    """Names that `tree` reads as `x.name` (load context) or by
+    `getattr(x, "name")`."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)
+              and isinstance(node.args[1].value, str)):
+            reads.add(node.args[1].value)
+    return reads
+
+
+def test_every_public_member_is_read_in_the_package():
+    """A field that only the constructor sets, or a method that no module
+    calls, is a capability nothing in the package uses. The check goes by
+    name, not by type: a member that shares its name with one read on
+    another class (two networks' `parameter_arrays`, one of them called)
+    passes unread."""
+    trees = modules()
+    reads = set().union(*(attribute_reads(tree) for tree in trees.values()))
+    unread = [f"{module}.{cls}.{name}" for module, tree in trees.items()
+              for cls, name in public_members(tree) if name not in reads]
+    assert not unread, f"public members that nothing in the package reads: {unread}"
 
 
 def test_no_module_imports_a_test_only_dependency():

@@ -4,6 +4,8 @@ import contextlib
 import hashlib
 import io
 import json
+import pathlib
+import shutil
 
 import numpy as np
 import pytest
@@ -154,8 +156,20 @@ EVAL_GOLDEN = {
 }
 
 
+# sha256 of the `trained` fixture's own run, so the eval digests above stand
+# on the weights they were recorded with: the eval reports hold only scores,
+# and they stayed equal under a numeric change that moved every weight
+TRAINED_GOLDEN = {
+    "ckpt/final/weights.a3wt": "510290f0847ee147bb5ddc6f6383ea5fc79c85d9046a1360f07f7ea46d578b38",
+    "steplog.ndjson": "dae7b817090d94072361708a5dbb07711ca4a1d88ac275ca13d9d40abc1f7ec6",
+}
+
+
 def test_eval_matches_the_golden_digests(trained, tmp_path):
     _, config, ckpt = trained
+    run = pathlib.Path(ckpt).parent.parent
+    for name, digest in TRAINED_GOLDEN.items():
+        assert hashlib.sha256((run / name).read_bytes()).hexdigest() == digest, name
     out = tmp_path / "eval"
     assert quiet_main(["eval", "--ckpt", ckpt, "--config", config, "--out", str(out)]) == 0
     assert sorted(str(p.relative_to(out)) for p in out.glob("reports/*")) == sorted(
@@ -265,6 +279,45 @@ def test_a_malformed_split_or_checkpoint_state_exits_2(tmp_path, capsys, name, t
     assert str(path) in capsys.readouterr().err
     if name == "split.json":
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def two_epoch_run(tmp_path_factory):
+    """A finished 2-epoch run with a checkpoint per epoch, and its config."""
+    root = tmp_path_factory.mktemp("resumable")
+    _, config = write_config(root / "config.json", epochs=2, ckpt_every=1, scenes=4,
+                             val_fraction=0.25)
+    assert quiet_main(["train", "--config", config, "--out", str(root / "run")]) == 0
+    return config, root / "run"
+
+
+@pytest.mark.parametrize("line", [b"garbage", b"[1,2]", b'{"x": 1}', b'{"step": "3"}',
+                                  b'{"step": null}', b"", b'{"step": 1, "x": "\xff"}'],
+                         ids=["not-json", "list", "no-step", "step-string", "step-null",
+                              "blank", "not-utf8"])
+def test_a_malformed_steplog_line_on_resume_exits_2(two_epoch_run, tmp_path, capsys, line):
+    config, run = two_epoch_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out)
+    log = out / "steplog.ndjson"
+    lines = log.read_bytes().count(b"\n")
+    log.write_bytes(log.read_bytes() + line + b"\n")
+    before = log.read_bytes()
+    assert quiet_main(["train", "--config", config, "--out", str(out), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert str(log) in err and f"line {lines + 1} " in err, err
+    assert log.read_bytes() == before
+
+
+def test_a_torn_last_steplog_line_is_dropped_on_resume(two_epoch_run, tmp_path):
+    config, run = two_epoch_run
+    out = tmp_path / "run"
+    shutil.copytree(run, out)
+    log = out / "steplog.ndjson"
+    steplog = log.read_bytes()
+    log.write_bytes(steplog + b'{"step": 9')
+    assert quiet_main(["train", "--config", config, "--out", str(out), "--resume"]) == 0
+    assert log.read_bytes() == steplog
 
 
 def cut_cloud(data, role, points):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import reference as R
 from shiftseg import _kernels
 from shiftseg.pointcloud import (IGNORE_LABEL, PointCloud, knn, local_curvature,
-                                 local_density, sector_split, voxelize)
+                                 local_density, sector_split, voxel_keys, voxelize)
 from shiftseg.rng import Stream
 from shiftseg.segnet import featurize
 
@@ -32,12 +32,17 @@ def test_cloud_validation():
 # voxelize
 
 
+def cell_keys(cloud, grid, voxel_size):
+    """Each cell's key, read at its representative."""
+    return voxel_keys(cloud, voxel_size)[grid.rep_index]
+
+
 def test_voxelize_same_cell():
     cloud = PointCloud(np.array([[0.2, 0.2, 0.2], [0.8, 0.9, 0.1]]),
                        np.array([1, 2], np.uint16), "two")
     grid = voxelize(cloud, 1.0)
     assert grid.rep_index.size == 1
-    assert grid.cell_keys.tolist() == [[0, 0, 0]]
+    assert cell_keys(cloud, grid, 1.0).tolist() == [[0, 0, 0]]
     assert grid.point_cell.tolist() == [0, 0]
 
 
@@ -52,7 +57,7 @@ def test_voxelize_matches_bruteforce_grouping():
     cloud = make_cloud(3, n=500)
     grid = voxelize(cloud, 0.9)
     ref = R.brute_voxel_cells(cloud.positions, 0.9)
-    keys = [tuple(int(v) for v in key) for key in grid.cell_keys]
+    keys = [tuple(int(v) for v in key) for key in cell_keys(cloud, grid, 0.9)]
     assert set(keys) == set(ref)
     for c, key in enumerate(keys):
         assert np.flatnonzero(grid.point_cell == c).tolist() == sorted(ref[key])
@@ -309,8 +314,9 @@ def clouds(draw, min_points=2):
 def test_voxelize_matches_the_unique_formula(cloud, voxel_size):
     grid = voxelize(cloud, voxel_size)
     ref = unique_voxelize(cloud, voxel_size)
-    for name, want in zip(("cell_keys", "rep_index", "rep_label", "point_cell"), ref):
-        assert same_bytes(getattr(grid, name), want), name
+    got = (cell_keys(cloud, grid, voxel_size), grid.rep_index, grid.rep_label, grid.point_cell)
+    for name, a, want in zip(("cell_keys", "rep_index", "rep_label", "point_cell"), got, ref):
+        assert same_bytes(a, want), name
 
 
 @settings(max_examples=150, deadline=None)

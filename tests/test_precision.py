@@ -43,8 +43,7 @@ def mlp_of(x, w):
 # (x, y) -> Tensor, with x (n, k) and y (n, k)
 OPS = {
     "add": T.add, "sub": R.sub, "mul": R.mul, "mse": T.mse,
-    "add-row": lambda x, y: T.add(x, T.Tensor(y.data[0], requires_grad=y.requires_grad)),
-    "mse-row": lambda x, y: T.mse(x, T.Tensor(y.data[0], requires_grad=y.requires_grad)),
+    "add-row": lambda x, y: R.add_row(x, T.Tensor(y.data[0], requires_grad=y.requires_grad)),
     "matmul": lambda x, y: R.matmul(x, T.Tensor(y.data.T.copy(), requires_grad=y.requires_grad)),
     "mlp": lambda x, y: mlp_of(x, T.Tensor(y.data.T.copy(), requires_grad=y.requires_grad)),
     "concat-rows": lambda x, y: T.concat([x, y], axis=0),

@@ -21,7 +21,7 @@ def test_quantize_picks_the_lowest_index_on_exact_ties():
     cb.codes.data[2 * 4 + 3] = cb.codes.data[2 * 4 + 1]
     z = np.repeat(cb.codes.data[2 * 4 + 1][None, :], 3, axis=0) + [[0.0], [1e-3], [-1e-3]]
     qr = scp.quantize(cb, z, np.full(3, 2))
-    assert qr.index_in_class.tolist() == [1, 1, 1]
+    assert (qr.flat % 4).tolist() == [1, 1, 1]  # the index within the class table
     assert qr.flat.tolist() == [9, 9, 9]
     assert qr.distance[0] == 0.0
     assert np.array_equal(qr.z_q, cb.codes.data[[9, 9, 9]])

@@ -70,7 +70,6 @@ def test_all_ignore_labels_give_empty_masks():
     res = ssr.localize(snap, probs, coords, labels, dilation_radius=1.0)
     m = res.masks
     assert not m.scr.any() and not m.ssr.any()
-    assert (m.score == 0.0).all()
     assert res.valid_rows.size == 0 and res.z_e.shape == (0, D)
     assert ssr.ssr_ratio(m) == 0.0
 
@@ -80,13 +79,16 @@ def test_dilation_grows_the_shifted_rows_and_keeps_the_complement():
     labels[::7] = IGNORE_LABEL
     labeled = labels != IGNORE_LABEL
     snap, _, _ = make_snapshot()
+    # each row's score, from the latents localize embeds, in input order
+    res = ssr.localize(snap, probs, coords, labels, dilation_radius=0.0)
+    score = np.zeros(labels.shape[0])
+    score[res.valid_rows] = ssr.shift_score(snap, res.z_e.data, labels[res.valid_rows])
     # a threshold at the median score flags about half of the labeled rows
-    scores = ssr.localize(snap, probs, coords, labels).masks.score[labeled]
-    snap = dataclasses.replace(snap, threshold=float(np.median(scores)))
-    plain = ssr.localize(snap, probs, coords, labels).masks
+    snap = dataclasses.replace(snap, threshold=float(np.median(score[labeled])))
+    plain = ssr.localize(snap, probs, coords, labels, dilation_radius=0.0).masks
     grown = ssr.localize(snap, probs, coords, labels, dilation_radius=0.8).masks
     assert 0 < plain.ssr.sum() < labeled.sum()
-    assert np.array_equal(plain.ssr[labeled], plain.score[labeled] > snap.threshold)
+    assert np.array_equal(plain.ssr[labeled], score[labeled] > snap.threshold)
     for m in (plain, grown):
         assert np.array_equal(m.scr[labeled], ~m.ssr[labeled])
         assert not m.scr[~labeled].any() and not m.ssr[~labeled].any()

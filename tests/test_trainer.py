@@ -14,7 +14,7 @@ import pytest
 
 from shiftseg import cli, evalsuite, trainer, verify
 from shiftseg import tensor as T
-from shiftseg.augment import PRESET_NAMES
+from shiftseg.augment import PRESETS
 from shiftseg.pointcloud import IGNORE_LABEL
 
 
@@ -85,7 +85,7 @@ def test_final_report_completes_over_every_level(tmp_path, monkeypatch):
     cfg = verify.tiny_config(scenes=2, val_fraction=0.5)
     split, clouds = trainer.default_data(cfg)
     _, reports = trainer.run(cfg, split, clouds, str(tmp_path))
-    assert list(reports[-1]["ssr_ratio_by_level"]) == list(PRESET_NAMES)
+    assert list(reports[-1]["ssr_ratio_by_level"]) == list(PRESETS)
 
 
 def test_the_final_checkpoint_is_written_before_the_final_report(tmp_path, monkeypatch):
@@ -219,7 +219,7 @@ def test_a_checkpoint_with_teacher_arrays_still_loads(tmp_path):
     for p in state.model.params.values():
         p.data += 1.0
     arrays = trainer.state_arrays(state)
-    arrays.update({f"teacher.{n}": a for n, a in state.model.parameter_arrays().items()})
+    arrays.update({f"teacher.{n}": p.data.copy() for n, p in state.model.params.items()})
     (tmp_path / "old").mkdir()
     T.save_checkpoint(tmp_path / "old" / "weights.a3wt", arrays)
     loaded = trainer.load_state(cfg, str(tmp_path / "old"))

@@ -22,7 +22,7 @@ def test_injected_fault_fails_the_suite(tmp_path, monkeypatch):
     failing = oracle.report("metrics.iou_confusion_vs_counting", 5, 1e-3, 0.0, 1e-12)
     assert not failing.passed
     with monkeypatch.context() as patch:
-        patch.setattr(verify, "suite_metrics", lambda: [failing])
+        patch.setitem(verify.SUITES, "metrics", lambda: [failing])
         assert cli.main(argv) == 1
     assert cli.main(argv) == 0
 

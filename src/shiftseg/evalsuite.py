@@ -68,9 +68,9 @@ def prepare_cloud(cloud: PointCloud, voxel_size: float, knn_k: int,
                          cloud.positions[grid.rep_index], grid.point_cell)
 
 
-def _count_matrix(preds: np.ndarray, labels: np.ndarray, class_count: int) -> np.ndarray:
+def count_matrix(preds: np.ndarray, labels: np.ndarray, class_count: int) -> np.ndarray:
     """(C, C) integer counts: entry (a, b) is the number of true-a points
-    predicted b; label 255 is ignored."""
+    predicted b; label 255 is ignored. `iou` and `confusion` read it."""
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     keep = labels != IGNORE_LABEL
@@ -78,13 +78,13 @@ def _count_matrix(preds: np.ndarray, labels: np.ndarray, class_count: int) -> np
                        minlength=class_count * class_count).reshape(class_count, class_count)
 
 
-def iou(preds: np.ndarray, labels: np.ndarray, class_count: int):
-    """Per-class IoU = TP / (TP + FP + FN), ignoring label 255.
+def iou(mat: np.ndarray):
+    """Per-class IoU = TP / (TP + FP + FN) of the count matrix `mat`.
 
     Returns (per_class, miou, miou_all, true_counts). Classes with an empty
     union get NaN and are excluded from miou; miou_all scores them 0.
     """
-    mat = _count_matrix(preds, labels, class_count)
+    class_count = mat.shape[0]
     tp = np.diagonal(mat)
     counts = mat.sum(axis=1)  # TP + FN
     union = counts + mat.sum(axis=0) - tp
@@ -96,16 +96,17 @@ def iou(preds: np.ndarray, labels: np.ndarray, class_count: int):
     return per_class, miou, miou_all, counts
 
 
-def confusion(preds: np.ndarray, labels: np.ndarray, class_count: int) -> np.ndarray:
-    """Row-normalized confusion matrix: entry (a, b) is the fraction of
-    true-a points predicted b. Rows without true points stay zero."""
-    mat = _count_matrix(preds, labels, class_count).astype(np.float64)
+def confusion(mat: np.ndarray) -> np.ndarray:
+    """Row-normalized confusion matrix of the count matrix `mat`: entry (a,
+    b) is the fraction of true-a points predicted b. Rows without true
+    points stay zero."""
+    mat = mat.astype(np.float64)
     rows = mat.sum(axis=1, keepdims=True)
     return np.divide(mat, rows, out=np.zeros_like(mat), where=rows > 0)
 
 
-def _scores(preds: np.ndarray, labels: np.ndarray, class_count: int) -> dict:
-    per_class, miou, miou_all, counts = iou(preds, labels, class_count)
+def _scores(mat: np.ndarray) -> dict:
+    per_class, miou, miou_all, counts = iou(mat)
     return {
         "per_class_iou": [None if np.isnan(v) else float(v) for v in per_class],
         "miou": miou,
@@ -123,10 +124,9 @@ def point_predictions(model: segnet.SegModel, pc: PreparedCloud) -> np.ndarray:
 
 def evaluate_clouds(preds: list[np.ndarray], clouds, class_count: int) -> dict:
     """Point-level IoU/confusion of per-cloud predictions, pooled across clouds."""
-    pred = np.concatenate(preds)
-    lab = np.concatenate([c.labels.astype(np.int64) for c in clouds])
-    return {**_scores(pred, lab, class_count),
-            "confusion": confusion(pred, lab, class_count).tolist()}
+    mat = count_matrix(np.concatenate(preds),
+                       np.concatenate([c.labels.astype(np.int64) for c in clouds]), class_count)
+    return {**_scores(mat), "confusion": confusion(mat).tolist()}
 
 
 def evaluate_level(model: segnet.SegModel, snapshot: PriorSnapshot | None, clouds,
@@ -153,7 +153,8 @@ def evaluate_level(model: segnet.SegModel, snapshot: PriorSnapshot | None, cloud
                                cfg.dilation_radius)
                 ratios.append(ssr_ratio(res.masks))
     return {"level": level,
-            **_scores(np.concatenate(preds), np.concatenate(labels), cfg.class_count),
+            **_scores(count_matrix(np.concatenate(preds), np.concatenate(labels),
+                                   cfg.class_count)),
             "ssr_ratio": float(np.mean(ratios)) if snapshot is not None else None}
 
 
@@ -178,7 +179,8 @@ def high_distortion_eval(preds: np.ndarray, labels: np.ndarray, cloud: PointClou
     tau_d = float(np.percentile(dens, DENSITY_QUANTILE))
     tau_c = float(np.percentile(curv, CURVATURE_QUANTILE))
     mask = (dens <= tau_d) | (curv >= tau_c)
-    return {**_scores(np.asarray(preds)[mask], np.asarray(labels)[mask], class_count),
+    return {**_scores(count_matrix(np.asarray(preds)[mask], np.asarray(labels)[mask],
+                                   class_count)),
             "mask_fraction": float(mask.mean()),
             "tau_density": tau_d,
             "tau_curvature": tau_c}

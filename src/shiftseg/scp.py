@@ -51,7 +51,6 @@ class QuantizeResult:
     classes: np.ndarray  # (n,) class per row
     flat: np.ndarray  # (n,) class * k + index
     z_e: np.ndarray  # (n, D)
-    z_q: np.ndarray  # (n, D) assigned code rows
     distance: np.ndarray  # (n,) Euclidean distance to the assigned code
 
 
@@ -142,8 +141,7 @@ def quantize(cb: CodebookState, z_e: np.ndarray, classes: np.ndarray) -> Quantiz
         raise ValueError("row class out of range")
     idx, dist = nearest_in_class(cb.codes3(), z_e, classes)
     flat = classes * cb.codes_per_class + idx
-    return QuantizeResult(classes=classes, flat=flat, z_e=z_e, z_q=cb.codes.data[flat],
-                          distance=dist)
+    return QuantizeResult(classes=classes, flat=flat, z_e=z_e, distance=dist)
 
 
 def nearest_global(codes2: np.ndarray, initialized: np.ndarray, codes_per_class: int,
@@ -168,23 +166,28 @@ class VqLosses:
 
 
 def vq_losses(ae: PriorAutoencoder, cb: CodebookState, z_e: T.Tensor,
-              flat: np.ndarray, z_e0: np.ndarray, z_q0: np.ndarray,
+              flat: np.ndarray, z_e0: np.ndarray, z_q0: np.ndarray, st0: np.ndarray,
               target_probs: np.ndarray) -> VqLosses:
     """Three-term objective: reconstruction + codebook + BETA * commitment.
 
     Gradient reaches the decoder, the assigned codes (codebook term), and the
     encoder (commitment term plus the straight-through reconstruction path).
-    Stop-gradient operands are pinned at their selection-time values (z_e0,
-    z_q0), so re-evaluating the losses under perturbed parameters with the
-    same selection differentiates exactly as the estimator prescribes; the
-    straight-through path is the detached quantization residual added onto
-    z_e. The reconstruction target is a plain array, already detached from
-    the segmentation network.
+    Stop-gradient operands are pinned at their selection-time values, so
+    re-evaluating the losses under perturbed parameters with the same
+    selection differentiates exactly as the estimator prescribes: the
+    latents z_e0, the assigned code values z_q0, and the straight-through
+    residual st0, z_q0 - z_e0 taken from the float64 codes and then cast,
+    which is added onto z_e. All three are (rows, D) in the latents' dtype:
+    float32 in training, where each op would cast a float64 operand to
+    float32 anyway. The codebook term gathers the float64 codes in that
+    dtype too, and their gradient comes back float64 through the gather.
+    The reconstruction target is a plain array, already detached from the
+    segmentation network.
     """
-    z_q_rows = T.gather_rows(cb.codes, flat)
+    z_q_rows = T.gather_rows(cb.codes, flat, z_e0.dtype)
     codebook = T.mse(z_e0, z_q_rows)
     commitment = T.mse(z_e, z_q0)
-    decoded = ae.decode(T.add(z_e, T.Tensor(z_q0 - z_e0)))
+    decoded = ae.decode(T.add(z_e, T.Tensor(st0)))
     recon = T.mse(decoded, target_probs)
     total = T.add(T.add(recon, codebook), T.scale(commitment, BETA))
     return VqLosses(recon, codebook, commitment, total)

@@ -6,16 +6,19 @@ requires gradients; a closure returns None for an input that requires none,
 and `backward`, which consumes the recorded subgraph in reverse creation
 order, skips those. Each loss the pipeline takes is one node, as PyTorch
 fuses log-softmax and NLL into one cross-entropy op (Paszke et al., NeurIPS
-2019), and a node keeps only what its backward reads: `mlp`, one node for a
-whole layer stack, keeps the hidden layers' sign masks and the inputs of the
-layers whose weights want a gradient; `mse` keeps the difference of its
-operands; `cross_entropy` keeps the selected rows' exponentials, their sums
-and the one-hot labels. A closure runs once: `mlp`'s frees each layer's
-input and mask as soon as it has used them, and `backward` releases each
-node as soon as it has run, so those arrays are freed while the rest of the
-graph is still being walked. `stop_gradient` provides the detach semantics
-the quantization objective relies on. The elementwise ops, `add` and `mse`,
-take operands of equal shapes; the one broadcast is `mlp`'s bias row.
+2019), and a node keeps only what its backward reads and cannot rebuild:
+`mlp`, one node for a whole layer stack, keeps the inputs of the layers
+whose weights want a gradient, and a hidden layer's sign mask only where the
+next layer keeps no such input (a leaky output is positive exactly where its
+pre-activation is, so a kept input gives the mask back); `mse` keeps the
+difference of its operands; `cross_entropy` keeps the selected rows'
+exponentials, their sums and the one-hot labels. A closure runs once:
+`mlp`'s frees each layer's input and mask as soon as it has used them, and
+`backward` releases each node as soon as it has run, so those arrays are
+freed while the rest of the graph is still being walked. `stop_gradient`
+provides the detach semantics the quantization objective relies on. The
+elementwise ops, `add` and `mse`, take operands of equal shapes; the one
+broadcast is `mlp`'s bias row.
 
 The dtype comes from the data. A tensor keeps float32 and float64 data as
 they are and takes anything else as float64. An op computes in the narrowest
@@ -185,12 +188,17 @@ def mlp(x, params: Mapping, prefix: str, layers: int) -> Tensor:
     product, bias add and leaky-relu select (np.where(h > 0, h,
     LEAKY_SLOPE * h)) per hidden layer, without the select for the output; the
     forward applies the slope as max(h, LEAKY_SLOPE * h), the backward as a
-    product with `_leaky_factor`, neither as a select. The node keeps each
-    hidden layer's boolean sign mask, and a layer's input only when that
-    layer's weights want a gradient. Its backward closure runs once: it frees
-    each layer's input as soon as that layer's weight gradient is taken, and
-    each mask as soon as it is turned into the slope factor. Only the inputs
-    that require gradients get one computed.
+    product with `_leaky_factor`, neither as a select. The node keeps a
+    layer's input only when that layer's weights want a gradient. It keeps a
+    hidden layer's boolean sign mask only when the next layer keeps no input:
+    otherwise that input is the hidden layer's leaky output, max(h,
+    LEAKY_SLOPE * h), which is > 0 exactly where h > 0 (±0, subnormals, ±inf
+    and NaN alike), and the backward reads the mask off it. So masks stay
+    only below frozen weights. The backward closure runs once: it frees each
+    layer's input as soon as that layer's gradients are taken (after reading
+    the mask of the layer below off it), and each mask as soon as it is
+    turned into the slope factor, so at most one rebuilt mask is alive at a
+    time. Only the inputs that require gradients get one computed.
 
     The node computes in the dtype of `x`: each call casts the weights and
     biases to it, so float32 activations run float32 products over float64
@@ -203,7 +211,8 @@ def mlp(x, params: Mapping, prefix: str, layers: int) -> Tensor:
     h = x.data
     wds = [w.data.astype(h.dtype, copy=False) for w in ws]  # weights as computed
     kept: list[np.ndarray | None] = []  # layer inputs the weight gradients read
-    masks: list[np.ndarray] = []  # hidden layers' sign masks
+    # hidden layers' sign masks; None where the next layer keeps the output
+    masks: list[np.ndarray | None] = []
     for i, (w, b) in enumerate(zip(wds, bs)):
         if h.ndim != 2 or w.ndim != 2 or h.shape[1] != w.shape[0]:
             raise ShapeError(f"mlp layer {i}: incompatible shapes {h.shape} x {w.shape}")
@@ -214,10 +223,10 @@ def mlp(x, params: Mapping, prefix: str, layers: int) -> Tensor:
         h = h @ w
         h += b.data.astype(h.dtype, copy=False)
         if i < layers - 1:
-            positive = h > 0
+            # the next layer's kept input gives the mask back (see bwd)
+            masks.append(None if ws[i + 1].requires_grad else h > 0)
             # where h <= 0, LEAKY_SLOPE * h >= h: the select's value, bit for bit
             np.maximum(h, h * LEAKY_SLOPE, out=h)
-            masks.append(positive)
     # wanted[i]: something before layer i wants a gradient, so the backward
     # carries one to layer i's input
     wanted = [x.requires_grad]
@@ -238,11 +247,15 @@ def mlp(x, params: Mapping, prefix: str, layers: int) -> Tensor:
             layer_input = kept.pop()
             if layer_input is not None:
                 grads[1 + 2 * i] = _weight_grad(layer_input, g, ws[i].data.dtype)
-                layer_input = None
             if bs[i].requires_grad:
                 grads[2 + 2 * i] = _unbroadcast(g, bs[i])
             if not wanted[i]:
                 break
+            if masks and masks[-1] is None:
+                # layer i's input is layer i-1's leaky output, positive
+                # exactly where its pre-activation is
+                masks[-1] = layer_input > 0
+            layer_input = None
             g = g @ wds[i].T
         else:
             grads[0] = g
@@ -337,13 +350,16 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     return _record(out, parts, bwd, "concat")
 
 
-def gather_rows(x, indices) -> Tensor:
+def gather_rows(x, indices, dtype=None) -> Tensor:
+    """Rows `indices` of x, in `dtype` (x's by default). A narrower dtype
+    gathers from x cast once, so no wide copy of the gathered rows is made;
+    the gradient reaches x in x's dtype."""
     x = as_tensor(x)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError(f"gather-rows: indices must be 1-D, got shape {idx.shape}")
     shape = x.data.shape
-    out = x.data[idx]
+    out = x.data.astype(x.data.dtype if dtype is None else dtype, copy=False)[idx]
     idx = np.where(idx < 0, idx + shape[0], idx)  # rows as numpy counts them
 
     def bwd(g):

@@ -247,10 +247,13 @@ def init_state(cfg: TrainConfig) -> TrainState:
 
 @dataclass
 class ScpSelection:
+    """The prior's pinned selection. Every (rows, ...) array is in the
+    latents' dtype, the dtype of `rows`: float32 in training."""
     rows: T.Tensor  # grouped [probs || coords] input rows, constants
-    flat: np.ndarray  # pinned code assignment
-    z_e0: np.ndarray  # latents at selection time
-    z_q0: np.ndarray  # assigned code values at selection time
+    flat: np.ndarray  # (rows,) int64 pinned code assignment
+    z_e0: np.ndarray  # (rows, D) latents at selection time
+    z_q0: np.ndarray  # (rows, D) assigned code values at selection time, cast
+    st0: np.ndarray  # (rows, D) straight-through residual z_q0 - z_e0 in float64, cast
 
 
 @dataclass
@@ -309,7 +312,19 @@ def _select_scp(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
         scp.reseed_dead_codes(state.cb, z0, classes, Stream(cfg.seed, "reseed", state.step))
     qr0 = scp.quantize(state.cb, z0, classes)
     scp.update_code_stats(state.cb, qr0)
-    return ScpSelection(rows, qr0.flat, z0, qr0.z_q), z_live
+    return ScpSelection(rows, qr0.flat, z0, *pinned_codes(state.cb, qr0.flat, z0)), z_live
+
+
+def pinned_codes(cb: scp.CodebookState, flat: np.ndarray,
+                 z_e0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ScpSelection's z_q0 and st0: the assigned codes' float64 values and
+    the straight-through residual z_q0 - z_e0, taken in float64, each cast
+    to the dtype of the latents `z_e0`. The one float64 (rows, D) array is
+    the gathered codes, which become the residual in place."""
+    z_q = cb.codes.data[flat]
+    z_q0 = z_q.astype(z_e0.dtype)
+    z_q -= z_e0
+    return z_q0, z_q.astype(z_e0.dtype, copy=False)
 
 
 def _select_ssr(loc: ssrmod.LocalizeResult, snapshot: ssrmod.PriorSnapshot,
@@ -399,7 +414,7 @@ def vq_objective(state: TrainState, sel: StepSelection, cfg: TrainConfig,
     if z_e is None:
         z_e = state.prior.encode(pick.rows)
     return scp.vq_losses(state.prior, state.cb, z_e, pick.flat, pick.z_e0, pick.z_q0,
-                         pick.rows.data[:, :cfg.class_count])
+                         pick.st0, pick.rows.data[:, :cfg.class_count])
 
 
 # ---------------------------------------------------------------------------

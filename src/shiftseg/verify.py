@@ -17,6 +17,18 @@ from .rng import Stream
 # SSR threshold of the gradient suite's step: it flags 9 of the 17 labeled
 # rows, so the distillation term is part of the checked gradient
 GRAD_T = 0.3
+# the gradient suite's central-difference step and its bound on each
+# parameter tensor's relative error
+GRAD_H = 1e-5
+GRAD_REL_TOL = 1e-4
+# training steps before a checked step, so codes are initialized and
+# variances tracked
+WARM_STEPS = 2
+# query rows of the quantizer suite, steps of the statistics replay, and
+# random prediction/label draws of the metrics suite
+QUANT_CASES = 10_000
+STATS_STEPS = 50
+METRICS_CASES = 5
 # Bound on the relative 2-norm error of each parameter tensor's float32 step
 # gradient against the float64 gradient of the same state and selection,
 # fixed from float32's unit roundoff u = 2**-24 ~ 6e-8 before any
@@ -56,17 +68,16 @@ def float64_batch(pb: trainer.PreparedBatch) -> trainer.PreparedBatch:
     return dataclasses.replace(pb, originals=cast(pb.originals), augmented=cast(pb.augmented))
 
 
-def tiny_step(cfg: trainer.TrainConfig, warm_steps: int = 2):
+def tiny_step(cfg: trainer.TrainConfig):
     """State, prepared batch, pinned selection and the selecting pass's
     seg losses (with the live prior latents for `trainer.vq_objective`) for
     one tiny step.
 
-    A couple of warm-up steps first, so codes are initialized and variances
-    tracked. The batch's features are cast to float64, so the step's graph
-    (the same code that trains in float32) runs in float64, where central
-    differences at h=1e-5 resolve it. A step whose selection shifts no row,
-    or whose distillation loss is 0, cannot check those gradients and raises
-    ValueError.
+    WARM_STEPS warm-up steps first. The batch's features are cast to
+    float64, so the step's graph (the same code that trains in float32)
+    runs in float64, where central differences at GRAD_H resolve it. A step
+    whose selection shifts no row, or whose distillation loss is 0, cannot
+    check those gradients and raises ValueError.
     """
     spec = SceneSpec(seed=cfg.seed, num_points=cfg.points_per_scene,
                      enabled_classes=SYNTH_CLASSES[:cfg.class_count],
@@ -74,9 +85,9 @@ def tiny_step(cfg: trainer.TrainConfig, warm_steps: int = 2):
                      num_signs=0, ground_extent=4.0)
     cloud = generate_scene(spec)
     state = trainer.init_state(cfg)
-    for step in range(warm_steps):
+    for step in range(WARM_STEPS):
         trainer.train_step(state, [cloud], cfg, 0, step)
-    pb = float64_batch(trainer.prepare_batch(state, [cloud], cfg, 0, warm_steps))
+    pb = float64_batch(trainer.prepare_batch(state, [cloud], cfg, 0, WARM_STEPS))
     bundle, sel = trainer.step_losses(state, pb, cfg)
     shifted = _shifted_rows(sel)
     if shifted == 0 or (bundle.distill is not None and bundle.distill.item() == 0.0):
@@ -96,7 +107,7 @@ def _analytic_grads(loss: T.Tensor, opt: T.Optimizer) -> dict[str, np.ndarray]:
     return grads
 
 
-def suite_grad(h: float = 1e-5, rel_tol: float = 1e-4) -> list[oracle.OracleReport]:
+def suite_grad() -> list[oracle.OracleReport]:
     cfg = tiny_config(t=GRAD_T)
     state, pb, sel, _ = tiny_step(cfg)
     seg_grads = _analytic_grads(trainer.step_losses(state, pb, cfg, sel)[0].total, state.seg_opt)
@@ -110,34 +121,37 @@ def suite_grad(h: float = 1e-5, rel_tol: float = 1e-4) -> list[oracle.OracleRepo
         return trainer.vq_objective(state, sel, cfg).total.item()
 
     seg_arrays = {n: p.data for n, p in state.model.params.items()}
-    fd_seg, kinks_seg = oracle.fd_gradient(total_loss, seg_arrays, h=h)
-    err_seg, _ = oracle.gradient_errors(seg_grads, fd_seg, rel_tol)
+    fd_seg, kinks_seg = oracle.fd_gradient(total_loss, seg_arrays, h=GRAD_H)
+    err_seg, _ = oracle.gradient_errors(seg_grads, fd_seg, GRAD_REL_TOL)
 
     ae_arrays = {n: p.data for n, p in state.ae_opt.params.items()}
-    fd_vq, kinks_vq = oracle.fd_gradient(vq_loss, ae_arrays, h=h)
-    err_vq, _ = oracle.gradient_errors(vq_grads, fd_vq, rel_tol)
+    fd_vq, kinks_vq = oracle.fd_gradient(vq_loss, ae_arrays, h=GRAD_H)
+    err_vq, _ = oracle.gradient_errors(vq_grads, fd_vq, GRAD_REL_TOL)
 
     return [
         oracle.report("grad.total_vs_fd", sum(a.size for a in seg_arrays.values()),
-                      0.0, err_seg, rel_tol, kink_entries=kinks_seg,
+                      0.0, err_seg, GRAD_REL_TOL, kink_entries=kinks_seg,
                       ssr_rows=_shifted_rows(sel)),
         oracle.report("grad.vq_vs_fd", sum(a.size for a in ae_arrays.values()),
-                      0.0, err_vq, rel_tol, kink_entries=kinks_vq),
+                      0.0, err_vq, GRAD_REL_TOL, kink_entries=kinks_vq),
     ]
 
 
-def float64_selection(sel: trainer.StepSelection) -> trainer.StepSelection:
-    """`sel` with its prior rows and selection-time latents cast to float64;
-    every discrete choice stays pinned."""
+def float64_selection(sel: trainer.StepSelection, cb: scp.CodebookState) -> trainer.StepSelection:
+    """`sel` with its prior rows and selection-time latents cast to float64,
+    and its pinned code values and straight-through residual rebuilt in
+    float64 from the codes `cb` held at selection time; every discrete
+    choice stays pinned."""
     pick = sel.scp_sel
     if pick is None:
         return sel
+    z_e0 = pick.z_e0.astype(np.float64)
+    z_q0, st0 = trainer.pinned_codes(cb, pick.flat, z_e0)
     return dataclasses.replace(sel, scp_sel=dataclasses.replace(
-        pick, rows=T.Tensor(pick.rows.data.astype(np.float64)),
-        z_e0=pick.z_e0.astype(np.float64)))
+        pick, rows=T.Tensor(pick.rows.data.astype(np.float64)), z_e0=z_e0, z_q0=z_q0, st0=st0))
 
 
-def suite_precision(warm_steps: int = 2) -> list[oracle.OracleReport]:
+def suite_precision() -> list[oracle.OracleReport]:
     """The float32 step's seg and prior gradients against the float64
     gradients of the same warm default-geometry state and the same pinned
     selection, per parameter tensor, as relative 2-norm errors."""
@@ -145,11 +159,11 @@ def suite_precision(warm_steps: int = 2) -> list[oracle.OracleReport]:
     split, clouds = trainer.default_data(cfg)
     batch = [clouds[c] for c in split.train]
     state = trainer.init_state(cfg)
-    for epoch in range(warm_steps):
+    for epoch in range(WARM_STEPS):
         trainer.train_step(state, batch, cfg, epoch, 0)
-    pb = trainer.prepare_batch(state, batch, cfg, warm_steps, 0)
+    pb = trainer.prepare_batch(state, batch, cfg, WARM_STEPS, 0)
     _, sel = trainer.step_losses(state, pb, cfg)
-    pb64, sel64 = float64_batch(pb), float64_selection(sel)
+    pb64, sel64 = float64_batch(pb), float64_selection(sel, state.cb)
     checks = (
         ("precision.seg_float32_vs_float64", state.seg_opt,
          lambda b, s: trainer.step_losses(state, b, cfg, s)[0].total),
@@ -166,7 +180,7 @@ def suite_precision(warm_steps: int = 2) -> list[oracle.OracleReport]:
     return reports
 
 
-def suite_quant(cases: int = 10_000) -> list[oracle.OracleReport]:
+def suite_quant() -> list[oracle.OracleReport]:
     c, k, d = 8, 32, 64
     stream = Stream(17, "quant-verify")
     cb = scp.CodebookState(c, k, d)
@@ -174,26 +188,26 @@ def suite_quant(cases: int = 10_000) -> list[oracle.OracleReport]:
     cb.initialized[...] = True
     # duplicated codes create exact ties
     cb.codes.data[5] = cb.codes.data[2]
-    queries = stream.normal(cases * d).reshape(cases, d)
-    classes = stream.integers(cases, c)
+    queries = stream.normal(QUANT_CASES * d).reshape(QUANT_CASES, d)
+    classes = stream.integers(QUANT_CASES, c)
     qr = scp.quantize(cb, queries, classes)
     code_classes = np.repeat(np.arange(c), k)
     idx, dist = oracle.brute_nn(cb.codes.data, queries, classes, code_classes)
     mismatches = int((qr.flat != idx).sum())
     derr = float(np.max(np.abs(qr.distance - dist)))
     return [
-        oracle.report("quant.index_vs_brute", cases, mismatches, 0.0, 0.0),
-        oracle.report("quant.distance_vs_brute", cases, derr, 0.0, 1e-9),
+        oracle.report("quant.index_vs_brute", QUANT_CASES, mismatches, 0.0, 0.0),
+        oracle.report("quant.distance_vs_brute", QUANT_CASES, derr, 0.0, 1e-9),
     ]
 
 
-def suite_stats(steps: int = 50) -> list[oracle.OracleReport]:
+def suite_stats() -> list[oracle.OracleReport]:
     c, k, d = 3, 4, 6
     stream = Stream(23, "stats-verify")
     cb = scp.CodebookState(c, k, d)
     cb.initialized[...] = True
     trace = []
-    for _ in range(steps):
+    for _ in range(STATS_STEPS):
         n = 40
         classes = stream.integers(n, c)
         z = stream.normal(n * d).reshape(n, d) * 1.4
@@ -202,24 +216,26 @@ def suite_stats(steps: int = 50) -> list[oracle.OracleReport]:
         trace.append((qr.flat.copy(), z.copy()))
     replayed = oracle.replay_stats(trace, scp.GAMMA, (c * k, d))
     err = float(np.max(np.abs(cb.variances.reshape(c * k, d) - replayed)))
-    return [oracle.report("stats.ema_replay", steps, err, 0.0, 1e-12)]
+    return [oracle.report("stats.ema_replay", STATS_STEPS, err, 0.0, 1e-12)]
 
 
-def suite_metrics(cases: int = 5) -> list[oracle.OracleReport]:
+def suite_metrics() -> list[oracle.OracleReport]:
     stream = Stream(31, "metrics-verify")
     worst = 0.0
-    for _ in range(cases):
+    for _ in range(METRICS_CASES):
         n, c = 500, 6
         labels = stream.integers(n, c + 1)
         labels = np.where(labels == c, 255, labels)
         preds = stream.integers(n, c)
-        per_class, miou, _, _ = evalsuite.iou(preds, labels, c)
-        conf = evalsuite.confusion(preds, labels, c)
+        mat = evalsuite.count_matrix(preds, labels, c)
+        per_class, miou, _, _ = evalsuite.iou(mat)
+        conf = evalsuite.confusion(mat)
         ref_pc, ref_miou, ref_conf = oracle.counting_iou(preds, labels, c)
         for cls, v in ref_pc.items():
             worst = max(worst, abs(per_class[cls] - v))
         worst = max(worst, abs(miou - ref_miou), float(np.max(np.abs(conf - ref_conf))))
-    return [oracle.report("metrics.iou_confusion_vs_counting", cases, worst, 0.0, 1e-12)]
+    return [oracle.report("metrics.iou_confusion_vs_counting", METRICS_CASES, worst, 0.0,
+                          1e-12)]
 
 
 # each suite by its `--suite` name, in the order `--suite all` runs them

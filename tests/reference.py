@@ -5,7 +5,8 @@
   ops from which the fused nodes' reference chains are assembled
   (`cross_entropy_chain` for `T.cross_entropy`, the per-layer chain for
   `T.mlp`, subtract-square-mean for `T.mse`), and which the gradient tests
-  compose into small losses.
+  compose into small losses; and `scp.vq_losses` over float64 pinned code
+  values (`vq_losses_float64_pins`).
 - Brute-force geometry: O(N^2) kNN and dilation, voxel cells by
   dictionary grouping.
 - Extended precision (mpmath): a straight-line graph interpreter and a
@@ -18,6 +19,7 @@ import math
 import numpy as np
 
 import shiftseg.tensor as T
+from shiftseg import scp
 
 # ---------------------------------------------------------------------------
 # Tape ops
@@ -152,6 +154,20 @@ def cross_entropy_chain(logits, labels, rows) -> T.Tensor:
     onehot[np.arange(y.shape[0]), y] = 1.0
     true_logit = tsum(mul(shifted, T.Tensor(onehot)), axis=1)
     return tmean(sub(lse, true_logit))
+
+
+def vq_losses_float64_pins(ae, cb, z_e, flat, z_e0, z_q0, target_probs) -> scp.VqLosses:
+    """`scp.vq_losses` with the assigned code values `z_q0` pinned in
+    float64: the codebook term gathers the codes in float64, the
+    straight-through residual z_q0 - z_e0 stays a float64 array, and each op
+    casts them to the latents' dtype as it computes."""
+    z_q_rows = T.gather_rows(cb.codes, flat)
+    codebook = T.mse(z_e0, z_q_rows)
+    commitment = T.mse(z_e, z_q0)
+    decoded = ae.decode(T.add(z_e, T.Tensor(z_q0 - z_e0)))
+    recon = T.mse(decoded, target_probs)
+    total = T.add(T.add(recon, codebook), T.scale(commitment, scp.BETA))
+    return scp.VqLosses(recon, codebook, commitment, total)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def test_iou_equals_the_counting_oracle_bit_for_bit(n, c, absent):
     if absent is not None:  # a class neither true nor predicted: NaN
         labels = np.where(labels == absent, IGNORE_LABEL, labels)
         preds = np.where(preds == absent, (absent + 1) % c, preds)
-    per_class, _, _, counts = evalsuite.iou(preds, labels, c)
+    per_class, _, _, counts = evalsuite.iou(evalsuite.count_matrix(preds, labels, c))
     ref, _, _ = oracle.counting_iou(preds, labels, c)
     assert sorted(ref) == np.flatnonzero(~np.isnan(per_class)).tolist()
     assert all(per_class[cls] == v for cls, v in ref.items())

@@ -2,7 +2,9 @@
 importing shiftseg keeps freed layer-sized blocks in the process instead of
 handing them back to the kernel and faulting them in again on the next step.
 And it keeps little alive at once: the tape holds only what a backward
-reads, and the prior's objective is built after the seg update."""
+reads, and the prior's objective is built after the seg update.
+`tools/memory_phases.py` prints the traced memory of such a step phase by
+phase."""
 import os
 import platform
 import subprocess
@@ -39,31 +41,38 @@ def test_a_warm_default_step_takes_few_page_faults():
     assert float(out.stdout) < 1000
 
 
-TRACED_PROBE = """
-import tracemalloc
-from shiftseg import trainer
-
-cfg = trainer.TrainConfig(scenes=5, t=0.45)
-split, clouds = trainer.default_data(cfg)
-batch = [clouds[c] for c in split.train]
-state = trainer.init_state(cfg)
-for epoch in range(2):
-    trainer.train_step(state, batch, cfg, epoch, 0)
-tracemalloc.start()
-trainer.train_step(state, batch, cfg, 2, 0)
-print(tracemalloc.get_traced_memory()[1] / 1e6)
-"""
-
-
-def test_a_warm_default_step_keeps_little_alive_at_once():
-    # traced peak of one warm mode=full step: ≈ 55.0 MB since the tape
-    # computes in float32 over float64 master weights (bound: that plus
-    # ≈ 15 %); 87.5 MB in float64, each phase of the step (seg build and
-    # backward, prior build and backward) at 86-88 MB; 110.4 MB while an mlp
-    # backward held all its layers' inputs until it returned and the
-    # logged-only augmented CE kept a tape; 179.2 MB when every layer kept its
-    # input and the prior's decoder graph sat beside the seg graph
+@pytest.fixture(scope="module")
+def phase_table():
+    """`tools/memory_phases.py`'s table of a run's third step: phase ->
+    [live MB, peak MB], and "step" -> [peak MB]."""
+    tool = os.path.join(os.path.dirname(__file__), "..", "tools", "memory_phases.py")
     env = {**os.environ, "PYTHONPATH": SRC}
-    out = subprocess.run([sys.executable, "-c", TRACED_PROBE], env=env, capture_output=True,
-                         text=True, check=True)
-    assert float(out.stdout) < 63
+    out = subprocess.run([sys.executable, tool], env=env, capture_output=True, text=True,
+                         check=True)
+    # a 16-character name column, then the numbers
+    return {line[:16].strip(): [float(v) for v in line[16:].split()]
+            for line in out.stdout.splitlines()[1:]}
+
+
+def test_a_warm_default_step_keeps_little_alive_at_once(phase_table):
+    # traced peak of one warm mode=full step: ≈ 43.2 MB since an mlp node
+    # reads a hidden layer's sign mask off the next layer's kept input and
+    # the prior's objective pins its code values, straight-through residual
+    # and gathered codes in float32 (bound: that plus ≈ 15 %); 55.0 MB when
+    # the tape first computed in float32 over float64 master weights;
+    # 87.5 MB in float64, each phase of the step (seg build and backward,
+    # prior build and backward) at 86-88 MB; 110.4 MB while an mlp backward
+    # held all its layers' inputs until it returned and the logged-only
+    # augmented CE kept a tape; 179.2 MB when every layer kept its input and
+    # the prior's decoder graph sat beside the seg graph
+    (step_peak,) = phase_table["step"]
+    assert step_peak < 50
+
+
+def test_the_phase_table_traces_each_phase_of_a_step(phase_table):
+    phases = {k: v for k, v in phase_table.items() if k != "step"}
+    assert list(phases) == ["prepare", "seg build", "seg backward", "prior build",
+                            "prior backward"]
+    (step_peak,) = phase_table["step"]
+    for phase, (live, peak) in phases.items():
+        assert 0 < live <= peak <= step_peak, phase

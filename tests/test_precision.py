@@ -1,7 +1,9 @@
 """float32 compute over float64 master weights. Every op keeps its float32
 operands' dtype and hands each parent a gradient in that parent's own dtype,
-a training step's bits do not depend on the BLAS thread count, and clouds
-with degenerate geometry still train to finite losses and weights."""
+a training step's bits do not depend on the BLAS thread count, the prior's
+objective holds no float64 copy of its latent rows, and clouds with
+degenerate geometry still train to finite losses and weights."""
+import dataclasses
 import os
 import subprocess
 import sys
@@ -133,10 +135,64 @@ def test_a_training_step_records_no_float64_op_over_float32_activations(monkeypa
     for op, dtype, parents in recorded:
         if np.dtype(np.float32) in parents:
             assert dtype == np.float32, op
-    # only the gather of the float64 codebook rows computes in float64
-    assert {op for op, dtype, _ in recorded if dtype != np.float32} == {"gather-rows"}
+    # no op computes in float64: the codebook term gathers the float64
+    # codes in the latents' float32
+    assert {op for op, dtype, _ in recorded if dtype != np.float32} == set()
     for p in (*state.model.params.values(), *state.ae_opt.params.values()):
         assert p.data.dtype == np.float64  # the masters
+
+
+def float64_row_arrays(obj, rows: int, seen=None) -> list[tuple]:
+    """(shape, where) of each float64 array of `rows` rows that `obj` holds:
+    itself, a Tensor's data, the items of a list, tuple or dataclass, or the
+    closure cells of a function."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        wide = obj.dtype == np.float64 and obj.ndim == 2 and obj.shape[0] == rows
+        return [(obj.shape, "array")] if wide else []
+    if isinstance(obj, T.Tensor):
+        return [(shape, obj._op) for shape, _ in float64_row_arrays(obj.data, rows, seen)]
+    if isinstance(obj, (list, tuple)):
+        items = obj
+    elif dataclasses.is_dataclass(obj):
+        items = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif callable(obj) and getattr(obj, "__closure__", None):
+        items = [c.cell_contents for c in obj.__closure__]
+    else:
+        return []
+    return [hit for item in items for hit in float64_row_arrays(item, rows, seen)]
+
+
+def test_the_prior_build_of_a_float32_step_holds_no_float64_latent_rows(monkeypatch):
+    """When `vq_objective` returns in a float32 step, neither its graph (the
+    nodes' values and what their backward closures keep) nor the pinned
+    selection holds a 2-D float64 array with a row per selection row: no
+    (rows × D) latents, codes or residual."""
+    cfg = trainer.TrainConfig(scenes=5, points_per_scene=128, t=0.45)
+    split, clouds = trainer.default_data(cfg)
+    state = trainer.init_state(cfg)
+    found = {}
+    build = trainer.vq_objective
+
+    def audited(state, sel, cfg, z_e=None):
+        vq = build(state, sel, cfg, z_e)
+        pick = sel.scp_sel
+        rows = pick.rows.shape[0]
+        masters = {id(p) for p in state.ae_opt.params.values()}
+        nodes = [n for n in nodes_of(vq.total) if id(n) not in masters]
+        found["rows"] = rows
+        found["graph"] = [hit for n in nodes for hit in float64_row_arrays(
+            [n, n._backward], rows)]
+        found["selection"] = float64_row_arrays(pick, rows)
+        return vq
+
+    monkeypatch.setattr(trainer, "vq_objective", audited)
+    trainer.train_step(state, [clouds[c] for c in split.train], cfg, 0, 0)
+    assert found["rows"] > state.cb.codes.shape[0]  # no code table passes as rows
+    assert found["graph"] == [] and found["selection"] == []
 
 
 def test_blocked_weight_gradient_sums_fixed_row_blocks_in_the_weights_dtype():

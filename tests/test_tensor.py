@@ -268,6 +268,11 @@ def test_frozen_inputs_get_no_gradient_and_none_is_computed(frozen):
             assert grad.tobytes() == reference[name].tobytes()
 
 
+def closure_cells(node: T.Tensor) -> dict:
+    return dict(zip(node._backward.__code__.co_freevars,
+                    (c.cell_contents for c in node._backward.__closure__)))
+
+
 @pytest.mark.parametrize("trained", ["all", "output"])
 def test_an_mlp_closure_frees_its_layer_inputs_and_masks_as_it_runs(trained):
     # "output": only the last layer trains, so the closure stops above the
@@ -281,12 +286,14 @@ def test_an_mlp_closure_frees_its_layer_inputs_and_masks_as_it_runs(trained):
         params[f"m.b{i}"] = T.Tensor(stream.normal(b), requires_grad=train)
     x = T.Tensor(stream.normal(28).reshape(7, 4), requires_grad=trained == "all")
     out = T.mlp(x, params, "m", 3)
-    cells = dict(zip(out._backward.__code__.co_freevars,
-                     (c.cell_contents for c in out._backward.__closure__)))
-    # kept[0] is x's own array, which the leaf holds
+    cells = closure_cells(out)
+    # kept[0] is x's own array, which the leaf holds. "all": the hidden
+    # layers' outputs, kept as the next layers' inputs, stand for both
+    # masks; "output": the last hidden layer's output stands for its mask,
+    # and the first hidden layer's mask is kept below the frozen w1
     saved = [weakref.ref(a) for a in cells["kept"][1:] + cells["masks"] if a is not None]
     del cells
-    assert len(saved) == (4 if trained == "all" else 3)
+    assert len(saved) == 2
     assert all(r() is not None for r in saved)
     out._backward(np.ones((7, 3)))
     assert out._backward is not None  # the node still holds its closure
@@ -318,6 +325,67 @@ def test_matmul_skips_the_product_of_a_constant_operand():
     assert ga is None and gb.tobytes() == (a.data.T @ np.ones((3, 4))).tobytes()
     T.backward(R.tsum(out))
     assert a.grad is None and b.grad is not None
+
+
+@pytest.mark.parametrize("frozen", [(), (2,), (1, 3), (1, 2, 3)])
+def test_an_mlp_stores_a_hidden_mask_only_below_frozen_weights(frozen):
+    # hidden layer i's mask is the sign of its output, which the node keeps
+    # as layer i+1's input whenever layer i+1's weights train
+    stream = Stream(21)
+    widths = [3, 5, 4, 6, 2]
+    params = {}
+    for i, (a, b) in enumerate(zip(widths[:-1], widths[1:])):
+        params[f"m.w{i}"] = T.Tensor(stream.normal(a * b).reshape(a, b),
+                                     requires_grad=i not in frozen)
+        params[f"m.b{i}"] = T.Tensor(stream.normal(b), requires_grad=True)
+    x = T.Tensor(stream.normal(24).reshape(8, 3), requires_grad=True)
+    out = T.mlp(x, params, "m", 4)
+    masks = closure_cells(out)["masks"]
+    assert [m is not None for m in masks] == [i + 1 in frozen for i in range(3)]
+    T.backward(R.tsum(out))
+    assert x.grad is not None
+
+
+@st.composite
+def leaky_inputs(draw):
+    """A float dtype and a column of its values, any of them: signed zeros,
+    subnormals, infinities and NaNs included."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = np.finfo(dtype).bits
+    values = draw(st.lists(st.floats(width=width), min_size=1, max_size=64)
+                  | st.just(SPECIALS.tolist()))
+    return np.array(values, dtype=dtype)[:, None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(leaky_inputs())
+def test_the_sign_of_a_kept_leaky_output_is_the_stored_mask(col):
+    # width 1, w = 1, b = -0.0: the hidden pre-activations are the drawn
+    # values; with w1 frozen the node stores the mask, with w1 trained it
+    # keeps the leaky output, whose sign the backward reads instead
+    def node(w1_trains):
+        params = {"m.w0": T.Tensor(np.ones((1, 1)), requires_grad=True),
+                  "m.b0": T.Tensor(np.array([-0.0]), requires_grad=True),
+                  "m.w1": T.Tensor(np.ones((1, 1)), requires_grad=w1_trains),
+                  "m.b1": T.Tensor(np.array([-0.0]), requires_grad=True)}
+        x = T.Tensor(col.copy(), requires_grad=True)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return x, params, T.mlp(x, params, "m", 2)
+
+    x_stored, p_stored, stored = node(False)
+    x_kept, p_kept, kept = node(True)
+    (mask,) = closure_cells(stored)["masks"]
+    assert closure_cells(kept)["masks"] == [None]
+    output = closure_cells(kept)["kept"][1]
+    assert output.dtype == col.dtype
+    assert (output > 0).tobytes() == mask.tobytes()
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert mask.tobytes() == ((col @ np.ones((1, 1), col.dtype)) > 0).tobytes()
+        # and the slope the backward applies is the same either way
+        T.backward(R.tsum(stored))
+        T.backward(R.tsum(kept))
+    assert x_stored.grad.tobytes() == x_kept.grad.tobytes()
+    assert p_stored["m.w0"].grad.tobytes() == p_kept["m.w0"].grad.tobytes()
 
 
 def test_mlp_with_stopped_weights_records_no_node():

@@ -2,7 +2,8 @@
 final checkpoint kept when the final report fails, a final report over every
 augmentation level, golden output digests, clean clouds prepared once per
 run, labels a step cannot score refused, a replayed step bitwise equal to its
-selecting pass, and checkpoints refused when their arrays do not fit the
+selecting pass, the prior's objective over float32 pins bitwise equal to it
+over float64 ones, and checkpoints refused when their arrays do not fit the
 config."""
 import dataclasses
 import hashlib
@@ -10,8 +11,10 @@ import json
 import re
 import shutil
 
+import numpy as np
 import pytest
 
+import reference as R
 from shiftseg import cli, evalsuite, trainer, verify
 from shiftseg import tensor as T
 from shiftseg.augment import PRESETS
@@ -211,6 +214,37 @@ def test_a_replay_rebuilds_the_selecting_pass_bit_for_bit(overrides):
         assert grads.keys() == regrads.keys()
         for name in grads:
             assert grads[name].tobytes() == regrads[name].tobytes(), name
+
+
+def test_the_prior_objective_over_float32_pins_equals_it_over_float64_pins():
+    # the selection pins z_q0 and the straight-through residual in the
+    # latents' float32, and the codebook term gathers the codes in float32;
+    # pinned and gathered in float64, each op cast them to float32 itself
+    cfg = trainer.TrainConfig(scenes=5, points_per_scene=128, t=0.45)
+    split, clouds = trainer.default_data(cfg)
+    batch = [clouds[c] for c in split.train]
+    state = trainer.init_state(cfg)
+    for epoch in range(verify.WARM_STEPS):
+        trainer.train_step(state, batch, cfg, epoch, 0)
+    pb = trainer.prepare_batch(state, batch, cfg, verify.WARM_STEPS, 0)
+    _, sel = trainer.step_losses(state, pb, cfg)
+    pick = sel.scp_sel
+    pinned = (pick.rows.data, pick.z_e0, pick.z_q0, pick.st0)
+    assert {a.dtype for a in pinned} == {np.dtype(np.float32)}
+    got = trainer.vq_objective(state, sel, cfg)
+    want = R.vq_losses_float64_pins(state.prior, state.cb, state.prior.encode(pick.rows),
+                                    pick.flat, pick.z_e0, state.cb.codes.data[pick.flat],
+                                    pick.rows.data[:, :cfg.class_count])
+    for name in ("recon", "codebook", "commitment", "total"):
+        a, b = getattr(got, name).data, getattr(want, name).data
+        assert a.dtype == b.dtype == np.float32 and a.tobytes() == b.tobytes(), name
+    grads = verify._analytic_grads(got.total, state.ae_opt)
+    want_grads = verify._analytic_grads(want.total, state.ae_opt)
+    assert grads.keys() == want_grads.keys() and "scp.codes" in grads
+    for name in grads:
+        assert grads[name].dtype == np.float64, name
+        assert grads[name].tobytes() == want_grads[name].tobytes(), name
+    assert np.abs(grads["scp.codes"]).sum() > 0
 
 
 def test_a_checkpoint_with_teacher_arrays_still_loads(tmp_path):

@@ -80,9 +80,10 @@ def _load_config(path: str) -> TrainConfig:
 def _load_data(data_dir: str | None, cfg: TrainConfig, val_only: bool = False):
     """The split and clouds of a `gen` dataset directory, or the config's
     synthetic data without one; only the validation clouds with val_only.
-    Refuses a split.json that is not JSON or not a split of disjoint lists
-    of cloud ids, a split without a validation cloud, a cloud of fewer than 2
-    points (it has no neighbourhood to featurize) or with a cell key beyond
+    Refuses a split.json that is not JSON, not a split of disjoint lists of
+    cloud ids, or without a training cloud (unless val_only); a split
+    without a validation cloud, a cloud of fewer than 2 points (it has no
+    neighbourhood to featurize) or with a cell key beyond
     int64 at the config's voxel_size, clouds that declare different class
     counts, or more classes than the config's class_count."""
     if data_dir:
@@ -92,6 +93,8 @@ def _load_data(data_dir: str | None, cfg: TrainConfig, val_only: bool = False):
                 split = DatasetSplit.from_json(json.load(f))
             except ValueError as exc:  # not JSON, not UTF-8, or not a split
                 raise UsageError(f"split {path!r} is malformed: {exc}") from None
+        if not (val_only or split.train):
+            raise UsageError(f"split {path!r} has no training cloud")
         clouds, counts = {}, set()
         for cid in split.val if val_only else split.train + split.val:
             clouds[cid], c = load_cloud(os.path.join(data_dir, f"{cid}.a3pc"), cloud_id=cid)

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .pointcloud import IGNORE_LABEL
 from .rng import Stream
 
 VARIANCE_FLOOR = 1e-6
@@ -46,14 +47,6 @@ class CodebookState:
         return self.codes.data.reshape(self.class_count, self.codes_per_class, self.latent_dim)
 
 
-@dataclass
-class QuantizeResult:
-    classes: np.ndarray  # (n,) class per row
-    flat: np.ndarray  # (n,) class * k + index
-    z_e: np.ndarray  # (n, D)
-    distance: np.ndarray  # (n,) Euclidean distance to the assigned code
-
-
 def build_encoder_input(probs, coords: np.ndarray, labels: np.ndarray):
     """[probs || coords] rows regrouped contiguously by class (class 0 first).
 
@@ -63,7 +56,7 @@ def build_encoder_input(probs, coords: np.ndarray, labels: np.ndarray):
     row -> original row and undoes the grouping.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if (labels == 255).any():
+    if (labels == IGNORE_LABEL).any():
         raise ValueError("encoder input rows must not carry the ignore label")
     order = np.argsort(labels, kind="stable")
     classes = labels[order]
@@ -105,56 +98,41 @@ class PriorAutoencoder:
         return T.softmax(T.mlp(z, self.params, "scp.dec", self.n_dec))
 
 
-def nearest_in_class(codes3: np.ndarray, z_e: np.ndarray, classes: np.ndarray):
-    """Nearest code within each row's class sub-table (ties -> lowest index).
-    Returns (index_in_class, distance)."""
-    n = z_e.shape[0]
-    idx = np.full(n, -1, dtype=np.int64)
-    dist = np.full(n, np.inf)
-    for c in np.unique(classes):
-        rows = np.flatnonzero(classes == c)
-        table = codes3[c]  # (k, D)
-        z = z_e[rows]
-        best = _pairwise_sq(z, table).argmin(axis=1)
-        idx[rows] = best
-        diff = z - table[best]
-        dist[rows] = np.sqrt((diff * diff).sum(axis=1))
-    return idx, dist
-
-
-def _pairwise_sq(z: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances via the expanded form; clamped at 0.
-    Identical code rows keep bit-identical distances, so duplicate-code ties
-    still resolve to the lowest index. Callers recompute the distance to the
-    winning code directly, where cancellation error matters."""
+def _nearest(table: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Index of the nearest row of `table` for each row of `z`, by the
+    expanded-form squared Euclidean distance in float64, clamped at 0.
+    Identical code rows keep bit-identical distances, so exact ties,
+    duplicate codes among them, resolve to the lowest index."""
+    z = np.asarray(z, dtype=np.float64)
     d2 = ((z * z).sum(axis=1)[:, None]
           - 2.0 * (z @ table.T)
           + (table * table).sum(axis=1)[None, :])
-    return np.maximum(d2, 0.0)
+    return np.maximum(d2, 0.0).argmin(axis=1)
 
 
-def quantize(cb: CodebookState, z_e: np.ndarray, classes: np.ndarray) -> QuantizeResult:
-    """Assign each latent row to the nearest code of its own class."""
-    z_e = np.asarray(z_e, dtype=np.float64)
+def quantize(codes3: np.ndarray, z_e: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Flat index (class * k + index) of the nearest code of each latent
+    row's own class in the (C, k, D) table; one class's rows at a time are
+    taken in float64."""
     classes = np.asarray(classes, dtype=np.int64)
-    if classes.min(initial=0) < 0 or classes.max(initial=0) >= cb.class_count:
+    if classes.min(initial=0) < 0 or classes.max(initial=0) >= codes3.shape[0]:
         raise ValueError("row class out of range")
-    idx, dist = nearest_in_class(cb.codes3(), z_e, classes)
-    flat = classes * cb.codes_per_class + idx
-    return QuantizeResult(classes=classes, flat=flat, z_e=z_e, distance=dist)
+    idx = np.empty(classes.shape[0], dtype=np.int64)
+    for c in np.unique(classes):
+        rows = np.flatnonzero(classes == c)
+        idx[rows] = _nearest(codes3[c], z_e[rows])
+    return classes * codes3.shape[1] + idx
 
 
-def nearest_global(codes2: np.ndarray, initialized: np.ndarray, codes_per_class: int,
-                   z_e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest code across every initialized class (flat index, distance)."""
-    live = np.flatnonzero(np.repeat(initialized, codes_per_class))
+def nearest_global(codes3: np.ndarray, initialized: np.ndarray,
+                   z_e: np.ndarray) -> np.ndarray:
+    """Value of the nearest code across every initialized class, per row."""
+    c, k, d = codes3.shape
+    live = np.flatnonzero(np.repeat(initialized, k))
     if live.size == 0:
         raise PriorModeError("no initialized codes for a global lookup")
-    table = codes2[live]
-    z = np.asarray(z_e, dtype=np.float64)
-    best = _pairwise_sq(z, table).argmin(axis=1)
-    diff = z - table[best]
-    return live[best], np.sqrt((diff * diff).sum(axis=1))
+    table = codes3.reshape(c * k, d)[live]
+    return table[_nearest(table, z_e)]
 
 
 @dataclass
@@ -193,12 +171,12 @@ def vq_losses(ae: PriorAutoencoder, cb: CodebookState, z_e: T.Tensor,
     return VqLosses(recon, codebook, commitment, total)
 
 
-def update_code_stats(cb: CodebookState, qr: QuantizeResult) -> None:
+def update_code_stats(cb: CodebookState, flat: np.ndarray, z_e: np.ndarray) -> None:
     """EMA (decay GAMMA) per-channel variance update for codes that received
-    >= 2 rows this batch (population variance); usage counters grow by row
-    counts."""
-    order = np.argsort(qr.flat, kind="stable")
-    flats = qr.flat[order]
+    >= 2 rows this batch (population variance, over each code's rows taken
+    in float64); usage counters grow by row counts."""
+    order = np.argsort(flat, kind="stable")
+    flats = flat[order]
     uniq, starts = np.unique(flats, return_index=True)
     bounds = np.append(starts, flats.shape[0])
     k = cb.codes_per_class
@@ -207,7 +185,7 @@ def update_code_stats(cb: CodebookState, qr: QuantizeResult) -> None:
         count = e - s
         cb.usage[c, j] += count
         if count >= 2:
-            batch_var = qr.z_e[order[s:e]].var(axis=0)
+            batch_var = z_e[order[s:e]].astype(np.float64).var(axis=0)
             cb.variances[c, j] = GAMMA * cb.variances[c, j] + (1.0 - GAMMA) * batch_var
     np.maximum(cb.variances, VARIANCE_FLOOR, out=cb.variances)
 

@@ -9,7 +9,7 @@ import numpy as np
 from . import _kernels
 from . import tensor as T
 from .pointcloud import IGNORE_LABEL
-from .scp import CodebookState, PriorAutoencoder, build_encoder_input, nearest_in_class
+from .scp import CodebookState, PriorAutoencoder, build_encoder_input, quantize
 
 
 @dataclass
@@ -17,9 +17,6 @@ class PriorSnapshot:
     """Immutable copy of everything localization needs: the frozen encoder
     parameters, codes, variances, and threshold."""
 
-    class_count: int
-    codes_per_class: int
-    latent_dim: int
     codes3: np.ndarray  # (C, k, D)
     variances: np.ndarray  # (C, k, D), >= scp.VARIANCE_FLOOR
     initialized: np.ndarray  # (C,)
@@ -41,9 +38,6 @@ class PriorSnapshot:
 def take_snapshot(cb: CodebookState, threshold: float, prior: PriorAutoencoder) -> PriorSnapshot:
     """Copies of the codebook state and of the prior's encoder parameters."""
     return PriorSnapshot(
-        class_count=cb.class_count,
-        codes_per_class=cb.codes_per_class,
-        latent_dim=cb.latent_dim,
         codes3=cb.codes3().copy(),
         variances=cb.variances.copy(),
         initialized=cb.initialized.copy(),
@@ -62,12 +56,11 @@ def shift_score(snapshot: PriorSnapshot, z_e: np.ndarray,
     tracked standard deviation in every channel scores exactly 1. With a
     shared per-code variance this reduces to ||z - e|| / sqrt(var).
     """
-    z_e = np.asarray(z_e, dtype=np.float64)
-    classes = np.asarray(classes, dtype=np.int64)
-    idx, _ = nearest_in_class(snapshot.codes3, z_e, classes)
-    codes = snapshot.codes3[classes, idx]
-    var = snapshot.variances[classes, idx]
-    return np.sqrt(((z_e - codes) ** 2 / var).sum(axis=1) / snapshot.latent_dim)
+    flat = quantize(snapshot.codes3, z_e, classes)
+    c, k, d = snapshot.codes3.shape
+    codes = snapshot.codes3.reshape(c * k, d)[flat]
+    var = snapshot.variances.reshape(c * k, d)[flat]
+    return np.sqrt(((z_e - codes) ** 2 / var).sum(axis=1) / d)
 
 
 @dataclass
@@ -98,7 +91,7 @@ def localize(snapshot: PriorSnapshot, probs, coords: np.ndarray,
     coords = np.asarray(coords, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.shape[0]
-    valid = (labels != IGNORE_LABEL) & (labels < snapshot.class_count)
+    valid = (labels != IGNORE_LABEL) & (labels < snapshot.codes3.shape[0])
     scr = np.zeros(n, dtype=bool)
     ssr = np.zeros(n, dtype=bool)
     vrows = np.flatnonzero(valid)

@@ -136,6 +136,10 @@ class TrainConfig:
             (self.lam >= 0, "lambda must be nonnegative"),
             (self.ckpt_every >= 0, "ckpt_every must be nonnegative"),
             (self.eval_every >= 0, "eval_every must be nonnegative"),
+            (min(self.seg_hidden, default=1) >= 1,
+             "seg_hidden must be a list of positive widths"),
+            (min(self.encoder_widths, default=1) >= 1,
+             "encoder_widths must be a list of positive widths"),
         ]
         for ok, msg in checks:
             if not ok:
@@ -310,9 +314,9 @@ def _select_scp(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
     scp.maybe_init_codebook(state.cb, z0, classes, Stream(cfg.seed, "cbinit"))
     if state.step > 0 and state.step % RESEED_INTERVAL == 0:
         scp.reseed_dead_codes(state.cb, z0, classes, Stream(cfg.seed, "reseed", state.step))
-    qr0 = scp.quantize(state.cb, z0, classes)
-    scp.update_code_stats(state.cb, qr0)
-    return ScpSelection(rows, qr0.flat, z0, *pinned_codes(state.cb, qr0.flat, z0)), z_live
+    flat = scp.quantize(state.cb.codes3(), z0, classes)
+    scp.update_code_stats(state.cb, flat, z0)
+    return ScpSelection(rows, flat, z0, *pinned_codes(state.cb, flat, z0)), z_live
 
 
 def pinned_codes(cb: scp.CodebookState, flat: np.ndarray,
@@ -334,10 +338,8 @@ def _select_ssr(loc: ssrmod.LocalizeResult, snapshot: ssrmod.PriorSnapshot,
     ssr_grouped = loc.masks.ssr[loc.valid_rows]
     targets = None
     if distill_on and ssr_grouped.any():
-        flat_codes = snapshot.codes3.reshape(-1, snapshot.latent_dim)
-        flats, _ = scp.nearest_global(flat_codes, snapshot.initialized,
-                                      snapshot.codes_per_class, loc.z_e.data[ssr_grouped])
-        targets = flat_codes[flats]
+        targets = scp.nearest_global(snapshot.codes3, snapshot.initialized,
+                                     loc.z_e.data[ssr_grouped])
     return SsrSelection(ssr_grouped, targets, loc.masks)
 
 

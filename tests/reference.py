@@ -7,6 +7,9 @@
   `T.mlp`, subtract-square-mean for `T.mse`), and which the gradient tests
   compose into small losses; and `scp.vq_losses` over float64 pinned code
   values (`vq_losses_float64_pins`).
+- The prior's in-class code search and per-code statistics over one float64
+  copy of every latent row (`quantize_float64_copy`,
+  `update_code_stats_float64_copy`).
 - Brute-force geometry: O(N^2) kNN and dilation, voxel cells by
   dictionary grouping.
 - Extended precision (mpmath): a straight-line graph interpreter and a
@@ -168,6 +171,46 @@ def vq_losses_float64_pins(ae, cb, z_e, flat, z_e0, z_q0, target_probs) -> scp.V
     recon = T.mse(decoded, target_probs)
     total = T.add(T.add(recon, codebook), T.scale(commitment, scp.BETA))
     return scp.VqLosses(recon, codebook, commitment, total)
+
+
+# ---------------------------------------------------------------------------
+# The prior's code search and statistics over a float64 copy of the latents
+
+
+def quantize_float64_copy(codes3: np.ndarray, z_e: np.ndarray,
+                          classes: np.ndarray) -> np.ndarray:
+    """Flat nearest-in-class code per row, searched over one float64 copy of
+    all the rows: per class, the expanded-form squared distance clamped at
+    0, lowest index on exact ties."""
+    z_e = np.asarray(z_e, dtype=np.float64)
+    classes = np.asarray(classes, dtype=np.int64)
+    idx = np.full(classes.shape[0], -1, dtype=np.int64)
+    for c in np.unique(classes):
+        rows = np.flatnonzero(classes == c)
+        table, z = codes3[c], z_e[rows]
+        d2 = ((z * z).sum(axis=1)[:, None]
+              - 2.0 * (z @ table.T)
+              + (table * table).sum(axis=1)[None, :])
+        idx[rows] = np.maximum(d2, 0.0).argmin(axis=1)
+    return classes * codes3.shape[1] + idx
+
+
+def update_code_stats_float64_copy(cb: scp.CodebookState, flat: np.ndarray,
+                                   z_e: np.ndarray) -> None:
+    """`scp.update_code_stats` with each code's rows sliced from one float64
+    copy of all the rows."""
+    z64 = np.asarray(z_e, dtype=np.float64)
+    order = np.argsort(flat, kind="stable")
+    flats = flat[order]
+    uniq, starts = np.unique(flats, return_index=True)
+    bounds = np.append(starts, flats.shape[0])
+    for u, s, e in zip(uniq, bounds[:-1], bounds[1:]):
+        c, j = divmod(int(u), cb.codes_per_class)
+        cb.usage[c, j] += e - s
+        if e - s >= 2:
+            batch_var = z64[order[s:e]].var(axis=0)
+            cb.variances[c, j] = scp.GAMMA * cb.variances[c, j] + (1.0 - scp.GAMMA) * batch_var
+    np.maximum(cb.variances, scp.VARIANCE_FLOOR, out=cb.variances)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The package exposes only what it runs: every public top-level function and
 class of `src/shiftseg` is referred to somewhere in the package, every public
-method and field of its public classes is read there, and no module of it
-imports a test-only dependency."""
+method and field of its public classes is read in its module or in one that
+imports it, and no module of it imports a test-only dependency."""
 import ast
 import pathlib
 
@@ -86,16 +86,32 @@ def attribute_reads(tree: ast.Module) -> set[str]:
     return reads
 
 
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Package modules that `tree` imports, as `from . import mod` or
+    `from .mod import name`."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else
+                         [alias.name for alias in node.names])
+    return found
+
+
 def test_every_public_member_is_read_in_the_package():
     """A field that only the constructor sets, or a method that no module
-    calls, is a capability nothing in the package uses. The check goes by
-    name, not by type: a member that shares its name with one read on
+    calls, is a capability nothing in the package uses. A read counts in the
+    class's own module and in the modules that import it. The check goes by
+    name, not by type: a member that shares its name with one read there on
     another class (two networks' `parameter_arrays`, one of them called)
     passes unread."""
     trees = modules()
-    reads = set().union(*(attribute_reads(tree) for tree in trees.values()))
+    reads = {name: attribute_reads(tree) for name, tree in trees.items()}
+    readers = {module: [name for name, tree in trees.items()
+                        if name == module or module in imported_modules(tree)]
+               for module in trees}
     unread = [f"{module}.{cls}.{name}" for module, tree in trees.items()
-              for cls, name in public_members(tree) if name not in reads]
+              for cls, name in public_members(tree)
+              if not any(name in reads[r] for r in readers[module])]
     assert not unread, f"public members that nothing in the package reads: {unread}"
 
 

@@ -55,7 +55,7 @@ def test_train_with_fewer_classes_than_the_generator_has(tmp_path):
     ("points_per_scene", 63), ("class_count", 0), ("val_fraction", 0.0), ("val_fraction", 1.0),
     ("scenes", 0), ("k", 0), ("D", 0), ("knn_k", 0), ("voxel_size", 0.0),
     ("dilation_radius", -0.1), ("noise_points", -1), ("lambda", -0.1), ("ckpt_every", -1),
-    ("eval_every", -1)])
+    ("eval_every", -1), ("seg_hidden", [-1]), ("encoder_widths", [0])])
 def test_train_refuses_a_config_value_that_cannot_run(tmp_path, capsys, key, value):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**verify.tiny_config().to_json(), key: value}))
@@ -257,6 +257,21 @@ def test_train_and_ablate_refuse_a_split_without_validation_clouds(tmp_path, cap
         assert quiet_main(command + ["--config", config, "--out", str(out)] + extra) == 2
         assert "no validation cloud" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["train"], ["ablate", "--sweep", "t"]])
+def test_train_and_ablate_refuse_a_split_without_training_clouds(tmp_path, capsys, command):
+    _, config = write_config(tmp_path / "config.json", scenes=4, val_fraction=0.25)
+    data = tmp_path / "data"
+    assert quiet_main(["gen", "--scenes", "4", "--points", "64", "--classes", "4",
+                       "--out", str(data)]) == 0
+    split = json.loads((data / "split.json").read_text())
+    (data / "split.json").write_text(json.dumps({"train": [], "val": split["val"]}))
+    out = tmp_path / "out"
+    assert quiet_main(command + ["--config", config, "--data", str(data),
+                                 "--out", str(out)]) == 2
+    assert f"split {str(data / 'split.json')!r} has no training cloud" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name, text", [

@@ -1,9 +1,14 @@
-"""The confusion prior's bookkeeping: quantizer ties, EMA variance statistics
-against the compensated replay, lazy code initialization and dead-code
-reseeds."""
+"""The confusion prior's bookkeeping: the nearest-code searches against the
+exhaustive scan and the float64-copy formulation, EMA variance statistics
+against the compensated replay, their memory, lazy code initialization and
+dead-code reseeds."""
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference as R
 from shiftseg import oracle, scp
 from shiftseg.rng import Stream
 
@@ -20,10 +25,9 @@ def test_quantize_picks_the_lowest_index_on_exact_ties():
     # codes 1 and 3 of class 2 are identical, so every row ties between them
     cb.codes.data[2 * 4 + 3] = cb.codes.data[2 * 4 + 1]
     z = np.repeat(cb.codes.data[2 * 4 + 1][None, :], 3, axis=0) + [[0.0], [1e-3], [-1e-3]]
-    qr = scp.quantize(cb, z, np.full(3, 2))
-    assert (qr.flat % 4).tolist() == [1, 1, 1]  # the index within the class table
-    assert qr.flat.tolist() == [9, 9, 9]
-    assert qr.distance[0] == 0.0
+    flat = scp.quantize(cb.codes3(), z, np.full(3, 2))
+    assert (flat % 4).tolist() == [1, 1, 1]  # the index within the class table
+    assert flat.tolist() == [9, 9, 9]
 
 
 def test_quantize_stays_within_each_rows_class():
@@ -31,12 +35,11 @@ def test_quantize_stays_within_each_rows_class():
     z = cb.codes.data[[0, 5, 10]]  # one code of each class
     # asked for under another class, each row gets that class's nearest code
     classes = np.array([1, 2, 0])
-    qr = scp.quantize(cb, z, classes)
-    ref_flat, ref_dist = oracle.brute_nn(cb.codes.data, z, classes, np.repeat(np.arange(3), 4))
-    assert qr.flat.tolist() == ref_flat.tolist() and (qr.flat // 4).tolist() == [1, 2, 0]
-    assert np.allclose(qr.distance, ref_dist, rtol=1e-12, atol=0)
+    flat = scp.quantize(cb.codes3(), z, classes)
+    ref_flat, _ = oracle.brute_nn(cb.codes.data, z, classes, np.repeat(np.arange(3), 4))
+    assert flat.tolist() == ref_flat.tolist() and (flat // 4).tolist() == [1, 2, 0]
     with pytest.raises(ValueError, match="class out of range"):
-        scp.quantize(cb, z, np.array([0, 1, 3]))
+        scp.quantize(cb.codes3(), z, np.array([0, 1, 3]))
 
 
 def test_update_code_stats_matches_the_replay():
@@ -49,10 +52,10 @@ def test_update_code_stats_matches_the_replay():
         n = 30
         classes = stream.integers(n, c)
         z = stream.normal(n * d).reshape(n, d) * 2.0
-        qr = scp.quantize(cb, z, classes)
-        scp.update_code_stats(cb, qr)
-        trace.append((qr.flat.copy(), z.copy()))
-        usage += np.bincount(qr.flat, minlength=c * k)
+        flat = scp.quantize(cb.codes3(), z, classes)
+        scp.update_code_stats(cb, flat, z)
+        trace.append((flat, z))
+        usage += np.bincount(flat, minlength=c * k)
     replayed = oracle.replay_stats(trace, scp.GAMMA, (c * k, d))
     assert np.allclose(cb.variances.reshape(c * k, d), replayed, rtol=1e-12, atol=0)
     assert np.array_equal(cb.usage.reshape(-1), usage)
@@ -61,9 +64,9 @@ def test_update_code_stats_matches_the_replay():
 def test_update_code_stats_floors_the_variances():
     cb = initialized_codebook(c=1, k=1, d=2)
     z = np.zeros((4, 2))  # zero spread drives the variance toward 0
-    qr = scp.quantize(cb, z, np.zeros(4, np.int64))
+    flat = scp.quantize(cb.codes3(), z, np.zeros(4, np.int64))
     for _ in range(400):
-        scp.update_code_stats(cb, qr)
+        scp.update_code_stats(cb, flat, z)
     assert (cb.variances == scp.VARIANCE_FLOOR).all()
 
 
@@ -112,8 +115,84 @@ def test_reseed_dead_codes_counts_and_resets_variances():
 def test_nearest_global_without_initialized_codes_raises():
     cb = scp.CodebookState(2, 3, 4)
     with pytest.raises(scp.PriorModeError):
-        scp.nearest_global(cb.codes.data, cb.initialized, 3, np.zeros((2, 4)))
+        scp.nearest_global(cb.codes3(), cb.initialized, np.zeros((2, 4)))
     cb.initialized[1] = True
     cb.codes.data[3:] = np.arange(12.0).reshape(3, 4)
-    flat, dist = scp.nearest_global(cb.codes.data, cb.initialized, 3, np.ones((1, 4)) * 4.0)
-    assert flat.tolist() == [4] and dist.tolist() == [np.sqrt(14.0)]
+    # code 4, at squared distance 14, of the one initialized class
+    target = scp.nearest_global(cb.codes3(), cb.initialized, np.ones((1, 4)) * 4.0)
+    assert target.tolist() == [[4.0, 5.0, 6.0, 7.0]]
+
+
+def test_nearest_global_matches_the_exhaustive_scan_over_live_codes():
+    c, k, d = 4, 6, 5
+    cb = initialized_codebook(c, k, d, seed=7)
+    cb.initialized[[0, 2]] = False
+    z = Stream(8, "rows").normal(200 * d).reshape(200, d).astype(np.float32)
+    live = np.flatnonzero(np.repeat(cb.initialized, k))
+    idx, _ = oracle.brute_nn(cb.codes.data[live], z)
+    target = scp.nearest_global(cb.codes3(), cb.initialized, z)
+    assert np.array_equal(target, cb.codes.data[live][idx])
+
+
+@st.composite
+def latent_batches(draw):
+    """(codes3, float32 latents, classes): a small codebook with duplicated
+    codes and latent rows of which some sit exactly on a code."""
+    c, k, d = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    n = draw(st.integers(0, 40))
+    stream = Stream(draw(st.integers(0, 2**16)), "batch")
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    # float32 values, so a latent row can equal a code exactly
+    codes3 = (stream.normal(c * k * d).reshape(c, k, d) * scale).astype(np.float32)
+    codes3 = codes3.astype(np.float64)
+    for _ in range(draw(st.integers(0, k - 1))):  # duplicates tie exactly
+        src, dst = stream.integers(2, k)
+        codes3[:, dst] = codes3[:, src]
+    z = (stream.normal(n * d).reshape(n, d) * scale).astype(np.float32)
+    classes = stream.integers(n, c)
+    on_code = stream.integers(n, 4) == 0
+    z[on_code] = codes3[classes[on_code], stream.integers(int(on_code.sum()), k)]
+    return codes3, z, classes
+
+
+@settings(max_examples=200, deadline=None)
+@given(latent_batches())
+def test_quantize_matches_the_search_over_a_float64_copy(batch):
+    codes3, z, classes = batch
+    flat = scp.quantize(codes3, z, classes)
+    assert np.array_equal(flat, R.quantize_float64_copy(codes3, z, classes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(latent_batches(), st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                                  min_size=1, max_size=8))
+def test_update_code_stats_of_float32_rows_equals_it_over_a_float64_copy(batch, values):
+    codes3, z, classes = batch
+    c, k, d = codes3.shape
+    # any finite float32 values, spread over the rows' first channel
+    z[:, 0] = np.resize(np.array(values, dtype=np.float32), z.shape[0])
+    flat = scp.quantize(codes3, z, classes)
+    cbs = [scp.CodebookState(c, k, d) for _ in range(2)]
+    for cb in cbs:
+        cb.variances[...] = Stream(1, "var").uniform(c * k * d).reshape(c, k, d) + 0.5
+    scp.update_code_stats(cbs[0], flat, z)
+    R.update_code_stats_float64_copy(cbs[1], flat, z)
+    assert cbs[0].variances.tobytes() == cbs[1].variances.tobytes()
+    assert np.array_equal(cbs[0].usage, cbs[1].usage)
+
+
+def test_quantize_and_stats_hold_no_float64_copy_of_the_latents():
+    # default geometry: ~10,300 float32 selection rows, 8 classes x 32 codes
+    # x D = 64; a float64 copy of the rows alone would be 5.3 MB
+    c, k, d, n = 8, 32, 64, 10_300
+    cb = initialized_codebook(c, k, d, seed=11)
+    stream = Stream(12, "latents")
+    z = stream.normal(n * d).reshape(n, d).astype(np.float32)
+    classes = stream.integers(n, c)
+    tracemalloc.start()
+    try:
+        scp.update_code_stats(cb, scp.quantize(cb.codes3(), z, classes), z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak

@@ -3,9 +3,10 @@
 An augmentation is a preset's magnitude box (`PRESETS`) for Gaussian jitter
 and exact-count point drop, plus one subsidiary switch. On, as in training,
 a draw also takes a full-circle yaw, a scale in SCALE_RANGE, axis flips with
-FLIP_PROB, appended uniform noise points and an azimuthal scan mix with a
-partner cloud; off, as at an evaluation level, it is jitter and drop alone.
-Every application is described by an AugmentRecord that replays bit-exactly.
+FLIP_PROB and appended uniform noise points; off, as at an evaluation level,
+it is jitter and drop alone. A draw with the subsidiary transforms on scan
+mixes exactly when its caller passes a partner cloud. Every application is
+described by an AugmentRecord that replays bit-exactly.
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ class AugmentConfig:
     preset: str
     subsidiary: bool = True
     noise_points: int = 0
-    scanmix: bool = False
 
     def __post_init__(self):
         if self.preset not in PRESETS:
@@ -57,9 +57,7 @@ class AugmentRecord:
     flip_x: bool
     flip_y: bool
     noise_points: int
-    mix_partner: str | None
-    num_sectors: int
-    mix_keep_even: bool
+    mix_partner: str | None  # scan mixed over NUM_SECTORS sectors when set
     stream_key: tuple
 
     def to_json(self) -> dict:
@@ -71,7 +69,8 @@ class AugmentRecord:
 def sample_magnitudes(cfg: AugmentConfig, key_parts: tuple, parent_id: str,
                       mix_partner: str | None = None) -> AugmentRecord:
     """Draw one magnitude assignment: jitter and drop from the preset's box,
-    then, with the subsidiary transforms on, yaw, scale and the two flips."""
+    then, with the subsidiary transforms on, yaw, scale and the two flips,
+    and a scan mix with `mix_partner` when one is given."""
     s = Stream(*key_parts, "mag")
     (jmin, jmax), (dmin, dmax) = PRESETS[cfg.preset]
     jitter_std = s.uniform(low=jmin, high=jmax)
@@ -81,7 +80,6 @@ def sample_magnitudes(cfg: AugmentConfig, key_parts: tuple, parent_id: str,
     scale = s.uniform(low=SCALE_RANGE[0], high=SCALE_RANGE[1]) if on else 1.0
     flip_x = on and s.uniform() < FLIP_PROB
     flip_y = on and s.uniform() < FLIP_PROB
-    mix = on and cfg.scanmix
     return AugmentRecord(
         parent_id=parent_id,
         jitter_std=jitter_std,
@@ -91,16 +89,14 @@ def sample_magnitudes(cfg: AugmentConfig, key_parts: tuple, parent_id: str,
         flip_x=flip_x,
         flip_y=flip_y,
         noise_points=cfg.noise_points if on else 0,
-        mix_partner=mix_partner if mix else None,
-        num_sectors=NUM_SECTORS if mix else 0,
-        mix_keep_even=True,
+        mix_partner=mix_partner if on else None,
         stream_key=tuple(key_parts),
     )
 
 
 def _child(cloud: PointCloud, positions, labels) -> PointCloud:
-    parent = cloud.parent_id if cloud.source == "augmented" else cloud.cloud_id
-    return PointCloud(positions, labels, f"{parent}.aug", source="augmented", parent_id=parent)
+    parent = cloud.parent_id if cloud.parent_id is not None else cloud.cloud_id
+    return PointCloud(positions, labels, f"{parent}.aug", parent_id=parent)
 
 
 def jitter(cloud: PointCloud, std: float, stream: Stream) -> PointCloud:
@@ -131,7 +127,8 @@ def point_drop(cloud: PointCloud, ratio: float, stream: Stream) -> PointCloud:
 def subsidiary(cloud: PointCloud, rec: AugmentRecord, stream: Stream,
                partner: PointCloud | None = None) -> PointCloud:
     """Fixed-order secondary transforms: yaw rotation, isotropic scale, axis
-    flips, appended uniform noise points (label 255), then scan mix."""
+    flips, appended uniform noise points (label 255), then, when the record
+    names a mix partner, scan mix (own even sectors, the partner's odd ones)."""
     pos = cloud.positions.copy()
     labels = cloud.labels.copy()
     if rec.yaw != 0.0:
@@ -155,20 +152,18 @@ def subsidiary(cloud: PointCloud, rec: AugmentRecord, stream: Stream,
     if rec.mix_partner is not None:
         if partner is None:
             raise ValueError("scan mix enabled but no partner cloud supplied")
-        own = _child(cloud, pos, labels)
-        own_sec = sector_split(own, rec.num_sectors)
-        par_sec = sector_split(partner, rec.num_sectors)
-        own_par = (own_sec % 2 == 0) if rec.mix_keep_even else (own_sec % 2 == 1)
-        par_par = (par_sec % 2 == 1) if rec.mix_keep_even else (par_sec % 2 == 0)
-        pos = np.concatenate([pos[own_par], partner.positions[par_par]], axis=0)
-        labels = np.concatenate([labels[own_par], partner.labels[par_par]])
+        own_even = sector_split(_child(cloud, pos, labels), NUM_SECTORS) % 2 == 0
+        par_odd = sector_split(partner, NUM_SECTORS) % 2 == 1
+        pos = np.concatenate([pos[own_even], partner.positions[par_odd]], axis=0)
+        labels = np.concatenate([labels[own_even], partner.labels[par_odd]])
     return _child(cloud, pos, labels)
 
 
 def augment_pair(cloud: PointCloud, cfg: AugmentConfig, key_parts: tuple,
                  partner: PointCloud | None = None) -> tuple[PointCloud, AugmentRecord]:
     """Sample magnitudes and apply subsidiary -> drop -> jitter in lockstep
-    with labels. The returned record replays the result bit-exactly."""
+    with labels; with the subsidiary transforms on, a given `partner` is
+    scan mixed in. The returned record replays the result bit-exactly."""
     partner_id = partner.cloud_id if partner is not None else None
     rec = sample_magnitudes(cfg, tuple(key_parts), cloud.cloud_id, mix_partner=partner_id)
     return replay(rec, cloud, partner=partner), rec

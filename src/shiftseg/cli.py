@@ -14,9 +14,9 @@ heavy-level mIoU.
 Every setting of a run comes from its config file, read through
 `trainer.TrainConfig`; `gen` builds one from its flags. An unknown key is
 refused, the deleted strategy keys (prior_source, offline_prior_path,
-distill_target, curriculum) included, and so is mode "eas+scr", now spelled
-mode "full" with lambda 0. Arguments are checked before the output directory
-is made.
+distill_target, curriculum) and scanmix (a partner turns scan mix on)
+included, and so is mode "eas+scr", now spelled mode "full" with lambda 0.
+Arguments are checked before the output directory is made.
 
 Exit codes: 0 success, 1 a failed `verify` suite, 2 usage error (a malformed
 config, dataset or checkpoint included).

@@ -205,7 +205,6 @@ def generate_scene(spec: SceneSpec, cloud_id: str | None = None) -> PointCloud:
         positions=np.concatenate(chunks, axis=0),
         labels=np.concatenate(labels),
         cloud_id=cloud_id if cloud_id is not None else f"scene-{spec.seed}",
-        source="synthetic",
     )
 
 
@@ -263,7 +262,7 @@ def load_cloud(path, cloud_id: str | None = None) -> tuple[PointCloud, int]:
                                f"declared class count {c} nor {IGNORE_LABEL}")
     if cloud_id is None:
         cloud_id = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    cloud = PointCloud(positions, labels, cloud_id, source="ingested")
+    cloud = PointCloud(positions, labels, cloud_id)
     return cloud, int(c)
 
 

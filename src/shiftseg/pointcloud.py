@@ -28,7 +28,6 @@ class PointCloud:
     positions: np.ndarray  # (N, 3) float64
     labels: np.ndarray  # (N,) uint16
     cloud_id: str
-    source: str = "synthetic"  # synthetic | ingested | augmented
     parent_id: str | None = None
 
     def __post_init__(self):
@@ -41,8 +40,6 @@ class PointCloud:
                 f"labels length {self.labels.shape} does not match N={self.positions.shape[0]}")
         if not np.isfinite(self.positions).all():
             raise ValueError("positions must be finite")
-        if self.source not in ("synthetic", "ingested", "augmented"):
-            raise ValueError(f"unknown source {self.source!r}")
 
     def __len__(self) -> int:
         return self.positions.shape[0]

@@ -16,7 +16,8 @@ whose selecting pass also updates the prior's statistics and pins every
 discrete choice), the seg backward and update, then the prior's
 quantized-autoencoder objective on the pinned selection (`vq_objective`),
 its backward and the prior update. So the decoder's graph is built only
-after the seg graph is freed; the steplog records the losses in that order.
+after the seg graph is freed; the steplog records the losses in that order,
+and only what a step measured or drew (mode and preset are in config.json).
 """
 from __future__ import annotations
 
@@ -111,7 +112,6 @@ class TrainConfig:
     # augmentation
     augment_preset: str = "random"
     noise_points: int = 32
-    scanmix: bool = True
     # bookkeeping
     ckpt_every: int = 0  # epochs between checkpoints; 0 = final only
     eval_every: int = 1  # epochs between validation reports; 0 = final only
@@ -198,7 +198,6 @@ def seg_lr_at(epoch: int, cfg: TrainConfig) -> float:
 class PreparedBatch:
     originals: list[PreparedCloud]
     augmented: list[PreparedCloud] | None
-    preset: str
     records: list[AugmentRecord] | None = None  # one per augmented cloud
 
 
@@ -442,20 +441,22 @@ def prepared_clean(state: TrainState, cloud: PointCloud, cfg: TrainConfig) -> Pr
 
 def prepare_batch(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
                   epoch: int, batch_index: int) -> PreparedBatch:
+    """The batch's clean features and, unless mode is `none`, one augmented
+    draw per cloud; a partner, the next cloud of the batch, turns scan mix
+    on, so a batch of one cloud is never mixed."""
     originals = [prepared_clean(state, cloud, cfg) for cloud in clouds]
     if cfg.mode == "none":
-        return PreparedBatch(originals, None, "none")
-    aug_cfg = AugmentConfig(cfg.augment_preset, noise_points=cfg.noise_points,
-                            scanmix=cfg.scanmix)
+        return PreparedBatch(originals, None)
+    aug_cfg = AugmentConfig(cfg.augment_preset, noise_points=cfg.noise_points)
     augmented, records = [], []
     for i, cloud in enumerate(clouds):
-        partner = clouds[(i + 1) % len(clouds)] if aug_cfg.scanmix and len(clouds) > 1 else None
+        partner = clouds[(i + 1) % len(clouds)] if len(clouds) > 1 else None
         aug_cloud, rec = augment_pair(
             cloud, aug_cfg, (cfg.seed, "aug", epoch, batch_index, i),
             partner=partner)
         augmented.append(prepare_cloud(aug_cloud, cfg.voxel_size, cfg.knn_k))
         records.append(rec)
-    return PreparedBatch(originals, augmented, cfg.augment_preset, records)
+    return PreparedBatch(originals, augmented, records)
 
 
 def train_step(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
@@ -472,7 +473,6 @@ def train_step(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
     bundle, sel = step_losses(state, pb, cfg)
 
     log: dict = {"step": state.step, "epoch": epoch, "batch": batch_index,
-                 "mode": cfg.mode, "preset": pb.preset,
                  "loss_ce": bundle.ce.item()}
     _check_finite("loss_ce", log["loss_ce"], state)
     if bundle.ce_aug is not None:

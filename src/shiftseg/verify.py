@@ -50,7 +50,7 @@ def tiny_config(**overrides) -> trainer.TrainConfig:
         points_per_scene=64, class_count=4, val_fraction=0.5,
         seg_hidden=(6, 5), encoder_widths=(8, 8), k=4, latent_dim=8,
         voxel_size=0.35, knn_k=5, dilation_radius=0.3, t=2.0,
-        augment_preset="heavy", noise_points=4, scanmix=False, eval_every=0,
+        augment_preset="heavy", noise_points=4, eval_every=0,
     )
     base.update(overrides)
     return trainer.TrainConfig(**base)

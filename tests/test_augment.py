@@ -1,11 +1,13 @@
+import dataclasses
 import hashlib
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from shiftseg.augment import (FLIP_PROB, PRESETS, SCALE_RANGE, AugmentConfig,
+from shiftseg.augment import (FLIP_PROB, NUM_SECTORS, PRESETS, SCALE_RANGE, AugmentConfig,
                               augment_pair, jitter, point_drop, replay, sample_magnitudes,
                               subsidiary)
 from shiftseg.dataset import SceneSpec, generate_scene
@@ -166,8 +168,7 @@ def neutral_record(cloud, **kw):
     from shiftseg.augment import AugmentRecord
     base = dict(parent_id=cloud.cloud_id, jitter_std=0.0, drop_ratio=0.0, yaw=0.0,
                 scale=1.0, flip_x=False, flip_y=False, noise_points=0,
-                mix_partner=None, num_sectors=0, mix_keep_even=True,
-                stream_key=(1, 2))
+                mix_partner=None, stream_key=(1, 2))
     base.update(kw)
     return AugmentRecord(**base)
 
@@ -198,12 +199,12 @@ def test_noise_points_appended_with_ignore_label():
 def test_scan_mix_sector_membership():
     a = small_cloud(1)
     b = small_cloud(2)
-    rec = neutral_record(a, mix_partner=b.cloud_id, num_sectors=4)
+    rec = neutral_record(a, mix_partner=b.cloud_id)
     out = subsidiary(a, rec, Stream(3), partner=b)
-    sec = sector_split(out, 4)
+    sec = sector_split(out, NUM_SECTORS)
     # rebuild expected membership from the sector oracle
-    sa = sector_split(a, 4)
-    sb = sector_split(b, 4)
+    sa = sector_split(a, NUM_SECTORS)
+    sb = sector_split(b, NUM_SECTORS)
     expect_n = int((sa % 2 == 0).sum() + (sb % 2 == 1).sum())
     assert len(out) == expect_n
     own_n = int((sa % 2 == 0).sum())
@@ -216,7 +217,7 @@ def test_scan_mix_sector_membership():
 
 def test_scan_mix_without_partner_rejected():
     a = small_cloud(1)
-    rec = neutral_record(a, mix_partner="missing", num_sectors=4)
+    rec = neutral_record(a, mix_partner="missing")
     with pytest.raises(ValueError):
         subsidiary(a, rec, Stream(1))
 
@@ -227,9 +228,9 @@ def test_scan_mix_without_partner_rejected():
 
 def test_preset_none_identity():
     cloud = small_cloud()
-    for on in (True, False):
-        cfg = AugmentConfig("none", subsidiary=on, noise_points=32, scanmix=True)
-        out, rec = augment_pair(cloud, cfg, (5, 0), partner=small_cloud(2))
+    for on, partner in itertools.product((True, False), (small_cloud(2), None)):
+        cfg = AugmentConfig("none", subsidiary=on, noise_points=32)
+        out, rec = augment_pair(cloud, cfg, (5, 0), partner=partner)
         assert np.array_equal(out.positions, cloud.positions)
         assert np.array_equal(out.labels, cloud.labels)
         assert rec.jitter_std == 0.0 and rec.drop_ratio == 0.0 and rec.yaw == 0.0
@@ -239,30 +240,37 @@ def test_preset_none_identity():
 
 def test_without_the_subsidiary_switch_a_draw_is_jitter_and_drop_alone():
     cloud = small_cloud()
-    cfg = AugmentConfig("heavy", subsidiary=False, noise_points=32, scanmix=True)
-    for i in range(20):
-        out, rec = augment_pair(cloud, cfg, (6, i), partner=small_cloud(2))
+    cfg = AugmentConfig("heavy", subsidiary=False, noise_points=32)
+    for i, partner in itertools.product(range(20), (small_cloud(2), None)):
+        out, rec = augment_pair(cloud, cfg, (6, i), partner=partner)
         assert 0.03 <= rec.jitter_std <= 0.05 and 0.5 <= rec.drop_ratio <= 0.8
         assert rec.yaw == 0.0 and rec.scale == 1.0 and not rec.flip_x and not rec.flip_y
-        assert rec.noise_points == 0 and rec.mix_partner is None and rec.num_sectors == 0
+        assert rec.noise_points == 0 and rec.mix_partner is None
         assert len(out) == len(point_drop(cloud, rec.drop_ratio, Stream(6, i, "drop")))
 
 
 def test_replay_reproduces_bit_exactly():
     scene = generate_scene(SceneSpec(seed=31, num_points=512))
     partner = generate_scene(SceneSpec(seed=32, num_points=512))
-    cfg = AugmentConfig("heavy", noise_points=32, scanmix=True)
-    out, rec = augment_pair(scene, cfg, (11, "e", 4), partner=partner)
-    again = replay(rec, scene, partner=partner)
-    assert np.array_equal(out.positions, again.positions)
-    assert np.array_equal(out.labels, again.labels)
+    cfg = AugmentConfig("heavy", noise_points=32)
+    records = []
+    for given in (partner, None):
+        out, rec = augment_pair(scene, cfg, (11, "e", 4), partner=given)
+        # a subsidiary draw scan mixes exactly when it is given a partner
+        assert rec.mix_partner == (None if given is None else given.cloud_id)
+        again = replay(rec, scene, partner=given)
+        assert np.array_equal(out.positions, again.positions)
+        assert np.array_equal(out.labels, again.labels)
+        records.append(rec)
+    # the partner changes nothing but the mix
+    assert dataclasses.replace(records[0], mix_partner=None) == records[1]
 
 
 def test_record_json_round_trip():
     from shiftseg.augment import AugmentRecord
     cloud = small_cloud()
-    _, rec = augment_pair(cloud, AugmentConfig("moderate", noise_points=32, scanmix=True),
-                          (2, "k"))
+    _, rec = augment_pair(cloud, AugmentConfig("moderate", noise_points=32), (2, "k"),
+                          partner=small_cloud(2))
     # the document a steplog holds carries every field of the record
     doc = json.loads(json.dumps(rec.to_json()))
     assert AugmentRecord(**{**doc, "stream_key": tuple(doc["stream_key"])}) == rec
@@ -281,14 +289,14 @@ def test_label_lockstep_through_composition():
 def test_augmented_cloud_lineage():
     cloud = small_cloud()
     out, rec = augment_pair(cloud, AugmentConfig("light"), (17,))
-    assert out.source == "augmented"
+    assert out.parent_id is not None
     assert out.parent_id == cloud.cloud_id
     assert rec.parent_id == cloud.cloud_id
 
 
 def test_determinism_same_key_same_output():
     cloud = small_cloud()
-    cfg = AugmentConfig("moderate", noise_points=32, scanmix=True)
+    cfg = AugmentConfig("moderate", noise_points=32)
     a, _ = augment_pair(cloud, cfg, (1, "x"))
     b, _ = augment_pair(cloud, cfg, (1, "x"))
     c, _ = augment_pair(cloud, cfg, (1, "y"))
@@ -302,29 +310,38 @@ def test_config_validation():
 
 
 # sha256 over every draw below: each preset in training's role (subsidiary
-# transforms on; scan mix off and on; 0, 4 and 32 noise points) and in an
-# evaluation level's (`evalsuite.evaluate_level`'s config), 3 clouds each;
-# recorded before an augmentation became a preset plus the subsidiary switch
-AUGMENT_GOLDEN = "3d27b5a1bae8f7e43987cda3d1cdbb06e56e9d365cf5b6999c10d0f64cf8d7f7"
+# transforms on; with no partner and with one, so scan mix off and on; 0, 4
+# and 32 noise points) and in an evaluation level's
+# (`evalsuite.evaluate_level`'s config), 3 clouds each. One digest of
+# positions, labels and records (3d27b5a1…), recorded before an augmentation
+# became a preset plus the subsidiary switch, was split in two when a partner
+# instead of a scan-mix switch began to turn the mix on: AUGMENT_GOLDEN hashes
+# the augmented positions and labels alone and has the value the switch code
+# gave over the same draws; AUGMENT_RECORD_GOLDEN hashes the records' JSON and
+# was re-recorded when the records lost num_sectors and the always-true
+# mix_keep_even (records alone 160437ed… → 25245a37…).
+AUGMENT_GOLDEN = "f8729c1cd5a904b6057754650aac932d56e7b28c3fb09cb6959187109eb7e5fc"
+AUGMENT_RECORD_GOLDEN = "25245a373d435dfdb0623f65179a16951426ccace89433c01859c0e96a4f2c84"
 
 
 def test_augmentation_bytes_match_the_golden_digest():
     clouds = [generate_scene(SceneSpec(seed=s, num_points=512)) for s in (41, 42, 43)]
-    h = hashlib.sha256()
+    points, records = hashlib.sha256(), hashlib.sha256()
 
     def draw(cfg, key, i, partner=None):
         out, rec = augment_pair(clouds[i], cfg, key, partner=partner)
-        h.update(out.positions.tobytes())
-        h.update(out.labels.tobytes())
-        h.update(json.dumps(rec.to_json(), sort_keys=True).encode())
+        points.update(out.positions.tobytes())
+        points.update(out.labels.tobytes())
+        records.update(json.dumps(rec.to_json(), sort_keys=True).encode())
 
     for preset in PRESETS:
-        for scanmix in (False, True):
+        for mixed in (False, True):
             for noise in (0, 4, 32):
-                cfg = AugmentConfig(preset, noise_points=noise, scanmix=scanmix)
+                cfg = AugmentConfig(preset, noise_points=noise)
                 for i in range(len(clouds)):
-                    partner = clouds[(i + 1) % len(clouds)] if scanmix else None
-                    draw(cfg, (7, "aug", noise, int(scanmix), i), i, partner)
+                    partner = clouds[(i + 1) % len(clouds)] if mixed else None
+                    draw(cfg, (7, "aug", noise, int(mixed), i), i, partner)
         for i in range(len(clouds)):
             draw(AugmentConfig(preset, subsidiary=False), (7, "eval", preset, i, 0), i)
-    assert h.hexdigest() == AUGMENT_GOLDEN
+    assert points.hexdigest() == AUGMENT_GOLDEN
+    assert records.hexdigest() == AUGMENT_RECORD_GOLDEN

@@ -143,25 +143,30 @@ def test_one_level_prepares_each_draw_once(trained, tmp_path, monkeypatch):
 # never-varied hyperparameters left TrainConfig, and again when the four
 # strategy fields RESULTS.md did not support left it (none 480b4ae3… →
 # e2796de2…, light 390415ad… → 92968ab5…, moderate bc517f11… → 673e43fd…,
-# heavy 7f519cc5… → b3597587…, excessive be8b5622… → b0b115bc…)
+# heavy 7f519cc5… → b3597587…, excessive be8b5622… → b0b115bc…), and again
+# when TrainConfig lost scanmix (none e2796de2… → 2971a6a0…, light 92968ab5…
+# → a9286dc8…, moderate 673e43fd… → b7129f95…, heavy b3597587… → 36b21b95…,
+# excessive b0b115bc… → 398f83e5…)
 EVAL_GOLDEN = {
-    "reports/level_none.json": "e2796de21f0c691242b17ff4cc591532328e57f2df80ba561d069aa5bec9082c",
-    "reports/level_light.json": "92968ab56cd4fb1f294899c49fa7adb94077324d9d0017a6e76a886f4a80d1a1",
+    "reports/level_none.json": "2971a6a05e57fe0bdcf7892797cb9bc9c8f284a05ae03e9ae6326714724e5134",
+    "reports/level_light.json": "a9286dc8ed8be410fa072952869061c209e4a24200483bd05b0715a54d37f87b",
     "reports/level_moderate.json":
-        "673e43fd14646a54e05b1f4e34660a6b27f1b772540199c55e4e4c6354e3bcae",
-    "reports/level_heavy.json": "b3597587d2e24afeb7992193a02ac43e0d1bc3bd7acea58b1104c19225b577a8",
+        "b7129f95a9073220a0bce3f56969278b2a64deb9964afee3595c0e173ef4d460",
+    "reports/level_heavy.json": "36b21b95befe1fdaed5d6bbfdc8adf5678b51110c40fe9283e863c7124c28bf4",
     "reports/level_excessive.json":
-        "b0b115bce56289339dc818f79a19b0e39154f3188ba3a2b47c17af2d64bade90",
+        "398f83e508d3ba62fb5d2e669bdb93561d55b02271e04230034f0c1019480337",
     "csv/level_sweep.csv": "a849f416ebb3a7b857d89e67831898ed92b1a1042a51cc72ef2338984d83eb6c",
 }
 
 
 # sha256 of the `trained` fixture's own run, so the eval digests above stand
 # on the weights they were recorded with: the eval reports hold only scores,
-# and they stayed equal under a numeric change that moved every weight
+# and they stayed equal under a numeric change that moved every weight. The
+# steplog was re-recorded (weights unchanged) when its lines lost mode, preset
+# and the records' num_sectors and mix_keep_even (dae7b817… → 1ba50d1e…)
 TRAINED_GOLDEN = {
     "ckpt/final/weights.a3wt": "510290f0847ee147bb5ddc6f6383ea5fc79c85d9046a1360f07f7ea46d578b38",
-    "steplog.ndjson": "dae7b817090d94072361708a5dbb07711ca4a1d88ac275ca13d9d40abc1f7ec6",
+    "steplog.ndjson": "1ba50d1eacc823b655aa5d51f829886a335b1e834a1909518dc5a58eb04460b5",
 }
 
 
@@ -203,15 +208,15 @@ def test_eval_queries_each_clean_cloud_once(trained, tmp_path, monkeypatch):
     knn = evalsuite.knn
 
     def counting(cloud, k, rows=None):
-        queries.append((cloud.source, k, rows is None))
+        queries.append((cloud.parent_id, k, rows is None))
         return knn(cloud, k, rows)
 
     monkeypatch.setattr(evalsuite, "knn", counting)
     trials = 2
     assert quiet_main(["eval", "--ckpt", ckpt, "--config", config, "--levels", "heavy",
                        "--trials", str(trials), "--out", str(tmp_path / "eval")]) == 0
-    clean = [q for q in queries if q[0] != "augmented"]
-    assert clean == [("synthetic", evalsuite.EVAL_KNN_K, True)] * VAL_CLOUDS
+    clean = [q for q in queries if q[0] is None]
+    assert clean == [(None, evalsuite.EVAL_KNN_K, True)] * VAL_CLOUDS
     assert len(queries) == VAL_CLOUDS * trials + VAL_CLOUDS
 
 
@@ -506,12 +511,13 @@ def test_a_config_with_the_removed_ema_momentum_key_is_refused(tmp_path, capsys)
     assert "unknown config key 'ema_momentum'" in capsys.readouterr().err
 
 
-# the strategy keys went with the alternatives RESULTS.md did not support, and
-# mode "eas+scr" is spelled mode "full" with lambda 0
+# the strategy keys went with the alternatives RESULTS.md did not support,
+# scanmix went when a partner alone began to turn scan mix on, and mode
+# "eas+scr" is spelled mode "full" with lambda 0
 @pytest.mark.parametrize("key", [
     "seg_lr", "seg_weight_decay", "seg_momentum", "clip_grad_norm", "ae_lr", "curve_trials",
     "beta", "gamma", "num_sectors", "prior_source", "offline_prior_path", "distill_target",
-    "curriculum", "mode"])
+    "curriculum", "scanmix", "mode"])
 def test_a_config_with_a_key_now_a_constant_is_refused(tmp_path, capsys, key):
     cfg = verify.tiny_config()
     path = tmp_path / "config.json"

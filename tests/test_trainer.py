@@ -129,12 +129,18 @@ def test_resume_refuses_a_changed_config(tmp_path):
 # to compute in float32 over float64 master weights, with weight gradients
 # summed in fixed row blocks (steplog a8f75ff2… → 3880031c…, weights
 # c4cf4d3f… → 021d07f6…; both reports unchanged); those bytes, too, are the
-# same under 1 and 2 BLAS threads.
+# same under 1 and 2 BLAS threads. The steplog and both reports were
+# re-recorded (weights unchanged) when scan mix began to follow from a
+# partner: TrainConfig lost scanmix, which moves the config hash, and each
+# step line lost the run constants mode and preset and its records the
+# derivable num_sectors and mix_keep_even (steplog 3880031c… → 318898bf…,
+# epoch_0002 505f3193… → bd001862…, final 4017d32b… → 1bbc7c3c…; every other
+# report value and every other steplog value unchanged).
 GOLDEN = {
-    "steplog.ndjson": "3880031cc51e8ef20b939442e39625e5cf5d9c929c85aa45fe869d4cd2c45045",
+    "steplog.ndjson": "318898bfd0bd9e8b0a8d3f25dfd650eb54a385035b23de24fe8d59a7a22b8cad",
     "ckpt/final/weights.a3wt": "021d07f6d71243473dbecb03c67a056b58bf878dda732f44b9a9572395d2644a",
-    "reports/epoch_0002.json": "505f3193c65e65da9679cdf156fe86edaa153c445b2922da9f0111c316374abd",
-    "reports/final.json": "4017d32bc9e3a2db8009647e503fdabe3031bd5c9c26ed96ec73a9b167eef7d7",
+    "reports/epoch_0002.json": "bd0018620198e0784e6a3997ced45b7c8ff88590a2ea4cc4c4e9331047a764cb",
+    "reports/final.json": "1bbc7c3c286d37d8932a8a588d6c6c072161e6b1c5d7231fbcaad3300b48a15b",
 }
 
 
@@ -150,6 +156,32 @@ def test_tiny_run_matches_the_golden_digests(tmp_path):
     assert any(step.get("loss_distill", 0.0) > 0.0 for step in steps)
     for name, digest in GOLDEN.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+# a steplog line holds what its step measured or drew: no run constant (mode
+# and preset are in config.json) and no record field its replay derives
+STEP_KEYS = {
+    "none": ["step", "epoch", "batch", "loss_ce", "loss_total"],
+    "eas": ["step", "epoch", "batch", "loss_ce", "loss_ce_aug", "loss_total", "aug"],
+    "full": ["step", "epoch", "batch", "loss_ce", "loss_ce_aug", "loss_ce_scr",
+             "loss_distill", "loss_total", "vq_recon", "vq_codebook", "vq_commitment",
+             "vq_total", "code_usage", "ssr_ratio", "aug"],
+}
+AUG_KEYS = ["parent_id", "jitter_std", "drop_ratio", "yaw", "scale", "flip_x", "flip_y",
+            "noise_points", "mix_partner", "stream_key"]
+
+
+@pytest.mark.parametrize("mode", trainer.MODES)
+def test_a_step_line_holds_exactly_the_keys_of_its_mode(mode):
+    # two clouds a batch, so each augmented record names its scan-mix partner
+    cfg = verify.tiny_config(mode=mode, scenes=4, val_fraction=0.5, batch_size=2)
+    split, clouds = trainer.default_data(cfg)
+    batch = [clouds[c] for c in split.train]
+    line = json.loads(json.dumps(trainer.train_step(trainer.init_state(cfg), batch, cfg, 0, 0)))
+    assert list(line) == STEP_KEYS[mode]
+    for i, rec in enumerate(line.get("aug", [])):
+        assert list(rec) == AUG_KEYS
+        assert rec["mix_partner"] == batch[(i + 1) % len(batch)].cloud_id
 
 
 def test_validation_clouds_are_prepared_once_per_run(monkeypatch):

@@ -12,7 +12,8 @@ and lambda), the config otherwise unchanged, and writes each run's clean and
 heavy-level mIoU.
 
 Every setting of a run comes from its config file, read through
-`trainer.TrainConfig`; `gen` builds one from its flags. An unknown key is
+`trainer.TrainConfig`; `gen` reads one too, and writes the synthetic clouds
+`train` builds from that config without `--data`. An unknown key is
 refused, the deleted strategy keys (prior_source, offline_prior_path,
 distill_target, curriculum) and scanmix (a partner turns scan mix on)
 included, and so is mode "eas+scr", now spelled mode "full" with lambda 0.
@@ -81,7 +82,7 @@ def _load_data(data_dir: str | None, cfg: TrainConfig, val_only: bool = False):
     """The split and clouds of a `gen` dataset directory, or the config's
     synthetic data without one; only the validation clouds with val_only.
     Refuses a split.json that is not JSON, not a split of disjoint lists of
-    cloud ids, or without a training cloud (unless val_only); a split
+    distinct cloud ids, or without a training cloud (unless val_only); a split
     without a validation cloud, a cloud of fewer than 2 points (it has no
     neighbourhood to featurize) or with a cell key beyond
     int64 at the config's voxel_size, clouds that declare different class
@@ -124,14 +125,13 @@ def _load_data(data_dir: str | None, cfg: TrainConfig, val_only: bool = False):
 
 
 def cmd_gen(args) -> int:
-    cfg = TrainConfig(seed=args.seed, scenes=args.scenes, points_per_scene=args.points,
-                      class_count=args.classes, val_fraction=args.val_fraction)
+    cfg = _load_config(args.config)
     _prepare_out(args.out, args.force)
     split, clouds = trainer.default_data(cfg)
     for cid, cloud in clouds.items():
         save_cloud(cloud, os.path.join(args.out, f"{cid}.a3pc"), cfg.class_count)
     _write_json(os.path.join(args.out, "split.json"), split.to_json())
-    _manifest(args.out, "-", cfg.seed,
+    _manifest(args.out, cfg.config_hash(), cfg.seed,
               ["split.json", "manifest.json"] + [f"{cid}.a3pc" for cid in clouds])
     print(f"wrote {len(clouds)} clouds to {args.out}")
     return 0
@@ -250,10 +250,10 @@ def cmd_ablate(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    reports = verify.run_suites(names)
+    reports: list[oracle.OracleReport] = verify.run_suites(names)
     out = args.out or "verify_out"
     os.makedirs(out, exist_ok=True)
-    oracle.write_reports(reports, os.path.join(out, "oracle_report.json"))
+    _write_json(os.path.join(out, "oracle_report.json"), [r.to_json() for r in reports])
     failed = [r for r in reports if not r.passed]
     for r in reports:
         extra = "".join(f", {k} {v}" for k, v in r.detail.items())
@@ -270,12 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="robust point-cloud segmentation training")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="generate a synthetic dataset")
-    g.add_argument("--scenes", type=int, default=TrainConfig.scenes)
-    g.add_argument("--points", type=int, default=TrainConfig.points_per_scene)
-    g.add_argument("--classes", type=int, default=TrainConfig.class_count)
-    g.add_argument("--seed", type=int, default=TrainConfig.seed)
-    g.add_argument("--val-fraction", type=float, default=TrainConfig.val_fraction)
+    g = sub.add_parser("gen", help="write a config's synthetic dataset")
+    g.add_argument("--config", required=True)
     g.add_argument("--out", required=True)
     g.add_argument("--force", action="store_true")
     g.set_defaults(func=cmd_gen)

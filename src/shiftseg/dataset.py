@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -272,38 +273,42 @@ def load_cloud(path, cloud_id: str | None = None) -> tuple[PointCloud, int]:
 
 @dataclass
 class DatasetSplit:
+    """Training and validation cloud ids: no id twice in a list, none in
+    both. Scene seeds are not stored; `make_split` derives them."""
+
     train: list[str]
     val: list[str]
-    scene_seeds: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name, ids in (("train", self.train), ("val", self.val)):
+            twice = [c for c, n in Counter(ids).items() if n > 1]
+            if twice:
+                raise ValueError(f"cloud id {twice[0]!r} is listed twice in {name}")
         if set(self.train) & set(self.val):
             raise ValueError("train and val overlap")
 
     def to_json(self) -> dict:
-        return {"train": self.train, "val": self.val, "scene_seeds": self.scene_seeds}
+        return {"train": self.train, "val": self.val}
 
     @classmethod
     def from_json(cls, doc) -> "DatasetSplit":
-        """The split of a JSON document; a ValueError says what is malformed."""
+        """The split of a JSON document; a ValueError says what is malformed.
+        Other keys, such as those an older `gen` wrote, are ignored."""
         if not isinstance(doc, dict):
             raise ValueError(f"a split is a JSON object, not {type(doc).__name__}")
         for key in ("train", "val"):
             ids = doc.get(key)
             if not isinstance(ids, list) or not all(isinstance(c, str) for c in ids):
                 raise ValueError(f"{key!r} must be a list of cloud id strings")
-        seeds = doc.get("scene_seeds", {})
-        if not isinstance(seeds, dict) or not all(type(v) is int for v in seeds.values()):
-            raise ValueError("'scene_seeds' must map cloud ids to integer seeds")
-        return cls(list(doc["train"]), list(doc["val"]), dict(seeds))
+        return cls(list(doc["train"]), list(doc["val"]))
 
 
 def make_split(seed: int, num_scenes: int, val_fraction: float,
                template: SceneSpec | None = None,
                val_only: bool = False) -> tuple[DatasetSplit, list[PointCloud]]:
-    """Split the scenes with seeds seed..seed+num_scenes-1 and generate them,
-    only the validation scenes with val_only. The split reads no scene, and
-    each scene depends on its own seed alone."""
+    """Split the scenes scene-0000.. and generate them, scene i from seed
+    seed + i, only the validation scenes with val_only. The split reads no
+    scene, and each scene depends on its own seed alone."""
     if not 0.0 < val_fraction < 1.0:
         raise ValueError("val_fraction must be in (0, 1)")
     template = template if template is not None else SceneSpec(seed=0)
@@ -315,5 +320,4 @@ def make_split(seed: int, num_scenes: int, val_fraction: float,
     wanted = set(val if val_only else ids)
     scenes = [generate_scene(replace(template, seed=seed + i), cloud_id=cid)
               for i, cid in enumerate(ids) if cid in wanted]
-    seeds = {cid: seed + i for i, cid in enumerate(ids)}
-    return DatasetSplit(train=train, val=val, scene_seeds=seeds), scenes
+    return DatasetSplit(train=train, val=val), scenes

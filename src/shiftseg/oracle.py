@@ -8,7 +8,6 @@ graph interpreter, a closed-form 3x3 eigenvalue solver) live in
 tests/reference.py."""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -212,9 +211,3 @@ def counting_iou(preds, labels, class_count: int):
     rows = conf.sum(axis=1, keepdims=True)
     conf = np.divide(conf, rows, out=np.zeros_like(conf), where=rows > 0)
     return per_class, miou, conf
-
-
-def write_reports(reports: list[OracleReport], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump([r.to_json() for r in reports], f, indent=1)
-        f.write("\n")

@@ -83,7 +83,8 @@ def localize(snapshot: PriorSnapshot, probs, coords: np.ndarray,
              labels: np.ndarray, dilation_radius: float) -> LocalizeResult:
     """Embed rows with the frozen prior encoder, flag rows whose score exceeds
     the threshold, dilate the shifted set over 3-D coordinates, and emit the
-    complementary masks. Rows labeled 255 stay out of both masks.
+    complementary masks. Rows labeled 255 stay out of both masks; a label
+    at or above the class count is refused (ValueError).
 
     The returned z_e is differentiable toward `probs` when that is a Tensor
     (an array is a constant); the masks come from its values.
@@ -91,7 +92,7 @@ def localize(snapshot: PriorSnapshot, probs, coords: np.ndarray,
     coords = np.asarray(coords, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.shape[0]
-    valid = (labels != IGNORE_LABEL) & (labels < snapshot.codes3.shape[0])
+    valid = labels != IGNORE_LABEL
     scr = np.zeros(n, dtype=bool)
     ssr = np.zeros(n, dtype=bool)
     vrows = np.flatnonzero(valid)

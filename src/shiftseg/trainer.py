@@ -215,8 +215,8 @@ class TrainState:
     ae_opt: T.Optimizer | None
     step: int = 0
     epoch: int = 0
-    # clean clouds prepared once per run: cloud_id -> {(voxel_size, knn_k): PreparedCloud}
-    cache: dict = field(default_factory=dict)
+    # clean clouds prepared once per run at cfg's geometry: cloud_id -> PreparedCloud
+    cache: dict[str, PreparedCloud] = field(default_factory=dict)
 
 
 def init_state(cfg: TrainConfig) -> TrainState:
@@ -428,15 +428,14 @@ def _check_finite(name: str, value: float, state: TrainState):
             f"{name} is not finite at step {state.step} (epoch {state.epoch})")
 
 
-def prepared_clean(state: TrainState, cloud: PointCloud, cfg: TrainConfig) -> PreparedCloud:
-    """An unaugmented cloud's features, prepared once per run and memoised in
-    `state.cache` by (cloud_id, voxel_size, knn_k); training originals and
-    validation clouds share it."""
-    by_geometry = state.cache.setdefault(cloud.cloud_id, {})
-    key = (cfg.voxel_size, cfg.knn_k)
-    if key not in by_geometry:
-        by_geometry[key] = prepare_cloud(cloud, cfg.voxel_size, cfg.knn_k)
-    return by_geometry[key]
+def prepared_clean(state: TrainState, cloud: PointCloud) -> PreparedCloud:
+    """An unaugmented cloud's features at the run's geometry (`state.cfg`),
+    prepared once per run and memoised in `state.cache` by cloud_id;
+    training originals and validation clouds share it."""
+    if cloud.cloud_id not in state.cache:
+        state.cache[cloud.cloud_id] = prepare_cloud(cloud, state.cfg.voxel_size,
+                                                    state.cfg.knn_k)
+    return state.cache[cloud.cloud_id]
 
 
 def prepare_batch(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
@@ -444,7 +443,7 @@ def prepare_batch(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
     """The batch's clean features and, unless mode is `none`, one augmented
     draw per cloud; a partner, the next cloud of the batch, turns scan mix
     on, so a batch of one cloud is never mixed."""
-    originals = [prepared_clean(state, cloud, cfg) for cloud in clouds]
+    originals = [prepared_clean(state, cloud) for cloud in clouds]
     if cfg.mode == "none":
         return PreparedBatch(originals, None)
     aug_cfg = AugmentConfig(cfg.augment_preset, noise_points=cfg.noise_points)
@@ -656,7 +655,7 @@ def prior_snapshot(state: TrainState) -> ssrmod.PriorSnapshot | None:
 def validation_report(state: TrainState, val_clouds: list[PointCloud],
                       cfg: TrainConfig, epoch: int) -> dict:
     """Point-level scores on the validation clouds."""
-    preds = [evalsuite.point_predictions(state.model, prepared_clean(state, c, cfg))
+    preds = [evalsuite.point_predictions(state.model, prepared_clean(state, c))
              for c in val_clouds]
     body = evalsuite.evaluate_clouds(preds, val_clouds, cfg.class_count)
     return {"epoch": epoch, "mode": cfg.mode, "seed": cfg.seed,

@@ -29,6 +29,13 @@ def write_config(path, **overrides):
     return cfg, str(path)
 
 
+def gen(out, **overrides):
+    """`gen` of a `verify.tiny_config(**overrides)` file into `out`."""
+    _, config = write_config(out.parent / f"{out.name}.json", **overrides)
+    assert quiet_main(["gen", "--config", config, "--out", str(out)]) == 0
+    return out
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A 4-class full-mode run of one epoch with two validation clouds; its
@@ -60,26 +67,33 @@ def test_train_refuses_a_config_value_that_cannot_run(tmp_path, capsys, key, val
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**verify.tiny_config().to_json(), key: value}))
     out = tmp_path / "run"
-    assert quiet_main(["train", "--config", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {key} must be")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("flags", [["--points", "10"], ["--val-fraction", "1.5"],
-                                   ["--classes", "0"]])
-def test_gen_refuses_bad_flags_before_making_its_directory(tmp_path, flags):
-    out = tmp_path / "data"
-    assert quiet_main(["gen", "--scenes", "2", "--out", str(out)] + flags) == 2
-    assert not out.exists()
+    for command in ("train", "gen"):
+        assert quiet_main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be")
+        assert not out.exists()
 
 
 def test_gen_with_fewer_classes(tmp_path):
-    out = tmp_path / "data"
-    assert quiet_main(["gen", "--scenes", "2", "--points", "64", "--classes", "3",
-                       "--out", str(out)]) == 0
+    out = gen(tmp_path / "data", scenes=2, class_count=3, val_fraction=0.25)
     for path in out.glob("*.a3pc"):
         cloud, class_count = load_cloud(str(path))
         assert class_count == 3 and cloud.labels.max() < 3
+
+
+def test_a_gen_dataset_is_exactly_the_data_of_its_config(tmp_path):
+    cfg, config = write_config(tmp_path / "config.json", epochs=2, batch_size=2, scenes=6,
+                               points_per_scene=128, val_fraction=0.34, eval_every=1, t=0.45)
+    data = tmp_path / "data"
+    assert quiet_main(["gen", "--config", config, "--out", str(data)]) == 0
+    assert json.loads((data / "manifest.json").read_text())["config_hash"] == cfg.config_hash()
+    runs = {}
+    for name, extra in (("synth", []), ("data", ["--data", str(data)])):
+        runs[name] = tmp_path / f"run_{name}"
+        assert quiet_main(["train", "--config", config, "--out", str(runs[name])] + extra) == 0
+    files = ["steplog.ndjson", "ckpt/final/weights.a3wt", "reports/epoch_0000.json",
+             "reports/epoch_0001.json", "reports/final.json"]
+    for name in files:
+        assert (runs["data"] / name).read_bytes() == (runs["synth"] / name).read_bytes(), name
 
 
 def test_eval_writes_a_level_report(trained, tmp_path):
@@ -221,11 +235,9 @@ def test_eval_queries_each_clean_cloud_once(trained, tmp_path, monkeypatch):
 
 
 def test_eval_reads_only_the_validation_files_of_a_dataset(trained, tmp_path):
-    cfg, config, ckpt = trained
+    _, config, ckpt = trained
     data = tmp_path / "data"
-    assert quiet_main(["gen", "--scenes", str(cfg.scenes), "--points", str(cfg.points_per_scene),
-                       "--classes", str(cfg.class_count), "--seed", str(cfg.seed),
-                       "--val-fraction", str(cfg.val_fraction), "--out", str(data)]) == 0
+    assert quiet_main(["gen", "--config", config, "--out", str(data)]) == 0
     argv = ["eval", "--ckpt", ckpt, "--config", config, "--data", str(data)]
     assert quiet_main(argv + ["--out", str(tmp_path / "all")]) == 0
     split = json.loads((data / "split.json").read_text())
@@ -239,9 +251,8 @@ def test_eval_reads_only_the_validation_files_of_a_dataset(trained, tmp_path):
 
 def test_eval_refuses_a_split_without_validation_clouds(trained, tmp_path, capsys):
     _, config, ckpt = trained
-    data = tmp_path / "data"
-    assert quiet_main(["gen", "--scenes", "3", "--points", "64", "--classes", "4",
-                       "--out", str(data)]) == 0  # floor(3 x 0.25) = 0 validation clouds
+    # floor(3 x 0.25) = 0 validation clouds
+    data = gen(tmp_path / "data", scenes=3, val_fraction=0.25)
     out = tmp_path / "eval"
     assert quiet_main(["eval", "--ckpt", ckpt, "--config", config, "--data", str(data),
                        "--out", str(out)]) == 2
@@ -254,8 +265,7 @@ def test_train_and_ablate_refuse_a_split_without_validation_clouds(tmp_path, cap
     # floor(3 x 0.25) = 0 validation clouds, from the config or from `gen`
     _, config = write_config(tmp_path / "config.json", scenes=3, val_fraction=0.25)
     data = tmp_path / "data"
-    assert quiet_main(["gen", "--scenes", "3", "--points", "64", "--classes", "4",
-                       "--out", str(data)]) == 0
+    assert quiet_main(["gen", "--config", config, "--out", str(data)]) == 0
     out = tmp_path / "out"
     for extra in ([], ["--data", str(data)]):
         capsys.readouterr()
@@ -268,8 +278,7 @@ def test_train_and_ablate_refuse_a_split_without_validation_clouds(tmp_path, cap
 def test_train_and_ablate_refuse_a_split_without_training_clouds(tmp_path, capsys, command):
     _, config = write_config(tmp_path / "config.json", scenes=4, val_fraction=0.25)
     data = tmp_path / "data"
-    assert quiet_main(["gen", "--scenes", "4", "--points", "64", "--classes", "4",
-                       "--out", str(data)]) == 0
+    assert quiet_main(["gen", "--config", config, "--out", str(data)]) == 0
     split = json.loads((data / "split.json").read_text())
     (data / "split.json").write_text(json.dumps({"train": [], "val": split["val"]}))
     out = tmp_path / "out"
@@ -282,7 +291,8 @@ def test_train_and_ablate_refuse_a_split_without_training_clouds(tmp_path, capsy
 @pytest.mark.parametrize("name, text", [
     ("split.json", "not json"), ("split.json", '{"val": []}'), ("split.json", "[1,2]"),
     ("split.json", '{"train": ["scene-0000"], "val": ["scene-0000"]}'),
-    ("state.json", "garbage")], ids=["not-json", "no-train", "list", "overlap", "state"])
+    ("split.json", '{"train": ["scene-0000", "scene-0000"], "val": ["scene-0001"]}'),
+    ("state.json", "garbage")], ids=["not-json", "no-train", "list", "overlap", "twice", "state"])
 def test_a_malformed_split_or_checkpoint_state_exits_2(tmp_path, capsys, name, text):
     _, config = write_config(tmp_path / "config.json", scenes=4, val_fraction=0.25)
     out = tmp_path / "run"
@@ -354,9 +364,7 @@ def cut_cloud(data, role, points):
 def test_train_and_eval_score_a_validation_cloud_of_few_points(tmp_path, points):
     # the clean high-distortion metrics take the PCA of 2- or 3-point
     # neighbourhoods
-    data = tmp_path / "data"
-    assert quiet_main(["gen", "--scenes", "4", "--points", "256", "--classes", "4",
-                       "--out", str(data)]) == 0
+    data = gen(tmp_path / "data", scenes=4, points_per_scene=256, val_fraction=0.25)
     cut_cloud(data, "val", points)
     _, config = write_config(tmp_path / "config.json", epochs=1)
     run = tmp_path / "run"
@@ -371,9 +379,7 @@ def test_train_and_eval_score_a_validation_cloud_of_few_points(tmp_path, points)
 @pytest.mark.parametrize("role, points", [("train", 1), ("val", 1), ("val", 0)])
 def test_a_cloud_of_fewer_than_two_points_is_refused(trained, tmp_path, capsys, role, points):
     _, config, ckpt = trained
-    data = tmp_path / "data"
-    assert quiet_main(["gen", "--scenes", "4", "--points", "64", "--classes", "4",
-                       "--out", str(data)]) == 0
+    data = gen(tmp_path / "data", scenes=4, val_fraction=0.25)
     cid = cut_cloud(data, role, points)
     commands = [["train", "--config", config], ["ablate", "--config", config, "--sweep", "t"]]
     if role == "val":  # eval reads the validation clouds only
@@ -389,9 +395,7 @@ def test_a_cloud_of_fewer_than_two_points_is_refused(trained, tmp_path, capsys, 
 
 def test_a_cloud_whose_cell_keys_overflow_int64_is_refused(trained, tmp_path, capsys):
     _, config, ckpt = trained
-    data = tmp_path / "data"
-    assert quiet_main(["gen", "--scenes", "4", "--points", "64", "--classes", "4",
-                       "--out", str(data)]) == 0
+    data = gen(tmp_path / "data", scenes=4, val_fraction=0.25)
     cid = json.loads((data / "split.json").read_text())["val"][0]
     save_cloud(PointCloud(np.array([[1e20, 0, 0], [-1e20, 0, 0], [3e20, 5, 5]]),
                           np.zeros(3, np.uint16), cid), data / f"{cid}.a3pc", 4)
@@ -436,10 +440,7 @@ def test_ablate_rejects_an_unknown_sweep(tmp_path):
 @pytest.fixture(scope="module")
 def eight_class_data(tmp_path_factory):
     """Two training clouds and one validation cloud, the one `eval` reads."""
-    out = tmp_path_factory.mktemp("data") / "d8"
-    assert quiet_main(["gen", "--scenes", "3", "--points", "64", "--classes", "8",
-                       "--val-fraction", "0.5", "--out", str(out)]) == 0
-    return out
+    return gen(tmp_path_factory.mktemp("data") / "d8", scenes=3, class_count=8)
 
 
 def test_data_with_more_classes_than_the_config_is_refused(trained, eight_class_data,
@@ -457,9 +458,7 @@ def test_data_with_more_classes_than_the_config_is_refused(trained, eight_class_
 
 
 def test_data_whose_clouds_declare_different_class_counts_is_refused(tmp_path, capsys):
-    data = tmp_path / "data"
-    assert quiet_main(["gen", "--scenes", "2", "--points", "64", "--classes", "3",
-                       "--out", str(data)]) == 0
+    data = gen(tmp_path / "data", scenes=2, class_count=3, val_fraction=0.25)
     first = sorted(data.glob("*.a3pc"))[0]
     cloud, _ = load_cloud(str(first))
     save_cloud(cloud, first, 4)
@@ -476,13 +475,13 @@ def test_data_whose_clouds_declare_different_class_counts_is_refused(tmp_path, c
     ('{"t": null}', "t must be a number, got None"),
     ('{"epochs": true}', "epochs must be an integer, got True"),
 ], ids=["not-json", "list", "epochs-string", "t-null", "epochs-bool"])
-@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+@pytest.mark.parametrize("command", ["train", "eval", "ablate", "gen"])
 def test_a_malformed_config_exits_2_naming_the_key(trained, tmp_path, capsys, text, message,
                                                    command):
     _, _, ckpt = trained
     path = tmp_path / "config.json"
     path.write_text(text)
-    extra = {"train": [], "eval": ["--ckpt", ckpt], "ablate": ["--sweep", "t"]}[command]
+    extra = {"eval": ["--ckpt", ckpt], "ablate": ["--sweep", "t"]}.get(command, [])
     out = tmp_path / "out"
     assert quiet_main([command, "--config", str(path), "--out", str(out)] + extra) == 2
     assert message in capsys.readouterr().err

@@ -154,10 +154,7 @@ def test_split_deterministic():
 
 
 def test_split_seed_lineage():
-    split, scenes = make_split(100, 10, 0.2)
-    for i in range(10):
-        cid = f"scene-{i:04d}"
-        assert split.scene_seeds[cid] == 100 + i
+    _, scenes = make_split(100, 10, 0.2)
     regen = generate_scene(SceneSpec(seed=103), cloud_id="scene-0003")
     match = [s for s in scenes if s.cloud_id == "scene-0003"][0]
     assert np.array_equal(regen.positions, match.positions)
@@ -166,3 +163,17 @@ def test_split_seed_lineage():
 def test_split_overlap_rejected():
     with pytest.raises(ValueError):
         DatasetSplit(train=["a", "b"], val=["b"])
+
+
+@pytest.mark.parametrize("train, val, message", [
+    (["a", "b", "a"], ["c"], "'a' is listed twice in train"),
+    (["a"], ["c", "b", "c"], "'c' is listed twice in val")], ids=["train", "val"])
+def test_a_cloud_id_listed_twice_in_one_list_is_rejected(train, val, message):
+    with pytest.raises(ValueError, match=message):
+        DatasetSplit(train=train, val=val)
+
+
+def test_a_split_with_the_scene_seeds_of_an_older_gen_loads():
+    split, _ = make_split(100, 10, 0.2)
+    doc = {**split.to_json(), "scene_seeds": {f"scene-{i:04d}": 100 + i for i in range(10)}}
+    assert DatasetSplit.from_json(doc).to_json() == {"train": split.train, "val": split.val}

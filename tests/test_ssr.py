@@ -74,6 +74,14 @@ def test_all_ignore_labels_give_empty_masks():
     assert ssr.ssr_ratio(m) == 0.0
 
 
+def test_a_label_beyond_the_class_count_is_refused():
+    snap, _, _ = make_snapshot()
+    probs, coords, labels = rows_of(10)
+    labels[3] = C
+    with pytest.raises(ValueError, match="row class out of range"):
+        ssr.localize(snap, probs, coords, labels, dilation_radius=1.0)
+
+
 def test_dilation_grows_the_shifted_rows_and_keeps_the_complement():
     probs, coords, labels = rows_of(60)
     labels[::7] = IGNORE_LABEL

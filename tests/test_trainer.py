@@ -200,9 +200,6 @@ def test_validation_clouds_are_prepared_once_per_run(monkeypatch):
     first = trainer.validation_report(state, val_clouds, cfg, 0)
     assert trainer.validation_report(state, val_clouds, cfg, 0) == first
     assert sorted(prepared) == sorted(split.val)
-    # another geometry is another entry of the memo
-    trainer.validation_report(state, val_clouds, dataclasses.replace(cfg, knn_k=3), 0)
-    assert sorted(prepared) == sorted(split.val * 2)
 
 
 def test_train_step_refuses_a_label_it_cannot_score():

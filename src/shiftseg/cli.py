@@ -13,7 +13,9 @@ heavy-level mIoU.
 
 Every setting of a run comes from its config file, read through
 `trainer.TrainConfig`; `gen` reads one too, and writes the synthetic clouds
-`train` builds from that config without `--data`. An unknown key is
+`train` builds from that config without `--data`, with the config as the
+dataset's config.json. A run given `--data` must match that file in
+scenes, points_per_scene and val_fraction. An unknown key is
 refused, the deleted strategy keys (prior_source, offline_prior_path,
 distill_target, curriculum) and scanmix (a partner turns scan mix on)
 included, and so is mode "eas+scr", now spelled mode "full" with lambda 0.
@@ -22,9 +24,10 @@ Arguments are checked before the output directory is made.
 Exit codes: 0 success, 1 a failed `verify` suite, 2 usage error (a malformed
 config, dataset or checkpoint included).
 Output directory layout: OUT/{manifest.json, config.json, steplog.ndjson,
-ckpt/, reports/, csv/}. Each checkpoint directory ckpt/<epoch_NNNN|final>/
-holds weights.a3wt (every array of the run, the prior's included) and
-state.json.
+ckpt/, reports/, csv/}; a dataset's: DIR/{manifest.json, config.json,
+split.json, <cloud id>.a3pc}. Each checkpoint directory
+ckpt/<epoch_NNNN|final>/ holds weights.a3wt (every array of the run, the
+prior's included) and state.json (the config hash a resume checks).
 """
 from __future__ import annotations
 
@@ -78,16 +81,31 @@ def _load_config(path: str) -> TrainConfig:
     return TrainConfig.from_json(doc)
 
 
+# what a dataset's `gen` config fixes that a run reading it must match;
+# seed is not compared, since it also seeds training
+DATA_KEYS = ("scenes", "points_per_scene", "val_fraction")
+
+
 def _load_data(data_dir: str | None, cfg: TrainConfig, val_only: bool = False):
     """The split and clouds of a `gen` dataset directory, or the config's
     synthetic data without one; only the validation clouds with val_only.
-    Refuses a split.json that is not JSON, not a split of disjoint lists of
-    distinct cloud ids, or without a training cloud (unless val_only); a split
-    without a validation cloud, a cloud of fewer than 2 points (it has no
-    neighbourhood to featurize) or with a cell key beyond
-    int64 at the config's voxel_size, clouds that declare different class
-    counts, or more classes than the config's class_count."""
+    Refuses a dataset whose config.json (`gen` writes one) differs from `cfg`
+    in a DATA_KEYS value; a split.json that is not JSON, not a split of
+    disjoint lists of distinct cloud ids, or without a training cloud
+    (unless val_only); a split without a validation cloud, a cloud of fewer
+    than 2 points (it has no neighbourhood to featurize) or with a cell key
+    beyond int64 at the config's voxel_size, clouds that declare different
+    class counts, or more classes than the config's class_count. A dataset
+    without config.json is read as it stands."""
     if data_dir:
+        path = os.path.join(data_dir, "config.json")
+        if os.path.exists(path):
+            made = _load_config(path)
+            for key in DATA_KEYS:
+                if getattr(made, key) != getattr(cfg, key):
+                    raise UsageError(f"the config's {key} is {getattr(cfg, key)!r}, but the "
+                                     f"dataset was generated with {getattr(made, key)!r} "
+                                     f"({path!r})")
         path = os.path.join(data_dir, "split.json")
         with open(path, "r", encoding="utf-8") as f:
             try:
@@ -131,8 +149,10 @@ def cmd_gen(args) -> int:
     for cid, cloud in clouds.items():
         save_cloud(cloud, os.path.join(args.out, f"{cid}.a3pc"), cfg.class_count)
     _write_json(os.path.join(args.out, "split.json"), split.to_json())
+    _write_json(os.path.join(args.out, "config.json"), cfg.to_json())
     _manifest(args.out, cfg.config_hash(), cfg.seed,
-              ["split.json", "manifest.json"] + [f"{cid}.a3pc" for cid in clouds])
+              ["split.json", "config.json", "manifest.json"]
+              + [f"{cid}.a3pc" for cid in clouds])
     print(f"wrote {len(clouds)} clouds to {args.out}")
     return 0
 
@@ -270,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="robust point-cloud segmentation training")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="write a config's synthetic dataset")
+    g = sub.add_parser("gen", help="write a config's synthetic dataset and the config")
     g.add_argument("--config", required=True)
     g.add_argument("--out", required=True)
     g.add_argument("--force", action="store_true")

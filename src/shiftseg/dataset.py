@@ -233,8 +233,9 @@ def save_cloud(cloud: PointCloud, path, class_count: int) -> None:
         f.write(rec.tobytes())
 
 
-def load_cloud(path, cloud_id: str | None = None) -> tuple[PointCloud, int]:
-    """Parse an "A3PC" file; returns the cloud and its declared class count."""
+def load_cloud(path, cloud_id: str) -> tuple[PointCloud, int]:
+    """Parse an "A3PC" file; returns the cloud, with id `cloud_id`, and its
+    declared class count."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != _MAGIC:
@@ -261,10 +262,7 @@ def load_cloud(path, cloud_id: str | None = None) -> tuple[PointCloud, int]:
         row = int(np.flatnonzero(bad)[0])
         raise CloudFormatError(f"label {labels[row]} in record {row} is neither below the "
                                f"declared class count {c} nor {IGNORE_LABEL}")
-    if cloud_id is None:
-        cloud_id = str(path).rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    cloud = PointCloud(positions, labels, cloud_id)
-    return cloud, int(c)
+    return PointCloud(positions, labels, cloud_id), int(c)
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +301,13 @@ class DatasetSplit:
         return cls(list(doc["train"]), list(doc["val"]))
 
 
-def make_split(seed: int, num_scenes: int, val_fraction: float,
-               template: SceneSpec | None = None,
-               val_only: bool = False) -> tuple[DatasetSplit, list[PointCloud]]:
-    """Split the scenes scene-0000.. and generate them, scene i from seed
-    seed + i, only the validation scenes with val_only. The split reads no
-    scene, and each scene depends on its own seed alone."""
+def make_split(seed: int, num_scenes: int, val_fraction: float, template: SceneSpec,
+               val_only: bool) -> tuple[DatasetSplit, list[PointCloud]]:
+    """Split the scenes scene-0000.. and generate them, scene i as `template`
+    with seed seed + i, only the validation scenes with val_only. The split
+    reads no scene, and each scene depends on its own seed alone."""
     if not 0.0 < val_fraction < 1.0:
         raise ValueError("val_fraction must be in (0, 1)")
-    template = template if template is not None else SceneSpec(seed=0)
     ids = [f"scene-{i:04d}" for i in range(num_scenes)]
     perm = Stream(seed, "split").permutation(num_scenes)
     n_val = int(math.floor(num_scenes * val_fraction))

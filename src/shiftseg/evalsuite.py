@@ -168,22 +168,19 @@ def ssr_curve(model: segnet.SegModel, snapshot: PriorSnapshot, clouds, levels,
 
 def high_distortion_eval(preds: np.ndarray, labels: np.ndarray, cloud: PointCloud,
                          nn: NeighborIndex, class_count: int):
-    """Metrics inside the hard subregion: points with density at or below the
-    10th percentile or curvature at or above the 90th (by convention; the
-    realized mask fraction is reported alongside). Density and curvature
+    """mIoU inside the hard subregion, points with density at or below the
+    10th percentile or curvature at or above the 90th (by convention), and
+    the fraction of points that region realizes. Density and curvature
     read the first min(EVAL_KNN_K, N-1) columns of `nn`, every point's
     neighbors (`pointcloud.knn` without query rows)."""
     nn = nn.prefix(min(EVAL_KNN_K, len(cloud) - 1))
     dens = local_density(cloud, nn)
     curv = local_curvature(cloud, nn)
-    tau_d = float(np.percentile(dens, DENSITY_QUANTILE))
-    tau_c = float(np.percentile(curv, CURVATURE_QUANTILE))
-    mask = (dens <= tau_d) | (curv >= tau_c)
-    return {**_scores(count_matrix(np.asarray(preds)[mask], np.asarray(labels)[mask],
-                                   class_count)),
-            "mask_fraction": float(mask.mean()),
-            "tau_density": tau_d,
-            "tau_curvature": tau_c}
+    mask = ((dens <= np.percentile(dens, DENSITY_QUANTILE))
+            | (curv >= np.percentile(curv, CURVATURE_QUANTILE)))
+    _, miou, _, _ = iou(count_matrix(np.asarray(preds)[mask], np.asarray(labels)[mask],
+                                     class_count))
+    return {"miou": miou, "mask_fraction": float(mask.mean())}
 
 
 def clean_high_distortion(model: segnet.SegModel, clouds, cfg) -> dict:

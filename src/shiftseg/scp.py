@@ -48,22 +48,23 @@ class CodebookState:
 
 
 def build_encoder_input(probs, coords: np.ndarray, labels: np.ndarray):
-    """[probs || coords] rows regrouped contiguously by class (class 0 first).
+    """The rows the prior sees: [probs || coords] of every row not labeled
+    IGNORE_LABEL, grouped contiguously by class (class 0 first), in input
+    order within a class.
 
-    Callers exclude ignore-labeled rows. Returns (rows, order, classes) where
-    `rows` is a Tensor in the dtype of `probs`, differentiable toward `probs`
-    when that is a Tensor (an array is a constant), and `order` maps grouped
-    row -> original row and undoes the grouping.
+    Returns (rows, index, classes): `rows` is a Tensor in the dtype of
+    `probs`, differentiable toward `probs` when that is a Tensor (an array
+    is a constant); `index[i]` is the input row of grouped row i, and
+    `classes[i]` its label. An all-ignore input gives 0 rows.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if (labels == IGNORE_LABEL).any():
-        raise ValueError("encoder input rows must not carry the ignore label")
-    order = np.argsort(labels, kind="stable")
-    classes = labels[order]
-    probs_g = T.gather_rows(probs, order)
-    coords_g = np.asarray(coords, dtype=np.float64)[order] * COORD_SCALE
+    kept = np.flatnonzero(labels != IGNORE_LABEL)
+    index = kept[np.argsort(labels[kept], kind="stable")]
+    classes = labels[index]
+    probs_g = T.gather_rows(probs, index)
+    coords_g = np.asarray(coords, dtype=np.float64)[index] * COORD_SCALE
     rows = T.concat([probs_g, T.Tensor(coords_g.astype(probs_g.data.dtype))], axis=1)
-    return rows, order, classes
+    return rows, index, classes
 
 
 class PriorAutoencoder:

@@ -8,7 +8,6 @@ import numpy as np
 
 from . import _kernels
 from . import tensor as T
-from .pointcloud import IGNORE_LABEL
 from .scp import CodebookState, PriorAutoencoder, build_encoder_input, quantize
 
 
@@ -75,38 +74,31 @@ class ShiftMasks:
 @dataclass
 class LocalizeResult:
     masks: ShiftMasks
-    valid_rows: np.ndarray  # rows (into the input) that were embedded, grouped order
-    z_e: T.Tensor  # (m, D) latent per embedded row
+    index: np.ndarray  # input row of each embedded row, grouped by class
+    z_e: T.Tensor  # (m, D) latent per embedded row, grouped by class
 
 
 def localize(snapshot: PriorSnapshot, probs, coords: np.ndarray,
              labels: np.ndarray, dilation_radius: float) -> LocalizeResult:
-    """Embed rows with the frozen prior encoder, flag rows whose score exceeds
-    the threshold, dilate the shifted set over 3-D coordinates, and emit the
-    complementary masks. Rows labeled 255 stay out of both masks; a label
-    at or above the class count is refused (ValueError).
+    """Embed the rows `scp.build_encoder_input` keeps with the frozen prior
+    encoder, flag rows whose score exceeds the threshold, dilate the shifted
+    set over their 3-D coordinates, and emit the complementary masks. Rows
+    labeled 255 stay out of both masks; a label at or above the class count
+    is refused (ValueError).
 
     The returned z_e is differentiable toward `probs` when that is a Tensor
     (an array is a constant); the masks come from its values.
     """
     coords = np.asarray(coords, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    n = labels.shape[0]
-    valid = labels != IGNORE_LABEL
-    scr = np.zeros(n, dtype=bool)
-    ssr = np.zeros(n, dtype=bool)
-    vrows = np.flatnonzero(valid)
-    rows, order, classes = build_encoder_input(T.masked_select(probs, valid),
-                                               coords[vrows], labels[vrows])
-    grouped = vrows[order]
+    rows, index, classes = build_encoder_input(probs, coords, labels)
     z_e = snapshot.embed(rows)
-    flagged = np.zeros(n, dtype=bool)
-    flagged[grouped] = shift_score(snapshot, z_e.data, classes) > snapshot.threshold
-    if dilation_radius > 0.0 and flagged.any():
-        flagged[valid] = _kernels.dilate(coords[valid], flagged[valid], dilation_radius)
-    ssr[valid] = flagged[valid]
-    scr[valid] = ~flagged[valid]
-    return LocalizeResult(ShiftMasks(scr, ssr), grouped, z_e)
+    shifted = shift_score(snapshot, z_e.data, classes) > snapshot.threshold
+    shifted = _kernels.dilate(coords[index], shifted, dilation_radius)
+    scr = np.zeros(len(labels), dtype=bool)
+    ssr = np.zeros(len(labels), dtype=bool)
+    scr[index] = ~shifted
+    ssr[index] = shifted
+    return LocalizeResult(ShiftMasks(scr, ssr), index, z_e)
 
 
 def ssr_ratio(masks: ShiftMasks) -> float:

@@ -374,22 +374,6 @@ def gather_rows(x, indices, dtype=None) -> Tensor:
     return _record(out, (x,), bwd, "gather-rows")
 
 
-def masked_select(x, mask) -> Tensor:
-    """Select rows (axis 0) where mask is true."""
-    x = as_tensor(x)
-    m = np.asarray(mask, dtype=bool)
-    if m.shape != (x.data.shape[0],):
-        raise ShapeError(f"masked-select: mask shape {m.shape} does not match rows {x.data.shape[0]}")
-    shape = x.data.shape
-
-    def bwd(g):
-        gx = np.zeros(shape, dtype=x.data.dtype)
-        gx[m] = g
-        return (gx,)
-
-    return _record(x.data[m], (x,), bwd, "masked-select")
-
-
 def stop_gradient(x) -> Tensor:
     """Forward identity; contributes zero gradient upstream."""
     x = as_tensor(x)

@@ -261,7 +261,9 @@ class ScpSelection:
 
 @dataclass
 class SsrSelection:
-    ssr_grouped: np.ndarray  # per grouped (class-sorted) row, post dilation
+    """One augmented cloud's pinned regions and distillation targets. With
+    `loc` the cloud's LocalizeResult, `masks.ssr[loc.index]` flags its
+    shifted rows in the grouped order of `loc.z_e` and of the targets."""
     distill_targets: np.ndarray | None  # (m, D) pinned code values for SSR rows
     masks: ssrmod.ShiftMasks
 
@@ -303,9 +305,7 @@ def _select_scp(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
     coords = np.concatenate([pc.rep_coords for pc in pb.originals], axis=0)
     labels = np.concatenate([pc.rep_labels for pc in pb.originals])
     probs = np.concatenate(probs_data, axis=0)
-    valid = labels != IGNORE_LABEL
-    probs_v, coords_v, labels_v = probs[valid], coords[valid], labels[valid]
-    rows, _, classes = scp.build_encoder_input(probs_v, coords_v, labels_v)
+    rows, _, classes = scp.build_encoder_input(probs, coords, labels)
     if rows.shape[0] == 0:
         return None, None
     z_live = state.prior.encode(rows)
@@ -334,12 +334,12 @@ def _select_ssr(loc: ssrmod.LocalizeResult, snapshot: ssrmod.PriorSnapshot,
                 distill_on: bool) -> SsrSelection:
     """Pin one augmented cloud's regions and, for its shifted rows, the
     distillation targets: the nearest initialized code of any class."""
-    ssr_grouped = loc.masks.ssr[loc.valid_rows]
+    shifted = loc.masks.ssr[loc.index]
     targets = None
-    if distill_on and ssr_grouped.any():
+    if distill_on and shifted.any():
         targets = scp.nearest_global(snapshot.codes3, snapshot.initialized,
-                                     loc.z_e.data[ssr_grouped])
-    return SsrSelection(ssr_grouped, targets, loc.masks)
+                                     loc.z_e.data[shifted])
+    return SsrSelection(targets, loc.masks)
 
 
 def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
@@ -388,7 +388,7 @@ def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
                 for lg, pc, s in zip(aug_logits, pb.augmented, sel.ssr_sel)])
             total = T.add(total, ce_scr)
             if distill_on:
-                picked = [T.masked_select(loc.z_e, s.ssr_grouped)
+                picked = [T.gather_rows(loc.z_e, np.flatnonzero(s.masks.ssr[loc.index]))
                           for loc, s in zip(locs, sel.ssr_sel) if s.distill_targets is not None]
                 targets = [s.distill_targets for s in sel.ssr_sel
                            if s.distill_targets is not None]
@@ -533,7 +533,8 @@ def state_arrays(state: TrainState) -> dict[str, np.ndarray]:
 
 def save_state(state: TrainState, ckpt_dir: str) -> None:
     """Write weights.a3wt (every array of `state_arrays`, the prior's "scp.*"
-    ones included) and state.json as one directory.
+    ones and the step and epoch included) and state.json, which holds the
+    config hash `_check_resumable` reads, as one directory.
 
     The files go to a sibling `.partial-<name>` directory, which is synced
     to disk and then takes `ckpt_dir`'s place by rename (an existing
@@ -549,8 +550,7 @@ def save_state(state: TrainState, ckpt_dir: str) -> None:
     os.makedirs(tmp)
     T.save_checkpoint(os.path.join(tmp, "weights.a3wt"), state_arrays(state))
     with open(os.path.join(tmp, "state.json"), "w", encoding="utf-8") as f:
-        json.dump({"step": state.step, "epoch": state.epoch,
-                   "config_hash": state.cfg.config_hash()}, f)
+        json.dump({"config_hash": state.cfg.config_hash()}, f)
         f.write("\n")
     for entry in os.listdir(tmp):
         _fsync(os.path.join(tmp, entry))

@@ -10,6 +10,10 @@
 - The prior's in-class code search and per-code statistics over one float64
   copy of every latent row (`quantize_float64_copy`,
   `update_code_stats_float64_copy`).
+- The prior's rows chosen filter-then-group: ignore rows dropped by a row
+  mask before the class grouping, and each grouped row mapped back through
+  the kept rows (`encoder_input_filter_then_group`, and
+  `localize_filter_then_group`, which dilates in input order).
 - Brute-force geometry: O(N^2) kNN and dilation, voxel cells by
   dictionary grouping.
 - Extended precision (mpmath): a straight-line graph interpreter and a
@@ -22,7 +26,8 @@ import math
 import numpy as np
 
 import shiftseg.tensor as T
-from shiftseg import scp
+from shiftseg import _kernels, scp, ssr
+from shiftseg.pointcloud import IGNORE_LABEL
 
 # ---------------------------------------------------------------------------
 # Tape ops
@@ -148,7 +153,7 @@ def tmean(x, axis: int | None = None) -> T.Tensor:
 def cross_entropy_chain(logits, labels, rows) -> T.Tensor:
     """The 9-node chain that `T.cross_entropy` fuses: select the rows, shift
     by the constant row max, log-sum-exp minus the one-hot true logit, mean."""
-    sel = T.masked_select(logits, rows)
+    sel = T.gather_rows(logits, np.flatnonzero(rows))
     y = np.asarray(labels, dtype=np.int64)
     row_max = np.broadcast_to(sel.data.max(axis=1, keepdims=True), sel.data.shape).copy()
     shifted = sub(sel, T.Tensor(row_max))
@@ -211,6 +216,41 @@ def update_code_stats_float64_copy(cb: scp.CodebookState, flat: np.ndarray,
             batch_var = z64[order[s:e]].var(axis=0)
             cb.variances[c, j] = scp.GAMMA * cb.variances[c, j] + (1.0 - scp.GAMMA) * batch_var
     np.maximum(cb.variances, scp.VARIANCE_FLOOR, out=cb.variances)
+
+
+# ---------------------------------------------------------------------------
+# The prior's rows, filter then group
+
+
+def encoder_input_filter_then_group(probs: np.ndarray, coords: np.ndarray,
+                                    labels: np.ndarray):
+    """(rows, index, classes) of `scp.build_encoder_input`, as arrays: the
+    labelled rows selected by mask, then sorted stably by class; `index`
+    maps each grouped row through the kept rows to its input row."""
+    labels = np.asarray(labels, dtype=np.int64)
+    valid = labels != IGNORE_LABEL
+    order = np.argsort(labels[valid], kind="stable")
+    probs_g = np.asarray(probs)[valid][order]
+    coords_g = np.asarray(coords, dtype=np.float64)[valid][order] * scp.COORD_SCALE
+    rows = np.concatenate([probs_g, coords_g.astype(probs_g.dtype)], axis=1)
+    return rows, np.flatnonzero(valid)[order], labels[valid][order]
+
+
+def localize_filter_then_group(snapshot: ssr.PriorSnapshot, probs: np.ndarray,
+                               coords: np.ndarray, labels: np.ndarray,
+                               dilation_radius: float):
+    """(masks, index, z_e values) of `ssr.localize`, with the scores
+    scattered back to input rows and the dilation run over the labelled
+    rows in input order."""
+    coords = np.asarray(coords, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    valid = labels != IGNORE_LABEL
+    rows, index, classes = encoder_input_filter_then_group(probs, coords, labels)
+    z_e = snapshot.embed(rows).data
+    flagged = np.zeros(labels.shape[0], dtype=bool)
+    flagged[index] = ssr.shift_score(snapshot, z_e, classes) > snapshot.threshold
+    flagged[valid] = _kernels.dilate(coords[valid], flagged[valid], dilation_radius)
+    return ssr.ShiftMasks(valid & ~flagged, valid & flagged), index, z_e
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,12 @@ def write_config(path, **overrides):
 
 
 def gen(out, **overrides):
-    """`gen` of a `verify.tiny_config(**overrides)` file into `out`."""
+    """`gen` of a `verify.tiny_config(**overrides)` file into `out`; returns
+    `out` and the config file, which a run reading `out` must match in
+    scenes, points_per_scene and val_fraction."""
     _, config = write_config(out.parent / f"{out.name}.json", **overrides)
     assert quiet_main(["gen", "--config", config, "--out", str(out)]) == 0
-    return out
+    return out, config
 
 
 @pytest.fixture(scope="module")
@@ -74,9 +76,9 @@ def test_train_refuses_a_config_value_that_cannot_run(tmp_path, capsys, key, val
 
 
 def test_gen_with_fewer_classes(tmp_path):
-    out = gen(tmp_path / "data", scenes=2, class_count=3, val_fraction=0.25)
+    out, _ = gen(tmp_path / "data", scenes=2, class_count=3, val_fraction=0.25)
     for path in out.glob("*.a3pc"):
-        cloud, class_count = load_cloud(str(path))
+        cloud, class_count = load_cloud(str(path), path.stem)
         assert class_count == 3 and cloud.labels.max() < 3
 
 
@@ -94,6 +96,41 @@ def test_a_gen_dataset_is_exactly_the_data_of_its_config(tmp_path):
              "reports/epoch_0001.json", "reports/final.json"]
     for name in files:
         assert (runs["data"] / name).read_bytes() == (runs["synth"] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("overrides, key, values", [
+    ({"scenes": 9, "points_per_scene": 300, "val_fraction": 0.5, "seed": 77}, "scenes", (9, 4)),
+    ({"points_per_scene": 128}, "points_per_scene", (128, 64)),
+    ({"val_fraction": 0.5}, "val_fraction", (0.5, 0.25))],
+    ids=["every-data-key", "points_per_scene", "val_fraction"])
+def test_a_run_whose_config_differs_from_its_datasets_in_a_data_key_exits_2(
+        trained, tmp_path, capsys, overrides, key, values):
+    _, _, ckpt = trained
+    data, _ = gen(tmp_path / "data", scenes=4, val_fraction=0.25)
+    _, config = write_config(tmp_path / "b.json", **{"scenes": 4, "val_fraction": 0.25,
+                                                     **overrides})
+    for argv in (["train", "--config", config],
+                 ["eval", "--ckpt", ckpt, "--config", config],
+                 ["ablate", "--config", config, "--sweep", "t"]):
+        out = tmp_path / argv[0]
+        capsys.readouterr()
+        assert quiet_main(argv + ["--data", str(data), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} is {values[0]!r}" in err and f"generated with {values[1]!r}" in err, err
+        assert str(data / "config.json") in err, err
+        assert not out.exists()
+
+
+def test_a_config_that_differs_from_its_datasets_only_in_lambda_trains(tmp_path):
+    data, _ = gen(tmp_path / "data", scenes=4, val_fraction=0.25)
+    _, config = write_config(tmp_path / "b.json", scenes=4, val_fraction=0.25, lam=0.5)
+    assert quiet_main(["train", "--config", config, "--data", str(data),
+                       "--out", str(tmp_path / "run")]) == 0
+    # a dataset without the config of its `gen` is read as it stands
+    (data / "config.json").unlink()
+    _, other = write_config(tmp_path / "c.json", scenes=9, val_fraction=0.5)
+    assert quiet_main(["train", "--config", other, "--data", str(data),
+                       "--out", str(tmp_path / "other")]) == 0
 
 
 def test_eval_writes_a_level_report(trained, tmp_path):
@@ -250,9 +287,9 @@ def test_eval_reads_only_the_validation_files_of_a_dataset(trained, tmp_path):
 
 
 def test_eval_refuses_a_split_without_validation_clouds(trained, tmp_path, capsys):
-    _, config, ckpt = trained
+    _, _, ckpt = trained
     # floor(3 x 0.25) = 0 validation clouds
-    data = gen(tmp_path / "data", scenes=3, val_fraction=0.25)
+    data, config = gen(tmp_path / "data", scenes=3, val_fraction=0.25)
     out = tmp_path / "eval"
     assert quiet_main(["eval", "--ckpt", ckpt, "--config", config, "--data", str(data),
                        "--out", str(out)]) == 2
@@ -355,7 +392,7 @@ def cut_cloud(data, role, points):
     returns its id."""
     cid = json.loads((data / "split.json").read_text())[role][0]
     path = data / f"{cid}.a3pc"
-    cloud, count = load_cloud(str(path))
+    cloud, count = load_cloud(str(path), cid)
     save_cloud(PointCloud(cloud.positions[:points], cloud.labels[:points], cid), path, count)
     return cid
 
@@ -364,9 +401,8 @@ def cut_cloud(data, role, points):
 def test_train_and_eval_score_a_validation_cloud_of_few_points(tmp_path, points):
     # the clean high-distortion metrics take the PCA of 2- or 3-point
     # neighbourhoods
-    data = gen(tmp_path / "data", scenes=4, points_per_scene=256, val_fraction=0.25)
+    data, config = gen(tmp_path / "data", scenes=4, points_per_scene=256, val_fraction=0.25)
     cut_cloud(data, "val", points)
-    _, config = write_config(tmp_path / "config.json", epochs=1)
     run = tmp_path / "run"
     assert quiet_main(["train", "--config", config, "--data", str(data), "--out", str(run)]) == 0
     final = json.loads((run / "reports" / "final.json").read_text())
@@ -378,8 +414,8 @@ def test_train_and_eval_score_a_validation_cloud_of_few_points(tmp_path, points)
 
 @pytest.mark.parametrize("role, points", [("train", 1), ("val", 1), ("val", 0)])
 def test_a_cloud_of_fewer_than_two_points_is_refused(trained, tmp_path, capsys, role, points):
-    _, config, ckpt = trained
-    data = gen(tmp_path / "data", scenes=4, val_fraction=0.25)
+    _, _, ckpt = trained
+    data, config = gen(tmp_path / "data", scenes=4, val_fraction=0.25)
     cid = cut_cloud(data, role, points)
     commands = [["train", "--config", config], ["ablate", "--config", config, "--sweep", "t"]]
     if role == "val":  # eval reads the validation clouds only
@@ -394,8 +430,8 @@ def test_a_cloud_of_fewer_than_two_points_is_refused(trained, tmp_path, capsys, 
 
 
 def test_a_cloud_whose_cell_keys_overflow_int64_is_refused(trained, tmp_path, capsys):
-    _, config, ckpt = trained
-    data = gen(tmp_path / "data", scenes=4, val_fraction=0.25)
+    _, _, ckpt = trained
+    data, config = gen(tmp_path / "data", scenes=4, val_fraction=0.25)
     cid = json.loads((data / "split.json").read_text())["val"][0]
     save_cloud(PointCloud(np.array([[1e20, 0, 0], [-1e20, 0, 0], [3e20, 5, 5]]),
                           np.zeros(3, np.uint16), cid), data / f"{cid}.a3pc", 4)
@@ -440,12 +476,14 @@ def test_ablate_rejects_an_unknown_sweep(tmp_path):
 @pytest.fixture(scope="module")
 def eight_class_data(tmp_path_factory):
     """Two training clouds and one validation cloud, the one `eval` reads."""
-    return gen(tmp_path_factory.mktemp("data") / "d8", scenes=3, class_count=8)
+    data, _ = gen(tmp_path_factory.mktemp("data") / "d8", scenes=3, class_count=8)
+    return data
 
 
 def test_data_with_more_classes_than_the_config_is_refused(trained, eight_class_data,
                                                            tmp_path, capsys):
-    _, config, ckpt = trained  # class_count 4
+    _, _, ckpt = trained  # class_count 4
+    _, config = write_config(tmp_path / "config.json", scenes=3)
     for argv in (["train", "--config", config],
                  ["eval", "--ckpt", ckpt, "--config", config],
                  ["ablate", "--config", config, "--sweep", "t"]):
@@ -458,11 +496,11 @@ def test_data_with_more_classes_than_the_config_is_refused(trained, eight_class_
 
 
 def test_data_whose_clouds_declare_different_class_counts_is_refused(tmp_path, capsys):
-    data = gen(tmp_path / "data", scenes=2, class_count=3, val_fraction=0.25)
+    data, _ = gen(tmp_path / "data", scenes=2, class_count=3, val_fraction=0.25)
     first = sorted(data.glob("*.a3pc"))[0]
-    cloud, _ = load_cloud(str(first))
+    cloud, _ = load_cloud(str(first), first.stem)
     save_cloud(cloud, first, 4)
-    _, config = write_config(tmp_path / "config.json")
+    _, config = write_config(tmp_path / "config.json", scenes=2, val_fraction=0.25)
     assert quiet_main(["train", "--config", config, "--data", str(data),
                        "--out", str(tmp_path / "run")]) == 2
     assert "[3, 4] classes" in capsys.readouterr().err

@@ -34,7 +34,7 @@ def test_scene_rejects_tiny():
 
 
 def test_scene_class_balance_over_split():
-    _, scenes = make_split(5, 32, 0.25)
+    _, scenes = make_split(5, 32, 0.25, SceneSpec(seed=0), False)
     counts = np.zeros(8, dtype=np.int64)
     for scene in scenes:
         counts += np.bincount(scene.labels, minlength=8)
@@ -50,7 +50,7 @@ def test_cloud_round_trip(tmp_path):
     scene = generate_scene(SceneSpec(seed=7, num_points=256))
     path = tmp_path / "scene.a3pc"
     save_cloud(scene, path, 8)
-    back, c = load_cloud(path)
+    back, c = load_cloud(path, "scene")
     assert c == 8
     assert np.array_equal(back.positions, scene.positions)
     assert np.array_equal(back.labels, scene.labels)
@@ -68,7 +68,7 @@ def test_cloud_bad_magic(tmp_path):
     path = tmp_path / "bad.a3pc"
     path.write_bytes(b"XXXX" + b"\x00" * 20)
     with pytest.raises(CloudFormatError, match="offset 0"):
-        load_cloud(path)
+        load_cloud(path, "scene")
 
 
 def test_cloud_truncated(tmp_path):
@@ -78,7 +78,7 @@ def test_cloud_truncated(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-5])
     with pytest.raises(CloudFormatError, match="offset"):
-        load_cloud(path)
+        load_cloud(path, "scene")
 
 
 def test_cloud_hand_built_fixture(tmp_path):
@@ -87,7 +87,7 @@ def test_cloud_hand_built_fixture(tmp_path):
         f.write(struct.pack("<4sIQH", b"A3PC", 1, 2, 19))
         f.write(struct.pack("<dddH", 1.0, 2.0, 3.0, 0))
         f.write(struct.pack("<dddH", 4.0, 5.0, 6.0, 255))
-    cloud, c = load_cloud(path)
+    cloud, c = load_cloud(path, "scene")
     assert c == 19
     assert np.array_equal(cloud.positions, [[1, 2, 3], [4, 5, 6]])
     assert cloud.labels.tolist() == [0, 255]
@@ -99,7 +99,7 @@ def test_cloud_nonfinite_rejected(tmp_path):
         f.write(struct.pack("<4sIQH", b"A3PC", 1, 1, 8))
         f.write(struct.pack("<dddH", np.inf, 0.0, 0.0, 0))
     with pytest.raises(CloudFormatError, match="record 0"):
-        load_cloud(path)
+        load_cloud(path, "scene")
 
 
 @pytest.mark.parametrize("label", [8, 254, 256, 65535])
@@ -110,7 +110,7 @@ def test_cloud_label_outside_the_declared_classes_rejected(tmp_path, label):
         for lab in (7, 255, label):
             f.write(struct.pack("<dddH", 0.0, 0.0, 0.0, lab))
     with pytest.raises(CloudFormatError, match=f"label {label} in record 2"):
-        load_cloud(path)
+        load_cloud(path, "scene")
 
 
 @st.composite
@@ -129,7 +129,7 @@ def test_cloud_bytes_parse_or_raise_cloud_format_error(tmp_path_factory, body):
     path = tmp_path_factory.getbasetemp() / "fuzz.a3pc"
     path.write_bytes(b"A3PC" + body)
     try:
-        cloud, c = load_cloud(path)
+        cloud, c = load_cloud(path, "scene")
     except CloudFormatError:
         return
     labels = cloud.labels
@@ -141,20 +141,20 @@ def test_cloud_bytes_parse_or_raise_cloud_format_error(tmp_path_factory, body):
 
 
 def test_split_sizes_and_disjoint():
-    split, scenes = make_split(3, 10, 0.2)
+    split, scenes = make_split(3, 10, 0.2, SceneSpec(seed=0), False)
     assert len(split.val) == 2 and len(split.train) == 8
     assert not set(split.train) & set(split.val)
     assert len(scenes) == 10
 
 
 def test_split_deterministic():
-    a, _ = make_split(9, 12, 0.25)
-    b, _ = make_split(9, 12, 0.25)
+    a, _ = make_split(9, 12, 0.25, SceneSpec(seed=0), False)
+    b, _ = make_split(9, 12, 0.25, SceneSpec(seed=0), False)
     assert a.train == b.train and a.val == b.val
 
 
 def test_split_seed_lineage():
-    _, scenes = make_split(100, 10, 0.2)
+    _, scenes = make_split(100, 10, 0.2, SceneSpec(seed=0), False)
     regen = generate_scene(SceneSpec(seed=103), cloud_id="scene-0003")
     match = [s for s in scenes if s.cloud_id == "scene-0003"][0]
     assert np.array_equal(regen.positions, match.positions)
@@ -174,6 +174,6 @@ def test_a_cloud_id_listed_twice_in_one_list_is_rejected(train, val, message):
 
 
 def test_a_split_with_the_scene_seeds_of_an_older_gen_loads():
-    split, _ = make_split(100, 10, 0.2)
+    split, _ = make_split(100, 10, 0.2, SceneSpec(seed=0), False)
     doc = {**split.to_json(), "scene_seeds": {f"scene-{i:04d}": 100 + i for i in range(10)}}
     assert DatasetSplit.from_json(doc).to_json() == {"train": split.train, "val": split.val}

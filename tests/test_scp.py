@@ -1,4 +1,5 @@
-"""The confusion prior's bookkeeping: the nearest-code searches against the
+"""The confusion prior's bookkeeping: the rows it sees against the
+filter-then-group formulation, the nearest-code searches against the
 exhaustive scan and the float64-copy formulation, EMA variance statistics
 against the compensated replay, their memory, lazy code initialization and
 dead-code reseeds."""
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference as R
 from shiftseg import oracle, scp
+from shiftseg.pointcloud import IGNORE_LABEL
 from shiftseg.rng import Stream
 
 
@@ -18,6 +20,29 @@ def initialized_codebook(c=3, k=4, d=5, seed=1):
     cb.codes.data[...] = Stream(seed, "codes").normal(c * k * d).reshape(c * k, d)
     cb.initialized[...] = True
     return cb
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 40), c=st.integers(1, 6), ignore=st.floats(0.0, 1.0),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+def test_encoder_input_equals_filter_then_group(n, c, ignore, dtype, seed):
+    stream = Stream(seed, "encoder-input")
+    probs = stream.uniform(n * c).reshape(n, c).astype(dtype)
+    coords = stream.normal(n * 3).reshape(n, 3) * 10.0
+    labels = np.where(stream.uniform(n) < ignore, IGNORE_LABEL, stream.integers(n, c))
+    rows, index, classes = scp.build_encoder_input(probs, coords, labels.astype(np.uint16))
+    want_rows, want_index, want_classes = R.encoder_input_filter_then_group(probs, coords, labels)
+    assert rows.data.dtype == dtype and rows.data.tobytes() == want_rows.tobytes()
+    assert rows.shape == (int((labels != IGNORE_LABEL).sum()), c + 3)
+    assert np.array_equal(index, want_index) and np.array_equal(classes, want_classes)
+    assert np.array_equal(labels[index], classes)
+
+
+def test_an_all_ignore_input_gives_no_encoder_rows():
+    probs = np.full((5, 3), 1.0 / 3.0, dtype=np.float32)
+    rows, index, classes = scp.build_encoder_input(probs, np.zeros((5, 3)),
+                                                   np.full(5, IGNORE_LABEL))
+    assert rows.shape == (0, 6) and index.size == 0 and classes.size == 0
 
 
 def test_quantize_picks_the_lowest_index_on_exact_ties():

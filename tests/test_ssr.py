@@ -70,8 +70,27 @@ def test_all_ignore_labels_give_empty_masks():
     res = ssr.localize(snap, probs, coords, labels, dilation_radius=1.0)
     m = res.masks
     assert not m.scr.any() and not m.ssr.any()
-    assert res.valid_rows.size == 0 and res.z_e.shape == (0, D)
+    assert res.index.size == 0 and res.z_e.shape == (0, D)
     assert ssr.ssr_ratio(m) == 0.0
+
+
+@pytest.mark.parametrize("radius", [0.0, 0.8])
+def test_localize_with_ignore_rows_equals_filter_then_group(radius):
+    probs, coords, labels = rows_of(80, seed=9)
+    labels[Stream(10, "ignore").uniform(80) < 0.3] = IGNORE_LABEL
+    probs = probs.astype(np.float32)
+    snap, _, _ = make_snapshot()
+    # a threshold at the 80th percentile score flags a fifth of the labeled rows
+    rows, _, classes = R.encoder_input_filter_then_group(probs, coords, labels)
+    score = ssr.shift_score(snap, snap.embed(rows).data, classes)
+    snap = dataclasses.replace(snap, threshold=float(np.quantile(score, 0.8)))
+    res = ssr.localize(snap, probs, coords, labels, radius)
+    masks, index, z_e = R.localize_filter_then_group(snap, probs, coords, labels, radius)
+    assert masks.ssr.any() and masks.scr.any()
+    assert res.masks.scr.tobytes() == masks.scr.tobytes()
+    assert res.masks.ssr.tobytes() == masks.ssr.tobytes()
+    assert np.array_equal(res.index, index)
+    assert res.z_e.data.dtype == np.float32 and res.z_e.data.tobytes() == z_e.tobytes()
 
 
 def test_a_label_beyond_the_class_count_is_refused():
@@ -90,7 +109,7 @@ def test_dilation_grows_the_shifted_rows_and_keeps_the_complement():
     # each row's score, from the latents localize embeds, in input order
     res = ssr.localize(snap, probs, coords, labels, dilation_radius=0.0)
     score = np.zeros(labels.shape[0])
-    score[res.valid_rows] = ssr.shift_score(snap, res.z_e.data, labels[res.valid_rows])
+    score[res.index] = ssr.shift_score(snap, res.z_e.data, labels[res.index])
     # a threshold at the median score flags about half of the labeled rows
     snap = dataclasses.replace(snap, threshold=float(np.median(score[labeled])))
     plain = ssr.localize(snap, probs, coords, labels, dilation_radius=0.0).masks

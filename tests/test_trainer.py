@@ -61,6 +61,8 @@ def test_save_state_replaces_an_existing_checkpoint(tmp_path):
     trainer.save_state(state, str(ckpt))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["final"]
     assert trainer.load_state(cfg, str(ckpt)).step == 7
+    # the step and epoch live in weights.a3wt alone
+    assert json.loads((ckpt / "state.json").read_text()) == {"config_hash": cfg.config_hash()}
 
 
 def test_save_state_syncs_the_files_before_the_rename(tmp_path, monkeypatch):

@@ -124,10 +124,7 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelGrid:
 
 def knn(cloud: PointCloud, k: int, rows: np.ndarray | None = None) -> NeighborIndex:
     """Neighbors of every point, or of the points `rows` only, among all
-    points of the cloud."""
-    n = len(cloud)
-    if k >= n:
-        raise ValueError(f"knn requires k < N, got k={k}, N={n}")
+    points of the cloud; `_kernels.knn` refuses k outside (0, N)."""
     idx, dist = _kernels.knn(cloud.positions, k, rows)
     return NeighborIndex(k, idx, dist)
 

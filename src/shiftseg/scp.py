@@ -20,10 +20,6 @@ BETA = 0.25  # commitment weight (the VQ-VAE default)
 GAMMA = 0.9  # EMA decay of the per-code variances
 
 
-class PriorModeError(RuntimeError):
-    pass
-
-
 @dataclass
 class CodebookState:
     """Per-class code table plus per-code per-channel EMA variance and usage."""
@@ -73,30 +69,20 @@ class PriorAutoencoder:
     def __init__(self, class_count: int, latent_dim: int, widths: tuple[int, ...],
                  seed: int):
         self.input_dim = class_count + 3
-        self.params: dict[str, T.Tensor] = {}
-        stream = Stream(seed, "prior-init")
-        enc = [self.input_dim, *widths, latent_dim]
-        for i, (a, b) in enumerate(zip(enc[:-1], enc[1:])):
-            w = stream.normal(a * b, std=np.sqrt(2.0 / a)).reshape(a, b)
-            self.params[f"scp.enc.w{i}"] = T.Tensor(w, requires_grad=True)
-            self.params[f"scp.enc.b{i}"] = T.Tensor(np.zeros(b), requires_grad=True)
-        dec = [latent_dim, *reversed(widths), class_count]
-        for i, (a, b) in enumerate(zip(dec[:-1], dec[1:])):
-            w = stream.normal(a * b, std=np.sqrt(2.0 / a)).reshape(a, b)
-            self.params[f"scp.dec.w{i}"] = T.Tensor(w, requires_grad=True)
-            self.params[f"scp.dec.b{i}"] = T.Tensor(np.zeros(b), requires_grad=True)
-        self.n_enc = len(enc) - 1
-        self.n_dec = len(dec) - 1
+        stream = Stream(seed, "prior-init")  # the encoder draws first
+        self.params = {
+            **T.mlp_params("scp.enc", [self.input_dim, *widths, latent_dim], stream),
+            **T.mlp_params("scp.dec", [latent_dim, *reversed(widths), class_count], stream)}
 
     def encode(self, rows) -> T.Tensor:
         """Latent row per input row."""
         rows = T.as_tensor(rows)
         if rows.shape[1] != self.input_dim:
             raise T.ShapeError(f"encode: rows have width {rows.shape[1]}, expected {self.input_dim}")
-        return T.mlp(rows, self.params, "scp.enc", self.n_enc)
+        return T.mlp(rows, self.params, "scp.enc")
 
     def decode(self, z) -> T.Tensor:
-        return T.softmax(T.mlp(z, self.params, "scp.dec", self.n_dec))
+        return T.softmax(T.mlp(z, self.params, "scp.dec"))
 
 
 def _nearest(table: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -127,11 +113,10 @@ def quantize(codes3: np.ndarray, z_e: np.ndarray, classes: np.ndarray) -> np.nda
 
 def nearest_global(codes3: np.ndarray, initialized: np.ndarray,
                    z_e: np.ndarray) -> np.ndarray:
-    """Value of the nearest code across every initialized class, per row."""
+    """Value of the nearest code across every initialized class, per row.
+    Some class is initialized whenever `ssr.localize` shifts a row."""
     c, k, d = codes3.shape
     live = np.flatnonzero(np.repeat(initialized, k))
-    if live.size == 0:
-        raise PriorModeError("no initialized codes for a global lookup")
     table = codes3.reshape(c * k, d)[live]
     return table[_nearest(table, z_e)]
 

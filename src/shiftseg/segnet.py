@@ -42,14 +42,8 @@ class SegModel:
     """MLP over per-representative features with leaky-relu hidden layers."""
 
     def __init__(self, hidden: tuple[int, ...], class_count: int, seed: int):
-        self.params: dict[str, T.Tensor] = {}
-        widths = [FEATURE_DIM, *hidden, class_count]
-        stream = Stream(seed, "seg-init")
-        for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-            w = stream.normal(fan_in * fan_out, std=np.sqrt(2.0 / fan_in)).reshape(fan_in, fan_out)
-            self.params[f"seg.w{i}"] = T.Tensor(w, requires_grad=True)
-            self.params[f"seg.b{i}"] = T.Tensor(np.zeros(fan_out), requires_grad=True)
-        self.num_layers = len(widths) - 1
+        self.params = T.mlp_params("seg", [FEATURE_DIM, *hidden, class_count],
+                                   Stream(seed, "seg-init"))
 
     def forward(self, feats) -> T.Tensor:
         """Unnormalized logits, one row per feature row, in the features'
@@ -58,8 +52,7 @@ class SegModel:
         if feats.ndim != 2 or feats.shape[1] != FEATURE_DIM:
             raise T.ShapeError(f"forward: features must be (N, {FEATURE_DIM}), got {feats.shape}")
         # the scales are powers of two, exact in either dtype
-        return T.mlp(feats * _INPUT_SCALE.astype(feats.dtype), self.params, "seg",
-                     self.num_layers)
+        return T.mlp(feats * _INPUT_SCALE.astype(feats.dtype), self.params, "seg")
 
 
 def ce_loss(logits: T.Tensor, labels: np.ndarray, mask: np.ndarray | None = None) -> T.Tensor:

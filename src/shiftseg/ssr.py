@@ -14,14 +14,14 @@ from .scp import CodebookState, PriorAutoencoder, build_encoder_input, quantize
 @dataclass
 class PriorSnapshot:
     """Immutable copy of everything localization needs: the frozen encoder
-    parameters, codes, variances, and threshold."""
+    parameters, codes, variances and which classes have initialized codes,
+    all arrays, and the threshold."""
 
     codes3: np.ndarray  # (C, k, D)
     variances: np.ndarray  # (C, k, D), >= scp.VARIANCE_FLOOR
-    initialized: np.ndarray  # (C,)
+    initialized: np.ndarray  # (C,) bool
     threshold: float
     encoder_params: dict[str, np.ndarray]  # the "scp.enc.*" arrays
-    n_enc: int
 
     def __post_init__(self):
         if self.threshold <= 0:
@@ -31,7 +31,7 @@ class PriorSnapshot:
         """Frozen-encoder forward: the encoder weights are constants, so the
         result is differentiable toward the rows only (an array is taken as a
         constant)."""
-        return T.mlp(rows, self.encoder_params, "scp.enc", self.n_enc)
+        return T.mlp(rows, self.encoder_params, "scp.enc")
 
 
 def take_snapshot(cb: CodebookState, threshold: float, prior: PriorAutoencoder) -> PriorSnapshot:
@@ -43,7 +43,6 @@ def take_snapshot(cb: CodebookState, threshold: float, prior: PriorAutoencoder) 
         threshold=float(threshold),
         encoder_params={k: t.data.copy() for k, t in prior.params.items()
                         if k.startswith("scp.enc.")},
-        n_enc=prior.n_enc,
     )
 
 
@@ -65,7 +64,8 @@ def shift_score(snapshot: PriorSnapshot, z_e: np.ndarray,
 @dataclass
 class ShiftMasks:
     """Per-row region partition for one augmented cloud. On labeled rows,
-    scr and ssr are exact complements; ignore-labeled rows are false in both."""
+    scr and ssr are exact complements; ignore-labeled rows are false in both.
+    A row of a class without an initialized code is in ssr only by dilation."""
 
     scr: np.ndarray  # (n,) bool
     ssr: np.ndarray  # (n,) bool
@@ -81,10 +81,11 @@ class LocalizeResult:
 def localize(snapshot: PriorSnapshot, probs, coords: np.ndarray,
              labels: np.ndarray, dilation_radius: float) -> LocalizeResult:
     """Embed the rows `scp.build_encoder_input` keeps with the frozen prior
-    encoder, flag rows whose score exceeds the threshold, dilate the shifted
-    set over their 3-D coordinates, and emit the complementary masks. Rows
-    labeled 255 stay out of both masks; a label at or above the class count
-    is refused (ValueError).
+    encoder, flag rows whose score exceeds the threshold and whose class has
+    an initialized code (a row of another class has no code to be scored
+    against), dilate the flagged set over their 3-D coordinates, and emit
+    the complementary masks. Rows labeled 255 stay out of both masks; a
+    label at or above the class count is refused (ValueError).
 
     The returned z_e is differentiable toward `probs` when that is a Tensor
     (an array is a constant); the masks come from its values.
@@ -93,6 +94,7 @@ def localize(snapshot: PriorSnapshot, probs, coords: np.ndarray,
     rows, index, classes = build_encoder_input(probs, coords, labels)
     z_e = snapshot.embed(rows)
     shifted = shift_score(snapshot, z_e.data, classes) > snapshot.threshold
+    shifted &= snapshot.initialized[classes]
     shifted = _kernels.dilate(coords[index], shifted, dilation_radius)
     scr = np.zeros(len(labels), dtype=bool)
     ssr = np.zeros(len(labels), dtype=bool)

@@ -7,9 +7,10 @@ and `backward`, which consumes the recorded subgraph in reverse creation
 order, skips those. Each loss the pipeline takes is one node, as PyTorch
 fuses log-softmax and NLL into one cross-entropy op (Paszke et al., NeurIPS
 2019), and a node keeps only what its backward reads and cannot rebuild:
-`mlp`, one node for a whole layer stack, keeps the inputs of the layers
-whose weights want a gradient, and a hidden layer's sign mask only where the
-next layer keeps no such input (a leaky output is positive exactly where its
+`mlp`, one node for a whole layer stack (a layer per weight under its
+prefix, as `mlp_params` builds them), keeps the inputs of the layers whose
+weights want a gradient, and a hidden layer's sign mask only where the next
+layer keeps no such input (a leaky output is positive exactly where its
 pre-activation is, so a kept input gives the mask back); `mse` keeps the
 difference of its operands; `cross_entropy` keeps the selected rows'
 exponentials, their sums and the one-hot labels. A closure runs once:
@@ -179,10 +180,25 @@ def _leaky_factor(positive: np.ndarray, dtype) -> np.ndarray:
     return f
 
 
-def mlp(x, params: Mapping, prefix: str, layers: int) -> Tensor:
-    """`layers` affine layers with weights params[f"{prefix}.w{i}"] and biases
-    params[f"{prefix}.b{i}"] (Tensors, or arrays taken as constants):
-    leaky-relu hidden layers, then a linear output layer, as one tape node.
+def mlp_params(prefix: str, widths, stream) -> dict[str, Tensor]:
+    """The parameters `mlp(x, params, prefix)` reads for layer widths
+    `widths` (input first): He-initialized weights f"{prefix}.w{i}", drawn
+    from `stream` (an `rng.Stream`) one layer after another, and zero biases
+    f"{prefix}.b{i}", all float64 and wanting gradients, in layer order."""
+    params: dict[str, Tensor] = {}
+    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+        w = stream.normal(fan_in * fan_out, std=np.sqrt(2.0 / fan_in)).reshape(fan_in, fan_out)
+        params[f"{prefix}.w{i}"] = Tensor(w, requires_grad=True)
+        params[f"{prefix}.b{i}"] = Tensor(np.zeros(fan_out), requires_grad=True)
+    return params
+
+
+def mlp(x, params: Mapping, prefix: str) -> Tensor:
+    """Affine layers with weights params[f"{prefix}.w{i}"] and biases
+    params[f"{prefix}.b{i}"] (Tensors, or arrays taken as constants), for i
+    = 0, 1, ... as long as the weight is there: leaky-relu hidden layers,
+    then a linear output layer, as one tape node. A prefix without
+    f"{prefix}.w0" is a ShapeError.
 
     Values and gradients equal, bit for bit, a chain of one node per matrix
     product, bias add and leaky-relu select (np.where(h > 0, h,
@@ -206,6 +222,9 @@ def mlp(x, params: Mapping, prefix: str, layers: int) -> Tensor:
     dtype, summed over rows in it; a weight's sum runs over fixed row blocks
     (`_weight_grad`), so its bits do not depend on the BLAS thread count."""
     x = as_tensor(x)
+    layers = next(i for i in itertools.count() if f"{prefix}.w{i}" not in params)
+    if not layers:
+        raise ShapeError(f"mlp: no weights {prefix}.w0")
     ws = [as_tensor(params[f"{prefix}.w{i}"]) for i in range(layers)]
     bs = [as_tensor(params[f"{prefix}.b{i}"]) for i in range(layers)]
     h = x.data

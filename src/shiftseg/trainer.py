@@ -342,6 +342,15 @@ def _select_ssr(loc: ssrmod.LocalizeResult, snapshot: ssrmod.PriorSnapshot,
     return SsrSelection(targets, loc.masks)
 
 
+def prior_snapshot(state: TrainState) -> ssrmod.PriorSnapshot | None:
+    """The frozen prior that a training step and every evaluation localize
+    with, at the run's threshold; None only when the mode has no prior.
+    A prior without initialized codes flags no row (`ssrmod.localize`)."""
+    if state.cb is None:
+        return None
+    return ssrmod.take_snapshot(state.cb, state.cfg.t, state.prior)
+
+
 def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
                 sel: StepSelection | None = None) -> tuple[LossBundle, StepSelection]:
     """Build this step's seg loss graph. With sel=None, performs the selection
@@ -368,7 +377,7 @@ def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
     if selecting and mask_on:
         probs_data = [T.softmax(T.stop_gradient(lg)).data for lg in logits_orig]
         sel.scp_sel, scp_z_live = _select_scp(state, pb, cfg, probs_data)
-        sel.snapshot = ssrmod.take_snapshot(state.cb, cfg.t, state.prior)
+        sel.snapshot = prior_snapshot(state)
 
     if cfg.mode != "none":
         aug_logits = [state.model.forward(pc.feats) for pc in pb.augmented]
@@ -422,10 +431,17 @@ def vq_objective(state: TrainState, sel: StepSelection, cfg: TrainConfig,
 # One optimization step
 
 
-def _check_finite(name: str, value: float, state: TrainState):
-    if not math.isfinite(value):
-        raise TrainingDiverged(
-            f"{name} is not finite at step {state.step} (epoch {state.epoch})")
+def _log_losses(log: dict, losses: list[tuple[str, T.Tensor | None]],
+                state: TrainState) -> None:
+    """Record each (steplog key, loss) pair that is not None, in order; a
+    value that is not finite raises TrainingDiverged naming its key."""
+    for name, loss in losses:
+        if loss is None:
+            continue
+        log[name] = loss.item()
+        if not math.isfinite(log[name]):
+            raise TrainingDiverged(
+                f"{name} is not finite at step {state.step} (epoch {state.epoch})")
 
 
 def prepared_clean(state: TrainState, cloud: PointCloud) -> PreparedCloud:
@@ -471,30 +487,17 @@ def train_step(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
     pb = prepare_batch(state, clouds, cfg, epoch, batch_index)
     bundle, sel = step_losses(state, pb, cfg)
 
-    log: dict = {"step": state.step, "epoch": epoch, "batch": batch_index,
-                 "loss_ce": bundle.ce.item()}
-    _check_finite("loss_ce", log["loss_ce"], state)
-    if bundle.ce_aug is not None:
-        log["loss_ce_aug"] = bundle.ce_aug.item()
-        _check_finite("loss_ce_aug", log["loss_ce_aug"], state)
-    if bundle.ce_scr is not None:
-        log["loss_ce_scr"] = bundle.ce_scr.item()
-        _check_finite("loss_ce_scr", log["loss_ce_scr"], state)
-    if bundle.distill is not None:
-        log["loss_distill"] = bundle.distill.item()
-        _check_finite("loss_distill", log["loss_distill"], state)
-    log["loss_total"] = bundle.total.item()
-    _check_finite("loss_total", log["loss_total"], state)
+    log: dict = {"step": state.step, "epoch": epoch, "batch": batch_index}
+    _log_losses(log, [("loss_ce", bundle.ce), ("loss_ce_aug", bundle.ce_aug),
+                      ("loss_ce_scr", bundle.ce_scr), ("loss_distill", bundle.distill),
+                      ("loss_total", bundle.total)], state)
 
     T.backward(bundle.total)
     state.seg_opt.step()
     vq = vq_objective(state, sel, cfg, bundle.z_prior)
     if vq is not None:
-        log["vq_recon"] = vq.recon.item()
-        log["vq_codebook"] = vq.codebook.item()
-        log["vq_commitment"] = vq.commitment.item()
-        log["vq_total"] = vq.total.item()
-        _check_finite("vq_total", log["vq_total"], state)
+        _log_losses(log, [("vq_recon", vq.recon), ("vq_codebook", vq.codebook),
+                          ("vq_commitment", vq.commitment), ("vq_total", vq.total)], state)
         T.backward(vq.total)
         state.ae_opt.step()
     if state.cb is not None:
@@ -642,14 +645,6 @@ def _truncate_steplog(path: str, step: int) -> None:
     with open(tmp, "wb") as f:
         f.writelines(keep)
     os.replace(tmp, path)
-
-
-def prior_snapshot(state: TrainState) -> ssrmod.PriorSnapshot | None:
-    """The frozen prior that evaluation localizes with; None until the
-    codebook has an initialized code."""
-    if state.cb is None or not state.cb.initialized.any():
-        return None
-    return ssrmod.take_snapshot(state.cb, state.cfg.t, state.prior)
 
 
 def validation_report(state: TrainState, val_clouds: list[PointCloud],

@@ -145,6 +145,23 @@ def test_eval_writes_a_level_report(trained, tmp_path):
     assert (out / "csv" / "level_sweep.csv").read_text().startswith("level,seed,ssr_ratio,miou\n")
 
 
+def test_eval_of_a_checkpoint_saved_before_any_step_flags_no_row(trained, tmp_path):
+    # its prior has no initialized code, so no row has a code to be scored
+    # against: every level reports ratio 0, not None (which means no prior)
+    cfg, config, _ = trained
+    ckpt = tmp_path / "ckpt"
+    trainer.save_state(trainer.init_state(cfg), str(ckpt))
+    out = tmp_path / "eval"
+    assert quiet_main(["eval", "--ckpt", str(ckpt), "--config", config, "--trials", "1",
+                       "--out", str(out)]) == 0
+    rows = [row.split(",") for row in
+            (out / "csv" / "level_sweep.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["none", "light", "moderate", "heavy", "excessive"]
+    for level, _, ratio, _ in rows:
+        rep = json.loads((out / "reports" / f"level_{level}.json").read_text())
+        assert rep["ssr_ratio"] == 0.0 and ratio == "0.0", level
+
+
 def test_eval_rejects_an_unknown_level(trained, tmp_path):
     _, config, ckpt = trained
     out = tmp_path / "eval"

@@ -38,7 +38,7 @@ def mlp_of(x, w):
     params = {"m.w0": w, "m.b0": T.Tensor(w.data[0], requires_grad=w.requires_grad),
               "m.w1": T.Tensor(w.data.T[:, :1].copy(), requires_grad=w.requires_grad),
               "m.b1": np.zeros(1)}
-    return T.mlp(x, params, "m", 2)
+    return T.mlp(x, params, "m")
 
 
 # each op the tape records, and the reference ops of tests/reference.py, as

@@ -137,10 +137,8 @@ def test_reseed_dead_codes_counts_and_resets_variances():
     assert cb.variances[1, 2, 0] == 0.5
 
 
-def test_nearest_global_without_initialized_codes_raises():
+def test_nearest_global_searches_only_the_initialized_class():
     cb = scp.CodebookState(2, 3, 4)
-    with pytest.raises(scp.PriorModeError):
-        scp.nearest_global(cb.codes3(), cb.initialized, np.zeros((2, 4)))
     cb.initialized[1] = True
     cb.codes.data[3:] = np.arange(12.0).reshape(3, 4)
     # code 4, at squared distance 14, of the one initialized class

@@ -1,9 +1,12 @@
 """Shift-region localization against a frozen prior: the snapshot, the shift
-score, degenerate label sets, and dilation of the shifted rows."""
+score, degenerate label sets, rows of classes without an initialized code,
+and dilation of the shifted rows."""
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference as R
 from shiftseg import scp, ssr
@@ -91,6 +94,25 @@ def test_localize_with_ignore_rows_equals_filter_then_group(radius):
     assert res.masks.ssr.tobytes() == masks.ssr.tobytes()
     assert np.array_equal(res.index, index)
     assert res.z_e.data.dtype == np.float32 and res.z_e.data.tobytes() == z_e.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), initialized=st.lists(st.booleans(), min_size=C,
+                                                             max_size=C),
+       n=st.integers(0, 40))
+def test_a_class_without_an_initialized_code_stays_in_scr(seed, initialized, n):
+    # at a tiny t every row of an initialized class scores above it, and
+    # without dilation only those rows are shifted
+    probs, coords, labels = rows_of(n, seed=seed)
+    labels[Stream(seed, "ignore").uniform(n) < 0.2] = IGNORE_LABEL
+    snap, _, _ = make_snapshot(threshold=1e-12)
+    snap.codes3[...] = Stream(seed, "codes").normal(C * K * D).reshape(C, K, D) * 3.0
+    snap.initialized[...] = initialized
+    masks = ssr.localize(snap, probs, coords, labels, dilation_radius=0.0).masks
+    labeled = labels != IGNORE_LABEL
+    live = labeled & np.isin(labels, np.flatnonzero(initialized))
+    assert np.array_equal(masks.scr, labeled & ~live)
+    assert np.array_equal(masks.ssr, live)
 
 
 def test_a_label_beyond_the_class_count_is_refused():

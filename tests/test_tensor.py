@@ -70,7 +70,7 @@ def test_forward_matches_extended_precision_interpreter():
     inputs = {"x": x, "w0": arrays["m.w0"], "b0": arrays["m.b0"].reshape(1, -1),
               "w1": arrays["m.w1"], "b1": arrays["m.b1"].reshape(1, -1)}
     ref = R.interpret_program(program, inputs)
-    logits = T.mlp(x, arrays, "m", 2)
+    logits = T.mlp(x, arrays, "m")
     probs = T.softmax(logits)
     assert np.max(np.abs(logits.data - ref["logits"])) < 1e-12
     assert np.max(np.abs(probs.data - ref["s"])) < 1e-12
@@ -132,14 +132,21 @@ def test_mlp_is_the_layer_chain_and_takes_arrays_as_constants():
         if i < 2:
             want = np.where(want > 0, want, T.LEAKY_SLOPE * want)
     params = {n: T.Tensor(a.copy(), requires_grad=True) for n, a in arrays.items()}
-    assert T.mlp(x, params, "m", 3).data.tobytes() == want.tobytes()
-    frozen = T.mlp(x, arrays, "m", 3)
+    assert T.mlp(x, params, "m").data.tobytes() == want.tobytes()
+    frozen = T.mlp(x, arrays, "m")
     assert frozen.data.tobytes() == want.tobytes() and not frozen.requires_grad
-    fd_check(lambda: R.tmean(R.square(T.mlp(x, params, "m", 3))), params)
+    fd_check(lambda: R.tmean(R.square(T.mlp(x, params, "m"))), params)
 
 
-def layer_chain(x, params, prefix, layers):
+def test_mlp_refuses_a_prefix_without_weights():
+    params = {"m.w0": np.ones((2, 2)), "m.b0": np.zeros(2)}
+    with pytest.raises(T.ShapeError, match=r"no weights n\.w0"):
+        T.mlp(np.ones((3, 2)), params, "n")
+
+
+def layer_chain(x, params, prefix):
     """The per-layer chain that `mlp` fuses into one node."""
+    layers = sum(name.startswith(f"{prefix}.w") for name in params)
     h = x
     for i in range(layers):
         h = R.add_row(R.matmul(h, params[f"{prefix}.w{i}"]), params[f"{prefix}.b{i}"])
@@ -192,8 +199,8 @@ def test_mlp_bitwise_equals_the_layer_chain():
         params = {n: T.Tensor(a.copy(), requires_grad=True) for n, a in arrays.items()}
         # the weights serve two passes, so their gradients accumulate in the
         # tape's order
-        out1 = net(xs[0], params, "m", 3)
-        out2 = net(xs[1], params, "m", 3)
+        out1 = net(xs[0], params, "m")
+        out2 = net(xs[1], params, "m")
         T.backward(T.add(R.tsum(R.mul(out1, T.Tensor(c1))), R.tsum(R.mul(out2, T.Tensor(c2)))))
         return [out1.data, out2.data] + [x.grad for x in xs] + [params[n].grad
                                                                  for n in sorted(params)]
@@ -253,10 +260,10 @@ def test_frozen_inputs_get_no_gradient_and_none_is_computed(frozen):
                   "m.w1": leaves["w1"], "m.b1": leaves["b1"]}
         # the backward closure skips exactly the frozen inputs; it runs once,
         # so it is probed on a graph of its own
-        probe = T.mlp(leaves["x"], params, "m", 2)
+        probe = T.mlp(leaves["x"], params, "m")
         skipped = [pg is None for pg in probe._backward(np.ones((6, 2)))]
         assert skipped == [n in frozen_names for n in ("x", "w", "b", "w1", "b1")]
-        out = T.mlp(leaves["x"], params, "m", 2)
+        out = T.mlp(leaves["x"], params, "m")
         T.backward(R.tsum(R.mul(out, T.Tensor(c))))
         return {n: t.grad for n, t in leaves.items()}
 
@@ -285,7 +292,7 @@ def test_an_mlp_closure_frees_its_layer_inputs_and_masks_as_it_runs(trained):
         params[f"m.w{i}"] = T.Tensor(stream.normal(a * b).reshape(a, b), requires_grad=train)
         params[f"m.b{i}"] = T.Tensor(stream.normal(b), requires_grad=train)
     x = T.Tensor(stream.normal(28).reshape(7, 4), requires_grad=trained == "all")
-    out = T.mlp(x, params, "m", 3)
+    out = T.mlp(x, params, "m")
     cells = closure_cells(out)
     # kept[0] is x's own array, which the leaf holds. "all": the hidden
     # layers' outputs, kept as the next layers' inputs, stand for both
@@ -339,7 +346,7 @@ def test_an_mlp_stores_a_hidden_mask_only_below_frozen_weights(frozen):
                                      requires_grad=i not in frozen)
         params[f"m.b{i}"] = T.Tensor(stream.normal(b), requires_grad=True)
     x = T.Tensor(stream.normal(24).reshape(8, 3), requires_grad=True)
-    out = T.mlp(x, params, "m", 4)
+    out = T.mlp(x, params, "m")
     masks = closure_cells(out)["masks"]
     assert [m is not None for m in masks] == [i + 1 in frozen for i in range(3)]
     T.backward(R.tsum(out))
@@ -370,7 +377,7 @@ def test_the_sign_of_a_kept_leaky_output_is_the_stored_mask(col):
                   "m.b1": T.Tensor(np.array([-0.0]), requires_grad=True)}
         x = T.Tensor(col.copy(), requires_grad=True)
         with np.errstate(invalid="ignore", over="ignore"):
-            return x, params, T.mlp(x, params, "m", 2)
+            return x, params, T.mlp(x, params, "m")
 
     x_stored, p_stored, stored = node(False)
     x_kept, p_kept, kept = node(True)
@@ -394,10 +401,10 @@ def test_mlp_with_stopped_weights_records_no_node():
         ("m.w0", stream.normal(6).reshape(3, 2)), ("m.b0", stream.normal(2)),
         ("m.w1", stream.normal(4).reshape(2, 2)), ("m.b1", stream.normal(2)))}
     x = stream.normal(12).reshape(4, 3)
-    out = T.mlp(T.Tensor(x), {n: T.stop_gradient(p) for n, p in params.items()}, "m", 2)
+    out = T.mlp(T.Tensor(x), {n: T.stop_gradient(p) for n, p in params.items()}, "m")
     assert not out.requires_grad
     assert out._parents == () and out._backward is None
-    assert out.data.tobytes() == layer_chain(T.Tensor(x), params, "m", 2).data.tobytes()
+    assert out.data.tobytes() == layer_chain(T.Tensor(x), params, "m").data.tobytes()
 
 
 def test_an_mlp_over_constant_weights_keeps_no_layer_input():
@@ -416,7 +423,7 @@ def test_an_mlp_over_constant_weights_keeps_no_layer_input():
         """Bytes the forward leaves allocated while its output lives."""
         tracemalloc.start()
         try:
-            out = T.mlp(x, params, "m", 3)
+            out = T.mlp(x, params, "m")
             return tracemalloc.get_traced_memory()[0], out
         finally:
             tracemalloc.stop()

@@ -1,7 +1,8 @@
 """Training-run reproducibility across `--resume`, atomic checkpoints, a
 final checkpoint kept when the final report fails, a final report over every
 augmentation level, golden output digests, clean clouds prepared once per
-run, labels a step cannot score refused, a replayed step bitwise equal to its
+run, labels a step cannot score refused, a loss that is not finite named,
+rows without a live code kept in SCR, a replayed step bitwise equal to its
 selecting pass, the prior's objective over float32 pins bitwise equal to it
 over float64 ones, and checkpoints refused when their arrays do not fit the
 config."""
@@ -18,7 +19,7 @@ import reference as R
 from shiftseg import cli, evalsuite, trainer, verify
 from shiftseg import tensor as T
 from shiftseg.augment import PRESETS
-from shiftseg.pointcloud import IGNORE_LABEL
+from shiftseg.pointcloud import IGNORE_LABEL, PointCloud
 
 
 def write_config(path, **overrides):
@@ -219,6 +220,63 @@ def test_train_step_refuses_a_label_it_cannot_score():
     labels[labels.size // 2] = IGNORE_LABEL
     batch[-1] = dataclasses.replace(batch[-1], labels=labels)
     assert trainer.train_step(state, batch, cfg, 0, 0)["step"] == 0
+
+
+@pytest.mark.parametrize("param, key", [("seg.b0", "loss_ce"), ("scp.dec.b0", "vq_recon")])
+def test_a_loss_that_is_not_finite_stops_the_run_naming_it(param, key):
+    # an infinite bias makes the first loss its network feeds not finite;
+    # the decoder's feeds only the prior's objective, whose sum is not
+    # finite either, and the error names the first key in steplog order
+    cfg = verify.tiny_config(t=0.3)
+    split, clouds = trainer.default_data(cfg)
+    batch = [clouds[c] for c in split.train[:cfg.batch_size]]
+    state = trainer.init_state(cfg)
+    trainer.train_step(state, batch, cfg, 0, 0)
+    params = {**state.model.params, **state.prior.params}
+    params[param].data[0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(
+            trainer.TrainingDiverged, match=rf"^{key} is not finite at step 1 \(epoch 0\)$"):
+        trainer.train_step(state, batch, cfg, 0, 1)
+
+
+def beside_ignore_copies(cloud):
+    """`cloud` with two ignore-labelled copies of every point at +-1e-4, so
+    the majority label of every voxel is ignore, until an augmentation drops
+    a copy and its point's label wins the tie."""
+    pos = cloud.positions
+    labels = np.full(2 * len(cloud), IGNORE_LABEL, dtype=np.uint16)
+    return PointCloud(np.concatenate([pos, pos + 1e-4, pos - 1e-4]),
+                      np.concatenate([cloud.labels, labels]), cloud.cloud_id)
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.0])
+def test_rows_of_classes_without_a_live_code_stay_in_scr(lam):
+    # the originals label no voxel, so no code is ever initialized, while the
+    # augmented clouds label some: those rows have no code to be scored
+    # against, and cross-entropy keeps all of them
+    cfg = verify.tiny_config(t=0.3, lam=lam)
+    split, clouds = trainer.default_data(cfg)
+    cloud = beside_ignore_copies(clouds[split.train[0]])
+    state = trainer.init_state(cfg)
+    for step in range(3):
+        log = trainer.train_step(state, [cloud], cfg, 0, step)
+        assert log["loss_ce"] == 0.0 and log["loss_ce_aug"] > 0.0
+        assert all(np.isfinite(v) for k, v in log.items() if k.startswith("loss_"))
+        assert log["ssr_ratio"] == 0.0
+        if lam == 0.0:
+            assert log["loss_ce_scr"] == log["loss_ce_aug"]
+    assert not state.cb.initialized.any()
+
+
+@pytest.mark.parametrize("mode, ratios", [("full", {level: 0.0 for level in PRESETS}),
+                                           ("eas", None)])
+def test_the_final_report_of_a_prior_without_live_codes_flags_no_row(mode, ratios):
+    # None means only that the mode has no prior
+    cfg = verify.tiny_config(scenes=2, val_fraction=0.5, mode=mode)
+    split, clouds = trainer.default_data(cfg)
+    val_clouds = [clouds[c] for c in split.val]
+    rep = trainer.final_report(trainer.init_state(cfg), val_clouds, cfg)
+    assert rep["ssr_ratio_by_level"] == ratios
 
 
 # full with global distillation, and the EAS + SCR regime, which is full

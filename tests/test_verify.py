@@ -1,5 +1,6 @@
 """The oracle verification suites, run as the `verify` command runs them,
 and the kink-aware finite differences behind the gradient suite."""
+import hashlib
 import json
 
 import numpy as np
@@ -10,11 +11,25 @@ import shiftseg.tensor as T
 from shiftseg import cli, oracle, verify
 
 
+# sha256 of each suite's oracle_report.json: the suites' measured errors and
+# values keep their bits while the code they check does. A change that
+# declares a numeric change (in CHANGES.md) re-records these.
+REPORT_DIGESTS = {
+    "grad": "57a4c29be98565ef1e12d0eed605176bbdfed452acc667172ab3805d69fd53c4",
+    "precision": "d3b3b6382b8f26c76f9220ee669cff95491fa5cc2744f4a17eebf42212d62f61",
+    "quant": "a244ffecb64c247dd3e3b97008a5a2cb6ec04d1aecbab2602496dfcd882fe01d",
+    "stats": "bcbbf705eab7b1f533ee20ff1b82abef7915b3e026b13b22b12d01d663902624",
+    "metrics": "fba725107b12f59d1c42faaec46d068139ca642e3ea80adb939904d4b6d1e258",
+}
+
+
 @pytest.mark.parametrize("suite", verify.SUITES)
 def test_suite_passes(suite, tmp_path):
     assert cli.main(["verify", "--suite", suite, "--out", str(tmp_path)]) == 0
-    reports = json.loads((tmp_path / "oracle_report.json").read_text())
+    report = (tmp_path / "oracle_report.json").read_bytes()
+    reports = json.loads(report)
     assert reports and all(r["passed"] for r in reports)
+    assert hashlib.sha256(report).hexdigest() == REPORT_DIGESTS[suite]
 
 
 def test_injected_fault_fails_the_suite(tmp_path, monkeypatch):

@@ -26,8 +26,9 @@ config, dataset or checkpoint included).
 Output directory layout: OUT/{manifest.json, config.json, steplog.ndjson,
 ckpt/, reports/, csv/}; a dataset's: DIR/{manifest.json, config.json,
 split.json, <cloud id>.a3pc}. Each checkpoint directory
-ckpt/<epoch_NNNN|final>/ holds weights.a3wt (every array of the run, the
-prior's included) and state.json (the config hash a resume checks).
+ckpt/<epoch_NNNN|final>/ holds weights.a3wt (`trainer.state_arrays`: the
+networks, codebook, optimizer moments and step counts, step and epoch) and
+state.json (the config hash a resume checks).
 """
 from __future__ import annotations
 

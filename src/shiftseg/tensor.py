@@ -446,7 +446,9 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Optimizer:
-    """SGD-with-momentum or Adam over a named parameter dict."""
+    """SGD-with-momentum or Adam over a named parameter dict. `t`, the count
+    of steps taken, is a 1-element float64 array, so that a checkpoint loads
+    into it in place as into the moment buffers (`named_arrays`)."""
 
     KINDS = ("sgd-momentum", "adam")
 
@@ -465,7 +467,7 @@ class Optimizer:
         self.weight_decay = weight_decay
         self.momentum = momentum
         self.max_grad_norm = max_grad_norm
-        self.t = 0
+        self.t = np.zeros(1)
         self.buffers = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         if kind == "adam":
             self.buffers2 = {name: np.zeros_like(p.data) for name, p in self.params.items()}
@@ -508,8 +510,8 @@ class Optimizer:
                 m += (1.0 - ADAM_BETA1) * g
                 v *= ADAM_BETA2
                 v += (1.0 - ADAM_BETA2) * g * g
-                mh = m / (1.0 - ADAM_BETA1 ** self.t)
-                vh = v / (1.0 - ADAM_BETA2 ** self.t)
+                mh = m / (1.0 - ADAM_BETA1 ** self.t[0])
+                vh = v / (1.0 - ADAM_BETA2 ** self.t[0])
                 p.data -= self.lr * mh / (np.sqrt(vh) + ADAM_EPS)
             p.grad = None
 
@@ -517,21 +519,14 @@ class Optimizer:
         for p in self.params.values():
             p.grad = None
 
-    def state_arrays(self, prefix: str) -> dict[str, np.ndarray]:
-        """Moment buffers as named arrays for checkpointing."""
-        out = {f"{prefix}.m.{n}": b.copy() for n, b in self.buffers.items()}
+    def named_arrays(self, prefix: str) -> dict[str, np.ndarray]:
+        """The live moment buffers and step count `t` by checkpoint name, to
+        be copied out or loaded into."""
+        out = {f"{prefix}.m.{n}": b for n, b in self.buffers.items()}
         if self.kind == "adam":
-            out.update({f"{prefix}.v.{n}": b.copy() for n, b in self.buffers2.items()})
-        out[f"{prefix}.t"] = np.array([float(self.t)])
+            out.update({f"{prefix}.v.{n}": b for n, b in self.buffers2.items()})
+        out[f"{prefix}.t"] = self.t
         return out
-
-    def load_state_arrays(self, prefix: str, arrays: Mapping[str, np.ndarray]) -> None:
-        targets = {f"{prefix}.m.{n}": b for n, b in self.buffers.items()}
-        if self.kind == "adam":
-            targets.update({f"{prefix}.v.{n}": b for n, b in self.buffers2.items()})
-        targets[f"{prefix}.t"] = t = np.zeros(1)
-        load_arrays(arrays, targets)
-        self.t = int(t[0])
 
 
 # ---------------------------------------------------------------------------

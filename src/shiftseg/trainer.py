@@ -242,8 +242,9 @@ def init_state(cfg: TrainConfig) -> TrainState:
 # ---------------------------------------------------------------------------
 # Step losses. `step_losses` builds the step's seg loss graph and
 # `vq_objective` the prior's; every discrete choice of the step (quantizer
-# assignments, region masks, distillation targets) is captured in a
-# StepSelection on the first pass and treated as a pinned constant
+# assignments, each augmented cloud's region masks, and the distillation
+# targets of all its shifted rows, from one nearest-code search) is captured
+# in a StepSelection on the first pass and treated as a pinned constant
 # afterwards, which is also exactly what finite-difference checks against
 # L_total and the quantized-autoencoder objective need.
 
@@ -260,19 +261,17 @@ class ScpSelection:
 
 
 @dataclass
-class SsrSelection:
-    """One augmented cloud's pinned regions and distillation targets. With
-    `loc` the cloud's LocalizeResult, `masks.ssr[loc.index]` flags its
-    shifted rows in the grouped order of `loc.z_e` and of the targets."""
-    distill_targets: np.ndarray | None  # (m, D) pinned code values for SSR rows
-    masks: ssrmod.ShiftMasks
-
-
-@dataclass
 class StepSelection:
+    """Every discrete choice of a step, pinned by its selecting pass. In full
+    mode `masks` holds one ShiftMasks per augmented cloud, and with lambda
+    != 0 `targets` holds the distillation target of every shifted row, the
+    nearest initialized code of any class: one (m, D) array, cloud after
+    cloud, each cloud's rows in the grouped order of its localized latents
+    (None when no row is shifted)."""
     scp_sel: ScpSelection | None = None
-    ssr_sel: list[SsrSelection] | None = None
     snapshot: ssrmod.PriorSnapshot | None = None
+    masks: list[ssrmod.ShiftMasks] | None = None
+    targets: np.ndarray | None = None
 
 
 @dataclass
@@ -330,18 +329,6 @@ def pinned_codes(cb: scp.CodebookState, flat: np.ndarray,
     return z_q0, z_q.astype(z_e0.dtype, copy=False)
 
 
-def _select_ssr(loc: ssrmod.LocalizeResult, snapshot: ssrmod.PriorSnapshot,
-                distill_on: bool) -> SsrSelection:
-    """Pin one augmented cloud's regions and, for its shifted rows, the
-    distillation targets: the nearest initialized code of any class."""
-    shifted = loc.masks.ssr[loc.index]
-    targets = None
-    if distill_on and shifted.any():
-        targets = scp.nearest_global(snapshot.codes3, snapshot.initialized,
-                                     loc.z_e.data[shifted])
-    return SsrSelection(targets, loc.masks)
-
-
 def prior_snapshot(state: TrainState) -> ssrmod.PriorSnapshot | None:
     """The frozen prior that a training step and every evaluation localize
     with, at the run's threshold; None only when the mode has no prior.
@@ -391,19 +378,20 @@ def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
                                     pc.rep_labels, cfg.dilation_radius)
                     for lg, pc in zip(aug_logits, pb.augmented)]
             if selecting:
-                sel.ssr_sel = [_select_ssr(loc, sel.snapshot, distill_on) for loc in locs]
+                sel.masks = [loc.masks for loc in locs]
             ce_scr = _mean_over([
-                segnet.ce_loss(lg, pc.rep_labels, mask=s.masks.scr)
-                for lg, pc, s in zip(aug_logits, pb.augmented, sel.ssr_sel)])
+                segnet.ce_loss(lg, pc.rep_labels, mask=m.scr)
+                for lg, pc, m in zip(aug_logits, pb.augmented, sel.masks)])
             total = T.add(total, ce_scr)
             if distill_on:
-                picked = [T.gather_rows(loc.z_e, np.flatnonzero(s.masks.ssr[loc.index]))
-                          for loc, s in zip(locs, sel.ssr_sel) if s.distill_targets is not None]
-                targets = [s.distill_targets for s in sel.ssr_sel
-                           if s.distill_targets is not None]
+                rows = [np.flatnonzero(m.ssr[loc.index]) for loc, m in zip(locs, sel.masks)]
+                picked = [T.gather_rows(loc.z_e, r) for loc, r in zip(locs, rows) if r.size]
                 if picked:
                     z_all = picked[0] if len(picked) == 1 else T.concat(picked, axis=0)
-                    distill = T.mse(z_all, np.concatenate(targets))
+                    if selecting:
+                        sel.targets = scp.nearest_global(
+                            sel.snapshot.codes3, sel.snapshot.initialized, z_all.data)
+                    distill = T.mse(z_all, sel.targets)
                 else:
                     distill = T.Tensor(0.0)
                 total = T.add(total, T.scale(distill, cfg.lam))
@@ -431,17 +419,17 @@ def vq_objective(state: TrainState, sel: StepSelection, cfg: TrainConfig,
 # One optimization step
 
 
-def _log_losses(log: dict, losses: list[tuple[str, T.Tensor | None]],
-                state: TrainState) -> None:
+def _log_losses(log: dict, losses: list[tuple[str, T.Tensor | None]]) -> None:
     """Record each (steplog key, loss) pair that is not None, in order; a
-    value that is not finite raises TrainingDiverged naming its key."""
+    value that is not finite raises TrainingDiverged naming its key and the
+    line's step and epoch."""
     for name, loss in losses:
         if loss is None:
             continue
         log[name] = loss.item()
         if not math.isfinite(log[name]):
             raise TrainingDiverged(
-                f"{name} is not finite at step {state.step} (epoch {state.epoch})")
+                f"{name} is not finite at step {log['step']} (epoch {log['epoch']})")
 
 
 def prepared_clean(state: TrainState, cloud: PointCloud) -> PreparedCloud:
@@ -490,21 +478,21 @@ def train_step(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
     log: dict = {"step": state.step, "epoch": epoch, "batch": batch_index}
     _log_losses(log, [("loss_ce", bundle.ce), ("loss_ce_aug", bundle.ce_aug),
                       ("loss_ce_scr", bundle.ce_scr), ("loss_distill", bundle.distill),
-                      ("loss_total", bundle.total)], state)
+                      ("loss_total", bundle.total)])
 
     T.backward(bundle.total)
     state.seg_opt.step()
     vq = vq_objective(state, sel, cfg, bundle.z_prior)
     if vq is not None:
         _log_losses(log, [("vq_recon", vq.recon), ("vq_codebook", vq.codebook),
-                          ("vq_commitment", vq.commitment), ("vq_total", vq.total)], state)
+                          ("vq_commitment", vq.commitment), ("vq_total", vq.total)])
         T.backward(vq.total)
         state.ae_opt.step()
     if state.cb is not None:
         log["code_usage"] = int(state.cb.usage.sum())
-    if sel.ssr_sel is not None:
-        ssr_rows = sum(int(s.masks.ssr.sum()) for s in sel.ssr_sel)
-        labeled = sum(int((s.masks.scr | s.masks.ssr).sum()) for s in sel.ssr_sel)
+    if sel.masks is not None:
+        ssr_rows = sum(int(m.ssr.sum()) for m in sel.masks)
+        labeled = sum(int((m.scr | m.ssr).sum()) for m in sel.masks)
         log["ssr_ratio"] = ssr_rows / labeled if labeled else 0.0
     if pb.augmented is not None:
         log["aug"] = [rec.to_json() for rec in pb.records]
@@ -517,27 +505,33 @@ def train_step(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
 # Checkpointing
 
 
-def state_arrays(state: TrainState) -> dict[str, np.ndarray]:
-    arrays = {name: p.data.copy() for name, p in state.model.params.items()}
-    arrays.update(state.seg_opt.state_arrays("opt.seg"))
+def _arrays(state: TrainState) -> dict[str, np.ndarray]:
+    """Every array a checkpoint holds but the step and epoch, by name: the
+    live arrays of the seg net and its optimizer and, with a prior, of the
+    prior, its codebook and its optimizer. The one list of checkpoint names."""
+    arrays = {name: p.data for name, p in state.model.params.items()}
+    arrays.update(state.seg_opt.named_arrays("opt.seg"))
     if state.prior is not None:
-        arrays.update({name: p.data.copy() for name, p in state.prior.params.items()})
-    if state.cb is not None:
-        arrays["scp.codes"] = state.cb.codes.data.copy()
-        arrays["scp.variances"] = state.cb.variances.copy()
-        arrays["scp.usage"] = state.cb.usage.astype(np.float64)
-        arrays["scp.initialized"] = state.cb.initialized.astype(np.float64)
-    if state.ae_opt is not None:
-        arrays.update(state.ae_opt.state_arrays("opt.ae"))
+        cb = state.cb
+        arrays.update({name: p.data for name, p in state.prior.params.items()})
+        arrays.update({"scp.codes": cb.codes.data, "scp.variances": cb.variances,
+                       "scp.usage": cb.usage, "scp.initialized": cb.initialized})
+        arrays.update(state.ae_opt.named_arrays("opt.ae"))
+    return arrays
+
+
+def state_arrays(state: TrainState) -> dict[str, np.ndarray]:
+    """A float64 copy of every checkpoint array (`_arrays`), and the step and
+    epoch as "meta.step" and "meta.epoch"."""
+    arrays = {name: a.astype(np.float64) for name, a in _arrays(state).items()}
     arrays["meta.step"] = np.array([float(state.step)])
     arrays["meta.epoch"] = np.array([float(state.epoch)])
     return arrays
 
 
 def save_state(state: TrainState, ckpt_dir: str) -> None:
-    """Write weights.a3wt (every array of `state_arrays`, the prior's "scp.*"
-    ones and the step and epoch included) and state.json, which holds the
-    config hash `_check_resumable` reads, as one directory.
+    """Write weights.a3wt (the arrays of `state_arrays`) and state.json,
+    which holds the config hash `_check_resumable` reads, as one directory.
 
     The files go to a sibling `.partial-<name>` directory, which is synced
     to disk and then takes `ckpt_dir`'s place by rename (an existing
@@ -575,20 +569,12 @@ def _fsync(path: str) -> None:
 
 
 def load_state(cfg: TrainConfig, ckpt_dir: str) -> TrainState:
-    """The state saved in `ckpt_dir`; every array comes from that
-    checkpoint."""
+    """The state saved in `ckpt_dir`: every array of `_arrays`, and the
+    step and epoch, loaded from that checkpoint."""
     state = init_state(cfg)
-    arrays = T.load_checkpoint(os.path.join(ckpt_dir, "weights.a3wt"))
-    T.load_arrays(arrays, {name: p.data for name, p in state.model.params.items()})
-    state.seg_opt.load_state_arrays("opt.seg", arrays)
-    if state.prior is not None:
-        cb = state.cb
-        T.load_arrays(arrays, {**{name: p.data for name, p in state.prior.params.items()},
-                               "scp.codes": cb.codes.data, "scp.variances": cb.variances,
-                               "scp.usage": cb.usage, "scp.initialized": cb.initialized})
-        state.ae_opt.load_state_arrays("opt.ae", arrays)
     meta = {"meta.step": np.zeros(1), "meta.epoch": np.zeros(1)}
-    T.load_arrays(arrays, meta)
+    T.load_arrays(T.load_checkpoint(os.path.join(ckpt_dir, "weights.a3wt")),
+                  {**_arrays(state), **meta})
     state.step = int(meta["meta.step"][0])
     state.epoch = int(meta["meta.epoch"][0])
     return state

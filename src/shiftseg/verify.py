@@ -57,7 +57,7 @@ def tiny_config(**overrides) -> trainer.TrainConfig:
 
 
 def _shifted_rows(sel: trainer.StepSelection) -> int:
-    return sum(int(s.masks.ssr.sum()) for s in sel.ssr_sel or [])
+    return sum(int(m.ssr.sum()) for m in sel.masks or [])
 
 
 def float64_batch(pb: trainer.PreparedBatch) -> trainer.PreparedBatch:

@@ -1,6 +1,6 @@
 """tools/bench_pairs.py: seed lists, the per-metric pair summary and its
-verdict, the per-artifact digest comparison, and warm-up runs kept out of
-the pairs."""
+verdict, the per-artifact digest comparison, warm-up runs kept out of the
+pairs, and the digest of the code each checkout ran."""
 import json
 import os
 import sys
@@ -127,3 +127,15 @@ def test_warm_up_runs_stay_out_of_the_pairs_and_the_table_sums_them_up(
     assert err[header + 1].split() == ["w", "step_s", "1.002", "0.802", "0.001", "3/3",
                                        "gain,separated", "steplog", "3/3", "weights", "3/3"]
     assert err[header + 2].startswith("wrote ")
+
+
+def test_the_source_digest_names_the_code_a_checkout_ran(tmp_path):
+    for side in ("a", "b"):
+        (tmp_path / side / "src" / "pkg").mkdir(parents=True)
+        (tmp_path / side / "src" / "pkg" / "mod.py").write_bytes(b"x = 1\n")
+        (tmp_path / side / "src" / "top.py").write_bytes(b"")
+    (tmp_path / "b" / "notes.txt").write_text("outside src/**/*.py")
+    digest = bench_pairs.src_digest
+    assert digest(str(tmp_path / "a")) == digest(str(tmp_path / "b"))
+    (tmp_path / "b" / "src" / "pkg" / "mod.py").write_bytes(b"x = 2\n")
+    assert digest(str(tmp_path / "a")) != digest(str(tmp_path / "b"))

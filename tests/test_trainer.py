@@ -4,8 +4,9 @@ augmentation level, golden output digests, clean clouds prepared once per
 run, labels a step cannot score refused, a loss that is not finite named,
 rows without a live code kept in SCR, a replayed step bitwise equal to its
 selecting pass, the prior's objective over float32 pins bitwise equal to it
-over float64 ones, and checkpoints refused when their arrays do not fit the
-config."""
+over float64 ones, checkpoints refused when their arrays do not fit the
+config, a checkpoint restoring every array in every mode, and one target
+search over the shifted rows of every cloud of a step."""
 import dataclasses
 import hashlib
 import json
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import reference as R
-from shiftseg import cli, evalsuite, trainer, verify
+from shiftseg import cli, evalsuite, scp, ssr, trainer, verify
 from shiftseg import tensor as T
 from shiftseg.augment import PRESETS
 from shiftseg.pointcloud import IGNORE_LABEL, PointCloud
@@ -234,9 +235,14 @@ def test_a_loss_that_is_not_finite_stops_the_run_naming_it(param, key):
     trainer.train_step(state, batch, cfg, 0, 0)
     params = {**state.model.params, **state.prior.params}
     params[param].data[0] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(
-            trainer.TrainingDiverged, match=rf"^{key} is not finite at step 1 \(epoch 0\)$"):
-        trainer.train_step(state, batch, cfg, 0, 1)
+    # the error names the epoch of the line, which a caller need not keep in
+    # state.epoch
+    assert state.epoch == 0
+    for epoch in (0, 3):
+        with np.errstate(invalid="ignore"), pytest.raises(
+                trainer.TrainingDiverged,
+                match=rf"^{key} is not finite at step 1 \(epoch {epoch}\)$"):
+            trainer.train_step(state, batch, cfg, epoch, 1)
 
 
 def beside_ignore_copies(cloud):
@@ -363,3 +369,61 @@ def test_a_checkpoint_of_another_codebook_size_is_refused(tmp_path):
     with pytest.raises(T.CheckpointError,
                        match=r"'scp.codes' has shape \(16, 8\), expected \(32, 8\)"):
         trainer.load_state(verify.tiny_config(k=8), str(tmp_path / "ck"))
+
+
+def array_bytes(state):
+    return {name: (a.dtype.str, a.shape, a.tobytes())
+            for name, a in trainer.state_arrays(state).items()}
+
+
+@pytest.mark.parametrize("mode", trainer.MODES)
+def test_a_checkpoint_restores_every_array_and_the_next_step(tmp_path, mode):
+    # optimizer moments and step counts included: the next step of the
+    # loaded state is the next step of the saved one
+    cfg = verify.tiny_config(mode=mode, batch_size=2, scenes=4, t=0.3)
+    split, clouds = trainer.default_data(cfg)
+    batch = [clouds[c] for c in split.train]
+    state = trainer.init_state(cfg)
+    for step in range(2):
+        trainer.train_step(state, batch, cfg, 0, step)
+    counts = {n: a[0] for n, a in trainer.state_arrays(state).items() if n.endswith(".t")}
+    assert counts == ({"opt.seg.t": 2.0, "opt.ae.t": 2.0} if mode == "full"
+                      else {"opt.seg.t": 2.0})
+    trainer.save_state(state, str(tmp_path / "ck"))
+    loaded = trainer.load_state(cfg, str(tmp_path / "ck"))
+    assert array_bytes(loaded) == array_bytes(state)
+    line = trainer.train_step(state, batch, cfg, 0, 2)
+    assert trainer.train_step(loaded, batch, cfg, 0, 2) == line
+    assert array_bytes(loaded) == array_bytes(state)
+
+
+def test_one_target_search_covers_the_shifted_rows_of_every_cloud(monkeypatch):
+    cfg = verify.tiny_config(scenes=5, val_fraction=0.2, batch_size=4, t=0.3,
+                             points_per_scene=128)
+    split, clouds = trainer.default_data(cfg)
+    batch = [clouds[c] for c in split.train]
+    state = trainer.init_state(cfg)
+    for step in range(2):
+        trainer.train_step(state, batch, cfg, 0, step)
+    pb = trainer.prepare_batch(state, batch, cfg, 0, 2)
+    nearest_global = scp.nearest_global
+    searches = []
+    monkeypatch.setattr(scp, "nearest_global",
+                        lambda *args: searches.append(args) or nearest_global(*args))
+    first, sel = trainer.step_losses(state, pb, cfg)
+    assert len(searches) == 1
+    # each cloud's shifted rows searched on their own, in cloud order
+    snap = sel.snapshot
+    per_cloud = []
+    for pc, masks in zip(pb.augmented, sel.masks):
+        probs = T.softmax(state.model.forward(pc.feats))
+        loc = ssr.localize(snap, probs, pc.rep_coords, pc.rep_labels, cfg.dilation_radius)
+        shifted = masks.ssr[loc.index]
+        if shifted.any():
+            per_cloud.append(nearest_global(snap.codes3, snap.initialized,
+                                            loc.z_e.data[shifted]))
+    assert len(per_cloud) >= 2
+    assert sel.targets.tobytes() == np.concatenate(per_cloud).tobytes()
+    again, _ = trainer.step_losses(state, pb, cfg, sel)
+    assert len(searches) == 1
+    assert again.total.data.tobytes() == first.total.data.tobytes()

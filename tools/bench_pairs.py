@@ -13,6 +13,8 @@ warm-up runs take the session's cold start and are kept in the output as
 "warmup", outside every median and count.
 
 Writes BENCH_<label>.json (in --out-dir, the current directory by default):
+- per checkout, its directory name, its git commit (None outside a git
+  checkout) and `src_sha256`, a digest of the code it ran (`src_digest`);
 - every run's end-to-end metrics, digests, error rate and order, the
   warm-up runs apart;
 - per workload and metric, the medians of both sides, the base's
@@ -29,8 +31,10 @@ holds (see `summarize`).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import pathlib
 import statistics
 import subprocess
 import sys
@@ -55,6 +59,18 @@ def commit_of(checkout: str) -> str | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return out.stdout.strip()
+
+
+def src_digest(checkout: str) -> str:
+    """sha256 over the checkout's src/**/*.py, in sorted order of their
+    relative paths: each path, then its byte count and bytes."""
+    root = pathlib.Path(checkout)
+    h = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix() for p in root.glob("src/**/*.py")):
+        data = (root / rel).read_bytes()
+        h.update(f"{rel}\n{len(data)}\n".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -184,7 +200,8 @@ def main(argv=None) -> int:
     doc = {"label": args.label, "seconds": args.seconds, "seeds": seeds,
            "command": "shiftbench/run.py --workload W --seed S --seconds "
                       f"{args.seconds:g} --trace 0",
-           "checkouts": {side: {"dir": os.path.basename(d), "commit": commit_of(d)}
+           "checkouts": {side: {"dir": os.path.basename(d), "commit": commit_of(d),
+                                "src_sha256": src_digest(d)}
                          for side, d in checkouts.items()},
            "workloads": {}}
     for workload in args.workloads.split(","):

@@ -18,6 +18,7 @@ INIT_VARIANCE = 1.0
 COORD_SCALE = 0.125
 BETA = 0.25  # commitment weight (the VQ-VAE default)
 GAMMA = 0.9  # EMA decay of the per-code variances
+NEAREST_ROWS = 1024  # query rows per distance block of `_nearest`
 
 
 @dataclass
@@ -89,12 +90,22 @@ def _nearest(table: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Index of the nearest row of `table` for each row of `z`, by the
     expanded-form squared Euclidean distance in float64, clamped at 0.
     Identical code rows keep bit-identical distances, so exact ties,
-    duplicate codes among them, resolve to the lowest index."""
-    z = np.asarray(z, dtype=np.float64)
-    d2 = ((z * z).sum(axis=1)[:, None]
-          - 2.0 * (z @ table.T)
-          + (table * table).sum(axis=1)[None, :])
-    return np.maximum(d2, 0.0).argmin(axis=1)
+    duplicate codes among them, resolve to the lowest index.
+
+    The rows are taken NEAREST_ROWS at a time, each block's distances in one
+    buffer, so a search over every shifted row of a step holds no more than
+    a search over one cloud's did; a row's distances do not depend on the
+    rows beside it."""
+    tt = (table * table).sum(axis=1)
+    idx = np.empty(len(z), dtype=np.int64)
+    for i in range(0, len(z), NEAREST_ROWS):
+        zb = np.asarray(z[i:i + NEAREST_ROWS], dtype=np.float64)
+        d2 = zb @ table.T
+        d2 *= -2.0  # then + |z|^2: |z|^2 - 2 z.e bit for bit, then + |e|^2
+        d2 += (zb * zb).sum(axis=1)[:, None]
+        d2 += tt
+        idx[i:i + NEAREST_ROWS] = np.maximum(d2, 0.0, out=d2).argmin(axis=1)
+    return idx
 
 
 def quantize(codes3: np.ndarray, z_e: np.ndarray, classes: np.ndarray) -> np.ndarray:

@@ -92,10 +92,10 @@ def _nearest(table: np.ndarray, z: np.ndarray) -> np.ndarray:
     Identical code rows keep bit-identical distances, so exact ties,
     duplicate codes among them, resolve to the lowest index.
 
-    The rows are taken NEAREST_ROWS at a time, each block's distances in one
-    buffer, so a search over every shifted row of a step holds no more than
-    a search over one cloud's did; a row's distances do not depend on the
-    rows beside it."""
+    The rows are taken NEAREST_ROWS at a time, each block's distances built
+    in one buffer, so the (rows, codes) float64 memory of a search over
+    every shifted row of a step (`nearest_global`) stays bounded; a row's
+    distances do not depend on the rows beside it."""
     tt = (table * table).sum(axis=1)
     idx = np.empty(len(z), dtype=np.int64)
     for i in range(0, len(z), NEAREST_ROWS):

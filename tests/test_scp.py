@@ -150,7 +150,9 @@ def test_nearest_global_matches_the_exhaustive_scan_over_live_codes():
     c, k, d = 4, 6, 5
     cb = initialized_codebook(c, k, d, seed=7)
     cb.initialized[[0, 2]] = False
-    z = Stream(8, "rows").normal(200 * d).reshape(200, d).astype(np.float32)
+    # more rows than two of the search's blocks, the last one partial
+    n = 2 * scp.NEAREST_ROWS + 52
+    z = Stream(8, "rows").normal(n * d).reshape(n, d).astype(np.float32)
     live = np.flatnonzero(np.repeat(cb.initialized, k))
     idx, _ = oracle.brute_nn(cb.codes.data[live], z)
     target = scp.nearest_global(cb.codes3(), cb.initialized, z)

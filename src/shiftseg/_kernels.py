@@ -120,8 +120,6 @@ def dilate(points: np.ndarray, mask: np.ndarray, radius: float) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (points.shape[0],):
         raise ValueError(f"mask shape {mask.shape} does not match cloud size {points.shape[0]}")
-    if radius < 0:
-        raise ValueError("dilation radius must be nonnegative")
     out = mask.copy()
     if radius == 0.0 or not mask.any() or mask.all():
         return out

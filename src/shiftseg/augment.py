@@ -40,10 +40,6 @@ class AugmentConfig:
     subsidiary: bool = True
     noise_points: int = 0
 
-    def __post_init__(self):
-        if self.preset not in PRESETS:
-            raise ValueError(f"unknown preset {self.preset!r}")
-
 
 @dataclass
 class AugmentRecord:
@@ -101,8 +97,6 @@ def _child(cloud: PointCloud, positions, labels) -> PointCloud:
 
 def jitter(cloud: PointCloud, std: float, stream: Stream) -> PointCloud:
     """Independent Gaussian offset per coordinate; labels untouched."""
-    if std < 0:
-        raise ValueError("jitter std must be nonnegative")
     if std == 0.0:
         return _child(cloud, cloud.positions.copy(), cloud.labels.copy())
     noise = stream.normal(3 * len(cloud), std=std).reshape(len(cloud), 3)
@@ -113,8 +107,6 @@ def point_drop(cloud: PointCloud, ratio: float, stream: Stream) -> PointCloud:
     """Keep exactly max(N - round(N*ratio), min(N, 2)) points: a uniformly
     shuffled prefix, reordered to preserve original relative order; labels in
     lockstep. At least two points survive, so every draw can be featurized."""
-    if not 0.0 <= ratio < 1.0:
-        raise ValueError("drop ratio must be in [0, 1)")
     n = len(cloud)
     n_keep = max(n - int(math.floor(n * ratio + 0.5)), min(n, 2))
     if n_keep >= n:
@@ -150,8 +142,6 @@ def subsidiary(cloud: PointCloud, rec: AugmentRecord, stream: Stream,
         pos = np.concatenate([pos, noise], axis=0)
         labels = np.concatenate([labels, np.full(rec.noise_points, IGNORE_LABEL, np.uint16)])
     if rec.mix_partner is not None:
-        if partner is None:
-            raise ValueError("scan mix enabled but no partner cloud supplied")
         own_even = sector_split(_child(cloud, pos, labels), NUM_SECTORS) % 2 == 0
         par_odd = sector_split(partner, NUM_SECTORS) % 2 == 1
         pos = np.concatenate([pos[own_even], partner.positions[par_odd]], axis=0)

@@ -8,18 +8,18 @@ high-distortion metrics are computed once, from one kNN query per clean
 validation cloud, and reported with every level.
 
 `ablate` trains one run per value of a `SWEEPS` entry (the studied k, D, t
-and lambda), the config otherwise unchanged, and writes each run's clean and
-heavy-level mIoU.
+and lambda of the full mode's prior), the config otherwise unchanged, and
+writes each run's clean and heavy-level mIoU.
 
 Every setting of a run comes from its config file, read through
-`trainer.TrainConfig`; `gen` reads one too, and writes the synthetic clouds
-`train` builds from that config without `--data`, with the config as the
-dataset's config.json. A run given `--data` must match that file in
-scenes, points_per_scene and val_fraction. An unknown key is
-refused, the deleted strategy keys (prior_source, offline_prior_path,
-distill_target, curriculum) and scanmix (a partner turns scan mix on)
-included, and so is mode "eas+scr", now spelled mode "full" with lambda 0.
-Arguments are checked before the output directory is made.
+`trainer.TrainConfig`, the one check of those settings; `gen` reads one too,
+and writes the synthetic clouds `train` builds from that config without
+`--data`, with the config as the dataset's config.json. Refused: an unknown
+config key or a value that could not run; a `--data` dataset that differs
+from the config in scenes, points_per_scene or val_fraction, or that
+`_load_data` cannot use; an `eval` level unknown or listed twice, and
+`--trials` below 1; an unknown `ablate` sweep, or any sweep on a mode
+without a prior. Arguments are checked before the output directory is made.
 
 Exit codes: 0 success, 1 a failed `verify` suite, 2 usage error (a malformed
 config, dataset or checkpoint included).
@@ -192,9 +192,11 @@ def cmd_eval(args) -> int:
     level, the clean clouds' high-distortion metrics, each cloud queried once
     for both its features and its density and curvature."""
     levels = args.levels.split(",")
-    for level in levels:
+    for i, level in enumerate(levels):
         if level not in PRESETS:
             raise UsageError(f"unknown level {level!r}")
+        if level in levels[:i]:
+            raise UsageError(f"level {level!r} is listed twice in --levels")
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
     if not os.path.isdir(args.ckpt):
@@ -229,7 +231,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# sweep name -> (config.json key, values)
+# sweep name -> (config.json key, values); each key sets the full mode's prior
 SWEEPS = {
     "k": ("k", [16, 32, 64]),
     "D": ("D", [32, 64, 128]),
@@ -242,6 +244,9 @@ def cmd_ablate(args) -> int:
     if args.sweep not in SWEEPS:
         raise UsageError(f"unknown sweep {args.sweep!r} (choose from {sorted(SWEEPS)})")
     base = _load_config(args.config)
+    if not trainer.needs_prior(base.mode):
+        raise UsageError(f"sweep {args.sweep!r} varies the prior, which mode "
+                         f"{base.mode!r} does not learn")
     split, clouds = _load_data(args.data, base)
     _prepare_out(args.out, args.force)
     os.makedirs(os.path.join(args.out, "csv"), exist_ok=True)

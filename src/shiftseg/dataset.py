@@ -187,11 +187,7 @@ def _sample_primitive(kind: str, params: dict, n: int, stream: Stream) -> np.nda
 
 def generate_scene(spec: SceneSpec, cloud_id: str | None = None) -> PointCloud:
     """Deterministic labeled scene; identical specs give bit-identical clouds."""
-    if spec.num_points < 64:
-        raise ValueError(f"num_points must be >= 64, got {spec.num_points}")
     prims = _build_primitives(spec)
-    if not prims:
-        raise ValueError("no enabled primitives")
     counts = _allocate([_CLASS_WEIGHTS[c] / sum(1 for q in prims if q[0] == c)
                         for c, _, _ in prims], spec.num_points)
     chunks = []
@@ -306,8 +302,6 @@ def make_split(seed: int, num_scenes: int, val_fraction: float, template: SceneS
     """Split the scenes scene-0000.. and generate them, scene i as `template`
     with seed seed + i, only the validation scenes with val_only. The split
     reads no scene, and each scene depends on its own seed alone."""
-    if not 0.0 < val_fraction < 1.0:
-        raise ValueError("val_fraction must be in (0, 1)")
     ids = [f"scene-{i:04d}" for i in range(num_scenes)]
     perm = Stream(seed, "split").permutation(num_scenes)
     n_val = int(math.floor(num_scenes * val_fraction))

@@ -91,8 +91,6 @@ def fd_gradient(loss_fn, params: dict[str, np.ndarray],
     h/1000 until two successive central differences agree, and take the last
     one; every other entry keeps step h. Returns (gradients, number of
     entries that straddled a kink)."""
-    if h <= 0:
-        raise ValueError("h must be positive")
     mid = loss_fn()
     if not math.isfinite(mid):
         raise FloatingPointError("non-finite loss at the unperturbed parameters")

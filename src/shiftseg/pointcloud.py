@@ -196,8 +196,6 @@ def sector_split(cloud: PointCloud, num_sectors: int) -> np.ndarray:
     The top edge wraps to sector 0 rather than clamping, so the +pi and -pi
     representations of the negative-x ray land in the same sector.
     """
-    if num_sectors < 2:
-        raise ValueError("num_sectors must be >= 2")
     ang = np.arctan2(cloud.positions[:, 1], cloud.positions[:, 0]) + np.pi
     sec = np.floor(num_sectors * ang / (2.0 * np.pi)).astype(np.int64)
     return sec % num_sectors

@@ -69,17 +69,13 @@ class PriorAutoencoder:
 
     def __init__(self, class_count: int, latent_dim: int, widths: tuple[int, ...],
                  seed: int):
-        self.input_dim = class_count + 3
         stream = Stream(seed, "prior-init")  # the encoder draws first
         self.params = {
-            **T.mlp_params("scp.enc", [self.input_dim, *widths, latent_dim], stream),
+            **T.mlp_params("scp.enc", [class_count + 3, *widths, latent_dim], stream),
             **T.mlp_params("scp.dec", [latent_dim, *reversed(widths), class_count], stream)}
 
     def encode(self, rows) -> T.Tensor:
         """Latent row per input row."""
-        rows = T.as_tensor(rows)
-        if rows.shape[1] != self.input_dim:
-            raise T.ShapeError(f"encode: rows have width {rows.shape[1]}, expected {self.input_dim}")
         return T.mlp(rows, self.params, "scp.enc")
 
     def decode(self, z) -> T.Tensor:

@@ -23,10 +23,6 @@ class PriorSnapshot:
     threshold: float
     encoder_params: dict[str, np.ndarray]  # the "scp.enc.*" arrays
 
-    def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError("threshold t must be positive")
-
     def embed(self, rows) -> T.Tensor:
         """Frozen-encoder forward: the encoder weights are constants, so the
         result is differentiable toward the rows only (an array is taken as a

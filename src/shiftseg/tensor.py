@@ -450,13 +450,9 @@ class Optimizer:
     of steps taken, is a 1-element float64 array, so that a checkpoint loads
     into it in place as into the moment buffers (`named_arrays`)."""
 
-    KINDS = ("sgd-momentum", "adam")
-
     def __init__(self, params: Mapping[str, Tensor], kind: str = "sgd-momentum",
                  lr: float = 0.1, weight_decay: float = 0.0, momentum: float = 0.9,
                  max_grad_norm: float | None = None):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown optimizer kind {kind!r}")
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         if weight_decay < 0:

@@ -84,8 +84,9 @@ class TrainConfig:
     D and lambda, geometry, augmentation, bookkeeping) and its
     seed; no flag or environment variable overrides a value. Values no
     experiment varies are module constants: the optimizer settings and
-    CURVE_TRIALS here, scp.BETA and scp.GAMMA, augment.NUM_SECTORS. A value
-    that could not run is refused here with ConfigError."""
+    CURVE_TRIALS here, scp.BETA and scp.GAMMA, augment.NUM_SECTORS. This is
+    the one check of a run's settings: a value that could not run is refused
+    here with ConfigError, and the library downstream takes them as checked."""
 
     # schedule
     epochs: int = 50

@@ -249,7 +249,5 @@ SUITES = {"grad": suite_grad, "precision": suite_precision, "quant": suite_quant
 def run_suites(names) -> list[oracle.OracleReport]:
     reports = []
     for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}")
         reports.extend(SUITES[name]())
     return reports

@@ -60,19 +60,31 @@ def test_train_with_fewer_classes_than_the_generator_has(tmp_path):
     assert quiet_main(["train", "--config", config, "--out", str(tmp_path / "run")]) == 0
 
 
-@pytest.mark.parametrize("key, value", [
-    ("points_per_scene", 63), ("class_count", 0), ("val_fraction", 0.0), ("val_fraction", 1.0),
-    ("scenes", 0), ("k", 0), ("D", 0), ("knn_k", 0), ("voxel_size", 0.0),
-    ("dilation_radius", -0.1), ("noise_points", -1), ("lambda", -0.1), ("ckpt_every", -1),
-    ("eval_every", -1), ("seg_hidden", [-1]), ("encoder_widths", [0])])
-def test_train_refuses_a_config_value_that_cannot_run(tmp_path, capsys, key, value):
+def refused_config(tmp_path, capsys, key, value, message):
+    """`train` and `gen` both exit 2 on the config, print `message` first
+    and make no output directory."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**verify.tiny_config().to_json(), key: value}))
     out = tmp_path / "run"
     for command in ("train", "gen"):
         assert quiet_main([command, "--config", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {key} must be")
+        assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("points_per_scene", 63), ("class_count", 0), ("val_fraction", 0.0), ("val_fraction", 1.0),
+    ("scenes", 0), ("k", 0), ("D", 0), ("knn_k", 0), ("voxel_size", 0.0),
+    ("dilation_radius", -0.1), ("noise_points", -1), ("lambda", -0.1), ("ckpt_every", -1),
+    ("eval_every", -1), ("seg_hidden", [-1]), ("encoder_widths", [0]), ("t", 0.0),
+    ("epochs", -1), ("batch_size", 0)])
+def test_train_refuses_a_config_value_that_cannot_run(tmp_path, capsys, key, value):
+    refused_config(tmp_path, capsys, key, value, f"error: {key} must be")
+
+
+def test_train_refuses_an_unknown_augment_preset(tmp_path, capsys):
+    refused_config(tmp_path, capsys, "augment_preset", "fierce",
+                   "error: unknown augment_preset 'fierce'")
 
 
 def test_gen_with_fewer_classes(tmp_path):
@@ -168,6 +180,15 @@ def test_eval_rejects_an_unknown_level(trained, tmp_path):
     assert quiet_main(["eval", "--ckpt", ckpt, "--config", config, "--levels", "fierce",
                        "--out", str(out)]) == 2
     assert not out.exists()  # so a corrected retry needs no --force
+
+
+def test_eval_rejects_a_level_listed_twice(trained, tmp_path, capsys):
+    _, config, ckpt = trained
+    out = tmp_path / "eval"
+    assert quiet_main(["eval", "--ckpt", ckpt, "--config", config, "--levels",
+                       "light,heavy,heavy", "--out", str(out)]) == 2
+    assert "level 'heavy' is listed twice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_refuses_zero_trials(trained, tmp_path, capsys):
@@ -488,6 +509,17 @@ def test_ablate_rejects_an_unknown_sweep(tmp_path):
     _, config = write_config(tmp_path / "config.json")
     assert quiet_main(["ablate", "--config", config, "--sweep", "width",
                        "--out", str(tmp_path / "ablate")]) == 2
+
+
+@pytest.mark.parametrize("mode", ["none", "eas"])
+def test_ablate_refuses_a_sweep_of_a_prior_the_mode_lacks(tmp_path, capsys, mode):
+    _, config = write_config(tmp_path / "config.json", scenes=3, val_fraction=0.34,
+                             points_per_scene=256, mode=mode)  # one ablate can run in mode full
+    out = tmp_path / "ablate"
+    assert quiet_main(["ablate", "--config", config, "--sweep", "t", "--out", str(out)]) == 2
+    assert f"sweep 't' varies the prior, which mode {mode!r} does not learn" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -28,11 +28,6 @@ def test_scene_minimum_class_presence():
     assert counts.sum() == 4096
 
 
-def test_scene_rejects_tiny():
-    with pytest.raises(ValueError):
-        generate_scene(SceneSpec(seed=1, num_points=63))
-
-
 def test_scene_class_balance_over_split():
     _, scenes = make_split(5, 32, 0.25, SceneSpec(seed=0), False)
     counts = np.zeros(8, dtype=np.int64)

@@ -319,5 +319,3 @@ def test_dilate_rejects_bad_mask_and_radius():
     pts = random_cloud(9, n=20)
     with pytest.raises(ValueError, match="mask shape"):
         _kernels.dilate(pts, np.zeros(19, bool), 1.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        _kernels.dilate(pts, np.zeros(20, bool), -0.1)

@@ -399,8 +399,3 @@ def test_sector_split_matches_direct_binning():
         ref = np.floor(s * ang / (2 * np.pi)).astype(np.int64) % s
         assert np.array_equal(sec, ref)
         assert sec.min() >= 0 and sec.max() < s
-
-
-def test_sector_split_rejects_small():
-    with pytest.raises(ValueError):
-        sector_split(make_cloud(21, n=10), 1)

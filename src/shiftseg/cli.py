@@ -33,8 +33,10 @@ state.json (the config hash a resume checks).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import shutil
 import sys
 import time
 
@@ -67,9 +69,20 @@ def _manifest(out_dir: str, cfg_hash: str, seed: int, layout: list[str]) -> None
     })
 
 
-def _prepare_out(out_dir: str, force: bool) -> None:
+# the entries `train` and `eval` write, a directory with a trailing "/"
+TRAIN_LAYOUT = ["manifest.json", "config.json", "steplog.ndjson", "ckpt/", "reports/"]
+EVAL_LAYOUT = ["manifest.json", "reports/", "csv/"]
+
+
+def _prepare_out(out_dir: str, force: bool, layout: list[str] = ()) -> None:
+    """Refuse a nonempty `out_dir` without `force`; with it, first remove
+    the entries of the command's `layout`, so no earlier output stays beside
+    the new one, and nothing else."""
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not force:
         raise UsageError(f"output directory {out_dir!r} is not empty (use --force)")
+    for entry in layout:
+        with contextlib.suppress(FileNotFoundError):
+            (shutil.rmtree if entry.endswith("/") else os.remove)(os.path.join(out_dir, entry))
     os.makedirs(out_dir, exist_ok=True)
 
 
@@ -165,7 +178,7 @@ def cmd_train(args) -> int:
         if not os.path.isdir(args.out):
             raise UsageError("--resume needs an existing output directory")
     else:
-        _prepare_out(args.out, args.force)
+        _prepare_out(args.out, args.force, TRAIN_LAYOUT)
     resume_from = None
     if args.resume:
         ckpt_root = os.path.join(args.out, "ckpt")
@@ -178,8 +191,7 @@ def cmd_train(args) -> int:
         _write_json(os.path.join(args.out, "config.json"), cfg.to_json())
     state, reports = trainer.run(cfg, split, clouds, out_dir=args.out,
                                  resume_from=resume_from)
-    _manifest(args.out, cfg.config_hash(), cfg.seed,
-              ["manifest.json", "config.json", "steplog.ndjson", "ckpt/", "reports/"])
+    _manifest(args.out, cfg.config_hash(), cfg.seed, TRAIN_LAYOUT)
     if reports:
         print(f"final val mIoU {reports[-1]['miou']:.4f}")
     return 0
@@ -204,7 +216,7 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args.config)
     split, clouds = _load_data(args.data, cfg, val_only=True)
     state = trainer.load_state(cfg, args.ckpt)
-    _prepare_out(args.out, args.force)
+    _prepare_out(args.out, args.force, EVAL_LAYOUT)
     os.makedirs(os.path.join(args.out, "reports"), exist_ok=True)
     os.makedirs(os.path.join(args.out, "csv"), exist_ok=True)
     val_clouds = [clouds[c] for c in split.val]
@@ -226,8 +238,7 @@ def cmd_eval(args) -> int:
         for level, seed, ratio, miou in rows:
             ratio_s = "" if ratio is None else repr(float(ratio))
             f.write(f"{level},{seed},{ratio_s},{repr(float(miou))}\n")
-    _manifest(args.out, cfg.config_hash(), cfg.seed,
-              ["manifest.json", "reports/", "csv/level_sweep.csv"])
+    _manifest(args.out, cfg.config_hash(), cfg.seed, EVAL_LAYOUT)
     return 0
 
 

@@ -167,14 +167,14 @@ def ssr_curve(model: segnet.SegModel, snapshot: PriorSnapshot, clouds, levels,
 
 
 def high_distortion_eval(preds: np.ndarray, labels: np.ndarray, cloud: PointCloud,
-                         nn: NeighborIndex, class_count: int):
+                         nn: NeighborIndex, class_count: int, voxel_size: float):
     """mIoU inside the hard subregion, points with density at or below the
     10th percentile or curvature at or above the 90th (by convention), and
     the fraction of points that region realizes. Density and curvature
     read the first min(EVAL_KNN_K, N-1) columns of `nn`, every point's
     neighbors (`pointcloud.knn` without query rows)."""
     nn = nn.prefix(min(EVAL_KNN_K, len(cloud) - 1))
-    dens = local_density(cloud, nn)
+    dens = local_density(cloud, nn, voxel_size)
     curv = local_curvature(cloud, nn)
     mask = ((dens <= np.percentile(dens, DENSITY_QUANTILE))
             | (curv >= np.percentile(curv, CURVATURE_QUANTILE)))
@@ -197,6 +197,6 @@ def clean_high_distortion(model: segnet.SegModel, clouds, cfg) -> dict:
         nn = knn(cloud, _neighbor_count(cloud, max(cfg.knn_k, EVAL_KNN_K)))
         preds = point_predictions(model, prepare_cloud(cloud, cfg.voxel_size, cfg.knn_k, nn))
         hds.append(high_distortion_eval(preds, cloud.labels.astype(np.int64), cloud, nn,
-                                        cfg.class_count))
+                                        cfg.class_count, cfg.voxel_size))
     return {"high_distortion_mask_fraction": float(np.mean([h["mask_fraction"] for h in hds])),
             "high_distortion_miou": float(np.mean([h["miou"] for h in hds]))}

@@ -57,6 +57,7 @@ class VoxelGrid:
     rep_index: np.ndarray  # (M,) int64 lowest point index per cell
     rep_label: np.ndarray  # (M,) uint16 majority label per cell
     point_cell: np.ndarray  # (N,) int64 cell row per point
+    voxel_size: float
 
 
 @dataclass
@@ -119,7 +120,7 @@ def voxelize(cloud: PointCloud, voxel_size: float) -> VoxelGrid:
     winner = np.searchsorted(cell_of_pair[by_count], np.arange(m))
     rep_label = label_of_pair[by_count][winner].astype(np.uint16)
 
-    return VoxelGrid(order[first], rep_label, point_cell)
+    return VoxelGrid(order[first], rep_label, point_cell, voxel_size)
 
 
 def knn(cloud: PointCloud, k: int, rows: np.ndarray | None = None) -> NeighborIndex:
@@ -129,16 +130,15 @@ def knn(cloud: PointCloud, k: int, rows: np.ndarray | None = None) -> NeighborIn
     return NeighborIndex(k, idx, dist)
 
 
-DENSITY_CAP = 1e12
+# in voxels: a k-th neighbour nearer than this counts as this near, so
+# coincident points get a bounded density (2,500 at a voxel of 0.4)
+DUPLICATE_SPACING = 1e-3
 
 
-def local_density(cloud: PointCloud, nn: NeighborIndex) -> np.ndarray:
+def local_density(cloud: PointCloud, nn: NeighborIndex, voxel_size: float) -> np.ndarray:
     """Inverse distance to the k-th nearest neighbor per query row of `nn`,
-    capped for duplicates."""
-    dk = nn.distances[:, -1]
-    with np.errstate(divide="ignore"):
-        dens = np.where(dk > 0, 1.0 / np.where(dk > 0, dk, 1.0), DENSITY_CAP)
-    return np.minimum(dens, DENSITY_CAP)
+    the distance taken as at least DUPLICATE_SPACING * voxel_size."""
+    return 1.0 / np.maximum(nn.distances[:, -1], DUPLICATE_SPACING * voxel_size)
 
 
 def neighborhoods(positions: np.ndarray, centers: np.ndarray,

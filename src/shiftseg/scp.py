@@ -18,7 +18,7 @@ INIT_VARIANCE = 1.0
 COORD_SCALE = 0.125
 BETA = 0.25  # commitment weight (the VQ-VAE default)
 GAMMA = 0.9  # EMA decay of the per-code variances
-NEAREST_ROWS = 1024  # query rows per distance block of `_nearest`
+NEAREST_ROWS = 1024  # rows per block of `_nearest`'s distances and `vq_losses`' pins
 
 
 @dataclass
@@ -120,12 +120,12 @@ def quantize(codes3: np.ndarray, z_e: np.ndarray, classes: np.ndarray) -> np.nda
 
 def nearest_global(codes3: np.ndarray, initialized: np.ndarray,
                    z_e: np.ndarray) -> np.ndarray:
-    """Value of the nearest code across every initialized class, per row.
-    Some class is initialized whenever `ssr.localize` shifts a row."""
+    """Flat index (class * k + index) of the nearest code across every
+    initialized class, per row. Some class is initialized whenever
+    `ssr.localize` shifts a row."""
     c, k, d = codes3.shape
     live = np.flatnonzero(np.repeat(initialized, k))
-    table = codes3.reshape(c * k, d)[live]
-    return table[_nearest(table, z_e)]
+    return live[_nearest(codes3.reshape(c * k, d)[live], z_e)]
 
 
 @dataclass
@@ -137,7 +137,7 @@ class VqLosses:
 
 
 def vq_losses(ae: PriorAutoencoder, cb: CodebookState, z_e: T.Tensor,
-              flat: np.ndarray, z_e0: np.ndarray, z_q0: np.ndarray, st0: np.ndarray,
+              flat: np.ndarray, z_e0: np.ndarray, codes0: np.ndarray,
               target_probs: np.ndarray) -> VqLosses:
     """Three-term objective: reconstruction + codebook + BETA * commitment.
 
@@ -146,15 +146,21 @@ def vq_losses(ae: PriorAutoencoder, cb: CodebookState, z_e: T.Tensor,
     Stop-gradient operands are pinned at their selection-time values, so
     re-evaluating the losses under perturbed parameters with the same
     selection differentiates exactly as the estimator prescribes: the
-    latents z_e0, the assigned code values z_q0, and the straight-through
-    residual st0, z_q0 - z_e0 taken from the float64 codes and then cast,
-    which is added onto z_e. All three are (rows, D) in the latents' dtype:
-    float32 in training, where each op would cast a float64 operand to
-    float32 anyway. The codebook term gathers the float64 codes in that
-    dtype too, and their gradient comes back float64 through the gather.
-    The reconstruction target is a plain array, already detached from the
+    latents z_e0 and the float64 (C*k, D) code table codes0 the step
+    selected against. From them it derives, in the latents' dtype (float32
+    in training, where each op would cast a float64 operand anyway), the
+    assigned code values z_q0 and the straight-through residual
+    st0 = z_q0 - z_e0 added onto z_e, the latter taken in float64
+    NEAREST_ROWS rows at a time: no (rows, D) float64 array is built. The
+    codebook term gathers the live float64 codes in that dtype too, and
+    their gradient comes back float64 through the gather. The
+    reconstruction target is a plain array, already detached from the
     segmentation network.
     """
+    z_q0 = codes0.astype(z_e0.dtype)[flat]
+    st0 = np.empty_like(z_e0)
+    for i in range(0, len(flat), NEAREST_ROWS):
+        st0[i:i + NEAREST_ROWS] = codes0[flat[i:i + NEAREST_ROWS]] - z_e0[i:i + NEAREST_ROWS]
     z_q_rows = T.gather_rows(cb.codes, flat, z_e0.dtype)
     codebook = T.mse(z_e0, z_q_rows)
     commitment = T.mse(z_e, z_q0)

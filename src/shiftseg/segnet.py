@@ -17,7 +17,8 @@ _INPUT_SCALE = np.array([0.125, 0.125, 0.25, 4.0, 4.0, 4.0, 4.0, 0.25])
 
 def featurize(cloud: PointCloud, grid: VoxelGrid, nn: NeighborIndex) -> np.ndarray:
     """One row per voxel representative: raw xyz, mean neighbor offset,
-    neighborhood covariance trace, and local density. `nn` holds the
+    neighborhood covariance trace, and local density (bounded at the grid's
+    voxel size, `pointcloud.local_density`). `nn` holds the
     representatives' neighbors, row i those of grid.rep_index[i]
     (`pointcloud.knn` with rows=grid.rep_index).
 
@@ -34,7 +35,7 @@ def featurize(cloud: PointCloud, grid: VoxelGrid, nn: NeighborIndex) -> np.ndarr
     sq += dev[1] * dev[1]
     sq += dev[2] * dev[2]
     trace = np.ascontiguousarray(sq.T).mean(axis=1)
-    dens = local_density(cloud, nn)
+    dens = local_density(cloud, nn, grid.voxel_size)
     return np.ascontiguousarray(np.concatenate([rep_pos, mean_off, trace[None], dens[None]]).T)
 
 

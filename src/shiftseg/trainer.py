@@ -242,35 +242,30 @@ def init_state(cfg: TrainConfig) -> TrainState:
 
 # ---------------------------------------------------------------------------
 # Step losses. `step_losses` builds the step's seg loss graph and
-# `vq_objective` the prior's; every discrete choice of the step (quantizer
-# assignments, each augmented cloud's region masks, and the distillation
-# targets of all its shifted rows, from one nearest-code search) is captured
-# in a StepSelection on the first pass and treated as a pinned constant
-# afterwards, which is also exactly what finite-difference checks against
-# L_total and the quantized-autoencoder objective need.
-
-
-@dataclass
-class ScpSelection:
-    """The prior's pinned selection. Every (rows, ...) array is in the
-    latents' dtype, the dtype of `rows`: float32 in training."""
-    rows: T.Tensor  # grouped [probs || coords] input rows, constants
-    flat: np.ndarray  # (rows,) int64 pinned code assignment
-    z_e0: np.ndarray  # (rows, D) latents at selection time
-    z_q0: np.ndarray  # (rows, D) assigned code values at selection time, cast
-    st0: np.ndarray  # (rows, D) straight-through residual z_q0 - z_e0 in float64, cast
+# `vq_objective` the prior's. The first pass pins every discrete choice of
+# the step in a StepSelection (quantizer assignments, region masks, and the
+# distillation targets of all shifted rows from one nearest-code search),
+# beside the frozen prior it chose against, whose codes supply every pinned
+# value; a replay treats them as constants, which is also exactly what
+# finite-difference checks of both objectives need.
 
 
 @dataclass
 class StepSelection:
-    """Every discrete choice of a step, pinned by its selecting pass. In full
-    mode `masks` holds one ShiftMasks per augmented cloud, and with lambda
-    != 0 `targets` holds the distillation target of every shifted row, the
-    nearest initialized code of any class: one (m, D) array, cloud after
-    cloud, each cloud's rows in the grouped order of its localized latents
-    (None when no row is shifted)."""
-    scp_sel: ScpSelection | None = None
+    """Every discrete choice of a step, pinned by its selecting pass; the
+    values it chose against are in `snapshot`, the prior frozen after the
+    pass's code init and reseed and before the prior's update. In full mode:
+    the prior's grouped input `rows` (constants), their int64 code
+    assignment `flat` and selection-time latents `z_e0`, in the latents'
+    dtype (float32 in training; None without labeled rows); one ShiftMasks
+    per augmented cloud; and with lambda != 0, as int64 indices into the
+    snapshot's flat codes, the distillation `targets` of the shifted rows,
+    the nearest initialized code of any class, cloud after cloud in each
+    cloud's grouped order (None when no row is shifted)."""
     snapshot: ssrmod.PriorSnapshot | None = None
+    rows: T.Tensor | None = None
+    flat: np.ndarray | None = None
+    z_e0: np.ndarray | None = None
     masks: list[ssrmod.ShiftMasks] | None = None
     targets: np.ndarray | None = None
 
@@ -297,17 +292,17 @@ def _mean_over(tensors: list[T.Tensor]) -> T.Tensor:
 
 
 def _select_scp(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
-                probs_data: list[np.ndarray]):
+                probs_data: list[np.ndarray], sel: StepSelection) -> T.Tensor | None:
     """Online prior bookkeeping for this step: lazy code init, dead-code
-    reseeds, quantizer assignment, and the EMA variance update. Returns the
-    pinned selection and its rows' live latents, which `vq_objective` takes
-    ((None, None) when the batch has no labeled rows)."""
+    reseeds, quantizer assignment, and the EMA variance update. Pins the
+    rows, assignment and latents in `sel`; returns the rows' live latents
+    for `vq_objective` (None when the batch has no labeled rows)."""
     coords = np.concatenate([pc.rep_coords for pc in pb.originals], axis=0)
     labels = np.concatenate([pc.rep_labels for pc in pb.originals])
     probs = np.concatenate(probs_data, axis=0)
     rows, _, classes = scp.build_encoder_input(probs, coords, labels)
     if rows.shape[0] == 0:
-        return None, None
+        return None
     z_live = state.prior.encode(rows)
     z0 = z_live.data
     scp.maybe_init_codebook(state.cb, z0, classes, Stream(cfg.seed, "cbinit"))
@@ -315,19 +310,8 @@ def _select_scp(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
         scp.reseed_dead_codes(state.cb, z0, classes, Stream(cfg.seed, "reseed", state.step))
     flat = scp.quantize(state.cb.codes3(), z0, classes)
     scp.update_code_stats(state.cb, flat, z0)
-    return ScpSelection(rows, flat, z0, *pinned_codes(state.cb, flat, z0)), z_live
-
-
-def pinned_codes(cb: scp.CodebookState, flat: np.ndarray,
-                 z_e0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ScpSelection's z_q0 and st0: the assigned codes' float64 values and
-    the straight-through residual z_q0 - z_e0, taken in float64, each cast
-    to the dtype of the latents `z_e0`. The one float64 (rows, D) array is
-    the gathered codes, which become the residual in place."""
-    z_q = cb.codes.data[flat]
-    z_q0 = z_q.astype(z_e0.dtype)
-    z_q -= z_e0
-    return z_q0, z_q.astype(z_e0.dtype, copy=False)
+    sel.rows, sel.flat, sel.z_e0 = rows, flat, z0
+    return z_live
 
 
 def prior_snapshot(state: TrainState) -> ssrmod.PriorSnapshot | None:
@@ -364,7 +348,7 @@ def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
     scp_z_live = None
     if selecting and mask_on:
         probs_data = [T.softmax(T.stop_gradient(lg)).data for lg in logits_orig]
-        sel.scp_sel, scp_z_live = _select_scp(state, pb, cfg, probs_data)
+        scp_z_live = _select_scp(state, pb, cfg, probs_data, sel)
         sel.snapshot = prior_snapshot(state)
 
     if cfg.mode != "none":
@@ -389,10 +373,11 @@ def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
                 picked = [T.gather_rows(loc.z_e, r) for loc, r in zip(locs, rows) if r.size]
                 if picked:
                     z_all = picked[0] if len(picked) == 1 else T.concat(picked, axis=0)
+                    snap = sel.snapshot
                     if selecting:
-                        sel.targets = scp.nearest_global(
-                            sel.snapshot.codes3, sel.snapshot.initialized, z_all.data)
-                    distill = T.mse(z_all, sel.targets)
+                        sel.targets = scp.nearest_global(snap.codes3, snap.initialized,
+                                                         z_all.data)
+                    distill = T.mse(z_all, snap.codes3.reshape(-1, cfg.latent_dim)[sel.targets])
                 else:
                     distill = T.Tensor(0.0)
                 total = T.add(total, T.scale(distill, cfg.lam))
@@ -407,13 +392,13 @@ def vq_objective(state: TrainState, sel: StepSelection, cfg: TrainConfig,
     live latents (LossBundle.z_prior); without them the selection rows are
     encoded again, to the same bits. `train_step` builds it after the seg
     update, so the decoder's graph never coexists with the seg graph."""
-    pick = sel.scp_sel
-    if pick is None:
+    if sel.rows is None:
         return None
     if z_e is None:
-        z_e = state.prior.encode(pick.rows)
-    return scp.vq_losses(state.prior, state.cb, z_e, pick.flat, pick.z_e0, pick.z_q0,
-                         pick.st0, pick.rows.data[:, :cfg.class_count])
+        z_e = state.prior.encode(sel.rows)
+    return scp.vq_losses(state.prior, state.cb, z_e, sel.flat, sel.z_e0,
+                         sel.snapshot.codes3.reshape(-1, cfg.latent_dim),
+                         sel.rows.data[:, :cfg.class_count])
 
 
 # ---------------------------------------------------------------------------

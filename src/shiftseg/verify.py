@@ -137,18 +137,14 @@ def suite_grad() -> list[oracle.OracleReport]:
     ]
 
 
-def float64_selection(sel: trainer.StepSelection, cb: scp.CodebookState) -> trainer.StepSelection:
-    """`sel` with its prior rows and selection-time latents cast to float64,
-    and its pinned code values and straight-through residual rebuilt in
-    float64 from the codes `cb` held at selection time; every discrete
-    choice stays pinned."""
-    pick = sel.scp_sel
-    if pick is None:
+def float64_selection(sel: trainer.StepSelection) -> trainer.StepSelection:
+    """`sel` with its prior rows and selection-time latents cast to float64;
+    every discrete choice, and the float64 codes of its snapshot, stay
+    pinned."""
+    if sel.rows is None:
         return sel
-    z_e0 = pick.z_e0.astype(np.float64)
-    z_q0, st0 = trainer.pinned_codes(cb, pick.flat, z_e0)
-    return dataclasses.replace(sel, scp_sel=dataclasses.replace(
-        pick, rows=T.Tensor(pick.rows.data.astype(np.float64)), z_e0=z_e0, z_q0=z_q0, st0=st0))
+    return dataclasses.replace(sel, rows=T.Tensor(sel.rows.data.astype(np.float64)),
+                               z_e0=sel.z_e0.astype(np.float64))
 
 
 def suite_precision() -> list[oracle.OracleReport]:
@@ -163,7 +159,7 @@ def suite_precision() -> list[oracle.OracleReport]:
         trainer.train_step(state, batch, cfg, epoch, 0)
     pb = trainer.prepare_batch(state, batch, cfg, WARM_STEPS, 0)
     _, sel = trainer.step_losses(state, pb, cfg)
-    pb64, sel64 = float64_batch(pb), float64_selection(sel, state.cb)
+    pb64, sel64 = float64_batch(pb), float64_selection(sel)
     checks = (
         ("precision.seg_float32_vs_float64", state.seg_opt,
          lambda b, s: trainer.step_losses(state, b, cfg, s)[0].total),

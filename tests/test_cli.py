@@ -386,6 +386,39 @@ def test_a_malformed_split_or_checkpoint_state_exits_2(tmp_path, capsys, name, t
         assert not out.exists()
 
 
+def test_train_with_force_replaces_the_earlier_run_and_nothing_else(tmp_path):
+    # a 3-epoch run's later checkpoints and reports once stayed beside a
+    # 1-epoch run forced into its directory, and a resume picked them
+    out = tmp_path / "run"
+    runs = {}
+    for name, epochs in (("a", 3), ("b", 1)):
+        _, runs[name] = write_config(tmp_path / f"{name}.json", epochs=epochs, scenes=4,
+                                     val_fraction=0.5, eval_every=1, ckpt_every=1)
+    assert quiet_main(["train", "--config", runs["a"], "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("kept")
+    assert quiet_main(["train", "--config", runs["b"], "--out", str(out), "--force"]) == 0
+    assert sorted(p.name for p in (out / "ckpt").iterdir()) == ["epoch_0001", "final"]
+    assert sorted(p.name for p in (out / "reports").iterdir()) == ["epoch_0000.json",
+                                                                   "final.json"]
+    assert (out / "notes.txt").read_text() == "kept"
+    assert quiet_main(["train", "--config", runs["b"], "--out", str(out), "--resume"]) == 0
+
+
+def test_eval_with_force_replaces_the_earlier_levels_and_nothing_else(trained, tmp_path):
+    _, config, ckpt = trained
+    out = tmp_path / "eval"
+    argv = ["eval", "--ckpt", ckpt, "--config", config, "--trials", "1", "--out", str(out)]
+    assert quiet_main(argv + ["--levels", "none,light"]) == 0
+    (out / "csv" / "notes.txt").write_text("kept")
+    (out / "notes.txt").write_text("kept")
+    assert quiet_main(argv + ["--levels", "heavy", "--force"]) == 0
+    # a directory of the layout is replaced whole; a file beside it stays
+    assert [p.name for p in (out / "reports").iterdir()] == ["level_heavy.json"]
+    assert sorted(p.name for p in out.iterdir()) == ["csv", "manifest.json", "notes.txt",
+                                                     "reports"]
+    assert [p.name for p in (out / "csv").iterdir()] == ["level_sweep.csv"]
+
+
 @pytest.fixture(scope="module")
 def two_epoch_run(tmp_path_factory):
     """A finished 2-epoch run with a checkpoint per epoch, and its config."""

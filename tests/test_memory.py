@@ -55,11 +55,13 @@ def phase_table():
 
 
 def test_a_warm_default_step_keeps_little_alive_at_once(phase_table):
-    # traced peak of one warm mode=full step: ≈ 43.2 MB since an mlp node
+    # traced peak of one warm mode=full step: ≈ 43.1 MB since an mlp node
     # reads a hidden layer's sign mask off the next layer's kept input and
-    # the prior's objective pins its code values, straight-through residual
-    # and gathered codes in float32 (bound: that plus ≈ 15 %); 55.0 MB when
-    # the tape first computed in float32 over float64 master weights;
+    # the prior's objective derives its float32 code values and
+    # straight-through residual from the frozen prior's codes, a float64
+    # block of rows at a time (bound: that plus ≈ 15 %); 43.2 MB while the
+    # step's record held those values; 55.0 MB when the tape first computed
+    # in float32 over float64 master weights;
     # 87.5 MB in float64, each phase of the step (seg build and backward,
     # prior build and backward) at 86-88 MB; 110.4 MB while an mlp backward
     # held all its layers' inputs until it returned and the logged-only
@@ -67,6 +69,14 @@ def test_a_warm_default_step_keeps_little_alive_at_once(phase_table):
     # the prior's decoder graph sat beside the seg graph
     (step_peak,) = phase_table["step"]
     assert step_peak < 50
+
+
+def test_the_seg_phase_holds_no_prior_values(phase_table):
+    # live at the end of the seg build: ≈ 33.6 MB now that the step's record
+    # keeps the prior's choices and reads their values from its snapshot;
+    # 39.0 MB while it also held the pinned code values and residual
+    live, _ = phase_table["seg build"]
+    assert live < 35
 
 
 def test_the_phase_table_traces_each_phase_of_a_step(phase_table):

@@ -166,7 +166,7 @@ def test_density_pairs():
     pos = np.array([[0, 0, 0], [2, 0, 0]], dtype=float)
     cloud = PointCloud(pos, np.zeros(2, np.uint16), "pair")
     nn = knn(cloud, 1)
-    assert np.allclose(local_density(cloud, nn), [0.5, 0.5], atol=0)
+    assert np.allclose(local_density(cloud, nn, 0.4), [0.5, 0.5], atol=0)
 
 
 def test_density_duplicate_cap():
@@ -174,15 +174,16 @@ def test_density_duplicate_cap():
     pos[2] = [5, 5, 5]
     cloud = PointCloud(pos, np.zeros(3, np.uint16), "dup")
     nn = knn(cloud, 1)
-    dens = local_density(cloud, nn)
-    assert dens[0] == 1e12 and dens[1] == 1e12
+    # a duplicate counts as DUPLICATE_SPACING voxels away, not 0
+    dens = local_density(cloud, nn, 0.4)
+    assert dens[0] == dens[1] == 1.0 / (1e-3 * 0.4) and dens[2] < 1.0
 
 
 def test_density_matches_bruteforce_knn():
     cloud = make_cloud(10, n=250)
     nn = knn(cloud, 6)
     _, ref_dist = R.brute_knn(cloud.positions, 6)
-    assert np.allclose(local_density(cloud, nn), 1.0 / ref_dist[:, -1], rtol=1e-12)
+    assert np.allclose(local_density(cloud, nn, 0.4), 1.0 / ref_dist[:, -1], rtol=1e-12)
 
 
 def test_curvature_line_and_plane():
@@ -262,7 +263,7 @@ def unique_voxelize(cloud, voxel_size):
     return uniq, rep_index, rep_label, point_cell
 
 
-def gather_featurize(cloud, rep_index, nn):
+def gather_featurize(cloud, rep_index, nn, voxel_size):
     pos = cloud.positions
     rep_pos = pos[rep_index]
     nbr_pos = pos[nn.indices]  # (M, k, 3)
@@ -270,7 +271,7 @@ def gather_featurize(cloud, rep_index, nn):
     hood = np.concatenate([rep_pos[:, None, :], nbr_pos], axis=1)
     centered = hood - hood.mean(axis=1, keepdims=True)
     trace = (centered ** 2).sum(axis=2).mean(axis=1)
-    dens = local_density(cloud, nn)
+    dens = local_density(cloud, nn, voxel_size)
     return np.concatenate([rep_pos, mean_off, trace[:, None], dens[:, None]], axis=1)
 
 
@@ -327,7 +328,7 @@ def test_featurize_matches_the_gather_formula(data, k, voxel_size):
     nn = knn(cloud, k, grid.rep_index)
     feats = featurize(cloud, grid, nn)
     assert feats.flags.c_contiguous
-    assert same_bytes(feats, gather_featurize(cloud, grid.rep_index, nn))
+    assert same_bytes(feats, gather_featurize(cloud, grid.rep_index, nn, voxel_size))
 
 
 @settings(max_examples=150, deadline=None)

@@ -177,14 +177,13 @@ def test_the_prior_build_of_a_float32_step_holds_no_float64_latent_rows(monkeypa
 
     def audited(state, sel, cfg, z_e=None):
         vq = build(state, sel, cfg, z_e)
-        pick = sel.scp_sel
-        rows = pick.rows.shape[0]
+        rows = sel.rows.shape[0]
         masters = {id(p) for p in state.ae_opt.params.values()}
         nodes = [n for n in nodes_of(vq.total) if id(n) not in masters]
         found["rows"] = rows
         found["graph"] = [hit for n in nodes for hit in float64_row_arrays(
             [n, n._backward], rows)]
-        found["selection"] = float64_row_arrays(pick, rows)
+        found["selection"] = float64_row_arrays(sel, rows)
         return vq
 
     monkeypatch.setattr(trainer, "vq_objective", audited)
@@ -242,7 +241,8 @@ def test_training_bits_do_not_depend_on_the_blas_thread_count():
 def degenerate_batches():
     """An ordinary tiny cloud beside each probe of the degenerate-input
     baseline: a labelled cluster of knn_k + 3 coincident points (density
-    feature DENSITY_CAP = 1e12), and a cloud scaled by 1e4."""
+    1 / (DUPLICATE_SPACING * voxel_size), 2,857), and a cloud scaled by
+    1e4."""
     cfg = verify.tiny_config(mode="full", t=0.3)
 
     def scene(seed):
@@ -258,6 +258,15 @@ def degenerate_batches():
     return cfg, {"cluster": [base, PointCloud(pos, labels, "probe-cluster")],
                  "scaled": [base, PointCloud(other.positions * 1e4, other.labels,
                                              "probe-scaled")]}
+
+
+def test_coincident_points_keep_the_first_logits_bounded():
+    # with a density cap of 1e12 the cluster's step-0 logits reached 7.4e10
+    cfg, batches = degenerate_batches()
+    state = trainer.init_state(cfg)
+    pb = trainer.prepare_batch(state, batches["cluster"], cfg, 0, 0)
+    logits = [state.model.forward(pc.feats).data for pc in pb.originals + pb.augmented]
+    assert max(float(np.abs(lg).max()) for lg in logits) < 1e3
 
 
 @pytest.mark.parametrize("probe", ["cluster", "scaled"])

@@ -143,7 +143,8 @@ def test_nearest_global_searches_only_the_initialized_class():
     cb.codes.data[3:] = np.arange(12.0).reshape(3, 4)
     # code 4, at squared distance 14, of the one initialized class
     target = scp.nearest_global(cb.codes3(), cb.initialized, np.ones((1, 4)) * 4.0)
-    assert target.tolist() == [[4.0, 5.0, 6.0, 7.0]]
+    assert target.tolist() == [4]
+    assert cb.codes.data[target].tolist() == [[4.0, 5.0, 6.0, 7.0]]
 
 
 def test_nearest_global_matches_the_exhaustive_scan_over_live_codes():
@@ -156,7 +157,7 @@ def test_nearest_global_matches_the_exhaustive_scan_over_live_codes():
     live = np.flatnonzero(np.repeat(cb.initialized, k))
     idx, _ = oracle.brute_nn(cb.codes.data[live], z)
     target = scp.nearest_global(cb.codes3(), cb.initialized, z)
-    assert np.array_equal(target, cb.codes.data[live][idx])
+    assert np.array_equal(cb.codes.data[target], cb.codes.data[live][idx])
 
 
 @st.composite

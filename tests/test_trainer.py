@@ -311,10 +311,27 @@ def test_a_replay_rebuilds_the_selecting_pass_bit_for_bit(overrides):
             assert grads[name].tobytes() == regrads[name].tobytes(), name
 
 
+def test_the_prior_objective_pins_the_snapshot_codes_not_the_live_ones(monkeypatch):
+    # moving the live codes after selection moves only the codebook term:
+    # the commitment term and the decoder's input read the snapshot's codes
+    cfg = verify.tiny_config(t=verify.GRAD_T)
+    state, _, sel, first = verify.tiny_step(cfg)
+    decode, inputs = state.prior.decode, []
+    monkeypatch.setattr(state.prior, "decode",
+                        lambda z: inputs.append(z.data.copy()) or decode(z))
+    still = trainer.vq_objective(state, sel, cfg, first.z_prior)
+    state.cb.codes.data += 0.5
+    moved = trainer.vq_objective(state, sel, cfg, first.z_prior)
+    assert moved.commitment.data.tobytes() == still.commitment.data.tobytes()
+    assert len(inputs) == 2 and inputs[1].tobytes() == inputs[0].tobytes()
+    assert moved.codebook.item() != still.codebook.item()
+
+
 def test_the_prior_objective_over_float32_pins_equals_it_over_float64_pins():
-    # the selection pins z_q0 and the straight-through residual in the
-    # latents' float32, and the codebook term gathers the codes in float32;
-    # pinned and gathered in float64, each op cast them to float32 itself
+    # the objective derives z_q0 and the straight-through residual from the
+    # snapshot's float64 codes in the latents' float32, and the codebook term
+    # gathers the codes in float32; pinned and gathered in float64, each op
+    # cast them to float32 itself
     cfg = trainer.TrainConfig(scenes=5, points_per_scene=128, t=0.45)
     split, clouds = trainer.default_data(cfg)
     batch = [clouds[c] for c in split.train]
@@ -323,13 +340,12 @@ def test_the_prior_objective_over_float32_pins_equals_it_over_float64_pins():
         trainer.train_step(state, batch, cfg, epoch, 0)
     pb = trainer.prepare_batch(state, batch, cfg, verify.WARM_STEPS, 0)
     _, sel = trainer.step_losses(state, pb, cfg)
-    pick = sel.scp_sel
-    pinned = (pick.rows.data, pick.z_e0, pick.z_q0, pick.st0)
-    assert {a.dtype for a in pinned} == {np.dtype(np.float32)}
+    assert {a.dtype for a in (sel.rows.data, sel.z_e0)} == {np.dtype(np.float32)}
     got = trainer.vq_objective(state, sel, cfg)
-    want = R.vq_losses_float64_pins(state.prior, state.cb, state.prior.encode(pick.rows),
-                                    pick.flat, pick.z_e0, state.cb.codes.data[pick.flat],
-                                    pick.rows.data[:, :cfg.class_count])
+    codes0 = sel.snapshot.codes3.reshape(-1, cfg.latent_dim)
+    want = R.vq_losses_float64_pins(state.prior, state.cb, state.prior.encode(sel.rows),
+                                    sel.flat, sel.z_e0, codes0[sel.flat],
+                                    sel.rows.data[:, :cfg.class_count])
     for name in ("recon", "codebook", "commitment", "total"):
         a, b = getattr(got, name).data, getattr(want, name).data
         assert a.dtype == b.dtype == np.float32 and a.tobytes() == b.tobytes(), name

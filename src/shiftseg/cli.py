@@ -18,8 +18,10 @@ and writes the synthetic clouds `train` builds from that config without
 config key or a value that could not run; a `--data` dataset that differs
 from the config in scenes, points_per_scene or val_fraction, or that
 `_load_data` cannot use; an `eval` level unknown or listed twice, and
-`--trials` below 1; an unknown `ablate` sweep, or any sweep on a mode
-without a prior. Arguments are checked before the output directory is made.
+`--trials` below 1; an `eval` or `--resume` checkpoint written under another
+config (`trainer.load_state`); an unknown `ablate` sweep, or any sweep on a
+mode without a prior. Arguments are checked before the output directory is
+made.
 
 Exit codes: 0 success, 1 a failed `verify` suite, 2 usage error (a malformed
 config, dataset or checkpoint included).
@@ -28,12 +30,12 @@ ckpt/, reports/, csv/}; a dataset's: DIR/{manifest.json, config.json,
 split.json, <cloud id>.a3pc}. Each checkpoint directory
 ckpt/<epoch_NNNN|final>/ holds weights.a3wt (`trainer.state_arrays`: the
 networks, codebook, optimizer moments and step counts, step and epoch) and
-state.json (the config hash a resume checks).
+state.json (the config hash a resume and `eval` check).
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
+import glob
 import json
 import os
 import shutil
@@ -69,7 +71,9 @@ def _manifest(out_dir: str, cfg_hash: str, seed: int, layout: list[str]) -> None
     })
 
 
-# the entries `train` and `eval` write, a directory with a trailing "/"
+# the entries `gen`, `train` and `eval` write, a directory with a trailing
+# "/" (`gen`'s clouds by a glob pattern)
+GEN_LAYOUT = ["manifest.json", "config.json", "split.json", "*.a3pc"]
 TRAIN_LAYOUT = ["manifest.json", "config.json", "steplog.ndjson", "ckpt/", "reports/"]
 EVAL_LAYOUT = ["manifest.json", "reports/", "csv/"]
 
@@ -81,18 +85,13 @@ def _prepare_out(out_dir: str, force: bool, layout: list[str] = ()) -> None:
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not force:
         raise UsageError(f"output directory {out_dir!r} is not empty (use --force)")
     for entry in layout:
-        with contextlib.suppress(FileNotFoundError):
-            (shutil.rmtree if entry.endswith("/") else os.remove)(os.path.join(out_dir, entry))
+        for path in glob.glob(os.path.join(glob.escape(out_dir), entry)):
+            (shutil.rmtree if entry.endswith("/") else os.remove)(path)
     os.makedirs(out_dir, exist_ok=True)
 
 
 def _load_config(path: str) -> TrainConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ConfigError(f"config {path!r} is not JSON: {exc}") from None
-    return TrainConfig.from_json(doc)
+    return TrainConfig.from_json(trainer.read_json(path, "config"))
 
 
 # what a dataset's `gen` config fixes that a run reading it must match;
@@ -158,7 +157,7 @@ def _load_data(data_dir: str | None, cfg: TrainConfig, val_only: bool = False):
 
 def cmd_gen(args) -> int:
     cfg = _load_config(args.config)
-    _prepare_out(args.out, args.force)
+    _prepare_out(args.out, args.force, GEN_LAYOUT)
     split, clouds = trainer.default_data(cfg)
     for cid, cloud in clouds.items():
         save_cloud(cloud, os.path.join(args.out, f"{cid}.a3pc"), cfg.class_count)

@@ -174,7 +174,7 @@ def high_distortion_eval(preds: np.ndarray, labels: np.ndarray, cloud: PointClou
     read the first min(EVAL_KNN_K, N-1) columns of `nn`, every point's
     neighbors (`pointcloud.knn` without query rows)."""
     nn = nn.prefix(min(EVAL_KNN_K, len(cloud) - 1))
-    dens = local_density(cloud, nn, voxel_size)
+    dens = local_density(nn, voxel_size)
     curv = local_curvature(cloud, nn)
     mask = ((dens <= np.percentile(dens, DENSITY_QUANTILE))
             | (curv >= np.percentile(curv, CURVATURE_QUANTILE)))

@@ -135,7 +135,7 @@ def knn(cloud: PointCloud, k: int, rows: np.ndarray | None = None) -> NeighborIn
 DUPLICATE_SPACING = 1e-3
 
 
-def local_density(cloud: PointCloud, nn: NeighborIndex, voxel_size: float) -> np.ndarray:
+def local_density(nn: NeighborIndex, voxel_size: float) -> np.ndarray:
     """Inverse distance to the k-th nearest neighbor per query row of `nn`,
     the distance taken as at least DUPLICATE_SPACING * voxel_size."""
     return 1.0 / np.maximum(nn.distances[:, -1], DUPLICATE_SPACING * voxel_size)

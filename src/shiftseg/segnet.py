@@ -35,7 +35,7 @@ def featurize(cloud: PointCloud, grid: VoxelGrid, nn: NeighborIndex) -> np.ndarr
     sq += dev[1] * dev[1]
     sq += dev[2] * dev[2]
     trace = np.ascontiguousarray(sq.T).mean(axis=1)
-    dens = local_density(cloud, nn, grid.voxel_size)
+    dens = local_density(nn, grid.voxel_size)
     return np.ascontiguousarray(np.concatenate([rep_pos, mean_off, trace[None], dens[None]]).T)
 
 
@@ -56,15 +56,16 @@ class SegModel:
         return T.mlp(feats * _INPUT_SCALE.astype(feats.dtype), self.params, "seg")
 
 
-def ce_loss(logits: T.Tensor, labels: np.ndarray, mask: np.ndarray | None = None) -> T.Tensor:
-    """Mean cross-entropy over rows with label != 255 (and mask true).
+def ce_loss(logits, labels: np.ndarray, mask: np.ndarray | None = None) -> T.Tensor:
+    """Mean cross-entropy over rows with label != 255 (and mask true) of a
+    logits Tensor, or of an array, whose loss records no tape node.
 
     One `T.cross_entropy` node. No qualifying rows gives an exact constant 0
     with no gradient, so heavily augmented batches with an empty consistency
     mask still train. The loss takes the logits' dtype; its mean over rows
     accumulates in float64.
     """
-    labels = np.asarray(labels)
+    labels, logits = np.asarray(labels), T.as_tensor(logits)
     valid = labels != IGNORE_LABEL
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
@@ -79,5 +80,5 @@ def ce_loss(logits: T.Tensor, labels: np.ndarray, mask: np.ndarray | None = None
 def predict(model: SegModel, feats) -> tuple[np.ndarray, np.ndarray]:
     """Argmax class per row (lowest id on exact ties) and softmax probabilities."""
     logits = model.forward(feats)
-    probs = T.softmax(T.stop_gradient(logits)).data
+    probs = T.softmax(logits.data).data
     return np.argmax(probs, axis=1).astype(np.int64), probs

@@ -16,10 +16,9 @@ difference of its operands; `cross_entropy` keeps the selected rows'
 exponentials, their sums and the one-hot labels. A closure runs once:
 `mlp`'s frees each layer's input and mask as soon as it has used them, and
 `backward` releases each node as soon as it has run, so those arrays are
-freed while the rest of the graph is still being walked. `stop_gradient`
-provides the detach semantics the quantization objective relies on. The
-elementwise ops, `add` and `mse`, take operands of equal shapes; the one
-broadcast is `mlp`'s bias row.
+freed while the rest of the graph is still being walked. The elementwise
+ops, `add` and `mse`, take operands of equal shapes; the one broadcast is
+`mlp`'s bias row.
 
 The dtype comes from the data. A tensor keeps float32 and float64 data as
 they are and takes anything else as float64. An op computes in the narrowest
@@ -391,12 +390,6 @@ def gather_rows(x, indices, dtype=None) -> Tensor:
         return (gx.reshape(shape).astype(x.data.dtype, copy=False),)
 
     return _record(out, (x,), bwd, "gather-rows")
-
-
-def stop_gradient(x) -> Tensor:
-    """Forward identity; contributes zero gradient upstream."""
-    x = as_tensor(x)
-    return Tensor(x.data, _op="stop-gradient")
 
 
 def backward(loss: Tensor) -> None:

@@ -178,6 +178,16 @@ class TrainConfig:
             json.dumps(self.to_json(), sort_keys=True).encode()).hexdigest()
 
 
+def read_json(path: str, what: str):
+    """The JSON document in the file at `path`; a ConfigError naming `what`
+    and the path if it is not JSON or not UTF-8."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"{what} {path!r} is not JSON: {exc}") from None
+
+
 def needs_prior(mode: str) -> bool:
     """Whether the mode learns a prior and masks regions with it."""
     return mode == "full"
@@ -274,7 +284,7 @@ class StepSelection:
 class LossBundle:
     ce: T.Tensor
     # raw augmented CE: part of the loss in eas mode; in full mode only
-    # logged, so computed on detached logits and recording no tape
+    # logged, so computed on the logits' array and recording no tape
     ce_aug: T.Tensor | None
     ce_scr: T.Tensor | None
     distill: T.Tensor | None
@@ -291,8 +301,8 @@ def _mean_over(tensors: list[T.Tensor]) -> T.Tensor:
     return T.scale(acc, 1.0 / len(tensors))
 
 
-def _select_scp(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
-                probs_data: list[np.ndarray], sel: StepSelection) -> T.Tensor | None:
+def _select_scp(state: TrainState, pb: PreparedBatch, probs_data: list[np.ndarray],
+                sel: StepSelection) -> T.Tensor | None:
     """Online prior bookkeeping for this step: lazy code init, dead-code
     reseeds, quantizer assignment, and the EMA variance update. Pins the
     rows, assignment and latents in `sel`; returns the rows' live latents
@@ -305,9 +315,10 @@ def _select_scp(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
         return None
     z_live = state.prior.encode(rows)
     z0 = z_live.data
-    scp.maybe_init_codebook(state.cb, z0, classes, Stream(cfg.seed, "cbinit"))
+    scp.maybe_init_codebook(state.cb, z0, classes, Stream(state.cfg.seed, "cbinit"))
     if state.step > 0 and state.step % RESEED_INTERVAL == 0:
-        scp.reseed_dead_codes(state.cb, z0, classes, Stream(cfg.seed, "reseed", state.step))
+        scp.reseed_dead_codes(state.cb, z0, classes,
+                              Stream(state.cfg.seed, "reseed", state.step))
     flat = scp.quantize(state.cb.codes3(), z0, classes)
     scp.update_code_stats(state.cb, flat, z0)
     sel.rows, sel.flat, sel.z_e0 = rows, flat, z0
@@ -323,13 +334,14 @@ def prior_snapshot(state: TrainState) -> ssrmod.PriorSnapshot | None:
     return ssrmod.take_snapshot(state.cb, state.cfg.t, state.prior)
 
 
-def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
+def step_losses(state: TrainState, pb: PreparedBatch,
                 sel: StepSelection | None = None) -> tuple[LossBundle, StepSelection]:
     """Build this step's seg loss graph. With sel=None, performs the selection
     pass (including prior statistics updates); with a selection given, the
     call is pure in the parameters and reuses every pinned choice. Both build
     the same graph: each augmented cloud is localized against the snapshot,
     and a replay keeps the pinned regions and targets of the selection."""
+    cfg = state.cfg
     mask_on = needs_prior(cfg.mode)
     distill_on = mask_on and cfg.lam != 0.0
     selecting = sel is None
@@ -347,14 +359,13 @@ def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
     # online prior learning sees the same original-pass forward as the CE loss
     scp_z_live = None
     if selecting and mask_on:
-        probs_data = [T.softmax(T.stop_gradient(lg)).data for lg in logits_orig]
-        scp_z_live = _select_scp(state, pb, cfg, probs_data, sel)
+        probs_data = [T.softmax(lg.data).data for lg in logits_orig]
+        scp_z_live = _select_scp(state, pb, probs_data, sel)
         sel.snapshot = prior_snapshot(state)
 
     if cfg.mode != "none":
         aug_logits = [state.model.forward(pc.feats) for pc in pb.augmented]
-        ce_aug = _mean_over([segnet.ce_loss(T.stop_gradient(lg) if mask_on else lg,
-                                            pc.rep_labels)
+        ce_aug = _mean_over([segnet.ce_loss(lg.data if mask_on else lg, pc.rep_labels)
                              for lg, pc in zip(aug_logits, pb.augmented)])
         if not mask_on:
             total = T.add(total, ce_aug)
@@ -385,7 +396,7 @@ def step_losses(state: TrainState, pb: PreparedBatch, cfg: TrainConfig,
     return LossBundle(ce, ce_aug, ce_scr, distill, total, scp_z_live), sel
 
 
-def vq_objective(state: TrainState, sel: StepSelection, cfg: TrainConfig,
+def vq_objective(state: TrainState, sel: StepSelection,
                  z_e: T.Tensor | None = None) -> scp.VqLosses | None:
     """The prior's quantized-autoencoder objective on the pinned selection;
     None when the step selected no prior rows. `z_e` is the selecting pass's
@@ -397,8 +408,8 @@ def vq_objective(state: TrainState, sel: StepSelection, cfg: TrainConfig,
     if z_e is None:
         z_e = state.prior.encode(sel.rows)
     return scp.vq_losses(state.prior, state.cb, z_e, sel.flat, sel.z_e0,
-                         sel.snapshot.codes3.reshape(-1, cfg.latent_dim),
-                         sel.rows.data[:, :cfg.class_count])
+                         sel.snapshot.codes3.reshape(-1, state.cfg.latent_dim),
+                         sel.rows.data[:, :state.cfg.class_count])
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +439,12 @@ def prepared_clean(state: TrainState, cloud: PointCloud) -> PreparedCloud:
     return state.cache[cloud.cloud_id]
 
 
-def prepare_batch(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
-                  epoch: int, batch_index: int) -> PreparedBatch:
+def prepare_batch(state: TrainState, clouds: list[PointCloud], epoch: int,
+                  batch_index: int) -> PreparedBatch:
     """The batch's clean features and, unless mode is `none`, one augmented
     draw per cloud; a partner, the next cloud of the batch, turns scan mix
     on, so a batch of one cloud is never mixed."""
+    cfg = state.cfg
     originals = [prepared_clean(state, cloud) for cloud in clouds]
     if cfg.mode == "none":
         return PreparedBatch(originals, None)
@@ -450,16 +462,18 @@ def prepare_batch(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
 
 def train_step(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
                epoch: int, batch_index: int) -> dict:
-    """One full optimization step; returns the StepLog record."""
+    """One full optimization step under `state.cfg`; returns the StepLog
+    record. `cfg` is unread, kept for the benchmark harness's positional calls."""
+    classes = state.cfg.class_count
     if not clouds:
         raise ValueError("batch must be nonempty")
     for cloud in clouds:
-        bad = cloud.labels[(cloud.labels != IGNORE_LABEL) & (cloud.labels >= cfg.class_count)]
+        bad = cloud.labels[(cloud.labels != IGNORE_LABEL) & (cloud.labels >= classes)]
         if bad.size:
             raise ValueError(f"cloud {cloud.cloud_id!r} has label {int(bad[0])}: neither "
-                             f"{IGNORE_LABEL} (ignore) nor below class_count {cfg.class_count}")
-    pb = prepare_batch(state, clouds, cfg, epoch, batch_index)
-    bundle, sel = step_losses(state, pb, cfg)
+                             f"{IGNORE_LABEL} (ignore) nor below class_count {classes}")
+    pb = prepare_batch(state, clouds, epoch, batch_index)
+    bundle, sel = step_losses(state, pb)
 
     log: dict = {"step": state.step, "epoch": epoch, "batch": batch_index}
     _log_losses(log, [("loss_ce", bundle.ce), ("loss_ce_aug", bundle.ce_aug),
@@ -468,7 +482,7 @@ def train_step(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
 
     T.backward(bundle.total)
     state.seg_opt.step()
-    vq = vq_objective(state, sel, cfg, bundle.z_prior)
+    vq = vq_objective(state, sel, bundle.z_prior)
     if vq is not None:
         _log_losses(log, [("vq_recon", vq.recon), ("vq_codebook", vq.codebook),
                           ("vq_commitment", vq.commitment), ("vq_total", vq.total)])
@@ -517,7 +531,7 @@ def state_arrays(state: TrainState) -> dict[str, np.ndarray]:
 
 def save_state(state: TrainState, ckpt_dir: str) -> None:
     """Write weights.a3wt (the arrays of `state_arrays`) and state.json,
-    which holds the config hash `_check_resumable` reads, as one directory.
+    which holds the config hash `load_state` checks, as one directory.
 
     The files go to a sibling `.partial-<name>` directory, which is synced
     to disk and then takes `ckpt_dir`'s place by rename (an existing
@@ -555,8 +569,16 @@ def _fsync(path: str) -> None:
 
 
 def load_state(cfg: TrainConfig, ckpt_dir: str) -> TrainState:
-    """The state saved in `ckpt_dir`: every array of `_arrays`, and the
-    step and epoch, loaded from that checkpoint."""
+    """The state saved in `ckpt_dir` under `cfg`: every array of `_arrays`,
+    and the step and epoch. Before any array is read, a ConfigError refuses
+    a state.json that is not a JSON object or names another config's hash."""
+    path = os.path.join(ckpt_dir, "state.json")
+    doc = read_json(path, "checkpoint state")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"checkpoint state {path!r} is not a JSON object")
+    if doc.get("config_hash") != cfg.config_hash():
+        raise ConfigError(f"checkpoint {ckpt_dir!r} was written under config "
+                          f"{doc.get('config_hash')}, not the loading config {cfg.config_hash()}")
     state = init_state(cfg)
     meta = {"meta.step": np.zeros(1), "meta.epoch": np.zeros(1)}
     T.load_arrays(T.load_checkpoint(os.path.join(ckpt_dir, "weights.a3wt")),
@@ -572,23 +594,6 @@ def load_state(cfg: TrainConfig, ckpt_dir: str) -> TrainState:
 
 def _json_line(doc: dict) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
-
-
-def _check_resumable(cfg: TrainConfig, ckpt_dir: str) -> None:
-    """Refuse a checkpoint written under a different config, or whose
-    state.json is not a JSON object."""
-    path = os.path.join(ckpt_dir, "state.json")
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ConfigError(f"checkpoint state {path!r} is not JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"checkpoint state {path!r} is not a JSON object")
-    saved = doc.get("config_hash")
-    if saved != cfg.config_hash():
-        raise ConfigError(f"checkpoint {ckpt_dir!r} was written under config {saved}, "
-                          f"not the resuming config {cfg.config_hash()}")
 
 
 def _truncate_steplog(path: str, step: int) -> None:
@@ -621,25 +626,26 @@ def _truncate_steplog(path: str, step: int) -> None:
 
 def validation_report(state: TrainState, val_clouds: list[PointCloud],
                       cfg: TrainConfig, epoch: int) -> dict:
-    """Point-level scores on the validation clouds."""
+    """Point-level scores on the validation clouds under `state.cfg`. `cfg`
+    is unread, kept for the benchmark harness's positional calls."""
     preds = [evalsuite.point_predictions(state.model, prepared_clean(state, c))
              for c in val_clouds]
-    body = evalsuite.evaluate_clouds(preds, val_clouds, cfg.class_count)
-    return {"epoch": epoch, "mode": cfg.mode, "seed": cfg.seed,
+    body = evalsuite.evaluate_clouds(preds, val_clouds, state.cfg.class_count)
+    return {"epoch": epoch, "mode": state.cfg.mode, "seed": state.cfg.seed,
             "config_hash": state.cfg.config_hash(), **body}
 
 
-def final_report(state: TrainState, val_clouds: list[PointCloud], cfg: TrainConfig) -> dict:
+def final_report(state: TrainState, val_clouds: list[PointCloud]) -> dict:
     """The validation report plus SSR ratio by level and high-distortion mask
     fraction (`evalsuite.clean_high_distortion`, as `shiftseg eval` reports
     it)."""
-    doc = validation_report(state, val_clouds, cfg, cfg.epochs)
+    doc = validation_report(state, val_clouds, state.cfg, state.cfg.epochs)
     doc["final"] = True
     snapshot = prior_snapshot(state)
     doc["ssr_ratio_by_level"] = None if snapshot is None else evalsuite.ssr_curve(
-        state.model, snapshot, val_clouds, PRESETS, CURVE_TRIALS, cfg)
+        state.model, snapshot, val_clouds, PRESETS, CURVE_TRIALS, state.cfg)
     doc["high_distortion_mask_fraction"] = evalsuite.clean_high_distortion(
-        state.model, val_clouds, cfg)["high_distortion_mask_fraction"]
+        state.model, val_clouds, state.cfg)["high_distortion_mask_fraction"]
     return doc
 
 
@@ -652,8 +658,6 @@ def run(cfg: TrainConfig, split: DatasetSplit, clouds_by_id: dict[str, PointClou
     """
     if not split.train:
         raise ValueError("split has no training clouds")
-    if resume_from:
-        _check_resumable(cfg, resume_from)
     state = load_state(cfg, resume_from) if resume_from else init_state(cfg)
     train_clouds = [clouds_by_id[cid] for cid in split.train]
     val_clouds = [clouds_by_id[cid] for cid in split.val]
@@ -686,7 +690,7 @@ def run(cfg: TrainConfig, split: DatasetSplit, clouds_by_id: dict[str, PointClou
         # the finished training is kept even if its final report fails
         save_state(state, os.path.join(out_dir, "ckpt", "final"))
         if val_clouds:
-            rep = final_report(state, val_clouds, cfg)
+            rep = final_report(state, val_clouds)
             reports.append(rep)
             with open(os.path.join(out_dir, "reports", "final.json"),
                       "w", encoding="utf-8") as f:

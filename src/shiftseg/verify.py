@@ -87,8 +87,8 @@ def tiny_step(cfg: trainer.TrainConfig):
     state = trainer.init_state(cfg)
     for step in range(WARM_STEPS):
         trainer.train_step(state, [cloud], cfg, 0, step)
-    pb = float64_batch(trainer.prepare_batch(state, [cloud], cfg, 0, WARM_STEPS))
-    bundle, sel = trainer.step_losses(state, pb, cfg)
+    pb = float64_batch(trainer.prepare_batch(state, [cloud], 0, WARM_STEPS))
+    bundle, sel = trainer.step_losses(state, pb)
     shifted = _shifted_rows(sel)
     if shifted == 0 or (bundle.distill is not None and bundle.distill.item() == 0.0):
         raise ValueError(f"the tiny step at t={cfg.t} shifts {shifted} row(s) with zero "
@@ -110,15 +110,15 @@ def _analytic_grads(loss: T.Tensor, opt: T.Optimizer) -> dict[str, np.ndarray]:
 def suite_grad() -> list[oracle.OracleReport]:
     cfg = tiny_config(t=GRAD_T)
     state, pb, sel, _ = tiny_step(cfg)
-    seg_grads = _analytic_grads(trainer.step_losses(state, pb, cfg, sel)[0].total, state.seg_opt)
-    vq_grads = _analytic_grads(trainer.vq_objective(state, sel, cfg).total, state.ae_opt)
+    seg_grads = _analytic_grads(trainer.step_losses(state, pb, sel)[0].total, state.seg_opt)
+    vq_grads = _analytic_grads(trainer.vq_objective(state, sel).total, state.ae_opt)
 
     def total_loss():
-        bundle, _ = trainer.step_losses(state, pb, cfg, sel)
+        bundle, _ = trainer.step_losses(state, pb, sel)
         return bundle.total.item()
 
     def vq_loss():
-        return trainer.vq_objective(state, sel, cfg).total.item()
+        return trainer.vq_objective(state, sel).total.item()
 
     seg_arrays = {n: p.data for n, p in state.model.params.items()}
     fd_seg, kinks_seg = oracle.fd_gradient(total_loss, seg_arrays, h=GRAD_H)
@@ -157,14 +157,14 @@ def suite_precision() -> list[oracle.OracleReport]:
     state = trainer.init_state(cfg)
     for epoch in range(WARM_STEPS):
         trainer.train_step(state, batch, cfg, epoch, 0)
-    pb = trainer.prepare_batch(state, batch, cfg, WARM_STEPS, 0)
-    _, sel = trainer.step_losses(state, pb, cfg)
+    pb = trainer.prepare_batch(state, batch, WARM_STEPS, 0)
+    _, sel = trainer.step_losses(state, pb)
     pb64, sel64 = float64_batch(pb), float64_selection(sel)
     checks = (
         ("precision.seg_float32_vs_float64", state.seg_opt,
-         lambda b, s: trainer.step_losses(state, b, cfg, s)[0].total),
+         lambda b, s: trainer.step_losses(state, b, s)[0].total),
         ("precision.vq_float32_vs_float64", state.ae_opt,
-         lambda b, s: trainer.vq_objective(state, s, cfg).total))
+         lambda b, s: trainer.vq_objective(state, s).total))
     reports = []
     for check, opt, loss in checks:
         g32 = _analytic_grads(loss(pb, sel), opt)

@@ -1,6 +1,7 @@
 """The gen, train, eval and ablate commands on tiny runs: exit codes, the
 files they write, and the work one evaluation level does."""
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -92,6 +93,19 @@ def test_gen_with_fewer_classes(tmp_path):
     for path in out.glob("*.a3pc"):
         cloud, class_count = load_cloud(str(path), path.stem)
         assert class_count == 3 and cloud.labels.max() < 3
+
+
+def test_gen_with_force_replaces_the_earlier_dataset_and_nothing_else(tmp_path):
+    # a 4-scene gen forced over a 6-scene one once left scenes 4 and 5
+    out, _ = gen(tmp_path / "data", scenes=6, val_fraction=0.5)
+    (out / "notes.txt").write_text("kept")
+    _, config = write_config(tmp_path / "four.json", scenes=4, val_fraction=0.5)
+    assert quiet_main(["gen", "--config", config, "--out", str(out), "--force"]) == 0
+    assert sorted(p.name for p in out.glob("*.a3pc")) == [f"scene-{i:04d}.a3pc"
+                                                          for i in range(4)]
+    split = json.loads((out / "split.json").read_text())
+    assert sorted(split["train"] + split["val"]) == [f"scene-{i:04d}" for i in range(4)]
+    assert (out / "notes.txt").read_text() == "kept"
 
 
 def test_a_gen_dataset_is_exactly_the_data_of_its_config(tmp_path):
@@ -649,11 +663,27 @@ def test_a_config_with_a_key_now_a_constant_is_refused(tmp_path, capsys, key):
     assert not out.exists()
 
 
-def test_eval_with_a_config_of_another_width_is_refused(trained, tmp_path, capsys):
+def refused_eval(trained, tmp_path, capsys, other):
+    """`eval` of the `trained` checkpoint under config `other` exits 2,
+    naming both config hashes, and makes no output directory."""
     cfg, _, ckpt = trained
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(other.to_json()))
+    out = tmp_path / "eval"
+    assert quiet_main(["eval", "--ckpt", ckpt, "--config", str(config), "--out", str(out)]) == 2
+    assert (f"was written under config {cfg.config_hash()}, not the loading config "
+            f"{other.config_hash()}") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_under_a_config_that_differs_only_in_t_is_refused(trained, tmp_path, capsys):
+    # a checkpoint trained at t=0.45 was once evaluated under any config
+    # whose array shapes fit, and its reports named that config
+    cfg = trained[0]
+    refused_eval(trained, tmp_path, capsys, dataclasses.replace(cfg, t=3.0))
+
+
+def test_eval_with_a_config_of_another_width_is_refused(trained, tmp_path, capsys):
+    cfg = trained[0]
     assert cfg.seg_hidden == (6, 5)
-    _, config = write_config(tmp_path / "config.json", scenes=2 * VAL_CLOUDS, val_fraction=0.5,
-                             points_per_scene=256, seg_hidden=(6, 7))
-    assert quiet_main(["eval", "--ckpt", ckpt, "--config", config,
-                       "--out", str(tmp_path / "eval")]) == 2
-    assert "'seg.w1' has shape (6, 5), expected (6, 7)" in capsys.readouterr().err
+    refused_eval(trained, tmp_path, capsys, dataclasses.replace(cfg, seg_hidden=(6, 7)))

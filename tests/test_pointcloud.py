@@ -166,7 +166,7 @@ def test_density_pairs():
     pos = np.array([[0, 0, 0], [2, 0, 0]], dtype=float)
     cloud = PointCloud(pos, np.zeros(2, np.uint16), "pair")
     nn = knn(cloud, 1)
-    assert np.allclose(local_density(cloud, nn, 0.4), [0.5, 0.5], atol=0)
+    assert np.allclose(local_density(nn, 0.4), [0.5, 0.5], atol=0)
 
 
 def test_density_duplicate_cap():
@@ -175,7 +175,7 @@ def test_density_duplicate_cap():
     cloud = PointCloud(pos, np.zeros(3, np.uint16), "dup")
     nn = knn(cloud, 1)
     # a duplicate counts as DUPLICATE_SPACING voxels away, not 0
-    dens = local_density(cloud, nn, 0.4)
+    dens = local_density(nn, 0.4)
     assert dens[0] == dens[1] == 1.0 / (1e-3 * 0.4) and dens[2] < 1.0
 
 
@@ -183,7 +183,7 @@ def test_density_matches_bruteforce_knn():
     cloud = make_cloud(10, n=250)
     nn = knn(cloud, 6)
     _, ref_dist = R.brute_knn(cloud.positions, 6)
-    assert np.allclose(local_density(cloud, nn, 0.4), 1.0 / ref_dist[:, -1], rtol=1e-12)
+    assert np.allclose(local_density(nn, 0.4), 1.0 / ref_dist[:, -1], rtol=1e-12)
 
 
 def test_curvature_line_and_plane():
@@ -271,7 +271,7 @@ def gather_featurize(cloud, rep_index, nn, voxel_size):
     hood = np.concatenate([rep_pos[:, None, :], nbr_pos], axis=1)
     centered = hood - hood.mean(axis=1, keepdims=True)
     trace = (centered ** 2).sum(axis=2).mean(axis=1)
-    dens = local_density(cloud, nn, voxel_size)
+    dens = local_density(nn, voxel_size)
     return np.concatenate([rep_pos, mean_off, trace[:, None], dens[:, None]], axis=1)
 
 

@@ -175,8 +175,8 @@ def test_the_prior_build_of_a_float32_step_holds_no_float64_latent_rows(monkeypa
     found = {}
     build = trainer.vq_objective
 
-    def audited(state, sel, cfg, z_e=None):
-        vq = build(state, sel, cfg, z_e)
+    def audited(state, sel, z_e=None):
+        vq = build(state, sel, z_e)
         rows = sel.rows.shape[0]
         masters = {id(p) for p in state.ae_opt.params.values()}
         nodes = [n for n in nodes_of(vq.total) if id(n) not in masters]
@@ -264,7 +264,7 @@ def test_coincident_points_keep_the_first_logits_bounded():
     # with a density cap of 1e12 the cluster's step-0 logits reached 7.4e10
     cfg, batches = degenerate_batches()
     state = trainer.init_state(cfg)
-    pb = trainer.prepare_batch(state, batches["cluster"], cfg, 0, 0)
+    pb = trainer.prepare_batch(state, batches["cluster"], 0, 0)
     logits = [state.model.forward(pc.feats).data for pc in pb.originals + pb.augmented]
     assert max(float(np.abs(lg).max()) for lg in logits) < 1e3
 

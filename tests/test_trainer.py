@@ -4,8 +4,8 @@ augmentation level, golden output digests, clean clouds prepared once per
 run, labels a step cannot score refused, a loss that is not finite named,
 rows without a live code kept in SCR, a replayed step bitwise equal to its
 selecting pass, the prior's objective over float32 pins bitwise equal to it
-over float64 ones, checkpoints refused when their arrays do not fit the
-config, a checkpoint restoring every array in every mode, and one target
+over float64 ones, checkpoints refused when written under another config or
+when their arrays do not fit the config, a checkpoint restoring every array in every mode, and one target
 search over the shifted rows of every cloud of a step."""
 import dataclasses
 import hashlib
@@ -79,8 +79,27 @@ def test_save_state_syncs_the_files_before_the_rename(tmp_path, monkeypatch):
     assert synced[-1] == (str(tmp_path), True)
 
 
+def foreign_checkpoint(ckpt, written, loading):
+    """A checkpoint of the arrays of a fresh `written` state whose state.json
+    names `loading`, so `load_state` under `loading` passes the config check
+    and meets the arrays."""
+    trainer.save_state(trainer.init_state(written), str(ckpt))
+    (ckpt / "state.json").write_text(json.dumps({"config_hash": loading.config_hash()}))
+
+
+def test_a_checkpoint_of_another_config_is_refused_before_an_array_is_read(tmp_path,
+                                                                          monkeypatch):
+    cfg = verify.tiny_config()
+    trainer.save_state(trainer.init_state(cfg), str(tmp_path / "ck"))
+    monkeypatch.setattr(T, "load_checkpoint", lambda path: pytest.fail("read the arrays"))
+    other = verify.tiny_config(t=cfg.t + 1.0)
+    with pytest.raises(trainer.ConfigError, match=f"written under config {cfg.config_hash()}, "
+                                                  f"not the loading config {other.config_hash()}"):
+        trainer.load_state(other, str(tmp_path / "ck"))
+
+
 def test_a_checkpoint_without_a_prior_is_refused(tmp_path):
-    trainer.save_state(trainer.init_state(verify.tiny_config(mode="none")), str(tmp_path / "ck"))
+    foreign_checkpoint(tmp_path / "ck", verify.tiny_config(mode="none"), verify.tiny_config())
     with pytest.raises(T.CheckpointError, match=r"checkpoint has no array 'scp\."):
         trainer.load_state(verify.tiny_config(), str(tmp_path / "ck"))
 
@@ -281,7 +300,7 @@ def test_the_final_report_of_a_prior_without_live_codes_flags_no_row(mode, ratio
     cfg = verify.tiny_config(scenes=2, val_fraction=0.5, mode=mode)
     split, clouds = trainer.default_data(cfg)
     val_clouds = [clouds[c] for c in split.val]
-    rep = trainer.final_report(trainer.init_state(cfg), val_clouds, cfg)
+    rep = trainer.final_report(trainer.init_state(cfg), val_clouds)
     assert rep["ssr_ratio_by_level"] == ratios
 
 
@@ -291,13 +310,13 @@ def test_the_final_report_of_a_prior_without_live_codes_flags_no_row(mode, ratio
 def test_a_replay_rebuilds_the_selecting_pass_bit_for_bit(overrides):
     cfg = verify.tiny_config(t=verify.GRAD_T, **overrides)
     state, pb, sel, first = verify.tiny_step(cfg)
-    again, _ = trainer.step_losses(state, pb, cfg, sel)
+    again, _ = trainer.step_losses(state, pb, sel)
     for name in ("ce", "ce_aug", "ce_scr", "distill", "total"):
         a, b = getattr(first, name), getattr(again, name)
         assert (a is None and b is None) or a.data.tobytes() == b.data.tobytes(), name
     # the objective on the selecting pass's latents and on the rows encoded again
-    vq_first = trainer.vq_objective(state, sel, cfg, first.z_prior)
-    vq_again = trainer.vq_objective(state, sel, cfg)
+    vq_first = trainer.vq_objective(state, sel, first.z_prior)
+    vq_again = trainer.vq_objective(state, sel)
     assert again.z_prior is None
     for name in ("recon", "codebook", "commitment", "total"):
         a, b = getattr(vq_first, name), getattr(vq_again, name)
@@ -319,9 +338,9 @@ def test_the_prior_objective_pins_the_snapshot_codes_not_the_live_ones(monkeypat
     decode, inputs = state.prior.decode, []
     monkeypatch.setattr(state.prior, "decode",
                         lambda z: inputs.append(z.data.copy()) or decode(z))
-    still = trainer.vq_objective(state, sel, cfg, first.z_prior)
+    still = trainer.vq_objective(state, sel, first.z_prior)
     state.cb.codes.data += 0.5
-    moved = trainer.vq_objective(state, sel, cfg, first.z_prior)
+    moved = trainer.vq_objective(state, sel, first.z_prior)
     assert moved.commitment.data.tobytes() == still.commitment.data.tobytes()
     assert len(inputs) == 2 and inputs[1].tobytes() == inputs[0].tobytes()
     assert moved.codebook.item() != still.codebook.item()
@@ -338,10 +357,10 @@ def test_the_prior_objective_over_float32_pins_equals_it_over_float64_pins():
     state = trainer.init_state(cfg)
     for epoch in range(verify.WARM_STEPS):
         trainer.train_step(state, batch, cfg, epoch, 0)
-    pb = trainer.prepare_batch(state, batch, cfg, verify.WARM_STEPS, 0)
-    _, sel = trainer.step_losses(state, pb, cfg)
+    pb = trainer.prepare_batch(state, batch, verify.WARM_STEPS, 0)
+    _, sel = trainer.step_losses(state, pb)
     assert {a.dtype for a in (sel.rows.data, sel.z_e0)} == {np.dtype(np.float32)}
-    got = trainer.vq_objective(state, sel, cfg)
+    got = trainer.vq_objective(state, sel)
     codes0 = sel.snapshot.codes3.reshape(-1, cfg.latent_dim)
     want = R.vq_losses_float64_pins(state.prior, state.cb, state.prior.encode(sel.rows),
                                     sel.flat, sel.z_e0, codes0[sel.flat],
@@ -367,6 +386,7 @@ def test_a_checkpoint_with_teacher_arrays_still_loads(tmp_path):
     arrays.update({f"teacher.{n}": p.data.copy() for n, p in state.model.params.items()})
     (tmp_path / "old").mkdir()
     T.save_checkpoint(tmp_path / "old" / "weights.a3wt", arrays)
+    (tmp_path / "old" / "state.json").write_text(json.dumps({"config_hash": cfg.config_hash()}))
     loaded = trainer.load_state(cfg, str(tmp_path / "old"))
     for name, p in loaded.model.params.items():
         assert p.data.tobytes() == state.model.params[name].data.tobytes(), name
@@ -374,14 +394,15 @@ def test_a_checkpoint_with_teacher_arrays_still_loads(tmp_path):
 
 def test_a_checkpoint_of_another_width_is_refused(tmp_path):
     # a (1,)-wide hidden layer once broadcast silently into 6 equal columns
-    trainer.save_state(trainer.init_state(verify.tiny_config(seg_hidden=(1,))), str(tmp_path))
+    cfg = verify.tiny_config(seg_hidden=(6,))
+    foreign_checkpoint(tmp_path / "ck", verify.tiny_config(seg_hidden=(1,)), cfg)
     with pytest.raises(T.CheckpointError,
                        match=r"'seg.w0' has shape \(8, 1\), expected \(8, 6\)"):
-        trainer.load_state(verify.tiny_config(seg_hidden=(6,)), str(tmp_path))
+        trainer.load_state(cfg, str(tmp_path / "ck"))
 
 
 def test_a_checkpoint_of_another_codebook_size_is_refused(tmp_path):
-    trainer.save_state(trainer.init_state(verify.tiny_config(k=4)), str(tmp_path / "ck"))
+    foreign_checkpoint(tmp_path / "ck", verify.tiny_config(k=4), verify.tiny_config(k=8))
     with pytest.raises(T.CheckpointError,
                        match=r"'scp.codes' has shape \(16, 8\), expected \(32, 8\)"):
         trainer.load_state(verify.tiny_config(k=8), str(tmp_path / "ck"))
@@ -421,12 +442,12 @@ def test_one_target_search_covers_the_shifted_rows_of_every_cloud(monkeypatch):
     state = trainer.init_state(cfg)
     for step in range(2):
         trainer.train_step(state, batch, cfg, 0, step)
-    pb = trainer.prepare_batch(state, batch, cfg, 0, 2)
+    pb = trainer.prepare_batch(state, batch, 0, 2)
     nearest_global = scp.nearest_global
     searches = []
     monkeypatch.setattr(scp, "nearest_global",
                         lambda *args: searches.append(args) or nearest_global(*args))
-    first, sel = trainer.step_losses(state, pb, cfg)
+    first, sel = trainer.step_losses(state, pb)
     assert len(searches) == 1
     # each cloud's shifted rows searched on their own, in cloud order
     snap = sel.snapshot
@@ -440,6 +461,6 @@ def test_one_target_search_covers_the_shifted_rows_of_every_cloud(monkeypatch):
                                             loc.z_e.data[shifted]))
     assert len(per_cloud) >= 2
     assert sel.targets.tobytes() == np.concatenate(per_cloud).tobytes()
-    again, _ = trainer.step_losses(state, pb, cfg, sel)
+    again, _ = trainer.step_losses(state, pb, sel)
     assert len(searches) == 1
     assert again.total.data.tobytes() == first.total.data.tobytes()

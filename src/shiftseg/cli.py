@@ -80,8 +80,8 @@ EVAL_LAYOUT = ["manifest.json", "reports/", "csv/"]
 
 def _prepare_out(out_dir: str, force: bool, layout: list[str] = ()) -> None:
     """Refuse a nonempty `out_dir` without `force`; with it, first remove
-    the entries of the command's `layout`, so no earlier output stays beside
-    the new one, and nothing else."""
+    what the glob patterns of the command's `layout` match, so no earlier
+    output stays beside the new one, and nothing else."""
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not force:
         raise UsageError(f"output directory {out_dir!r} is not empty (use --force)")
     for entry in layout:

@@ -5,8 +5,9 @@ run, labels a step cannot score refused, a loss that is not finite named,
 rows without a live code kept in SCR, a replayed step bitwise equal to its
 selecting pass, the prior's objective over float32 pins bitwise equal to it
 over float64 ones, checkpoints refused when written under another config or
-when their arrays do not fit the config, a checkpoint restoring every array in every mode, and one target
-search over the shifted rows of every cloud of a step."""
+when their arrays do not fit the config, a checkpoint restoring every array
+in every mode, and one target search over the shifted rows of every cloud
+of a step."""
 import dataclasses
 import hashlib
 import json

@@ -5,8 +5,9 @@ and exact-count point drop, plus one subsidiary switch. On, as in training,
 a draw also takes a full-circle yaw, a scale in SCALE_RANGE, axis flips with
 FLIP_PROB and appended uniform noise points; off, as at an evaluation level,
 it is jitter and drop alone. A draw with the subsidiary transforms on scan
-mixes exactly when its caller passes a partner cloud. Every application is
-described by an AugmentRecord that replays bit-exactly.
+mixes exactly when its caller passes a partner cloud. The transforms map
+arrays to new arrays; `replay` builds a draw's one PointCloud from its
+AugmentRecord, bit-exactly.
 """
 from __future__ import annotations
 
@@ -90,39 +91,33 @@ def sample_magnitudes(cfg: AugmentConfig, key_parts: tuple, parent_id: str,
     )
 
 
-def _child(cloud: PointCloud, positions, labels) -> PointCloud:
-    parent = cloud.parent_id if cloud.parent_id is not None else cloud.cloud_id
-    return PointCloud(positions, labels, f"{parent}.aug", parent_id=parent)
-
-
-def jitter(cloud: PointCloud, std: float, stream: Stream) -> PointCloud:
-    """Independent Gaussian offset per coordinate; labels untouched."""
+def jitter(positions: np.ndarray, std: float, stream: Stream) -> np.ndarray:
+    """Independent Gaussian offset per coordinate."""
     if std == 0.0:
-        return _child(cloud, cloud.positions.copy(), cloud.labels.copy())
-    noise = stream.normal(3 * len(cloud), std=std).reshape(len(cloud), 3)
-    return _child(cloud, cloud.positions + noise, cloud.labels.copy())
+        return positions
+    return positions + stream.normal(3 * len(positions), std=std).reshape(len(positions), 3)
 
 
-def point_drop(cloud: PointCloud, ratio: float, stream: Stream) -> PointCloud:
-    """Keep exactly max(N - round(N*ratio), min(N, 2)) points: a uniformly
+def point_drop(positions: np.ndarray, labels: np.ndarray, ratio: float,
+               stream: Stream) -> tuple[np.ndarray, np.ndarray]:
+    """Keep exactly max(N - round(N*ratio), min(N, 2)) rows: a uniformly
     shuffled prefix, reordered to preserve original relative order; labels in
     lockstep. At least two points survive, so every draw can be featurized."""
-    n = len(cloud)
+    n = len(positions)
     n_keep = max(n - int(math.floor(n * ratio + 0.5)), min(n, 2))
     if n_keep >= n:
-        return _child(cloud, cloud.positions.copy(), cloud.labels.copy())
-    perm = stream.permutation(n)
-    keep = np.sort(perm[:n_keep])
-    return _child(cloud, cloud.positions[keep], cloud.labels[keep])
+        return positions, labels
+    keep = np.sort(stream.permutation(n)[:n_keep])
+    return positions[keep], labels[keep]
 
 
-def subsidiary(cloud: PointCloud, rec: AugmentRecord, stream: Stream,
-               partner: PointCloud | None = None) -> PointCloud:
-    """Fixed-order secondary transforms: yaw rotation, isotropic scale, axis
-    flips, appended uniform noise points (label 255), then, when the record
-    names a mix partner, scan mix (own even sectors, the partner's odd ones)."""
-    pos = cloud.positions.copy()
-    labels = cloud.labels.copy()
+def subsidiary(positions: np.ndarray, labels: np.ndarray, rec: AugmentRecord, stream: Stream,
+               partner: PointCloud | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-order secondary transforms on copies: yaw rotation, isotropic
+    scale, axis flips, appended uniform noise points (label 255), then, when
+    the record names a mix partner, scan mix (own even sectors, the partner's odd ones)."""
+    pos = positions.copy()
+    labels = labels.copy()
     if rec.yaw != 0.0:
         c, s = math.cos(rec.yaw), math.sin(rec.yaw)
         x = pos[:, 0] * c - pos[:, 1] * s
@@ -142,11 +137,11 @@ def subsidiary(cloud: PointCloud, rec: AugmentRecord, stream: Stream,
         pos = np.concatenate([pos, noise], axis=0)
         labels = np.concatenate([labels, np.full(rec.noise_points, IGNORE_LABEL, np.uint16)])
     if rec.mix_partner is not None:
-        own_even = sector_split(_child(cloud, pos, labels), NUM_SECTORS) % 2 == 0
-        par_odd = sector_split(partner, NUM_SECTORS) % 2 == 1
+        own_even = sector_split(pos, NUM_SECTORS) % 2 == 0
+        par_odd = sector_split(partner.positions, NUM_SECTORS) % 2 == 1
         pos = np.concatenate([pos[own_even], partner.positions[par_odd]], axis=0)
         labels = np.concatenate([labels[own_even], partner.labels[par_odd]])
-    return _child(cloud, pos, labels)
+    return pos, labels
 
 
 def augment_pair(cloud: PointCloud, cfg: AugmentConfig, key_parts: tuple,
@@ -161,13 +156,13 @@ def augment_pair(cloud: PointCloud, cfg: AugmentConfig, key_parts: tuple,
 
 def replay(rec: AugmentRecord, cloud: PointCloud,
            partner: PointCloud | None = None) -> PointCloud:
-    """Re-apply a recorded augmentation to its parent cloud."""
+    """The draw `rec` records, as one PointCloud with id "<parent id>.aug"."""
     if cloud.cloud_id != rec.parent_id:
         raise ValueError(f"record belongs to {rec.parent_id!r}, got {cloud.cloud_id!r}")
     if rec.mix_partner is not None and (partner is None or partner.cloud_id != rec.mix_partner):
         raise ValueError(f"record needs mix partner {rec.mix_partner!r}")
     key = rec.stream_key
-    out = subsidiary(cloud, rec, Stream(*key, "noise"), partner=partner)
-    out = point_drop(out, rec.drop_ratio, Stream(*key, "drop"))
-    out = jitter(out, rec.jitter_std, Stream(*key, "jitter"))
-    return out
+    pos, labels = subsidiary(cloud.positions, cloud.labels, rec, Stream(*key, "noise"), partner)
+    pos, labels = point_drop(pos, labels, rec.drop_ratio, Stream(*key, "drop"))
+    return PointCloud(jitter(pos, rec.jitter_std, Stream(*key, "jitter")), labels,
+                      f"{cloud.cloud_id}.aug")

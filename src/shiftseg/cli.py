@@ -20,8 +20,8 @@ from the config in scenes, points_per_scene or val_fraction, or that
 `_load_data` cannot use; an `eval` level unknown or listed twice, and
 `--trials` below 1; an `eval` or `--resume` checkpoint written under another
 config (`trainer.load_state`); an unknown `ablate` sweep, or any sweep on a
-mode without a prior. Arguments are checked before the output directory is
-made.
+mode without a prior; an `--out` that names a file. Arguments are checked
+before the output directory is made.
 
 Exit codes: 0 success, 1 a failed `verify` suite, 2 usage error (a malformed
 config, dataset or checkpoint included).
@@ -71,17 +71,19 @@ def _manifest(out_dir: str, cfg_hash: str, seed: int, layout: list[str]) -> None
     })
 
 
-# the entries `gen`, `train` and `eval` write, a directory with a trailing
-# "/" (`gen`'s clouds by a glob pattern)
+# the entries `gen`, `train`, `eval` and `ablate` write, a directory with a
+# trailing "/" (`gen`'s clouds and `ablate`'s cells by a glob pattern)
 GEN_LAYOUT = ["manifest.json", "config.json", "split.json", "*.a3pc"]
 TRAIN_LAYOUT = ["manifest.json", "config.json", "steplog.ndjson", "ckpt/", "reports/"]
 EVAL_LAYOUT = ["manifest.json", "reports/", "csv/"]
 
 
-def _prepare_out(out_dir: str, force: bool, layout: list[str] = ()) -> None:
-    """Refuse a nonempty `out_dir` without `force`; with it, first remove
-    what the glob patterns of the command's `layout` match, so no earlier
-    output stays beside the new one, and nothing else."""
+def _prepare_out(out_dir: str, force: bool, layout: list[str]) -> None:
+    """Refuse an `out_dir` that is a file, or nonempty without `force`; with
+    it, first remove what the glob patterns of the command's `layout` match,
+    so no earlier output stays beside the new one, and nothing else."""
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise UsageError(f"--out {out_dir!r} names a file, not a directory")
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not force:
         raise UsageError(f"output directory {out_dir!r} is not empty (use --force)")
     for entry in layout:
@@ -248,6 +250,7 @@ SWEEPS = {
     "t": ("t", [2.0, 3.0, 4.0]),
     "lambda": ("lambda", [0.02, 0.1, 0.5]),
 }
+ABLATE_LAYOUT = ["manifest.json", "csv/", *(f"{name}_*/" for name in SWEEPS)]
 
 
 def cmd_ablate(args) -> int:
@@ -258,7 +261,7 @@ def cmd_ablate(args) -> int:
         raise UsageError(f"sweep {args.sweep!r} varies the prior, which mode "
                          f"{base.mode!r} does not learn")
     split, clouds = _load_data(args.data, base)
-    _prepare_out(args.out, args.force)
+    _prepare_out(args.out, args.force, ABLATE_LAYOUT)
     os.makedirs(os.path.join(args.out, "csv"), exist_ok=True)
     key, values = SWEEPS[args.sweep]
     val_clouds = [clouds[c] for c in split.val]
@@ -279,16 +282,15 @@ def cmd_ablate(args) -> int:
         f.write("sweep,value,miou_clean,miou_heavy\n")
         for sweep, value, clean, heavy in rows:
             f.write(f"{sweep},{value},{repr(float(clean))},{repr(float(heavy))}\n")
-    _manifest(args.out, base.config_hash(), base.seed,
-              ["manifest.json", "csv/", "<cell dirs>"])
+    _manifest(args.out, base.config_hash(), base.seed, ABLATE_LAYOUT)
     return 0
 
 
 def cmd_verify(args) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    reports: list[oracle.OracleReport] = verify.run_suites(names)
     out = args.out or "verify_out"
-    os.makedirs(out, exist_ok=True)
+    _prepare_out(out, True, ["oracle_report.json"])  # a rerun replaces its report
+    reports: list[oracle.OracleReport] = verify.run_suites(names)
     _write_json(os.path.join(out, "oracle_report.json"), [r.to_json() for r in reports])
     failed = [r for r in reports if not r.passed]
     for r in reports:

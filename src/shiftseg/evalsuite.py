@@ -151,7 +151,7 @@ def evaluate_level(model: segnet.SegModel, snapshot: PriorSnapshot | None, cloud
             if snapshot is not None:
                 res = localize(snapshot, probs, pc.rep_coords, pc.rep_labels,
                                cfg.dilation_radius)
-                ratios.append(ssr_ratio(res.masks))
+                ratios.append(ssr_ratio([res.masks]))
     return {"level": level,
             **_scores(count_matrix(np.concatenate(preds), np.concatenate(labels),
                                    cfg.class_count)),

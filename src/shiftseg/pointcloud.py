@@ -23,12 +23,11 @@ IGNORE_LABEL = 255
 
 @dataclass
 class PointCloud:
-    """N labeled 3-D points. Label 255 means ignore."""
+    """N labeled 3-D points. Label 255 means ignore; a draw's id ends ".aug"."""
 
     positions: np.ndarray  # (N, 3) float64
     labels: np.ndarray  # (N,) uint16
     cloud_id: str
-    parent_id: str | None = None
 
     def __post_init__(self):
         self.positions = np.ascontiguousarray(self.positions, dtype=np.float64)
@@ -190,12 +189,12 @@ def local_curvature(cloud: PointCloud, nn: NeighborIndex) -> np.ndarray:
     return np.where(total > 0, eig[:, 0] / np.where(total > 0, total, 1.0), 0.0)
 
 
-def sector_split(cloud: PointCloud, num_sectors: int) -> np.ndarray:
-    """Azimuthal sector id per point: floor(S * (atan2(y,x)+pi) / 2pi).
+def sector_split(positions: np.ndarray, num_sectors: int) -> np.ndarray:
+    """Azimuthal sector id per position row: floor(S * (atan2(y,x)+pi) / 2pi).
 
     The top edge wraps to sector 0 rather than clamping, so the +pi and -pi
     representations of the negative-x ray land in the same sector.
     """
-    ang = np.arctan2(cloud.positions[:, 1], cloud.positions[:, 0]) + np.pi
+    ang = np.arctan2(positions[:, 1], positions[:, 0]) + np.pi
     sec = np.floor(num_sectors * ang / (2.0 * np.pi)).astype(np.int64)
     return sec % num_sectors

@@ -99,8 +99,9 @@ def localize(snapshot: PriorSnapshot, probs, coords: np.ndarray,
     return LocalizeResult(ShiftMasks(scr, ssr), index, z_e)
 
 
-def ssr_ratio(masks: ShiftMasks) -> float:
-    """Shifted fraction of labeled rows; 0 when nothing is labeled."""
-    labeled = masks.scr | masks.ssr
-    total = int(labeled.sum())
-    return float(masks.ssr.sum() / total) if total else 0.0
+def ssr_ratio(masks: list[ShiftMasks]) -> float:
+    """Shifted fraction of the labeled rows of all `masks`, pooled; 0 when
+    nothing is labeled."""
+    shifted = sum(int(m.ssr.sum()) for m in masks)
+    labeled = sum(int((m.scr | m.ssr).sum()) for m in masks)
+    return shifted / labeled if labeled else 0.0

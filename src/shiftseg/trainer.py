@@ -491,9 +491,7 @@ def train_step(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
     if state.cb is not None:
         log["code_usage"] = int(state.cb.usage.sum())
     if sel.masks is not None:
-        ssr_rows = sum(int(m.ssr.sum()) for m in sel.masks)
-        labeled = sum(int((m.scr | m.ssr).sum()) for m in sel.masks)
-        log["ssr_ratio"] = ssr_rows / labeled if labeled else 0.0
+        log["ssr_ratio"] = ssrmod.ssr_ratio(sel.masks)
     if pb.augmented is not None:
         log["aug"] = [rec.to_json() for rec in pb.records]
 

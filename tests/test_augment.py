@@ -87,17 +87,17 @@ def test_heavy_draws_inside_box():
 
 def test_jitter_zero_identity():
     cloud = small_cloud()
-    out = jitter(cloud, 0.0, Stream(1))
-    assert np.array_equal(out.positions, cloud.positions)
-    assert np.array_equal(out.labels, cloud.labels)
+    assert np.array_equal(jitter(cloud.positions, 0.0, Stream(1)), cloud.positions)
 
 
 def test_jitter_variance():
     cloud = small_cloud(n=34000)
-    out = jitter(cloud, 0.05, Stream(2, "j"))
-    offsets = out.positions - cloud.positions
+    out = jitter(cloud.positions, 0.05, Stream(2, "j"))
+    offsets = out - cloud.positions
     assert abs(offsets.var() - 0.0025) < 0.0025 * 0.02
-    assert np.array_equal(out.labels, cloud.labels)
+    # the labels of a jittered draw are its source's
+    rec = neutral_record(cloud, jitter_std=0.05)
+    assert np.array_equal(replay(rec, cloud).labels, cloud.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +106,15 @@ def test_jitter_variance():
 
 def test_drop_zero_identity():
     cloud = small_cloud()
-    out = point_drop(cloud, 0.0, Stream(3))
-    assert np.array_equal(out.positions, cloud.positions)
+    pos, labels = point_drop(cloud.positions, cloud.labels, 0.0, Stream(3))
+    assert np.array_equal(pos, cloud.positions)
+    assert np.array_equal(labels, cloud.labels)
 
 
 def test_drop_exact_count():
     cloud = small_cloud(n=10)
-    out = point_drop(cloud, 0.2, Stream(4))
-    assert len(out) == 8
+    pos, labels = point_drop(cloud.positions, cloud.labels, 0.2, Stream(4))
+    assert len(pos) == len(labels) == 8
 
 
 @pytest.mark.parametrize("n,kept", [(64, 2), (4096, 41), (2, 2), (1, 1)])
@@ -121,28 +122,29 @@ def test_drop_keeps_at_least_two_points(n, kept):
     # the excessive preset's top ratio would leave 1 of 64 points; a draw
     # keeps min(N, 2) so its features can be computed
     cloud = small_cloud(n=n)
-    assert len(point_drop(cloud, 0.99, Stream(6, "drop"))) == kept
+    pos, labels = point_drop(cloud.positions, cloud.labels, 0.99, Stream(6, "drop"))
+    assert len(pos) == len(labels) == kept
 
 
 def test_drop_survivors_keep_relative_order_and_labels():
     cloud = small_cloud(n=50)
-    out = point_drop(cloud, 0.4, Stream(5, "d"))
+    pos, labels = point_drop(cloud.positions, cloud.labels, 0.4, Stream(5, "d"))
     # reconstruct survivor indices by matching rows
     survivors = []
     j = 0
     for i in range(len(cloud)):
-        if j < len(out) and np.array_equal(out.positions[j], cloud.positions[i]):
-            assert out.labels[j] == cloud.labels[i]
+        if j < len(pos) and np.array_equal(pos[j], cloud.positions[i]):
+            assert labels[j] == cloud.labels[i]
             survivors.append(i)
             j += 1
-    assert j == len(out)
+    assert j == len(pos) == len(labels)
     assert survivors == sorted(survivors)
 
 
 def test_drop_matches_fisher_yates_oracle():
     cloud = small_cloud(n=40)
     stream = Stream(9, "drop")
-    out = point_drop(cloud, 0.3, stream)
+    pos, labels = point_drop(cloud.positions, cloud.labels, 0.3, stream)
     # independent replay of the same shuffle from the same stream
     ref = Stream(9, "drop")
     u = ref.uniform(39)
@@ -152,7 +154,8 @@ def test_drop_matches_fisher_yates_oracle():
         j = min(int(u[t] * (i + 1)), i)
         perm[i], perm[j] = perm[j], perm[i]
     keep = sorted(perm[:28])
-    assert np.array_equal(out.positions, cloud.positions[keep])
+    assert np.array_equal(pos, cloud.positions[keep])
+    assert np.array_equal(labels, cloud.labels[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -170,44 +173,46 @@ def neutral_record(cloud, **kw):
 
 def test_subsidiary_identity():
     cloud = small_cloud()
-    out = subsidiary(cloud, neutral_record(cloud), Stream(1))
-    assert np.array_equal(out.positions, cloud.positions)
-    assert np.array_equal(out.labels, cloud.labels)
+    pos, labels = subsidiary(cloud.positions, cloud.labels, neutral_record(cloud), Stream(1))
+    assert np.array_equal(pos, cloud.positions)
+    assert np.array_equal(labels, cloud.labels)
 
 
 def test_full_rotation_identity():
     cloud = small_cloud()
-    out = subsidiary(cloud, neutral_record(cloud, yaw=2 * math.pi), Stream(1))
-    assert np.max(np.abs(out.positions - cloud.positions)) < 1e-9
+    pos, _ = subsidiary(cloud.positions, cloud.labels, neutral_record(cloud, yaw=2 * math.pi),
+                        Stream(1))
+    assert np.max(np.abs(pos - cloud.positions)) < 1e-9
 
 
 def test_noise_points_appended_with_ignore_label():
     cloud = small_cloud()
-    out = subsidiary(cloud, neutral_record(cloud, noise_points=16), Stream(2, "n"))
-    assert len(out) == len(cloud) + 16
-    assert (out.labels[-16:] == IGNORE_LABEL).all()
+    pos, labels = subsidiary(cloud.positions, cloud.labels,
+                             neutral_record(cloud, noise_points=16), Stream(2, "n"))
+    assert len(pos) == len(labels) == len(cloud) + 16
+    assert (labels[-16:] == IGNORE_LABEL).all()
     lo, hi = cloud.positions.min(0), cloud.positions.max(0)
-    assert (out.positions[-16:] >= lo - 1e-9).all()
-    assert (out.positions[-16:] <= hi + 1e-9).all()
+    assert (pos[-16:] >= lo - 1e-9).all()
+    assert (pos[-16:] <= hi + 1e-9).all()
 
 
 def test_scan_mix_sector_membership():
     a = small_cloud(1)
     b = small_cloud(2)
     rec = neutral_record(a, mix_partner=b.cloud_id)
-    out = subsidiary(a, rec, Stream(3), partner=b)
-    sec = sector_split(out, NUM_SECTORS)
+    pos, labels = subsidiary(a.positions, a.labels, rec, Stream(3), partner=b)
+    sec = sector_split(pos, NUM_SECTORS)
     # rebuild expected membership from the sector oracle
-    sa = sector_split(a, NUM_SECTORS)
-    sb = sector_split(b, NUM_SECTORS)
+    sa = sector_split(a.positions, NUM_SECTORS)
+    sb = sector_split(b.positions, NUM_SECTORS)
     expect_n = int((sa % 2 == 0).sum() + (sb % 2 == 1).sum())
-    assert len(out) == expect_n
+    assert len(pos) == len(labels) == expect_n
     own_n = int((sa % 2 == 0).sum())
     assert np.all(sec[:own_n] % 2 == 0)
     assert np.all(sec[own_n:] % 2 == 1)
     # labels follow their source points
-    assert np.array_equal(out.labels[:own_n], a.labels[sa % 2 == 0])
-    assert np.array_equal(out.labels[own_n:], b.labels[sb % 2 == 1])
+    assert np.array_equal(labels[:own_n], a.labels[sa % 2 == 0])
+    assert np.array_equal(labels[own_n:], b.labels[sb % 2 == 1])
 
 
 def test_scan_mix_without_partner_rejected():
@@ -241,7 +246,8 @@ def test_without_the_subsidiary_switch_a_draw_is_jitter_and_drop_alone():
         assert 0.03 <= rec.jitter_std <= 0.05 and 0.5 <= rec.drop_ratio <= 0.8
         assert rec.yaw == 0.0 and rec.scale == 1.0 and not rec.flip_x and not rec.flip_y
         assert rec.noise_points == 0 and rec.mix_partner is None
-        assert len(out) == len(point_drop(cloud, rec.drop_ratio, Stream(6, i, "drop")))
+        pos, _ = point_drop(cloud.positions, cloud.labels, rec.drop_ratio, Stream(6, i, "drop"))
+        assert len(out) == len(pos)
 
 
 def test_replay_reproduces_bit_exactly():
@@ -284,9 +290,22 @@ def test_label_lockstep_through_composition():
 def test_augmented_cloud_lineage():
     cloud = small_cloud()
     out, rec = augment_pair(cloud, AugmentConfig("light"), (17,))
-    assert out.parent_id is not None
-    assert out.parent_id == cloud.cloud_id
+    assert out.cloud_id == f"{cloud.cloud_id}.aug"
     assert rec.parent_id == cloud.cloud_id
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_an_augmented_cloud_shares_no_memory_with_its_sources(preset):
+    # a transform that changes nothing returns its input arrays, so the draw
+    # owns its arrays only because `subsidiary` edits copies
+    cloud, partner = small_cloud(1), small_cloud(2)
+    for i, (on, given) in enumerate(itertools.product((True, False), (partner, None))):
+        cfg = AugmentConfig(preset, subsidiary=on, noise_points=4)
+        out, _ = augment_pair(cloud, cfg, (19, i), partner=given)
+        for a, b in itertools.product((out.positions, out.labels),
+                                      (cloud.positions, cloud.labels,
+                                       partner.positions, partner.labels)):
+            assert not np.shares_memory(a, b)
 
 
 def test_determinism_same_key_same_output():

@@ -311,15 +311,15 @@ def test_eval_queries_each_clean_cloud_once(trained, tmp_path, monkeypatch):
     knn = evalsuite.knn
 
     def counting(cloud, k, rows=None):
-        queries.append((cloud.parent_id, k, rows is None))
+        queries.append((cloud.cloud_id.endswith(".aug"), k, rows is None))
         return knn(cloud, k, rows)
 
     monkeypatch.setattr(evalsuite, "knn", counting)
     trials = 2
     assert quiet_main(["eval", "--ckpt", ckpt, "--config", config, "--levels", "heavy",
                        "--trials", str(trials), "--out", str(tmp_path / "eval")]) == 0
-    clean = [q for q in queries if q[0] is None]
-    assert clean == [(None, evalsuite.EVAL_KNN_K, True)] * VAL_CLOUDS
+    clean = [q for q in queries if not q[0]]
+    assert clean == [(False, evalsuite.EVAL_KNN_K, True)] * VAL_CLOUDS
     assert len(queries) == VAL_CLOUDS * trials + VAL_CLOUDS
 
 
@@ -433,6 +433,22 @@ def test_eval_with_force_replaces_the_earlier_levels_and_nothing_else(trained, t
     assert [p.name for p in (out / "csv").iterdir()] == ["level_sweep.csv"]
 
 
+@pytest.mark.parametrize("command", ["gen", "train", "eval", "ablate", "verify"])
+def test_an_out_that_names_a_file_exits_2(trained, tmp_path, capsys, command):
+    # each command once ended in a FileExistsError traceback, exit 1
+    _, config, ckpt = trained
+    out = tmp_path / "out"
+    out.write_text("kept")
+    argv = {"gen": ["gen", "--config", config],
+            "train": ["train", "--config", config],
+            "eval": ["eval", "--ckpt", ckpt, "--config", config, "--levels", "none"],
+            "ablate": ["ablate", "--config", config, "--sweep", "t"],
+            "verify": ["verify", "--suite", "metrics"]}[command]
+    assert quiet_main(argv + ["--out", str(out)]) == 2
+    assert f"--out {str(out)!r} names a file, not a directory" in capsys.readouterr().err
+    assert out.read_text() == "kept"
+
+
 @pytest.fixture(scope="module")
 def two_epoch_run(tmp_path_factory):
     """A finished 2-epoch run with a checkpoint per epoch, and its config."""
@@ -541,6 +557,21 @@ def test_ablate_writes_the_sweep_table(tmp_path):
     assert lines[0] == "sweep,value,miou_clean,miou_heavy"
     assert [line.split(",")[1] for line in lines[1:]] == ["2.0", "3.0", "4.0"]
     assert all(np.isfinite(float(v)) for line in lines[1:] for v in line.split(",")[2:])
+
+
+def test_ablate_with_force_replaces_the_earlier_sweep_and_nothing_else(tmp_path):
+    # a `k` sweep forced over a `t` sweep once left the t_* cells and sweep_t.csv
+    _, config = write_config(tmp_path / "config.json", scenes=2)
+    out = tmp_path / "ablate"
+    argv = ["ablate", "--config", config, "--out", str(out)]
+    assert quiet_main(argv + ["--sweep", "t"]) == 0
+    (out / "notes.txt").write_text("kept")
+    assert quiet_main(argv + ["--sweep", "k", "--force"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["csv", "k_16", "k_32", "k_64",
+                                                     "manifest.json", "notes.txt"]
+    assert [p.name for p in (out / "csv").iterdir()] == ["sweep_k.csv"]
+    assert (out / "notes.txt").read_text() == "kept"
+    assert json.loads((out / "manifest.json").read_text())["layout"] == cli.ABLATE_LAYOUT
 
 
 def test_every_sweep_cell_is_a_config():

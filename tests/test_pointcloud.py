@@ -384,8 +384,7 @@ def test_dilate_monotone_and_double_superset(seed, radius):
 
 def test_sector_split_quadrants():
     pos = np.array([[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]], dtype=float)
-    cloud = PointCloud(pos, np.zeros(4, np.uint16), "quad")
-    sec = sector_split(cloud, 4)
+    sec = sector_split(pos, 4)
     assert sec[0] == 2  # atan2 = 0 maps to mid-range
     assert len(set(sec.tolist())) == 4
     # +pi and -pi describe the same ray and must share a sector
@@ -395,7 +394,7 @@ def test_sector_split_quadrants():
 def test_sector_split_matches_direct_binning():
     cloud = make_cloud(20, n=400)
     for s in (2, 5, 8):
-        sec = sector_split(cloud, s)
+        sec = sector_split(cloud.positions, s)
         ang = np.arctan2(cloud.positions[:, 1], cloud.positions[:, 0]) + np.pi
         ref = np.floor(s * ang / (2 * np.pi)).astype(np.int64) % s
         assert np.array_equal(sec, ref)

@@ -72,7 +72,7 @@ def test_all_ignore_labels_give_empty_masks():
     m = res.masks
     assert not m.scr.any() and not m.ssr.any()
     assert res.index.size == 0 and res.z_e.shape == (0, D)
-    assert ssr.ssr_ratio(m) == 0.0
+    assert ssr.ssr_ratio([m]) == 0.0
 
 
 @pytest.mark.parametrize("radius", [0.0, 0.8])
@@ -142,4 +142,7 @@ def test_dilation_grows_the_shifted_rows_and_keeps_the_complement():
     assert (grown.ssr >= plain.ssr).all() and grown.ssr.sum() > plain.ssr.sum()
     ref = R.brute_dilate(coords[labeled], plain.ssr[labeled], 0.8)
     assert np.array_equal(grown.ssr[labeled], ref)
-    assert ssr.ssr_ratio(grown) == grown.ssr.sum() / labeled.sum()
+    assert ssr.ssr_ratio([grown]) == grown.ssr.sum() / labeled.sum()
+    # a list of masks is pooled over its labeled rows
+    both = (plain.ssr.sum() + grown.ssr.sum()) / (2 * labeled.sum())
+    assert ssr.ssr_ratio([plain, grown]) == both

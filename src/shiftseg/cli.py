@@ -20,8 +20,8 @@ from the config in scenes, points_per_scene or val_fraction, or that
 `_load_data` cannot use; an `eval` level unknown or listed twice, and
 `--trials` below 1; an `eval` or `--resume` checkpoint written under another
 config (`trainer.load_state`); an unknown `ablate` sweep, or any sweep on a
-mode without a prior; an `--out` that names a file. Arguments are checked
-before the output directory is made.
+mode without a prior; an `--out` directory that cannot be made. Arguments
+are checked before the output directory is made.
 
 Exit codes: 0 success, 1 a failed `verify` suite, 2 usage error (a malformed
 config, dataset or checkpoint included).
@@ -79,17 +79,19 @@ EVAL_LAYOUT = ["manifest.json", "reports/", "csv/"]
 
 
 def _prepare_out(out_dir: str, force: bool, layout: list[str]) -> None:
-    """Refuse an `out_dir` that is a file, or nonempty without `force`; with
-    it, first remove what the glob patterns of the command's `layout` match,
-    so no earlier output stays beside the new one, and nothing else."""
-    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
-        raise UsageError(f"--out {out_dir!r} names a file, not a directory")
+    """Refuse an `out_dir` that is nonempty without `force`, or that cannot
+    be made; with `force`, first remove what the glob patterns of the
+    command's `layout` match, so no earlier output stays beside the new one,
+    and nothing else."""
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not force:
         raise UsageError(f"output directory {out_dir!r} is not empty (use --force)")
     for entry in layout:
         for path in glob.glob(os.path.join(glob.escape(out_dir), entry)):
             (shutil.rmtree if entry.endswith("/") else os.remove)(path)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # a file at the path or above it, or no permission
+        raise UsageError(f"cannot make output directory {out_dir!r}: {exc.strerror}") from None
 
 
 def _load_config(path: str) -> TrainConfig:

@@ -434,19 +434,21 @@ def test_eval_with_force_replaces_the_earlier_levels_and_nothing_else(trained, t
 
 
 @pytest.mark.parametrize("command", ["gen", "train", "eval", "ablate", "verify"])
-def test_an_out_that_names_a_file_exits_2(trained, tmp_path, capsys, command):
-    # each command once ended in a FileExistsError traceback, exit 1
+def test_an_out_at_or_under_a_file_exits_2(trained, tmp_path, capsys, command):
+    # each command once ended in a FileExistsError or NotADirectoryError
+    # traceback, exit 1
     _, config, ckpt = trained
-    out = tmp_path / "out"
-    out.write_text("kept")
+    file = tmp_path / "out"
+    file.write_text("kept")
     argv = {"gen": ["gen", "--config", config],
             "train": ["train", "--config", config],
             "eval": ["eval", "--ckpt", ckpt, "--config", config, "--levels", "none"],
             "ablate": ["ablate", "--config", config, "--sweep", "t"],
             "verify": ["verify", "--suite", "metrics"]}[command]
-    assert quiet_main(argv + ["--out", str(out)]) == 2
-    assert f"--out {str(out)!r} names a file, not a directory" in capsys.readouterr().err
-    assert out.read_text() == "kept"
+    for out in (file, file / "sub"):
+        assert quiet_main(argv + ["--out", str(out)]) == 2
+        assert f"cannot make output directory {str(out)!r}" in capsys.readouterr().err
+    assert file.read_text() == "kept"
 
 
 @pytest.fixture(scope="module")

@@ -15,16 +15,20 @@ recomputed exactly by a dense scan over all points. The tree nearly always
 returns a row's candidates in their (d², index) order already; only the
 rows where it does not are sorted. Every row is thus the exact top k by
 (d², index), so knn(points, k2)[rows, :k1] equals knn(points, k1, rows) bit
-for bit for k1 <= k2. Dilation queries the
-tree of marked points at radius·(1 + MARGIN), in slices of the unmarked
-points small enough that one slice returns at most MAX_PAIRS candidate
-pairs, and keeps the hits whose recomputed d² is at most radius².
+for bit for k1 <= k2.
+
+Dilation pairs each slice of the unmarked points with the marked points by
+one `sparse_distance_matrix` call between their two trees at
+radius·(1 + MARGIN); a slice holds at most MAX_PAIRS pairs. The "ndarray"
+output gives the pairs as index arrays, `i` into the slice and `j` into the
+marked points, and keeps zero distances (coincident points), which a sparse
+matrix cannot tell from absent pairs. A pair marks its unmarked point when
+its recomputed d² is at most radius².
+
 `brute_knn` and `brute_dilate` in tests/reference.py are the slow references
 the tests compare against.
 """
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -128,15 +132,13 @@ def dilate(points: np.ndarray, mask: np.ndarray, radius: float) -> np.ndarray:
     tree = cKDTree(points[marked])
     reach = float(radius) * (1.0 + MARGIN)
     r2 = float(radius) * float(radius)
-    # a slice of `rest` can hit every marked point, so this many rows bound
-    # the hit lists of one query by MAX_PAIRS whatever the radius
+    # a slice of `rest` can pair with every marked point, so this many rows
+    # bound the pairs of one query by MAX_PAIRS whatever the radius
     rows = max(1, MAX_PAIRS // marked.size)
     for s in range(0, rest.size, rows):
         part = rest[s:s + rows]
-        hits = tree.query_ball_point(points[part], reach)
-        counts = np.fromiter(map(len, hits), np.int64, part.size)
-        query = np.repeat(part, counts)
-        near = marked[np.fromiter(itertools.chain.from_iterable(hits), np.int64, query.size)]
+        pairs = cKDTree(points[part]).sparse_distance_matrix(tree, reach, output_type="ndarray")
+        query, near = part[pairs["i"]], marked[pairs["j"]]
         keep = _sq_dist(points, query, near) <= r2
         out[query[keep]] = True
     return out

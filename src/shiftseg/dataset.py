@@ -64,7 +64,8 @@ def _allocate(weights: list[float], total: int) -> list[int]:
 
 
 def _box_surface(stream: Stream, n: int, center, size) -> np.ndarray:
-    """Sample n points on a box's four side faces and top (no bottom)."""
+    """Sample n points on a box's four side faces and top (no bottom): faces
+    0 and 1 lie at x = +-sx/2, faces 2 and 3 at y = +-sy/2, face 4 on top."""
     cx, cy, cz = center
     sx, sy, sz = size
     areas = np.array([sy * sz, sy * sz, sx * sz, sx * sz, sx * sy])
@@ -73,22 +74,10 @@ def _box_surface(stream: Stream, n: int, center, size) -> np.ndarray:
     face = np.searchsorted(cdf, u[:, 0], side="right")
     a = u[:, 1] - 0.5
     b = u[:, 2]
-    pts = np.empty((n, 3))
-    for f in range(5):
-        m = face == f
-        if f in (0, 1):  # x = +-sx/2 faces
-            pts[m, 0] = cx + (sx / 2 if f == 0 else -sx / 2)
-            pts[m, 1] = cy + a[m] * sy
-            pts[m, 2] = cz + b[m] * sz
-        elif f in (2, 3):  # y = +-sy/2 faces
-            pts[m, 0] = cx + a[m] * sx
-            pts[m, 1] = cy + (sy / 2 if f == 2 else -sy / 2)
-            pts[m, 2] = cz + b[m] * sz
-        else:  # top
-            pts[m, 0] = cx + a[m] * sx
-            pts[m, 1] = cy + (b[m] - 0.5) * sy
-            pts[m, 2] = cz + sz
-    return pts
+    x = np.select([face == 0, face == 1], [sx / 2, -sx / 2], a * sx)
+    y = np.select([face == 2, face == 3, face == 4], [sy / 2, -sy / 2, (b - 0.5) * sy], a * sy)
+    z = np.where(face == 4, sz, b * sz)
+    return np.stack([cx + x, cy + y, cz + z], axis=1)
 
 
 def _cylinder(stream: Stream, n: int, center_xy, radius: float, z0: float, height: float) -> np.ndarray:

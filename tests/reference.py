@@ -15,7 +15,8 @@
   the kept rows (`encoder_input_filter_then_group`, and
   `localize_filter_then_group`, which dilates in input order).
 - Brute-force geometry: O(N^2) kNN and dilation, voxel cells by
-  dictionary grouping.
+  dictionary grouping, and a box's surface filled face by face
+  (`box_surface_per_face`).
 - Extended precision (mpmath): a straight-line graph interpreter and a
   closed-form symmetric 3x3 eigenvalue solver.
 """
@@ -291,6 +292,35 @@ def brute_dilate(points: np.ndarray, mask: np.ndarray, radius: float) -> np.ndar
                 out[i] = True
                 break
     return out
+
+
+def box_surface_per_face(stream, n: int, center, size) -> np.ndarray:
+    """`dataset._box_surface` with each face's rows written by its own
+    masked assignment: the same draws and the same per-point arithmetic."""
+    cx, cy, cz = center
+    sx, sy, sz = size
+    areas = np.array([sy * sz, sy * sz, sx * sz, sx * sz, sx * sy])
+    cdf = np.cumsum(areas / areas.sum())
+    u = stream.uniform(3 * n).reshape(n, 3)
+    face = np.searchsorted(cdf, u[:, 0], side="right")
+    a = u[:, 1] - 0.5
+    b = u[:, 2]
+    pts = np.empty((n, 3))
+    for f in range(5):
+        m = face == f
+        if f in (0, 1):  # x = +-sx/2 faces
+            pts[m, 0] = cx + (sx / 2 if f == 0 else -sx / 2)
+            pts[m, 1] = cy + a[m] * sy
+            pts[m, 2] = cz + b[m] * sz
+        elif f in (2, 3):  # y = +-sy/2 faces
+            pts[m, 0] = cx + a[m] * sx
+            pts[m, 1] = cy + (sy / 2 if f == 2 else -sy / 2)
+            pts[m, 2] = cz + b[m] * sz
+        else:  # top
+            pts[m, 0] = cx + a[m] * sx
+            pts[m, 1] = cy + (b[m] - 0.5) * sy
+            pts[m, 2] = cz + sz
+    return pts
 
 
 def brute_voxel_cells(points: np.ndarray, voxel_size: float) -> dict:

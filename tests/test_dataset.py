@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference as R
+from shiftseg import dataset
 from shiftseg.dataset import (SYNTH_CLASSES, CloudFormatError, DatasetSplit, SceneSpec,
                               generate_scene, load_cloud, make_split, save_cloud)
+from shiftseg.rng import Stream
 
 
 def test_scene_determinism():
@@ -35,6 +38,15 @@ def test_scene_class_balance_over_split():
         counts += np.bincount(scene.labels, minlength=8)
     frac = counts / counts.sum()
     assert (frac >= 0.01).all() and (frac <= 0.60).all()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 400), st.integers(0, 2**32 - 1),
+       st.tuples(*[st.floats(-50.0, 50.0)] * 3), st.tuples(*[st.floats(0.05, 20.0)] * 3))
+def test_box_surface_equals_the_face_by_face_fill(n, seed, center, size):
+    got = dataset._box_surface(Stream(seed, "box"), n, center, size)
+    want = R.box_surface_per_face(Stream(seed, "box"), n, center, size)
+    assert got.shape == (n, 3) and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

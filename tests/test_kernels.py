@@ -1,10 +1,11 @@
 """The k-d-tree kernels against the brute-force oracles: two independent
 paths to the same neighbour lists and dilated masks."""
 import functools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 import reference as R
@@ -294,6 +295,37 @@ def test_dilate_includes_points_exactly_at_the_radius():
     assert out.sum() == 3 + 3 + 6 + 6  # a corner and two interior points
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dilate_decides_a_pair_on_the_radius_by_its_recomputed_distance(data):
+    # random float64 points, and a radius equal to the recomputed distance
+    # of one (marked, unmarked) pair or a neighbouring float, so that pair
+    # sits on the boundary where the tree's distance may round apart from
+    # the recomputed one
+    n = data.draw(st.integers(2, 80), label="n")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    scale = data.draw(st.sampled_from([0.01, 1.0, 100.0]), label="scale")
+    offset = data.draw(st.sampled_from([0.0, 1e3]), label="offset")
+    s = Stream(seed, "dilate-boundary")
+    pts = offset + (s.uniform(3 * n).reshape(n, 3) - 0.5) * scale
+    mask = s.uniform(n) < data.draw(st.sampled_from([0.05, 0.3, 0.7]), label="marked")
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True),
+                     label="pair")
+    mask[i], mask[j] = True, False
+    d2 = float(_kernels._sq_dist(pts, np.array([j]), np.array([i]))[0])
+    # the oracle sums the squares with fsum, the kernel left to right; on a
+    # pair where the two differ the boundary decision is not the oracle's
+    assume(d2 == math.fsum((float(a) - float(b)) ** 2 for a, b in zip(pts[j], pts[i])))
+    radius = math.sqrt(d2)
+    step = data.draw(st.sampled_from([-1, 0, 1]), label="ulps")
+    if step:
+        radius = float(np.nextafter(radius, np.inf if step > 0 else 0.0))
+    out = _kernels.dilate(pts, mask, radius)
+    assert np.array_equal(out, R.brute_dilate(pts, mask, radius))
+    if d2 <= radius * radius:
+        assert out[j]
+
+
 def test_dilate_radius_covering_the_whole_cloud_in_slices(monkeypatch):
     # every unmarked point hits every marked one; a small pair bound makes
     # the query run over many slices of the unmarked points
@@ -305,9 +337,9 @@ def test_dilate_radius_covering_the_whole_cloud_in_slices(monkeypatch):
     tree = _kernels.cKDTree
 
     class SpyTree(tree):
-        def query_ball_point(self, x, r, **kw):
-            calls.append(len(x) * self.n)
-            return super().query_ball_point(x, r, **kw)
+        def sparse_distance_matrix(self, other, max_distance, **kw):
+            calls.append(self.n * other.n)
+            return super().sparse_distance_matrix(other, max_distance, **kw)
 
     monkeypatch.setattr(_kernels, "cKDTree", SpyTree)
     out = _kernels.dilate(pts, mask, 1e3)

@@ -1,9 +1,13 @@
 """float32 compute over float64 master weights. Every op keeps its float32
 operands' dtype and hands each parent a gradient in that parent's own dtype,
-a training step's bits do not depend on the BLAS thread count, the prior's
+neither a training step's bits nor `eval`'s reports depend on the BLAS
+thread count, the prior's
 objective holds no float64 copy of its latent rows, and clouds with
 degenerate geometry still train to finite losses and weights."""
+import contextlib
 import dataclasses
+import io
+import json
 import os
 import subprocess
 import sys
@@ -14,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference as R
 import shiftseg.tensor as T
-from shiftseg import trainer, verify
+from shiftseg import cli, trainer, verify
 from shiftseg.dataset import SYNTH_CLASSES, SceneSpec, generate_scene
 from shiftseg.pointcloud import PointCloud
 from shiftseg.rng import Stream
@@ -236,6 +240,27 @@ def test_training_bits_do_not_depend_on_the_blas_thread_count():
                              capture_output=True, text=True, check=True)
         digests.append(out.stdout.split())
     assert digests[0] == digests[1]
+
+
+def test_eval_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the training probe's config, trained for one epoch in this process;
+    # `eval` runs under each thread count in its own process
+    cfg = trainer.TrainConfig(scenes=5, points_per_scene=128, t=0.45, epochs=1)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg.to_json()))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"eval-{threads}"
+        env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-m", "shiftseg.cli", "eval", "--config", str(config),
+                        "--ckpt", str(tmp_path / "run" / "ckpt" / "final"), "--out", str(out)],
+                       env=env, capture_output=True, check=True)
+        files = [*sorted((out / "reports").glob("level_*.json")), out / "csv" / "level_sweep.csv"]
+        outputs.append({f.name: f.read_bytes() for f in files})
+    assert len(outputs[0]) == 6  # the five default levels and the sweep
+    assert outputs[0] == outputs[1]
 
 
 def degenerate_batches():

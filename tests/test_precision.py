@@ -1,9 +1,9 @@
 """float32 compute over float64 master weights. Every op keeps its float32
 operands' dtype and hands each parent a gradient in that parent's own dtype,
 neither a training step's bits nor `eval`'s reports depend on the BLAS
-thread count, the prior's
-objective holds no float64 copy of its latent rows, and clouds with
-degenerate geometry still train to finite losses and weights."""
+thread count, the prior's objective holds no float64 copy of its latent
+rows, and clouds with degenerate geometry still train to finite losses and
+weights."""
 import contextlib
 import dataclasses
 import io

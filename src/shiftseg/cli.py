@@ -1,15 +1,15 @@
 """Command-line entry point: dataset generation, training, evaluation,
 ablation sweeps, and verification.
 
-`eval` builds or loads only the validation clouds, the ones it scores. It
-runs one evaluation pass per level (`evalsuite.evaluate_level`): each
+`eval` builds or loads only the validation clouds, the ones it scores. Its
+level sweep (`evalsuite.ssr_curve`) draws with the config's seed: each
 augmented draw gives both the level's mIoU and its SSR ratio. The clean
 high-distortion metrics are computed once, from one kNN query per clean
 validation cloud, and reported with every level.
 
 `ablate` trains one run per value of a `SWEEPS` entry (the studied k, D, t
 and lambda of the full mode's prior), the config otherwise unchanged, and
-writes each run's clean and heavy-level mIoU.
+copies each run's clean and per-level mIoU from its final report.
 
 Every setting of a run comes from its config file, read through
 `trainer.TrainConfig`, the one check of those settings; `gen` reads one too,
@@ -224,23 +224,19 @@ def cmd_eval(args) -> int:
     os.makedirs(os.path.join(args.out, "csv"), exist_ok=True)
     val_clouds = [clouds[c] for c in split.val]
 
-    # the prior snapshot and the clean-geometry high-distortion metrics do not
-    # depend on the level
     snapshot = trainer.prior_snapshot(state)
     clean = evalsuite.clean_high_distortion(state.model, val_clouds, cfg)
-    rows = []
-    for level in levels:
-        rep = evalsuite.evaluate_level(state.model, snapshot, val_clouds, level,
-                                       args.trials, cfg)
+    sweep = evalsuite.ssr_curve(state.model, snapshot, val_clouds, levels, args.trials, cfg,
+                                cfg.seed)
+    for level, rep in sweep.items():
         rep.update(clean, config_hash=cfg.config_hash(), seed=cfg.seed)
         _write_json(os.path.join(args.out, "reports", f"level_{level}.json"), rep)
-        rows.append((level, cfg.seed, rep["ssr_ratio"], rep["miou"]))
         print(f"level {level}: mIoU {rep['miou']:.4f} ssr_ratio {rep['ssr_ratio']}")
     with open(os.path.join(args.out, "csv", "level_sweep.csv"), "w", encoding="utf-8") as f:
         f.write("level,seed,ssr_ratio,miou\n")
-        for level, seed, ratio, miou in rows:
-            ratio_s = "" if ratio is None else repr(float(ratio))
-            f.write(f"{level},{seed},{ratio_s},{repr(float(miou))}\n")
+        for level, rep in sweep.items():
+            ratio = "" if rep["ssr_ratio"] is None else repr(float(rep["ssr_ratio"]))
+            f.write(f"{level},{cfg.seed},{ratio},{repr(float(rep['miou']))}\n")
     _manifest(args.out, cfg.config_hash(), cfg.seed, EVAL_LAYOUT)
     return 0
 
@@ -266,24 +262,21 @@ def cmd_ablate(args) -> int:
     _prepare_out(args.out, args.force, ABLATE_LAYOUT)
     os.makedirs(os.path.join(args.out, "csv"), exist_ok=True)
     key, values = SWEEPS[args.sweep]
-    val_clouds = [clouds[c] for c in split.val]
 
-    rows = []
+    lines = [",".join(["sweep,value,miou_clean", *(f"miou_{level}" for level in PRESETS)])]
     for value in values:
         cfg = TrainConfig.from_json({**base.to_json(), key: value})
         cell_dir = os.path.join(args.out, f"{args.sweep}_{value}")
         os.makedirs(cell_dir, exist_ok=True)
         _write_json(os.path.join(cell_dir, "config.json"), cfg.to_json())
-        state, reports = trainer.run(cfg, split, clouds, out_dir=cell_dir)
-        clean = reports[-1]["miou"]
-        heavy = evalsuite.evaluate_level(state.model, None, val_clouds, "heavy", 1, cfg)["miou"]
-        rows.append((args.sweep, value, clean, heavy))
-        print(f"{args.sweep}={value}: clean mIoU {clean:.4f} heavy mIoU {heavy:.4f}")
+        final = trainer.run(cfg, split, clouds, out_dir=cell_dir)[1][-1]
+        mious = [final["miou"], *(final["miou_by_level"][level] for level in PRESETS)]
+        lines.append(",".join([args.sweep, str(value), *(repr(float(m)) for m in mious)]))
+        print(f"{args.sweep}={value}: clean mIoU {final['miou']:.4f} "
+              f"heavy mIoU {final['miou_by_level']['heavy']:.4f}")
     with open(os.path.join(args.out, "csv", f"sweep_{args.sweep}.csv"), "w",
               encoding="utf-8") as f:
-        f.write("sweep,value,miou_clean,miou_heavy\n")
-        for sweep, value, clean, heavy in rows:
-            f.write(f"{sweep},{value},{repr(float(clean))},{repr(float(heavy))}\n")
+        f.write("\n".join(lines) + "\n")
     _manifest(args.out, base.config_hash(), base.seed, ABLATE_LAYOUT)
     return 0
 

@@ -4,10 +4,10 @@
 evaluation. An evaluation level is an augmentation preset's jitter and drop
 alone, its subsidiary transforms off. `evaluate_level` is the one evaluation
 pass: each augmented draw is prepared and predicted once, then scored for
-point-level IoU and for its shift-region ratio. `clean_high_distortion`
-scores the unaugmented clouds inside their high-distortion subregion from
-one kNN query per cloud. Also here: per-class IoU and mIoU and confusion
-matrices."""
+point-level IoU and for its shift-region ratio; `ssr_curve` runs it per
+level. `clean_high_distortion` scores the unaugmented clouds inside their
+high-distortion subregion from one kNN query per cloud. Also here:
+per-class IoU and mIoU and confusion matrices."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -130,20 +130,21 @@ def evaluate_clouds(preds: list[np.ndarray], clouds, class_count: int) -> dict:
 
 
 def evaluate_level(model: segnet.SegModel, snapshot: PriorSnapshot | None, clouds,
-                   level: str, trials: int, cfg) -> dict:
+                   level: str, trials: int, cfg, draw_seed: int) -> dict:
     """The evaluation pass of one level: `trials` draws per cloud, each drawn
-    with key (seed, "eval", level, cloud index, trial), prepared and predicted
-    once. Its per-point predictions are pooled into IoU scores; with a prior
-    snapshot, its representatives are also localized, and `ssr_ratio` is the
-    mean shift-region ratio over the draws (None without a snapshot).
+    with key (draw_seed, "eval", level, cloud index, trial), prepared and
+    predicted once, so passes given one draw_seed see the same draws. Its
+    per-point predictions are pooled into IoU scores; with a prior snapshot,
+    its representatives are also localized, and `ssr_ratio` is the mean
+    shift-region ratio over the draws (None without a snapshot).
 
-    `cfg` (a trainer.TrainConfig) gives seed, class_count, voxel_size, knn_k
-    and dilation_radius."""
+    `cfg` (a trainer.TrainConfig) gives class_count, voxel_size, knn_k and
+    dilation_radius."""
     aug_cfg = AugmentConfig(level, subsidiary=False)
     preds, labels, ratios = [], [], []
     for ci, cloud in enumerate(clouds):
         for t in range(trials):
-            aug, _ = augment_pair(cloud, aug_cfg, (cfg.seed, "eval", level, ci, t))
+            aug, _ = augment_pair(cloud, aug_cfg, (draw_seed, "eval", level, ci, t))
             pc = prepare_cloud(aug, cfg.voxel_size, cfg.knn_k)
             rep_pred, probs = segnet.predict(model, pc.feats)
             preds.append(rep_pred[pc.point_cell])
@@ -158,11 +159,11 @@ def evaluate_level(model: segnet.SegModel, snapshot: PriorSnapshot | None, cloud
             "ssr_ratio": float(np.mean(ratios)) if snapshot is not None else None}
 
 
-def ssr_curve(model: segnet.SegModel, snapshot: PriorSnapshot, clouds, levels,
-              trials: int, cfg) -> dict[str, float]:
-    """Mean shift-region ratio per augmentation level, from each level's
-    evaluation pass."""
-    return {level: evaluate_level(model, snapshot, clouds, level, trials, cfg)["ssr_ratio"]
+def ssr_curve(model: segnet.SegModel, snapshot: PriorSnapshot | None, clouds, levels,
+              trials: int, cfg, draw_seed: int) -> dict[str, dict]:
+    """Each level's `evaluate_level` report, by level. Named when it kept only
+    SSR ratios; the name stays while shiftbench/bench_trace.py traces it."""
+    return {level: evaluate_level(model, snapshot, clouds, level, trials, cfg, draw_seed)
             for level in levels}
 
 

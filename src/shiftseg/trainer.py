@@ -50,7 +50,8 @@ SEG_WEIGHT_DECAY = 1e-4
 SEG_MOMENTUM = 0.9
 CLIP_GRAD_NORM = 1.0
 AE_LR = 0.001  # Adam rate of the prior autoencoder and its codebook
-CURVE_TRIALS = 2  # augmentations per val cloud in the final level curve
+CURVE_TRIALS = 2  # augmentations per val cloud in the final level sweep
+EVAL_DRAW_SEED = 1000  # the final level sweep's draw key, whatever the run's seed
 
 
 class ConfigError(ValueError):
@@ -81,10 +82,10 @@ def _json_type_ok(val, types: tuple) -> bool:
 @dataclass(frozen=True)
 class TrainConfig:
     """Every setting a run may vary (schedule, data, widths, the studied t, k,
-    D and lambda, geometry, augmentation, bookkeeping) and its
-    seed; no flag or environment variable overrides a value. Values no
-    experiment varies are module constants: the optimizer settings and
-    CURVE_TRIALS here, scp.BETA and scp.GAMMA, augment.NUM_SECTORS. This is
+    D and lambda, geometry, augmentation, bookkeeping) and its seed; no flag
+    or environment variable overrides a value. Values no experiment varies
+    are module constants: the optimizer settings, CURVE_TRIALS and
+    EVAL_DRAW_SEED here, scp.BETA and scp.GAMMA, augment.NUM_SECTORS. This is
     the one check of a run's settings: a value that could not run is refused
     here with ConfigError, and the library downstream takes them as checked."""
 
@@ -634,14 +635,19 @@ def validation_report(state: TrainState, val_clouds: list[PointCloud],
 
 
 def final_report(state: TrainState, val_clouds: list[PointCloud]) -> dict:
-    """The validation report plus SSR ratio by level and high-distortion mask
-    fraction (`evalsuite.clean_high_distortion`, as `shiftseg eval` reports
-    it)."""
+    """The validation report plus mIoU and SSR ratio (None without a prior)
+    by level, from one sweep of every preset (`evalsuite.ssr_curve`) whose
+    draws are keyed (EVAL_DRAW_SEED, "eval", level, cloud index, trial)
+    whatever the run's seed and mode, and the high-distortion mask fraction
+    (as `shiftseg eval` reports it)."""
     doc = validation_report(state, val_clouds, state.cfg, state.cfg.epochs)
     doc["final"] = True
     snapshot = prior_snapshot(state)
-    doc["ssr_ratio_by_level"] = None if snapshot is None else evalsuite.ssr_curve(
-        state.model, snapshot, val_clouds, PRESETS, CURVE_TRIALS, state.cfg)
+    sweep = evalsuite.ssr_curve(state.model, snapshot, val_clouds, PRESETS, CURVE_TRIALS,
+                                state.cfg, EVAL_DRAW_SEED)
+    doc["miou_by_level"] = {level: rep["miou"] for level, rep in sweep.items()}
+    doc["ssr_ratio_by_level"] = None if snapshot is None else {
+        level: rep["ssr_ratio"] for level, rep in sweep.items()}
     doc["high_distortion_mask_fraction"] = evalsuite.clean_high_distortion(
         state.model, val_clouds, state.cfg)["high_distortion_mask_fraction"]
     return doc

@@ -556,9 +556,40 @@ def test_ablate_writes_the_sweep_table(tmp_path):
     assert quiet_main(["ablate", "--config", config, "--sweep", "t",
                        "--out", str(out)]) == 0
     lines = (out / "csv" / "sweep_t.csv").read_text().splitlines()
-    assert lines[0] == "sweep,value,miou_clean,miou_heavy"
+    assert lines[0] == ("sweep,value,miou_clean,miou_none,miou_light,miou_moderate,"
+                        "miou_heavy,miou_random,miou_excessive")
     assert [line.split(",")[1] for line in lines[1:]] == ["2.0", "3.0", "4.0"]
     assert all(np.isfinite(float(v)) for line in lines[1:] for v in line.split(",")[2:])
+
+
+def test_ablate_copies_each_cell_s_final_level_sweep_and_evaluates_nothing_itself(
+        tmp_path, monkeypatch):
+    calls, in_final = [], []
+    evaluate, final_report = evalsuite.evaluate_level, trainer.final_report
+
+    def counting_evaluate(*args):
+        calls.append(bool(in_final))
+        return evaluate(*args)
+
+    def marking_final_report(*args):
+        in_final.append(True)
+        try:
+            return final_report(*args)
+        finally:
+            in_final.pop()
+
+    monkeypatch.setattr(evalsuite, "evaluate_level", counting_evaluate)
+    monkeypatch.setattr(trainer, "final_report", marking_final_report)
+    _, config = write_config(tmp_path / "config.json", scenes=2)
+    out = tmp_path / "ablate"
+    assert quiet_main(["ablate", "--config", config, "--sweep", "t", "--out", str(out)]) == 0
+    assert calls == [True] * (3 * len(augment.PRESETS))
+    lines = (out / "csv" / "sweep_t.csv").read_text().splitlines()
+    for line, value in zip(lines[1:], ["2.0", "3.0", "4.0"], strict=True):
+        final = json.loads((out / f"t_{value}" / "reports" / "final.json").read_text())
+        assert line.split(",") == ["t", value, repr(final["miou"]),
+                                   *(repr(final["miou_by_level"][level])
+                                     for level in augment.PRESETS)]
 
 
 def test_ablate_with_force_replaces_the_earlier_sweep_and_nothing_else(tmp_path):

@@ -107,12 +107,45 @@ def test_a_checkpoint_without_a_prior_is_refused(tmp_path):
 
 def test_final_report_completes_over_every_level(tmp_path, monkeypatch):
     # 45 curve trials reach the excessive-level draws (keys t=44) that once
-    # left one point of the 64-point validation cloud
-    monkeypatch.setattr(trainer, "CURVE_TRIALS", 45)
+    # left one point of the 64-point validation cloud; those keys were drawn
+    # with the tiny config's seed, so the sweep draws with it here
     cfg = verify.tiny_config(scenes=2, val_fraction=0.5)
+    monkeypatch.setattr(trainer, "CURVE_TRIALS", 45)
+    monkeypatch.setattr(trainer, "EVAL_DRAW_SEED", cfg.seed)
     split, clouds = trainer.default_data(cfg)
     _, reports = trainer.run(cfg, split, clouds, str(tmp_path))
     assert list(reports[-1]["ssr_ratio_by_level"]) == list(PRESETS)
+    assert list(reports[-1]["miou_by_level"]) == list(PRESETS)
+
+
+def test_trainings_at_different_seeds_score_the_same_final_draws(tmp_path, monkeypatch):
+    # the final level sweep's draws are keyed on EVAL_DRAW_SEED, not on the
+    # training seed, so every training of a study is scored on the same clouds
+    seen = []
+    prepare = evalsuite.prepare_cloud
+
+    def spy(cloud, *args):
+        if cloud.cloud_id.endswith(".aug"):
+            seen[-1].append(hashlib.sha256(cloud.positions.tobytes()).hexdigest())
+        return prepare(cloud, *args)
+
+    monkeypatch.setattr(evalsuite, "prepare_cloud", spy)
+    cfg = verify.tiny_config(scenes=2, val_fraction=0.5)
+    split, clouds = trainer.default_data(cfg)
+    for seed in (5, 6):
+        seen.append([])
+        trainer.run(dataclasses.replace(cfg, seed=seed), split, clouds, str(tmp_path / str(seed)))
+    assert seen[0] and seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("mode", trainer.MODES)
+def test_the_final_none_level_scores_the_clean_clouds(tmp_path, mode):
+    # the none level draws the identity, and a draw is prepared by the one
+    # path the clean validation clouds take, so both score the same bits
+    cfg = verify.tiny_config(scenes=2, val_fraction=0.5, mode=mode)
+    split, clouds = trainer.default_data(cfg)
+    _, reports = trainer.run(cfg, split, clouds, str(tmp_path))
+    assert reports[-1]["miou_by_level"]["none"] == reports[-1]["miou"]
 
 
 def test_the_final_checkpoint_is_written_before_the_final_report(tmp_path, monkeypatch):
@@ -159,12 +192,17 @@ def test_resume_refuses_a_changed_config(tmp_path):
 # step line lost the run constants mode and preset and its records the
 # derivable num_sectors and mix_keep_even (steplog 3880031c… → 318898bf…,
 # epoch_0002 505f3193… → bd001862…, final 4017d32b… → 1bbc7c3c…; every other
-# report value and every other steplog value unchanged).
+# report value and every other steplog value unchanged). The final report
+# was re-recorded (steplog, weights and epoch_0002 unchanged) when it gained
+# miou_by_level and its level sweep began to draw with trainer.EVAL_DRAW_SEED
+# in place of the training seed, which moves ssr_ratio_by_level (final
+# 1bbc7c3c… → 9e74bd31…; every other value unchanged, and with EVAL_DRAW_SEED
+# set to the config's seed, ssr_ratio_by_level equals the earlier one).
 GOLDEN = {
     "steplog.ndjson": "318898bfd0bd9e8b0a8d3f25dfd650eb54a385035b23de24fe8d59a7a22b8cad",
     "ckpt/final/weights.a3wt": "021d07f6d71243473dbecb03c67a056b58bf878dda732f44b9a9572395d2644a",
     "reports/epoch_0002.json": "bd0018620198e0784e6a3997ced45b7c8ff88590a2ea4cc4c4e9331047a764cb",
-    "reports/final.json": "1bbc7c3c286d37d8932a8a588d6c6c072161e6b1c5d7231fbcaad3300b48a15b",
+    "reports/final.json": "9e74bd31569a70f137148d76f2934a4464f9912053e1f7843624104c371f3274",
 }
 
 
@@ -297,12 +335,13 @@ def test_rows_of_classes_without_a_live_code_stay_in_scr(lam):
 @pytest.mark.parametrize("mode, ratios", [("full", {level: 0.0 for level in PRESETS}),
                                            ("eas", None)])
 def test_the_final_report_of_a_prior_without_live_codes_flags_no_row(mode, ratios):
-    # None means only that the mode has no prior
+    # None means only that the mode has no prior; mIoU is scored in every mode
     cfg = verify.tiny_config(scenes=2, val_fraction=0.5, mode=mode)
     split, clouds = trainer.default_data(cfg)
     val_clouds = [clouds[c] for c in split.val]
     rep = trainer.final_report(trainer.init_state(cfg), val_clouds)
     assert rep["ssr_ratio_by_level"] == ratios
+    assert list(rep["miou_by_level"]) == list(PRESETS)
 
 
 # full with global distillation, and the EAS + SCR regime, which is full

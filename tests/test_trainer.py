@@ -1,7 +1,8 @@
 """Training-run reproducibility across `--resume`, atomic checkpoints, a
 final checkpoint kept when the final report fails, a final report over every
-augmentation level, golden output digests, clean clouds prepared once per
-run, labels a step cannot score refused, a loss that is not finite named,
+augmentation level on draws that every training seed shares, golden output
+digests, clean clouds prepared once per run, labels a step cannot score
+refused, a loss that is not finite named,
 rows without a live code kept in SCR, a replayed step bitwise equal to its
 selecting pass, the prior's objective over float32 pins bitwise equal to it
 over float64 ones, checkpoints refused when written under another config or

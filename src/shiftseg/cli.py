@@ -20,8 +20,9 @@ from the config in scenes, points_per_scene or val_fraction, or that
 `_load_data` cannot use; an `eval` level unknown or listed twice, and
 `--trials` below 1; an `eval` or `--resume` checkpoint written under another
 config (`trainer.load_state`); an unknown `ablate` sweep, or any sweep on a
-mode without a prior; an `--out` directory that cannot be made. Arguments
-are checked before the output directory is made.
+mode without a prior; an `--out` directory that cannot be made; an input
+path missing or of the wrong kind (say a file as `--data`). Arguments are
+checked before the output directory is made.
 
 Exit codes: 0 success, 1 a failed `verify` suite, 2 usage error (a malformed
 config, dataset or checkpoint included).
@@ -347,8 +348,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ConfigError, FileNotFoundError, CloudFormatError,
-            CheckpointError) as exc:
+    except (UsageError, ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            CloudFormatError, CheckpointError) as exc:  # the path errors name their path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -152,19 +152,26 @@ def vq_losses(ae: PriorAutoencoder, cb: CodebookState, z_e: T.Tensor,
     assigned code values z_q0 and the straight-through residual
     st0 = z_q0 - z_e0 added onto z_e, the latter taken in float64
     NEAREST_ROWS rows at a time: no (rows, D) float64 array is built. The
-    codebook term gathers the live float64 codes in that dtype too, and
-    their gradient comes back float64 through the gather. The
-    reconstruction target is a plain array, already detached from the
-    segmentation network.
+    codebook term reads the live float64 codes in that dtype as one node
+    (`T.gathered_mse`); the reconstruction target is a plain array, already
+    detached from the segmentation network. The tape keeps the layer inputs
+    and one difference per term: z_q0 and st0 go once their terms are built.
+
+    In a training step the codebook term equals the commitment term bit for
+    bit (z_e == z_e0, and the live codes are the snapshot's), so the step
+    log's vq_codebook and vq_commitment agree. Both stay: each sends its
+    gradient elsewhere, finite differences that move the live codes
+    (verify's, the tests') move the two apart, and dropping a steplog key
+    moves the steplog digests, a declared re-record of its own.
     """
-    z_q0 = codes0.astype(z_e0.dtype)[flat]
+    codebook = T.gathered_mse(z_e0, cb.codes, flat)
+    commitment = T.mse(z_e, codes0.astype(z_e0.dtype)[flat])
     st0 = np.empty_like(z_e0)
     for i in range(0, len(flat), NEAREST_ROWS):
         st0[i:i + NEAREST_ROWS] = codes0[flat[i:i + NEAREST_ROWS]] - z_e0[i:i + NEAREST_ROWS]
-    z_q_rows = T.gather_rows(cb.codes, flat, z_e0.dtype)
-    codebook = T.mse(z_e0, z_q_rows)
-    commitment = T.mse(z_e, z_q0)
-    decoded = ae.decode(T.add(z_e, T.Tensor(st0)))
+    z_st = T.add(z_e, T.Tensor(st0))
+    del st0  # before the decoder runs
+    decoded = ae.decode(z_st)
     recon = T.mse(decoded, target_probs)
     total = T.add(T.add(recon, codebook), T.scale(commitment, BETA))
     return VqLosses(recon, codebook, commitment, total)

@@ -12,13 +12,15 @@ prefix, as `mlp_params` builds them), keeps the inputs of the layers whose
 weights want a gradient, and a hidden layer's sign mask only where the next
 layer keeps no such input (a leaky output is positive exactly where its
 pre-activation is, so a kept input gives the mask back); `mse` keeps the
-difference of its operands; `cross_entropy` keeps the selected rows'
-exponentials, their sums and the one-hot labels. A closure runs once:
-`mlp`'s frees each layer's input and mask as soon as it has used them, and
-`backward` releases each node as soon as it has run, so those arrays are
-freed while the rest of the graph is still being walked. The elementwise
-ops, `add` and `mse`, take operands of equal shapes; the one broadcast is
-`mlp`'s bias row.
+difference of its operands, and `gathered_mse` that of a constant and the
+rows it gathers; `cross_entropy` keeps the selected rows' exponentials,
+their sums and the one-hot labels. A constant operand is kept only where a
+backward reads it (`mlp`'s frozen weights): a dataless stand-in takes its
+place among the parents. A closure runs once: `mlp`'s frees each layer's
+input and mask as soon as it has used them, and `backward` releases each
+node as soon as it has run, so those arrays are freed while the rest of the
+graph is still being walked. The elementwise ops, `add` and `mse`, take
+operands of equal shapes; the one broadcast is `mlp`'s bias row.
 
 The dtype comes from the data. A tensor keeps float32 and float64 data as
 they are and takes anything else as float64. An op computes in the narrowest
@@ -28,9 +30,10 @@ Micikevicius et al., ICLR 2018), and an all-float64 graph, as the gradient
 checks build, runs in float64. A backward returns each parent's gradient in
 that parent's dtype. A sum over rows into a parent (a bias or weight
 gradient, a gather's scatter) accumulates in that parent's dtype or wider,
-so a float64 master gets a float64 sum of float32 rows; loss means
-accumulate in float64. A weight gradient is summed in fixed row blocks
-(`_weight_grad`), so its bits do not depend on the BLAS thread count.
+so a float64 master gets a float64 sum of float32 rows, a gather's one
+column at a time; loss means accumulate in float64. A weight gradient is
+summed in fixed row blocks (`_weight_grad`), so its bits do not depend on
+the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -85,6 +88,9 @@ def float_array(data) -> np.ndarray:
     return a if a.dtype in _FLOATS else a.astype(np.float64)
 
 
+_CONSTANT = Tensor(np.zeros(0), _op="constant")  # a recorded node's constant parent
+
+
 def _compute_dtype(*tensors: Tensor) -> np.dtype:
     """The narrowest dtype among the operands: float32 activations win over
     float64 master weights and constants."""
@@ -97,7 +103,9 @@ def as_tensor(x) -> Tensor:
 
 def _record(data, parents: tuple[Tensor, ...], backward_fn: Callable, op: str) -> Tensor:
     if any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=parents, _backward=backward_fn, _op=op)
+        # a constant parent gets no gradient and is not kept: a stand-in
+        return Tensor(data, requires_grad=True, _backward=backward_fn, _op=op,
+                      _parents=tuple(p if p.requires_grad else _CONSTANT for p in parents))
     return Tensor(data, _op=op)
 
 
@@ -126,10 +134,10 @@ def _operands(op: str, a, b) -> tuple[Tensor, Tensor, np.ndarray, np.ndarray]:
 
 def add(a, b) -> Tensor:
     a, b, ad, bd = _operands("add", a, b)
+    dtypes = [t.data.dtype if t.requires_grad else None for t in (a, b)]
 
     def bwd(g):
-        return (_unbroadcast(g, a) if a.requires_grad else None,
-                _unbroadcast(g, b) if b.requires_grad else None)
+        return tuple(None if dt is None else g.astype(dt, copy=False) for dt in dtypes)
 
     return _record(ad + bd, (a, b), bwd, "add")
 
@@ -304,13 +312,33 @@ def mse(a, b) -> Tensor:
     bit, keeping only the difference."""
     a, b, ad, bd = _operands("mse", a, b)
     d = ad - bd
+    da, db = (t.data.dtype if t.requires_grad else None for t in (a, b))
 
     def bwd(g):
         gd = 2.0 * (g / d.size) * d
-        return (_unbroadcast(gd, a) if a.requires_grad else None,
-                _unbroadcast(-gd, b) if b.requires_grad else None)
+        return (None if da is None else gd.astype(da, copy=False),
+                None if db is None else (-gd).astype(db, copy=False))
 
     return _record((d * d).mean(dtype=np.float64).astype(d.dtype), (a, b), bwd, "mse")
+
+
+def gathered_mse(a, x, indices) -> Tensor:
+    """mse(a, gather_rows(x, indices, a's dtype)) of a constant `a` as one
+    node whose only parent is x: the same value and gradient into x, bit for
+    bit, keeping only the difference and no gathered rows."""
+    a = float_array(a)
+    rows = gather_rows(x, indices, a.dtype)
+    if rows.data.shape != a.shape:
+        raise ShapeError(f"gathered-mse: shapes {a.shape} and {rows.data.shape} are not equal")
+    d = np.subtract(a, rows.data, out=rows.data)  # the gathered copy becomes the difference
+    scatter, rows = rows._backward, None  # the gather's backward adds rows into x's
+
+    def bwd(g):
+        gd = 2.0 * (g / d.size) * d
+        return scatter(np.negative(gd, out=gd))
+
+    return _record((d * d).mean(dtype=np.float64).astype(d.dtype), (as_tensor(x),), bwd,
+                   "gathered-mse")
 
 
 def cross_entropy(logits, labels, rows) -> Tensor:
@@ -359,10 +387,11 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
         raise ShapeError("concat: need at least one input")
     sizes = [p.data.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
+    dtypes = [p.data.dtype if p.requires_grad else None for p in parts]
 
     def bwd(g):
-        return tuple(piece.astype(p.data.dtype, copy=False) if p.requires_grad else None
-                     for p, piece in zip(parts, np.split(g, splits, axis=axis)))
+        return tuple(None if dt is None else piece.astype(dt, copy=False)
+                     for dt, piece in zip(dtypes, np.split(g, splits, axis=axis)))
 
     out = np.concatenate([p.data for p in parts], axis=axis, dtype=_compute_dtype(*parts))
     return _record(out, parts, bwd, "concat")
@@ -381,13 +410,14 @@ def gather_rows(x, indices, dtype=None) -> Tensor:
     idx = np.where(idx < 0, idx + shape[0], idx)  # rows as numpy counts them
 
     def bwd(g):
-        # one bincount over (row, column) keys adds each cell's terms in input
-        # order from +0.0 in float64, bit for bit what np.add.at(gx, idx, g)
-        # gives on a float64 gx; a float32 x gets that sum rounded once
+        # a bincount per column adds each cell's terms in input order from
+        # +0.0 in float64, bit for bit np.add.at on float64 zeros, and a
+        # float32 x gets that sum rounded once; no (rows × width) keys are built
         width = int(np.prod(shape[1:], dtype=np.int64))
-        keys = (idx[:, None] * width + np.arange(width)).ravel()
-        gx = np.bincount(keys, weights=g.ravel(), minlength=shape[0] * width)
-        return (gx.reshape(shape).astype(x.data.dtype, copy=False),)
+        g, gx = g.reshape(idx.size, width), np.empty((shape[0], width), dtype=x.data.dtype)
+        for j in range(width):
+            gx[:, j] = np.bincount(idx, weights=g[:, j], minlength=shape[0])
+        return (gx.reshape(shape),)
 
     return _record(out, (x,), bwd, "gather-rows")
 

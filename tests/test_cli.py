@@ -451,6 +451,32 @@ def test_an_out_at_or_under_a_file_exits_2(trained, tmp_path, capsys, command):
     assert file.read_text() == "kept"
 
 
+@pytest.mark.parametrize("case", ["gen-config-dir", "train-data-file", "eval-data-file",
+                                  "split-dir"])
+def test_an_input_path_of_the_wrong_kind_exits_2_naming_it(trained, tmp_path, capsys, case):
+    # each once ended in an IsADirectoryError or NotADirectoryError
+    # traceback, exit 1
+    _, config, ckpt = trained
+    out = tmp_path / "out"
+    data = tmp_path / "data"
+    if case == "gen-config-dir":
+        data.mkdir()
+        argv, named = ["gen", "--config", str(data)], data
+    elif case == "split-dir":
+        assert quiet_main(["gen", "--config", config, "--out", str(data)]) == 0
+        (data / "split.json").unlink()
+        (data / "split.json").mkdir()
+        argv, named = ["train", "--config", config, "--data", str(data)], data / "split.json"
+    else:
+        data.write_text("not a dataset")
+        argv = {"train-data-file": ["train", "--config", config],
+                "eval-data-file": ["eval", "--ckpt", ckpt, "--config", config]}[case]
+        argv, named = argv + ["--data", str(data)], data
+    assert quiet_main(argv + ["--out", str(out)]) == 2
+    assert str(named) in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def two_epoch_run(tmp_path_factory):
     """A finished 2-epoch run with a checkpoint per epoch, and its config."""

@@ -55,11 +55,15 @@ def phase_table():
 
 
 def test_a_warm_default_step_keeps_little_alive_at_once(phase_table):
-    # traced peak of one warm mode=full step: ≈ 43.1 MB since an mlp node
+    # traced peak of one warm mode=full step: ≈ 36.1 MB, in the seg
+    # backward, since the prior's objective keeps no gathered code rows, no
+    # pinned code values and no straight-through residual on its tape, and
+    # its codebook gradient is scattered a column at a time (bound: that
+    # plus ≈ 15 %); 43.1 MB, in the prior backward, since an mlp node
     # reads a hidden layer's sign mask off the next layer's kept input and
     # the prior's objective derives its float32 code values and
     # straight-through residual from the frozen prior's codes, a float64
-    # block of rows at a time (bound: that plus ≈ 15 %); 43.2 MB while the
+    # block of rows at a time; 43.2 MB while the
     # step's record held those values; 55.0 MB when the tape first computed
     # in float32 over float64 master weights;
     # 87.5 MB in float64, each phase of the step (seg build and backward,
@@ -68,7 +72,20 @@ def test_a_warm_default_step_keeps_little_alive_at_once(phase_table):
     # augmented CE kept a tape; 179.2 MB when every layer kept its input and
     # the prior's decoder graph sat beside the seg graph
     (step_peak,) = phase_table["step"]
-    assert step_peak < 50
+    assert step_peak < 41.5
+
+
+def test_the_prior_phase_keeps_only_what_its_backward_reads(phase_table):
+    # prior build: ≈ 33.4 MB live at its return, now that the tape holds the
+    # encoder's and decoder's layer inputs and one difference per squared
+    # error; 41.4 MB while it also held the gathered code rows, the pinned
+    # code values and the straight-through residual. Prior backward: ≈ 35.1
+    # MB peak with the codebook gradient scattered a column at a time; 43.1
+    # MB while one bincount read (rows × D) int64 keys and float64 weights
+    live, _ = phase_table["prior build"]
+    assert live < 36
+    _, peak = phase_table["prior backward"]
+    assert peak < 38
 
 
 def test_the_seg_phase_holds_no_prior_values(phase_table):

@@ -564,13 +564,53 @@ def gather_cases():
 
 
 def test_gather_rows_backward_equals_add_at_bytewise():
+    # the column scatter (`T._scatter_rows`) into a float64 parent, and into
+    # a float32 one, which gets the float64 sum rounded once
     for rows, width, idx, g in gather_cases():
-        x = T.Tensor(np.zeros((rows, width)), requires_grad=True)
-        (got,) = T.gather_rows(x, idx)._backward(g)
         ref = np.zeros((rows, width))  # the scatter it replaced
         with np.errstate(invalid="ignore"):
             np.add.at(ref, idx, g)
-        assert got.tobytes() == ref.tobytes(), (rows, width, idx.size)
+        for dtype in (np.float64, np.float32):
+            x = T.Tensor(np.zeros((rows, width), dtype=dtype), requires_grad=True)
+            with np.errstate(over="ignore", invalid="ignore"):
+                (got,) = T.gather_rows(x, idx)._backward(g)
+                want = ref.astype(dtype)
+            assert got.tobytes() == want.tobytes(), (rows, width, idx.size, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gathered_mse_equals_the_gather_then_mse_chain_bytewise(dtype):
+    # the prior's codebook term: latents in `dtype` against float64 code
+    # rows, each code picked by many rows (and once by a negative index)
+    stream = Stream(34, "gathered-mse")
+    for rows, codes, width in ((1, 1, 1), (7, 3, 4), (300, 12, 64)):
+        table = stream.normal(codes * width).reshape(codes, width)
+        idx = stream.integers(rows, codes)
+        idx[0] -= codes
+        z = stream.normal(rows * width).reshape(rows, width).astype(dtype)
+        got_codes, want_codes = (T.Tensor(table.copy(), requires_grad=True) for _ in range(2))
+        got = T.gathered_mse(z, got_codes, idx)
+        want = T.mse(z, T.gather_rows(want_codes, idx))  # as R.vq_losses_float64_pins
+        assert got.data.dtype == want.data.dtype == dtype
+        assert got.data.tobytes() == want.data.tobytes(), rows
+        assert got._parents == (got_codes,)
+        T.backward(T.scale(got, 0.37))
+        T.backward(T.scale(want, 0.37))
+        assert got_codes.grad.dtype == np.float64
+        assert got_codes.grad.tobytes() == want_codes.grad.tobytes(), rows
+        if rows > codes:
+            assert np.abs(got_codes.grad).sum() > 0
+
+
+def test_a_node_does_not_keep_a_constant_operand_alive():
+    x = T.Tensor(Stream(35).normal(6).reshape(2, 3), requires_grad=True)
+    for op in (T.add, T.mse, lambda a, b: T.concat([a, b])):
+        constant = np.ones((2, 3))
+        gone = weakref.ref(constant)
+        out = op(x, T.Tensor(constant))
+        del constant
+        assert gone() is None, out._op
+        T.backward(R.tsum(out))
 
 
 def test_concat_backward():

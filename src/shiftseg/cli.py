@@ -2,10 +2,11 @@
 ablation sweeps, and verification.
 
 `eval` builds or loads only the validation clouds, the ones it scores. Its
-level sweep (`evalsuite.ssr_curve`) draws with the config's seed: each
-augmented draw gives both the level's mIoU and its SSR ratio. The clean
-high-distortion metrics are computed once, from one kNN query per clean
-validation cloud, and reported with every level.
+level sweep is a training's final one (`evalsuite.ssr_curve`): each draw is
+keyed on `evalsuite.EVAL_DRAW_SEED`, whatever the config's seed, and gives
+both the level's mIoU and its SSR ratio, and the clean high-distortion
+metrics come with every level. At its default levels (every preset) and
+trials, `eval` of a run's ckpt/final reproduces its final report's values.
 
 `ablate` trains one run per value of a `SWEEPS` entry (the studied k, D, t
 and lambda of the full mode's prior), the config otherwise unchanged, and
@@ -206,7 +207,7 @@ def cmd_eval(args) -> int:
     without the training clouds: per level, `--trials` augmented draws per
     cloud, each queried, predicted and localized once; and once for every
     level, the clean clouds' high-distortion metrics, each cloud queried once
-    for both its features and its density and curvature."""
+    for both its features and its density and curvature (`evalsuite.ssr_curve`)."""
     levels = args.levels.split(",")
     for i, level in enumerate(levels):
         if level not in PRESETS:
@@ -225,12 +226,10 @@ def cmd_eval(args) -> int:
     os.makedirs(os.path.join(args.out, "csv"), exist_ok=True)
     val_clouds = [clouds[c] for c in split.val]
 
-    snapshot = trainer.prior_snapshot(state)
-    clean = evalsuite.clean_high_distortion(state.model, val_clouds, cfg)
-    sweep = evalsuite.ssr_curve(state.model, snapshot, val_clouds, levels, args.trials, cfg,
-                                cfg.seed)
+    sweep = evalsuite.ssr_curve(state.model, trainer.prior_snapshot(state), val_clouds, levels,
+                                args.trials, cfg)
     for level, rep in sweep.items():
-        rep.update(clean, config_hash=cfg.config_hash(), seed=cfg.seed)
+        rep.update(config_hash=cfg.config_hash(), seed=cfg.seed)
         _write_json(os.path.join(args.out, "reports", f"level_{level}.json"), rep)
         print(f"level {level}: mIoU {rep['miou']:.4f} ssr_ratio {rep['ssr_ratio']}")
     with open(os.path.join(args.out, "csv", "level_sweep.csv"), "w", encoding="utf-8") as f:
@@ -322,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--ckpt", required=True, help="checkpoint directory")
     e.add_argument("--config", required=True)
     e.add_argument("--data", default=None)
-    e.add_argument("--levels", default="none,light,moderate,heavy,excessive")
+    e.add_argument("--levels", default=",".join(PRESETS))
     e.add_argument("--trials", type=int, default=trainer.CURVE_TRIALS)
     e.add_argument("--out", required=True)
     e.add_argument("--force", action="store_true")

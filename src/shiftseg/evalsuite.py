@@ -3,11 +3,11 @@
 `prepare_cloud` (voxelize -> kNN -> featurize) serves training and every
 evaluation. An evaluation level is an augmentation preset's jitter and drop
 alone, its subsidiary transforms off. `evaluate_level` is the one evaluation
-pass: each augmented draw is prepared and predicted once, then scored for
-point-level IoU and for its shift-region ratio; `ssr_curve` runs it per
-level. `clean_high_distortion` scores the unaugmented clouds inside their
-high-distortion subregion from one kNN query per cloud. Also here:
-per-class IoU and mIoU and confusion matrices."""
+pass: each draw, keyed on EVAL_DRAW_SEED whatever the run's seed, is
+prepared and predicted once, then scored for IoU and localized; `ssr_curve`,
+the one level sweep of `eval` and of the final report, runs it per level
+beside the clean clouds' high-distortion metrics. Also here: per-class IoU
+and mIoU and confusion matrices."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -20,6 +20,7 @@ from .pointcloud import (IGNORE_LABEL, NeighborIndex, PointCloud, knn, local_cur
                          local_density, voxelize)
 from .ssr import PriorSnapshot, localize, ssr_ratio
 
+EVAL_DRAW_SEED = 1000  # every evaluation's draw key, whatever the run's seed
 EVAL_KNN_K = 32  # neighborhood size for the high-distortion statistics
 # the high-distortion subregion: density at or below this percentile, or
 # curvature at or above that one
@@ -36,7 +37,7 @@ class PreparedCloud:
     rep_coords: np.ndarray  # (M, 3)
     point_cell: np.ndarray  # (N,) representative row per point
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # shiftbench/bench_trace.py's coverage check reads it
         return len(self.point_cell)
 
 
@@ -130,40 +131,52 @@ def evaluate_clouds(preds: list[np.ndarray], clouds, class_count: int) -> dict:
 
 
 def evaluate_level(model: segnet.SegModel, snapshot: PriorSnapshot | None, clouds,
-                   level: str, trials: int, cfg, draw_seed: int) -> dict:
+                   level: str, trials: int, cfg) -> dict:
     """The evaluation pass of one level: `trials` draws per cloud, each drawn
-    with key (draw_seed, "eval", level, cloud index, trial), prepared and
-    predicted once, so passes given one draw_seed see the same draws. Its
+    with key (EVAL_DRAW_SEED, "eval", level, cloud index, trial), prepared
+    and predicted once, so every model is scored on the same draws. Its
     per-point predictions are pooled into IoU scores; with a prior snapshot,
-    its representatives are also localized, and `ssr_ratio` is the mean
-    shift-region ratio over the draws (None without a snapshot).
+    its representatives are also localized, and `ssr_ratio` is `ssr.ssr_ratio`
+    of all draws' masks, rows pooled as in a training step (else None).
 
     `cfg` (a trainer.TrainConfig) gives class_count, voxel_size, knn_k and
     dilation_radius."""
     aug_cfg = AugmentConfig(level, subsidiary=False)
-    preds, labels, ratios = [], [], []
+    preds, labels, masks = [], [], []
     for ci, cloud in enumerate(clouds):
         for t in range(trials):
-            aug, _ = augment_pair(cloud, aug_cfg, (draw_seed, "eval", level, ci, t))
+            aug, _ = augment_pair(cloud, aug_cfg, (EVAL_DRAW_SEED, "eval", level, ci, t))
             pc = prepare_cloud(aug, cfg.voxel_size, cfg.knn_k)
             rep_pred, probs = segnet.predict(model, pc.feats)
             preds.append(rep_pred[pc.point_cell])
             labels.append(aug.labels.astype(np.int64))
             if snapshot is not None:
-                res = localize(snapshot, probs, pc.rep_coords, pc.rep_labels,
-                               cfg.dilation_radius)
-                ratios.append(ssr_ratio([res.masks]))
+                masks.append(localize(snapshot, probs, pc.rep_coords, pc.rep_labels,
+                                      cfg.dilation_radius).masks)
     return {"level": level,
             **_scores(count_matrix(np.concatenate(preds), np.concatenate(labels),
                                    cfg.class_count)),
-            "ssr_ratio": float(np.mean(ratios)) if snapshot is not None else None}
+            "ssr_ratio": ssr_ratio(masks) if snapshot is not None else None}
 
 
 def ssr_curve(model: segnet.SegModel, snapshot: PriorSnapshot | None, clouds, levels,
-              trials: int, cfg, draw_seed: int) -> dict[str, dict]:
-    """Each level's `evaluate_level` report, by level. Named when it kept only
-    SSR ratios; the name stays while shiftbench/bench_trace.py traces it."""
-    return {level: evaluate_level(model, snapshot, clouds, level, trials, cfg, draw_seed)
+              trials: int, cfg) -> dict[str, dict]:
+    """Each level's `evaluate_level` report, by level, with the unaugmented
+    clouds' high-distortion mask fraction and mIoU, each averaged over the
+    clouds. Named when it kept only SSR ratios; the name stays while
+    shiftbench/bench_trace.py traces it. One exact kNN of every point per
+    clean cloud, at k = min(max(knn_k, EVAL_KNN_K), N-1), serves its
+    features (its first knn_k columns at the voxel representatives) and its
+    density and curvature (its first EVAL_KNN_K columns)."""
+    hds = []
+    for cloud in clouds:
+        nn = knn(cloud, _neighbor_count(cloud, max(cfg.knn_k, EVAL_KNN_K)))
+        preds = point_predictions(model, prepare_cloud(cloud, cfg.voxel_size, cfg.knn_k, nn))
+        hds.append(high_distortion_eval(preds, cloud.labels.astype(np.int64), cloud, nn,
+                                        cfg.class_count, cfg.voxel_size))
+    clean = {"high_distortion_mask_fraction": float(np.mean([h["mask_fraction"] for h in hds])),
+             "high_distortion_miou": float(np.mean([h["miou"] for h in hds]))}
+    return {level: {**evaluate_level(model, snapshot, clouds, level, trials, cfg), **clean}
             for level in levels}
 
 
@@ -182,22 +195,3 @@ def high_distortion_eval(preds: np.ndarray, labels: np.ndarray, cloud: PointClou
     _, miou, _, _ = iou(count_matrix(np.asarray(preds)[mask], np.asarray(labels)[mask],
                                      class_count))
     return {"miou": miou, "mask_fraction": float(mask.mean())}
-
-
-def clean_high_distortion(model: segnet.SegModel, clouds, cfg) -> dict:
-    """High-distortion mask fraction and mIoU of the model's predictions on
-    the unaugmented clouds, each averaged over the clouds.
-
-    One exact kNN of every point per cloud, at k = min(max(knn_k,
-    EVAL_KNN_K), N-1), serves both: the features read its first knn_k
-    columns at the voxel representatives, the density and curvature its
-    first EVAL_KNN_K columns. `cfg` (a trainer.TrainConfig) gives
-    class_count, voxel_size and knn_k."""
-    hds = []
-    for cloud in clouds:
-        nn = knn(cloud, _neighbor_count(cloud, max(cfg.knn_k, EVAL_KNN_K)))
-        preds = point_predictions(model, prepare_cloud(cloud, cfg.voxel_size, cfg.knn_k, nn))
-        hds.append(high_distortion_eval(preds, cloud.labels.astype(np.int64), cloud, nn,
-                                        cfg.class_count, cfg.voxel_size))
-    return {"high_distortion_mask_fraction": float(np.mean([h["mask_fraction"] for h in hds])),
-            "high_distortion_miou": float(np.mean([h["miou"] for h in hds]))}

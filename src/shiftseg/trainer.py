@@ -26,6 +26,7 @@ import json
 import math
 import os
 import shutil
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -50,8 +51,7 @@ SEG_WEIGHT_DECAY = 1e-4
 SEG_MOMENTUM = 0.9
 CLIP_GRAD_NORM = 1.0
 AE_LR = 0.001  # Adam rate of the prior autoencoder and its codebook
-CURVE_TRIALS = 2  # augmentations per val cloud in the final level sweep
-EVAL_DRAW_SEED = 1000  # the final level sweep's draw key, whatever the run's seed
+CURVE_TRIALS = 2  # augmentations per val cloud in the final level sweep and in `eval`
 
 
 class ConfigError(ValueError):
@@ -84,10 +84,11 @@ class TrainConfig:
     """Every setting a run may vary (schedule, data, widths, the studied t, k,
     D and lambda, geometry, augmentation, bookkeeping) and its seed; no flag
     or environment variable overrides a value. Values no experiment varies
-    are module constants: the optimizer settings, CURVE_TRIALS and
-    EVAL_DRAW_SEED here, scp.BETA and scp.GAMMA, augment.NUM_SECTORS. This is
-    the one check of a run's settings: a value that could not run is refused
-    here with ConfigError, and the library downstream takes them as checked."""
+    are module constants: the optimizer settings and CURVE_TRIALS here,
+    evalsuite.EVAL_DRAW_SEED, scp.BETA and scp.GAMMA, augment.NUM_SECTORS.
+    This is the one check of a run's settings: a value that could not run
+    (a non-finite number too) is refused here with ConfigError, and the
+    library downstream takes them as checked."""
 
     # schedule
     epochs: int = 50
@@ -119,6 +120,11 @@ class TrainConfig:
     eval_every: int = 1  # epochs between validation reports; 0 = final only
 
     def __post_init__(self):
+        for f in fields(self):  # a float field may hold a JSON integer of any size
+            val = getattr(self, f.name)
+            if f.type == "float" and not abs(val) <= sys.float_info.max:
+                raise ConfigError(f"{_JSON_ALIASES.get(f.name, f.name)} must be finite, got "
+                                  f"{val!r}")
         checks = [
             (self.mode in MODES, f"mode must be one of {MODES}, got {self.mode!r}"),
             (self.augment_preset in PRESETS, f"unknown augment_preset {self.augment_preset!r}"),
@@ -636,20 +642,19 @@ def validation_report(state: TrainState, val_clouds: list[PointCloud],
 
 def final_report(state: TrainState, val_clouds: list[PointCloud]) -> dict:
     """The validation report plus mIoU and SSR ratio (None without a prior)
-    by level, from one sweep of every preset (`evalsuite.ssr_curve`) whose
-    draws are keyed (EVAL_DRAW_SEED, "eval", level, cloud index, trial)
-    whatever the run's seed and mode, and the high-distortion mask fraction
-    (as `shiftseg eval` reports it)."""
+    by level and the clean clouds' high-distortion mask fraction, from the
+    level sweep of `shiftseg eval` at its defaults (`evalsuite.ssr_curve`
+    over every preset, CURVE_TRIALS draws per cloud on the shared draw key),
+    so `eval` of the run's ckpt/final reproduces them."""
     doc = validation_report(state, val_clouds, state.cfg, state.cfg.epochs)
     doc["final"] = True
     snapshot = prior_snapshot(state)
     sweep = evalsuite.ssr_curve(state.model, snapshot, val_clouds, PRESETS, CURVE_TRIALS,
-                                state.cfg, EVAL_DRAW_SEED)
+                                state.cfg)
     doc["miou_by_level"] = {level: rep["miou"] for level, rep in sweep.items()}
     doc["ssr_ratio_by_level"] = None if snapshot is None else {
         level: rep["ssr_ratio"] for level, rep in sweep.items()}
-    doc["high_distortion_mask_fraction"] = evalsuite.clean_high_distortion(
-        state.model, val_clouds, state.cfg)["high_distortion_mask_fraction"]
+    doc["high_distortion_mask_fraction"] = sweep["none"]["high_distortion_mask_fraction"]
     return doc
 
 

@@ -11,7 +11,7 @@ import shutil
 import numpy as np
 import pytest
 
-from shiftseg import augment, cli, dataset, evalsuite, trainer, verify
+from shiftseg import augment, cli, dataset, evalsuite, ssr, trainer, verify
 from shiftseg.dataset import load_cloud, save_cloud
 from shiftseg.pointcloud import IGNORE_LABEL, PointCloud
 from shiftseg.trainer import TrainConfig
@@ -49,6 +49,27 @@ def trained(tmp_path_factory):
                                points_per_scene=256, t=0.45)
     assert quiet_main(["train", "--config", config, "--out", str(root / "run")]) == 0
     return cfg, config, str(root / "run" / "ckpt" / "final")
+
+
+FLOAT_KEYS = [key for key, val in TrainConfig().to_json().items() if isinstance(val, float)]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 10**400])
+def test_a_non_finite_setting_is_refused_by_every_command(trained, tmp_path, capsys, key,
+                                                          value):
+    # json reads Infinity and NaN, and an integer beyond any float; lambda at
+    # Infinity once ended `train` with TrainingDiverged at step 0, t or
+    # voxel_size at Infinity trained to a meaningless exit 0, and 10**400
+    # ended it with an OverflowError
+    _, _, ckpt = trained
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**verify.tiny_config().to_json(), key: value}))
+    for argv in (["gen"], ["train"], ["eval", "--ckpt", ckpt], ["ablate", "--sweep", "t"]):
+        out = tmp_path / argv[0]
+        assert quiet_main([*argv, "--config", str(config), "--out", str(out)]) == 2, argv
+        assert f"{key} must be finite, got {value!r}" in capsys.readouterr().err, argv
+        assert not out.exists(), argv
 
 
 def test_train_with_fewer_classes_than_the_generator_has(tmp_path):
@@ -182,10 +203,48 @@ def test_eval_of_a_checkpoint_saved_before_any_step_flags_no_row(trained, tmp_pa
                        "--out", str(out)]) == 0
     rows = [row.split(",") for row in
             (out / "csv" / "level_sweep.csv").read_text().splitlines()[1:]]
-    assert [row[0] for row in rows] == ["none", "light", "moderate", "heavy", "excessive"]
+    # every preset in PRESETS order, the final report's list; before `eval`
+    # shared the final sweep it was none, light, moderate, heavy, excessive
+    assert [row[0] for row in rows] == list(augment.PRESETS)
     for level, _, ratio, _ in rows:
         rep = json.loads((out / "reports" / f"level_{level}.json").read_text())
         assert rep["ssr_ratio"] == 0.0 and ratio == "0.0", level
+
+
+def test_eval_of_the_final_checkpoint_reproduces_the_final_report(trained, tmp_path):
+    # at its default levels and trials `eval` runs the final report's sweep,
+    # on the same draws, so each level's values are the same floats
+    _, config, ckpt = trained
+    final = json.loads((pathlib.Path(ckpt).parent.parent / "reports" / "final.json").read_text())
+    out = tmp_path / "eval"
+    assert quiet_main(["eval", "--ckpt", ckpt, "--config", config, "--out", str(out)]) == 0
+    for level in augment.PRESETS:
+        rep = json.loads((out / "reports" / f"level_{level}.json").read_text())
+        assert rep["miou"] == final["miou_by_level"][level], level
+        assert rep["ssr_ratio"] == final["ssr_ratio_by_level"][level], level
+        assert rep["high_distortion_mask_fraction"] == final["high_distortion_mask_fraction"]
+
+
+def test_a_level_ssr_ratio_pools_the_rows_of_every_draw(trained, tmp_path, monkeypatch):
+    # as in a training step: shifted rows over labeled rows of all draws, not
+    # the mean of each draw's ratio
+    _, config, ckpt = trained
+    masks = []
+    localize = evalsuite.localize
+
+    def spy(*args):
+        res = localize(*args)
+        masks.append(res.masks)
+        return res
+
+    monkeypatch.setattr(evalsuite, "localize", spy)
+    trials = 3
+    out = tmp_path / "eval"
+    assert quiet_main(["eval", "--ckpt", ckpt, "--config", config, "--levels", "heavy",
+                       "--trials", str(trials), "--out", str(out)]) == 0
+    rep = json.loads((out / "reports" / "level_heavy.json").read_text())
+    assert len(masks) == VAL_CLOUDS * trials
+    assert rep["ssr_ratio"] == ssr.ssr_ratio(masks)
 
 
 def test_eval_rejects_an_unknown_level(trained, tmp_path):
@@ -249,16 +308,24 @@ def test_one_level_prepares_each_draw_once(trained, tmp_path, monkeypatch):
 # heavy 7f519cc5… → b3597587…, excessive be8b5622… → b0b115bc…), and again
 # when TrainConfig lost scanmix (none e2796de2… → 2971a6a0…, light 92968ab5…
 # → a9286dc8…, moderate 673e43fd… → b7129f95…, heavy b3597587… → 36b21b95…,
-# excessive b0b115bc… → 398f83e5…)
+# excessive b0b115bc… → 398f83e5…). All were re-recorded, and
+# level_random.json added, when `eval` came to run the final report's sweep:
+# draws keyed on evalsuite.EVAL_DRAW_SEED in place of the config's seed,
+# every preset by default, and ssr_ratio over the pooled rows of all draws in
+# place of the mean of per-draw ratios (none 2971a6a0… → 5a8dbbc2…, light
+# a9286dc8… → f20a98f5…, moderate b7129f95… → 86d246c2…, heavy 36b21b95… →
+# b21a1765…, excessive 398f83e5… → 1c9eb8b2…, csv a849f416… → e78b4196…;
+# the none level's mIoU and every level's high-distortion values unchanged)
 EVAL_GOLDEN = {
-    "reports/level_none.json": "2971a6a05e57fe0bdcf7892797cb9bc9c8f284a05ae03e9ae6326714724e5134",
-    "reports/level_light.json": "a9286dc8ed8be410fa072952869061c209e4a24200483bd05b0715a54d37f87b",
+    "reports/level_none.json": "5a8dbbc2ce3c451e107e5004d40eb7fa42a16625c4aaab32bde33b60f76f9924",
+    "reports/level_light.json": "f20a98f53bc1e5462559f2ea4709fdd6941a97bc815a8ff945ae0a3ccfd5649c",
     "reports/level_moderate.json":
-        "b7129f95a9073220a0bce3f56969278b2a64deb9964afee3595c0e173ef4d460",
-    "reports/level_heavy.json": "36b21b95befe1fdaed5d6bbfdc8adf5678b51110c40fe9283e863c7124c28bf4",
+        "86d246c227c37638d2eaed62c5ee620e6b8a1f9344d7d215d45e8be1a7c22d01",
+    "reports/level_heavy.json": "b21a1765dee07063a77883abb2f7b3c7596f72f3dac0fd93a903dcc3b231f5a0",
+    "reports/level_random.json": "ecd558adb4c8ebdeadf3e2cd596d1a2262c387f8b7f1b5b41595ab43a70b8414",
     "reports/level_excessive.json":
-        "398f83e508d3ba62fb5d2e669bdb93561d55b02271e04230034f0c1019480337",
-    "csv/level_sweep.csv": "a849f416ebb3a7b857d89e67831898ed92b1a1042a51cc72ef2338984d83eb6c",
+        "1c9eb8b2ce72d15a43f1215865204ae6c294255a919eae0a2db9156fcc387cc6",
+    "csv/level_sweep.csv": "e78b4196b5f5512a685a95280d057da7467c232430d55ec79a4bec9776cd8538",
 }
 
 

@@ -259,7 +259,9 @@ def test_eval_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
                        env=env, capture_output=True, check=True)
         files = [*sorted((out / "reports").glob("level_*.json")), out / "csv" / "level_sweep.csv"]
         outputs.append({f.name: f.read_bytes() for f in files})
-    assert len(outputs[0]) == 6  # the five default levels and the sweep
+    # the six default levels (every preset, five before `eval` came to run the
+    # final report's sweep) and the sweep CSV
+    assert len(outputs[0]) == 7
     assert outputs[0] == outputs[1]
 
 

@@ -109,10 +109,11 @@ def test_a_checkpoint_without_a_prior_is_refused(tmp_path):
 def test_final_report_completes_over_every_level(tmp_path, monkeypatch):
     # 45 curve trials reach the excessive-level draws (keys t=44) that once
     # left one point of the 64-point validation cloud; those keys were drawn
-    # with the tiny config's seed, so the sweep draws with it here
+    # with the tiny config's seed, so the sweep draws with it here (the draw
+    # key moved from trainer to evalsuite, the one place every draw is keyed)
     cfg = verify.tiny_config(scenes=2, val_fraction=0.5)
     monkeypatch.setattr(trainer, "CURVE_TRIALS", 45)
-    monkeypatch.setattr(trainer, "EVAL_DRAW_SEED", cfg.seed)
+    monkeypatch.setattr(evalsuite, "EVAL_DRAW_SEED", cfg.seed)
     split, clouds = trainer.default_data(cfg)
     _, reports = trainer.run(cfg, split, clouds, str(tmp_path))
     assert list(reports[-1]["ssr_ratio_by_level"]) == list(PRESETS)
@@ -120,23 +121,34 @@ def test_final_report_completes_over_every_level(tmp_path, monkeypatch):
 
 
 def test_trainings_at_different_seeds_score_the_same_final_draws(tmp_path, monkeypatch):
-    # the final level sweep's draws are keyed on EVAL_DRAW_SEED, not on the
-    # training seed, so every training of a study is scored on the same clouds
+    # every evaluation's draws are keyed on evalsuite.EVAL_DRAW_SEED, not on
+    # the training seed: the final sweeps of two trainings at different seeds
+    # on one `gen` dataset, and `eval --data` of each one's checkpoint, score
+    # the same augmented clouds
     seen = []
     prepare = evalsuite.prepare_cloud
 
     def spy(cloud, *args):
         if cloud.cloud_id.endswith(".aug"):
-            seen[-1].append(hashlib.sha256(cloud.positions.tobytes()).hexdigest())
+            seen[-1].append(hashlib.sha256(cloud.positions.tobytes()
+                                           + cloud.labels.tobytes()).hexdigest())
         return prepare(cloud, *args)
 
     monkeypatch.setattr(evalsuite, "prepare_cloud", spy)
     cfg = verify.tiny_config(scenes=2, val_fraction=0.5)
-    split, clouds = trainer.default_data(cfg)
+    data = tmp_path / "data"
+    (tmp_path / "gen.json").write_text(json.dumps(cfg.to_json()))
+    assert cli.main(["gen", "--config", str(tmp_path / "gen.json"), "--out", str(data)]) == 0
     for seed in (5, 6):
+        config, run = tmp_path / f"{seed}.json", tmp_path / f"run{seed}"
+        config.write_text(json.dumps(dataclasses.replace(cfg, seed=seed).to_json()))
         seen.append([])
-        trainer.run(dataclasses.replace(cfg, seed=seed), split, clouds, str(tmp_path / str(seed)))
-    assert seen[0] and seen[0] == seen[1]
+        assert cli.main(["train", "--config", str(config), "--data", str(data),
+                         "--out", str(run)]) == 0
+        seen.append([])
+        assert cli.main(["eval", "--ckpt", str(run / "ckpt" / "final"), "--config", str(config),
+                         "--data", str(data), "--out", str(tmp_path / f"eval{seed}")]) == 0
+    assert seen[0] and all(draws == seen[0] for draws in seen)
 
 
 @pytest.mark.parametrize("mode", trainer.MODES)
@@ -198,12 +210,16 @@ def test_resume_refuses_a_changed_config(tmp_path):
 # miou_by_level and its level sweep began to draw with trainer.EVAL_DRAW_SEED
 # in place of the training seed, which moves ssr_ratio_by_level (final
 # 1bbc7c3c… → 9e74bd31…; every other value unchanged, and with EVAL_DRAW_SEED
-# set to the config's seed, ssr_ratio_by_level equals the earlier one).
+# set to the config's seed, ssr_ratio_by_level equals the earlier one). It
+# was re-recorded again (steplog, weights and epoch_0002 unchanged) when a
+# level's ssr_ratio came to be taken over the pooled rows of all its draws,
+# as in a training step, in place of the mean of per-draw ratios (final
+# 9e74bd31… → 5dab9d5a…; only ssr_ratio_by_level moved).
 GOLDEN = {
     "steplog.ndjson": "318898bfd0bd9e8b0a8d3f25dfd650eb54a385035b23de24fe8d59a7a22b8cad",
     "ckpt/final/weights.a3wt": "021d07f6d71243473dbecb03c67a056b58bf878dda732f44b9a9572395d2644a",
     "reports/epoch_0002.json": "bd0018620198e0784e6a3997ced45b7c8ff88590a2ea4cc4c4e9331047a764cb",
-    "reports/final.json": "9e74bd31569a70f137148d76f2934a4464f9912053e1f7843624104c371f3274",
+    "reports/final.json": "5dab9d5aae563976b1fa5ea8bf9275842585dddd7a198b144c5f9727ac222afa",
 }
 
 

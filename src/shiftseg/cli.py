@@ -204,10 +204,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     """Score a checkpoint on the validation clouds, generated or loaded
-    without the training clouds: per level, `--trials` augmented draws per
-    cloud, each queried, predicted and localized once; and once for every
-    level, the clean clouds' high-distortion metrics, each cloud queried once
-    for both its features and its density and curvature (`evalsuite.ssr_curve`)."""
+    without the training clouds, by `evalsuite.ssr_curve`: `--trials` draws
+    per cloud and level, each prepared and predicted once, and one clean
+    pass per cloud for its high-distortion metrics and the `none` level."""
     levels = args.levels.split(",")
     for i, level in enumerate(levels):
         if level not in PRESETS:
@@ -226,8 +225,8 @@ def cmd_eval(args) -> int:
     os.makedirs(os.path.join(args.out, "csv"), exist_ok=True)
     val_clouds = [clouds[c] for c in split.val]
 
-    sweep = evalsuite.ssr_curve(state.model, trainer.prior_snapshot(state), val_clouds, levels,
-                                args.trials, cfg)
+    sweep, _ = evalsuite.ssr_curve(state.model, trainer.prior_snapshot(state), val_clouds,
+                                   levels, args.trials, cfg)
     for level, rep in sweep.items():
         rep.update(config_hash=cfg.config_hash(), seed=cfg.seed)
         _write_json(os.path.join(args.out, "reports", f"level_{level}.json"), rep)

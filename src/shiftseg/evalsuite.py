@@ -2,12 +2,12 @@
 
 `prepare_cloud` (voxelize -> kNN -> featurize) serves training and every
 evaluation. An evaluation level is an augmentation preset's jitter and drop
-alone, its subsidiary transforms off. `evaluate_level` is the one evaluation
-pass: each draw, keyed on EVAL_DRAW_SEED whatever the run's seed, is
-prepared and predicted once, then scored for IoU and localized; `ssr_curve`,
-the one level sweep of `eval` and of the final report, runs it per level
-beside the clean clouds' high-distortion metrics. Also here: per-class IoU
-and mIoU and confusion matrices."""
+alone, its subsidiary transforms off. `evaluate_level` is a level's one pass:
+each draw, keyed on EVAL_DRAW_SEED whatever the run's seed, is prepared,
+predicted and localized once. `ssr_curve`, the level sweep of `eval` and of
+the final report, runs it per level beside one clean pass per cloud, which
+also serves the `none` level and the final report's clean scores. Also
+here: per-class IoU and mIoU and confusion matrices."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -108,12 +108,8 @@ def confusion(mat: np.ndarray) -> np.ndarray:
 
 def _scores(mat: np.ndarray) -> dict:
     per_class, miou, miou_all, counts = iou(mat)
-    return {
-        "per_class_iou": [None if np.isnan(v) else float(v) for v in per_class],
-        "miou": miou,
-        "miou_all": miou_all,
-        "true_counts": counts.tolist(),
-    }
+    return {"per_class_iou": [None if np.isnan(v) else float(v) for v in per_class],
+            "miou": miou, "miou_all": miou_all, "true_counts": counts.tolist()}
 
 
 def point_predictions(model: segnet.SegModel, pc: PreparedCloud) -> np.ndarray:
@@ -130,54 +126,59 @@ def evaluate_clouds(preds: list[np.ndarray], clouds, class_count: int) -> dict:
     return {**_scores(mat), "confusion": confusion(mat).tolist()}
 
 
+def _predict(model: segnet.SegModel, snapshot: PriorSnapshot | None, cloud: PointCloud, cfg,
+             nn: NeighborIndex | None = None) -> tuple:
+    """`cloud` prepared (through `nn` if given) and predicted once: its point
+    class ids, its labels and, with a prior, its localized masks (else None)."""
+    pc = prepare_cloud(cloud, cfg.voxel_size, cfg.knn_k, nn)
+    rep_pred, probs = segnet.predict(model, pc.feats)
+    masks = None if snapshot is None else localize(snapshot, probs, pc.rep_coords,
+                                                   pc.rep_labels, cfg.dilation_radius).masks
+    return rep_pred[pc.point_cell], cloud.labels.astype(np.int64), masks
+
+
+def _level_report(level: str, draws: list[tuple], class_count: int) -> dict:
+    """IoU scores of the draws' pooled `_predict` results and `ssr.ssr_ratio`
+    of all their masks, rows pooled as in a training step (else None)."""
+    preds, labels, masks = zip(*draws)
+    return {"level": level,
+            **_scores(count_matrix(np.concatenate(preds), np.concatenate(labels), class_count)),
+            "ssr_ratio": None if masks[0] is None else ssr_ratio(masks)}
+
+
 def evaluate_level(model: segnet.SegModel, snapshot: PriorSnapshot | None, clouds,
                    level: str, trials: int, cfg) -> dict:
-    """The evaluation pass of one level: `trials` draws per cloud, each drawn
-    with key (EVAL_DRAW_SEED, "eval", level, cloud index, trial), prepared
-    and predicted once, so every model is scored on the same draws. Its
-    per-point predictions are pooled into IoU scores; with a prior snapshot,
-    its representatives are also localized, and `ssr_ratio` is `ssr.ssr_ratio`
-    of all draws' masks, rows pooled as in a training step (else None).
-
-    `cfg` (a trainer.TrainConfig) gives class_count, voxel_size, knn_k and
-    dilation_radius."""
+    """The evaluation pass of one level: `trials` draws per cloud, keyed
+    (EVAL_DRAW_SEED, "eval", level, cloud index, trial) so every model is
+    scored on the same draws, each prepared, predicted and (with a prior
+    snapshot) localized once."""
     aug_cfg = AugmentConfig(level, subsidiary=False)
-    preds, labels, masks = [], [], []
-    for ci, cloud in enumerate(clouds):
-        for t in range(trials):
-            aug, _ = augment_pair(cloud, aug_cfg, (EVAL_DRAW_SEED, "eval", level, ci, t))
-            pc = prepare_cloud(aug, cfg.voxel_size, cfg.knn_k)
-            rep_pred, probs = segnet.predict(model, pc.feats)
-            preds.append(rep_pred[pc.point_cell])
-            labels.append(aug.labels.astype(np.int64))
-            if snapshot is not None:
-                masks.append(localize(snapshot, probs, pc.rep_coords, pc.rep_labels,
-                                      cfg.dilation_radius).masks)
-    return {"level": level,
-            **_scores(count_matrix(np.concatenate(preds), np.concatenate(labels),
-                                   cfg.class_count)),
-            "ssr_ratio": ssr_ratio(masks) if snapshot is not None else None}
+    draws = (augment_pair(cloud, aug_cfg, (EVAL_DRAW_SEED, "eval", level, ci, t))[0]
+             for ci, cloud in enumerate(clouds) for t in range(trials))
+    return _level_report(level, [_predict(model, snapshot, aug, cfg) for aug in draws],
+                         cfg.class_count)
 
 
 def ssr_curve(model: segnet.SegModel, snapshot: PriorSnapshot | None, clouds, levels,
-              trials: int, cfg) -> dict[str, dict]:
-    """Each level's `evaluate_level` report, by level, with the unaugmented
-    clouds' high-distortion mask fraction and mIoU, each averaged over the
-    clouds. Named when it kept only SSR ratios; the name stays while
-    shiftbench/bench_trace.py traces it. One exact kNN of every point per
-    clean cloud, at k = min(max(knn_k, EVAL_KNN_K), N-1), serves its
-    features (its first knn_k columns at the voxel representatives) and its
-    density and curvature (its first EVAL_KNN_K columns)."""
-    hds = []
+              trials: int, cfg) -> tuple[dict[str, dict], list[np.ndarray]]:
+    """`evaluate_level`'s report for each level but `none`, with the clean
+    clouds' high-distortion mask fraction and mIoU averaged over them; and
+    the clean clouds' point predictions (the old name stays while shiftbench/
+    traces it). A clean cloud's one kNN, at min(max(knn_k, EVAL_KNN_K), N-1),
+    serves its features, density and curvature, and its one pass, localized
+    if `none` is a level, is each of that level's `trials` identity draws."""
+    clean, hds = [], []
     for cloud in clouds:
         nn = knn(cloud, _neighbor_count(cloud, max(cfg.knn_k, EVAL_KNN_K)))
-        preds = point_predictions(model, prepare_cloud(cloud, cfg.voxel_size, cfg.knn_k, nn))
-        hds.append(high_distortion_eval(preds, cloud.labels.astype(np.int64), cloud, nn,
-                                        cfg.class_count, cfg.voxel_size))
-    clean = {"high_distortion_mask_fraction": float(np.mean([h["mask_fraction"] for h in hds])),
-             "high_distortion_miou": float(np.mean([h["miou"] for h in hds]))}
-    return {level: {**evaluate_level(model, snapshot, clouds, level, trials, cfg), **clean}
-            for level in levels}
+        clean.append(_predict(model, snapshot if "none" in levels else None, cloud, cfg, nn))
+        hds.append(high_distortion_eval(*clean[-1][:2], cloud, nn, cfg.class_count,
+                                        cfg.voxel_size))
+    hd = {f"high_distortion_{key}": float(np.mean([h[key] for h in hds]))
+          for key in ("mask_fraction", "miou")}
+    none = [draw for draw in clean for _ in range(trials)]
+    return {level: {**(_level_report(level, none, cfg.class_count) if level == "none" else
+                       evaluate_level(model, snapshot, clouds, level, trials, cfg)), **hd}
+            for level in levels}, [pred for pred, _, _ in clean]
 
 
 def high_distortion_eval(preds: np.ndarray, labels: np.ndarray, cloud: PointCloud,

@@ -51,7 +51,7 @@ SEG_WEIGHT_DECAY = 1e-4
 SEG_MOMENTUM = 0.9
 CLIP_GRAD_NORM = 1.0
 AE_LR = 0.001  # Adam rate of the prior autoencoder and its codebook
-CURVE_TRIALS = 2  # augmentations per val cloud in the final level sweep and in `eval`
+CURVE_TRIALS = 2  # draws per val cloud and level in the final sweep and `eval`
 
 
 class ConfigError(ValueError):
@@ -641,21 +641,21 @@ def validation_report(state: TrainState, val_clouds: list[PointCloud],
 
 
 def final_report(state: TrainState, val_clouds: list[PointCloud]) -> dict:
-    """The validation report plus mIoU and SSR ratio (None without a prior)
-    by level and the clean clouds' high-distortion mask fraction, from the
-    level sweep of `shiftseg eval` at its defaults (`evalsuite.ssr_curve`
-    over every preset, CURVE_TRIALS draws per cloud on the shared draw key),
-    so `eval` of the run's ckpt/final reproduces them."""
-    doc = validation_report(state, val_clouds, state.cfg, state.cfg.epochs)
-    doc["final"] = True
-    snapshot = prior_snapshot(state)
-    sweep = evalsuite.ssr_curve(state.model, snapshot, val_clouds, PRESETS, CURVE_TRIALS,
-                                state.cfg)
-    doc["miou_by_level"] = {level: rep["miou"] for level, rep in sweep.items()}
-    doc["ssr_ratio_by_level"] = None if snapshot is None else {
-        level: rep["ssr_ratio"] for level, rep in sweep.items()}
-    doc["high_distortion_mask_fraction"] = sweep["none"]["high_distortion_mask_fraction"]
-    return doc
+    """The validation report, scored on the clean pass of the level sweep of
+    `shiftseg eval` at its defaults (`evalsuite.ssr_curve` over every preset,
+    CURVE_TRIALS draws per cloud on the shared draw key), plus its mIoU and
+    SSR ratio (None without a prior) by level and the clean clouds'
+    high-distortion mask fraction, so `eval` of ckpt/final reproduces them."""
+    cfg, snapshot = state.cfg, prior_snapshot(state)
+    sweep, preds = evalsuite.ssr_curve(state.model, snapshot, val_clouds, PRESETS,
+                                       CURVE_TRIALS, cfg)
+    return {"epoch": cfg.epochs, "mode": cfg.mode, "seed": cfg.seed,
+            "config_hash": cfg.config_hash(),
+            **evalsuite.evaluate_clouds(preds, val_clouds, cfg.class_count), "final": True,
+            "miou_by_level": {level: rep["miou"] for level, rep in sweep.items()},
+            "ssr_ratio_by_level": None if snapshot is None else {
+                level: rep["ssr_ratio"] for level, rep in sweep.items()},
+            "high_distortion_mask_fraction": sweep["none"]["high_distortion_mask_fraction"]}
 
 
 def run(cfg: TrainConfig, split: DatasetSplit, clouds_by_id: dict[str, PointCloud],

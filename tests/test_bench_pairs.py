@@ -1,9 +1,12 @@
-"""tools/bench_pairs.py: seed lists, the per-metric pair summary and its
+"""tools/bench_pairs.py: seed lists, and the refusal of a seed or workload
+list that would run nothing or lose pairs; the per-metric pair summary and its
 verdict, the per-artifact digest comparison, warm-up runs kept out of the
 pairs, and the digest of the code each checkout ran."""
 import json
 import os
 import sys
+
+import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
 
@@ -13,6 +16,25 @@ import bench_pairs  # noqa: E402
 def test_seed_ranges_and_lists():
     assert bench_pairs.parse_seeds("401-403") == [401, 402, 403]
     assert bench_pairs.parse_seeds("7,9-10") == [7, 9, 10]
+    assert bench_pairs.parse_seeds("5-5") == [5]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seeds", "", "'' is not a seed or a seed range"),
+    ("--seeds", "401,", "'' is not a seed or a seed range"),
+    ("--seeds", "405-401", "seed range '405-401' descends"),  # once [] and an IndexError
+    ("--seeds", "401,401", "seed listed twice: 401"),  # once one pair replacing the other
+    ("--seeds", "401-403,402,401", "seed listed twice: 401, 402"),
+    ("--workloads", "eval_sweep,train_full,eval_sweep", "workload listed twice: eval_sweep"),
+])
+def test_a_list_that_would_run_nothing_or_lose_pairs_is_refused(tmp_path, capsys, flag, value,
+                                                                message):
+    # refused while the arguments are parsed: no checkout is read, none runs
+    argv = ["--base", str(tmp_path), "--change", str(tmp_path), "--label", "x", flag, value]
+    with pytest.raises(SystemExit) as refused:
+        bench_pairs.main(argv)
+    assert refused.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def run(seed, side, **metrics):

@@ -1,10 +1,15 @@
-"""The one path from a cloud to its features, on degenerate clouds, and IoU
-against the counting oracle."""
+"""The one path from a cloud to its features, on degenerate clouds and
+through a larger kNN's prefix; the level sweep's `none` level, served by its
+clean pass, against the general level pass; and IoU against the counting
+oracle."""
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from shiftseg import evalsuite, oracle, segnet
-from shiftseg.pointcloud import IGNORE_LABEL, PointCloud
+from shiftseg import evalsuite, oracle, segnet, trainer, verify
+from shiftseg.pointcloud import IGNORE_LABEL, PointCloud, knn
 from shiftseg.rng import Stream
 
 
@@ -50,3 +55,65 @@ def test_iou_equals_the_counting_oracle_bit_for_bit(n, c, absent):
     assert all(per_class[cls] == v for cls, v in ref.items())
     kept = labels[labels != IGNORE_LABEL]
     assert counts.tolist() == np.bincount(kept, minlength=c).tolist()
+
+
+@st.composite
+def small_clouds(draw, class_count=4):
+    """2-300 points on a 0.1 grid, the first `depth` of them copied onto one
+    place (up to 40 deep, past every knn_k here and EVAL_KNN_K), labeled
+    with mixed classes, a single class, or ignore only."""
+    n = draw(st.one_of(st.integers(2, 8), st.integers(9, 300)), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    span = draw(st.sampled_from([1, 4, 40]), label="span")
+    positions = rng.integers(0, span + 1, (n, 3)) * 0.1
+    positions[:draw(st.integers(0, 40), label="depth")] = positions[0]
+    kind = draw(st.sampled_from(["mixed", "one class", "ignore"]), label="labels")
+    labels = {"mixed": rng.integers(0, class_count + 1, n),
+              "one class": np.full(n, class_count - 1),
+              "ignore": np.full(n, IGNORE_LABEL)}[kind]
+    return PointCloud(positions, np.where(labels == class_count, IGNORE_LABEL, labels),
+                      f"small-{n}")
+
+
+def coincident(n):
+    return PointCloud(np.zeros((n, 3)), np.arange(n) % 2, f"coincident-{n}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(cloud=small_clouds(), knn_k=st.sampled_from([1, 5, 16, 32]))
+@example(cloud=cloud_of(3), knn_k=16)  # N - 1 < knn_k
+@example(cloud=coincident(50), knn_k=16)
+def test_features_through_a_larger_knn_s_prefix_equal_direct_ones(cloud, knn_k):
+    # the level sweep's clean pass prepares a cloud through the first knn_k
+    # columns of its one kNN at max(knn_k, EVAL_KNN_K); training, the
+    # validation report and every draw query at knn_k itself
+    nn = knn(cloud, min(max(knn_k, evalsuite.EVAL_KNN_K), len(cloud) - 1))
+    through = evalsuite.prepare_cloud(cloud, 0.35, knn_k, nn)
+    direct = evalsuite.prepare_cloud(cloud, 0.35, knn_k)
+    for name in ("feats", "rep_labels", "rep_coords", "point_cell"):
+        a, b = getattr(through, name), getattr(direct, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.fixture(scope="module")
+def full_state():
+    """A tiny `full` state after a few steps, so its prior has live codes."""
+    return verify.tiny_step(verify.tiny_config(t=verify.GRAD_T))[0]
+
+
+@pytest.mark.parametrize("with_prior", [False, True])
+@settings(max_examples=30, deadline=None)
+@given(clouds=st.lists(small_clouds(), min_size=1, max_size=2), trials=st.integers(1, 3))
+def test_the_sweep_s_none_level_is_the_level_pass_s_none_report(full_state, with_prior,
+                                                               clouds, trials):
+    # the sweep serves `none` from its one clean pass, each cloud's draw
+    # counted `trials` times; evaluate_level draws, prepares, predicts and
+    # localizes all `trials` of them, and both must write the same bytes
+    cfg = full_state.cfg
+    snapshot = trainer.prior_snapshot(full_state) if with_prior else None
+    curve, preds = evalsuite.ssr_curve(full_state.model, snapshot, clouds, ["none"], trials, cfg)
+    report = {k: v for k, v in curve["none"].items() if not k.startswith("high_distortion_")}
+    reference = evalsuite.evaluate_level(full_state.model, snapshot, clouds, "none", trials, cfg)
+    assert json.dumps(report) == json.dumps(reference)
+    assert (report["ssr_ratio"] is None) == (snapshot is None)
+    assert [len(p) for p in preds] == [len(c) for c in clouds]

@@ -1,7 +1,8 @@
 """Training-run reproducibility across `--resume`, atomic checkpoints, a
 final checkpoint kept when the final report fails, a final report over every
 augmentation level on draws that every training seed shares, golden output
-digests, clean clouds prepared once per run, labels a step cannot score
+digests, clean clouds prepared once per run, each validation cloud prepared
+and predicted once by the final report, labels a step cannot score
 refused, a loss that is not finite named,
 rows without a live code kept in SCR, a replayed step bitwise equal to its
 selecting pass, the prior's objective over float32 pins bitwise equal to it
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import reference as R
-from shiftseg import cli, evalsuite, scp, ssr, trainer, verify
+from shiftseg import cli, evalsuite, scp, segnet, ssr, trainer, verify
 from shiftseg import tensor as T
 from shiftseg.augment import PRESETS
 from shiftseg.pointcloud import IGNORE_LABEL, PointCloud
@@ -159,6 +160,73 @@ def test_the_final_none_level_scores_the_clean_clouds(tmp_path, mode):
     split, clouds = trainer.default_data(cfg)
     _, reports = trainer.run(cfg, split, clouds, str(tmp_path))
     assert reports[-1]["miou_by_level"]["none"] == reports[-1]["miou"]
+
+
+def spy_clean_passes(monkeypatch, val_clouds, cfg):
+    """Counts of `prepare_cloud` calls on each validation cloud (a `none`
+    draw is one: it has the cloud's bytes), of `segnet.predict` calls on its
+    features and of `localize` calls on its representatives, by cloud index;
+    and the totals of each call over every cloud prepared."""
+    def key(cloud):
+        return cloud.positions.tobytes() + cloud.labels.tobytes()
+
+    clean = [evalsuite.prepare_cloud(c, cfg.voxel_size, cfg.knn_k) for c in val_clouds]
+    by_cloud = {key(c): i for i, c in enumerate(val_clouds)}
+    by_feats = {pc.feats.tobytes(): i for i, pc in enumerate(clean)}
+    by_coords = {pc.rep_coords.tobytes(): i for i, pc in enumerate(clean)}
+    counts = {name: [0] * len(val_clouds) for name in ("prepare", "predict", "localize")}
+    totals = dict.fromkeys(counts, 0)
+
+    def counting(name, fn, index):
+        def spy(*args, **kwargs):
+            totals[name] += 1
+            i = index(*args)
+            if i is not None:
+                counts[name][i] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    prepare = counting("prepare", evalsuite.prepare_cloud, lambda c, *_: by_cloud.get(key(c)))
+    monkeypatch.setattr(evalsuite, "prepare_cloud", prepare)
+    monkeypatch.setattr(trainer, "prepare_cloud", prepare)
+    monkeypatch.setattr(segnet, "predict", counting(
+        "predict", segnet.predict, lambda model, feats: by_feats.get(feats.tobytes())))
+    monkeypatch.setattr(evalsuite, "localize", counting(
+        "localize", evalsuite.localize, lambda snap, probs, coords, *_: by_coords.get(
+            coords.tobytes())))
+    return counts, totals
+
+
+def test_the_final_report_prepares_and_predicts_each_validation_cloud_once(monkeypatch):
+    # its clean scores, the high-distortion metrics and the `none` level all
+    # read one clean pass per cloud (it was 3 prepares and 4 predicts)
+    cfg = verify.tiny_config(scenes=4, val_fraction=0.5)
+    split, clouds = trainer.default_data(cfg)
+    val_clouds = [clouds[c] for c in split.val]
+    assert len(val_clouds) == 2
+    state = trainer.init_state(cfg)
+    counts, totals = spy_clean_passes(monkeypatch, val_clouds, cfg)
+    rep = trainer.final_report(state, val_clouds)
+    assert counts == {name: [1, 1] for name in ("prepare", "predict", "localize")}
+    draws = len(val_clouds) * trainer.CURVE_TRIALS * (len(PRESETS) - 1)
+    assert totals == {"prepare": draws + 2, "predict": draws + 2, "localize": draws + 2}
+    assert rep["miou_by_level"]["none"] == rep["miou"]
+
+
+def test_a_sweep_without_the_none_level_keeps_its_clean_pass_unlocalized(monkeypatch):
+    # one clean prepare and predict per cloud and `trials` draws, as before
+    # the clean pass served `none`; nothing localizes a clean cloud
+    cfg = verify.tiny_config(scenes=4, val_fraction=0.5)
+    split, clouds = trainer.default_data(cfg)
+    val_clouds = [clouds[c] for c in split.val]
+    state = trainer.init_state(cfg)
+    counts, totals = spy_clean_passes(monkeypatch, val_clouds, cfg)
+    trials = 2
+    evalsuite.ssr_curve(state.model, trainer.prior_snapshot(state), val_clouds, ["heavy"],
+                        trials, cfg)
+    assert counts == {"prepare": [1, 1], "predict": [1, 1], "localize": [0, 0]}
+    draws = len(val_clouds) * trials
+    assert totals == {"prepare": draws + 2, "predict": draws + 2, "localize": draws}
 
 
 def test_the_final_checkpoint_is_written_before_the_final_report(tmp_path, monkeypatch):

@@ -43,13 +43,30 @@ import time
 SIDES = ("base", "change")
 
 
+def listed_once(items: list, what: str) -> list:
+    """`items`, refused when one is listed twice: runs are paired by seed,
+    and a workload's runs are kept under its name, so a repeat would
+    silently replace the runs before it."""
+    twice = sorted({x for x in items if items.count(x) > 1})
+    if twice:
+        raise argparse.ArgumentTypeError(f"{what} listed twice: {', '.join(map(str, twice))}")
+    return items
+
+
 def parse_seeds(text: str) -> list[int]:
-    """"401-405" or "401,403,410"."""
+    """"401-405" or "401,403,410": at least one seed, ascending ranges, no
+    seed twice."""
     seeds: list[int] = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds += list(range(int(lo), int(hi or lo) + 1))
-    return seeds
+        try:
+            first, last = int(lo), int(hi or lo)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{part!r} is not a seed or a seed range") from None
+        if last < first:
+            raise argparse.ArgumentTypeError(f"seed range {part!r} descends")
+        seeds += range(first, last + 1)
+    return listed_once(seeds, "seed")
 
 
 def commit_of(checkout: str) -> str | None:
@@ -186,8 +203,9 @@ def main(argv=None) -> int:
     p.add_argument("--base", required=True, help="checkout of the base commit")
     p.add_argument("--change", required=True, help="checkout of the change")
     p.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
-    p.add_argument("--workloads", default="eval_sweep,train_full")
-    p.add_argument("--seeds", default="401-403", help='"401-405" or "401,403"')
+    p.add_argument("--workloads", default="eval_sweep,train_full",
+                   type=lambda text: listed_once(text.split(","), "workload"))
+    p.add_argument("--seeds", default="401-403", type=parse_seeds, help='"401-405" or "401,403"')
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--out-dir", default=".")
     args = p.parse_args(argv)
@@ -196,7 +214,7 @@ def main(argv=None) -> int:
         end_to_end = json.load(f)["end_to_end"]
     better = {m["name"]: m["better"] for m in end_to_end}
     bounds = {m["name"]: m["bound"] for m in end_to_end if "bound" in m}
-    seeds = parse_seeds(args.seeds)
+    seeds = args.seeds
     doc = {"label": args.label, "seconds": args.seconds, "seeds": seeds,
            "command": "shiftbench/run.py --workload W --seed S --seconds "
                       f"{args.seconds:g} --trace 0",
@@ -204,7 +222,7 @@ def main(argv=None) -> int:
                                 "src_sha256": src_digest(d)}
                          for side, d in checkouts.items()},
            "workloads": {}}
-    for workload in args.workloads.split(","):
+    for workload in args.workloads:
         # one discarded run per side first, so that the session's cold start
         # (file cache, imports) lands on neither side's pairs
         plan = [("warmup", seeds[0], side, position) for position, side in enumerate(SIDES)]

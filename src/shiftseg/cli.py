@@ -19,10 +19,11 @@ and writes the synthetic clouds `train` builds from that config without
 config key or a value that could not run; a `--data` dataset that differs
 from the config in scenes, points_per_scene or val_fraction, or that
 `_load_data` cannot use; an `eval` level unknown or listed twice, and
-`--trials` below 1; an `eval` or `--resume` checkpoint written under another
-config (`trainer.load_state`); an unknown `ablate` sweep, or any sweep on a
-mode without a prior; an `--out` directory that cannot be made; an input
-path missing or of the wrong kind (say a file as `--data`). Arguments are
+`--trials` below 1; a `--resume` with no epoch checkpoint in `--out`; an
+`eval` or `--resume` checkpoint written under another config
+(`trainer.load_state`); an unknown `ablate` sweep, or any sweep on a mode
+without a prior; an `--out` directory that cannot be made; an input path
+missing or of the wrong kind (say a file as `--data`). Arguments are
 checked before the output directory is made.
 
 Exit codes: 0 success, 1 a failed `verify` suite, 2 usage error (a malformed
@@ -179,19 +180,14 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     split, clouds = _load_data(args.data, cfg)
-    if args.resume:
-        if not os.path.isdir(args.out):
-            raise UsageError("--resume needs an existing output directory")
-    else:
-        _prepare_out(args.out, args.force, TRAIN_LAYOUT)
     resume_from = None
     if args.resume:
-        ckpt_root = os.path.join(args.out, "ckpt")
-        epochs = sorted(d for d in os.listdir(ckpt_root) if d.startswith("epoch_"))
+        epochs = sorted(glob.glob(os.path.join(glob.escape(args.out), "ckpt", "epoch_*")))
         if not epochs:
-            raise UsageError("no epoch checkpoint to resume from")
-        resume_from = os.path.join(ckpt_root, epochs[-1])
+            raise UsageError(f"no epoch checkpoint to resume from in {args.out!r}")
+        resume_from = epochs[-1]
     else:
+        _prepare_out(args.out, args.force, TRAIN_LAYOUT)
         # a resume refuses any config but the checkpoint's, so config.json stands
         _write_json(os.path.join(args.out, "config.json"), cfg.to_json())
     state, reports = trainer.run(cfg, split, clouds, out_dir=args.out,
@@ -216,7 +212,8 @@ def cmd_eval(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
     if not os.path.isdir(args.ckpt):
-        raise UsageError(f"checkpoint directory {args.ckpt!r} not found")
+        found = "is not a directory" if os.path.exists(args.ckpt) else "not found"
+        raise UsageError(f"checkpoint {args.ckpt!r} {found}")
     cfg = _load_config(args.config)
     split, clouds = _load_data(args.data, cfg, val_only=True)
     state = trainer.load_state(cfg, args.ckpt)

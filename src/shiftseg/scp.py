@@ -131,8 +131,7 @@ def nearest_global(codes3: np.ndarray, initialized: np.ndarray,
 @dataclass
 class VqLosses:
     recon: T.Tensor
-    codebook: T.Tensor
-    commitment: T.Tensor
+    commitment: T.Tensor  # in a training step, bitwise the codebook term too
     total: T.Tensor
 
 
@@ -159,10 +158,9 @@ def vq_losses(ae: PriorAutoencoder, cb: CodebookState, z_e: T.Tensor,
 
     In a training step the codebook term equals the commitment term bit for
     bit (z_e == z_e0, and the live codes are the snapshot's), so the step
-    log's vq_codebook and vq_commitment agree. Both stay: each sends its
-    gradient elsewhere, finite differences that move the live codes
-    (verify's, the tests') move the two apart, and dropping a steplog key
-    moves the steplog digests, a declared re-record of its own.
+    line's vq_commitment stands for both, and the codebook term is kept in
+    `total` only. Each still sends its own gradient, and finite differences
+    that move the live codes move the two apart.
     """
     codebook = T.gathered_mse(z_e0, cb.codes, flat)
     commitment = T.mse(z_e, codes0.astype(z_e0.dtype)[flat])
@@ -174,7 +172,7 @@ def vq_losses(ae: PriorAutoencoder, cb: CodebookState, z_e: T.Tensor,
     decoded = ae.decode(z_st)
     recon = T.mse(decoded, target_probs)
     total = T.add(T.add(recon, codebook), T.scale(commitment, BETA))
-    return VqLosses(recon, codebook, commitment, total)
+    return VqLosses(recon, commitment, total)
 
 
 def update_code_stats(cb: CodebookState, flat: np.ndarray, z_e: np.ndarray) -> None:

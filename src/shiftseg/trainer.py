@@ -16,8 +16,10 @@ whose selecting pass also updates the prior's statistics and pins every
 discrete choice), the seg backward and update, then the prior's
 quantized-autoencoder objective on the pinned selection (`vq_objective`),
 its backward and the prior update. So the decoder's graph is built only
-after the seg graph is freed; the steplog records the losses in that order,
-and only what a step measured or drew (mode and preset are in config.json).
+after the seg graph is freed. The steplog records the losses in that order.
+A step line holds only what its step measured or drew, each once: no run
+constant (mode and preset are in config.json), no codebook term (it equals
+vq_commitment bit for bit) and no usage count (the labelled rows fix it).
 """
 from __future__ import annotations
 
@@ -491,12 +493,10 @@ def train_step(state: TrainState, clouds: list[PointCloud], cfg: TrainConfig,
     state.seg_opt.step()
     vq = vq_objective(state, sel, bundle.z_prior)
     if vq is not None:
-        _log_losses(log, [("vq_recon", vq.recon), ("vq_codebook", vq.codebook),
-                          ("vq_commitment", vq.commitment), ("vq_total", vq.total)])
+        _log_losses(log, [("vq_recon", vq.recon), ("vq_commitment", vq.commitment),
+                          ("vq_total", vq.total)])
         T.backward(vq.total)
         state.ae_opt.step()
-    if state.cb is not None:
-        log["code_usage"] = int(state.cb.usage.sum())
     if sel.masks is not None:
         log["ssr_ratio"] = ssrmod.ssr_ratio(sel.masks)
     if pb.augmented is not None:

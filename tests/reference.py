@@ -165,18 +165,19 @@ def cross_entropy_chain(logits, labels, rows) -> T.Tensor:
     return tmean(sub(lse, true_logit))
 
 
-def vq_losses_float64_pins(ae, cb, z_e, flat, z_e0, z_q0, target_probs) -> scp.VqLosses:
+def vq_losses_float64_pins(ae, cb, z_e, flat, z_e0, z_q0, target_probs):
     """`scp.vq_losses` with the assigned code values `z_q0` pinned in
     float64: the codebook term gathers the codes in float64, the
     straight-through residual z_q0 - z_e0 stays a float64 array, and each op
-    casts them to the latents' dtype as it computes."""
+    casts them to the latents' dtype as it computes. Returns the VqLosses
+    and the codebook term, which VqLosses holds in its total only."""
     z_q_rows = T.gather_rows(cb.codes, flat)
     codebook = T.mse(z_e0, z_q_rows)
     commitment = T.mse(z_e, z_q0)
     decoded = ae.decode(T.add(z_e, T.Tensor(z_q0 - z_e0)))
     recon = T.mse(decoded, target_probs)
     total = T.add(T.add(recon, codebook), T.scale(commitment, scp.BETA))
-    return scp.VqLosses(recon, codebook, commitment, total)
+    return scp.VqLosses(recon, commitment, total), codebook
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """tools/bench_pairs.py: seed lists, and the refusal of a seed or workload
 list that would run nothing or lose pairs; the per-metric pair summary and its
 verdict, the per-artifact digest comparison, warm-up runs kept out of the
-pairs, and the digest of the code each checkout ran."""
+pairs, a crashed run's pair left out and counted, and the digest of the
+code each checkout ran."""
 import json
 import os
 import sys
@@ -136,6 +137,7 @@ def test_warm_up_runs_stay_out_of_the_pairs_and_the_table_sums_them_up(
     # each side's first run is its warm-up, on the first seed, before any pair
     assert calls[:3] == [("w", 1, "base"), ("w", 1, "change"), ("w", 1, "base")]
     doc = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["w"]
+    assert list(doc) == ["warmup", "runs", "pairs", "digests_equal"]  # no crash, no key
     assert [(r["side"], r["metrics"]["step_s"]) for r in doc["warmup"]] == [
         ("base", 9.0), ("change", 9.0)]
     assert len(doc["runs"]) == 6
@@ -149,6 +151,49 @@ def test_warm_up_runs_stay_out_of_the_pairs_and_the_table_sums_them_up(
     assert err[header + 1].split() == ["w", "step_s", "1.002", "0.802", "0.001", "3/3",
                                        "gain,separated", "steplog", "3/3", "weights", "3/3"]
     assert err[header + 2].startswith("wrote ")
+
+
+@pytest.mark.parametrize("crash", [(1, "base"), (3, "change")],
+                         ids=["first-pair-base", "later-pair-change"])
+def test_a_crashed_run_s_pair_is_left_out_and_counted(tmp_path, monkeypatch, capsys, crash):
+    # a crashed run exits 1 with no metric; it once emptied the summary (the
+    # first pair's base run) or raised a KeyError after every run of the
+    # session had finished (a later pair), and no BENCH file was written
+    for side in ("base", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "step_s", "better": "lower", "bound": 0.25}]}))
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        side = os.path.basename(checkout)
+        calls.append((seed, side))
+        paired_run = calls.count((seed, side)) == 1 + (seed == 1)  # after the warm-up
+        if (seed, side) == crash and paired_run:
+            return {"metrics": {}, "digests": {}, "error_rate": 1.0, "correct": False,
+                    "wall_s": 1.0, "environment": {}}
+        return {"metrics": {"step_s": {"base": 1.0, "change": 0.8}[side] + seed / 100},
+                "digests": {"steplog": "a"}, "error_rate": 0.0, "correct": True,
+                "wall_s": 1.0, "environment": {}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    assert bench_pairs.main(["--base", str(tmp_path / "base"), "--change",
+                             str(tmp_path / "change"), "--label", "t", "--workloads", "w",
+                             "--seeds", "1-4", "--out-dir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["w"]
+    assert doc["crashed_pairs_left_out"] == [crash[0]]
+    # the crashed run stays in the file, with its error rate
+    assert [r["error_rate"] for r in doc["runs"]
+            if (r["seed"], r["side"]) == crash] == [1.0]
+    assert len(doc["runs"]) == 8
+    kept = [seed for seed in (1, 2, 3, 4) if seed != crash[0]]
+    pairs = doc["pairs"]["step_s"]
+    assert (pairs["pairs"], pairs["change_wins"]) == (3, 3)
+    assert pairs["base_median"] == 1.0 + kept[1] / 100
+    assert pairs["change_median"] == 0.8 + kept[1] / 100
+    assert doc["digests_equal"][str(crash[0])] == {"steplog": False}
+    err = capsys.readouterr().err
+    assert f"w            left out 1 pair(s) with a crashed run: seeds [{crash[0]}]" in err
 
 
 def test_the_source_digest_names_the_code_a_checkout_ran(tmp_path):

@@ -333,10 +333,11 @@ EVAL_GOLDEN = {
 # on the weights they were recorded with: the eval reports hold only scores,
 # and they stayed equal under a numeric change that moved every weight. The
 # steplog was re-recorded (weights unchanged) when its lines lost mode, preset
-# and the records' num_sectors and mix_keep_even (dae7b817… → 1ba50d1e…)
+# and the records' num_sectors and mix_keep_even (dae7b817… → 1ba50d1e…), and
+# again when they lost vq_codebook and code_usage (1ba50d1e… → 5c263274…)
 TRAINED_GOLDEN = {
     "ckpt/final/weights.a3wt": "510290f0847ee147bb5ddc6f6383ea5fc79c85d9046a1360f07f7ea46d578b38",
-    "steplog.ndjson": "1ba50d1eacc823b655aa5d51f829886a335b1e834a1909518dc5a58eb04460b5",
+    "steplog.ndjson": "5c263274b55d8e55346bb4381ecb45aa66cd4de283b557b9ad974dcc30d91dc9",
 }
 
 
@@ -542,6 +543,76 @@ def test_an_input_path_of_the_wrong_kind_exits_2_naming_it(trained, tmp_path, ca
     assert quiet_main(argv + ["--out", str(out)]) == 2
     assert str(named) in capsys.readouterr().err
     assert not out.exists()
+
+
+def tree_bytes(root):
+    """Every entry under `root` by relative path: a file's bytes, or None
+    for a directory."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("case", ["no-out", "no-ckpt", "empty-ckpt"])
+def test_a_resume_with_no_epoch_checkpoint_exits_2(tmp_path, capsys, case):
+    # a missing ckpt/ once ended in a raw "[Errno 2] ... '<out>/ckpt'"
+    _, config = write_config(tmp_path / "config.json", scenes=4, val_fraction=0.25)
+    out = tmp_path / "run"
+    if case != "no-out":
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+    if case == "empty-ckpt":
+        (out / "ckpt").mkdir()
+        (out / "ckpt" / ".partial-epoch_0001").mkdir()  # never resumed from
+    before = tree_bytes(out) if out.exists() else None
+    assert quiet_main(["train", "--config", config, "--out", str(out), "--resume"]) == 2
+    assert (f"no epoch checkpoint to resume from in {str(out)!r}"
+            in capsys.readouterr().err)
+    if case == "no-out":
+        assert not out.exists()
+    else:
+        assert tree_bytes(out) == before
+
+
+def test_eval_of_a_checkpoint_path_that_is_a_file_exits_2(trained, tmp_path, capsys):
+    _, config, ckpt = trained
+    out = tmp_path / "eval"
+    weights = f"{ckpt}/weights.a3wt"
+    assert quiet_main(["eval", "--ckpt", weights, "--config", config, "--out", str(out)]) == 2
+    assert f"checkpoint {weights!r} is not a directory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_of_a_checkpoint_state_that_is_not_a_json_object_exits_2(trained, tmp_path,
+                                                                       capsys):
+    _, config, ckpt = trained
+    copy = tmp_path / "ckpt"
+    shutil.copytree(ckpt, copy)
+    (copy / "state.json").write_text("[1, 2]")
+    out = tmp_path / "eval"
+    assert quiet_main(["eval", "--ckpt", str(copy), "--config", config, "--out", str(out)]) == 2
+    assert (f"checkpoint state {str(copy / 'state.json')!r} is not a JSON object"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "eval", "ablate"])
+def test_a_nonempty_out_without_force_exits_2_and_keeps_its_files(trained, tmp_path, capsys,
+                                                                  command):
+    _, config, ckpt = trained
+    out = tmp_path / "out"
+    (out / "reports").mkdir(parents=True)
+    # files of every command's layout, which --force would remove
+    for name in ("manifest.json", "config.json", "reports/level_none.json", "notes.txt"):
+        (out / name).write_text(f"earlier {name}")
+    before = tree_bytes(out)
+    argv = {"gen": ["gen", "--config", config],
+            "train": ["train", "--config", config],
+            "eval": ["eval", "--ckpt", ckpt, "--config", config, "--levels", "none"],
+            "ablate": ["ablate", "--config", config, "--sweep", "t"]}[command]
+    assert quiet_main(argv + ["--out", str(out)]) == 2
+    assert (f"output directory {str(out)!r} is not empty (use --force)"
+            in capsys.readouterr().err)
+    assert tree_bytes(out) == before
 
 
 @pytest.fixture(scope="module")

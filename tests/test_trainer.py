@@ -23,6 +23,7 @@ import reference as R
 from shiftseg import cli, evalsuite, scp, segnet, ssr, trainer, verify
 from shiftseg import tensor as T
 from shiftseg.augment import PRESETS
+from shiftseg.dataset import DatasetSplit
 from shiftseg.pointcloud import IGNORE_LABEL, PointCloud
 
 
@@ -282,9 +283,13 @@ def test_resume_refuses_a_changed_config(tmp_path):
 # was re-recorded again (steplog, weights and epoch_0002 unchanged) when a
 # level's ssr_ratio came to be taken over the pooled rows of all its draws,
 # as in a training step, in place of the mean of per-draw ratios (final
-# 9e74bd31… → 5dab9d5a…; only ssr_ratio_by_level moved).
+# 9e74bd31… → 5dab9d5a…; only ssr_ratio_by_level moved). The steplog was
+# re-recorded (weights and reports unchanged) when its full lines lost
+# vq_codebook, bitwise equal to vq_commitment, and code_usage, a running
+# count of labelled rows; every line is the earlier one without those two
+# keys (steplog 318898bf… → ca19f21f…).
 GOLDEN = {
-    "steplog.ndjson": "318898bfd0bd9e8b0a8d3f25dfd650eb54a385035b23de24fe8d59a7a22b8cad",
+    "steplog.ndjson": "ca19f21f7cf5010c1700725ce152f78b86fe820678e9fc9dfa25a8aa80a56679",
     "ckpt/final/weights.a3wt": "021d07f6d71243473dbecb03c67a056b58bf878dda732f44b9a9572395d2644a",
     "reports/epoch_0002.json": "bd0018620198e0784e6a3997ced45b7c8ff88590a2ea4cc4c4e9331047a764cb",
     "reports/final.json": "5dab9d5aae563976b1fa5ea8bf9275842585dddd7a198b144c5f9727ac222afa",
@@ -311,8 +316,8 @@ STEP_KEYS = {
     "none": ["step", "epoch", "batch", "loss_ce", "loss_total"],
     "eas": ["step", "epoch", "batch", "loss_ce", "loss_ce_aug", "loss_total", "aug"],
     "full": ["step", "epoch", "batch", "loss_ce", "loss_ce_aug", "loss_ce_scr",
-             "loss_distill", "loss_total", "vq_recon", "vq_codebook", "vq_commitment",
-             "vq_total", "code_usage", "ssr_ratio", "aug"],
+             "loss_distill", "loss_total", "vq_recon", "vq_commitment", "vq_total",
+             "ssr_ratio", "aug"],
 }
 AUG_KEYS = ["parent_id", "jitter_std", "drop_ratio", "yaw", "scale", "flip_x", "flip_y",
             "noise_points", "mix_partner", "stream_key"]
@@ -429,10 +434,19 @@ def test_the_final_report_of_a_prior_without_live_codes_flags_no_row(mode, ratio
     assert list(rep["miou_by_level"]) == list(PRESETS)
 
 
+def codebook_terms(monkeypatch) -> list:
+    """The codebook terms `scp.vq_losses` builds from here on, in order (its
+    one `T.gathered_mse` node): `scp.VqLosses` holds them in its total only."""
+    terms, gathered_mse = [], T.gathered_mse
+    monkeypatch.setattr(T, "gathered_mse",
+                        lambda *args: terms.append(gathered_mse(*args)) or terms[-1])
+    return terms
+
+
 # full with global distillation, and the EAS + SCR regime, which is full
 # with lambda 0
 @pytest.mark.parametrize("overrides", [{}, {"lam": 0.0}], ids=["full-global", "eas+scr"])
-def test_a_replay_rebuilds_the_selecting_pass_bit_for_bit(overrides):
+def test_a_replay_rebuilds_the_selecting_pass_bit_for_bit(monkeypatch, overrides):
     cfg = verify.tiny_config(t=verify.GRAD_T, **overrides)
     state, pb, sel, first = verify.tiny_step(cfg)
     again, _ = trainer.step_losses(state, pb, sel)
@@ -440,12 +454,14 @@ def test_a_replay_rebuilds_the_selecting_pass_bit_for_bit(overrides):
         a, b = getattr(first, name), getattr(again, name)
         assert (a is None and b is None) or a.data.tobytes() == b.data.tobytes(), name
     # the objective on the selecting pass's latents and on the rows encoded again
+    codebook = codebook_terms(monkeypatch)
     vq_first = trainer.vq_objective(state, sel, first.z_prior)
     vq_again = trainer.vq_objective(state, sel)
     assert again.z_prior is None
-    for name in ("recon", "codebook", "commitment", "total"):
+    for name in ("recon", "commitment", "total"):
         a, b = getattr(vq_first, name), getattr(vq_again, name)
         assert a.data.tobytes() == b.data.tobytes(), name
+    assert len(codebook) == 2 and codebook[0].data.tobytes() == codebook[1].data.tobytes()
     for loss, replayed, opt in ((first.total, again.total, state.seg_opt),
                                 (vq_first.total, vq_again.total, state.ae_opt)):
         grads = verify._analytic_grads(loss, opt)
@@ -463,15 +479,37 @@ def test_the_prior_objective_pins_the_snapshot_codes_not_the_live_ones(monkeypat
     decode, inputs = state.prior.decode, []
     monkeypatch.setattr(state.prior, "decode",
                         lambda z: inputs.append(z.data.copy()) or decode(z))
+    codebook = codebook_terms(monkeypatch)
     still = trainer.vq_objective(state, sel, first.z_prior)
     state.cb.codes.data += 0.5
     moved = trainer.vq_objective(state, sel, first.z_prior)
     assert moved.commitment.data.tobytes() == still.commitment.data.tobytes()
     assert len(inputs) == 2 and inputs[1].tobytes() == inputs[0].tobytes()
-    assert moved.codebook.item() != still.codebook.item()
+    assert len(codebook) == 2 and codebook[1].item() != codebook[0].item()
+    assert moved.total.item() != still.total.item()
 
 
-def test_the_prior_objective_over_float32_pins_equals_it_over_float64_pins():
+@pytest.mark.parametrize("lam", [0.1, 0.0])
+def test_a_training_step_s_codebook_term_equals_its_commitment_term(monkeypatch, lam):
+    # why a step line logs vq_commitment alone: in a step both terms are the
+    # mse of the selecting pass's latents and its pinned codes, bit for bit
+    cfg = trainer.TrainConfig(scenes=5, points_per_scene=128, t=0.45, lam=lam)
+    split, clouds = trainer.default_data(cfg)
+    batch = [clouds[c] for c in split.train]
+    state = trainer.init_state(cfg)
+    objective, terms = trainer.vq_objective, []
+    monkeypatch.setattr(trainer, "vq_objective",
+                        lambda *args: terms.append(objective(*args)) or terms[-1])
+    codebook = codebook_terms(monkeypatch)
+    lines = [trainer.train_step(state, batch, cfg, epoch, 0) for epoch in range(3)]
+    assert len(terms) == len(codebook) == 3 and any(line["ssr_ratio"] > 0 for line in lines)
+    for line, vq, term in zip(lines, terms, codebook):
+        assert term.item() > 0
+        assert term.data.tobytes() == vq.commitment.data.tobytes()
+        assert line["vq_commitment"] == term.item()
+
+
+def test_the_prior_objective_over_float32_pins_equals_it_over_float64_pins(monkeypatch):
     # the objective derives z_q0 and the straight-through residual from the
     # snapshot's float64 codes in the latents' float32, and the codebook term
     # gathers the codes in float32; pinned and gathered in float64, each op
@@ -485,13 +523,16 @@ def test_the_prior_objective_over_float32_pins_equals_it_over_float64_pins():
     pb = trainer.prepare_batch(state, batch, verify.WARM_STEPS, 0)
     _, sel = trainer.step_losses(state, pb)
     assert {a.dtype for a in (sel.rows.data, sel.z_e0)} == {np.dtype(np.float32)}
+    codebook = codebook_terms(monkeypatch)
     got = trainer.vq_objective(state, sel)
     codes0 = sel.snapshot.codes3.reshape(-1, cfg.latent_dim)
-    want = R.vq_losses_float64_pins(state.prior, state.cb, state.prior.encode(sel.rows),
-                                    sel.flat, sel.z_e0, codes0[sel.flat],
-                                    sel.rows.data[:, :cfg.class_count])
-    for name in ("recon", "codebook", "commitment", "total"):
-        a, b = getattr(got, name).data, getattr(want, name).data
+    want, want_codebook = R.vq_losses_float64_pins(
+        state.prior, state.cb, state.prior.encode(sel.rows), sel.flat, sel.z_e0,
+        codes0[sel.flat], sel.rows.data[:, :cfg.class_count])
+    for name, a, b in [("codebook", codebook[0], want_codebook),
+                       *((n, getattr(got, n), getattr(want, n))
+                         for n in ("recon", "commitment", "total"))]:
+        a, b = a.data, b.data
         assert a.dtype == b.dtype == np.float32 and a.tobytes() == b.tobytes(), name
     grads = verify._analytic_grads(got.total, state.ae_opt)
     want_grads = verify._analytic_grads(want.total, state.ae_opt)
@@ -500,6 +541,14 @@ def test_the_prior_objective_over_float32_pins_equals_it_over_float64_pins():
         assert grads[name].dtype == np.float64, name
         assert grads[name].tobytes() == want_grads[name].tobytes(), name
     assert np.abs(grads["scp.codes"]).sum() > 0
+
+
+def test_a_run_on_a_split_without_training_clouds_is_refused(tmp_path):
+    cfg = verify.tiny_config(scenes=2, val_fraction=0.5)
+    split, clouds = trainer.default_data(cfg)
+    with pytest.raises(ValueError, match="split has no training clouds"):
+        trainer.run(cfg, DatasetSplit([], split.val), clouds, str(tmp_path / "run"))
+    assert not (tmp_path / "run").exists()
 
 
 def test_a_checkpoint_with_teacher_arrays_still_loads(tmp_path):

@@ -22,7 +22,11 @@ Writes BENCH_<label>.json (in --out-dir, the current directory by default):
   verdict, with "better" and "bound" read from the change's
   BENCHMARK.json;
 - per workload, seed and artifact (steplog, weights, report), whether the
-  two runs' digests are equal.
+  two runs' digests are equal;
+- per workload with a crashed run (one that reports no metric), the seeds
+  of the pairs left out of its medians and win counts, as
+  "crashed_pairs_left_out"; the crashed run stays in "runs" with its error
+  rate.
 
 At the end it prints these per workload and metric as a table on stderr.
 The verdict names each of `gain`, `separated` and `worse_than_bound` that
@@ -124,6 +128,14 @@ def paired(runs: list[dict]) -> dict[int, dict[str, dict]]:
     return {seed: p for seed, p in sorted(by_seed.items()) if set(p) == set(SIDES)}
 
 
+def crashed_seeds(runs: list[dict]) -> list[int]:
+    """The seeds of the pairs with a crashed run, one that reports no metric
+    (its error rate says that it failed); their pairs are left out of every
+    median and win count."""
+    return [seed for seed, p in paired(runs).items()
+            if not all(r["metrics"] for r in p.values())]
+
+
 def summarize(runs: list[dict], better: dict[str, str],
               bounds: dict[str, float] | None = None) -> dict:
     """Per metric: medians per side, the base's IQR, the change's wins over
@@ -134,8 +146,10 @@ def summarize(runs: list[dict], better: dict[str, str],
       resolves a metric even where the runs spread wider than its bound;
     - worse_than_bound: the change's median is worse than the base's by more
       than the metric's bound, a fraction of the base's median (None for a
-      metric without a bound)."""
-    pairs = list(paired(runs).values())
+      metric without a bound).
+    A pair with a crashed run (`crashed_seeds`) counts nowhere."""
+    crashed = crashed_seeds(runs)
+    pairs = [p for seed, p in paired(runs).items() if seed not in crashed]
     out = {}
     for name in sorted(pairs[0]["base"]["metrics"]) if pairs else []:
         base = [p["base"]["metrics"][name] for p in pairs]
@@ -186,6 +200,10 @@ def summary_table(workloads: dict) -> list[str]:
     rows = [f"{'workload':<12} {'metric':<14} {'base':>10} {'change':>10} {'base_iqr':>10} "
             f"{'wins':>6}  {'verdict':<32} digests_equal"]
     for workload, w in workloads.items():
+        crashed = w.get("crashed_pairs_left_out")
+        if crashed:
+            rows.append(f"{workload:<12} left out {len(crashed)} pair(s) with a crashed run: "
+                        f"seeds {crashed}")
         seeds = list(w["digests_equal"].values())
         artifacts = sorted({a for per_seed in seeds for a in per_seed})
         digests = " ".join(f"{a} {sum(s.get(a, False) for s in seeds)}/{len(seeds)}"
@@ -241,6 +259,9 @@ def main(argv=None) -> int:
         doc["workloads"][workload] = {"warmup": done["warmup"], "runs": runs,
                                       "pairs": summarize(runs, better, bounds),
                                       "digests_equal": digests_equal(runs)}
+        crashed = crashed_seeds(runs)
+        if crashed:  # a session without a crash writes the file it always did
+            doc["workloads"][workload]["crashed_pairs_left_out"] = crashed
     path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)

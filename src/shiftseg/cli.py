@@ -17,21 +17,25 @@ Every setting of a run comes from its config file, read through
 and writes the synthetic clouds `train` builds from that config without
 `--data`, with the config as the dataset's config.json. Refused: an unknown
 config key or a value that could not run; a `--data` dataset that differs
-from the config in scenes, points_per_scene or val_fraction, or that
-`_load_data` cannot use; an `eval` level unknown or listed twice, and
-`--trials` below 1; a `--resume` with no epoch checkpoint in `--out`; an
-`eval` or `--resume` checkpoint written under another config
+from the config in scenes, points_per_scene or val_fraction; clouds, loaded
+or generated, that `_load_data` cannot use; an `eval` level unknown or
+listed twice, and `--trials` below 1; a `--resume` with no epoch checkpoint
+in `--out`; an `eval` or `--resume` checkpoint written under another config
 (`trainer.load_state`); an unknown `ablate` sweep, or any sweep on a mode
 without a prior; an `--out` directory that cannot be made; an input path
 missing or of the wrong kind (say a file as `--data`). Arguments are
 checked before the output directory is made.
 
-Exit codes: 0 success, 1 a failed `verify` suite, 2 usage error (a malformed
-config, dataset or checkpoint included).
+Exit codes: 0 success; 1 a failed `verify` suite, or a diverged training
+(a non-finite loss or gradient, in one `error:` line); 2 usage error (a
+malformed config, dataset or checkpoint included).
 Output directory layout: OUT/{manifest.json, config.json, steplog.ndjson,
 ckpt/, reports/, csv/}; a dataset's: DIR/{manifest.json, config.json,
-split.json, <cloud id>.a3pc}. Each checkpoint directory
-ckpt/<epoch_NNNN|final>/ holds weights.a3wt (`trainer.state_arrays`: the
+split.json, <cloud id>.a3pc}; manifest.json records the command and its
+`*_LAYOUT`. A run writes each epoch but the last as reports/epoch_NNNN.json
+(NNNN from 0) and every ckpt_every epochs as ckpt/epoch_NNNN (NNNN the
+epochs done), and its last epoch only as ckpt/final and reports/final.json.
+Each checkpoint directory holds weights.a3wt (`trainer.state_arrays`: the
 networks, codebook, optimizer moments and step counts, step and epoch) and
 state.json (the config hash a resume and `eval` check).
 """
@@ -49,8 +53,8 @@ from . import __version__, evalsuite, oracle, trainer, verify
 from .augment import PRESETS
 from .dataset import CloudFormatError, DatasetSplit, load_cloud, save_cloud
 from .pointcloud import voxel_keys
-from .tensor import CheckpointError
-from .trainer import ConfigError, TrainConfig
+from .tensor import CheckpointError, GradientError
+from .trainer import ConfigError, TrainConfig, TrainingDiverged
 
 
 class UsageError(Exception):
@@ -63,12 +67,12 @@ def _write_json(path, doc) -> None:
         f.write("\n")
 
 
-def _manifest(out_dir: str, cfg_hash: str, seed: int, layout: list[str]) -> None:
-    _write_json(os.path.join(out_dir, "manifest.json"), {
-        "command": sys.argv,
-        "config_hash": cfg_hash,
+def _manifest(args, cfg: TrainConfig, layout: list[str]) -> None:
+    _write_json(os.path.join(args.out, "manifest.json"), {
+        "command": ["shiftseg", *args.argv],
+        "config_hash": cfg.config_hash(),
         "code_version": __version__,
-        "seed": seed,
+        "seed": cfg.seed,
         "layout": layout,
         "created_unix": time.time(),
     })
@@ -112,11 +116,11 @@ def _load_data(data_dir: str | None, cfg: TrainConfig, val_only: bool = False):
     Refuses a dataset whose config.json (`gen` writes one) differs from `cfg`
     in a DATA_KEYS value; a split.json that is not JSON, not a split of
     disjoint lists of distinct cloud ids, or without a training cloud
-    (unless val_only); a split without a validation cloud, a cloud of fewer
-    than 2 points (it has no neighbourhood to featurize) or with a cell key
-    beyond int64 at the config's voxel_size, clouds that declare different
-    class counts, or more classes than the config's class_count. A dataset
-    without config.json is read as it stands."""
+    (unless val_only); clouds that declare different class counts, or more
+    classes than the config's class_count. From either source it refuses a
+    split without a validation cloud, and a cloud of fewer than 2 points (it
+    has no neighbourhood to featurize) or with a cell key beyond int64 at the
+    config's voxel_size. A dataset without config.json is read as it stands."""
     if data_dir:
         path = os.path.join(data_dir, "config.json")
         if os.path.exists(path):
@@ -137,13 +141,6 @@ def _load_data(data_dir: str | None, cfg: TrainConfig, val_only: bool = False):
         clouds, counts = {}, set()
         for cid in split.val if val_only else split.train + split.val:
             clouds[cid], c = load_cloud(os.path.join(data_dir, f"{cid}.a3pc"), cloud_id=cid)
-            if len(clouds[cid]) < 2:
-                raise UsageError(f"cloud {cid!r} in {data_dir!r} has {len(clouds[cid])} "
-                                 "point(s); training and evaluation need at least 2")
-            try:
-                voxel_keys(clouds[cid], cfg.voxel_size)
-            except ValueError as exc:
-                raise UsageError(f"{exc} (dataset {data_dir!r})") from None
             counts.add(c)
         if len(counts) > 1:
             raise UsageError(f"dataset {data_dir!r} mixes clouds that declare "
@@ -153,8 +150,17 @@ def _load_data(data_dir: str | None, cfg: TrainConfig, val_only: bool = False):
                              f"than the config's class_count of {cfg.class_count}")
     else:
         split, clouds = trainer.default_data(cfg, val_only)
+    source = f"dataset {data_dir!r}" if data_dir else "the config's synthetic data"
     if not split.val:
         raise UsageError("the split has no validation cloud to evaluate")
+    for cid, cloud in clouds.items():
+        if len(cloud) < 2:
+            raise UsageError(f"cloud {cid!r} of {source} has {len(cloud)} point(s); "
+                             "training and evaluation need at least 2")
+        try:
+            voxel_keys(cloud, cfg.voxel_size)
+        except ValueError as exc:
+            raise UsageError(f"{exc} ({source})") from None
     return split, clouds
 
 
@@ -170,9 +176,7 @@ def cmd_gen(args) -> int:
         save_cloud(cloud, os.path.join(args.out, f"{cid}.a3pc"), cfg.class_count)
     _write_json(os.path.join(args.out, "split.json"), split.to_json())
     _write_json(os.path.join(args.out, "config.json"), cfg.to_json())
-    _manifest(args.out, cfg.config_hash(), cfg.seed,
-              ["split.json", "config.json", "manifest.json"]
-              + [f"{cid}.a3pc" for cid in clouds])
+    _manifest(args, cfg, GEN_LAYOUT)
     print(f"wrote {len(clouds)} clouds to {args.out}")
     return 0
 
@@ -180,21 +184,13 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     split, clouds = _load_data(args.data, cfg)
-    resume_from = None
-    if args.resume:
-        epochs = sorted(glob.glob(os.path.join(glob.escape(args.out), "ckpt", "epoch_*")))
-        if not epochs:
-            raise UsageError(f"no epoch checkpoint to resume from in {args.out!r}")
-        resume_from = epochs[-1]
-    else:
+    if not args.resume:
         _prepare_out(args.out, args.force, TRAIN_LAYOUT)
         # a resume refuses any config but the checkpoint's, so config.json stands
         _write_json(os.path.join(args.out, "config.json"), cfg.to_json())
-    state, reports = trainer.run(cfg, split, clouds, out_dir=args.out,
-                                 resume_from=resume_from)
-    _manifest(args.out, cfg.config_hash(), cfg.seed, TRAIN_LAYOUT)
-    if reports:
-        print(f"final val mIoU {reports[-1]['miou']:.4f}")
+    final = trainer.run(cfg, split, clouds, out_dir=args.out, resume=args.resume)
+    _manifest(args, cfg, TRAIN_LAYOUT)
+    print(f"final val mIoU {final['miou']:.4f}")
     return 0
 
 
@@ -233,7 +229,7 @@ def cmd_eval(args) -> int:
         for level, rep in sweep.items():
             ratio = "" if rep["ssr_ratio"] is None else repr(float(rep["ssr_ratio"]))
             f.write(f"{level},{cfg.seed},{ratio},{repr(float(rep['miou']))}\n")
-    _manifest(args.out, cfg.config_hash(), cfg.seed, EVAL_LAYOUT)
+    _manifest(args, cfg, EVAL_LAYOUT)
     return 0
 
 
@@ -265,7 +261,7 @@ def cmd_ablate(args) -> int:
         cell_dir = os.path.join(args.out, f"{args.sweep}_{value}")
         os.makedirs(cell_dir, exist_ok=True)
         _write_json(os.path.join(cell_dir, "config.json"), cfg.to_json())
-        final = trainer.run(cfg, split, clouds, out_dir=cell_dir)[1][-1]
+        final = trainer.run(cfg, split, clouds, out_dir=cell_dir)
         mious = [final["miou"], *(final["miou_by_level"][level] for level in PRESETS)]
         lines.append(",".join([args.sweep, str(value), *(repr(float(m)) for m in mious)]))
         print(f"{args.sweep}={value}: clean mIoU {final['miou']:.4f} "
@@ -273,7 +269,7 @@ def cmd_ablate(args) -> int:
     with open(os.path.join(args.out, "csv", f"sweep_{args.sweep}.csv"), "w",
               encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
-    _manifest(args.out, base.config_hash(), base.seed, ABLATE_LAYOUT)
+    _manifest(args, base, ABLATE_LAYOUT)
     return 0
 
 
@@ -340,13 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        args.argv = argv
         return args.func(args)
     except (UsageError, ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            CloudFormatError, CheckpointError) as exc:  # the path errors name their path
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            CloudFormatError, CheckpointError, TrainingDiverged, GradientError) as exc:
+        print(f"error: {exc}", file=sys.stderr)  # the path errors name their path
+        return 1 if isinstance(exc, (TrainingDiverged, GradientError)) else 2
 
 
 if __name__ == "__main__":

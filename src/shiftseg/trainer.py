@@ -23,6 +23,7 @@ vq_commitment bit for bit) and no usage count (the labelled rows fix it).
 """
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import math
@@ -119,7 +120,6 @@ class TrainConfig:
     noise_points: int = 32
     # bookkeeping
     ckpt_every: int = 0  # epochs between checkpoints; 0 = final only
-    eval_every: int = 1  # epochs between validation reports; 0 = final only
 
     def __post_init__(self):
         for f in fields(self):  # a float field may hold a JSON integer of any size
@@ -145,7 +145,6 @@ class TrainConfig:
             (self.noise_points >= 0, "noise_points must be nonnegative"),
             (self.lam >= 0, "lambda must be nonnegative"),
             (self.ckpt_every >= 0, "ckpt_every must be nonnegative"),
-            (self.eval_every >= 0, "eval_every must be nonnegative"),
             (min(self.seg_hidden, default=1) >= 1,
              "seg_hidden must be a list of positive widths"),
             (min(self.encoder_widths, default=1) >= 1,
@@ -659,25 +658,30 @@ def final_report(state: TrainState, val_clouds: list[PointCloud]) -> dict:
 
 
 def run(cfg: TrainConfig, split: DatasetSplit, clouds_by_id: dict[str, PointCloud],
-        out_dir: str, resume_from: str | None = None):
-    """Train for cfg.epochs over the split; returns (state, reports).
-
-    Writes steplog.ndjson, per-epoch reports, checkpoints and the final
-    report under `out_dir`; fully deterministic given the config seed.
-    """
-    if not split.train:
-        raise ValueError("split has no training clouds")
-    state = load_state(cfg, resume_from) if resume_from else init_state(cfg)
+        out_dir: str, resume: bool = False) -> dict:
+    """Train for cfg.epochs over the split, writing under `out_dir` the
+    steplog, a report after each epoch but the last, a checkpoint every
+    ckpt_every epochs, and the last epoch only as ckpt/final and
+    reports/final.json; returns the final report. A `resume` continues from
+    the latest ckpt/epoch_*, to the bytes of an uninterrupted run. Refused
+    before any output: a resume without one (ConfigError), a split without
+    training or validation clouds (ValueError)."""
+    if not (split.train and split.val):
+        raise ValueError("split has no training clouds or no validation clouds")
+    ckpt_dir = os.path.join(out_dir, "ckpt")
+    epochs = sorted(glob.glob(os.path.join(glob.escape(ckpt_dir), "epoch_*")))
+    if resume and not epochs:
+        raise ConfigError(f"no epoch checkpoint to resume from in {out_dir!r}")
+    state = load_state(cfg, epochs[-1]) if resume else init_state(cfg)
     train_clouds = [clouds_by_id[cid] for cid in split.train]
     val_clouds = [clouds_by_id[cid] for cid in split.val]
-    reports: list[dict] = []
 
     os.makedirs(os.path.join(out_dir, "reports"), exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "ckpt"), exist_ok=True)
+    os.makedirs(ckpt_dir, exist_ok=True)
     log_path = os.path.join(out_dir, "steplog.ndjson")
-    if resume_from:
+    if resume:
         _truncate_steplog(log_path, state.step)
-    with open(log_path, "a" if resume_from else "w", encoding="utf-8") as log_fh:
+    with open(log_path, "a" if resume else "w", encoding="utf-8") as log_fh:
         for epoch in range(state.epoch, cfg.epochs):
             state.epoch = epoch
             state.seg_opt.lr = seg_lr_at(epoch, cfg)
@@ -686,25 +690,21 @@ def run(cfg: TrainConfig, split: DatasetSplit, clouds_by_id: dict[str, PointClou
                 batch = [train_clouds[i] for i in order[b:b + cfg.batch_size]]
                 log_fh.write(_json_line(train_step(state, batch, cfg, epoch,
                                                    b // cfg.batch_size)))
-            if cfg.eval_every and val_clouds and (epoch + 1) % cfg.eval_every == 0:
-                rep = validation_report(state, val_clouds, cfg, epoch)
-                reports.append(rep)
-                with open(os.path.join(out_dir, "reports", f"epoch_{epoch:04d}.json"),
-                          "w", encoding="utf-8") as f:
-                    f.write(_json_line(rep))
+            if epoch == cfg.epochs - 1:  # the last epoch's state is the final one
+                break
+            with open(os.path.join(out_dir, "reports", f"epoch_{epoch:04d}.json"),
+                      "w", encoding="utf-8") as f:
+                f.write(_json_line(validation_report(state, val_clouds, cfg, epoch)))
             if cfg.ckpt_every and (epoch + 1) % cfg.ckpt_every == 0:
                 state.epoch = epoch + 1
-                save_state(state, os.path.join(out_dir, "ckpt", f"epoch_{epoch + 1:04d}"))
+                save_state(state, os.path.join(ckpt_dir, f"epoch_{epoch + 1:04d}"))
         state.epoch = cfg.epochs
         # the finished training is kept even if its final report fails
-        save_state(state, os.path.join(out_dir, "ckpt", "final"))
-        if val_clouds:
-            rep = final_report(state, val_clouds)
-            reports.append(rep)
-            with open(os.path.join(out_dir, "reports", "final.json"),
-                      "w", encoding="utf-8") as f:
-                f.write(_json_line(rep))
-    return state, reports
+        save_state(state, os.path.join(ckpt_dir, "final"))
+        rep = final_report(state, val_clouds)
+        with open(os.path.join(out_dir, "reports", "final.json"), "w", encoding="utf-8") as f:
+            f.write(_json_line(rep))
+    return rep
 
 
 def default_data(cfg: TrainConfig, val_only: bool = False):

@@ -98,8 +98,8 @@ def refused_config(tmp_path, capsys, key, value, message):
     ("points_per_scene", 63), ("class_count", 0), ("val_fraction", 0.0), ("val_fraction", 1.0),
     ("scenes", 0), ("k", 0), ("D", 0), ("knn_k", 0), ("voxel_size", 0.0),
     ("dilation_radius", -0.1), ("noise_points", -1), ("lambda", -0.1), ("ckpt_every", -1),
-    ("eval_every", -1), ("seg_hidden", [-1]), ("encoder_widths", [0]), ("t", 0.0),
-    ("epochs", -1), ("batch_size", 0)])
+    ("epochs", -1), ("seg_hidden", [-1]), ("encoder_widths", [0]), ("t", 0.0),
+    ("batch_size", 0)])
 def test_train_refuses_a_config_value_that_cannot_run(tmp_path, capsys, key, value):
     refused_config(tmp_path, capsys, key, value, f"error: {key} must be")
 
@@ -131,7 +131,7 @@ def test_gen_with_force_replaces_the_earlier_dataset_and_nothing_else(tmp_path):
 
 def test_a_gen_dataset_is_exactly_the_data_of_its_config(tmp_path):
     cfg, config = write_config(tmp_path / "config.json", epochs=2, batch_size=2, scenes=6,
-                               points_per_scene=128, val_fraction=0.34, eval_every=1, t=0.45)
+                               points_per_scene=128, val_fraction=0.34, t=0.45)
     data = tmp_path / "data"
     assert quiet_main(["gen", "--config", config, "--out", str(data)]) == 0
     assert json.loads((data / "manifest.json").read_text())["config_hash"] == cfg.config_hash()
@@ -140,7 +140,7 @@ def test_a_gen_dataset_is_exactly_the_data_of_its_config(tmp_path):
         runs[name] = tmp_path / f"run_{name}"
         assert quiet_main(["train", "--config", config, "--out", str(runs[name])] + extra) == 0
     files = ["steplog.ndjson", "ckpt/final/weights.a3wt", "reports/epoch_0000.json",
-             "reports/epoch_0001.json", "reports/final.json"]
+             "reports/final.json"]
     for name in files:
         assert (runs["data"] / name).read_bytes() == (runs["synth"] / name).read_bytes(), name
 
@@ -315,16 +315,21 @@ def test_one_level_prepares_each_draw_once(trained, tmp_path, monkeypatch):
 # place of the mean of per-draw ratios (none 2971a6a0… → 5a8dbbc2…, light
 # a9286dc8… → f20a98f5…, moderate b7129f95… → 86d246c2…, heavy 36b21b95… →
 # b21a1765…, excessive 398f83e5… → 1c9eb8b2…, csv a849f416… → e78b4196…;
-# the none level's mIoU and every level's high-distortion values unchanged)
+# the none level's mIoU and every level's high-distortion values unchanged).
+# The level reports were re-recorded (the CSV unchanged) when TrainConfig
+# lost eval_every, which moves the config hash and nothing else (none
+# 5a8dbbc2… → 72f0921f…, light f20a98f5… → cf46792f…, moderate 86d246c2… →
+# 3df2b03b…, heavy b21a1765… → 1aaebf43…, random ecd558ad… → e002ea61…,
+# excessive 1c9eb8b2… → 98efc63e…)
 EVAL_GOLDEN = {
-    "reports/level_none.json": "5a8dbbc2ce3c451e107e5004d40eb7fa42a16625c4aaab32bde33b60f76f9924",
-    "reports/level_light.json": "f20a98f53bc1e5462559f2ea4709fdd6941a97bc815a8ff945ae0a3ccfd5649c",
+    "reports/level_none.json": "72f0921ff7b23b2eac29951c6d9442d203f8196218ea6262945656a4776cd305",
+    "reports/level_light.json": "cf46792ff145c5f0de72e0924bb918e3598285725cc16be1e6df3cffa48ad2a1",
     "reports/level_moderate.json":
-        "86d246c227c37638d2eaed62c5ee620e6b8a1f9344d7d215d45e8be1a7c22d01",
-    "reports/level_heavy.json": "b21a1765dee07063a77883abb2f7b3c7596f72f3dac0fd93a903dcc3b231f5a0",
-    "reports/level_random.json": "ecd558adb4c8ebdeadf3e2cd596d1a2262c387f8b7f1b5b41595ab43a70b8414",
+        "3df2b03b9c08892c019deb84869a2b4dbd87b029f16584c65400b8bc84dcf837",
+    "reports/level_heavy.json": "1aaebf43702deba85cc86b41b6fa4c3eb06095b37154149ea52a09f6110b38f4",
+    "reports/level_random.json": "e002ea612bd8fe0197f8f9e68be2f59cf49262de96b2b0f8077749066ccced21",
     "reports/level_excessive.json":
-        "1c9eb8b2ce72d15a43f1215865204ae6c294255a919eae0a2db9156fcc387cc6",
+        "98efc63e0882c11f6d16e27535af5e4968cf0ab4b5d3b9989d6796fa750dc31e",
     "csv/level_sweep.csv": "e78b4196b5f5512a685a95280d057da7467c232430d55ec79a4bec9776cd8538",
 }
 
@@ -470,12 +475,12 @@ def test_a_malformed_split_or_checkpoint_state_exits_2(tmp_path, capsys, name, t
 
 def test_train_with_force_replaces_the_earlier_run_and_nothing_else(tmp_path):
     # a 3-epoch run's later checkpoints and reports once stayed beside a
-    # 1-epoch run forced into its directory, and a resume picked them
+    # 2-epoch run forced into its directory, and a resume picked them
     out = tmp_path / "run"
     runs = {}
-    for name, epochs in (("a", 3), ("b", 1)):
+    for name, epochs in (("a", 3), ("b", 2)):
         _, runs[name] = write_config(tmp_path / f"{name}.json", epochs=epochs, scenes=4,
-                                     val_fraction=0.5, eval_every=1, ckpt_every=1)
+                                     val_fraction=0.5, ckpt_every=1)
     assert quiet_main(["train", "--config", runs["a"], "--out", str(out)]) == 0
     (out / "notes.txt").write_text("kept")
     assert quiet_main(["train", "--config", runs["b"], "--out", str(out), "--force"]) == 0
@@ -595,6 +600,15 @@ def test_eval_of_a_checkpoint_state_that_is_not_a_json_object_exits_2(trained, t
     assert not out.exists()
 
 
+def command_argv(command, config, ckpt, out):
+    """The arguments of a small run of `command` into `out`."""
+    return {"gen": ["gen", "--config", config],
+            "train": ["train", "--config", config],
+            "eval": ["eval", "--ckpt", ckpt, "--config", config, "--levels", "none"],
+            "ablate": ["ablate", "--config", config, "--sweep", "t"]}[command] + [
+        "--out", str(out)]
+
+
 @pytest.mark.parametrize("command", ["gen", "train", "eval", "ablate"])
 def test_a_nonempty_out_without_force_exits_2_and_keeps_its_files(trained, tmp_path, capsys,
                                                                   command):
@@ -605,14 +619,59 @@ def test_a_nonempty_out_without_force_exits_2_and_keeps_its_files(trained, tmp_p
     for name in ("manifest.json", "config.json", "reports/level_none.json", "notes.txt"):
         (out / name).write_text(f"earlier {name}")
     before = tree_bytes(out)
-    argv = {"gen": ["gen", "--config", config],
-            "train": ["train", "--config", config],
-            "eval": ["eval", "--ckpt", ckpt, "--config", config, "--levels", "none"],
-            "ablate": ["ablate", "--config", config, "--sweep", "t"]}[command]
-    assert quiet_main(argv + ["--out", str(out)]) == 2
+    assert quiet_main(command_argv(command, config, ckpt, out)) == 2
     assert (f"output directory {str(out)!r} is not empty (use --force)"
             in capsys.readouterr().err)
     assert tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "eval", "ablate"])
+def test_the_manifest_records_the_command_that_ran_and_its_layout(trained, tmp_path,
+                                                                  monkeypatch, command):
+    # an in-process call once recorded the host's sys.argv (["-c"] under
+    # `python -c`), and gen listed its files one by one
+    monkeypatch.setattr("sys.argv", ["-c"])
+    _, trained_config, ckpt = trained
+    _, config = write_config(tmp_path / "config.json", scenes=2)
+    argv = command_argv(command, trained_config if command == "eval" else config, ckpt,
+                        tmp_path / "out")
+    assert quiet_main(argv) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["command"] == ["shiftseg", *argv]
+    assert manifest["layout"] == {"gen": cli.GEN_LAYOUT, "train": cli.TRAIN_LAYOUT,
+                                  "eval": cli.EVAL_LAYOUT, "ablate": cli.ABLATE_LAYOUT}[command]
+
+
+def test_the_manifest_of_a_command_line_records_its_arguments(tmp_path, monkeypatch):
+    _, config = write_config(tmp_path / "config.json", scenes=2)
+    argv = command_argv("gen", config, None, tmp_path / "out")
+    monkeypatch.setattr("sys.argv", ["/usr/local/bin/shiftseg", *argv])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main() == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["command"] == ["shiftseg", *argv]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_synthetic_clouds_are_checked_as_dataset_clouds_are(trained, tmp_path, capsys,
+                                                            command):
+    # without --data, train at this voxel size once made its output and then
+    # ended in a ValueError traceback, exit 1
+    _, config = write_config(tmp_path / "config.json", scenes=2, voxel_size=1e-300)
+    out = tmp_path / "out"
+    assert quiet_main(command_argv(command, config, trained[2], out)) == 2
+    err = capsys.readouterr().err
+    assert "has a coordinate beyond 2^63 voxels of 1e-300" in err, err
+    assert "(the config's synthetic data)" in err, err
+    assert not out.exists()
+
+
+def test_a_diverged_training_exits_1_with_one_error_line(tmp_path, capsys):
+    # it once ended in a TrainingDiverged traceback
+    _, config = write_config(tmp_path / "config.json", scenes=2, lam=1e300, t=0.45)
+    assert quiet_main(["train", "--config", config, "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: loss_total is not finite at step 0 (epoch 0)"]
 
 
 @pytest.fixture(scope="module")
@@ -875,12 +934,13 @@ def test_a_config_with_the_removed_ema_momentum_key_is_refused(tmp_path, capsys)
 
 
 # the strategy keys went with the alternatives RESULTS.md did not support,
-# scanmix went when a partner alone began to turn scan mix on, and mode
-# "eas+scr" is spelled mode "full" with lambda 0
+# scanmix went when a partner alone began to turn scan mix on, eval_every
+# when every epoch but the last came to be reported, and mode "eas+scr" is
+# spelled mode "full" with lambda 0
 @pytest.mark.parametrize("key", [
     "seg_lr", "seg_weight_decay", "seg_momentum", "clip_grad_norm", "ae_lr", "curve_trials",
     "beta", "gamma", "num_sectors", "prior_source", "offline_prior_path", "distill_target",
-    "curriculum", "scanmix", "mode"])
+    "curriculum", "scanmix", "eval_every", "mode"])
 def test_a_config_with_a_key_now_a_constant_is_refused(tmp_path, capsys, key):
     cfg = verify.tiny_config()
     path = tmp_path / "config.json"

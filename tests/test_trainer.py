@@ -1,4 +1,5 @@
-"""Training-run reproducibility across `--resume`, atomic checkpoints, a
+"""Training-run reproducibility across `--resume`, the last epoch written
+only as final, atomic checkpoints, a
 final checkpoint kept when the final report fails, a final report over every
 augmentation level on draws that every training seed shares, golden output
 digests, clean clouds prepared once per run, each validation cloud prepared
@@ -34,28 +35,49 @@ def write_config(path, **overrides):
     return str(path)
 
 
+def run_bytes(out):
+    """The bytes a resume must reproduce: the steplog, the final weights and
+    the final report."""
+    return {name: (out / name).read_bytes()
+            for name in ("steplog.ndjson", "ckpt/final/weights.a3wt", "reports/final.json")}
+
+
+def test_a_run_writes_its_last_epoch_only_as_final(tmp_path):
+    # at ckpt_every 1 a run once also wrote ckpt/epoch_0003, byte-equal to
+    # ckpt/final, and reports/epoch_0002.json, the final report's clean scores
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", write_config(tmp_path / "config.json"),
+                     "--out", str(out)]) == 0
+    assert sorted(p.name for p in (out / "ckpt").iterdir()) == [
+        "epoch_0001", "epoch_0002", "final"]
+    assert sorted(p.name for p in (out / "reports").iterdir()) == [
+        "epoch_0000.json", "epoch_0001.json", "final.json"]
+
+
 def test_resume_reproduces_an_uninterrupted_run(tmp_path):
     config = write_config(tmp_path / "config.json")
     out = tmp_path / "run"
     assert cli.main(["train", "--config", config, "--out", str(out)]) == 0
-    steplog = (out / "steplog.ndjson").read_bytes()
-    weights = (out / "ckpt" / "final" / "weights.a3wt").read_bytes()
-    assert len(steplog.splitlines()) == 9  # 3 epochs x 3 single-cloud batches
+    finished = run_bytes(out)
+    assert len(finished["steplog.ndjson"].splitlines()) == 9  # 3 epochs x 3 one-cloud batches
 
-    # interrupted after logging epoch 3 but before its checkpoint: the resume
-    # restarts from epoch_0002 and must not log epoch 3's steps twice
-    shutil.rmtree(out / "ckpt" / "epoch_0003")
-    shutil.rmtree(out / "ckpt" / "final")
-    # a crash while epoch 3's checkpoint was written leaves only its temporary
-    # directory, which the resume must not take for a checkpoint
-    partial = out / "ckpt" / ".partial-epoch_0003"
-    partial.mkdir()
-    (partial / "weights.a3wt").write_bytes(weights[:100])
+    # a finished run resumes from epoch_0002 and writes its last epoch again
     assert cli.main(["train", "--config", config, "--out", str(out), "--resume"]) == 0
-    assert (out / "steplog.ndjson").read_bytes() == steplog
-    assert (out / "ckpt" / "final" / "weights.a3wt").read_bytes() == weights
+    assert run_bytes(out) == finished
+
+    # interrupted after logging epoch 3 but before its final checkpoint: the
+    # resume restarts from epoch_0002 and must not log epoch 3's steps twice
+    shutil.rmtree(out / "ckpt" / "final")
+    (out / "reports" / "final.json").unlink()
+    # a crash while the final checkpoint was written leaves only its
+    # temporary directory, which the resume must not take for a checkpoint
+    partial = out / "ckpt" / ".partial-final"
+    partial.mkdir()
+    (partial / "weights.a3wt").write_bytes(finished["ckpt/final/weights.a3wt"][:100])
+    assert cli.main(["train", "--config", config, "--out", str(out), "--resume"]) == 0
+    assert run_bytes(out) == finished
     assert sorted(p.name for p in (out / "ckpt").iterdir()) == [
-        "epoch_0001", "epoch_0002", "epoch_0003", "final"]
+        "epoch_0001", "epoch_0002", "final"]
 
 
 def test_save_state_replaces_an_existing_checkpoint(tmp_path):
@@ -117,9 +139,9 @@ def test_final_report_completes_over_every_level(tmp_path, monkeypatch):
     monkeypatch.setattr(trainer, "CURVE_TRIALS", 45)
     monkeypatch.setattr(evalsuite, "EVAL_DRAW_SEED", cfg.seed)
     split, clouds = trainer.default_data(cfg)
-    _, reports = trainer.run(cfg, split, clouds, str(tmp_path))
-    assert list(reports[-1]["ssr_ratio_by_level"]) == list(PRESETS)
-    assert list(reports[-1]["miou_by_level"]) == list(PRESETS)
+    final = trainer.run(cfg, split, clouds, str(tmp_path))
+    assert list(final["ssr_ratio_by_level"]) == list(PRESETS)
+    assert list(final["miou_by_level"]) == list(PRESETS)
 
 
 def test_trainings_at_different_seeds_score_the_same_final_draws(tmp_path, monkeypatch):
@@ -159,8 +181,10 @@ def test_the_final_none_level_scores_the_clean_clouds(tmp_path, mode):
     # path the clean validation clouds take, so both score the same bits
     cfg = verify.tiny_config(scenes=2, val_fraction=0.5, mode=mode)
     split, clouds = trainer.default_data(cfg)
-    _, reports = trainer.run(cfg, split, clouds, str(tmp_path))
-    assert reports[-1]["miou_by_level"]["none"] == reports[-1]["miou"]
+    final = trainer.run(cfg, split, clouds, str(tmp_path))
+    assert final["miou_by_level"]["none"] == final["miou"]
+    # run returns the final report it wrote
+    assert final == json.loads((tmp_path / "reports" / "final.json").read_text())
 
 
 def spy_clean_passes(monkeypatch, val_clouds, cfg):
@@ -287,19 +311,25 @@ def test_resume_refuses_a_changed_config(tmp_path):
 # re-recorded (weights and reports unchanged) when its full lines lost
 # vq_codebook, bitwise equal to vq_commitment, and code_usage, a running
 # count of labelled rows; every line is the earlier one without those two
-# keys (steplog 318898bf… → ca19f21f…).
+# keys (steplog 318898bf… → ca19f21f…). The reports were re-recorded
+# (steplog and weights unchanged) when TrainConfig lost eval_every, which
+# moves the config hash, and the last epoch came to be written only as
+# final: epoch_0002.json, the final report's clean scores, is no longer
+# written, so the last epoch report pinned is epoch_0001 (epoch_0001
+# cbca8a8f… → 5ac2bc0d…, final 5dab9d5a… → 1948f0ae…; in each only the
+# config_hash value moved).
 GOLDEN = {
     "steplog.ndjson": "ca19f21f7cf5010c1700725ce152f78b86fe820678e9fc9dfa25a8aa80a56679",
     "ckpt/final/weights.a3wt": "021d07f6d71243473dbecb03c67a056b58bf878dda732f44b9a9572395d2644a",
-    "reports/epoch_0002.json": "bd0018620198e0784e6a3997ced45b7c8ff88590a2ea4cc4c4e9331047a764cb",
-    "reports/final.json": "5dab9d5aae563976b1fa5ea8bf9275842585dddd7a198b144c5f9727ac222afa",
+    "reports/epoch_0001.json": "5ac2bc0d4ad8c41baca05fca488eb01f26225c276bfcfeb9ad2656ce101e5e3d",
+    "reports/final.json": "1948f0ae62cb6371d472b71c1c1281f551549c5d86e92a97b50c67d61da75ee7",
 }
 
 
 def test_tiny_run_matches_the_golden_digests(tmp_path):
     # t=0.45 flags 36-69 % of the labeled rows, so distillation runs
     cfg = verify.tiny_config(epochs=3, scenes=4, val_fraction=0.25, class_count=8,
-                             points_per_scene=128, t=0.45, eval_every=1)
+                             points_per_scene=128, t=0.45)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg.to_json()))
     out = tmp_path / "run"
@@ -543,8 +573,18 @@ def test_the_prior_objective_over_float32_pins_equals_it_over_float64_pins(monke
 def test_a_run_on_a_split_without_training_clouds_is_refused(tmp_path):
     cfg = verify.tiny_config(scenes=2, val_fraction=0.5)
     split, clouds = trainer.default_data(cfg)
-    with pytest.raises(ValueError, match="split has no training clouds"):
+    with pytest.raises(ValueError, match="split has no training clouds or no validation"):
         trainer.run(cfg, DatasetSplit([], split.val), clouds, str(tmp_path / "run"))
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_run_on_a_split_without_validation_clouds_is_refused(tmp_path):
+    # the final report scores the validation clouds, so a run without them
+    # is refused before it writes anything, not after its training
+    cfg = verify.tiny_config(scenes=2, val_fraction=0.5)
+    split, clouds = trainer.default_data(cfg)
+    with pytest.raises(ValueError, match="split has no training clouds or no validation"):
+        trainer.run(cfg, DatasetSplit(split.train, []), clouds, str(tmp_path / "run"))
     assert not (tmp_path / "run").exists()
 
 
